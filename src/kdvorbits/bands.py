@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .asymptotics import Approximation
-from .elliptic import _jacobi_real
+from .elliptic import jacobi
 from .errors import DomainError, NumericalError, ResolutionError
 from .profiles import Profile
 from .weierstrass import lattice, wp_inverse, zeta
@@ -39,13 +39,16 @@ __all__ = [
     "band_edges",
     "lame_profile",
     "exceptional_energy_asymptote",
+    "floquet_traces",
     "numeric_band_gaps",
 ]
 
 _EDGE_SNAP = 1e-9
 _SCAN_STEPS = 3072  # Magnus steps across one period of sn^2
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-_TANGENCY = 1e-7
+#: Forbidden runs whose |Tr| never clears 2 by more than this are grazing
+#: artifacts of the scan, not gaps.
+TANGENCY = 1e-7
 
 
 class BandPoint(NamedTuple):
@@ -145,7 +148,7 @@ def lame_profile(N: int, m: float, E: float, c: float, n: int = 512) -> Profile:
     scale = lat.K / math.pi
 
     def evaluate(x):
-        s = _jacobi_real(np.asarray(x, float) * scale, m)[0]
+        s = jacobi(np.asarray(x, float) * scale, m).sn
         return amp * (strength * s * s - E)
 
     return Profile.from_callable(evaluate, n=n)
@@ -187,7 +190,7 @@ def exceptional_energy_asymptote(n: int, m: float,
 # Numerical gap detection: a batched Floquet-trace scan.
 # ---------------------------------------------------------------------------
 
-def _floquet_traces(energies: np.ndarray, strength: float, K: float,
+def floquet_traces(energies: np.ndarray, strength: float, K: float,
                     m: float) -> np.ndarray:
     """Floquet trace of psi'' = (strength sn^2(z|m) - E) psi over [0, 2K].
 
@@ -200,8 +203,8 @@ def _floquet_traces(energies: np.ndarray, strength: float, K: float,
     E = np.asarray(energies, float)
     h = 2.0 * K / _SCAN_STEPS
     base = h * np.arange(_SCAN_STEPS)
-    lo_nodes = _jacobi_real(base + h * (0.5 - _GAUSS_OFFSET), m)[0]
-    hi_nodes = _jacobi_real(base + h * (0.5 + _GAUSS_OFFSET), m)[0]
+    lo_nodes = jacobi(base + h * (0.5 - _GAUSS_OFFSET), m).sn
+    hi_nodes = jacobi(base + h * (0.5 + _GAUSS_OFFSET), m).sn
     lo_nodes = strength * lo_nodes * lo_nodes
     hi_nodes = strength * hi_nodes * hi_nodes
 
@@ -273,10 +276,10 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
     strength = N * (N + 1) * m
     count = int(math.ceil(E_max / scan_step)) + 1
     energies = np.linspace(0.0, E_max, count)
-    traces = _floquet_traces(energies, strength, lat.K, m)
+    traces = floquet_traces(energies, strength, lat.K, m)
 
     def trace_at(E: float) -> float:
-        return float(_floquet_traces(np.array([E]), strength, lat.K, m)[0])
+        return float(floquet_traces(np.array([E]), strength, lat.K, m)[0])
 
     forbidden = np.abs(traces) > 2.0
     # Maximal runs of consecutive forbidden samples.
@@ -294,7 +297,7 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
         if i1 == count - 1:
             raise DomainError(
                 f"forbidden region still open at E_max = {E_max!r}; raise E_max")
-        if np.max(np.abs(traces[i0:i1 + 1])) - 2.0 < _TANGENCY:
+        if np.max(np.abs(traces[i0:i1 + 1])) - 2.0 < TANGENCY:
             continue  # grazing |Tr| = 2, a closed gap at numerical noise level
         lo = brentq(lambda E: abs(trace_at(E)) - 2.0,
                     energies[i0 - 1], energies[i0], xtol=1e-8)

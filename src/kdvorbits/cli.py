@@ -43,7 +43,7 @@ from .asymptotics import (
     k_near_wedge,
     one_minus_m_nonperturbative,
 )
-from .bands import _TANGENCY, _floquet_traces, crystal_momentum
+from .bands import TANGENCY, crystal_momentum, floquet_traces
 from .errors import DomainError, NumericalError
 from .hill import floquet_monodromy, kdv_evolve, winding_number
 from .orbits import (
@@ -154,7 +154,7 @@ def _band_rows_closed_form(energies, m: float) -> list:
 
 
 def _band_rows_scanned(energies, N: int, m: float) -> list:
-    traces = _floquet_traces(np.asarray(energies, float),
+    traces = floquet_traces(np.asarray(energies, float),
                              N * (N + 1) * m, lattice(m).K, m)
     forbidden = np.abs(traces) > 2.0
     kappa = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
@@ -174,7 +174,7 @@ def _band_rows_scanned(energies, N: int, m: float) -> list:
         while j < len(traces) and forbidden[j]:
             j += 1
         peak = float(np.max(np.abs(traces[j0:j]))) - 2.0
-        if j0 > 0 and peak > _TANGENCY:
+        if j0 > 0 and peak > TANGENCY:
             count += 1
         winding[j0:j] = count
     return [[float(e), float(k), bool(f), int(w)]

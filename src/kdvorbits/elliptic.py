@@ -9,6 +9,8 @@ shoaling) is built on the four primitives in this module:
   amplitude) recursion,
 * ``jacobi_complex`` -- complex-argument sn/cn/dn assembled from two real
   evaluations (one at modulus parameter ``m``, one at ``1 - m``),
+* ``jacobi_epsilon`` -- Jacobi's epsilon, E(am u | m), at the same
+  Landen amplitude,
 * ``dn_power_integral`` -- full-period integrals of even powers of dn.
 
 Throughout the package the *parameter* convention is used: ``m`` is the
@@ -26,6 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ellipeinc
 
 from .errors import DomainError, PoleError
 
@@ -35,6 +38,7 @@ __all__ = [
     "ellint_E",
     "jacobi",
     "jacobi_complex",
+    "jacobi_epsilon",
     "dn_power_integral",
 ]
 
@@ -63,9 +67,12 @@ def _check_parameter(m: float, *, allow_one: bool = False) -> float:
     return m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _agm_chain(m: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     """AGM sequence for parameter m: (a_n), (c_n), and sum 2^(n-1) c_n^2.
+
+    Cached per float m, with the same bound as the lattice cache: a
+    root find or a sweep over m asks for a new chain at every step.
 
     Seeds a0 = 1, b0 = sqrt(1 - m), c0 = sqrt(m); then
     a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2.
@@ -119,6 +126,26 @@ def ellint_E(m: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _amplitude(u: float, m: float) -> float:
+    """am(u|m) for 0 <= m < 1, with u first reduced modulo the period 4K.
+
+    The descending Landen recursion phi_N = 2^N a_N u,
+    phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n))/2 ends at phi_0 = am u.
+    The reduction keeps sin() away from huge arguments once amplified by
+    2^N; it shifts am u by a multiple of 2 pi, and not at all for |u| < 2K.
+    """
+    a_seq, c_seq, _ = _agm_chain(m)
+    n_last = len(a_seq) - 1
+    four_k = 2.0 * math.pi / a_seq[-1]
+    u = u - four_k * round(u / four_k)
+    phi = math.ldexp(a_seq[-1] * u, n_last)
+    for n in range(n_last, 0, -1):
+        t = (c_seq[n] / a_seq[n]) * math.sin(phi)
+        t = min(1.0, max(-1.0, t))
+        phi = 0.5 * (phi + math.asin(t))
+    return phi
+
+
 def _jacobi_scalar(u: float, m: float) -> tuple[float, float, float]:
     """sn, cn, dn for one real argument; m may be anything in [0, 1]."""
     if m == 0.0:
@@ -128,31 +155,17 @@ def _jacobi_scalar(u: float, m: float) -> tuple[float, float, float]:
         c = 1.0 / math.cosh(u)
         return s, c, c
 
-    a_seq, c_seq, _ = _agm_chain(m)
-    n_last = len(a_seq) - 1
-    # Range-reduce modulo the real period 4K before amplifying by 2^N,
-    # otherwise sin() gets fed huge arguments and accuracy degrades.
-    four_k = 2.0 * math.pi / a_seq[-1]
-    u = u - four_k * round(u / four_k)
-    phi = math.ldexp(a_seq[-1] * u, n_last)
-    for n in range(n_last, 0, -1):
-        t = (c_seq[n] / a_seq[n]) * math.sin(phi)
-        t = min(1.0, max(-1.0, t))
-        phi = 0.5 * (phi + math.asin(t))
+    phi = _amplitude(u, m)
     sn = math.sin(phi)
     cn = math.cos(phi)
-    dn = math.sqrt(1.0 - m * sn * sn)
+    dn = math.sqrt(cn * cn + (1.0 - m) * sn * sn)
     return sn, cn, dn
 
 
 def _jacobi_array(u: np.ndarray, m: float) -> tuple[np.ndarray, ...]:
-    """Vectorized counterpart of :func:`_jacobi_scalar`."""
+    """Vectorized counterpart of :func:`_jacobi_scalar` for 0 <= m < 1."""
     if m == 0.0:
         return np.sin(u), np.cos(u), np.ones_like(u)
-    if m == 1.0:
-        s = np.tanh(u)
-        c = 1.0 / np.cosh(u)
-        return s, c, c.copy()
 
     a_seq, c_seq, _ = _agm_chain(m)
     n_last = len(a_seq) - 1
@@ -164,16 +177,8 @@ def _jacobi_array(u: np.ndarray, m: float) -> tuple[np.ndarray, ...]:
         phi = 0.5 * (phi + np.arcsin(t))
     sn = np.sin(phi)
     cn = np.cos(phi)
-    dn = np.sqrt(1.0 - m * sn * sn)
+    dn = np.sqrt(cn * cn + (1.0 - m) * sn * sn)
     return sn, cn, dn
-
-
-def _jacobi_real(u, m: float):
-    """Internal dispatcher: accepts 0 <= m <= 1 and scalar/array u."""
-    if np.ndim(u) == 0 and not isinstance(u, np.ndarray):
-        return _jacobi_scalar(float(u), m)
-    arr = np.asarray(u, dtype=float)
-    return _jacobi_array(arr, m)
 
 
 def jacobi(u, m: float) -> JacobiTriple:
@@ -181,12 +186,14 @@ def jacobi(u, m: float) -> JacobiTriple:
 
     Implemented by the AGM/descending-Landen amplitude recursion:
     phi_N = 2^N a_N u, then phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n))/2,
-    with sn = sin(phi_0), cn = cos(phi_0), dn = sqrt(1 - m sn^2).
+    with sn = sin(phi_0), cn = cos(phi_0) and dn = sqrt(cn^2 + (1-m) sn^2),
+    which is 1 - m sn^2 without its cancellation near u = K as m -> 1.
     Accepts scalars or arrays; scalar in, floats out.
     """
     m = _check_parameter(m)
-    s, c, d = _jacobi_real(u, m)
-    return JacobiTriple(s, c, d)
+    if isinstance(u, float) or (np.ndim(u) == 0 and not isinstance(u, np.ndarray)):
+        return JacobiTriple(*_jacobi_scalar(float(u), m))
+    return JacobiTriple(*_jacobi_array(np.asarray(u, dtype=float), m))
 
 
 # ---------------------------------------------------------------------------
@@ -266,49 +273,24 @@ def dn_power_integral(N: int, m: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi epsilon function (integral of dn^2); internal helper used by the
-# Weierstrass zeta closed form.
+# Jacobi epsilon function (integral of dn^2).
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+def jacobi_epsilon(u: float, m: float) -> float:
+    """Jacobi epsilon function: integral_0^u dn^2(t|m) dt = E(am u | m).
 
-
-def _dn2_integral_segment(r: float, m: float) -> float:
-    """integral_0^r dn^2(t|m) dt for |r| <= K(m), by composite Gauss-Legendre.
-
-    dn^2 is analytic in a strip of half-width K'(m) >= pi/2 about the real
-    axis, so 24-point panels of width <= 1 converge far past double
-    precision.
+    Quasi-periodic, eps(u + 2K) = eps(u) + 2E, so u = 2nK + r with
+    |r| <= K and eps(u) = 2nE + E(am r | m) (DLMF 22.16(iii)): Legendre's
+    incomplete integral (``scipy.special.ellipeinc``) at the amplitude
+    from the Landen recursion behind :func:`jacobi`.  Accepts m = 1,
+    where it is tanh(u).
     """
-    if r == 0.0:
-        return 0.0
-    sign = 1.0 if r > 0 else -1.0
-    r = abs(r)
-    panels = max(1, math.ceil(r / 1.0))
-    nodes, weights = _gl_rule(24)
-    edges = np.linspace(0.0, r, panels + 1)
-    widths = np.diff(edges)
-    ts = (edges[:-1, None] + widths[:, None] * nodes[None, :]).ravel()
-    _, _, dn = _jacobi_array(ts, m)
-    vals = (dn * dn).reshape(panels, -1)
-    return sign * float(np.sum(vals @ weights * widths))
-
-
-def _jacobi_epsilon(u: float, m: float) -> float:
-    """Jacobi epsilon function: integral_0^u dn^2(t|m) dt.
-
-    Quasi-periodic, eps(u + 2K) = eps(u) + 2E; reduced to a base interval
-    and finished by quadrature.  Supports m = 1, where it is tanh(u).
-    """
+    m = _check_parameter(m, allow_one=True)
+    u = float(u)
     if m == 1.0:
         return math.tanh(u)
     K = ellint_K(m)
-    E = ellint_E(m)
     n = round(u / (2.0 * K))
     r = u - 2.0 * K * n
-    return 2.0 * E * n + _dn2_integral_segment(r, m)
+    return 2.0 * ellint_E(m) * n + float(ellipeinc(_amplitude(r, m), m))

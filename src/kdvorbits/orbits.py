@@ -12,20 +12,25 @@ of the central charge).
 
 On each of the four edges of the rectangle w is purely real or purely
 imaginary up to the constant -i pi/2, and the addition formula for zeta
-collapses to elementary real expressions in the Jacobi epsilon function:
+collapses to elementary real expressions.  Let phi and mu be the
+amplitude and parameter of a on its edge (:func:`.weierstrass.wp_amplitude`),
+F = F(phi|mu) and Ep = E(phi|mu) Legendre's incomplete integrals, and
+g_i = sqrt|V - e_i| the gaps:
 
-    right edge (band,   e3 < V < e1):  w = -i phi,
-        phi = K eps(Y|1-m) - (K - E) Y
-    imaginary axis (below the wedge, V < e2):  w = -i phi,
-        phi = K eps(Y|1-m) - (K - E) Y + K cn dn/sn (Y|1-m)
-    top edge (inside the wedge, e2 < V < e3):  w = rho - i pi/2,
-        rho = K eps(X|m) - E X
-    real axis (above the spectrum, V > e1):  w = rho,
-        rho = K eps(X|m) - E X + K cn dn/sn (X|m)
+    right edge (band,   e3 < V < e1, mu = 1-m):  w = -i phi_w,
+        phi_w = K Ep - (K - E) F
+    imaginary axis (below the wedge, V < e2, mu = 1-m):  w = -i phi_w,
+        phi_w = K Ep - (K - E) F + K g2 g3 / g1
+    top edge (inside the wedge, e2 < V < e3, mu = m):  w = rho - i pi/2,
+        rho = K Ep - E F
+    real axis (above the spectrum, V > e1, mu = m):  w = rho,
+        rho = K Ep - E F + K g1 g3 / g2
 
-(Legendre's relation makes phi -> pi/2 exactly at both wedge corners.)
-Working edge-by-edge in real arithmetic keeps the trichotomy
-|trace| < 2 / = 2 / > 2 exact, which the classifier relies on.
+F is the arc parameter u of a along its edge, Ep = E(am u|mu) is
+Jacobi's epsilon there (DLMF 22.16(iii)), and the last terms are
+K cn dn / sn at u.  Legendre's relation makes phi_w -> pi/2 exactly at
+both wedge corners.  Working edge-by-edge in real arithmetic keeps the
+trichotomy |trace| < 2 / = 2 / > 2 exact, which the classifier relies on.
 """
 
 from __future__ import annotations
@@ -37,21 +42,12 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ellipeinc, ellipkinc
 
-from .elliptic import _jacobi_epsilon, _jacobi_real, _jacobi_scalar
+from .elliptic import jacobi
 from .errors import DomainError, InsideWedgeError, NumericalError
 from .profiles import Profile
-from .weierstrass import (
-    RectLattice,
-    _wp_band_line,
-    _wp_imag_axis,
-    _wp_prime_band_line_im,
-    _wp_prime_imag_axis_im,
-    _wp_prime_real,
-    _wp_real,
-    lattice,
-    wp_inverse,
-)
+from .weierstrass import RectLattice, lattice, wp_amplitude
 
 __all__ = [
     "OrbitKind",
@@ -138,32 +134,25 @@ def _region_of(lat: RectLattice, V: float) -> _Region:
     return _Region.ABOVE
 
 
-def _phi_band(Y: float, lat: RectLattice) -> float:
-    """phi on the right edge: K eps(Y|1-m) - (K-E) Y, increasing 0 -> pi/2."""
-    return lat.K * _jacobi_epsilon(Y, 1.0 - lat.m) - (lat.K - lat.E) * Y
+def _epsilon_part(lat: RectLattice, region: _Region, phi: float, mu: float) -> float:
+    """The Legendre-integral part of w at amplitude phi on the edge of ``region``.
 
-
-def _phi_below(Y: float, lat: RectLattice) -> float:
-    """phi on the imaginary axis: band term + K cn dn/sn at (Y|1-m).
-
-    Decreases monotonically from +inf (V -> -inf) to pi/2 (V = e2).
+    K Ep - (K - E) F (= -Im w on the band, 0 -> pi/2 along the right edge)
+    below the wedge and on the band; K Ep - E F (= Re w in the wedge, zero
+    at both ends of the top edge) inside and above it; with F = F(phi|mu)
+    and Ep = E(phi|mu).
     """
-    s, c, d = _jacobi_scalar(Y, 1.0 - lat.m)
-    return _phi_band(Y, lat) + lat.K * c * d / s
+    F = ellipkinc(phi, mu)
+    Ep = ellipeinc(phi, mu)
+    if region in (_Region.BELOW, _Region.BAND):
+        return float(lat.K * Ep - (lat.K - lat.E) * F)
+    return float(lat.K * Ep - lat.E * F)
 
 
-def _rho_wedge(X: float, lat: RectLattice) -> float:
-    """Re w on the top edge: K eps(X|m) - E X; zero at both corners."""
-    return lat.K * _jacobi_epsilon(X, lat.m) - lat.E * X
-
-
-def _rho_above(X: float, lat: RectLattice) -> float:
-    """w on the real axis: wedge term + K cn dn/sn at (X|m).
-
-    Decreases monotonically from +inf (V -> +inf) to 0 (V = e1).
-    """
-    s, c, d = _jacobi_scalar(X, lat.m)
-    return _rho_wedge(X, lat) + lat.K * c * d / s
+def _gaps(lat: RectLattice, V: float) -> tuple[float, float, float]:
+    """sqrt|V - e_i| for i = 1, 2, 3."""
+    return (math.sqrt(abs(V - lat.e1)), math.sqrt(abs(V - lat.e2)),
+            math.sqrt(abs(V - lat.e3)))
 
 
 def _holonomy(m: float, V: float) -> tuple[RectLattice, _Region, complex]:
@@ -174,21 +163,33 @@ def _holonomy(m: float, V: float) -> tuple[RectLattice, _Region, complex]:
         return lat, region, complex(0.0, -math.pi / 2)
     if region is _Region.PARABOLIC_EDGE:
         return lat, region, 0.0 + 0.0j
-    a = wp_inverse(V, lat)
-    if region is _Region.BELOW:
-        return lat, region, complex(0.0, -_phi_below(a.imag, lat))
+    _, phi, mu = wp_amplitude(V, lat)
+    part = _epsilon_part(lat, region, phi, mu)
     if region is _Region.BAND:
-        return lat, region, complex(0.0, -_phi_band(a.imag, lat))
+        return lat, region, complex(0.0, -part)
     if region is _Region.WEDGE:
-        return lat, region, complex(_rho_wedge(a.real, lat), -math.pi / 2)
-    return lat, region, complex(_rho_above(a.real, lat), 0.0)
+        return lat, region, complex(part, -math.pi / 2)
+    # K cn dn / sn at a, as a product of gaps: no division by a small sn.
+    g1, g2, g3 = _gaps(lat, V)
+    if region is _Region.BELOW:
+        return lat, region, complex(0.0, -(part + lat.K * g2 * (g3 / g1)))
+    return lat, region, complex(part + lat.K * g1 * (g3 / g2), 0.0)
+
+
+def _two_cosh(x: float) -> float:
+    """2 cosh(x), +inf once cosh overflows."""
+    try:
+        return 2.0 * math.cosh(x)
+    except OverflowError:
+        return math.inf
 
 
 def monodromy_trace(m: float, V: float) -> float:
     """Trace of the Hill monodromy of the cnoidal wave (m, V): 2 cosh(2w).
 
     Independent of the central charge.  Exactly -2 on the wedge edges and
-    +2 at V = e1; in (-2, 2) on the elliptic regions; beyond otherwise.
+    +2 at V = e1; in (-2, 2) on the elliptic regions; beyond otherwise,
+    and +inf once 2 cosh(2w) overflows (V above about 1e5).
     """
     _, region, w = _holonomy(m, V)
     if region in (_Region.LOWER_EDGE, _Region.UPPER_EDGE):
@@ -198,8 +199,8 @@ def monodromy_trace(m: float, V: float) -> float:
     if region in (_Region.BELOW, _Region.BAND):
         return 2.0 * math.cos(2.0 * abs(w.imag))
     if region is _Region.WEDGE:
-        return -2.0 * math.cosh(2.0 * w.real)
-    return 2.0 * math.cosh(2.0 * w.real)
+        return -_two_cosh(2.0 * w.real)
+    return _two_cosh(2.0 * w.real)
 
 
 def uniform_representative(m: float, V: float) -> UniformRepresentative:
@@ -283,7 +284,11 @@ def dk_dV(m: float, V: float) -> float:
 
     From differentiating w^2/(6 pi^2) with dV = wp'(a) da:
 
-        d(kc)/dV = - w (K V + eta1) / (3 pi^2 wp'(a)).
+        d(kc)/dV = - w (K V + eta1) / (3 pi^2 wp'(a)),
+
+    where wp'(a)^2 = 4 (V - e1)(V - e2)(V - e3): |wp'(a)| = 2 g1 g2 g3,
+    negative on the real axis, and i times a negative (imaginary axis) or
+    positive (right edge) number elsewhere.
 
     wp' vanishes at the corners: the derivative diverges (+inf is
     returned) on the wedge edges, while at V = e1 the limit is finite,
@@ -298,25 +303,38 @@ def dk_dV(m: float, V: float) -> float:
         return math.inf
     if region is _Region.PARABOLIC_EDGE:
         return lat.E**2 / (_SIX_PI_SQ * (1.0 - lat.m))
-    a = wp_inverse(V, lat)
-    coeff = lat.K * V + lat.eta1
+    g1, g2, g3 = _gaps(lat, V)
+    rate = (lat.K * V + lat.eta1) / g1 / g2 / g3 / _SIX_PI_SQ
     if region is _Region.BELOW:
-        phi = abs(w.imag)
-        return phi * coeff / (3.0 * math.pi**2 * _wp_prime_imag_axis_im(a.imag, lat))
+        return w.imag * rate
     if region is _Region.BAND:
-        phi = abs(w.imag)
-        return phi * coeff / (3.0 * math.pi**2 * _wp_prime_band_line_im(a.imag, lat))
-    return -w.real * coeff / (3.0 * math.pi**2 * _wp_prime_real(a.real, lat))
+        return -w.imag * rate
+    return w.real * rate
 
 
-def _bracket_downward(f, hi: float, flo_positive: bool, start: float) -> float:
-    """Shrink a lower bracket endpoint until f changes sign against f(hi)."""
+def _bracket_downward(f, start: float) -> float:
+    """Halve a lower bracket endpoint until f is positive there."""
     lo = start
     for _ in range(200):
-        if (f(lo) > 0.0) == flo_positive:
+        if f(lo) > 0.0:
             return lo
         lo *= 0.5
     raise NumericalError("failed to bracket the level-curve root", abscissa=lo)
+
+
+def _edge_w(lat: RectLattice, region: _Region, phi: float, mu: float) -> float:
+    """|w| (below the wedge, on the band) or Re w (above) at amplitude phi.
+
+    The level-curve search runs in phi before V is known, so the term
+    K cn dn / sn below and above the wedge is K cot(phi) dn here, with
+    dn = sqrt(cos^2 phi + (1 - mu) sin^2 phi), not the gap product of
+    :func:`_holonomy`.
+    """
+    part = _epsilon_part(lat, region, phi, mu)
+    if region is _Region.BAND:
+        return part
+    s, c = math.sin(phi), math.cos(phi)
+    return part + lat.K * c * math.sqrt(c * c + (1.0 - mu) * s * s) / s
 
 
 def _corner_slack(V: float, corner: float, slope: float, curv_half: float) -> float:
@@ -341,11 +359,14 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
     V <= e2) or "above_wedge" (requires target_kc >= -1/24; returns
     V >= e3).  Exactly -1/24 returns the corresponding wedge edge.
 
-    The root is found in the arc-length variable of the relevant edge,
-    where the problem is smooth and monotone, and the result is verified
-    by recomputing kc.  Because kc varies like a square root of V at the
-    wedge corners, targets within roughly 1e-8 of -1/24 resolve to the
-    corner itself; away from the corners the round trip is good to 1e-10.
+    The root is found in the amplitude phi of a = wp_inverse(V) on the
+    relevant edge, where the problem is smooth and monotone, and V follows
+    from phi algebraically (e1 - 1/sin^2 phi below the wedge,
+    e2 + 1 - (1-m) sin^2 phi on the band, e2 + 1/sin^2 phi above it).
+    The result is verified by recomputing kc.  Because kc varies like a
+    square root of V at the wedge corners, targets within roughly 1e-8 of
+    -1/24 resolve to the corner itself; away from the corners the round
+    trip is good to 1e-10.
     """
     target_kc = float(target_kc)
     if math.isnan(target_kc):
@@ -361,15 +382,7 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
             return lat.e2
         if m == 0.0:
             return 2.0 / 3.0 + 24.0 * target_kc
-        phi_t = math.sqrt(-_SIX_PI_SQ * target_kc)
-
-        def g(Y):
-            return _phi_below(Y, lat) - phi_t
-
-        lo = _bracket_downward(g, lat.Kc, True, min(lat.Kc / 2.0, lat.K / phi_t))
-        Y = brentq(g, lo, lat.Kc, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-        V = _wp_imag_axis(Y, lat)
-        slack = _corner_slack(V, lat.e2, lat.K - lat.E, m)
+        edge, mu = _Region.BELOW, 1.0 - m
     elif region == "above_wedge":
         if target_kc < boundary - BOUNDARY_TOL:
             raise DomainError(
@@ -380,25 +393,31 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
             return lat.e1
         if m == 0.0:
             return 2.0 / 3.0 + 24.0 * target_kc
-        if target_kc < 0.0:
-            phi_t = math.sqrt(-_SIX_PI_SQ * target_kc)
-            Y = brentq(lambda Y: _phi_band(Y, lat) - phi_t, 0.0, lat.Kc,
-                       xtol=1e-15, rtol=4 * np.finfo(float).eps)
-            V = _wp_band_line(Y, lat)
-            slack = _corner_slack(V, lat.e3, abs(lat.E - (1.0 - m) * lat.K),
-                                  m * (1.0 - m))
-        else:
-            rho_t = math.sqrt(_SIX_PI_SQ * target_kc)
-
-            def g(X):
-                return _rho_above(X, lat) - rho_t
-
-            lo = _bracket_downward(g, lat.K, True, min(lat.K / 2.0, lat.K / rho_t))
-            X = brentq(g, lo, lat.K, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-            V = _wp_real(X, lat)
-            slack = 0.0
+        edge, mu = (_Region.BAND, 1.0 - m) if target_kc < 0.0 else (_Region.ABOVE, m)
     else:
         raise DomainError(f"region must be 'below_wedge' or 'above_wedge', got {region!r}")
+
+    # |w| = sqrt(6 pi^2 |kc|); it falls from +inf at phi = 0 to its corner
+    # value at phi = pi/2 below and above the wedge, and rises on the band.
+    target = math.sqrt(_SIX_PI_SQ * abs(target_kc))
+
+    def g(phi):
+        return _edge_w(lat, edge, phi, mu) - target
+
+    lo = 0.0 if edge is _Region.BAND else _bracket_downward(
+        g, min(0.25 * math.pi, lat.K / target))
+    phi = brentq(g, lo, 0.5 * math.pi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    s2 = math.sin(phi) ** 2
+    if edge is _Region.BELOW:
+        V = lat.e1 - 1.0 / s2
+        slack = _corner_slack(V, lat.e2, lat.K - lat.E, m)
+    elif edge is _Region.BAND:
+        V = lat.e2 + (1.0 - mu * s2)
+        slack = _corner_slack(V, lat.e3, abs(lat.E - (1.0 - m) * lat.K),
+                              m * (1.0 - m))
+    else:
+        V = lat.e2 + 1.0 / s2
+        slack = 0.0
 
     check = uniform_representative(m, V).kc
     if abs(check.real - target_kc) > 1e-10 * max(1.0, abs(target_kc)) + slack:
@@ -428,7 +447,7 @@ def cnoidal_profile(m: float, V: float, c: float, tau: float = 0.0,
     shift = cnoidal_speed(m, V, c) * tau
 
     def evaluate(x):
-        s = _jacobi_real((np.asarray(x, float) - shift) * (K / math.pi), m)[0]
+        s = jacobi((np.asarray(x, float) - shift) * (K / math.pi), m).sn
         return amp * (offset + m * s * s)
 
     return Profile.from_callable(evaluate, n=n)

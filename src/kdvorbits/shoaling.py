@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .elliptic import _jacobi_real
+from .elliptic import jacobi
 from .errors import DomainError
 from .orbits import OrbitClass, classify, uniform_representative
 from .weierstrass import lattice
@@ -227,7 +227,7 @@ def depth_profile_D(X, t: float, train: WaveTrain):
     lat = lattice(train.m)
     phase = (2.0 * lat.K / train.lam
              * (np.asarray(X, dtype=float) - math.sqrt(train.g * train.h) * t))
-    dn = _jacobi_real(phase, train.m)[2]
+    dn = jacobi(phase, train.m).dn
     bump = (16.0 / 3.0 * train.h**3 / train.lam**2 * lat.K * lat.K
             * (dn * dn - lat.E / lat.K))
     return train.h + bump

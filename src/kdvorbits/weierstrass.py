@@ -10,10 +10,14 @@ lattice with half-periods ``omega1 = K(m)`` (real) and ``omega2 = i K(1-m)``
     e3 = (2m-1)/3  at z = K + i K'
     g2 = (4/3)(m^2 - m + 1),   g3 = (4/27)(2m^3 - 3m^2 - 3m + 2)
 
-``zeta`` and ``sigma`` are built from the Jacobi epsilon function and a
-short quadrature, with centred quasi-period reduction; ``wp_inverse``
-walks the boundary of the half fundamental rectangle, where ``wp`` is
-real and monotone on each of the four edges.
+``zeta`` is built from the Jacobi epsilon function in closed form and
+``sigma`` from a quadrature of ``zeta``, both with centred quasi-period
+reduction.  ``wp_amplitude`` places V on the boundary of the half
+fundamental rectangle, where ``wp`` is real and monotone on each of the
+four edges: there sn^2, cn^2 and dn^2 of the arc parameter are ratios
+of the gaps V - e_i, so the arc parameter is Legendre's incomplete
+integral F(phi|mu) at an amplitude phi read off those gaps, and
+``wp_inverse`` is that integral.
 
 The degenerate case ``m == 0`` (second period at infinity) is supported
 through the trigonometric limits ``wp = 1/sin^2 z - 1/3``,
@@ -26,18 +30,21 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import ellipkinc
 
-from .elliptic import _gl_rule, _jacobi_epsilon, _jacobi_scalar, ellint_E, ellint_K
+from .elliptic import ellint_E, ellint_K, jacobi, jacobi_complex, jacobi_epsilon
 from .errors import DomainError, PoleError
 
 __all__ = [
     "RectLattice",
+    "EdgeAmplitude",
     "lattice",
     "wp",
     "wp_prime",
+    "wp_amplitude",
     "wp_inverse",
     "zeta",
     "sigma",
@@ -127,60 +134,33 @@ def lattice(m: float) -> RectLattice:
 
 
 # ---------------------------------------------------------------------------
-# Restrictions of wp, wp', zeta to the axes of the rectangle.  These are the
-# real-arithmetic building blocks for everything else (the monodromy layer
-# imports them directly: on each edge of the half rectangle the holonomy
-# data is real or purely imaginary, and staying in real arithmetic keeps
-# that exact).
+# Restrictions of wp, wp', zeta to the axes of the rectangle: the
+# real-arithmetic building blocks of zeta off the axes.
 # ---------------------------------------------------------------------------
 
 
 def _wp_real(x: float, lat: RectLattice) -> float:
     """wp on the real axis: 1/sn^2(x|m) - (m+1)/3 (even, period 2K)."""
-    s, _, _ = _jacobi_scalar(x, lat.m)
+    s, _, _ = jacobi(x, lat.m)
     return 1.0 / (s * s) - (lat.m + 1.0) / 3.0
 
 
 def _wp_prime_real(x: float, lat: RectLattice) -> float:
     """wp' on the real axis: -2 cn dn / sn^3."""
-    s, c, d = _jacobi_scalar(x, lat.m)
+    s, c, d = jacobi(x, lat.m)
     return -2.0 * c * d / s**3
 
 
 def _wp_imag_axis(y: float, lat: RectLattice) -> float:
     """wp(iy), a real number: (2-m)/3 - 1/sn^2(y|1-m)."""
-    s, _, _ = _jacobi_scalar(y, 1.0 - lat.m)
+    s, _, _ = jacobi(y, 1.0 - lat.m)
     return (2.0 - lat.m) / 3.0 - 1.0 / (s * s)
 
 
 def _wp_prime_imag_axis_im(y: float, lat: RectLattice) -> float:
     """Im wp'(iy):  wp'(iy) = -2i cn dn / sn^3 evaluated at (y | 1-m)."""
-    s, c, d = _jacobi_scalar(y, 1.0 - lat.m)
+    s, c, d = jacobi(y, 1.0 - lat.m)
     return -2.0 * c * d / s**3
-
-
-def _wp_wedge_line(X: float, lat: RectLattice) -> float:
-    """wp(X + iK'), a real number: m sn^2(X|m) - (m+1)/3."""
-    s, _, _ = _jacobi_scalar(X, lat.m)
-    return lat.m * s * s - (lat.m + 1.0) / 3.0
-
-
-def _wp_prime_wedge_line(X: float, lat: RectLattice) -> float:
-    """wp'(X + iK'), a real number: 2m sn cn dn (X|m)."""
-    s, c, d = _jacobi_scalar(X, lat.m)
-    return 2.0 * lat.m * s * c * d
-
-
-def _wp_band_line(Y: float, lat: RectLattice) -> float:
-    """wp(K + iY), a real number: dn^2(Y|1-m) - (m+1)/3."""
-    _, _, d = _jacobi_scalar(Y, 1.0 - lat.m)
-    return d * d - (lat.m + 1.0) / 3.0
-
-
-def _wp_prime_band_line_im(Y: float, lat: RectLattice) -> float:
-    """Im wp'(K + iY):  wp'(K+iY) = 2i (1-m) sn cn dn (Y | 1-m)."""
-    s, c, d = _jacobi_scalar(Y, 1.0 - lat.m)
-    return 2.0 * (1.0 - lat.m) * s * c * d
 
 
 def _zeta_real(x: float, lat: RectLattice) -> float:
@@ -189,8 +169,8 @@ def _zeta_real(x: float, lat: RectLattice) -> float:
     zeta(x) = eps(x|m) + cn dn / sn - e1 x, where eps is the antiderivative
     of dn^2.  (The additive constant vanishes: the expansion at 0 is 1/x.)
     """
-    s, c, d = _jacobi_scalar(x, lat.m)
-    return _jacobi_epsilon(x, lat.m) + c * d / s - lat.e1 * x
+    s, c, d = jacobi(x, lat.m)
+    return jacobi_epsilon(x, lat.m) + c * d / s - lat.e1 * x
 
 
 def _zeta_comp(y: float, lat: RectLattice) -> float:
@@ -202,8 +182,8 @@ def _zeta_comp(y: float, lat: RectLattice) -> float:
     Valid for m = 0 as well (then it is coth y - y/3).
     """
     mm = 1.0 - lat.m
-    s, c, d = _jacobi_scalar(y, mm)
-    return _jacobi_epsilon(y, mm) + c * d / s - (1.0 + lat.m) * y / 3.0
+    s, c, d = jacobi(y, mm)
+    return jacobi_epsilon(y, mm) + c * d / s - (1.0 + lat.m) * y / 3.0
 
 
 def _wp_series_tail(z: complex, lat: RectLattice) -> complex:
@@ -313,8 +293,6 @@ def wp(z: complex, lat: RectLattice):
         return val.real if z.imag == 0.0 else val
 
     if isinstance(z, complex) and z.imag != 0.0:
-        from .elliptic import jacobi_complex
-
         s = jacobi_complex(z - 1j * lat.Kc, lat.m).sn
         return lat.m * s * s - (lat.m + 1.0) / 3.0
 
@@ -337,8 +315,6 @@ def wp_prime(z: complex, lat: RectLattice):
         return val.real if z.imag == 0.0 else val
 
     if isinstance(z, complex) and z.imag != 0.0:
-        from .elliptic import jacobi_complex
-
         s, c, d = jacobi_complex(z - 1j * lat.Kc, lat.m)
         return 2.0 * lat.m * s * c * d
 
@@ -355,25 +331,47 @@ def wp_prime(z: complex, lat: RectLattice):
 # ---------------------------------------------------------------------------
 
 
-def _arcsn(target: float, mm: float, K_mm: float) -> float:
-    """Inverse of u -> sn(u|mm) on [0, K(mm)] for a target in [0, 1]."""
-    if target <= 0.0:
-        return 0.0
-    if target >= 1.0:
-        return K_mm
-    return brentq(lambda u: _jacobi_scalar(u, mm)[0] - target, 0.0, K_mm,
-                  xtol=1e-15, rtol=4 * np.finfo(float).eps)
+class EdgeAmplitude(NamedTuple):
+    """a = wp_inverse(V) as the arc parameter F(phi|mu) along one edge.
+
+    ``edge`` is "imaginary", "top", "right" or "real"; see
+    :func:`wp_amplitude`.
+    """
+
+    edge: str
+    phi: float
+    mu: float
 
 
-def _arcdn(target: float, mm: float, K_mm: float) -> float:
-    """Inverse of u -> dn(u|mm) on [0, K(mm)], dn decreasing 1 -> sqrt(1-mm)."""
-    lo = math.sqrt(1.0 - mm)
-    if target >= 1.0:
-        return 0.0
-    if target <= lo:
-        return K_mm
-    return brentq(lambda u: _jacobi_scalar(u, mm)[2] - target, 0.0, K_mm,
-                  xtol=1e-15, rtol=4 * np.finfo(float).eps)
+def wp_amplitude(V: float, lat: RectLattice) -> EdgeAmplitude:
+    """The edge holding a = wp^-1(V), and the amplitude and parameter of a there.
+
+    On each edge of the half rectangle sn^2, cn^2 and dn^2 of the arc
+    parameter are ratios of the gaps V - e_i, so the Jacobi amplitude
+    phi in [0, pi/2] is one atan2 and the arc parameter is F(phi|mu)
+    (DLMF 23.6(iv)):
+
+        V <= e2:        a = iY,       phi = atan2(1, sqrt(e2 - V)),        mu = 1-m
+        e2 <= V <= e3:  a = X + iKc,  phi = atan2(sqrt(V-e2), sqrt(e3-V)),  mu = m
+        e3 <= V <= e1:  a = K + iY,   phi = atan2(sqrt(e1-V), sqrt(V-e3)),  mu = 1-m
+        V >= e1:        a = x,        phi = atan2(1, sqrt(V - e1)),        mu = m
+
+    with X, Y or x = F(phi|mu).  mu = 1-m is the float at which
+    :func:`lattice` evaluates Kc, so F(pi/2|mu) meets Kc at the corners.
+    V = +-inf gives phi = 0, the pole.
+    """
+    if math.isnan(V):
+        raise DomainError("wp_amplitude received NaN")
+    m = lat.m
+    if V < lat.e2:
+        return EdgeAmplitude("imaginary", math.atan2(1.0, math.sqrt(lat.e2 - V)), 1.0 - m)
+    if V < lat.e3:
+        return EdgeAmplitude("top", math.atan2(math.sqrt(V - lat.e2),
+                                               math.sqrt(lat.e3 - V)), m)
+    if V < lat.e1:
+        return EdgeAmplitude("right", math.atan2(math.sqrt(lat.e1 - V),
+                                                 math.sqrt(V - lat.e3)), 1.0 - m)
+    return EdgeAmplitude("real", math.atan2(1.0, math.sqrt(V - lat.e1)), m)
 
 
 def wp_inverse(V: float, lat: RectLattice) -> complex:
@@ -387,57 +385,42 @@ def wp_inverse(V: float, lat: RectLattice) -> complex:
         e3 <= V <= e1:  a = K + iY,  Y in [Kc, 0]   (right edge, Im decreasing)
         V >= e1:        a = x,       x in (0, K]    (real axis, decreasing)
 
-    Each edge restriction is algebraically a Jacobi function of the arc
-    parameter, so the inversion is a clamped 1-d root find per edge.
+    The arc parameter X or Y is Legendre's F(phi|mu) at the amplitude
+    and parameter of :func:`wp_amplitude` (``scipy.special.ellipkinc``).
     V = +-inf returns 0 (the pole).  Values within 1e-12 of a corner
-    value e_i return the corner exactly.
+    value e_i return the corner exactly; at m = 0 the corner e2 = e3 lies
+    at infinity and raises :class:`DomainError`.
     """
-    m = lat.m
-    if math.isnan(V):
-        raise DomainError("wp_inverse received NaN")
-    if math.isinf(V):
-        return 0.0 + 0.0j
-
-    if m == 0.0:
-        # Degenerate lattice: closed-form inverses of the trig limits.
-        if abs(V - lat.e1) <= _CORNER_SNAP:
-            return complex(lat.K, 0.0)
-        if abs(V + 1.0 / 3.0) <= _CORNER_SNAP:
+    edge, phi, mu = wp_amplitude(V, lat)
+    if abs(V - lat.e2) <= _CORNER_SNAP:
+        if lat.m == 0.0:
             raise DomainError(
                 "wp_inverse at the double corner e2 = e3 = -1/3 lies at infinity for m = 0")
-        if V < -1.0 / 3.0:
-            return 1j * math.atanh(1.0 / math.sqrt(2.0 / 3.0 - V))
-        if V < 2.0 / 3.0:
-            return lat.K + 1j * math.acosh(1.0 / math.sqrt(V + 1.0 / 3.0))
-        return complex(math.asin(1.0 / math.sqrt(V + 1.0 / 3.0)), 0.0)
-
-    if abs(V - lat.e2) <= _CORNER_SNAP:
         return 1j * lat.Kc
     if abs(V - lat.e3) <= _CORNER_SNAP:
         return complex(lat.K, lat.Kc)
     if abs(V - lat.e1) <= _CORNER_SNAP:
         return complex(lat.K, 0.0)
-
-    if V < lat.e2:
-        # 1/sn^2(Y|1-m) = (2-m)/3 - V
-        target = 1.0 / math.sqrt((2.0 - m) / 3.0 - V)
-        return 1j * _arcsn(min(1.0, target), 1.0 - m, lat.Kc)
-    if V < lat.e3:
-        # m sn^2(X|m) = V - e2
-        target = math.sqrt(max(0.0, (V - lat.e2) / m))
-        return complex(_arcsn(min(1.0, target), m, lat.K), lat.Kc)
-    if V < lat.e1:
-        # dn^2(Y|1-m) = V + (m+1)/3
-        target = math.sqrt(V + (m + 1.0) / 3.0)
-        return complex(lat.K, _arcdn(min(1.0, target), 1.0 - m, lat.Kc))
-    # 1/sn^2(x|m) = V + (m+1)/3
-    target = 1.0 / math.sqrt(V + (m + 1.0) / 3.0)
-    return complex(_arcsn(min(1.0, target), m, lat.K), 0.0)
+    t = float(ellipkinc(phi, mu))
+    if edge == "imaginary":
+        return complex(0.0, t)
+    if edge == "top":
+        return complex(t, lat.Kc)
+    if edge == "right":
+        return complex(lat.K, t)
+    return complex(t, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Sigma function by quadrature of zeta - 1/t, plus quasi-period factors.
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _zeta_minus_pole(t: complex, lat: RectLattice) -> complex:

@@ -113,6 +113,45 @@ def ode_dn2_antiderivative(u: float, m: float) -> float:
     return float(sol.y[3, -1])
 
 
+# ---------------------------------------------------------------------------
+# The orbit invariant kc in 30-digit arithmetic.
+# ---------------------------------------------------------------------------
+
+
+def mp_kc(m: float, V: float) -> complex:
+    """kc = w^2 / (6 pi^2), w = K zeta(a) - eta1 a, from mpmath's integrals.
+
+    The arc parameter t of a = wp^-1(V) on its edge of the half rectangle
+    is F(asin sn | mu), with sn read off the restriction of wp to that
+    edge; epsilon(t) = E(asin sn | mu) and cn dn / sn comes from mpmath's
+    Jacobi functions at t.  V must not sit on a corner e_i.
+    """
+    with mp.workdps(30):
+        m, V = mp.mpf(m), mp.mpf(V)
+        K, E = mp.ellipk(m), mp.ellipe(m)
+        e1, e2, e3 = (2 - m) / 3, -(1 + m) / 3, (2 * m - 1) / 3
+        if V < e2:  # a = iY, wp = e1 - 1/sn^2(Y|1-m)
+            mu, sn = 1 - m, 1 / mp.sqrt(e1 - V)
+        elif V < e3:  # a = X + iK', wp = e2 + m sn^2(X|m)
+            mu, sn = m, mp.sqrt((V - e2) / m)
+        elif V < e1:  # a = K + iY, wp = e2 + dn^2(Y|1-m)
+            mu, sn = 1 - m, mp.sqrt((e1 - V) / (1 - m))
+        else:  # a = x, wp = e2 + 1/sn^2(x|m)
+            mu, sn = m, 1 / mp.sqrt(V - e2)
+        phi = mp.asin(sn)
+        t, eps = mp.ellipf(phi, mu), mp.ellipe(phi, mu)
+        cn_dn_sn = mp.ellipfun("cn", t, m=mu) * mp.ellipfun("dn", t, m=mu) / sn
+        if V < e2:
+            w = -1j * (K * eps - (K - E) * t + K * cn_dn_sn)
+        elif V < e3:
+            w = K * eps - E * t - 1j * mp.pi / 2
+        elif V < e1:
+            w = -1j * (K * eps - (K - E) * t)
+        else:
+            w = K * eps - E * t + K * cn_dn_sn
+        return complex(w * w / (6 * mp.pi**2))
+
+
 def ode_hill_trace(q, period: float = 2.0 * math.pi) -> float:
     """Trace of the monodromy of psi'' = q(x) psi over one period.
 

@@ -15,7 +15,7 @@ from kdvorbits.bands import (
     exceptional_energy_asymptote,
     lame_profile,
     numeric_band_gaps,
-    _floquet_traces,
+    floquet_traces,
 )
 from kdvorbits.errors import DomainError, ResolutionError
 from kdvorbits.hill import floquet_monodromy
@@ -236,7 +236,7 @@ class TestNumericBandGaps:
     @pytest.mark.parametrize("E", [0.8, 2.2, 3.7, 5.1])
     def test_scanner_agrees_with_adaptive_integration(self, E):
         lat = lattice(0.5)
-        batched = _floquet_traces(np.array([E]), 6.0 * 0.5, lat.K, 0.5)[0]
+        batched = floquet_traces(np.array([E]), 6.0 * 0.5, lat.K, 0.5)[0]
         adaptive = np.trace(floquet_monodromy(lame_profile(2, 0.5, E, 1.0), 1.0))
         assert abs(batched - adaptive) < 1e-8
 

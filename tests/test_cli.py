@@ -60,6 +60,14 @@ class TestClassify:
         assert record["kc_real"] == 0.0 and record["kc_imag"] == 0.0
         assert record["trace"] == 2.0
 
+    def test_huge_V_gives_an_infinite_trace(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--m", 0.5, "--V", 1e8)
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert record["class"] == "Hyperbolic"
+        assert record["winding"] == 0
+        assert record["trace"] == math.inf
+
     def test_domain_error_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "classify", "--m", 2, "--V", 0)
         assert code == 2

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,13 @@ from numpy.testing import assert_allclose
 
 from kdvorbits.elliptic import (
     JacobiTriple,
-    _jacobi_epsilon,
+    _agm_chain,
     dn_power_integral,
     ellint_E,
     ellint_K,
     jacobi,
     jacobi_complex,
+    jacobi_epsilon,
 )
 from kdvorbits.errors import DomainError, PoleError
 
@@ -142,6 +144,28 @@ class TestJacobiReal:
         with pytest.raises(DomainError):
             jacobi(0.3, 1.0)
 
+    def test_near_quarter_period_at_m_near_one(self):
+        # dn ~ 1e-6 around u = K here; 1 - m sn^2 would leave it a few
+        # correct digits (scipy.special.ellipj misses sn by ~5e-11 too).
+        m = 1.0 - 1e-12
+        K = ellint_K(m)
+        with mp.workdps(40):
+            for u in (K - 3.0, K - 1.0, K - 1e-3, K, K + 1e-3, K + 1.0, K + 3.0):
+                got = jacobi(u, m)
+                want = [float(mp.ellipfun(f, u, m=m)) for f in ("sn", "cn", "dn")]
+                assert_allclose(got, want, rtol=0.0, atol=1e-15)
+                assert abs(got.dn - want[2]) <= 1e-9 * want[2]
+
+
+class TestAgmCache:
+    def test_long_sweep_stays_bounded(self):
+        maxsize = _agm_chain.cache_info().maxsize
+        assert maxsize is not None
+        for m in np.linspace(0.01, 0.99, 3 * maxsize):
+            ellint_K(float(m))
+            jacobi(0.7, float(m))
+        assert _agm_chain.cache_info().currsize <= maxsize
+
 
 class TestJacobiComplex:
     def test_reference_point(self):
@@ -239,17 +263,17 @@ class TestJacobiEpsilon:
     @pytest.mark.parametrize("m", [0.05, 0.5, 0.95])
     def test_matches_ode_antiderivative(self, m):
         for u in (-3.7, -0.4, 0.9, 2.2, 7.5):
-            assert_allclose(_jacobi_epsilon(u, m),
+            assert_allclose(jacobi_epsilon(u, m),
                             oracles.ode_dn2_antiderivative(u, m), atol=1e-12)
 
     def test_quasi_periodicity_and_symmetry(self):
         m = 0.37
         K, E = ellint_K(m), ellint_E(m)
         for u in (0.0, 0.51, 1.9):
-            assert_allclose(_jacobi_epsilon(u + 2 * K, m),
-                            _jacobi_epsilon(u, m) + 2 * E, rtol=1e-13)
-            assert_allclose(_jacobi_epsilon(-u, m), -_jacobi_epsilon(u, m), rtol=1e-14)
-        assert_allclose(_jacobi_epsilon(K, m), E, rtol=1e-14)
+            assert_allclose(jacobi_epsilon(u + 2 * K, m),
+                            jacobi_epsilon(u, m) + 2 * E, rtol=1e-13)
+            assert_allclose(jacobi_epsilon(-u, m), -jacobi_epsilon(u, m), rtol=1e-14)
+        assert_allclose(jacobi_epsilon(K, m), E, rtol=1e-14)
 
     def test_hyperbolic_limit(self):
-        assert_allclose(_jacobi_epsilon(1.3, 1.0), math.tanh(1.3), rtol=1e-15)
+        assert_allclose(jacobi_epsilon(1.3, 1.0), math.tanh(1.3), rtol=1e-15)

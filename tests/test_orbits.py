@@ -88,6 +88,43 @@ class TestHolonomyRoutes:
             with pytest.raises(DomainError):
                 monodromy_trace(0.5, bad)
 
+    @pytest.mark.parametrize("m", [0.05, 0.5, 0.95])
+    def test_kc_matches_mpmath_on_all_edges(self, m):
+        # V at least 0.1 from the corners; an edge shorter than 0.3 gets
+        # its midpoint only.
+        lat = lattice(m)
+
+        def inner(lo, hi):
+            if hi - lo < 0.3:
+                return [0.5 * (lo + hi)]
+            return [lo + 0.1, 0.5 * (lo + hi), hi - 0.1]
+
+        Vs = ([-40.0, lat.e2 - 3.0, lat.e2 - 0.1] + inner(lat.e2, lat.e3)
+              + inner(lat.e3, lat.e1) + [lat.e1 + 0.1, lat.e1 + 3.0, 40.0])
+        for V in Vs:
+            want = oracles.mp_kc(m, V)
+            got = uniform_representative(m, V).kc
+            assert abs(got - want) <= 1e-13 * abs(want), (m, V)
+
+
+class TestHugeV:
+    """|V| up to the float range: an answer, never an arithmetic error."""
+
+    def test_trace_overflows_to_infinity(self):
+        assert monodromy_trace(0.5, 1e8) == math.inf
+        assert monodromy_trace(0.5, 1e300) == math.inf
+        assert math.isfinite(uniform_representative(0.5, 1e8).kc.real)
+
+    def test_classify_far_above(self):
+        for V in (1e8, 1e300):
+            label = classify(0.5, V)
+            assert label.kind is OrbitKind.HYPERBOLIC and label.winding == 0
+
+    def test_classify_far_below(self):
+        label = classify(0.5, -1e300)
+        assert label.kind is OrbitKind.ELLIPTIC and label.winding > 10**149
+        assert abs(monodromy_trace(0.5, -1e300)) <= 2.0
+
 
 class TestUniformRepresentative:
     def test_edge_values(self):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ellipkinc
 
 from kdvorbits.elliptic import ellint_E, ellint_K
 from kdvorbits.errors import DomainError, PoleError
@@ -18,6 +19,7 @@ from kdvorbits.weierstrass import (
     lattice,
     sigma,
     wp,
+    wp_amplitude,
     wp_inverse,
     wp_prime,
     zeta,
@@ -270,7 +272,7 @@ class TestSigma:
 
 
 class TestWpInverse:
-    @pytest.mark.parametrize("m", [1e-5, 0.3, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("m", [1e-5, 0.3, 0.5, 0.9, 0.999, 1 - 1e-8, 1 - 1e-12])
     def test_round_trip_all_regions(self, m):
         lat = lattice(m)
         width = lat.e3 - lat.e2
@@ -309,6 +311,15 @@ class TestWpInverse:
         assert wp_inverse(lat.e1, lat) == complex(lat.K, 0.0)
         # within snapping distance behaves the same
         assert wp_inverse(lat.e2 + 5e-13, lat) == 1j * lat.Kc
+
+    @pytest.mark.parametrize("m", [0.05, 0.62, 0.95])
+    def test_amplitude_meets_the_corners(self, m):
+        lat = lattice(m)
+        assert wp_amplitude(lat.e2, lat) == ("top", 0.0, m)
+        assert wp_amplitude(lat.e3, lat) == ("right", math.pi / 2, 1.0 - m)
+        assert wp_amplitude(lat.e1, lat) == ("real", math.pi / 2, m)
+        assert_allclose(ellipkinc(math.pi / 2, 1.0 - m), lat.Kc, rtol=1e-15)
+        assert_allclose(ellipkinc(math.pi / 2, m), lat.K, rtol=1e-15)
 
     def test_reference_point(self):
         lat = lattice(0.5)
