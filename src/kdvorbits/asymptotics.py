@@ -67,7 +67,8 @@ def k_large_V(m: float, V: float) -> Approximation:
     """
     lat = lattice(m)
     V = float(V)
-    value = (lat.K * lat.K * V - 2.0 * lat.K * lat.eta1) / _SIX_PI_SQ
+    # The slope first, so that K^2 V overflows only where the law itself does.
+    value = lat.K * lat.K / _SIX_PI_SQ * V - 2.0 * lat.K * lat.eta1 / _SIX_PI_SQ
     return Approximation(value, 1.0 / abs(V) if V != 0.0 else math.inf)
 
 

@@ -40,15 +40,16 @@ __all__ = [
     "lame_profile",
     "exceptional_energy_asymptote",
     "floquet_traces",
+    "gap_runs",
     "numeric_band_gaps",
 ]
 
 _EDGE_SNAP = 1e-9
 _SCAN_STEPS = 3072  # Magnus steps across one period of sn^2
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-#: Forbidden runs whose |Tr| never clears 2 by more than this are grazing
-#: artifacts of the scan, not gaps.
-TANGENCY = 1e-7
+# Forbidden runs whose |Tr| never clears 2 by more than this are grazing
+# artifacts of the scan, not gaps.
+_TANGENCY = 1e-7
 
 
 class BandPoint(NamedTuple):
@@ -232,6 +233,23 @@ def floquet_traces(energies: np.ndarray, strength: float, K: float,
     return a + d
 
 
+def gap_runs(traces: np.ndarray) -> list[tuple[int, int]]:
+    """The gaps of a trace scan on an energy grid starting at E = 0.
+
+    Returns (first, last) sample indices of each maximal run with
+    |Tr| > 2, in order, except the run starting at the first sample
+    (the forbidden region below the spectrum) and grazing runs, whose
+    |Tr| never exceeds 2 + 1e-7: a closed gap at the noise level of
+    the scan.
+    """
+    forbidden = np.concatenate(([0], np.abs(traces) > 2.0, [0]))
+    change = np.diff(forbidden.astype(int))
+    starts = np.flatnonzero(change == 1)
+    stops = np.flatnonzero(change == -1) - 1
+    return [(int(i0), int(i1)) for i0, i1 in zip(starts, stops)
+            if i0 > 0 and np.max(np.abs(traces[i0:i1 + 1])) > 2.0 + _TANGENCY]
+
+
 def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
                       scan_step: float | None = None) -> list[GapInterval]:
     """Locate the N spectral gaps of the Lame-N operator numerically.
@@ -244,10 +262,10 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
 
     Raises ResolutionError if the step could not resolve a gap of width
     m (the N = 1 width) or if fewer than N gaps survive; NumericalError
-    if more than N turn up; DomainError if a forbidden run touches E_max,
+    if more than N turn up; DomainError if a gap run touches E_max,
     which means E_max cuts through a gap and should be raised.  Runs
     whose trace never clears |Tr| = 2 by more than 1e-7 are dropped as
-    grazing artifacts rather than counted as gaps.
+    grazing artifacts rather than counted as gaps (:func:`gap_runs`).
 
     Gaps come back in energy order, and the order is the label: the
     i-th gap (1-based) sits at the i-th extended-zone edge kappa*l =
@@ -281,24 +299,12 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
     def trace_at(E: float) -> float:
         return float(floquet_traces(np.array([E]), strength, lat.K, m)[0])
 
-    forbidden = np.abs(traces) > 2.0
-    # Maximal runs of consecutive forbidden samples.
-    edges = np.flatnonzero(np.diff(forbidden.astype(int)))
-    starts = [0] if forbidden[0] else []
-    starts += [int(i) + 1 for i in edges if not forbidden[i]]
-    stops = [int(i) for i in edges if forbidden[i]]
-    if forbidden[-1]:
-        stops.append(count - 1)
-
+    runs = gap_runs(traces)
+    if runs and runs[-1][1] == count - 1:
+        raise DomainError(
+            f"forbidden region still open at E_max = {E_max!r}; raise E_max")
     gaps: list[GapInterval] = []
-    for i0, i1 in zip(starts, stops):
-        if i0 == 0:
-            continue  # below the spectrum, not a gap
-        if i1 == count - 1:
-            raise DomainError(
-                f"forbidden region still open at E_max = {E_max!r}; raise E_max")
-        if np.max(np.abs(traces[i0:i1 + 1])) - 2.0 < TANGENCY:
-            continue  # grazing |Tr| = 2, a closed gap at numerical noise level
+    for i0, i1 in runs:
         lo = brentq(lambda E: abs(trace_at(E)) - 2.0,
                     energies[i0 - 1], energies[i0], xtol=1e-8)
         hi = brentq(lambda E: abs(trace_at(E)) - 2.0,

@@ -43,7 +43,7 @@ from .asymptotics import (
     k_near_wedge,
     one_minus_m_nonperturbative,
 )
-from .bands import TANGENCY, crystal_momentum, floquet_traces
+from .bands import crystal_momentum, floquet_traces, gap_runs
 from .errors import DomainError, NumericalError
 from .hill import floquet_monodromy, kdv_evolve, winding_number
 from .orbits import (
@@ -159,24 +159,11 @@ def _band_rows_scanned(energies, N: int, m: float) -> list:
     forbidden = np.abs(traces) > 2.0
     kappa = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
 
-    # The winding column counts resolved gaps: runs of forbidden samples
-    # that neither start at E = 0 (below the spectrum) nor merely graze
-    # |Tr| = 2.  Rows in and above the g-th such run are labeled g.
+    # The winding column counts resolved gaps: rows in and above the g-th
+    # gap run are labeled g.
     winding = np.zeros(len(traces), dtype=int)
-    count = 0
-    j = 0
-    while j < len(traces):
-        if not forbidden[j]:
-            winding[j] = count
-            j += 1
-            continue
-        j0 = j
-        while j < len(traces) and forbidden[j]:
-            j += 1
-        peak = float(np.max(np.abs(traces[j0:j]))) - 2.0
-        if j0 > 0 and peak > TANGENCY:
-            count += 1
-        winding[j0:j] = count
+    for g, (first, _) in enumerate(gap_runs(traces), start=1):
+        winding[first:] = g
     return [[float(e), float(k), bool(f), int(w)]
             for e, k, f, w in zip(energies, kappa, forbidden, winding)]
 

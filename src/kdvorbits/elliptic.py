@@ -9,8 +9,6 @@ shoaling) is built on the four primitives in this module:
   amplitude) recursion,
 * ``jacobi_complex`` -- complex-argument sn/cn/dn assembled from two real
   evaluations (one at modulus parameter ``m``, one at ``1 - m``),
-* ``jacobi_epsilon`` -- Jacobi's epsilon, E(am u | m), at the same
-  Landen amplitude,
 * ``dn_power_integral`` -- full-period integrals of even powers of dn.
 
 Throughout the package the *parameter* convention is used: ``m`` is the
@@ -28,7 +26,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ellipeinc
 
 from .errors import DomainError, PoleError
 
@@ -38,7 +35,6 @@ __all__ = [
     "ellint_E",
     "jacobi",
     "jacobi_complex",
-    "jacobi_epsilon",
     "dn_power_integral",
 ]
 
@@ -271,26 +267,3 @@ def dn_power_integral(N: int, m: float) -> float:
         n += 2
     return I_curr
 
-
-# ---------------------------------------------------------------------------
-# Jacobi epsilon function (integral of dn^2).
-# ---------------------------------------------------------------------------
-
-
-def jacobi_epsilon(u: float, m: float) -> float:
-    """Jacobi epsilon function: integral_0^u dn^2(t|m) dt = E(am u | m).
-
-    Quasi-periodic, eps(u + 2K) = eps(u) + 2E, so u = 2nK + r with
-    |r| <= K and eps(u) = 2nE + E(am r | m) (DLMF 22.16(iii)): Legendre's
-    incomplete integral (``scipy.special.ellipeinc``) at the amplitude
-    from the Landen recursion behind :func:`jacobi`.  Accepts m = 1,
-    where it is tanh(u).
-    """
-    m = _check_parameter(m, allow_one=True)
-    u = float(u)
-    if m == 1.0:
-        return math.tanh(u)
-    K = ellint_K(m)
-    n = round(u / (2.0 * K))
-    r = u - 2.0 * K * n
-    return 2.0 * ellint_E(m) * n + float(ellipeinc(_amplitude(r, m), m))

@@ -155,25 +155,30 @@ def _gaps(lat: RectLattice, V: float) -> tuple[float, float, float]:
             math.sqrt(abs(V - lat.e3)))
 
 
-def _holonomy(m: float, V: float) -> tuple[RectLattice, _Region, complex]:
+def _half_exponent(lat: RectLattice, region: _Region, V: float) -> complex:
     """The half Floquet exponent w = K zeta(a) - eta1 a, snapped per region."""
-    lat = lattice(m)
-    region = _region_of(lat, V)
     if region in (_Region.LOWER_EDGE, _Region.UPPER_EDGE):
-        return lat, region, complex(0.0, -math.pi / 2)
+        return complex(0.0, -math.pi / 2)
     if region is _Region.PARABOLIC_EDGE:
-        return lat, region, 0.0 + 0.0j
+        return 0.0 + 0.0j
     _, phi, mu = wp_amplitude(V, lat)
     part = _epsilon_part(lat, region, phi, mu)
     if region is _Region.BAND:
-        return lat, region, complex(0.0, -part)
+        return complex(0.0, -part)
     if region is _Region.WEDGE:
-        return lat, region, complex(part, -math.pi / 2)
+        return complex(part, -math.pi / 2)
     # K cn dn / sn at a, as a product of gaps: no division by a small sn.
     g1, g2, g3 = _gaps(lat, V)
     if region is _Region.BELOW:
-        return lat, region, complex(0.0, -(part + lat.K * g2 * (g3 / g1)))
-    return lat, region, complex(part + lat.K * g1 * (g3 / g2), 0.0)
+        return complex(0.0, -(part + lat.K * g2 * (g3 / g1)))
+    return complex(part + lat.K * g1 * (g3 / g2), 0.0)
+
+
+def _holonomy(m: float, V: float) -> tuple[RectLattice, _Region, complex]:
+    """The lattice of m, the region of V and the half Floquet exponent w."""
+    lat = lattice(m)
+    region = _region_of(lat, V)
+    return lat, region, _half_exponent(lat, region, V)
 
 
 def _two_cosh(x: float) -> float:
@@ -203,6 +208,14 @@ def monodromy_trace(m: float, V: float) -> float:
     return _two_cosh(2.0 * w.real)
 
 
+def _square_over_six_pi_sq(x: float) -> float:
+    """x^2 / (6 pi^2); past |x| ~ 1e154, where x*x overflows, divided first."""
+    square = x * x
+    if math.isinf(square):
+        return x * (x / _SIX_PI_SQ)
+    return square / _SIX_PI_SQ
+
+
 def uniform_representative(m: float, V: float) -> UniformRepresentative:
     """kc = w^2/(6 pi^2): the constant representative of the orbit of (m, V).
 
@@ -216,15 +229,13 @@ def uniform_representative(m: float, V: float) -> UniformRepresentative:
     if region is _Region.PARABOLIC_EDGE:
         return UniformRepresentative(0.0 + 0.0j, True)
     if region in (_Region.BELOW, _Region.BAND):
-        phi = abs(w.imag)
-        return UniformRepresentative(complex(-phi * phi / _SIX_PI_SQ, 0.0), True)
+        return UniformRepresentative(complex(-_square_over_six_pi_sq(w.imag), 0.0), True)
     if region is _Region.WEDGE:
         rho = w.real
         kc = complex((rho * rho - math.pi**2 / 4.0) / _SIX_PI_SQ,
                      -rho / (6.0 * math.pi))
         return UniformRepresentative(kc, False)
-    rho = w.real
-    return UniformRepresentative(complex(rho * rho / _SIX_PI_SQ, 0.0), True)
+    return UniformRepresentative(complex(_square_over_six_pi_sq(w.real), 0.0), True)
 
 
 def _floor_snap(x: float) -> int:
@@ -242,10 +253,12 @@ def classify(m: float, V: float) -> OrbitClass:
     hyperbolic family bounded by the two n = 1 exceptional edges; the
     band between e3 and e1 is elliptic with n = 0; V = e1 is the
     parabolic n = 0 orbit of the constant; above it sits the n = 0
-    hyperbolic family.
+    hyperbolic family.  Only the winding below the wedge needs w.
     """
-    _, region, w = _holonomy(m, V)
+    lat = lattice(m)
+    region = _region_of(lat, V)
     if region is _Region.BELOW:
+        w = _half_exponent(lat, region, V)
         n = _floor_snap(2.0 * abs(w.imag) / math.pi)
         return OrbitClass(OrbitKind.ELLIPTIC, n)
     if region in (_Region.LOWER_EDGE, _Region.UPPER_EDGE):
@@ -304,7 +317,7 @@ def dk_dV(m: float, V: float) -> float:
     if region is _Region.PARABOLIC_EDGE:
         return lat.E**2 / (_SIX_PI_SQ * (1.0 - lat.m))
     g1, g2, g3 = _gaps(lat, V)
-    rate = (lat.K * V + lat.eta1) / g1 / g2 / g3 / _SIX_PI_SQ
+    rate = (lat.K * (V / g1) + lat.eta1 / g1) / g2 / g3 / _SIX_PI_SQ
     if region is _Region.BELOW:
         return w.imag * rate
     if region is _Region.BAND:

@@ -10,14 +10,15 @@ lattice with half-periods ``omega1 = K(m)`` (real) and ``omega2 = i K(1-m)``
     e3 = (2m-1)/3  at z = K + i K'
     g2 = (4/3)(m^2 - m + 1),   g3 = (4/27)(2m^3 - 3m^2 - 3m + 2)
 
-``zeta`` is built from the Jacobi epsilon function in closed form and
-``sigma`` from a quadrature of ``zeta``, both with centred quasi-period
-reduction.  ``wp_amplitude`` places V on the boundary of the half
-fundamental rectangle, where ``wp`` is real and monotone on each of the
-four edges: there sn^2, cn^2 and dn^2 of the arc parameter are ratios
-of the gaps V - e_i, so the arc parameter is Legendre's incomplete
-integral F(phi|mu) at an amplitude phi read off those gaps, and
-``wp_inverse`` is that integral.
+``zeta`` and ``sigma`` come from one short q-series for the theta
+function theta_1 (DLMF 23.6(i)), after a centred quasi-period
+reduction; for m > 1/2 they are evaluated on the rotated lattice of
+1 - m, whose nome is at most exp(-pi).  ``wp_amplitude`` places V on
+the boundary of the half fundamental rectangle, where ``wp`` is real
+and monotone on each of the four edges: there sn^2, cn^2 and dn^2 of
+the arc parameter are ratios of the gaps V - e_i, so the arc parameter
+is Legendre's incomplete integral F(phi|mu) at an amplitude phi read
+off those gaps, and ``wp_inverse`` is that integral.
 
 The degenerate case ``m == 0`` (second period at infinity) is supported
 through the trigonometric limits ``wp = 1/sin^2 z - 1/3``,
@@ -28,14 +29,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
 from scipy.special import ellipkinc
 
-from .elliptic import ellint_E, ellint_K, jacobi, jacobi_complex, jacobi_epsilon
+from .elliptic import ellint_E, ellint_K, jacobi, jacobi_complex
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -48,14 +48,13 @@ __all__ = [
     "wp_inverse",
     "zeta",
     "sigma",
-    "eta1_by_integration",
 ]
 
 _POLE_TOL = 1e-9
-_SERIES_RADIUS = 0.4  # |z| below which the Laurent expansion is used
-_AXIS_BAND = 1e-4  # strip half-width around the axes handled by Taylor steps
 _CORNER_SNAP = 1e-12  # |V - e_i| below which wp_inverse returns the corner
-_N_WP_COEFFS = 14
+# Terms of the theta_1 series; at the largest nome used, exp(-pi), the
+# first omitted one is below 1e-80 of the leading term.
+_THETA_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class RectLattice:
     g3: float
     eta1: float  # zeta(omega1)
     eta2_im: float  # zeta(omega2) = i * eta2_im
-    wp_coeffs: tuple = field(repr=False)  # Laurent coefficients c_2, c_3, ...
 
     @property
     def omega1(self) -> float:
@@ -87,19 +85,6 @@ class RectLattice:
     @property
     def eta2(self) -> complex:
         return 1j * self.eta2_im
-
-
-def _laurent_coefficients(g2: float, g3: float, count: int) -> tuple:
-    """Coefficients c_k of wp(z) = 1/z^2 + sum_{k>=2} c_k z^(2k-2).
-
-    c_2 = g2/20, c_3 = g3/28, and for k >= 4
-    c_k = 3 / ((2k+1)(k-3)) * sum_{j=2}^{k-2} c_j c_{k-j}.
-    """
-    c = {2: g2 / 20.0, 3: g3 / 28.0}
-    for k in range(4, count + 2):
-        acc = sum(c[j] * c[k - j] for j in range(2, k - 1))
-        c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
-    return tuple(c[k] for k in range(2, count + 2))
 
 
 @lru_cache(maxsize=512)
@@ -128,14 +113,12 @@ def lattice(m: float) -> RectLattice:
     g2 = (4.0 / 3.0) * (m * m - m + 1.0)
     g3 = (4.0 / 27.0) * (2.0 * m**3 - 3.0 * m**2 - 3.0 * m + 2.0)
     eta1 = E - e1 * K
-    coeffs = _laurent_coefficients(g2, g3, _N_WP_COEFFS)
     return RectLattice(m=m, K=K, E=E, Kc=Kc, Ec=Ec, e1=e1, e2=e2, e3=e3,
-                       g2=g2, g3=g3, eta1=eta1, eta2_im=eta2_im, wp_coeffs=coeffs)
+                       g2=g2, g3=g3, eta1=eta1, eta2_im=eta2_im)
 
 
 # ---------------------------------------------------------------------------
-# Restrictions of wp, wp', zeta to the axes of the rectangle: the
-# real-arithmetic building blocks of zeta off the axes.
+# wp and wp': real arguments in real arithmetic, complex ones through sn.
 # ---------------------------------------------------------------------------
 
 
@@ -149,133 +132,6 @@ def _wp_prime_real(x: float, lat: RectLattice) -> float:
     """wp' on the real axis: -2 cn dn / sn^3."""
     s, c, d = jacobi(x, lat.m)
     return -2.0 * c * d / s**3
-
-
-def _wp_imag_axis(y: float, lat: RectLattice) -> float:
-    """wp(iy), a real number: (2-m)/3 - 1/sn^2(y|1-m)."""
-    s, _, _ = jacobi(y, 1.0 - lat.m)
-    return (2.0 - lat.m) / 3.0 - 1.0 / (s * s)
-
-
-def _wp_prime_imag_axis_im(y: float, lat: RectLattice) -> float:
-    """Im wp'(iy):  wp'(iy) = -2i cn dn / sn^3 evaluated at (y | 1-m)."""
-    s, c, d = jacobi(y, 1.0 - lat.m)
-    return -2.0 * c * d / s**3
-
-
-def _zeta_real(x: float, lat: RectLattice) -> float:
-    """zeta on the real axis in [-K, K] minus the origin.
-
-    zeta(x) = eps(x|m) + cn dn / sn - e1 x, where eps is the antiderivative
-    of dn^2.  (The additive constant vanishes: the expansion at 0 is 1/x.)
-    """
-    s, c, d = jacobi(x, lat.m)
-    return jacobi_epsilon(x, lat.m) + c * d / s - lat.e1 * x
-
-
-def _zeta_comp(y: float, lat: RectLattice) -> float:
-    """The real function zc with zeta(iy) = -i * zc(y).
-
-    zc is the real-axis zeta of the complementary lattice (parameter 1-m),
-    whose first symmetric-point value is (1+m)/3:
-    zc(y) = eps(y|1-m) + cn dn / sn (y|1-m) - (1+m) y / 3.
-    Valid for m = 0 as well (then it is coth y - y/3).
-    """
-    mm = 1.0 - lat.m
-    s, c, d = jacobi(y, mm)
-    return jacobi_epsilon(y, mm) + c * d / s - (1.0 + lat.m) * y / 3.0
-
-
-def _wp_series_tail(z: complex, lat: RectLattice) -> complex:
-    """wp(z) - 1/z^2 = sum_k c_k z^(2k-2) for |z| <= the series radius."""
-    z2 = z * z
-    acc = 0.0 + 0.0j
-    p = z2  # z^(2k-2), starting at k = 2
-    for ck in lat.wp_coeffs:
-        acc += ck * p
-        p *= z2
-    return acc
-
-
-def _zeta_series_tail(z: complex, lat: RectLattice) -> complex:
-    """zeta(z) - 1/z = -sum_k c_k z^(2k-1)/(2k-1) for |z| <= series radius."""
-    z2 = z * z
-    acc = 0.0 + 0.0j
-    p = z  # becomes z^(2k-1), starting at k = 2
-    for k, ck in enumerate(lat.wp_coeffs, start=2):
-        p *= z2
-        acc -= ck * p / (2 * k - 1)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Quasi-period reduction shared by zeta and sigma.
-# ---------------------------------------------------------------------------
-
-
-def _reduce(z: complex, lat: RectLattice) -> tuple[complex, int, int]:
-    """Centered reduction z = z0 + 2K n1 + 2iKc n2 with z0 in the base cell."""
-    x, y = z.real, z.imag
-    n1 = round(x / (2.0 * lat.K))
-    x0 = x - 2.0 * lat.K * n1
-    n2 = round(y / (2.0 * lat.Kc))
-    y0 = y - 2.0 * lat.Kc * n2
-    return complex(x0, y0), int(n1), int(n2)
-
-
-def zeta(z: complex, lat: RectLattice) -> complex:
-    """Weierstrass zeta on the lattice: zeta' = -wp, zeta(z) ~ 1/z at 0.
-
-    Strategy: reduce to the base cell (accumulating 2 n1 eta1 + 2 n2 eta2),
-    then use the Laurent series near the origin, a short Taylor step off the
-    nearest axis inside a thin strip, and otherwise the addition formula
-
-        zeta(x + iy) = zeta(x) + zeta(iy)
-                       + (wp'(x) - wp'(iy)) / (2 (wp(x) - wp(iy))),
-
-    whose denominator is bounded below by e1 - e2 = 1 on the cell.
-    Arguments within 1e-9 of a lattice point raise :class:`PoleError`.
-    """
-    z = complex(z)
-    if lat.m == 0.0:
-        w = z - math.pi * round(z.real / math.pi)
-        if abs(w) < _POLE_TOL:
-            raise PoleError("zeta evaluated too close to a lattice point")
-        return z / 3.0 + 1.0 / cmath.tan(w)
-
-    z0, n1, n2 = _reduce(z, lat)
-    corr = complex(2.0 * n1 * lat.eta1, 2.0 * n2 * lat.eta2_im)
-    r = abs(z0)
-    if r < _POLE_TOL:
-        raise PoleError("zeta evaluated too close to a lattice point")
-    x0, y0 = z0.real, z0.imag
-
-    if r <= _SERIES_RADIUS:
-        val = 1.0 / z0 + _zeta_series_tail(z0, lat)
-    elif abs(y0) < _AXIS_BAND:
-        # Taylor step off the real axis: zeta(x + h) for h = iy0.
-        h = 1j * y0
-        p = _wp_real(x0, lat)
-        pp = _wp_prime_real(x0, lat)
-        ppp = 6.0 * p * p - 0.5 * lat.g2  # wp'' = 6 wp^2 - g2/2
-        val = (_zeta_real(x0, lat) - p * h - pp * h * h / 2.0
-               - ppp * h**3 / 6.0)
-    elif abs(x0) < _AXIS_BAND:
-        # Taylor step off the imaginary axis: zeta(iy + h) for real h = x0.
-        h = x0
-        base = -1j * _zeta_comp(y0, lat)
-        p = _wp_imag_axis(y0, lat)
-        pp = 1j * _wp_prime_imag_axis_im(y0, lat)
-        ppp = 6.0 * p * p - 0.5 * lat.g2
-        val = base - p * h - pp * h * h / 2.0 - ppp * h**3 / 6.0
-    else:
-        px = _wp_real(x0, lat)
-        ppx = _wp_prime_real(x0, lat)
-        py = _wp_imag_axis(y0, lat)
-        ppy = 1j * _wp_prime_imag_axis_im(y0, lat)
-        val = (_zeta_real(x0, lat) - 1j * _zeta_comp(y0, lat)
-               + 0.5 * (ppx - ppy) / (px - py))
-    return val + corr
 
 
 def wp(z: complex, lat: RectLattice):
@@ -324,6 +180,104 @@ def wp_prime(z: complex, lat: RectLattice):
         raise PoleError("wp_prime evaluated too close to a lattice point")
     val = _wp_prime_real(x0, lat)
     return complex(val) if isinstance(z, complex) else val
+
+
+# ---------------------------------------------------------------------------
+# zeta and sigma from the theta_1 series, after a quasi-period reduction.
+# ---------------------------------------------------------------------------
+
+
+def _reduce(z: complex, lat: RectLattice) -> tuple[complex, int, int]:
+    """Centered reduction z = z0 + 2K n1 + 2iKc n2 with z0 in the base cell."""
+    x, y = z.real, z.imag
+    n1 = round(x / (2.0 * lat.K))
+    x0 = x - 2.0 * lat.K * n1
+    n2 = round(y / (2.0 * lat.Kc))
+    y0 = y - 2.0 * lat.Kc * n2
+    return complex(x0, y0), int(n1), int(n2)
+
+
+def _zeta_sigma(z0: complex, lat: RectLattice) -> tuple[complex, complex]:
+    """zeta(z0) and sigma(z0) for z0 != 0 in the base cell (DLMF 23.6(i)).
+
+    With real half-period w, eta = zeta(w), nome q = exp(-pi Kc / K) and
+    v = pi z / (2w):
+
+        zeta(z)  = eta z / w + (pi / 2w) theta_1'(v) / theta_1(v)
+        sigma(z) = (2w / pi) exp(eta z^2 / 2w) theta_1(v) / theta_1'(0)
+
+    where theta_1(v) = 2 q^(1/4) sum_n (-1)^n q^(n(n+1)) sin((2n+1) v)
+    (DLMF 20.2.1); the factor 2 q^(1/4) cancels.  For m > 1/2 (K > Kc)
+    the nome exceeds exp(-pi).  There the rotated lattice i L -- the
+    lattice of 1 - m, with w = Kc, eta = -eta2_im and nome
+    exp(-pi K / Kc) -- takes over through the homogeneity relations
+    zeta(z) = i zeta(iz; 1-m) and sigma(z) = -i sigma(iz; 1-m).
+    """
+    if lat.K > lat.Kc:
+        w, eta, ratio, rot = lat.Kc, -lat.eta2_im, lat.K / lat.Kc, 1j
+    else:
+        w, eta, ratio, rot = lat.K, lat.eta1, lat.Kc / lat.K, 1.0
+    z = rot * z0
+    v = 0.5 * math.pi * z / w
+    q = math.exp(-math.pi * ratio)
+    th = dth = 0j
+    dth0 = 0.0
+    for n in range(_THETA_TERMS):
+        c = (-1) ** n * q ** (n * (n + 1))
+        k = 2 * n + 1
+        th += c * cmath.sin(k * v)
+        dth += c * k * cmath.cos(k * v)
+        dth0 += c * k
+    zeta_val = eta * z / w + 0.5 * math.pi / w * dth / th
+    sigma_val = 2.0 * w / math.pi * cmath.exp(0.5 * eta * z * z / w) * th / dth0
+    return rot * zeta_val, sigma_val / rot
+
+
+def zeta(z: complex, lat: RectLattice) -> complex:
+    """Weierstrass zeta on the lattice: zeta' = -wp, zeta(z) ~ 1/z at 0.
+
+    Reduced to the base cell (accumulating 2 n1 eta1 + 2 n2 eta2), then
+    evaluated from the theta_1 series of :func:`_zeta_sigma`.  Arguments
+    within 1e-9 of a lattice point raise :class:`PoleError`.
+    """
+    z = complex(z)
+    if lat.m == 0.0:
+        w = z - math.pi * round(z.real / math.pi)
+        if abs(w) < _POLE_TOL:
+            raise PoleError("zeta evaluated too close to a lattice point")
+        return z / 3.0 + 1.0 / cmath.tan(w)
+
+    z0, n1, n2 = _reduce(z, lat)
+    if abs(z0) < _POLE_TOL:
+        raise PoleError("zeta evaluated too close to a lattice point")
+    corr = complex(2.0 * n1 * lat.eta1, 2.0 * n2 * lat.eta2_im)
+    return _zeta_sigma(z0, lat)[0] + corr
+
+
+def sigma(z: complex, lat: RectLattice) -> complex:
+    """Weierstrass sigma: the entire function with sigma(z) ~ z at lattice zeros.
+
+    Evaluated on the reduced argument from the theta_1 series of
+    :func:`_zeta_sigma`, then carried back with the quasi-periodicity
+
+        sigma(z0 + 2 n1 w1 + 2 n2 w2)
+            = (-1)^(n1 + n2 + n1 n2) exp(eta_L (z0 + L/2)) sigma(z0).
+    """
+    z = complex(z)
+    if lat.m == 0.0:
+        return cmath.sin(z) * cmath.exp(z * z / 6.0)
+
+    z0, n1, n2 = _reduce(z, lat)
+    if z0 == 0.0:
+        return 0.0 + 0.0j
+    val = _zeta_sigma(z0, lat)[1]
+
+    if n1 == 0 and n2 == 0:
+        return val
+    L = complex(2.0 * lat.K * n1, 2.0 * lat.Kc * n2)
+    eta_L = complex(2.0 * n1 * lat.eta1, 2.0 * n2 * lat.eta2_im)
+    sign = -1.0 if (n1 + n2 + n1 * n2) % 2 else 1.0
+    return sign * cmath.exp(eta_L * (z0 + L / 2.0)) * val
 
 
 # ---------------------------------------------------------------------------
@@ -409,97 +363,3 @@ def wp_inverse(V: float, lat: RectLattice) -> complex:
     if edge == "right":
         return complex(lat.K, t)
     return complex(t, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Sigma function by quadrature of zeta - 1/t, plus quasi-period factors.
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=8)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _zeta_minus_pole(t: complex, lat: RectLattice) -> complex:
-    """zeta(t) - 1/t, analytic at the origin of the base cell."""
-    if abs(t) <= _SERIES_RADIUS:
-        return _zeta_series_tail(t, lat)
-    return zeta(t, lat) - 1.0 / t
-
-
-def sigma(z: complex, lat: RectLattice) -> complex:
-    """Weierstrass sigma: the entire function with sigma(z) ~ z at lattice zeros.
-
-    Computed as sigma(z0) = z0 exp(integral_0^{z0} (zeta(t) - 1/t) dt) on
-    the reduced argument (Gauss-Legendre panels on the straight segment),
-    then carried back with the quasi-periodicity
-
-        sigma(z0 + 2 n1 w1 + 2 n2 w2)
-            = (-1)^(n1 + n2 + n1 n2) exp(eta_L (z0 + L/2)) sigma(z0).
-    """
-    z = complex(z)
-    if lat.m == 0.0:
-        return cmath.sin(z) * cmath.exp(z * z / 6.0)
-
-    z0, n1, n2 = _reduce(z, lat)
-    if z0 == 0.0:
-        return 0.0 + 0.0j
-
-    length = abs(z0)
-    panels = max(1, math.ceil(length / 0.5))
-    nodes, weights = _gl_rule(20)
-    integral = 0.0 + 0.0j
-    for p in range(panels):
-        a = p / panels
-        width = 1.0 / panels
-        for s, w in zip(nodes, weights):
-            t = z0 * (a + width * s)
-            integral += w * width * _zeta_minus_pole(t, lat)
-    integral *= z0
-    val = z0 * cmath.exp(integral)
-
-    if n1 == 0 and n2 == 0:
-        return val
-    L = complex(2.0 * lat.K * n1, 2.0 * lat.Kc * n2)
-    eta_L = complex(2.0 * n1 * lat.eta1, 2.0 * n2 * lat.eta2_im)
-    sign = -1.0 if (n1 + n2 + n1 * n2) % 2 else 1.0
-    return sign * cmath.exp(eta_L * (z0 + L / 2.0)) * val
-
-
-# ---------------------------------------------------------------------------
-# Slow reference for eta1, kept as a public cross-check of the closed form
-# eta1 = E - e1 K.
-# ---------------------------------------------------------------------------
-
-
-def eta1_by_integration(m: float) -> float:
-    """eta1 = zeta(K) obtained by integrating zeta' = -wp along the real axis.
-
-    Seeded by the Laurent expansion at z0 = 1e-3 and integrated to K with
-    the pole subtracted:  eta1 = (zeta(z0) - 1/z0) + 1/K
-    - integral_{z0}^{K} (wp(t) - 1/t^2) dt.  Entirely independent of the
-    E - e1 K closed form used by :func:`lattice`.
-    """
-    lat = lattice(m)
-    z0 = 1e-3
-    head = _zeta_series_tail(complex(z0), lat).real
-
-    def integrand(t: float) -> float:
-        if t <= _SERIES_RADIUS:
-            return _wp_series_tail(complex(t), lat).real
-        return _wp_real(t, lat) - 1.0 / (t * t)
-
-    nodes, weights = _gl_rule(24)
-    span = lat.K - z0
-    panels = max(2, math.ceil(span / 0.25))
-    total = 0.0
-    for p in range(panels):
-        a = z0 + span * p / panels
-        width = span / panels
-        for s, w in zip(nodes, weights):
-            total += w * width * integrand(a + width * s)
-
-    return head + 1.0 / lat.K - total

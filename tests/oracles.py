@@ -152,6 +152,47 @@ def mp_kc(m: float, V: float) -> complex:
         return complex(w * w / (6 * mp.pi**2))
 
 
+# ---------------------------------------------------------------------------
+# Weierstrass zeta, sigma and eta1 in 30-digit arithmetic.
+# ---------------------------------------------------------------------------
+
+
+def mp_zeta_sigma(z: complex, m: float) -> tuple[complex, complex]:
+    """zeta(z) and sigma(z) on the lattice of m from mpmath's ``jtheta``.
+
+    DLMF 23.6(i) on the lattice itself, with no modular rotation:
+    half-period K, eta1 = E - (2-m) K / 3, nome exp(-pi K'/K) and
+    v = pi z / 2K.  Slow as q -> 1 but valid for every 0 < m < 1.
+    """
+    with mp.workdps(30):
+        m, z = mp.mpf(m), mp.mpc(z)
+        K, Kc, E = mp.ellipk(m), mp.ellipk(1 - m), mp.ellipe(m)
+        eta1 = E - (2 - m) * K / 3
+        q = mp.exp(-mp.pi * Kc / K)
+        v = mp.pi * z / (2 * K)
+        t, dt = mp.jtheta(1, v, q), mp.jtheta(1, v, q, 1)
+        zeta = eta1 * z / K + mp.pi / (2 * K) * dt / t
+        sigma = 2 * K / mp.pi * mp.exp(eta1 * z * z / (2 * K)) * t / mp.jtheta(1, 0, q, 1)
+        return complex(zeta), complex(sigma)
+
+
+def eta1_by_integration(m: float) -> float:
+    """eta1 = zeta(K) from the quasi-period of zeta, by quadrature of wp.
+
+    zeta(z + 2K) - zeta(z) = 2 eta1 and zeta' = -wp, so along the top
+    edge of the rectangle, where wp(t + iK') = e2 + m sn^2(t|m) has no
+    pole, eta1 = -integral_0^K (e2 + m sn^2(t|m)) dt.  mpmath's
+    tanh-sinh quadrature of mpmath's sn; independent of the closed form
+    E - e1 K.
+    """
+    with mp.workdps(30):
+        m = mp.mpf(m)
+        e2 = -(1 + m) / 3
+        val = mp.quad(lambda t: e2 + m * mp.ellipfun("sn", t, m=m) ** 2,
+                      [0, mp.ellipk(m)])
+        return float(-val)
+
+
 def ode_hill_trace(q, period: float = 2.0 * math.pi) -> float:
     """Trace of the monodromy of psi'' = q(x) psi over one period.
 

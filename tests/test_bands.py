@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kdvorbits.bands import (
+    _TANGENCY,
     BandPoint,
     GapInterval,
     band_edges,
@@ -16,6 +17,7 @@ from kdvorbits.bands import (
     lame_profile,
     numeric_band_gaps,
     floquet_traces,
+    gap_runs,
 )
 from kdvorbits.errors import DomainError, ResolutionError
 from kdvorbits.hill import floquet_monodromy
@@ -207,6 +209,16 @@ class TestExceptionalEnergyAsymptote:
         assert_allclose(ap.validity, 2.0 * lat.K / (12.0 * math.pi), rtol=1e-15)
         with pytest.raises(DomainError):
             exceptional_energy_asymptote(0, 0.3)
+
+
+class TestGapRuns:
+    def test_synthetic_trace(self):
+        # skipped: the run at E = 0 and a run peaking at exactly 2 + tangency;
+        # kept: a run one ulp above it and a run reaching the last sample
+        edge = 2.0 + _TANGENCY
+        above = np.nextafter(edge, np.inf)
+        traces = np.array([3.0, 2.5, 1.0, edge, -edge, 0.0, -above, 1.0, 2.4, 2.1])
+        assert gap_runs(traces) == [(6, 6), (8, 9)]
 
 
 class TestNumericBandGaps:

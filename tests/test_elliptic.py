@@ -15,7 +15,6 @@ from kdvorbits.elliptic import (
     ellint_K,
     jacobi,
     jacobi_complex,
-    jacobi_epsilon,
 )
 from kdvorbits.errors import DomainError, PoleError
 
@@ -257,23 +256,3 @@ class TestDnPowerIntegral:
         for bad in (1, 3, -2, 2.0):
             with pytest.raises(DomainError):
                 dn_power_integral(bad, 0.5)
-
-
-class TestJacobiEpsilon:
-    @pytest.mark.parametrize("m", [0.05, 0.5, 0.95])
-    def test_matches_ode_antiderivative(self, m):
-        for u in (-3.7, -0.4, 0.9, 2.2, 7.5):
-            assert_allclose(jacobi_epsilon(u, m),
-                            oracles.ode_dn2_antiderivative(u, m), atol=1e-12)
-
-    def test_quasi_periodicity_and_symmetry(self):
-        m = 0.37
-        K, E = ellint_K(m), ellint_E(m)
-        for u in (0.0, 0.51, 1.9):
-            assert_allclose(jacobi_epsilon(u + 2 * K, m),
-                            jacobi_epsilon(u, m) + 2 * E, rtol=1e-13)
-            assert_allclose(jacobi_epsilon(-u, m), -jacobi_epsilon(u, m), rtol=1e-14)
-        assert_allclose(jacobi_epsilon(K, m), E, rtol=1e-14)
-
-    def test_hyperbolic_limit(self):
-        assert_allclose(jacobi_epsilon(1.3, 1.0), math.tanh(1.3), rtol=1e-15)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from kdvorbits.asymptotics import k_large_V
 from kdvorbits.elliptic import ellint_E, ellint_K, jacobi
 from kdvorbits.errors import DomainError, InsideWedgeError
 from kdvorbits.orbits import (
@@ -124,6 +125,20 @@ class TestHugeV:
         label = classify(0.5, -1e300)
         assert label.kind is OrbitKind.ELLIPTIC and label.winding > 10**149
         assert abs(monodromy_trace(0.5, -1e300)) <= 2.0
+
+    @pytest.mark.parametrize("m", [0.0, 1e-9, 0.5, 1 - 1e-12])
+    def test_linear_law_at_the_float_limit(self, m):
+        # kc -> K^2 V / 6 pi^2 and d(kc)/dV -> K^2 / 6 pi^2; kc is inf only
+        # where K^2 |V| / 6 pi^2 itself leaves the float range
+        slope = lattice(m).K ** 2 / (6 * math.pi**2)
+        for V in (1.7e308, -1.7e308):
+            kc = uniform_representative(m, V).kc.real
+            law = k_large_V(m, V).value
+            if math.isfinite(slope * V):
+                assert abs(kc - law) <= 1e-12 * abs(law)
+            else:
+                assert kc == law == math.copysign(math.inf, V)
+            assert abs(dk_dV(m, V) - slope) <= 1e-12 * slope
 
 
 class TestUniformRepresentative:

@@ -9,13 +9,6 @@ from scipy.special import ellipkinc
 from kdvorbits.elliptic import ellint_E, ellint_K
 from kdvorbits.errors import DomainError, PoleError
 from kdvorbits.weierstrass import (
-    _wp_imag_axis,
-    _wp_prime_imag_axis_im,
-    _wp_prime_real,
-    _wp_real,
-    _zeta_comp,
-    _zeta_real,
-    eta1_by_integration,
     lattice,
     sigma,
     wp,
@@ -28,6 +21,7 @@ from kdvorbits.weierstrass import (
 import oracles
 
 M_GRID = [1e-6, 0.05, 0.3, 0.5, 0.7, 0.9, 0.999]
+NEAR_ONE = [1 - 1e-8, 1 - 1e-12]
 
 
 class TestLattice:
@@ -51,7 +45,7 @@ class TestLattice:
     @pytest.mark.parametrize("m", M_GRID)
     def test_eta1_closed_form_vs_integration(self, m):
         lat = lattice(m)
-        assert abs(lat.eta1 - eta1_by_integration(m)) < 1e-12
+        assert abs(lat.eta1 - oracles.eta1_by_integration(m)) < 1e-12
 
     @pytest.mark.parametrize("m", [0.3, 0.6, 0.9])
     def test_legendre_relation(self, m):
@@ -81,6 +75,14 @@ def _random_cell_points(lat, n, seed, margin=0.25):
         if abs(z) > margin and abs(z - 2 * lat.K) > margin:
             pts.append(z)
     return pts
+
+
+def _cell_and_boundary_points(lat):
+    """Random base-cell points plus points on the boundary of the rectangle."""
+    K, Kc = lat.K, lat.Kc
+    return _random_cell_points(lat, 6, seed=1) + [
+        complex(K, 0.3 * Kc), complex(0.4 * K, Kc), complex(K, Kc),
+        complex(-0.7 * K, -Kc), complex(0.0, Kc), complex(K, 0.0)]
 
 
 class TestWp:
@@ -172,7 +174,7 @@ class TestZeta:
     def test_derivative_is_minus_wp(self, m):
         lat = lattice(m)
         h = 1e-6
-        # hit all evaluation branches: series disc, both axis strips, generic
+        # near the origin, next to both axes, generic, near the corner
         pts = [0.3 + 0.1j, 0.02 + 0.3j, 0.9 + 5e-5j, 5e-5 + 0.8j, 0.8 + 0.6j,
                complex(0.99 * lat.K, 0.7 * lat.Kc)]
         for z in pts:
@@ -202,20 +204,33 @@ class TestZeta:
         assert abs(lhs - rhs) < 1e-12
 
     def test_branch_seams_agree(self):
-        # values from the series disc / axis strips must match the raw
-        # addition formula where both apply
-        lat = lattice(0.45)
+        # the addition formula
+        #   zeta(x + iy) = zeta(x) + zeta(iy) + (wp'(x) - wp'(iy)) / (2 (wp(x) - wp(iy)))
+        # with every axis value from the ODE oracles: zeta(x) = eps(x|m)
+        # + cn dn/sn - e1 x, and zeta(iy) = -i zc(y) with zc(y) = eps(y|1-m)
+        # + cn dn/sn - (1+m) y/3 at (y|1-m)
+        m = 0.45
+        lat = lattice(m)
 
         def addition(x, y):
-            ppx = _wp_prime_real(x, lat)
-            ppy = 1j * _wp_prime_imag_axis_im(y, lat)
-            px = _wp_real(x, lat)
-            py = _wp_imag_axis(y, lat)
-            return (_zeta_real(x, lat) - 1j * _zeta_comp(y, lat)
-                    + 0.5 * (ppx - ppy) / (px - py))
+            s, c, d = oracles.ode_jacobi(x, m)
+            zx = oracles.ode_dn2_antiderivative(x, m) + c * d / s - lat.e1 * x
+            px, ppx = 1 / s**2 - (m + 1) / 3, -2 * c * d / s**3
+            s, c, d = oracles.ode_jacobi(y, 1 - m)
+            zc = oracles.ode_dn2_antiderivative(y, 1 - m) + c * d / s - (1 + m) * y / 3
+            py, ppy = (2 - m) / 3 - 1 / s**2, -2j * c * d / s**3
+            return zx - 1j * zc + 0.5 * (ppx - ppy) / (px - py)
 
         for x, y in ((0.28, 0.28), (0.9, 5e-5), (5e-5, 0.8), (0.25, 0.2)):
             assert abs(zeta(complex(x, y), lat) - addition(x, y)) < 1e-9
+
+    @pytest.mark.parametrize("m", M_GRID + NEAR_ONE)
+    def test_matches_mpmath_theta(self, m):
+        lat = lattice(m)
+        for z in _cell_and_boundary_points(lat):
+            ref_zeta, ref_sigma = oracles.mp_zeta_sigma(z, m)
+            assert abs(zeta(z, lat) - ref_zeta) <= 1e-14 * abs(ref_zeta)
+            assert abs(sigma(z, lat) - ref_sigma) <= 1e-14 * abs(ref_sigma)
 
     def test_pole_rejection(self):
         lat = lattice(0.5)
