@@ -99,7 +99,7 @@ def k_near_wedge(m: float, V: float, side: str) -> Approximation:
     """
     lat = lattice(m)
     V = float(V)
-    if m == 0.0:
+    if lat.m == 0.0:
         raise DomainError("the wedge collapses to a point at m = 0")
     if side == "upper":
         edge = lat.e3

@@ -93,7 +93,7 @@ def crystal_momentum(E: float, m: float) -> BandPoint:
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E!r}")
     V = (2.0 * m + 2.0) / 3.0 - E
-    if m == 0.0 and abs(V - lat.e2) <= 1e-12:
+    if lat.m == 0.0 and abs(V - lat.e2) <= 1e-12:
         # Double corner e2 = e3: the inverse point runs off to i*infinity,
         # but the dispersion pi*sqrt(E) passes through continuously.
         return BandPoint(E, math.pi, complex(math.pi, 0.0), False)
@@ -277,7 +277,7 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
     if N < 1:
         raise DomainError(f"Lame index N must be a positive integer, got {N}")
     lat = lattice(m)
-    if m == 0.0:
+    if lat.m == 0.0:
         raise DomainError("all gaps close at m = 0; there is nothing to scan")
     if E_max is None:
         E_max = (N + 1) ** 2 + 1.0

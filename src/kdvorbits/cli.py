@@ -46,13 +46,7 @@ from .asymptotics import (
 from .bands import crystal_momentum, floquet_traces, gap_runs
 from .errors import DomainError, NumericalError
 from .hill import floquet_monodromy, kdv_evolve, winding_number
-from .orbits import (
-    classify,
-    cnoidal_profile,
-    level_curve,
-    monodromy_trace,
-    uniform_representative,
-)
+from .orbits import cnoidal_profile, level_curve, orbit_data
 from .profiles import grid
 from .shoaling import read_bathymetry, shoaling_path
 from .weierstrass import lattice, zeta
@@ -104,16 +98,14 @@ def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
 # -------------------------------------------------------------- commands
 
 def _cmd_classify(args) -> str:
-    trace = monodromy_trace(args.m, args.V)
-    rep = uniform_representative(args.m, args.V)
-    label = classify(args.m, args.V)
+    data = orbit_data(args.m, args.V)
     return _json_text({
-        "trace": trace,
-        "kc_real": rep.kc.real,
-        "kc_imag": rep.kc.imag,
-        "has_rest_frame": rep.has_rest_frame,
-        "class": label.kind.value,
-        "winding": label.winding,
+        "trace": data.trace,
+        "kc_real": data.kc.real,
+        "kc_imag": data.kc.imag,
+        "has_rest_frame": data.has_rest_frame,
+        "class": data.orbit.kind.value,
+        "winding": data.orbit.winding,
     })
 
 
@@ -127,11 +119,10 @@ def _cmd_diagram(args) -> str:
     rows = []
     for m in ms:           # row-major: m is the outer loop
         for v in vs:
-            rep = uniform_representative(m, v)
-            label = classify(m, v)
-            rows.append([float(m), float(v), monodromy_trace(m, v),
-                         rep.kc.real, rep.kc.imag, label.kind.value,
-                         label.winding])
+            data = orbit_data(m, v)
+            rows.append([float(m), float(v), data.trace, data.kc.real,
+                         data.kc.imag, data.orbit.kind.value,
+                         data.orbit.winding])
     return _table(args, _DIAGRAM_COLUMNS, rows)
 
 
@@ -210,16 +201,16 @@ def _cmd_profile(args) -> str:
 
 def _cmd_oracle(args) -> str:
     prof = cnoidal_profile(args.m, args.V, args.c)
-    closed = monodromy_trace(args.m, args.V)
+    closed = orbit_data(args.m, args.V)
     floquet = float(np.trace(floquet_monodromy(prof, args.c)))
     tau = 1e-4
     evolved = kdv_evolve(prof, args.c, tau)
     expected = cnoidal_profile(args.m, args.V, args.c, tau=tau)
     drift = float(np.max(np.abs(evolved.samples - expected.samples)))
     return _json_text({
-        "closed_trace": closed,
+        "closed_trace": closed.trace,
         "floquet_trace": floquet,
-        "winding_closed": classify(args.m, args.V).winding,
+        "winding_closed": closed.orbit.winding,
         "winding_numeric": winding_number(prof, args.c),
         "kdv_translation_error": drift,
     })
@@ -228,7 +219,7 @@ def _cmd_oracle(args) -> str:
 # ------------------------------------------- the convergence-order battery
 
 def _exact_kc(m: float, V: float) -> float:
-    return uniform_representative(m, V).kc.real
+    return orbit_data(m, V).kc.real
 
 
 def _m_for_nome_sq(target: float) -> float:

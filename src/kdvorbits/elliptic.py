@@ -14,13 +14,14 @@ shoaling) is built on the four primitives in this module:
 Throughout the package the *parameter* convention is used: ``m`` is the
 squared elliptic modulus, so ``sn(u, m) -> sin(u)`` as ``m -> 0`` and
 ``-> tanh(u)`` as ``m -> 1``.  All public entry points accept
-``0 <= m < 1``; the degenerate hyperbolic case ``m == 1`` is reachable
-internally (it is what the complementary-parameter evaluations at
-``1 - m`` turn into when ``m == 0``).
+``0 <= m < 1`` (``ellint_E`` also ``m == 1``).  ``jacobi_complex``
+takes ``m == 0``, and any ``m`` for which ``1 - m`` rounds to 1, as the
+circular limit, so its evaluation at ``1 - m`` never reaches 1.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -143,13 +144,9 @@ def _amplitude(u: float, m: float) -> float:
 
 
 def _jacobi_scalar(u: float, m: float) -> tuple[float, float, float]:
-    """sn, cn, dn for one real argument; m may be anything in [0, 1]."""
+    """sn, cn, dn for one real argument and 0 <= m < 1."""
     if m == 0.0:
         return math.sin(u), math.cos(u), 1.0
-    if m == 1.0:
-        s = math.tanh(u)
-        c = 1.0 / math.cosh(u)
-        return s, c, c
 
     phi = _amplitude(u, m)
     sn = math.sin(phi)
@@ -209,10 +206,14 @@ def jacobi_complex(z: complex, m: float) -> JacobiTriple:
 
     The argument is first reduced modulo the common period lattice
     (4K, 4iK') of the three functions.  Arguments within 1e-9 of a pole
-    (z = 2nK + (2n'+1) i K') raise :class:`PoleError`.
+    (z = 2nK + (2n'+1) i K') raise :class:`PoleError`.  At m = 0, and
+    for m so small that 1 - m rounds to 1, K' is infinite and the
+    functions are sin z, cos z and 1.
     """
     m = _check_parameter(m)
     z = complex(z)
+    if 1.0 - m == 1.0:
+        return JacobiTriple(cmath.sin(z), cmath.cos(z), 1.0 + 0.0j)
     K = ellint_K(m)
     Kc = ellint_K(1.0 - m)
 

@@ -155,7 +155,7 @@ def lame_exact_residual(m: float, V: float, zs, step: float = 1e-4) -> float:
     rejected, since differencing there is meaningless.
     """
     lat = lattice(m)
-    if m == 0.0:
+    if lat.m == 0.0:
         raise DomainError("the m = 0 profile is constant; nothing to validate")
     zs = [complex(z) for z in zs]
     if not zs:

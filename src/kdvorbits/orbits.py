@@ -10,12 +10,11 @@ the trace of the monodromy is 2 cosh(2w), and the orbit invariant is
 kc = w^2 / (6 pi^2) (the energy of the constant representative, in units
 of the central charge).
 
-On each of the four edges of the rectangle w is purely real or purely
-imaginary up to the constant -i pi/2, and the addition formula for zeta
-collapses to elementary real expressions.  Let phi and mu be the
-amplitude and parameter of a on its edge (:func:`.weierstrass.wp_amplitude`),
-F = F(phi|mu) and Ep = E(phi|mu) Legendre's incomplete integrals, and
-g_i = sqrt|V - e_i| the gaps:
+On each of the four edges of the rectangle w is purely imaginary, or
+real up to the constant -i pi/2, so one real edge exponent carries it.
+Let phi and mu be the amplitude and parameter of a on its edge
+(:func:`.weierstrass.wp_amplitude`), F = F(phi|mu) and Ep = E(phi|mu)
+Legendre's incomplete integrals, and g_i = sqrt|V - e_i| the gaps:
 
     right edge (band,   e3 < V < e1, mu = 1-m):  w = -i phi_w,
         phi_w = K Ep - (K - E) F
@@ -29,8 +28,10 @@ g_i = sqrt|V - e_i| the gaps:
 F is the arc parameter u of a along its edge, Ep = E(am u|mu) is
 Jacobi's epsilon there (DLMF 22.16(iii)), and the last terms are
 K cn dn / sn at u.  Legendre's relation makes phi_w -> pi/2 exactly at
-both wedge corners.  Working edge-by-edge in real arithmetic keeps the
-trichotomy |trace| < 2 / = 2 / > 2 exact, which the classifier relies on.
+both wedge corners.  :func:`orbit_data` evaluates the exponent once and
+reads the trace, kc and the orbit class off it; working edge-by-edge in
+real arithmetic keeps the trichotomy |trace| < 2 / = 2 / > 2 exact,
+which the classifier relies on.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ from .weierstrass import RectLattice, lattice, wp_amplitude
 __all__ = [
     "OrbitKind",
     "OrbitClass",
+    "OrbitData",
     "UniformRepresentative",
+    "orbit_data",
     "monodromy_trace",
     "uniform_representative",
     "classify",
@@ -102,6 +105,15 @@ class UniformRepresentative(NamedTuple):
 
     kc: complex
     has_rest_frame: bool
+
+
+class OrbitData(NamedTuple):
+    """Monodromy trace, constant representative and orbit class of one wave."""
+
+    trace: float
+    kc: complex
+    has_rest_frame: bool
+    orbit: OrbitClass
 
 
 class _Region(Enum):
@@ -155,30 +167,21 @@ def _gaps(lat: RectLattice, V: float) -> tuple[float, float, float]:
             math.sqrt(abs(V - lat.e3)))
 
 
-def _half_exponent(lat: RectLattice, region: _Region, V: float) -> complex:
-    """The half Floquet exponent w = K zeta(a) - eta1 a, snapped per region."""
-    if region in (_Region.LOWER_EDGE, _Region.UPPER_EDGE):
-        return complex(0.0, -math.pi / 2)
-    if region is _Region.PARABOLIC_EDGE:
-        return 0.0 + 0.0j
+def _edge_exponent(lat: RectLattice, region: _Region, V: float) -> float:
+    """The real edge exponent of V off the corners: phi_w or rho.
+
+    phi_w = |Im w| below the wedge and on the band, rho = Re w inside
+    and above it.  Below and above the wedge K cn dn / sn at a is added
+    as a product of gaps: no division by a small sn.
+    """
     _, phi, mu = wp_amplitude(V, lat)
     part = _epsilon_part(lat, region, phi, mu)
-    if region is _Region.BAND:
-        return complex(0.0, -part)
-    if region is _Region.WEDGE:
-        return complex(part, -math.pi / 2)
-    # K cn dn / sn at a, as a product of gaps: no division by a small sn.
+    if region in (_Region.BAND, _Region.WEDGE):
+        return part
     g1, g2, g3 = _gaps(lat, V)
     if region is _Region.BELOW:
-        return complex(0.0, -(part + lat.K * g2 * (g3 / g1)))
-    return complex(part + lat.K * g1 * (g3 / g2), 0.0)
-
-
-def _holonomy(m: float, V: float) -> tuple[RectLattice, _Region, complex]:
-    """The lattice of m, the region of V and the half Floquet exponent w."""
-    lat = lattice(m)
-    region = _region_of(lat, V)
-    return lat, region, _half_exponent(lat, region, V)
+        return part + lat.K * g2 * (g3 / g1)
+    return part + lat.K * g1 * (g3 / g2)
 
 
 def _two_cosh(x: float) -> float:
@@ -189,53 +192,12 @@ def _two_cosh(x: float) -> float:
         return math.inf
 
 
-def monodromy_trace(m: float, V: float) -> float:
-    """Trace of the Hill monodromy of the cnoidal wave (m, V): 2 cosh(2w).
-
-    Independent of the central charge.  Exactly -2 on the wedge edges and
-    +2 at V = e1; in (-2, 2) on the elliptic regions; beyond otherwise,
-    and +inf once 2 cosh(2w) overflows (V above about 1e5).
-    """
-    _, region, w = _holonomy(m, V)
-    if region in (_Region.LOWER_EDGE, _Region.UPPER_EDGE):
-        return -2.0
-    if region is _Region.PARABOLIC_EDGE:
-        return 2.0
-    if region in (_Region.BELOW, _Region.BAND):
-        return 2.0 * math.cos(2.0 * abs(w.imag))
-    if region is _Region.WEDGE:
-        return -_two_cosh(2.0 * w.real)
-    return _two_cosh(2.0 * w.real)
-
-
 def _square_over_six_pi_sq(x: float) -> float:
     """x^2 / (6 pi^2); past |x| ~ 1e154, where x*x overflows, divided first."""
     square = x * x
     if math.isinf(square):
         return x * (x / _SIX_PI_SQ)
     return square / _SIX_PI_SQ
-
-
-def uniform_representative(m: float, V: float) -> UniformRepresentative:
-    """kc = w^2/(6 pi^2): the constant representative of the orbit of (m, V).
-
-    Real except inside the wedge, where w = rho - i pi/2 gives
-    kc = (rho^2 - pi^2/4)/(6 pi^2) - i rho/(6 pi) and no rest frame exists.
-    On the wedge edges the value is exactly -1/24.
-    """
-    _, region, w = _holonomy(m, V)
-    if region in (_Region.LOWER_EDGE, _Region.UPPER_EDGE):
-        return UniformRepresentative(complex(-1.0 / 24.0, 0.0), True)
-    if region is _Region.PARABOLIC_EDGE:
-        return UniformRepresentative(0.0 + 0.0j, True)
-    if region in (_Region.BELOW, _Region.BAND):
-        return UniformRepresentative(complex(-_square_over_six_pi_sq(w.imag), 0.0), True)
-    if region is _Region.WEDGE:
-        rho = w.real
-        kc = complex((rho * rho - math.pi**2 / 4.0) / _SIX_PI_SQ,
-                     -rho / (6.0 * math.pi))
-        return UniformRepresentative(kc, False)
-    return UniformRepresentative(complex(_square_over_six_pi_sq(w.real), 0.0), True)
 
 
 def _floor_snap(x: float) -> int:
@@ -245,31 +207,62 @@ def _floor_snap(x: float) -> int:
     return math.floor(x)
 
 
-def classify(m: float, V: float) -> OrbitClass:
-    """The coadjoint-orbit class of the cnoidal wave (m, V).
+def orbit_data(m: float, V: float) -> OrbitData:
+    """Trace 2 cosh(2w), kc = w^2/(6 pi^2) and orbit class of the wave (m, V).
 
-    Below the wedge the orbits are elliptic with winding
-    n = floor(sqrt(24 |kc|)) >= 1; the wedge itself is the n = 1
-    hyperbolic family bounded by the two n = 1 exceptional edges; the
-    band between e3 and e1 is elliptic with n = 0; V = e1 is the
-    parabolic n = 0 orbit of the constant; above it sits the n = 0
-    hyperbolic family.  Only the winding below the wedge needs w.
+    One lattice lookup, one region test and at most one evaluation of the
+    edge exponent x.  The trace is independent of the central charge and
+    kc is in its units; n is the winding:
+
+        wedge edges:      -2,          -1/24 exactly,          Exceptional(n = 1)
+        below the wedge:  2 cos 2x,    -x^2/(6 pi^2),          Elliptic(n = floor(2x/pi))
+        inside the wedge: -2 cosh 2x,  (x^2 - pi^2/4)/(6 pi^2) - i x/(6 pi),
+                                       no rest frame,          Hyperbolic(n = 1)
+        band e3 < V < e1: 2 cos 2x,    -x^2/(6 pi^2),          Elliptic(n = 0)
+        V = e1:           2,           0 exactly,              Parabolic(n = 0)
+        above e1:         2 cosh 2x,   x^2/(6 pi^2),           Hyperbolic(n = 0)
+
+    floor(2x/pi) = floor(sqrt(24 |kc|)) >= 1.  The cosh traces are +inf
+    once they overflow (|V| above about 1e5).
     """
     lat = lattice(m)
     region = _region_of(lat, V)
-    if region is _Region.BELOW:
-        w = _half_exponent(lat, region, V)
-        n = _floor_snap(2.0 * abs(w.imag) / math.pi)
-        return OrbitClass(OrbitKind.ELLIPTIC, n)
     if region in (_Region.LOWER_EDGE, _Region.UPPER_EDGE):
-        return OrbitClass(OrbitKind.EXCEPTIONAL, 1)
-    if region is _Region.WEDGE:
-        return OrbitClass(OrbitKind.HYPERBOLIC, 1)
-    if region is _Region.BAND:
-        return OrbitClass(OrbitKind.ELLIPTIC, 0)
+        return OrbitData(-2.0, complex(-1.0 / 24.0, 0.0), True,
+                         OrbitClass(OrbitKind.EXCEPTIONAL, 1))
     if region is _Region.PARABOLIC_EDGE:
-        return OrbitClass(OrbitKind.PARABOLIC, 0)
-    return OrbitClass(OrbitKind.HYPERBOLIC, 0)
+        return OrbitData(2.0, 0.0 + 0.0j, True, OrbitClass(OrbitKind.PARABOLIC, 0))
+    x = _edge_exponent(lat, region, V)
+    if region is _Region.WEDGE:
+        kc = complex((x * x - math.pi**2 / 4.0) / _SIX_PI_SQ, -x / (6.0 * math.pi))
+        return OrbitData(-_two_cosh(2.0 * x), kc, False,
+                         OrbitClass(OrbitKind.HYPERBOLIC, 1))
+    if region is _Region.ABOVE:
+        return OrbitData(_two_cosh(2.0 * x), complex(_square_over_six_pi_sq(x), 0.0),
+                         True, OrbitClass(OrbitKind.HYPERBOLIC, 0))
+    winding = _floor_snap(2.0 * x / math.pi) if region is _Region.BELOW else 0
+    return OrbitData(2.0 * math.cos(2.0 * x), complex(-_square_over_six_pi_sq(x), 0.0),
+                     True, OrbitClass(OrbitKind.ELLIPTIC, winding))
+
+
+def monodromy_trace(m: float, V: float) -> float:
+    """Trace of the Hill monodromy of the cnoidal wave (m, V); see :func:`orbit_data`."""
+    return orbit_data(m, V).trace
+
+
+def uniform_representative(m: float, V: float) -> UniformRepresentative:
+    """kc = w^2/(6 pi^2), the constant representative of the orbit of (m, V).
+
+    Real except inside the wedge, where no rest frame exists; see
+    :func:`orbit_data`.
+    """
+    data = orbit_data(m, V)
+    return UniformRepresentative(data.kc, data.has_rest_frame)
+
+
+def classify(m: float, V: float) -> OrbitClass:
+    """The coadjoint-orbit class of the cnoidal wave (m, V); see :func:`orbit_data`."""
+    return orbit_data(m, V).orbit
 
 
 def winding_from_kc(kc: float) -> int:
@@ -308,7 +301,8 @@ def dk_dV(m: float, V: float) -> float:
     E(m)^2 / (6 pi^2 (1 - m)).  Inside the wedge kc is not real and the
     one-dimensional derivative is undefined (:class:`InsideWedgeError`).
     """
-    lat, region, w = _holonomy(m, V)
+    lat = lattice(m)
+    region = _region_of(lat, V)
     if region is _Region.WEDGE:
         raise InsideWedgeError(
             "d(kc)/dV is undefined inside the wedge (kc is not real there)")
@@ -318,11 +312,8 @@ def dk_dV(m: float, V: float) -> float:
         return lat.E**2 / (_SIX_PI_SQ * (1.0 - lat.m))
     g1, g2, g3 = _gaps(lat, V)
     rate = (lat.K * (V / g1) + lat.eta1 / g1) / g2 / g3 / _SIX_PI_SQ
-    if region is _Region.BELOW:
-        return w.imag * rate
-    if region is _Region.BAND:
-        return -w.imag * rate
-    return w.real * rate
+    x = _edge_exponent(lat, region, V)
+    return -x * rate if region is _Region.BELOW else x * rate
 
 
 def _bracket_downward(f, start: float) -> float:
@@ -341,7 +332,7 @@ def _edge_w(lat: RectLattice, region: _Region, phi: float, mu: float) -> float:
     The level-curve search runs in phi before V is known, so the term
     K cn dn / sn below and above the wedge is K cot(phi) dn here, with
     dn = sqrt(cos^2 phi + (1 - mu) sin^2 phi), not the gap product of
-    :func:`_holonomy`.
+    :func:`_edge_exponent`.
     """
     part = _epsilon_part(lat, region, phi, mu)
     if region is _Region.BAND:
@@ -382,8 +373,8 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
     trip is good to 1e-10.
     """
     target_kc = float(target_kc)
-    if math.isnan(target_kc):
-        raise DomainError("target kc must be a real number")
+    if not math.isfinite(target_kc):
+        raise DomainError(f"target kc must be finite, got {target_kc!r}")
     lat = lattice(m)
     boundary = -1.0 / 24.0
 
@@ -393,7 +384,7 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
                 f"kc = {target_kc!r} has no solution below the wedge (needs kc <= -1/24)")
         if abs(target_kc - boundary) <= BOUNDARY_TOL:
             return lat.e2
-        if m == 0.0:
+        if lat.m == 0.0:
             return 2.0 / 3.0 + 24.0 * target_kc
         edge, mu = _Region.BELOW, 1.0 - m
     elif region == "above_wedge":
@@ -404,7 +395,7 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
             return lat.e3
         if target_kc == 0.0:
             return lat.e1
-        if m == 0.0:
+        if lat.m == 0.0:
             return 2.0 / 3.0 + 24.0 * target_kc
         edge, mu = (_Region.BAND, 1.0 - m) if target_kc < 0.0 else (_Region.ABOVE, m)
     else:
@@ -412,11 +403,16 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
 
     # |w| = sqrt(6 pi^2 |kc|); it falls from +inf at phi = 0 to its corner
     # value at phi = pi/2 below and above the wedge, and rises on the band.
+    # Past |kc| ~ 3e306 the product overflows and the roots are taken apart.
     target = math.sqrt(_SIX_PI_SQ * abs(target_kc))
+    if math.isinf(target):
+        target = math.sqrt(_SIX_PI_SQ) * math.sqrt(abs(target_kc))
 
     def g(phi):
         return _edge_w(lat, edge, phi, mu) - target
 
+    if edge is _Region.ABOVE and g(0.5 * math.pi) > 0.0:
+        return lat.e1  # the root rounds to the corner V = e1 (kc below ~1e-31)
     lo = 0.0 if edge is _Region.BAND else _bracket_downward(
         g, min(0.25 * math.pi, lat.K / target))
     phi = brentq(g, lo, 0.5 * math.pi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
@@ -432,7 +428,7 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
         V = lat.e2 + 1.0 / s2
         slack = 0.0
 
-    check = uniform_representative(m, V).kc
+    check = orbit_data(m, V).kc
     if abs(check.real - target_kc) > 1e-10 * max(1.0, abs(target_kc)) + slack:
         raise NumericalError("level-curve solve failed verification", abscissa=V)
     return V

@@ -29,9 +29,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .elliptic import jacobi
+from .elliptic import ellint_E, ellint_K, jacobi
 from .errors import DomainError
-from .orbits import OrbitClass, classify, uniform_representative
+from .orbits import OrbitClass, orbit_data
 from .weierstrass import lattice
 
 __all__ = [
@@ -149,8 +149,7 @@ class WaveTrain:
 
 def _transport_bracket(m: float) -> float:
     """(m-1)K^4/3 + (4-2m)EK^3/3 - E^2K^2; zero at m = 0, increasing."""
-    lat = lattice(m)
-    K, E = lat.K, lat.E
+    K, E = ellint_K(m), ellint_E(m)
     return ((m - 1.0) * K**4 / 3.0
             + (4.0 - 2.0 * m) * E * K**3 / 3.0
             - E * E * K * K)
@@ -251,8 +250,9 @@ class ShoalingPath(NamedTuple):
     """Path records in input order plus the wedge-entry bookkeeping.
 
     ``entry_index`` is the first record with m > m* (None if the water
-    never gets that shallow) and ``crossing_depth`` the bisected depth
-    at which m = m* exactly, matching critical_depth of the same train.
+    never gets that shallow) and ``crossing_depth`` the depth at which
+    m = m* exactly, critical_depth of the same train (None unless two
+    consecutive records straddle m*).
     """
 
     points: list
@@ -270,9 +270,8 @@ def shoaling_path(h_values, T: float, F: float, rho: float,
     forbidden wedge.  The speed column is the leading-order sqrt(g h);
     the recorded eps says how much to trust it.
 
-    If consecutive depths straddle the wedge boundary, the crossing
-    depth is refined by bisection in h to a relative 1e-9 and reported
-    on the returned path.
+    If consecutive depths straddle the wedge boundary, the path reports
+    the crossing depth, which is :func:`critical_depth` by construction.
     """
     hs = [float(h) for h in h_values]
     if not hs:
@@ -286,26 +285,19 @@ def shoaling_path(h_values, T: float, F: float, rho: float,
     for i, h in enumerate(hs):
         m = m_from_depth(h, T, F, rho, g)
         V = zero_average_V(m)
-        rep = uniform_representative(m, V)
+        data = orbit_data(m, V)
         in_wedge = m > m_star
         if in_wedge and entry is None:
             entry = i
         lam = wavelength(h, T, g)
         points.append(PathPoint(
-            h=h, lam=lam, m=m, V=V, kc=rep.kc,
-            orbit=classify(m, V), in_wedge=in_wedge,
+            h=h, lam=lam, m=m, V=V, kc=data.kc,
+            orbit=data.orbit, in_wedge=in_wedge,
             epsilon=h * h / (lam * lam), speed=math.sqrt(g * h)))
 
     crossing = None
     if entry is not None and entry > 0:
-        lo, hi = hs[entry], hs[entry - 1]  # lo is inside the wedge
-        while (hi - lo) > 1e-9 * hi:
-            mid = 0.5 * (lo + hi)
-            if m_from_depth(mid, T, F, rho, g) > m_star:
-                lo = mid
-            else:
-                hi = mid
-        crossing = 0.5 * (lo + hi)
+        crossing = critical_depth(T, F, rho, g)
     return ShoalingPath(points, entry, crossing)
 
 

@@ -93,11 +93,15 @@ def lattice(m: float) -> RectLattice:
 
     Requires 0 <= m < 1.  For m = 0 the imaginary half-period degenerates
     to infinity (Kc = inf); the function evaluators below special-case
-    that limit, so the lattice object itself is still usable.
+    that limit, so the lattice object itself is still usable.  An m so
+    small that 1 - m rounds to 1 (below about 2^-54) is that limit too:
+    the returned lattice has m = 0.0.
     """
     m = float(m)
     if not 0.0 <= m < 1.0 or math.isnan(m):
         raise DomainError(f"lattice requires 0 <= m < 1, got {m!r}")
+    if 1.0 - m == 1.0:
+        m = 0.0
     K = ellint_K(m)
     E = ellint_E(m)
     if m == 0.0:

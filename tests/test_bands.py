@@ -91,6 +91,12 @@ class TestCrystalMomentum:
                         rtol=1e-12, atol=1e-12)
         assert not bp.in_gap
 
+    @pytest.mark.parametrize("m", [5e-324, 1e-300, 1e-17])
+    def test_tiny_m_is_the_m0_dispersion(self, m):
+        # 1 - m rounds to 1: the lattice is the m = 0 one, double corner included
+        for E in (0.25, 1.0, 2.0):
+            assert crystal_momentum(E, m) == crystal_momentum(E, 0.0)
+
     @pytest.mark.parametrize("E", [0.7, 0.95, 1.3, 1.8, 2.5])
     def test_cosine_matches_adaptive_floquet_trace(self, E):
         m = 0.6
@@ -267,6 +273,8 @@ class TestNumericBandGaps:
     def test_domain(self):
         with pytest.raises(DomainError):
             numeric_band_gaps(2, 0.0)
+        with pytest.raises(DomainError, match="m = 0"):
+            numeric_band_gaps(2, 1e-300)
         with pytest.raises(DomainError):
             numeric_band_gaps(0, 0.5)
         with pytest.raises(DomainError):

@@ -80,7 +80,7 @@ class TestClassify:
         def blow_up(m, V):
             raise NumericalError("synthetic failure")
 
-        monkeypatch.setattr("kdvorbits.cli.monodromy_trace", blow_up)
+        monkeypatch.setattr("kdvorbits.cli.orbit_data", blow_up)
         code, _, err = run_cli(capsys, "classify", "--m", 0.5, "--V", 0.0)
         assert code == 3
         assert json.loads(err)["error"] == "NumericalError"
@@ -184,6 +184,22 @@ class TestLevelCurve:
         assert payload["columns"] == ["m", "V"]
         assert len(payload["rows"]) == 3
 
+    def test_infinite_kc_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "level-curve", "--kc", "inf",
+                                 "--region", "above_wedge", "--m-samples", 3)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_tiny_kc_above_the_wedge(self, capsys):
+        code, out, err = run_cli(capsys, "level-curve", "--kc", 1e-40,
+                                 "--region", "above_wedge", "--m-samples", 3)
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        for row in rows:
+            m, v = float(row[0]), float(row[1])
+            assert abs(v - (2.0 - m) / 3.0) < 1e-15
+
 
 class TestBand:
     def test_closed_form_scan_marks_the_gap(self, capsys):
@@ -283,7 +299,7 @@ class TestShoal:
         code, out, _ = run_cli(capsys, *self.shoal_args(bed), "--json")
         payload = json.loads(out)
         assert payload["entry_index"] is not None
-        assert_allclose(payload["crossing_depth"], h_star, rtol=1e-6)
+        assert_allclose(payload["crossing_depth"], h_star, rtol=1e-15)
 
     def test_deep_path_reports_no_crossing(self, capsys, tmp_path):
         bed = self.write_bed(tmp_path, [5.0, 4.8, 4.6])

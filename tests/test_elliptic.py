@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -232,6 +233,13 @@ class TestJacobiComplex:
         # nearby but safely away from the pole is fine
         out = jacobi_complex(1j * Kc + 1e-3, m)
         assert np.isfinite(out.sn.real)
+
+    @pytest.mark.parametrize("m", [0.0, 5e-324, 1e-300, 1e-17])
+    def test_circular_limit(self, m):
+        # K' is infinite: sn, cn, dn are sin, cos, 1 with no pole
+        for z in (0.3 + 0.2j, -2.0 + 5.0j, 1e3 - 0.5j, 1j):
+            sn, cn, dn = jacobi_complex(z, m)
+            assert sn == cmath.sin(z) and cn == cmath.cos(z) and dn == 1.0
 
 
 class TestDnPowerIntegral:

@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 
 from kdvorbits.asymptotics import k_large_V
 from kdvorbits.elliptic import ellint_E, ellint_K, jacobi
-from kdvorbits.errors import DomainError, InsideWedgeError
+from kdvorbits.errors import DomainError, InsideWedgeError, NumericalError
 from kdvorbits.orbits import (
     OrbitKind,
+    OrbitData,
     classify,
     cnoidal_profile,
     cnoidal_speed,
@@ -18,6 +19,7 @@ from kdvorbits.orbits import (
     dk_dV,
     level_curve,
     monodromy_trace,
+    orbit_data,
     uniform_representative,
     winding_from_kc,
 )
@@ -239,6 +241,73 @@ class TestClassify:
         assert str(classify(0.5, 0.5)) == "Parabolic(n=0)"
 
 
+# Every m in [0, 1) and every finite V, with the extremes named.
+ANY_M = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                  st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 1e-9,
+                                   0.5, 1.0 - 2.0**-52]))
+ANY_V = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([5e-324, -5e-324, 1e-300, -1e-300,
+                                   1.7e308, -1.7e308]),
+                  st.floats(-3.0, 3.0))
+
+
+class TestOrbitData:
+    """One record per wave; the public functions are its projections."""
+
+    def test_reference_record(self):
+        data = orbit_data(0.5, -0.2)
+        assert isinstance(data, OrbitData)
+        assert data.orbit.kind is OrbitKind.HYPERBOLIC
+        assert data.orbit.winding == 1
+        assert not data.has_rest_frame and data.trace < -2.0
+
+    @settings(deadline=None, max_examples=400)
+    @given(m=ANY_M, V=ANY_V)
+    def test_whole_float_range(self, m, V):
+        # DomainError subclasses ValueError: catching these two exact
+        # families lets a bare ValueError (or anything else) fail the test
+        try:
+            data = orbit_data(m, V)
+        except (DomainError, NumericalError):
+            return
+        assert data.trace == monodromy_trace(m, V)
+        assert uniform_representative(m, V) == (data.kc, data.has_rest_frame)
+        assert classify(m, V) == data.orbit
+        kind, trace = data.orbit.kind, data.trace
+        if kind is OrbitKind.ELLIPTIC:
+            assert abs(trace) <= 2.0
+        elif kind is OrbitKind.HYPERBOLIC:
+            assert abs(trace) >= 2.0
+        elif kind is OrbitKind.EXCEPTIONAL:
+            assert trace == -2.0
+        else:
+            assert trace == 2.0
+        try:
+            dk_dV(m, V)
+        except (DomainError, NumericalError):
+            pass
+
+    @settings(deadline=None, max_examples=300)
+    @given(m=ANY_M, kc=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.floats(-3.0, 3.0)),
+           region=st.sampled_from(["below_wedge", "above_wedge"]))
+    def test_level_curve_raises_only_contract_errors(self, m, kc, region):
+        try:
+            level_curve(kc, m, region)
+        except (DomainError, NumericalError):
+            pass
+
+    @pytest.mark.parametrize("m", [5e-324, 1e-300, 1e-17])
+    def test_tiny_m_is_the_m_zero_limit(self, m):
+        assert lattice(m).m == 0.0
+        for V in np.linspace(-3.0, 3.0, 2001):
+            assert orbit_data(m, V) == orbit_data(0.0, V)
+        for V in (-2.0, 0.1, 2.5):
+            assert dk_dV(m, V) == dk_dV(0.0, V)
+        assert level_curve(-0.5, m, "below_wedge") == level_curve(-0.5, 0.0, "below_wedge")
+        assert level_curve(0.2, m, "above_wedge") == level_curve(0.2, 0.0, "above_wedge")
+
+
 class TestWindingFromKc:
     def test_reference_values(self):
         assert winding_from_kc(-1.0 / 6.0) == 2
@@ -351,6 +420,8 @@ class TestLevelCurve:
         assert level_curve(-1.0 / 24.0, 0.45, "below_wedge") == lat.e2
         assert level_curve(-1.0 / 24.0, 0.45, "above_wedge") == lat.e3
         assert level_curve(0.0, 0.45, "above_wedge") == lat.e1
+        # a root within rounding of the corner V = e1 is the corner
+        assert level_curve(1e-40, 0.45, "above_wedge") == lat.e1
 
     def test_near_boundary_targets_resolve_to_corner(self):
         # kc ~ sqrt(V - corner) there, so 1e-9 away is inside the corner's
@@ -365,6 +436,10 @@ class TestLevelCurve:
             level_curve(-0.1, 0.3, "above_wedge")
         with pytest.raises(DomainError):
             level_curve(-0.1, 0.3, "sideways")
+        for kc in (math.inf, -math.inf, math.nan):
+            for region in ("below_wedge", "above_wedge"):
+                with pytest.raises(DomainError):
+                    level_curve(kc, 0.3, region)
 
     @settings(deadline=None, max_examples=60)
     @given(m=st.floats(1e-4, 0.999), t=st.floats(-8.0, -0.05))

@@ -326,7 +326,7 @@ class TestShoalingPath:
         assert all((p.m > m_star) == p.in_wedge for p in self.path.points)
 
     def test_crossing_depth_matches_critical_depth(self):
-        assert_allclose(self.path.crossing_depth, self.h_star, rtol=1e-6)
+        assert_allclose(self.path.crossing_depth, self.h_star, rtol=1e-15)
 
     def test_pointedness_grows_as_water_shallows(self):
         ms = [p.m for p in self.path.points]
