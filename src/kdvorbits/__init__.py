@@ -12,7 +12,7 @@ The package is organised in layers:
 * :mod:`kdvorbits.hill` -- independent numerical Floquet machinery (a
   direct ODE oracle) and a KdV time stepper.
 * :mod:`kdvorbits.bands` -- the band-structure dictionary: crystal
-  momentum, band edges, numerically detected gaps.
+  momentum, the Lame band edges for every N, numerically detected gaps.
 * :mod:`kdvorbits.virasoro` -- circle diffeomorphisms, Schwarzian
   derivative, coadjoint action on Hill potentials.
 * :mod:`kdvorbits.asymptotics` -- limiting formulas with validity

@@ -13,9 +13,11 @@ the complex Weierstrass zeta function.  That route shares no code with
 the elementary edge-wise expressions in :mod:`.orbits`, so agreement
 between the two is a real consistency check, exercised in the tests.
 
-For N >= 2 no closed form is attempted; :func:`numeric_band_gaps` locates
-the (exactly N) gaps by scanning the Floquet trace of the potential, with
-a Magnus integrator batched across the whole energy grid at once.
+For every N the 2N + 1 band edges are the eigenvalues of four finite
+tridiagonal matrices (:func:`band_edges`).  :func:`numeric_band_gaps` is
+the independent check: it locates the N gaps by scanning the Floquet
+trace of the potential, with a Magnus integrator batched across the
+whole energy grid at once, and never consults the matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .asymptotics import Approximation
 from .elliptic import jacobi
@@ -40,16 +41,19 @@ __all__ = [
     "lame_profile",
     "exceptional_energy_asymptote",
     "floquet_traces",
-    "gap_runs",
     "numeric_band_gaps",
 ]
 
 _EDGE_SNAP = 1e-9
-_SCAN_STEPS = 3072  # Magnus steps across one period of sn^2
+_HALF_STEPS = 1536  # Magnus steps across the half period [0, K] of sn^2
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # Forbidden runs whose |Tr| never clears 2 by more than this are grazing
 # artifacts of the scan, not gaps.
 _TANGENCY = 1e-7
+# Numerical edges are refined by multisection: each round evaluates this
+# many subintervals of every bracket, until the brackets are this wide.
+_SECTIONS = 16
+_EDGE_BRACKET = 1e-9
 
 
 class BandPoint(NamedTuple):
@@ -118,17 +122,53 @@ def crystal_momentum(E: float, m: float) -> BandPoint:
     return BandPoint(E, folded, kappa, im != 0.0)
 
 
-def band_edges(m: float) -> tuple[float, float, float]:
-    """Band-edge energies (m, 1, m+1) of the N = 1 operator.
+def band_edges(m: float, N: int = 1) -> tuple[float, ...]:
+    """The 2N + 1 band-edge energies of the Lame-N operator, in order.
 
-    Valence band [m, 1], gap (1, m+1) of width m, conduction band
-    [m+1, inf).  Through V = (2m+2)/3 - E these are exactly the wedge
-    corners and the parabolic line of the orbit diagram.
+    Edges e_0 < e_1 <= e_2 < ... < e_2N: bands [e_0, e_1], [e_2, e_3],
+    ..., [e_2N, inf) and gaps (e_2g-1, e_2g), g = 1..N.  For N = 1 these
+    are (m, 1, m+1) exactly: valence band [m, 1], gap of width m and,
+    through V = (2m+2)/3 - E, the wedge corners and the parabolic line of
+    the orbit diagram.  At m = 0 the gaps close onto the free levels r^2.
+    In floats the order is only non-strict: at large N the lowest bands
+    are narrower than an ulp.
+
+    In phi = am x the operator -d^2/dx^2 + N(N+1) m sn^2 maps cos r phi
+    to -(d_r cos r phi + u_r cos (r+2) phi + l_r cos (r-2) phi), and
+    sin r phi likewise, with d_r = -r^2 + m (r^2 - N(N+1))/2,
+    u_r = (m/4)(N-r)(N+r+1) and l_r = (m/4)(N+r)(N-r+1).  Since u_N = 0,
+    the cosines and the sines with r <= N of each parity of r span four
+    invariant tridiagonal blocks (Ince 1940; Arscott, *Periodic
+    Differential Equations*, ch. IX; DLMF 29.15(i)), whose eigenvalues
+    are minus the edges.  Each block is symmetrised with off-diagonals
+    sqrt(u_r l_r+2), so the memory is O(N).
     """
+    N = int(N)
+    if N < 1:
+        raise DomainError(f"Lame index N must be a positive integer, got {N}")
     m = float(m)
     if not 0.0 <= m < 1.0 or math.isnan(m):
         raise DomainError(f"band_edges requires 0 <= m < 1, got {m!r}")
-    return m, 1.0, m + 1.0
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    n2 = N * (N + 1)
+    blocks = []
+    # Even cosines, odd cosines, odd sines, even sines.  cos(-phi) = cos phi
+    # and sin(-phi) = -sin phi fold l_1 into the r = 1 diagonal with the
+    # sign `fold`; cos(-2 phi) = cos 2 phi doubles u_0; sin 0 = 0 drops l_2.
+    for first, fold in ((0, 0), (1, 1), (1, -1), (2, 0)):
+        r = np.arange(first, N + 1, 2, dtype=float)
+        if r.size == 0:
+            continue
+        # m-terms grouped first, so the 1x1 blocks of N = 1 are exact
+        turn = np.where(r == 1.0, 0.25 * fold * n2, 0.0)
+        diag = -r * r + m * (0.5 * (r * r - n2) + turn)
+        s = r[:-1]
+        off = 0.25 * m * np.sqrt((N - s) * (N + s + 1) * (N + s + 2) * (N - s - 1))
+        if first == 0:
+            off[:1] *= math.sqrt(2.0)
+        blocks.append(eigvalsh_tridiagonal(diag, off))
+    return tuple(float(e) for e in np.sort(-np.concatenate(blocks)))
 
 
 def lame_profile(N: int, m: float, E: float, c: float, n: int = 512) -> Profile:
@@ -137,7 +177,8 @@ def lame_profile(N: int, m: float, E: float, c: float, n: int = 512) -> Profile:
     p(x) = (c K^2 / 6 pi^2) [N(N+1) m sn^2(K x / pi | m) - E].
 
     For N = 1 this is ``cnoidal_profile(m, (2m+2)/3 - E, c)`` exactly;
-    higher N supplies the input for :func:`numeric_band_gaps`.
+    for higher N it is the input on which the adaptive Floquet oracle
+    in :mod:`.hill` checks :func:`band_edges`.
     """
     N = int(N)
     if N < 1:
@@ -195,15 +236,19 @@ def floquet_traces(energies: np.ndarray, strength: float, K: float,
                     m: float) -> np.ndarray:
     """Floquet trace of psi'' = (strength sn^2(z|m) - E) psi over [0, 2K].
 
-    One fourth-order Magnus step per grid cell, two Gauss nodes each;
-    the 2x2 propagators are exponentiated in closed form (the generator
-    is traceless, so exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega with
-    mu^2 = -det Omega) and multiplied out with the whole energy batch
-    vectorized.  Matches the adaptive oracle in :mod:`.hill` to ~1e-9.
+    sn^2 is even about K, so the trace over the full period is
+    2 (y1 y2' + y1' y2) at z = K, from the fundamental solutions y1, y2
+    at z = 0 (Magnus & Winkler, *Hill's Equation*, ch. 1), and only the
+    half period is integrated.  One fourth-order Magnus step per grid
+    cell, two Gauss nodes each; the 2x2 propagators are exponentiated in
+    closed form (the generator is traceless, so exp(Omega) = cosh(mu) I
+    + sinh(mu)/mu Omega with mu^2 = -det Omega) and multiplied out with
+    the whole energy batch vectorized.  Matches the adaptive oracle in
+    :mod:`.hill` to ~1e-9.
     """
     E = np.asarray(energies, float)
-    h = 2.0 * K / _SCAN_STEPS
-    base = h * np.arange(_SCAN_STEPS)
+    h = K / _HALF_STEPS
+    base = h * np.arange(_HALF_STEPS)
     lo_nodes = jacobi(base + h * (0.5 - _GAUSS_OFFSET), m).sn
     hi_nodes = jacobi(base + h * (0.5 + _GAUSS_OFFSET), m).sn
     lo_nodes = strength * lo_nodes * lo_nodes
@@ -230,24 +275,24 @@ def floquet_traces(energies: np.ndarray, strength: float, K: float,
         ec = h * qbar * s
         ed = ch + delta * s
         a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
-    return a + d
+    return 2.0 * (a * d + b * c)
 
 
-def gap_runs(traces: np.ndarray) -> list[tuple[int, int]]:
+def _gap_runs(traces: np.ndarray) -> list[tuple[int, int]]:
     """The gaps of a trace scan on an energy grid starting at E = 0.
 
     Returns (first, last) sample indices of each maximal run with
-    |Tr| > 2, in order, except the run starting at the first sample
-    (the forbidden region below the spectrum) and grazing runs, whose
-    |Tr| never exceeds 2 + 1e-7: a closed gap at the noise level of
-    the scan.
+    |Tr| > 2 and one sign of Tr, in order, except the run starting at
+    the first sample (the forbidden region below the spectrum) and
+    grazing runs, whose |Tr| never exceeds 2 + 1e-7: a closed gap at the
+    noise level of the scan.  The trace has the sign (-1)^g in gap g,
+    so where the grid steps over a band the run splits at the sign flip.
     """
-    forbidden = np.concatenate(([0], np.abs(traces) > 2.0, [0]))
-    change = np.diff(forbidden.astype(int))
-    starts = np.flatnonzero(change == 1)
-    stops = np.flatnonzero(change == -1) - 1
-    return [(int(i0), int(i1)) for i0, i1 in zip(starts, stops)
-            if i0 > 0 and np.max(np.abs(traces[i0:i1 + 1])) > 2.0 + _TANGENCY]
+    sign = np.where(np.abs(traces) > 2.0, np.sign(traces), 0.0)
+    breaks = np.flatnonzero(np.diff(np.concatenate(([0.0], sign, [0.0]))))
+    return [(int(i0), int(stop) - 1) for i0, stop in zip(breaks[:-1], breaks[1:])
+            if i0 > 0 and sign[i0] != 0.0
+            and np.max(np.abs(traces[i0:stop])) > 2.0 + _TANGENCY]
 
 
 def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
@@ -255,17 +300,24 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
     """Locate the N spectral gaps of the Lame-N operator numerically.
 
     Scans the Floquet trace over [0, E_max] (default (N+1)^2 + 1, above
-    the last gap), keeps the maximal runs with |Tr| > 2, discards the
-    semi-infinite forbidden region below the spectrum, and sharpens each
-    gap edge by bisection to 1e-8.  The default scan step is
-    min(1e-3, m/10).
+    the last gap), keeps the maximal runs with |Tr| > 2 and one sign of
+    Tr, split where the trace changes sign (a band narrower than the
+    step), and discards the semi-infinite forbidden region below the
+    spectrum.  Each edge is then bracketed by its two neighbouring scan
+    samples and refined on the signed target Tr = 2s, s = (-1)^g the sign
+    of the trace in gap g: every round cuts all 2N brackets into 16 equal
+    parts, evaluates the trace at the cuts in one batched call and keeps
+    the part where s Tr crosses 2, until each bracket is at most 1e-9
+    wide; the edge is its midpoint.  The default scan step is
+    min(1e-3, m/10).  Nothing here uses :func:`band_edges`, which these
+    gaps check.
 
     Raises ResolutionError if the step could not resolve a gap of width
     m (the N = 1 width) or if fewer than N gaps survive; NumericalError
     if more than N turn up; DomainError if a gap run touches E_max,
     which means E_max cuts through a gap and should be raised.  Runs
     whose trace never clears |Tr| = 2 by more than 1e-7 are dropped as
-    grazing artifacts rather than counted as gaps (:func:`gap_runs`).
+    grazing artifacts rather than counted as gaps.
 
     Gaps come back in energy order, and the order is the label: the
     i-th gap (1-based) sits at the i-th extended-zone edge kappa*l =
@@ -295,26 +347,35 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
     count = int(math.ceil(E_max / scan_step)) + 1
     energies = np.linspace(0.0, E_max, count)
     traces = floquet_traces(energies, strength, lat.K, m)
-
-    def trace_at(E: float) -> float:
-        return float(floquet_traces(np.array([E]), strength, lat.K, m)[0])
-
-    runs = gap_runs(traces)
+    runs = _gap_runs(traces)
     if runs and runs[-1][1] == count - 1:
         raise DomainError(
             f"forbidden region still open at E_max = {E_max!r}; raise E_max")
-    gaps: list[GapInterval] = []
-    for i0, i1 in runs:
-        lo = brentq(lambda E: abs(trace_at(E)) - 2.0,
-                    energies[i0 - 1], energies[i0], xtol=1e-8)
-        hi = brentq(lambda E: abs(trace_at(E)) - 2.0,
-                    energies[i1], energies[i1 + 1], xtol=1e-8)
-        gaps.append(GapInterval(float(lo), float(hi)))
-
-    if len(gaps) < N:
+    if len(runs) < N:
         raise ResolutionError(
-            f"found {len(gaps)} of {N} expected gaps; refine scan_step or raise E_max")
-    if len(gaps) > N:
+            f"found {len(runs)} of {N} expected gaps; refine scan_step or raise E_max")
+    if len(runs) > N:
         raise NumericalError(
-            f"found {len(gaps)} forbidden intervals where {N} were expected")
-    return gaps
+            f"found {len(runs)} forbidden intervals where {N} were expected")
+
+    # Brackets (left, right) of the lower and upper edge of every gap; the
+    # gap side of a bracket is its right end for a lower edge.
+    left = energies[[i for i0, i1 in runs for i in (i0 - 1, i1)]]
+    right = energies[[i for i0, i1 in runs for i in (i0, i1 + 1)]]
+    sign = np.repeat(np.sign(traces[[i0 for i0, _ in runs]]), 2)
+    gap_on_right = np.tile([True, False], N)
+    fractions = np.linspace(0.0, 1.0, _SECTIONS + 1)
+    rows = np.arange(2 * N)
+    rounds = math.ceil(math.log(scan_step / _EDGE_BRACKET, _SECTIONS))
+    for _ in range(max(rounds, 0)):
+        points = left[:, None] + (right - left)[:, None] * fractions
+        interior = floquet_traces(points[:, 1:-1].ravel(), strength, lat.K, m)
+        in_gap = np.column_stack((
+            ~gap_on_right,
+            sign[:, None] * interior.reshape(2 * N, -1) > 2.0,
+            gap_on_right))
+        # first point on the right end's side: the edge lies just before it
+        j = np.argmax(in_gap == gap_on_right[:, None], axis=1)
+        left, right = points[rows, j - 1], points[rows, j]
+    edges = 0.5 * (left + right)
+    return [GapInterval(float(lo), float(hi)) for lo, hi in zip(edges[0::2], edges[1::2])]

@@ -43,7 +43,7 @@ from .asymptotics import (
     k_near_wedge,
     one_minus_m_nonperturbative,
 )
-from .bands import crystal_momentum, floquet_traces, gap_runs
+from .bands import band_edges, crystal_momentum, floquet_traces
 from .errors import DomainError, NumericalError
 from .hill import floquet_monodromy, kdv_evolve, winding_number
 from .orbits import cnoidal_profile, level_curve, orbit_data
@@ -147,16 +147,18 @@ def _band_rows_closed_form(energies, m: float) -> list:
 def _band_rows_scanned(energies, N: int, m: float) -> list:
     traces = floquet_traces(np.asarray(energies, float),
                              N * (N + 1) * m, lattice(m).K, m)
-    forbidden = np.abs(traces) > 2.0
     kappa = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
 
-    # The winding column counts resolved gaps: rows in and above the g-th
-    # gap run are labeled g.
-    winding = np.zeros(len(traces), dtype=int)
-    for g, (first, _) in enumerate(gap_runs(traces), start=1):
-        winding[first:] = g
-    return [[float(e), float(k), bool(f), int(w)]
-            for e, k, f, w in zip(energies, kappa, forbidden, winding)]
+    # Gaps are open, and the winding column counts the gaps whose lower
+    # edge lies at or below E, as the N = 1 closed form does.
+    edges = band_edges(m, N)
+    gaps = list(zip(edges[1::2], edges[2::2]))
+    rows = []
+    for e, k in zip(energies, kappa):
+        in_gap = e < edges[0] or any(lo < e < hi for lo, hi in gaps)
+        winding = sum(lo <= e for lo, _ in gaps)
+        rows.append([float(e), float(k), bool(in_gap), int(winding)])
+    return rows
 
 
 def _cmd_band(args) -> str:

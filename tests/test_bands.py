@@ -11,13 +11,13 @@ from kdvorbits.bands import (
     _TANGENCY,
     BandPoint,
     GapInterval,
+    _gap_runs,
     band_edges,
     crystal_momentum,
     exceptional_energy_asymptote,
     lame_profile,
     numeric_band_gaps,
     floquet_traces,
-    gap_runs,
 )
 from kdvorbits.errors import DomainError, ResolutionError
 from kdvorbits.hill import floquet_monodromy
@@ -150,6 +150,59 @@ class TestBandEdges:
     def test_domain(self, m):
         with pytest.raises(DomainError):
             band_edges(m)
+        with pytest.raises(DomainError):
+            band_edges(m, 3)
+
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_rejects_bad_index(self, N):
+        with pytest.raises(DomainError):
+            band_edges(0.5, N)
+
+    @pytest.mark.parametrize("m", [0.0, 1e-300, 0.05, 0.3, 0.37, 0.95, 1.0 - 2.0**-52])
+    def test_N1_is_exact(self, m):
+        assert band_edges(m, 1) == band_edges(m) == (m, 1.0, m + 1.0)
+
+    @pytest.mark.parametrize("m", [0.05, 0.3, 0.5, 0.6, 0.95])
+    def test_N2_textbook_edges(self, m):
+        root = math.sqrt(1.0 - m + m * m)
+        expected = sorted([2.0 * (1.0 + m) - 2.0 * root, 1.0 + m, 1.0 + 4.0 * m,
+                           4.0 + m, 2.0 * (1.0 + m) + 2.0 * root])
+        assert_allclose(band_edges(m, 2), expected, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("N", [2, 3, 6])
+    def test_free_levels_at_m0(self, N):
+        levels = [float(r * r) for r in range(N + 1)]
+        assert band_edges(0.0, N) == tuple(sorted(levels + levels[1:]))
+
+    def test_large_index(self):
+        # the lowest bands are narrower than an ulp here, so the order is
+        # only non-strict
+        edges = band_edges(0.5, 2000)
+        assert len(edges) == 4001
+        assert edges[0] > 0.0 and all(np.diff(edges) >= 0.0)
+
+    @pytest.mark.parametrize("m", [0.05, 0.3, 0.6, 0.95])
+    def test_edges_certified_by_adaptive_oracle(self, m):
+        # At each edge either |Tr| = 2 to 1e-8, or Tr - 2s changes sign
+        # across E +- 1e-9 max(1, E), s = (-1)^g the sign of Tr in the
+        # neighbouring gap g.  The first check alone fails at steep edges
+        # (|Tr| - 2 reaches 0.0155 next to a band 1.7e-8 wide at N = 5,
+        # m = 0.95), the second alone at the flat edges of gaps narrower
+        # than about 2e-3.
+        def trace(N, E):
+            return np.trace(floquet_monodromy(lame_profile(N, m, E, 1.0), 1.0))
+
+        for N in range(1, 6):
+            edges = band_edges(m, N)
+            assert len(edges) == 2 * N + 1
+            assert all(np.diff(edges) > 0.0)
+            for k, E in enumerate(edges):
+                if abs(abs(trace(N, E)) - 2.0) <= 1e-8:
+                    continue
+                target = 2.0 * (-1.0) ** ((k + 1) // 2)
+                step = 1e-9 * max(1.0, E)
+                below, above = (trace(N, E + d) - target for d in (-step, step))
+                assert below * above < 0.0, (N, k, E)
 
 
 class TestLameProfile:
@@ -224,7 +277,13 @@ class TestGapRuns:
         edge = 2.0 + _TANGENCY
         above = np.nextafter(edge, np.inf)
         traces = np.array([3.0, 2.5, 1.0, edge, -edge, 0.0, -above, 1.0, 2.4, 2.1])
-        assert gap_runs(traces) == [(6, 6), (8, 9)]
+        assert _gap_runs(traces) == [(6, 6), (8, 9)]
+
+    def test_sign_flip_splits_a_run(self):
+        # a band narrower than the step: gap 1 (Tr < -2) runs straight
+        # into gap 2 (Tr > 2)
+        traces = np.array([3.0, 1.0, -2.5, -3.0, 2.2, 2.6, 1.5])
+        assert _gap_runs(traces) == [(2, 3), (4, 5)]
 
 
 class TestNumericBandGaps:
@@ -238,6 +297,15 @@ class TestNumericBandGaps:
         assert_allclose([gaps[0].lo, gaps[0].hi], [1.5, 3.0], atol=1e-6)
         assert_allclose([gaps[1].lo, gaps[1].hi],
                         [4.5, 3.0 + math.sqrt(3.0)], atol=1e-6)
+
+    def test_band_narrower_than_the_step(self):
+        # the lowest band [2.923775, 2.923821] is narrower than the 1e-3 step
+        m = 0.95
+        edges = band_edges(m, 3)
+        assert edges[1] - edges[0] < 1e-4
+        gaps = numeric_band_gaps(3, m)
+        assert len(gaps) == 3
+        assert_allclose([e for gap in gaps for e in gap], edges[1:], rtol=0.0, atol=1e-9)
 
     def test_narrow_gap_resolved(self):
         (gap,) = numeric_band_gaps(1, 0.02)

@@ -250,6 +250,36 @@ class TestBand:
             elif 4.8 < e < 6.0:
                 assert row[2] == "false" and row[3] == "2"
 
+    def test_scanned_columns_follow_the_band_edges(self, capsys):
+        # the lowest band [2.923775, 2.923821] is narrower than the grid step
+        m = 0.95
+        code, out, _ = run_cli(capsys, "band", "--m", m, "--N", 3, "--E-max", 13)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 512
+        edges = band_edges(m, 3)
+        gaps = list(zip(edges[1::2], edges[2::2]))
+        judged = 0
+        for row in rows:
+            e = float(row[0])
+            if min(abs(e - edge) for edge in edges) <= 1e-6:
+                continue
+            judged += 1
+            in_gap = e < edges[0] or any(lo < e < hi for lo, hi in gaps)
+            assert (row[2] == "true") == in_gap, row
+            assert int(row[3]) == sum(lo < e for lo, _ in gaps), row
+        assert judged == 512
+
+    def test_closed_gaps_at_m0_match_the_free_dispersion(self, capsys):
+        # at m = 0 the gaps close onto E = 1, 4, 9: no row is forbidden and
+        # the winding is the N = 1 closed form's, edges included
+        flags = ("--m", 0.0, "--E-max", 10.0, "--samples", 11)
+        _, scanned, _ = run_cli(capsys, "band", "--N", 3, *flags)
+        _, closed, _ = run_cli(capsys, "band", "--N", 1, *flags)
+        scanned_rows, closed_rows = parse_csv(scanned)[1], parse_csv(closed)[1]
+        assert [r[2:] for r in scanned_rows] == [r[2:] for r in closed_rows]
+        assert {r[2] for r in scanned_rows} == {"false"}
+
     @pytest.mark.parametrize("flags", [
         ("--m", "0.5", "--N", "0", "--E-max", "3"),
         ("--m", "0.5", "--E-max", "-1"),

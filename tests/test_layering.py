@@ -21,6 +21,25 @@ def test_no_module_imports_a_private_name():
     assert offenders == []
 
 
+def _imports(name):
+    """(line, module) for every import in one package module; a
+    from-import lists its module and each name under it."""
+    path = PACKAGE / f"{name}.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield node.lineno, base
+            for alias in node.names:
+                yield node.lineno, f"{base}.{alias.name}"
+
+
+def _names_hill(module):
+    return "hill" in module.lstrip(".").split(".")
+
+
 CLOSED_FORM = ("elliptic", "weierstrass", "orbits")
 
 
@@ -31,19 +50,18 @@ def test_closed_form_modules_use_no_quadrature_and_no_oracle():
     for name in CLOSED_FORM:
         path = PACKAGE / f"{name}.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = "." * node.level + (node.module or "")
-                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
-            elif isinstance(node, (ast.Name, ast.Attribute)):
+            if isinstance(node, (ast.Name, ast.Attribute)):
                 if getattr(node, "id", getattr(node, "attr", None)) == "leggauss":
                     offenders.append(f"{name}.py:{node.lineno} leggauss")
-                continue
-            else:
-                continue
-            for module in modules:
-                parts = module.lstrip(".").split(".")
-                if module.startswith("scipy.integrate") or "hill" in parts:
-                    offenders.append(f"{name}.py:{node.lineno} {module}")
+        for line, module in _imports(name):
+            if module.startswith("scipy.integrate") or _names_hill(module):
+                offenders.append(f"{name}.py:{line} {module}")
+    assert offenders == []
+
+
+def test_bands_uses_no_root_finder_and_no_oracle():
+    # the tests check band_edges against the Floquet oracle (hill), and
+    # the scan refines its edges by multisection
+    offenders = [f"bands.py:{line} {module}" for line, module in _imports("bands")
+                 if module.startswith("scipy.optimize") or _names_hill(module)]
     assert offenders == []
