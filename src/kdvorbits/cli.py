@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -88,6 +89,8 @@ def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
     if not 0 <= n <= _GRID_LIMIT:
         raise DomainError(
             f"{name} grid size must lie in [0, {_GRID_LIMIT}], got {n}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{name} range must be finite, got [{lo!r}, {hi!r}]")
     if n == 0:
         return np.empty(0)
     if n == 1:
@@ -150,11 +153,15 @@ def _band_rows_scanned(energies, N: int, m: float) -> list:
     kappa = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
 
     # Gaps are open, and the winding column counts the gaps whose lower
-    # edge lies at or below E, as the N = 1 closed form does.
+    # edge lies at or below E, as the N = 1 closed form does.  On an edge
+    # the crystal momentum is exactly 0 or pi, by the sign of the trace;
+    # the N = 1 closed form snaps there within the same 1e-9.
     edges = band_edges(m, N)
     gaps = list(zip(edges[1::2], edges[2::2]))
     rows = []
-    for e, k in zip(energies, kappa):
+    for e, k, t in zip(energies, kappa, traces):
+        if min(abs(e - edge) for edge in edges) <= 1e-9 * max(1.0, abs(e)):
+            k = 0.0 if t > 0.0 else math.pi
         in_gap = e < edges[0] or any(lo < e < hi for lo, hi in gaps)
         winding = sum(lo <= e for lo, _ in gaps)
         rows.append([float(e), float(k), bool(in_gap), int(winding)])
@@ -333,8 +340,23 @@ def _add_output_flags(sub):
                      help="write to PATH instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads -inf, -nan and -1e5 as values, not as options.
+
+    argparse takes only -1 and -1.5 for negative numbers; anything else
+    with a leading dash ends the value list.  Non-finite ends then reach
+    the range checks and get the JSON error of the CLI contract.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kdvorbits",
         description="Coadjoint orbits of cnoidal waves: classification, "
                     "band structure, asymptotics, and shoaling.")

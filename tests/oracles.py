@@ -209,3 +209,44 @@ def ode_hill_trace(q, period: float = 2.0 * math.pi) -> float:
                     rtol=1e-12, atol=1e-13)
     assert sol.success
     return float(sol.y[0, -1] + sol.y[3, -1])
+
+
+def mp_magnus_trace(E: float, strength: float, K: float, m: float,
+                    steps: int = 1536, dps: int = 30) -> float:
+    """Floquet trace of psi'' = (strength sn^2(z|m) - E) psi by the Magnus scheme
+    of ``bands.floquet_traces``, carried out in ``dps``-digit arithmetic.
+
+    Same half-period trace 2 (a d + b c), same ``steps`` steps on [0, K],
+    same two Gauss nodes and the same fourth-order exponent; only the
+    step exponential (mpmath cosh/sinh or cos/sin of sqrt|mu^2|) and the
+    product run in extended precision.  It checks the arithmetic of the
+    float kernel, not its discretisation, so the node values sn^2 come
+    from the package's float ``jacobi`` as they do in the kernel.
+    """
+    from kdvorbits.elliptic import jacobi
+
+    h = K / steps
+    base = h * np.arange(steps)
+    offset = math.sqrt(3.0) / 6.0
+    sn_lo = jacobi(base + h * (0.5 - offset), m).sn
+    sn_hi = jacobi(base + h * (0.5 + offset), m).sn
+    with mp.workdps(dps):
+        E, h = mp.mpf(E), mp.mpf(K) / steps
+        comm = mp.sqrt(3) * h * h / 12
+        a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+        for s_lo, s_hi in zip(sn_lo, sn_hi):
+            q_lo = mp.mpf(strength) * mp.mpf(s_lo) ** 2 - E
+            q_hi = mp.mpf(strength) * mp.mpf(s_hi) ** 2 - E
+            qbar = (q_lo + q_hi) / 2
+            delta = comm * (q_hi - q_lo)
+            musq = delta * delta + h * h * qbar
+            root = mp.sqrt(abs(musq))
+            if musq > 0:
+                ch, s = mp.cosh(root), mp.sinh(root) / root
+            elif musq < 0:
+                ch, s = mp.cos(root), mp.sin(root) / root
+            else:
+                ch, s = mp.mpf(1), mp.mpf(1)
+            ea, eb, ec, ed = ch - delta * s, h * s, h * qbar * s, ch + delta * s
+            a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
+        return float(2 * (a * d + b * c))

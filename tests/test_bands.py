@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import oracles
 from kdvorbits.bands import (
+    _CHUNK,
     _TANGENCY,
     BandPoint,
     GapInterval,
@@ -284,6 +286,40 @@ class TestGapRuns:
         # into gap 2 (Tr > 2)
         traces = np.array([3.0, 1.0, -2.5, -3.0, 2.2, 2.6, 1.5])
         assert _gap_runs(traces) == [(2, 3), (4, 5)]
+
+
+class TestFloquetTraces:
+    M = 0.55
+
+    def scan(self, energies, N=3):
+        return floquet_traces(np.asarray(energies, float), N * (N + 1) * self.M,
+                              lattice(self.M).K, self.M)
+
+    def test_matches_the_scheme_in_extended_precision(self):
+        # below the spectrum, deep in the first gap, inside the second
+        # band, and 1e-6 either side of the lowest gap's upper edge
+        edges = band_edges(self.M, 3)
+        energies = [0.0, 0.5 * (edges[1] + edges[2]), 0.5 * (edges[2] + edges[3]),
+                    edges[2] - 1e-6, edges[2] + 1e-6]
+        scanned = self.scan(energies)
+        strength, K = 12.0 * self.M, lattice(self.M).K
+        for E, trace in zip(energies, scanned):
+            exact = oracles.mp_magnus_trace(E, strength, K, self.M)
+            assert abs(trace - exact) <= 1e-12 * max(1.0, abs(exact)), E
+
+    def test_values_do_not_depend_on_the_batch(self):
+        assert self.scan([]).shape == (0,)
+        # one more energy than a chunk, across bands and gaps; every energy
+        # here takes the same series degree, so the values agree to the bit
+        energies = np.linspace(0.0, 17.0, _CHUNK + 1)
+        batch = self.scan(energies)
+        single = np.array([self.scan([E])[0] for E in energies])
+        np.testing.assert_array_equal(batch, single)
+
+    @pytest.mark.parametrize("E", [1e7, -1e7, math.inf, math.nan])
+    def test_unresolved_energy_is_refused(self, E):
+        with pytest.raises(DomainError, match="resolves energies in"):
+            self.scan([1.0, E], N=2)
 
 
 class TestNumericBandGaps:

@@ -290,6 +290,40 @@ class TestBand:
         assert code == 2
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_edge_rows_read_zero_or_pi(self, capsys):
+        # Lame N = 2 at m = 0.5: the grid hits the edges 1.5 = 1 + m and
+        # 3 = 1 + 4m of the first gap (Tr = -2) and 4.5 = 4 + m (Tr = +2)
+        code, out, _ = run_cli(capsys, "band", "--m", 0.5, "--N", 2,
+                               "--E-max", 6.0, "--samples", 121)
+        assert code == 0
+        kappa = {float(row[0]): float(row[1]) for row in parse_csv(out)[1]}
+        assert [kappa[E] for E in (1.5, 3.0, 4.5)] == [math.pi, math.pi, 0.0]
+
+    def test_energy_beyond_the_scan_resolution(self, capsys):
+        code, out, err = run_cli(capsys, "band", "--m", 0.5, "--N", 2,
+                                 "--E-max", 1e6)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        report = json.loads(err)
+        assert report["error"] == "DomainError"
+        assert "resolves energies in" in report["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("band", "--m", "0.5", "--N", "2", "--E-max", "inf", "--samples", "3"),
+    ("diagram", "--m-range", "0.1", "0.5", "--V-range", "-inf", "1",
+     "--grid", "2", "2"),
+    ("level-curve", "--kc", "0.1", "--region", "below_wedge",
+     "--m-samples", "3", "--m-max", "nan"),
+])
+def test_nonfinite_axis_end_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "DomainError"
+    assert "must be finite" in report["message"]
+
 
 class TestShoal:
     def write_bed(self, tmp_path, depths):
