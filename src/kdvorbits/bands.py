@@ -381,7 +381,8 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
 
     Raises ResolutionError if the step could not resolve a gap of width
     m (the N = 1 width) or if fewer than N gaps survive; NumericalError
-    if more than N turn up; DomainError if a gap run touches E_max,
+    if more than N turn up; DomainError if E_max is not finite or past
+    the energies the scan resolves, or if a gap run touches E_max,
     which means E_max cuts through a gap and should be raised.  Runs
     whose trace never clears |Tr| = 2 by more than 1e-7 are dropped as
     grazing artifacts rather than counted as gaps.
@@ -411,6 +412,8 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
             f"scan step {scan_step!r} exceeds the narrowest expected gap width {m!r}")
 
     strength = N * (N + 1) * m
+    # DomainError for an E_max the scan cannot resolve, before the grid is built
+    floquet_traces(np.array([0.0, E_max]), strength, lat.K, m)
     count = int(math.ceil(E_max / scan_step)) + 1
     energies = np.linspace(0.0, E_max, count)
     traces = floquet_traces(energies, strength, lat.K, m)

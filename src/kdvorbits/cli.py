@@ -231,12 +231,13 @@ def _exact_kc(m: float, V: float) -> float:
     return orbit_data(m, V).kc.real
 
 
-def _m_for_nome_sq(target: float) -> float:
-    def gap(m):
-        lat = lattice(m)
-        return math.exp(-2.0 * math.pi * lat.Kc / lat.K) - target
-
-    return brentq(gap, 1e-8, 0.9)
+def _m_for_nome_sq(q2: float) -> float:
+    """The m whose nome q = exp(-pi Kc/K) has q^2 = q2: m = theta2^4 / theta3^4
+    at q (DLMF 22.2.2), six terms of each series."""
+    q = math.sqrt(q2)
+    theta2 = 2.0 * q**0.25 * sum(q ** (n * (n + 1)) for n in range(6))
+    theta3 = 1.0 + 2.0 * sum(q ** (n * n) for n in range(1, 7))
+    return (theta2 / theta3) ** 4
 
 
 def _invert_level_curve_m1(kc: float, V: float) -> float:

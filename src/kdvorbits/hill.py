@@ -35,6 +35,7 @@ __all__ = [
 _RTOL = 1e-10
 _ATOL = 1e-10
 _DET_TOL = 1e-8
+_STENCIL_STEP = 1e-4  # lame_exact_residual's stencil width over max(1, |z|)
 
 # RK4 covers the imaginary axis out to ~2.828; keep a sliver of margin.
 _CFL_LIMIT = 2.8
@@ -134,7 +135,7 @@ def winding_number(profile: Profile, c: float) -> int:
     return max(0, base)
 
 
-def lame_exact_residual(m: float, V: float, zs, step: float = 1e-4) -> float:
+def lame_exact_residual(m: float, V: float, zs) -> float:
     """Residual of the sigma-quotient solutions in the N = 1 Lame equation.
 
     In the half-period variable z the cnoidal Hill equation becomes
@@ -144,7 +145,7 @@ def lame_exact_residual(m: float, V: float, zs, step: float = 1e-4) -> float:
 
     where wp(a) = V.  Both solutions are checked at every point of
     ``zs`` with a 5-point finite-difference second derivative of width
-    ``step`` scaled by |z|, and the largest relative defect is returned
+    1e-4 scaled by |z|, and the largest relative defect is returned
     (expect ~1e-7: the stencil cancellation eats half the mantissa).
 
     Two side checks tie the formula to the Floquet layer: the
@@ -193,7 +194,7 @@ def lame_exact_residual(m: float, V: float, zs, step: float = 1e-4) -> float:
 
     worst = 0.0
     for z in zs:
-        h = step * max(1.0, abs(z))
+        h = _STENCIL_STEP * max(1.0, abs(z))
         potential = 2.0 * wp(z, lat) + V
         for sign in (1.0, -1.0):
             stencil = [phi(z + j * h, sign) for j in (-2, -1, 0, 1, 2)]

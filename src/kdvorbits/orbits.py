@@ -37,12 +37,12 @@ which the classifier relies on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ellipeinc, ellipkinc
 
 from .elliptic import jacobi
@@ -75,6 +75,9 @@ _SIX_PI_SQ = 6.0 * math.pi**2
 # Snap width used when flooring nearly-integer winding ratios; must stay
 # well below the 1e-9 offsets the classifier is specified to resolve.
 _FLOOR_SNAP = 4e-12
+
+_NEWTON_CAP = 400  # level_curve steps before it gives up
+_S_MAX = math.sqrt(sys.float_info.max)  # the largest gap s with c -+ s^2 finite
 
 
 class OrbitKind(str, Enum):
@@ -129,14 +132,14 @@ class _Region(Enum):
 def _region_of(lat: RectLattice, V: float) -> _Region:
     if not math.isfinite(V):
         raise DomainError(f"V must be finite, got {V!r}")
-    # Edge tests first: at m = 0 the wedge degenerates (e2 == e3) and the
-    # double corner must classify as the lower edge.
-    if abs(V - lat.e2) <= BOUNDARY_TOL:
-        return _Region.LOWER_EDGE
-    if abs(V - lat.e3) <= BOUNDARY_TOL:
-        return _Region.UPPER_EDGE
-    if abs(V - lat.e1) <= BOUNDARY_TOL:
-        return _Region.PARABOLIC_EDGE
+    # V on a corner's snap band lies on that corner's edge.  Near m = 0 or
+    # m = 1 two bands overlap and the nearer corner wins; a tie goes to
+    # e2 first, so the double corner e2 == e3 of m = 0 is the lower edge.
+    d1, d2, d3 = abs(V - lat.e1), abs(V - lat.e2), abs(V - lat.e3)
+    if min(d1, d2, d3) <= BOUNDARY_TOL:
+        if d2 <= d3 and d2 <= d1:
+            return _Region.LOWER_EDGE
+        return _Region.UPPER_EDGE if d3 <= d1 else _Region.PARABOLIC_EDGE
     if V < lat.e2:
         return _Region.BELOW
     if V < lat.e3:
@@ -144,21 +147,6 @@ def _region_of(lat: RectLattice, V: float) -> _Region:
     if V < lat.e1:
         return _Region.BAND
     return _Region.ABOVE
-
-
-def _epsilon_part(lat: RectLattice, region: _Region, phi: float, mu: float) -> float:
-    """The Legendre-integral part of w at amplitude phi on the edge of ``region``.
-
-    K Ep - (K - E) F (= -Im w on the band, 0 -> pi/2 along the right edge)
-    below the wedge and on the band; K Ep - E F (= Re w in the wedge, zero
-    at both ends of the top edge) inside and above it; with F = F(phi|mu)
-    and Ep = E(phi|mu).
-    """
-    F = ellipkinc(phi, mu)
-    Ep = ellipeinc(phi, mu)
-    if region in (_Region.BELOW, _Region.BAND):
-        return float(lat.K * Ep - (lat.K - lat.E) * F)
-    return float(lat.K * Ep - lat.E * F)
 
 
 def _gaps(lat: RectLattice, V: float) -> tuple[float, float, float]:
@@ -171,11 +159,18 @@ def _edge_exponent(lat: RectLattice, region: _Region, V: float) -> float:
     """The real edge exponent of V off the corners: phi_w or rho.
 
     phi_w = |Im w| below the wedge and on the band, rho = Re w inside
-    and above it.  Below and above the wedge K cn dn / sn at a is added
-    as a product of gaps: no division by a small sn.
+    and above it; the Legendre part is K Ep - (K - E) F on the right
+    edge and the imaginary axis, K Ep - E F on the top edge and the real
+    axis.  Below and above the wedge K cn dn / sn at a is added as a
+    product of gaps: no division by a small sn.
     """
     _, phi, mu = wp_amplitude(V, lat)
-    part = _epsilon_part(lat, region, phi, mu)
+    F = ellipkinc(phi, mu)
+    Ep = ellipeinc(phi, mu)
+    if region in (_Region.BELOW, _Region.BAND):
+        part = float(lat.K * Ep - (lat.K - lat.E) * F)
+    else:
+        part = float(lat.K * Ep - lat.E * F)
     if region in (_Region.BAND, _Region.WEDGE):
         return part
     g1, g2, g3 = _gaps(lat, V)
@@ -285,16 +280,25 @@ def constant_trace(kc: float) -> float:
     return 2.0 * math.cos(2.0 * math.pi * math.sqrt(-6.0 * kc))
 
 
+def _dx_dV(lat: RectLattice, region: _Region, V: float) -> float:
+    """dx/dV of the edge exponent x of :func:`_edge_exponent`, off the corners.
+
+    zeta' = -wp gives dw/da = -(K V + eta1), and dV = wp'(a) da with
+    |wp'(a)| = 2 g1 g2 g3, so dx/dV = (K V + eta1) / (2 g1 g2 g3) below
+    and above the wedge and its negative on the band.  K (V / g1) keeps
+    |V| near the float limit from overflowing.
+    """
+    g1, g2, g3 = _gaps(lat, V)
+    rate = (lat.K * (V / g1) + lat.eta1 / g1) / g2 / g3 / 2.0
+    return -rate if region is _Region.BAND else rate
+
+
 def dk_dV(m: float, V: float) -> float:
     """Derivative d(kc)/dV along fixed m, in units of the central charge.
 
-    From differentiating w^2/(6 pi^2) with dV = wp'(a) da:
-
-        d(kc)/dV = - w (K V + eta1) / (3 pi^2 wp'(a)),
-
-    where wp'(a)^2 = 4 (V - e1)(V - e2)(V - e3): |wp'(a)| = 2 g1 g2 g3,
-    negative on the real axis, and i times a negative (imaginary axis) or
-    positive (right edge) number elsewhere.
+    kc = +-x^2 / (6 pi^2) for the edge exponent x of :func:`orbit_data`
+    (+ above the wedge, - below it and on the band), so
+    d(kc)/dV = +-x (dx/dV) / (3 pi^2) with dx/dV = +-(K V + eta1) / (2 g1 g2 g3).
 
     wp' vanishes at the corners: the derivative diverges (+inf is
     returned) on the wedge edges, while at V = e1 the limit is finite,
@@ -310,50 +314,8 @@ def dk_dV(m: float, V: float) -> float:
         return math.inf
     if region is _Region.PARABOLIC_EDGE:
         return lat.E**2 / (_SIX_PI_SQ * (1.0 - lat.m))
-    g1, g2, g3 = _gaps(lat, V)
-    rate = (lat.K * (V / g1) + lat.eta1 / g1) / g2 / g3 / _SIX_PI_SQ
-    x = _edge_exponent(lat, region, V)
-    return -x * rate if region is _Region.BELOW else x * rate
-
-
-def _bracket_downward(f, start: float) -> float:
-    """Halve a lower bracket endpoint until f is positive there."""
-    lo = start
-    for _ in range(200):
-        if f(lo) > 0.0:
-            return lo
-        lo *= 0.5
-    raise NumericalError("failed to bracket the level-curve root", abscissa=lo)
-
-
-def _edge_w(lat: RectLattice, region: _Region, phi: float, mu: float) -> float:
-    """|w| (below the wedge, on the band) or Re w (above) at amplitude phi.
-
-    The level-curve search runs in phi before V is known, so the term
-    K cn dn / sn below and above the wedge is K cot(phi) dn here, with
-    dn = sqrt(cos^2 phi + (1 - mu) sin^2 phi), not the gap product of
-    :func:`_edge_exponent`.
-    """
-    part = _epsilon_part(lat, region, phi, mu)
-    if region is _Region.BAND:
-        return part
-    s, c = math.sin(phi), math.cos(phi)
-    return part + lat.K * c * math.sqrt(c * c + (1.0 - mu) * s * s) / s
-
-
-def _corner_slack(V: float, corner: float, slope: float, curv_half: float) -> float:
-    """kc resolution limit where a level curve meets a wedge corner.
-
-    Near the corners at e2 and e3 the invariant follows a square-root law,
-    kc + 1/24 ~ -(slope / 6 pi) sqrt((corner - V)/curv_half), so the
-    boundary snap of width BOUNDARY_TOL flattens a small kc-neighbourhood
-    of -1/24 onto the corner exactly.  Targets inside that neighbourhood
-    are resolved to the corner; the verification must allow for it.
-    """
-    gap = abs(V - corner)
-    if gap > 4.0 * BOUNDARY_TOL:
-        return 0.0
-    return 2.0 * (slope / (6.0 * math.pi)) * math.sqrt((gap + BOUNDARY_TOL) / curv_half)
+    slope = 2.0 * _edge_exponent(lat, region, V) * _dx_dV(lat, region, V) / _SIX_PI_SQ
+    return slope if region is _Region.ABOVE else -slope
 
 
 def level_curve(target_kc: float, m: float, region: str) -> float:
@@ -363,14 +325,21 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
     V <= e2) or "above_wedge" (requires target_kc >= -1/24; returns
     V >= e3).  Exactly -1/24 returns the corresponding wedge edge.
 
-    The root is found in the amplitude phi of a = wp_inverse(V) on the
-    relevant edge, where the problem is smooth and monotone, and V follows
-    from phi algebraically (e1 - 1/sin^2 phi below the wedge,
-    e2 + 1 - (1-m) sin^2 phi on the band, e2 + 1/sin^2 phi above it).
-    The result is verified by recomputing kc.  Because kc varies like a
-    square root of V at the wedge corners, targets within roughly 1e-8 of
-    -1/24 resolve to the corner itself; away from the corners the round
-    trip is good to 1e-10.
+    Newton steps solve x = sqrt(6 pi^2 |kc|) for the edge exponent x of
+    :func:`orbit_data` in the gap s = sqrt|V - c| from a corner c
+    (V = e2 - s^2 below the wedge, e1 -+ s^2 on the band and above it),
+    in which x rises smoothly, like K s far out; dx/ds = 2 s |dx/dV|.
+    A step that would leave the bracket on s bisects it, or doubles s
+    while it is open above; the search stops once a step leaves V as it
+    is.  A target between a corner's own value and x at the first float
+    past its snap band (|V - c| > BOUNDARY_TOL, where :func:`orbit_data`
+    stops returning the corner) resolves to the corner.  Measured, that
+    is kc within 5e-8 of -1/24 and 7e-14 of 0 at m = 1/2, widening as
+    m -> 1 to 1e-6 below e2 and 0.4 above e1 at 1 - m = 2^-52.  A band
+    covered by the two snap bands is split at its midpoint.  Any
+    other V must reproduce kc to
+    max(1e-10 max(1, |kc|), 4 |dk_dV| ulp(V)), the kc step between
+    adjacent floats; a target beyond every finite V raises DomainError.
     """
     target_kc = float(target_kc)
     if not math.isfinite(target_kc):
@@ -384,9 +353,7 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
                 f"kc = {target_kc!r} has no solution below the wedge (needs kc <= -1/24)")
         if abs(target_kc - boundary) <= BOUNDARY_TOL:
             return lat.e2
-        if lat.m == 0.0:
-            return 2.0 / 3.0 + 24.0 * target_kc
-        edge, mu = _Region.BELOW, 1.0 - m
+        edge, corner, side = _Region.BELOW, lat.e2, -1.0
     elif region == "above_wedge":
         if target_kc < boundary - BOUNDARY_TOL:
             raise DomainError(
@@ -395,41 +362,63 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
             return lat.e3
         if target_kc == 0.0:
             return lat.e1
-        if lat.m == 0.0:
-            return 2.0 / 3.0 + 24.0 * target_kc
-        edge, mu = (_Region.BAND, 1.0 - m) if target_kc < 0.0 else (_Region.ABOVE, m)
+        edge, corner, side = ((_Region.BAND, lat.e1, -1.0) if target_kc < 0.0
+                              else (_Region.ABOVE, lat.e1, 1.0))
     else:
         raise DomainError(f"region must be 'below_wedge' or 'above_wedge', got {region!r}")
+    if lat.m == 0.0:
+        V = 2.0 / 3.0 + 24.0 * target_kc
+        if math.isinf(V):
+            raise DomainError(f"no finite V has kc = {target_kc!r} at m = 0")
+        return V
 
-    # |w| = sqrt(6 pi^2 |kc|); it falls from +inf at phi = 0 to its corner
-    # value at phi = pi/2 below and above the wedge, and rises on the band.
     # Past |kc| ~ 3e306 the product overflows and the roots are taken apart.
     target = math.sqrt(_SIX_PI_SQ * abs(target_kc))
     if math.isinf(target):
         target = math.sqrt(_SIX_PI_SQ) * math.sqrt(abs(target_kc))
 
-    def g(phi):
-        return _edge_w(lat, edge, phi, mu) - target
+    def exponent_at(s):
+        V = corner + side * s * s
+        return V, _edge_exponent(lat, edge, V)
 
-    if edge is _Region.ABOVE and g(0.5 * math.pi) > 0.0:
-        return lat.e1  # the root rounds to the corner V = e1 (kc below ~1e-31)
-    lo = 0.0 if edge is _Region.BAND else _bracket_downward(
-        g, min(0.25 * math.pi, lat.K / target))
-    phi = brentq(g, lo, 0.5 * math.pi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-    s2 = math.sin(phi) ** 2
-    if edge is _Region.BELOW:
-        V = lat.e1 - 1.0 / s2
-        slack = _corner_slack(V, lat.e2, lat.K - lat.E, m)
-    elif edge is _Region.BAND:
-        V = lat.e2 + (1.0 - mu * s2)
-        slack = _corner_slack(V, lat.e3, abs(lat.E - (1.0 - m) * lat.K),
-                              m * (1.0 - m))
+    # The first floats past the snap bands bound the search; a target
+    # short of x there resolves to the corner.
+    near, far = math.nextafter(corner + side * BOUNDARY_TOL, side * math.inf), math.inf
+    if edge is _Region.BAND:
+        far = math.nextafter(lat.e3 + BOUNDARY_TOL, math.inf)
+        if far >= near:  # the two snap bands cover the band
+            near = far = 0.5 * (lat.e1 + lat.e3)
+        if target >= _edge_exponent(lat, edge, far):
+            return lat.e3
+    if target <= _edge_exponent(lat, edge, near):
+        return corner
+    lo, hi = math.sqrt(abs(near - corner)), math.sqrt(abs(far - corner))
+
+    s = min(max(target / lat.K, lo), hi, _S_MAX)
+    for _ in range(_NEWTON_CAP):
+        V, x = exponent_at(s)
+        dx_dV = _dx_dV(lat, edge, V)
+        if x == target:
+            break
+        if x < target:
+            if s == _S_MAX:
+                raise DomainError(f"no finite V has kc = {target_kc!r} at m = {m!r}")
+            lo = s
+        else:
+            hi = s
+        s_next = s - (x - target) / (2.0 * side * s * dx_dV)
+        if not lo < s_next < hi:
+            s_next = 0.5 * (lo + hi) if hi < math.inf else 2.0 * s
+        s_next = min(s_next, _S_MAX)
+        if corner + side * s_next * s_next == V:
+            break
+        s = s_next
     else:
-        V = lat.e2 + 1.0 / s2
-        slack = 0.0
+        raise NumericalError("level-curve search did not converge", abscissa=V)
 
-    check = orbit_data(m, V).kc
-    if abs(check.real - target_kc) > 1e-10 * max(1.0, abs(target_kc)) + slack:
+    slack = 8.0 * abs(x * dx_dV) / _SIX_PI_SQ * math.ulp(V)  # 4 |dk_dV| ulp(V)
+    error = abs(orbit_data(m, V).kc.real - target_kc)
+    if not error <= max(1e-10 * max(1.0, abs(target_kc)), slack):
         raise NumericalError("level-curve solve failed verification", abscissa=V)
     return V
 

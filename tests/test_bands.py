@@ -386,6 +386,13 @@ class TestNumericBandGaps:
         with pytest.raises(DomainError):
             numeric_band_gaps(1, 0.5, E_max=float("nan"))
 
+    @pytest.mark.parametrize("E_max", [math.inf, 1e300])
+    def test_unresolved_E_max_refused_before_the_grid(self, E_max):
+        # checked against the range the scan resolves before the
+        # E_max / scan_step grid is allocated
+        with pytest.raises(DomainError, match="resolves energies"):
+            numeric_band_gaps(2, 0.5, E_max=E_max)
+
     def test_result_types(self):
         gaps = numeric_band_gaps(1, 0.6)
         assert isinstance(gaps[0], GapInterval)

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kdvorbits import cli
 from kdvorbits.asymptotics import V_near_m1
 from kdvorbits.bands import band_edges
 from kdvorbits.cli import main
 from kdvorbits.errors import NumericalError
 from kdvorbits.orbits import cnoidal_profile
 from kdvorbits.shoaling import WaveTrain, critical_depth, wavelength
+from kdvorbits.weierstrass import lattice
 
 T_SEA = 8.0
 RHO_SEA = 1025.0
@@ -441,6 +443,12 @@ class TestCheckAsymptotics:
             if check["criterion"] == "ratio_in_window":
                 lo, hi = check["window"]
                 assert lo <= check["ratio"] <= hi
+
+    @pytest.mark.parametrize("q2", [1e-4, 5e-5, 2.5e-5, 6.25e-6, 1e-8])
+    def test_nome_round_trip(self, q2):
+        # the battery's m for a given nome square, from the theta quotient
+        lat = lattice(cli._m_for_nome_sq(q2))
+        assert_allclose(math.exp(-2.0 * math.pi * lat.Kc / lat.K), q2, rtol=1e-13)
 
 
 class TestOutputPlumbing:

@@ -45,7 +45,7 @@ CLOSED_FORM = ("elliptic", "weierstrass", "orbits")
 
 def test_closed_form_modules_use_no_quadrature_and_no_oracle():
     # the closed-form route shares no code with the Floquet oracle (hill)
-    # and evaluates no quadrature
+    # and evaluates no quadrature and no scalar root find (scipy.optimize)
     offenders = []
     for name in CLOSED_FORM:
         path = PACKAGE / f"{name}.py"
@@ -54,7 +54,8 @@ def test_closed_form_modules_use_no_quadrature_and_no_oracle():
                 if getattr(node, "id", getattr(node, "attr", None)) == "leggauss":
                     offenders.append(f"{name}.py:{node.lineno} leggauss")
         for line, module in _imports(name):
-            if module.startswith("scipy.integrate") or _names_hill(module):
+            if (module.startswith(("scipy.integrate", "scipy.optimize"))
+                    or _names_hill(module)):
                 offenders.append(f"{name}.py:{line} {module}")
     assert offenders == []
 

@@ -10,6 +10,7 @@ from kdvorbits.asymptotics import k_large_V
 from kdvorbits.elliptic import ellint_E, ellint_K, jacobi
 from kdvorbits.errors import DomainError, InsideWedgeError, NumericalError
 from kdvorbits.orbits import (
+    BOUNDARY_TOL,
     OrbitKind,
     OrbitData,
     classify,
@@ -240,6 +241,15 @@ class TestClassify:
         assert str(classify(0.5, -0.2)) == "Hyperbolic(n=1)"
         assert str(classify(0.5, 0.5)) == "Parabolic(n=0)"
 
+    def test_overlapping_snap_bands_pick_the_nearer_corner(self):
+        # 1 - m < BOUNDARY_TOL: e3 and e1 both lie within the snap of V
+        m = 1.0 - 4.2e-13
+        lat = lattice(m)
+        data = orbit_data(m, lat.e1 + 1e-14)
+        assert data.orbit.kind is OrbitKind.PARABOLIC and data.trace == 2.0
+        data = orbit_data(m, lat.e3 - 1e-14)
+        assert data.orbit.kind is OrbitKind.EXCEPTIONAL and data.trace == -2.0
+
 
 # Every m in [0, 1) and every finite V, with the extremes named.
 ANY_M = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
@@ -393,6 +403,22 @@ class TestDkDv:
             assert_allclose(dk_dV(0.0, V), 1.0 / 24.0, rtol=1e-12)
 
 
+def assert_resolves_to_corner(m, kc, corner):
+    """kc lies between the corner's own kc and the kc just outside its snap band."""
+    lat = lattice(m)
+    own = 0.0 if corner == lat.e1 else -1.0 / 24.0
+    if abs(kc - own) <= BOUNDARY_TOL or lat.m == 0.0:
+        return
+    if -1.0 / 24.0 < kc < 0.0 and (math.nextafter(lat.e3 + BOUNDARY_TOL, math.inf)
+                                   >= math.nextafter(lat.e1 - BOUNDARY_TOL, -math.inf)):
+        return  # the two snap bands cover the band
+    side = {lat.e2: -1.0, lat.e3: 1.0}.get(corner, 1.0 if kc > 0.0 else -1.0)
+    probe = math.nextafter(corner + side * BOUNDARY_TOL, side * math.inf)
+    edge = orbit_data(m, probe).kc.real
+    slack = 4.0 * abs(dk_dV(m, probe)) * math.ulp(probe) + 1e-15
+    assert min(own, edge) - slack <= kc <= max(own, edge) + slack
+
+
 class TestLevelCurve:
     def test_reference_inversion(self):
         V = level_curve(-4.0 / 24.0, 0.3, "below_wedge")
@@ -447,6 +473,44 @@ class TestLevelCurve:
         V = level_curve(t, m, "below_wedge")
         kc = uniform_representative(m, V).kc.real
         assert abs(kc - t) <= 1e-9 * max(1.0, abs(t))
+
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.floats(1e-4, 0.999),
+           t=st.one_of(st.floats(0.05, 8.0), st.floats(8.0, 1e300)))
+    def test_random_round_trips_above(self, m, t):
+        V = level_curve(t, m, "above_wedge")
+        kc = uniform_representative(m, V).kc.real
+        assert abs(kc - t) <= 1e-9 * max(1.0, abs(t))
+
+    @pytest.mark.parametrize("target,region", [
+        (1e15, "above_wedge"), (-1e15, "below_wedge"), (1e14, "above_wedge")])
+    def test_huge_targets_round_trip(self, target, region):
+        V = level_curve(target, 0.5, region)
+        assert abs(orbit_data(0.5, V).kc.real - target) <= 1e-10 * abs(target)
+
+    def test_root_inside_the_e1_snap_band_is_e1(self):
+        # the band is 4.2e-13 wide and kc = 0.0234 needs V - e1 ~ 1e-12
+        m = 1.0 - 4.2e-13
+        assert level_curve(0.0234, m, "above_wedge") == lattice(m).e1
+
+    def test_targets_beyond_every_finite_V_rejected(self):
+        for m in (0.0, 0.5):
+            for target, region in ((1e308, "above_wedge"), (-1e308, "below_wedge")):
+                with pytest.raises(DomainError):
+                    level_curve(target, m, region)
+
+    @settings(deadline=None, max_examples=400)
+    @given(m=ANY_M, kc=st.one_of(st.floats(-1e300, 1e300), st.floats(-3.0, 3.0),
+                                 st.sampled_from([-1.0 / 24.0, 0.0, 1e-40, -1e-40])))
+    def test_every_target_round_trips(self, m, kc):
+        region = "above_wedge" if kc >= -1.0 / 24.0 else "below_wedge"
+        V = level_curve(kc, m, region)
+        lat = lattice(m)
+        if V in (lat.e1, lat.e2, lat.e3):
+            assert_resolves_to_corner(m, kc, V)
+            return
+        tol = max(1e-10 * max(1.0, abs(kc)), 4.0 * abs(dk_dV(m, V)) * math.ulp(V))
+        assert abs(orbit_data(m, V).kc.real - kc) <= tol
 
     def test_level_curves_nest_in_m(self):
         # deeper kc targets push V further down, at every m
