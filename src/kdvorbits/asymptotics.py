@@ -27,7 +27,7 @@ import warnings
 from typing import NamedTuple
 
 from .errors import DomainError, PoleError
-from .weierstrass import lattice
+from .weierstrass import BOUNDARY_TOL, lattice
 
 __all__ = [
     "Approximation",
@@ -113,7 +113,7 @@ def k_near_wedge(m: float, V: float, side: str) -> Approximation:
         outward = edge - V
     else:
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    if outward < -1e-12:
+    if outward < -BOUNDARY_TOL:
         raise DomainError(
             f"V = {V!r} lies on the wedge side of the {side} boundary (edge at {edge!r})")
     offset = abs(V - edge)

@@ -153,9 +153,11 @@ def _band_rows_scanned(energies, N: int, m: float) -> list:
     kappa = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
 
     # Gaps are open, and the winding column counts the gaps whose lower
-    # edge lies at or below E, as the N = 1 closed form does.  On an edge
-    # the crystal momentum is exactly 0 or pi, by the sign of the trace;
-    # the N = 1 closed form snaps there within the same 1e-9.
+    # edge lies at or below E, so it stops at N in the top band; the N = 1
+    # closed form reports the extended-zone floor(kappa_ell / pi), which
+    # keeps growing there.  On an edge the crystal momentum is exactly 0
+    # or pi, by the sign of the trace; the N = 1 closed form snaps there
+    # within the same 1e-9.
     edges = band_edges(m, N)
     gaps = list(zip(edges[1::2], edges[2::2]))
     rows = []
@@ -390,7 +392,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_level_curve)
 
-    p = subs.add_parser("band", help="dispersion scan of the Lame-N operator")
+    p = subs.add_parser(
+        "band", help="dispersion scan of the Lame-N operator",
+        description="Columns E, kappa_ell, in_gap, winding.  For N = 1 the "
+                    "winding is the extended-zone floor(kappa_ell / pi), which "
+                    "keeps growing through the top band; for N >= 2 it is the "
+                    "number of gaps below E, at most N.")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--E-max", type=float, required=True, dest="E_max")

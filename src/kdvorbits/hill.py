@@ -51,15 +51,34 @@ def _hill_q(profile: Profile, c: float):
     return q
 
 
+def _integrate(rhs, y0, period: float) -> np.ndarray:
+    """Final state of ``rhs`` integrated over one period with DOP853.
+
+    Its first four components are the fundamental pair (psi1, psi1',
+    psi2, psi2'), whose Wronskian det M (exactly 1 in arithmetic) is the
+    a-posteriori error check: 1e-8 absolute at moderate matrix norms,
+    relaxed to the integrator's relative error budget ~|M|^2 rtol once
+    the entries grow exponentially large (there an absolute check is
+    unsatisfiable in double precision).
+    """
+    sol = solve_ivp(rhs, (0.0, period), y0, method="DOP853", rtol=_RTOL, atol=_ATOL)
+    if not sol.success:
+        raise NumericalError(f"Floquet integration failed: {sol.message}",
+                             abscissa=float(sol.t[-1]))
+    y = sol.y[:, -1]
+    det = y[0] * y[3] - y[2] * y[1]
+    nrm = float(np.max(np.abs(y[:4])))
+    if abs(det - 1.0) > max(_DET_TOL, 10.0 * _RTOL * nrm * nrm):
+        raise NumericalError(
+            f"monodromy determinant drifted to {det!r}; integration untrustworthy")
+    return y
+
+
 def floquet_monodromy(profile: Profile, c: float) -> np.ndarray:
     """2x2 monodromy matrix of psi'' = (6 p / c) psi over one period.
 
     Both columns of the fundamental matrix are integrated together with
-    DOP853; the determinant (a Wronskian, exactly 1 in arithmetic) is
-    used as an a-posteriori error check: 1e-8 absolute at moderate
-    matrix norms, relaxed to the integrator's relative error budget
-    ~|M|^2 rtol once the entries grow exponentially large (there an
-    absolute check is unsatisfiable in double precision).
+    DOP853, and the determinant is checked (:func:`_integrate`).
     """
     q = _hill_q(profile, c)
 
@@ -67,19 +86,8 @@ def floquet_monodromy(profile: Profile, c: float) -> np.ndarray:
         qq = q(x)
         return (y[1], qq * y[0], y[3], qq * y[2])
 
-    sol = solve_ivp(rhs, (0.0, profile.period), (1.0, 0.0, 0.0, 1.0),
-                    method="DOP853", rtol=_RTOL, atol=_ATOL)
-    if not sol.success:
-        raise NumericalError(f"Floquet integration failed: {sol.message}",
-                             abscissa=float(sol.t[-1]))
-    y = sol.y[:, -1]
-    mat = np.array([[y[0], y[2]], [y[1], y[3]]])
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    nrm = float(np.max(np.abs(mat)))
-    if abs(det - 1.0) > max(_DET_TOL, 10.0 * _RTOL * nrm * nrm):
-        raise NumericalError(
-            f"monodromy determinant drifted to {det!r}; integration untrustworthy")
-    return mat
+    y = _integrate(rhs, (1.0, 0.0, 0.0, 1.0), profile.period)
+    return np.array([[y[0], y[2]], [y[1], y[3]]])
 
 
 def winding_number(profile: Profile, c: float) -> int:
@@ -101,7 +109,8 @@ def winding_number(profile: Profile, c: float) -> int:
     corrected to the member of {floor(L), floor(L) + 1} with that
     parity, which is exactly the (phase-independent) number of zeros of
     a Floquet solution per period.  Values of L within 1e-6 of an
-    integer (band edges, where |trace| = 2) snap to it first.
+    integer (band edges, where |trace| = 2) snap to it first.  The
+    determinant of the pair is checked as in :func:`floquet_monodromy`.
     """
     q = _hill_q(profile, c)
 
@@ -110,12 +119,7 @@ def winding_number(profile: Profile, c: float) -> int:
         return (y[1], qq * y[0], y[3], qq * y[2],
                 2.0 / (y[0] * y[0] + y[2] * y[2]))
 
-    sol = solve_ivp(rhs, (0.0, profile.period), (1.0, 0.0, 0.0, 1.0, 0.0),
-                    method="DOP853", rtol=_RTOL, atol=_ATOL)
-    if not sol.success:
-        raise NumericalError(f"Floquet integration failed: {sol.message}",
-                             abscissa=float(sol.t[-1]))
-    y = sol.y[:, -1]
+    y = _integrate(rhs, (1.0, 0.0, 0.0, 1.0, 0.0), profile.period)
     trace = y[0] + y[3]
     laps = y[4] / (2.0 * math.pi)
     nearest = round(laps)

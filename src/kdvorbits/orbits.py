@@ -48,7 +48,7 @@ from scipy.special import ellipeinc, ellipkinc
 from .elliptic import jacobi
 from .errors import DomainError, InsideWedgeError, NumericalError
 from .profiles import Profile
-from .weierstrass import RectLattice, lattice, wp_amplitude
+from .weierstrass import BOUNDARY_TOL, EdgeAmplitude, RectLattice, lattice, wp_amplitude
 
 __all__ = [
     "OrbitKind",
@@ -66,9 +66,6 @@ __all__ = [
     "cnoidal_profile",
     "cnoidal_speed",
 ]
-
-#: Absolute tolerance on V for deciding membership of the boundary curves.
-BOUNDARY_TOL = 1e-12
 
 _SIX_PI_SQ = 6.0 * math.pi**2
 
@@ -119,43 +116,7 @@ class OrbitData(NamedTuple):
     orbit: OrbitClass
 
 
-class _Region(Enum):
-    BELOW = "below"
-    LOWER_EDGE = "lower_edge"
-    WEDGE = "wedge"
-    UPPER_EDGE = "upper_edge"
-    BAND = "band"
-    PARABOLIC_EDGE = "parabolic_edge"
-    ABOVE = "above"
-
-
-def _region_of(lat: RectLattice, V: float) -> _Region:
-    if not math.isfinite(V):
-        raise DomainError(f"V must be finite, got {V!r}")
-    # V on a corner's snap band lies on that corner's edge.  Near m = 0 or
-    # m = 1 two bands overlap and the nearer corner wins; a tie goes to
-    # e2 first, so the double corner e2 == e3 of m = 0 is the lower edge.
-    d1, d2, d3 = abs(V - lat.e1), abs(V - lat.e2), abs(V - lat.e3)
-    if min(d1, d2, d3) <= BOUNDARY_TOL:
-        if d2 <= d3 and d2 <= d1:
-            return _Region.LOWER_EDGE
-        return _Region.UPPER_EDGE if d3 <= d1 else _Region.PARABOLIC_EDGE
-    if V < lat.e2:
-        return _Region.BELOW
-    if V < lat.e3:
-        return _Region.WEDGE
-    if V < lat.e1:
-        return _Region.BAND
-    return _Region.ABOVE
-
-
-def _gaps(lat: RectLattice, V: float) -> tuple[float, float, float]:
-    """sqrt|V - e_i| for i = 1, 2, 3."""
-    return (math.sqrt(abs(V - lat.e1)), math.sqrt(abs(V - lat.e2)),
-            math.sqrt(abs(V - lat.e3)))
-
-
-def _edge_exponent(lat: RectLattice, region: _Region, V: float) -> float:
+def _edge_exponent(lat: RectLattice, amp: EdgeAmplitude) -> float:
     """The real edge exponent of V off the corners: phi_w or rho.
 
     phi_w = |Im w| below the wedge and on the band, rho = Re w inside
@@ -164,19 +125,18 @@ def _edge_exponent(lat: RectLattice, region: _Region, V: float) -> float:
     axis.  Below and above the wedge K cn dn / sn at a is added as a
     product of gaps: no division by a small sn.
     """
-    _, phi, mu = wp_amplitude(V, lat)
+    edge, phi, mu, _, (g1, g2, g3) = amp
     F = ellipkinc(phi, mu)
     Ep = ellipeinc(phi, mu)
-    if region in (_Region.BELOW, _Region.BAND):
+    if edge in ("imaginary", "right"):
         part = float(lat.K * Ep - (lat.K - lat.E) * F)
     else:
         part = float(lat.K * Ep - lat.E * F)
-    if region in (_Region.BAND, _Region.WEDGE):
-        return part
-    g1, g2, g3 = _gaps(lat, V)
-    if region is _Region.BELOW:
+    if edge == "imaginary":
         return part + lat.K * g2 * (g3 / g1)
-    return part + lat.K * g1 * (g3 / g2)
+    if edge == "real":
+        return part + lat.K * g1 * (g3 / g2)
+    return part
 
 
 def _two_cosh(x: float) -> float:
@@ -205,9 +165,10 @@ def _floor_snap(x: float) -> int:
 def orbit_data(m: float, V: float) -> OrbitData:
     """Trace 2 cosh(2w), kc = w^2/(6 pi^2) and orbit class of the wave (m, V).
 
-    One lattice lookup, one region test and at most one evaluation of the
-    edge exponent x.  The trace is independent of the central charge and
-    kc is in its units; n is the winding:
+    One lattice lookup, one :func:`.weierstrass.wp_amplitude` (the edge
+    and corner of V) and at most one evaluation of the edge exponent x.
+    The trace is independent of the central charge and kc is in its
+    units; n is the winding:
 
         wedge edges:      -2,          -1/24 exactly,          Exceptional(n = 1)
         below the wedge:  2 cos 2x,    -x^2/(6 pi^2),          Elliptic(n = floor(2x/pi))
@@ -221,21 +182,23 @@ def orbit_data(m: float, V: float) -> OrbitData:
     once they overflow (|V| above about 1e5).
     """
     lat = lattice(m)
-    region = _region_of(lat, V)
-    if region in (_Region.LOWER_EDGE, _Region.UPPER_EDGE):
+    if not math.isfinite(V):
+        raise DomainError(f"V must be finite, got {V!r}")
+    amp = wp_amplitude(V, lat)
+    if amp.corner == "e1":
+        return OrbitData(2.0, 0.0 + 0.0j, True, OrbitClass(OrbitKind.PARABOLIC, 0))
+    if amp.corner is not None:
         return OrbitData(-2.0, complex(-1.0 / 24.0, 0.0), True,
                          OrbitClass(OrbitKind.EXCEPTIONAL, 1))
-    if region is _Region.PARABOLIC_EDGE:
-        return OrbitData(2.0, 0.0 + 0.0j, True, OrbitClass(OrbitKind.PARABOLIC, 0))
-    x = _edge_exponent(lat, region, V)
-    if region is _Region.WEDGE:
+    x = _edge_exponent(lat, amp)
+    if amp.edge == "top":
         kc = complex((x * x - math.pi**2 / 4.0) / _SIX_PI_SQ, -x / (6.0 * math.pi))
         return OrbitData(-_two_cosh(2.0 * x), kc, False,
                          OrbitClass(OrbitKind.HYPERBOLIC, 1))
-    if region is _Region.ABOVE:
+    if amp.edge == "real":
         return OrbitData(_two_cosh(2.0 * x), complex(_square_over_six_pi_sq(x), 0.0),
                          True, OrbitClass(OrbitKind.HYPERBOLIC, 0))
-    winding = _floor_snap(2.0 * x / math.pi) if region is _Region.BELOW else 0
+    winding = _floor_snap(2.0 * x / math.pi) if amp.edge == "imaginary" else 0
     return OrbitData(2.0 * math.cos(2.0 * x), complex(-_square_over_six_pi_sq(x), 0.0),
                      True, OrbitClass(OrbitKind.ELLIPTIC, winding))
 
@@ -280,7 +243,7 @@ def constant_trace(kc: float) -> float:
     return 2.0 * math.cos(2.0 * math.pi * math.sqrt(-6.0 * kc))
 
 
-def _dx_dV(lat: RectLattice, region: _Region, V: float) -> float:
+def _dx_dV(lat: RectLattice, amp: EdgeAmplitude, V: float) -> float:
     """dx/dV of the edge exponent x of :func:`_edge_exponent`, off the corners.
 
     zeta' = -wp gives dw/da = -(K V + eta1), and dV = wp'(a) da with
@@ -288,9 +251,9 @@ def _dx_dV(lat: RectLattice, region: _Region, V: float) -> float:
     and above the wedge and its negative on the band.  K (V / g1) keeps
     |V| near the float limit from overflowing.
     """
-    g1, g2, g3 = _gaps(lat, V)
+    g1, g2, g3 = amp.gaps
     rate = (lat.K * (V / g1) + lat.eta1 / g1) / g2 / g3 / 2.0
-    return -rate if region is _Region.BAND else rate
+    return -rate if amp.edge == "right" else rate
 
 
 def dk_dV(m: float, V: float) -> float:
@@ -306,16 +269,18 @@ def dk_dV(m: float, V: float) -> float:
     one-dimensional derivative is undefined (:class:`InsideWedgeError`).
     """
     lat = lattice(m)
-    region = _region_of(lat, V)
-    if region is _Region.WEDGE:
+    if not math.isfinite(V):
+        raise DomainError(f"V must be finite, got {V!r}")
+    amp = wp_amplitude(V, lat)
+    if amp.corner == "e1":
+        return lat.E**2 / (_SIX_PI_SQ * (1.0 - lat.m))
+    if amp.corner is not None:
+        return math.inf
+    if amp.edge == "top":
         raise InsideWedgeError(
             "d(kc)/dV is undefined inside the wedge (kc is not real there)")
-    if region in (_Region.LOWER_EDGE, _Region.UPPER_EDGE):
-        return math.inf
-    if region is _Region.PARABOLIC_EDGE:
-        return lat.E**2 / (_SIX_PI_SQ * (1.0 - lat.m))
-    slope = 2.0 * _edge_exponent(lat, region, V) * _dx_dV(lat, region, V) / _SIX_PI_SQ
-    return slope if region is _Region.ABOVE else -slope
+    slope = 2.0 * _edge_exponent(lat, amp) * _dx_dV(lat, amp, V) / _SIX_PI_SQ
+    return slope if amp.edge == "real" else -slope
 
 
 def level_curve(target_kc: float, m: float, region: str) -> float:
@@ -353,7 +318,7 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
                 f"kc = {target_kc!r} has no solution below the wedge (needs kc <= -1/24)")
         if abs(target_kc - boundary) <= BOUNDARY_TOL:
             return lat.e2
-        edge, corner, side = _Region.BELOW, lat.e2, -1.0
+        corner, side = lat.e2, -1.0
     elif region == "above_wedge":
         if target_kc < boundary - BOUNDARY_TOL:
             raise DomainError(
@@ -362,8 +327,7 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
             return lat.e3
         if target_kc == 0.0:
             return lat.e1
-        edge, corner, side = ((_Region.BAND, lat.e1, -1.0) if target_kc < 0.0
-                              else (_Region.ABOVE, lat.e1, 1.0))
+        corner, side = lat.e1, math.copysign(1.0, target_kc)
     else:
         raise DomainError(f"region must be 'below_wedge' or 'above_wedge', got {region!r}")
     if lat.m == 0.0:
@@ -377,27 +341,28 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
     if math.isinf(target):
         target = math.sqrt(_SIX_PI_SQ) * math.sqrt(abs(target_kc))
 
-    def exponent_at(s):
-        V = corner + side * s * s
-        return V, _edge_exponent(lat, edge, V)
+    def exponent_at(V):
+        return _edge_exponent(lat, wp_amplitude(V, lat))
 
     # The first floats past the snap bands bound the search; a target
     # short of x there resolves to the corner.
     near, far = math.nextafter(corner + side * BOUNDARY_TOL, side * math.inf), math.inf
-    if edge is _Region.BAND:
+    if region == "above_wedge" and side < 0.0:  # on the band
         far = math.nextafter(lat.e3 + BOUNDARY_TOL, math.inf)
         if far >= near:  # the two snap bands cover the band
             near = far = 0.5 * (lat.e1 + lat.e3)
-        if target >= _edge_exponent(lat, edge, far):
+        if target >= exponent_at(far):
             return lat.e3
-    if target <= _edge_exponent(lat, edge, near):
+    if target <= exponent_at(near):
         return corner
     lo, hi = math.sqrt(abs(near - corner)), math.sqrt(abs(far - corner))
 
     s = min(max(target / lat.K, lo), hi, _S_MAX)
     for _ in range(_NEWTON_CAP):
-        V, x = exponent_at(s)
-        dx_dV = _dx_dV(lat, edge, V)
+        V = corner + side * s * s
+        amp = wp_amplitude(V, lat)
+        x = _edge_exponent(lat, amp)
+        dx_dV = _dx_dV(lat, amp, V)
         if x == target:
             break
         if x < target:

@@ -39,6 +39,7 @@ from .elliptic import ellint_E, ellint_K, jacobi, jacobi_complex
 from .errors import DomainError, PoleError
 
 __all__ = [
+    "BOUNDARY_TOL",
     "RectLattice",
     "EdgeAmplitude",
     "lattice",
@@ -50,8 +51,10 @@ __all__ = [
     "sigma",
 ]
 
+#: Absolute tolerance on V for deciding that it sits on a corner e_i.
+BOUNDARY_TOL = 1e-12
+
 _POLE_TOL = 1e-9
-_CORNER_SNAP = 1e-12  # |V - e_i| below which wp_inverse returns the corner
 # Terms of the theta_1 series; at the largest nome used, exp(-pi), the
 # first omitted one is below 1e-80 of the leading term.
 _THETA_TERMS = 8
@@ -290,19 +293,22 @@ def sigma(z: complex, lat: RectLattice) -> complex:
 
 
 class EdgeAmplitude(NamedTuple):
-    """a = wp_inverse(V) as the arc parameter F(phi|mu) along one edge.
+    """Where V sits on the boundary of the half rectangle; see :func:`wp_amplitude`.
 
-    ``edge`` is "imaginary", "top", "right" or "real"; see
-    :func:`wp_amplitude`.
+    a = wp_inverse(V) is the arc parameter F(phi|mu) along ``edge``
+    ("imaginary", "top", "right" or "real"); ``corner`` is "e2", "e3",
+    "e1" or None, and ``gaps`` is (sqrt|V - e1|, sqrt|V - e2|, sqrt|V - e3|).
     """
 
     edge: str
     phi: float
     mu: float
+    corner: str | None
+    gaps: tuple[float, float, float]
 
 
 def wp_amplitude(V: float, lat: RectLattice) -> EdgeAmplitude:
-    """The edge holding a = wp^-1(V), and the amplitude and parameter of a there.
+    """The edge and corner holding a = wp^-1(V), and the amplitude of a there.
 
     On each edge of the half rectangle sn^2, cn^2 and dn^2 of the arc
     parameter are ratios of the gaps V - e_i, so the Jacobi amplitude
@@ -317,19 +323,29 @@ def wp_amplitude(V: float, lat: RectLattice) -> EdgeAmplitude:
     with X, Y or x = F(phi|mu).  mu = 1-m is the float at which
     :func:`lattice` evaluates Kc, so F(pi/2|mu) meets Kc at the corners.
     V = +-inf gives phi = 0, the pole.
+
+    V within ``BOUNDARY_TOL`` of a corner sits on it: ``corner`` names
+    the nearest, a tie going to e2 and then e3 (the double corner
+    e2 = e3 of m = 0 is e2).  No other code compares V with the corners.
     """
     if math.isnan(V):
         raise DomainError("wp_amplitude received NaN")
+    d1, d2, d3 = abs(V - lat.e1), abs(V - lat.e2), abs(V - lat.e3)
+    if d2 <= d3 and d2 <= d1:
+        corner = "e2" if d2 <= BOUNDARY_TOL else None
+    elif d3 <= d1:
+        corner = "e3" if d3 <= BOUNDARY_TOL else None
+    else:
+        corner = "e1" if d1 <= BOUNDARY_TOL else None
+    gaps = g1, g2, g3 = math.sqrt(d1), math.sqrt(d2), math.sqrt(d3)
     m = lat.m
     if V < lat.e2:
-        return EdgeAmplitude("imaginary", math.atan2(1.0, math.sqrt(lat.e2 - V)), 1.0 - m)
+        return EdgeAmplitude("imaginary", math.atan2(1.0, g2), 1.0 - m, corner, gaps)
     if V < lat.e3:
-        return EdgeAmplitude("top", math.atan2(math.sqrt(V - lat.e2),
-                                               math.sqrt(lat.e3 - V)), m)
+        return EdgeAmplitude("top", math.atan2(g2, g3), m, corner, gaps)
     if V < lat.e1:
-        return EdgeAmplitude("right", math.atan2(math.sqrt(lat.e1 - V),
-                                                 math.sqrt(V - lat.e3)), 1.0 - m)
-    return EdgeAmplitude("real", math.atan2(1.0, math.sqrt(V - lat.e1)), m)
+        return EdgeAmplitude("right", math.atan2(g1, g3), 1.0 - m, corner, gaps)
+    return EdgeAmplitude("real", math.atan2(1.0, g1), m, corner, gaps)
 
 
 def wp_inverse(V: float, lat: RectLattice) -> complex:
@@ -345,19 +361,19 @@ def wp_inverse(V: float, lat: RectLattice) -> complex:
 
     The arc parameter X or Y is Legendre's F(phi|mu) at the amplitude
     and parameter of :func:`wp_amplitude` (``scipy.special.ellipkinc``).
-    V = +-inf returns 0 (the pole).  Values within 1e-12 of a corner
-    value e_i return the corner exactly; at m = 0 the corner e2 = e3 lies
-    at infinity and raises :class:`DomainError`.
+    V = +-inf returns 0 (the pole).  V on a corner (the ``corner`` of
+    :func:`wp_amplitude`) returns that corner exactly; at m = 0 the
+    corner e2 = e3 lies at infinity and raises :class:`DomainError`.
     """
-    edge, phi, mu = wp_amplitude(V, lat)
-    if abs(V - lat.e2) <= _CORNER_SNAP:
+    edge, phi, mu, corner, _ = wp_amplitude(V, lat)
+    if corner == "e2":
         if lat.m == 0.0:
             raise DomainError(
                 "wp_inverse at the double corner e2 = e3 = -1/3 lies at infinity for m = 0")
         return 1j * lat.Kc
-    if abs(V - lat.e3) <= _CORNER_SNAP:
+    if corner == "e3":
         return complex(lat.K, lat.Kc)
-    if abs(V - lat.e1) <= _CORNER_SNAP:
+    if corner == "e1":
         return complex(lat.K, 0.0)
     t = float(ellipkinc(phi, mu))
     if edge == "imaginary":

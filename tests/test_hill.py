@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from kdvorbits import hill
 from kdvorbits.errors import DomainError, NumericalError, StabilityError
 from kdvorbits.hill import (
     floquet_monodromy,
@@ -128,6 +129,21 @@ class TestWindingNumber:
     def test_zero_central_charge_rejected(self):
         with pytest.raises(DomainError):
             winding_number(constant_profile(-0.1), 0.0)
+
+
+@pytest.mark.parametrize("oracle", [floquet_monodromy, winding_number])
+def test_drifted_wronskian_is_refused(oracle, monkeypatch):
+    # psi1(2 pi) off by 1e-6 moves det M by about 6e-7, far past 1e-8
+    solve_ivp = hill.solve_ivp
+
+    def drifted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        sol.y[0, -1] += 1e-6
+        return sol
+
+    monkeypatch.setattr(hill, "solve_ivp", drifted)
+    with pytest.raises(NumericalError, match="determinant"):
+        oracle(constant_profile(-0.02), C)
 
 
 class TestLameExactResidual:

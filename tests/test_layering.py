@@ -66,3 +66,28 @@ def test_bands_uses_no_root_finder_and_no_oracle():
     offenders = [f"bands.py:{line} {module}" for line, module in _imports("bands")
                  if module.startswith("scipy.optimize") or _names_hill(module)]
     assert offenders == []
+
+
+# hill reaches the closed-form route only for lame_exact_residual; moving
+# that helper out of hill (ROADMAP item 5) empties this list
+HILL_REACHES = {"orbits.monodromy_trace", "weierstrass.lattice", "weierstrass.sigma",
+                "weierstrass.wp", "weierstrass.wp_inverse", "weierstrass.zeta"}
+
+
+def test_hill_reaches_the_closed_form_only_through_its_allow_list():
+    path = PACKAGE / "hill.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = f"{node.module}." if node.module else ""
+            targets = [base + alias.name for alias in node.names]
+        else:
+            continue
+        for target in targets:
+            target = target.removeprefix("kdvorbits.")
+            if (target.split(".")[0] in CLOSED_FORM + ("bands",)
+                    and target not in HILL_REACHES):
+                offenders.append(f"hill.py:{node.lineno} {target}")
+    assert offenders == []

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kdvorbits.asymptotics import k_large_V
+from kdvorbits.bands import crystal_momentum
 from kdvorbits.elliptic import ellint_E, ellint_K, jacobi
 from kdvorbits.errors import DomainError, InsideWedgeError, NumericalError
 from kdvorbits.orbits import (
@@ -24,7 +25,7 @@ from kdvorbits.orbits import (
     uniform_representative,
     winding_from_kc,
 )
-from kdvorbits.weierstrass import lattice, wp_inverse, zeta
+from kdvorbits.weierstrass import lattice, wp_amplitude, wp_inverse, zeta
 
 import oracles
 
@@ -249,6 +250,36 @@ class TestClassify:
         assert data.orbit.kind is OrbitKind.PARABOLIC and data.trace == 2.0
         data = orbit_data(m, lat.e3 - 1e-14)
         assert data.orbit.kind is OrbitKind.EXCEPTIONAL and data.trace == -2.0
+
+
+class TestOneCornerRule:
+    """wp_amplitude alone decides whether V sits on a corner, and which."""
+
+    def test_parabolic_point_near_m_one_agrees_everywhere(self):
+        # e3 is 4.2e-13 below e1, so V = e1 + 1e-14 lies within the snap
+        # of both; e1 is the nearer and all three routes must say so
+        m = 1.0 - 4.2e-13
+        lat = lattice(m)
+        V = lat.e1 + 1e-14
+        assert wp_inverse(V, lat) == complex(lat.K, 0.0)
+        point = crystal_momentum((2.0 * m + 2.0) / 3.0 - V, m)
+        assert point.kappa_ell == 0.0
+        assert 2.0 * math.cos(point.kappa_ell) == orbit_data(m, V).trace
+
+    @pytest.mark.parametrize("m", [5e-13, 0.5, 1.0 - 4.2e-13, 1.0 - 2.0**-52])
+    @pytest.mark.parametrize("corner", ["e1", "e2", "e3"])
+    def test_every_route_names_the_same_corner(self, m, corner):
+        lat = lattice(m)
+        points = {1j * lat.Kc: "e2", complex(lat.K, lat.Kc): "e3",
+                  complex(lat.K, 0.0): "e1"}
+        kinds = {"e1": OrbitKind.PARABOLIC, "e2": OrbitKind.EXCEPTIONAL,
+                 "e3": OrbitKind.EXCEPTIONAL}
+        for offset in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+            V = getattr(lat, corner) + offset * BOUNDARY_TOL
+            named = wp_amplitude(V, lat).corner
+            assert points.get(wp_inverse(V, lat)) == named, V
+            kind = orbit_data(m, V).orbit.kind
+            assert (kind if kind in kinds.values() else None) == kinds.get(named), V
 
 
 # Every m in [0, 1) and every finite V, with the extremes named.

@@ -330,9 +330,12 @@ class TestWpInverse:
     @pytest.mark.parametrize("m", [0.05, 0.62, 0.95])
     def test_amplitude_meets_the_corners(self, m):
         lat = lattice(m)
-        assert wp_amplitude(lat.e2, lat) == ("top", 0.0, m)
-        assert wp_amplitude(lat.e3, lat) == ("right", math.pi / 2, 1.0 - m)
-        assert wp_amplitude(lat.e1, lat) == ("real", math.pi / 2, m)
+        for V, corner, edge, phi, mu in [(lat.e2, "e2", "top", 0.0, m),
+                                         (lat.e3, "e3", "right", math.pi / 2, 1.0 - m),
+                                         (lat.e1, "e1", "real", math.pi / 2, m)]:
+            amp = wp_amplitude(V, lat)
+            assert (amp.edge, amp.phi, amp.mu) == (edge, phi, mu)
+            assert amp.corner == corner
         assert_allclose(ellipkinc(math.pi / 2, 1.0 - m), lat.Kc, rtol=1e-15)
         assert_allclose(ellipkinc(math.pi / 2, m), lat.K, rtol=1e-15)
 
