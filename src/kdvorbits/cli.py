@@ -32,7 +32,6 @@ import sys
 
 import numpy as np
 import scipy.special as sp
-from scipy.optimize import brentq
 
 from .asymptotics import (
     K_asymptotes,
@@ -243,11 +242,22 @@ def _m_for_nome_sq(q2: float) -> float:
 
 
 def _invert_level_curve_m1(kc: float, V: float) -> float:
-    """The 1 - m at which the deep level curve kc passes through V."""
-    def defect(t):
-        return level_curve(kc, 1.0 - 10.0**t, "below_wedge") - V
+    """The 1 - m at which the deep level curve kc passes through V: bisection
+    in t = log10(1 - m) over [-15.5, -1] down to a 2e-12 wide t bracket."""
+    def above(t):
+        return level_curve(kc, 1.0 - 10.0**t, "below_wedge") > V
 
-    return 10.0 ** brentq(defect, -15.5, -1.0)
+    lo, hi = -15.5, -1.0
+    lo_above = above(lo)
+    if above(hi) == lo_above:
+        raise NumericalError(f"level curve kc = {kc!r} does not cross V = {V!r}")
+    while hi - lo > 2e-12:
+        mid = 0.5 * (lo + hi)
+        if above(mid) == lo_above:
+            lo = mid
+        else:
+            hi = mid
+    return 10.0 ** (0.5 * (lo + hi))
 
 
 def _ratio_check(name, errs, window) -> dict:

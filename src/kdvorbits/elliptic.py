@@ -118,6 +118,26 @@ def ellint_E(m: float) -> float:
     return K * (1.0 - csum)
 
 
+def ellint_differences(m: float) -> tuple[float, float, float]:
+    """K(m), K(m) - E(m) and (2 - m)K(m) - 2E(m), the last two without cancellation.
+
+    K - E = K sum_{n>=0} 2^(n-1) c_n^2 and (2 - m)K - 2E = 2K sum_{n>=1}
+    2^(n-1) c_n^2 on the AGM chain of K, with c_0^2 = m and
+    c_n = c_{n-1}^2 / (4 a_n) in place of (a_{n-1} - b_{n-1})/2, whose
+    subtraction loses digits as m -> 0.  So both keep their relative
+    accuracy where they vanish like pi m/4 and pi m^2/16.
+    """
+    m = _check_parameter(m)
+    a_seq, _, _ = _agm_chain(m)
+    K = math.pi / (2.0 * a_seq[-1])
+    c_sq, tail, power = m, 0.0, 1.0
+    for a in a_seq[1:]:
+        c_sq = c_sq * c_sq / (16.0 * a * a)
+        tail += power * c_sq
+        power *= 2.0
+    return K, K * (0.5 * m + tail), 2.0 * K * tail
+
+
 # ---------------------------------------------------------------------------
 # Real-argument sn/cn/dn: descending Landen amplitude recursion.
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ The one exception is :func:`lame_exact_residual`, which goes the other
 way: it evaluates the classical product-of-sigmas solution of the
 translated Lame equation and measures, by finite differences, how well it
 actually solves the cnoidal Hill equation.
+
+``scipy.integrate.solve_ivp`` is imported inside :func:`_integrate`, on
+first use: importing ``scipy.integrate`` also loads ``scipy.optimize``
+and ``scipy.linalg``, about 0.3 s that every ``kdvorbits`` process would
+otherwise pay before its first command, although only the Floquet oracle
+integrates an ODE.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError, StabilityError
 from .orbits import monodromy_trace
@@ -61,6 +66,8 @@ def _integrate(rhs, y0, period: float) -> np.ndarray:
     the entries grow exponentially large (there an absolute check is
     unsatisfiable in double precision).
     """
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, (0.0, period), y0, method="DOP853", rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise NumericalError(f"Floquet integration failed: {sol.message}",

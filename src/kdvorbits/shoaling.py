@@ -27,10 +27,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .elliptic import ellint_E, ellint_K, jacobi
-from .errors import DomainError
+from .elliptic import ellint_differences, jacobi
+from .errors import DomainError, NumericalError
 from .orbits import OrbitClass, orbit_data
 from .weierstrass import lattice
 
@@ -51,12 +50,15 @@ __all__ = [
 ]
 
 _EPS_WARN = 0.05
-# Inversion bracket for m_from_depth.  The transport bracket behaves as
-# (3/8)(pi/2)^4 m^2 near m = 0, so below ~1e-6 it drowns in double-precision
-# cancellation noise; the floor keeps the bracket trustworthy while the
-# corresponding depth is already ~400x the natural depth scale.
+# Search interval of m_from_depth.  The transport bracket behaves as
+# (1/8)(pi/2)^4 m^2 near m = 0; at the floor the corresponding depth is
+# already ~400x the natural depth scale.
 _M_FLOOR = 1e-6
 _M_CEIL = 1.0 - 1e-15
+# m_from_depth stops once a Newton step moves m by at most this relative
+# amount (two ulp).
+_M_RTOL = 4.4e-16
+_MAX_STEPS = 100
 
 _SHALLOW_CHARGE = -32.0 * math.pi**3
 
@@ -148,11 +150,14 @@ class WaveTrain:
 
 
 def _transport_bracket(m: float) -> float:
-    """(m-1)K^4/3 + (4-2m)EK^3/3 - E^2K^2; zero at m = 0, increasing."""
-    K, E = ellint_K(m), ellint_E(m)
-    return ((m - 1.0) * K**4 / 3.0
-            + (4.0 - 2.0 * m) * E * K**3 / 3.0
-            - E * E * K * K)
+    """(m-1)K^4/3 + (4-2m)EK^3/3 - E^2K^2; zero at m = 0, increasing.
+
+    Evaluated as (K^2/3)[K D2 + D1 (2mK - 3 D1)] with D1 = K - E and
+    D2 = (2 - m)K - 2E, the same polynomial without the cancellation of
+    its O(1) terms down to O(m^2): good to a few ulp for every m.
+    """
+    K, D1, D2 = ellint_differences(m)
+    return K * K / 3.0 * (K * D2 + D1 * (2.0 * m * K - 3.0 * D1))
 
 
 def energy_transport(train: WaveTrain) -> float:
@@ -181,24 +186,72 @@ def depth_from_m(m: float, T: float, F: float, rho: float, g: float) -> float:
             f"pointedness must lie in (0, 1) to invert the transport "
             f"relation, got {m!r}")
     _require_positive(T=T, F=F, rho=rho, g=g)
-    bracket = 3.0 * _transport_bracket(m)
-    power = 27.0 / 256.0 * math.sqrt(g) / rho * T**3 * F / bracket
-    return power ** (2.0 / 9.0)
+    return (_depth_scale(T, F, rho, g) / _transport_bracket(m)) ** (2.0 / 9.0)
+
+
+def _depth_scale(T: float, F: float, rho: float, g: float) -> float:
+    """h^(9/2) times the transport bracket along a conserved train."""
+    return 9.0 / 256.0 * math.sqrt(g) / rho * T**3 * F
+
+
+@lru_cache(maxsize=1)
+def _reach() -> tuple[float, float]:
+    """The transport bracket at the ends of m_from_depth's search interval."""
+    return _transport_bracket(_M_FLOOR), _transport_bracket(_M_CEIL)
 
 
 def m_from_depth(h: float, T: float, F: float, rho: float, g: float) -> float:
-    """Invert the depth-pointedness relation: the m with depth_from_m = h."""
+    """Invert the depth-pointedness relation: the m with depth_from_m = h.
+
+    Newton's method on log(B(m) / B_h), B the transport bracket and B_h
+    its value at depth h, in the logit x = log(m / (1 - m)), in which
+    log B is close to linear at both ends.  The slope is closed form:
+    d log B/dx = E K (K - E)(E - (1 - m)K) / B, from dK/dm and dE/dm
+    (DLMF 19.4.1).  Each evaluated m becomes an end of the bracket
+    [_M_FLOOR, _M_CEIL], and a step that would leave it bisects it in x
+    instead, so no m is evaluated twice.  Stops when a step moves m by
+    at most _M_RTOL m, or when no float is left between the ends;
+    NumericalError after _MAX_STEPS evaluations.
+    """
     _require_positive(h=h, T=T, F=F, rho=rho, g=g)
-    if h > depth_from_m(_M_FLOOR, T, F, rho, g):
+    scale = _depth_scale(T, F, rho, g)
+    b_lo, b_hi = _reach()
+    if h > (scale / b_lo) ** (2.0 / 9.0):
         raise DomainError(
             f"depth {h!r} exceeds the m -> 0 reach of the transport "
             "relation; the train would be rounder than representable")
-    if h < depth_from_m(_M_CEIL, T, F, rho, g):
+    if h < (scale / b_hi) ** (2.0 / 9.0):
         raise DomainError(
             f"depth {h!r} lies below the m -> 1 floor of the transport "
             "relation")
-    return brentq(lambda m: depth_from_m(m, T, F, rho, g) - h,
-                  _M_FLOOR, _M_CEIL, xtol=1e-15, rtol=8.9e-16)
+    target = scale / h**4.5
+    lo, hi = _M_FLOOR, _M_CEIL
+    f_lo, f_hi = math.log(b_lo / target), math.log(b_hi / target)
+    m = 0.5
+    for _ in range(_MAX_STEPS):
+        K, D1, D2 = ellint_differences(m)  # _transport_bracket, keeping K, D1
+        bracket = K * K / 3.0 * (K * D2 + D1 * (2.0 * m * K - 3.0 * D1))
+        f = math.log(bracket / target)
+        if f == 0.0:
+            return m
+        if f < 0.0:
+            lo, f_lo = m, f
+        else:
+            hi, f_hi = m, f
+        dx = f * bracket / ((K - D1) * K * D1 * (m * K - D1))
+        q = math.expm1(-dx)  # the odds m / (1 - m) scale by 1 + q
+        m_next = m + m * (1.0 - m) * q / (1.0 + m * q)
+        if abs(m_next - m) <= _M_RTOL * m:
+            return m_next
+        if not lo < m_next < hi:
+            odds = math.sqrt(lo / (1.0 - lo) * hi / (1.0 - hi))
+            m_next = odds / (1.0 + odds)
+            if not lo < m_next < hi:
+                return lo if abs(f_lo) < abs(f_hi) else hi
+        m = m_next
+    raise NumericalError(
+        f"m_from_depth did not settle in {_MAX_STEPS} steps at depth {h!r}",
+        abscissa=m)
 
 
 def critical_depth(T: float, F: float, rho: float, g: float) -> float:

@@ -116,34 +116,42 @@ class CircleDiffeo:
             return (-m2 + 16.0 * m1 - 30.0 * f0 + 16.0 * p1 - p2) / (12.0 * h * h)
         return (-m2 + 2.0 * m1 - 2.0 * p1 + p2) / (2.0 * h**3)
 
-    def inverse(self, y: float) -> float:
-        """The x with f(x) = y, from the supplied inverse or guarded Newton."""
+    def inverse(self, y):
+        """The x with f(x) = y, elementwise for an array y.
+
+        From the supplied inverse, or by guarded Newton run on every
+        point at once, each with its own bracket, until |f(x) - y| < 1e-12.
+        """
         if self._inverse_fn is not None:
-            return float(self._inverse_fn(y))
-        y = float(y)
-        # Peel off whole windings so the root lies in [0, 2 pi].
-        wind, rem = divmod(y - self._base, PERIOD)
+            return _maybe_vector(self._inverse_fn, y)
+        ya = np.asarray(y, dtype=float)
+        flat = ya.ravel()
+        # Peel off whole windings so each root lies in [0, 2 pi].
+        wind, rem = np.divmod(flat - self._base, PERIOD)
         target = self._base + rem
-        lo, hi = 0.0, PERIOD
-        x = rem  # f is within a bounded distance of the identity
+        x = rem.copy()  # f is within a bounded distance of the identity
+        lo, hi = np.zeros_like(x), np.full_like(x, PERIOD)
+        todo = np.arange(x.size)
         for _ in range(_MAX_NEWTON):
-            g = float(self._f(x)) - target
-            if abs(g) < _INVERSE_TOL:
-                return x + PERIOD * wind
-            if g > 0.0:
-                hi = x
-            else:
-                lo = x
-            slope = float(self.derivative(x, 1))
-            if slope > 0.0:
-                x_next = x - g / slope
-            else:
-                x_next = 0.5 * (lo + hi)
-            if not lo < x_next < hi:
-                x_next = 0.5 * (lo + hi)
-            x = x_next
-        raise NumericalError(f"diffeo inversion stalled at y = {y!r}",
-                             abscissa=x)
+            g = np.asarray(self(x[todo]), dtype=float) - target[todo]
+            open_ = np.abs(g) >= _INVERSE_TOL
+            todo, g = todo[open_], g[open_]
+            if todo.size == 0:
+                break
+            xt = x[todo]
+            hi[todo] = np.where(g > 0.0, xt, hi[todo])
+            lo[todo] = np.where(g > 0.0, lo[todo], xt)
+            slope = np.asarray(self.derivative(xt, 1), dtype=float)
+            mid = 0.5 * (lo[todo] + hi[todo])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(slope > 0.0, xt - g / slope, mid)
+            x[todo] = np.where((lo[todo] < step) & (step < hi[todo]), step, mid)
+        else:
+            raise NumericalError(
+                f"diffeo inversion stalled at y = {float(flat[todo[0]])!r}",
+                abscissa=float(x[todo[0]]))
+        x += PERIOD * wind
+        return float(x[0]) if ya.ndim == 0 else x.reshape(ya.shape)
 
     # -- constructors ---------------------------------------------------
 
@@ -258,7 +266,7 @@ def coadjoint(p: Profile, f: CircleDiffeo, c: float) -> Profile:
     if not math.isfinite(c):
         raise DomainError(f"central charge must be finite, got {c!r}")
     ys = grid(p.n)
-    xs = np.array([f.inverse(y) for y in ys])
+    xs = f.inverse(ys)
     d1 = np.asarray(f.derivative(xs, 1), dtype=float)
     anomaly = np.asarray(schwarzian(f, xs), dtype=float)
     values = (_maybe_vector(p, xs) + (c / 12.0) * anomaly) / (d1 * d1)
@@ -318,7 +326,7 @@ def density_transform(psi: Callable, f: CircleDiffeo, h: float) -> Callable:
         if ya.ndim == 0:
             x = f.inverse(float(ya))
             return float(f.derivative(x, 1)) ** (-h) * psi(x)
-        xs = np.array([f.inverse(yi) for yi in ya.ravel()])
+        xs = f.inverse(ya.ravel())
         vals = np.asarray(f.derivative(xs, 1), float) ** (-h) \
             * np.asarray([psi(xi) for xi in xs], dtype=float)
         return vals.reshape(ya.shape)

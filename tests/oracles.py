@@ -250,3 +250,26 @@ def mp_magnus_trace(E: float, strength: float, K: float, m: float,
             ea, eb, ec, ed = ch - delta * s, h * s, h * qbar * s, ch + delta * s
             a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
         return float(2 * (a * d + b * c))
+
+
+# ---------------------------------------------------------------------------
+# The shoaling depth relation inverted in extended precision.
+# ---------------------------------------------------------------------------
+
+
+def mp_m_from_depth(h: float, T: float, F: float, rho: float, g: float,
+                    guess: float) -> float:
+    """The m whose transport bracket (m-1)K^4/3 + (4-2m)EK^3/3 - E^2K^2
+    equals (27/256)(sqrt(g)/rho) T^3 F / (3 h^(9/2)), at 50 digits."""
+    with mp.workdps(50):
+        target = (mp.mpf(27) / 256 * mp.sqrt(g) / rho * mp.mpf(T) ** 3 * F
+                  / (3 * mp.mpf(h) ** mp.mpf(4.5)))
+
+        def defect(x):  # in the logit x = log(m / (1 - m)), so m stays in (0, 1)
+            m = 1 / (1 + mp.exp(-x))
+            K, E = mp.ellipk(m), mp.ellipe(m)
+            return ((m - 1) * K**4 / 3 + (4 - 2 * m) * E * K**3 / 3
+                    - E * E * K * K) / target - 1
+
+        x = mp.findroot(defect, mp.log(guess / (1 - mp.mpf(guess))))
+        return float(1 / (1 + mp.exp(-x)))

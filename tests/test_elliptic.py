@@ -12,6 +12,7 @@ from kdvorbits.elliptic import (
     JacobiTriple,
     _agm_chain,
     dn_power_integral,
+    ellint_differences,
     ellint_E,
     ellint_K,
     jacobi,
@@ -44,10 +45,22 @@ class TestCompleteIntegrals:
         approx = math.log(4.0) - 0.5 * math.log(1.0 - m)
         assert abs(ellint_K(m) - approx) < 1e-7
 
+    @pytest.mark.parametrize("m", [1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.9, 1.0 - 1e-12])
+    def test_differences_match_mpmath(self, m):
+        # K - E ~ pi m/4 and (2 - m)K - 2E ~ pi m^2/16 keep their digits
+        # as m -> 0, where forming them from K and E cancels all of them
+        with mp.workdps(60):
+            mm = mp.mpf(m)
+            K, E = mp.ellipk(mm), mp.ellipe(mm)
+            expected = [float(K), float(K - E), float((2 - mm) * K - 2 * E)]
+        assert_allclose(ellint_differences(m), expected, rtol=2e-15, atol=0.0)
+
     def test_domain_errors(self):
         for bad in (-0.1, 1.0, 1.5, math.nan):
             with pytest.raises(DomainError):
                 ellint_K(bad)
+            with pytest.raises(DomainError):
+                ellint_differences(bad)
         with pytest.raises(DomainError):
             ellint_E(1.0 + 1e-12)
 

@@ -9,10 +9,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from kdvorbits import hill
 from kdvorbits.errors import DomainError, NumericalError, StabilityError
 from kdvorbits.hill import (
     floquet_monodromy,
@@ -133,15 +133,16 @@ class TestWindingNumber:
 
 @pytest.mark.parametrize("oracle", [floquet_monodromy, winding_number])
 def test_drifted_wronskian_is_refused(oracle, monkeypatch):
-    # psi1(2 pi) off by 1e-6 moves det M by about 6e-7, far past 1e-8
-    solve_ivp = hill.solve_ivp
+    # psi1(2 pi) off by 1e-6 moves det M by about 6e-7, far past 1e-8;
+    # hill imports solve_ivp on first use, so patch it where that import looks
+    solve_ivp = scipy.integrate.solve_ivp
 
     def drifted(*args, **kwargs):
         sol = solve_ivp(*args, **kwargs)
         sol.y[0, -1] += 1e-6
         return sol
 
-    monkeypatch.setattr(hill, "solve_ivp", drifted)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", drifted)
     with pytest.raises(NumericalError, match="determinant"):
         oracle(constant_profile(-0.02), C)
 

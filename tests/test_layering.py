@@ -1,6 +1,8 @@
 """Modules of the package talk to each other through public names only."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import kdvorbits
@@ -90,4 +92,41 @@ def test_hill_reaches_the_closed_form_only_through_its_allow_list():
             if (target.split(".")[0] in CLOSED_FORM + ("bands",)
                     and target not in HILL_REACHES):
                 offenders.append(f"hill.py:{node.lineno} {target}")
+    assert offenders == []
+
+
+def test_importing_every_layer_loads_no_optimize_integrate_or_linalg():
+    # every command runs in a fresh process, where scipy.integrate (which loads
+    # scipy.optimize and scipy.linalg) costs ~0.3 s that few commands need
+    layers = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})",
+        "import kdvorbits.cli, kdvorbits.virasoro",
+        *(f"import kdvorbits.{name}" for name in layers if name != "__init__"),
+        "print(*sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"
+        " if m.startswith('scipy.')}))",
+    ])
+    loaded = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert {"scipy.optimize", "scipy.integrate", "scipy.linalg"} & set(loaded) == set()
+
+
+def _lines_inside_functions(name):
+    path = PACKAGE / f"{name}.py"
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.lineno for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+
+
+def test_no_scipy_optimize_and_scipy_integrate_only_on_first_use_in_hill():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lazy = _lines_inside_functions(path.stem)
+        for line, module in _imports(path.stem):
+            if module.startswith("scipy.optimize") or (
+                    module.startswith("scipy.integrate")
+                    and (path.stem != "hill" or line not in lazy)):
+                offenders.append(f"{path.name}:{line} {module}")
     assert offenders == []

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 import oracles
 from kdvorbits.errors import DomainError
@@ -254,6 +255,35 @@ class TestMFromDepth:
         shallow = depth_from_m(1.0 - 1e-15, T_REF, F_REF, RHO_REF, G_REF)
         with pytest.raises(DomainError):
             m_from_depth(0.99 * shallow, T_REF, F_REF, RHO_REF, G_REF)
+
+    def test_newton_matches_brentq_across_the_reach(self):
+        # 240 log-spaced depths over the whole reach, plus points within
+        # 1e-4 and 1e-3 of either end; the oracle is brentq on depth_from_m
+        args = (T_REF, F_REF, RHO_REF, G_REF)
+        shallow = depth_from_m(1.0 - 1e-15, *args)
+        deep = depth_from_m(1e-6, *args)
+        hs = [*np.geomspace(shallow, deep, 240), shallow * (1.0 + 1e-4),
+              shallow * 1.001, deep * 0.999, deep * (1.0 - 1e-4)]
+        worst = {"newton": 0.0, "brentq": 0.0}
+        for h in hs:
+            expected = brentq(lambda m: depth_from_m(m, *args) - h,
+                              1e-6, 1.0 - 1e-15, xtol=1e-15, rtol=8.9e-16)
+            m = m_from_depth(h, *args)
+            assert abs(m - expected) <= 4e-15, h
+            for name, value in (("newton", m), ("brentq", expected)):
+                worst[name] = max(worst[name], abs(depth_from_m(value, *args) / h - 1.0))
+        # near m = 1 one float step in m moves the depth by ~1e-3
+        assert worst["newton"] <= worst["brentq"]
+
+    @pytest.mark.parametrize("m_true", [1.2e-6, 1e-4, 0.01, 0.08, 0.3, 0.5,
+                                        0.8261, 0.99, 1.0 - 1e-9, 1.0 - 1e-13])
+    def test_inverse_matches_mpmath(self, m_true):
+        # the transport bracket keeps its digits as m -> 0 (it vanishes like
+        # m^2 from O(1) terms), so the inverse holds to a few ulp everywhere
+        args = (T_REF, F_REF, RHO_REF, G_REF)
+        h = depth_from_m(m_true, *args)
+        expected = oracles.mp_m_from_depth(h, *args, guess=m_true)
+        assert abs(m_from_depth(h, *args) - expected) <= 1e-15 * expected
 
 
 class TestCriticalDepth:

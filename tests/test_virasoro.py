@@ -43,6 +43,19 @@ class TestCircleDiffeo:
         f = random_diffeo(5)
         assert abs(f.inverse(float(f(x))) - x) < 1e-11
 
+    @pytest.mark.parametrize("f", [random_diffeo(5),
+                                   CircleDiffeo(lambda x: x + 0.3 * math.sin(x))],
+                             ids=["fourier", "scalar_only_fd"])
+    def test_inverse_of_an_array_matches_each_point(self, f):
+        # one Newton run over the whole array, each point with its own
+        # bracket; the scalar call is its one-element case
+        ys = np.linspace(-7.0, 10.0, 12).reshape(3, 4)
+        xs = f.inverse(ys)
+        assert xs.shape == ys.shape
+        assert_allclose(xs.ravel(), [f.inverse(y) for y in ys.ravel()],
+                        rtol=0, atol=1e-14)
+        assert_allclose(f(xs), ys, rtol=0, atol=1e-12)
+
     def test_supplied_inverse_is_used(self):
         calls = []
 
