@@ -15,9 +15,11 @@ between the two is a real consistency check, exercised in the tests.
 
 For every N the 2N + 1 band edges are the eigenvalues of four finite
 tridiagonal matrices (:func:`band_edges`).  :func:`numeric_band_gaps` is
-the independent check: it locates the N gaps by scanning the Floquet
-trace of the potential, with a Magnus integrator batched across the
-whole energy grid at once, and never consults the matrices.
+the independent check and never consults the matrices.  As sn^2 is even
+about K, Tr - 2 = 4 y1'(K) y2(K) and Tr + 2 = 4 y1(K) y2'(K) for the
+fundamental solutions y1, y2 at 0, so each edge is a simple zero in E of
+one of these half-period entries, which a batched Magnus integrator scans
+at once; their zeros must interlace, y1 with y1' and y2 with y2'.
 """
 
 from __future__ import annotations
@@ -59,13 +61,12 @@ _CHUNK = 2**14 // _BLOCKS
 _COSH = tuple(1.0 / math.factorial(2 * n) for n in range(11))
 _SINHC = tuple(1.0 / math.factorial(2 * n + 1) for n in range(11))
 _TRUNCATION = 2.0**-64
-# Forbidden runs whose |Tr| never clears 2 by more than this are grazing
-# artifacts of the scan, not gaps.
-_TANGENCY = 1e-7
-# Numerical edges are refined by multisection: each round evaluates this
-# many subintervals of every bracket, until the brackets are this wide.
-_SECTIONS = 16
-_EDGE_BRACKET = 1e-9
+# The gap scan: first step and halvings, entry names, multisection parts per
+# round, final bracket width in ulp, closed-gap width per max(1, E) (2K/pi)^4.
+_SCAN_STEP, _RESCANS = 0.02, 6
+_ENTRIES = ("y1(K)", "y2(K)", "y1'(K)", "y2'(K)")
+_SECTIONS, _ULPS = 16, 4
+_CLOSED = 1e-12
 
 
 class BandPoint(NamedTuple):
@@ -241,42 +242,35 @@ def exceptional_energy_asymptote(n: int, m: float,
 
 
 # ---------------------------------------------------------------------------
-# Numerical gap detection: a batched Floquet-trace scan.
+# Numerical gap detection: a batched scan of the half-period entries.
 # ---------------------------------------------------------------------------
 
-def floquet_traces(energies: np.ndarray, strength: float, K: float,
-                    m: float) -> np.ndarray:
-    """Floquet trace of psi'' = (strength sn^2(z|m) - E) psi over [0, 2K].
+def _half_period_entries(energies: np.ndarray, strength: float, K: float,
+                         m: float) -> np.ndarray:
+    """Half-period entries of psi'' = (strength sn^2(z|m) - E) psi, per energy.
 
-    sn^2 is even about K, so the trace over the full period is
-    2 (y1 y2' + y1' y2) at z = K, from the fundamental solutions y1, y2
-    at z = 0 (Magnus & Winkler, *Hill's Equation*, ch. 1), and only the
-    half period is integrated, in 1536 fourth-order Magnus steps with two
-    Gauss nodes each (Iserles, Munthe-Kaas, Norsett & Zanna, *Acta
-    Numerica* 2000).  The generator of step k is traceless, so its
-    exponential is cosh(mu) I + sinh(mu)/mu Omega, and mu^2 = x =
-    delta_k^2 + h^2 qbar_k - h^2 E is affine in E.  cosh sqrt(x) and
-    sinh sqrt(x)/sqrt(x) are entire in x, so one Taylor polynomial, by
-    Horner's rule, serves bands (x < 0) and gaps (x > 0) alike; its
-    degree is set by the largest |x| of the batch.
+    Returns (a, b, c, d) = (y1, y2/h, h y1', y2') at z = K along a new
+    first axis: the fundamental solutions y1, y2 at 0 in the variables
+    (y, h y'), h = K/1536.  The half period is crossed in 1536
+    fourth-order Magnus steps with two Gauss nodes each (Iserles,
+    Munthe-Kaas, Norsett & Zanna, *Acta Numerica* 2000).  The generator
+    of step k is traceless, so its exponential is cosh(mu) I + sinh(mu)/mu
+    Omega, with mu^2 = x = delta_k^2 + h^2 qbar_k - h^2 E affine in E.
+    One Taylor polynomial in x, by Horner's rule, serves bands (x < 0)
+    and gaps (x > 0) alike; its degree is set by the largest |x|.
 
-    The steps are grouped into 64 blocks of 24 consecutive steps.  All
-    blocks advance together on (block, energy) arrays, and the 64 block
-    propagators are then multiplied pairwise, so the Python loop turns
-    24 + 6 times per 256 energies instead of 1536 times per batch.
-    Taking energies 256 at a time bounds the working set.  Matches the
-    same scheme in 30-digit arithmetic to ~1e-13 max(1, |Tr|), and the
-    adaptive oracle in :mod:`.hill` to ~1e-9.
-
-    The scan resolves an energy only while every step phase sqrt|x| is
+    The steps form 64 blocks of 24 that advance side by side on (block,
+    energy) arrays, 256 energies at a time, before the block propagators
+    are multiplied pairwise: the Python loop turns 24 + 6 times per 256
+    energies instead of 1536 times.  Every step phase sqrt|x| must stay
     at most 1, which holds for |E| up to about (1536 / K)^2, 6.9e5 at
-    m = 1/2.  Outside that range, and for non-finite energies, it raises
-    DomainError naming the range.  An empty batch gives an empty array.
+    m = 1/2; other energies, and non-finite ones, raise DomainError
+    naming the range.
     """
     E = np.asarray(energies, float)
     flat = E.ravel()
     if flat.size == 0:
-        return np.empty(E.shape)
+        return np.empty((4,) + E.shape)
     h = K / _HALF_STEPS
     h2 = h * h
     base = h * np.arange(_HALF_STEPS)
@@ -302,7 +296,7 @@ def floquet_traces(energies: np.ndarray, strength: float, K: float,
     # Step k = (block, j) as column vectors that broadcast over energies.
     shape = (_BLOCKS, _HALF_STEPS // _BLOCKS, 1)
     x0, delta, delta_sq = x0.reshape(shape), delta.reshape(shape), delta_sq.reshape(shape)
-    traces = np.empty(flat.size)
+    entries = np.empty((4, flat.size))
     for start in range(0, flat.size, _CHUNK):
         e2 = h2 * flat[start:start + _CHUNK]
         size = (_BLOCKS, e2.size)
@@ -337,61 +331,85 @@ def floquet_traces(energies: np.ndarray, strength: float, K: float,
                           a[1::2] * b[::2] + b[1::2] * d[::2],
                           c[1::2] * a[::2] + d[1::2] * c[::2],
                           c[1::2] * b[::2] + d[1::2] * d[::2])
-        traces[start:start + e2.size] = 2.0 * (a[0] * d[0] + b[0] * c[0])
-    return traces.reshape(E.shape)
+        entries[:, start:start + e2.size] = a[0], b[0], c[0], d[0]
+    return entries.reshape((4,) + E.shape)
 
 
-def _gap_runs(traces: np.ndarray) -> list[tuple[int, int]]:
-    """The gaps of a trace scan on an energy grid starting at E = 0.
+def floquet_traces(energies: np.ndarray, strength: float, K: float, m: float) -> np.ndarray:
+    """Floquet trace of psi'' = (strength sn^2(z|m) - E) psi over [0, 2K].
 
-    Returns (first, last) sample indices of each maximal run with
-    |Tr| > 2 and one sign of Tr, in order, except the run starting at
-    the first sample (the forbidden region below the spectrum) and
-    grazing runs, whose |Tr| never exceeds 2 + 1e-7: a closed gap at the
-    noise level of the scan.  The trace has the sign (-1)^g in gap g,
-    so where the grid steps over a band the run splits at the sign flip.
+    sn^2 is even about K, so the trace is 2 (y1 y2' + y1' y2) at K (Magnus
+    & Winkler, *Hill's Equation*, ch. 1), 2 (a d + b c) of the half-period
+    entries.  Matches the same scheme in 30-digit arithmetic to ~1e-13
+    max(1, |Tr|), and the adaptive oracle in :mod:`.hill` to ~1e-9.
     """
-    sign = np.where(np.abs(traces) > 2.0, np.sign(traces), 0.0)
-    breaks = np.flatnonzero(np.diff(np.concatenate(([0.0], sign, [0.0]))))
-    return [(int(i0), int(stop) - 1) for i0, stop in zip(breaks[:-1], breaks[1:])
-            if i0 > 0 and sign[i0] != 0.0
-            and np.max(np.abs(traces[i0:stop])) > 2.0 + _TANGENCY]
+    a, b, c, d = _half_period_entries(energies, strength, K, m)
+    return 2.0 * (a * d + b * c)
 
 
-def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
-                      scan_step: float | None = None) -> list[GapInterval]:
+def _refine(entries, entry: np.ndarray, left: np.ndarray, right: np.ndarray,
+            right_up: np.ndarray) -> np.ndarray:
+    """Zeros of entries(E)[entry] in brackets whose right ends have sign right_up.
+
+    Every round cuts all brackets into 16 equal parts, evaluates the cuts
+    in one batched call and keeps the first part that ends on the right
+    end's side, until no bracket is wider than 4 ulp of max(1, E).
+    """
+    rows = np.arange(entry.size)
+    fractions = np.linspace(0.0, 1.0, _SECTIONS + 1)[1:-1]
+    while np.any(right - left > _ULPS * np.spacing(np.maximum(right, 1.0))):
+        cuts = left[:, None] + (right - left)[:, None] * fractions
+        past = (entries(cuts)[entry, rows] > 0.0) == right_up[:, None]
+        j = np.argmax(np.column_stack((past, np.ones_like(right_up))), axis=1)
+        points = np.column_stack((left, cuts, right))
+        left, right = points[rows, j], points[rows, j + 1]
+    return 0.5 * (left + right)
+
+
+def _interlacing_fault(zeros: np.ndarray, entry: np.ndarray, resolution: float) -> str | None:
+    """Where the zeros of y1' and y1, or of y2' and y2, fail to take turns.
+
+    By Sturm comparison the primed entry vanishes first and the two then
+    alternate.  Zeros closer than ``resolution`` (1 + E) count as
+    unordered: the scheme cannot order the edges of so narrow a band.
+    """
+    for first, second in ((2, 0), (3, 1)):
+        # padded with the largest float, so an unmatched zero comes out of turn
+        turns = np.full((entry.size, 2), np.finfo(float).max)
+        for column, which in enumerate((first, second)):
+            turns[:np.count_nonzero(entry == which), column] = np.sort(zeros[entry == which])
+        turns = turns.ravel()
+        early = np.flatnonzero(turns[1:] < turns[:-1] * (1.0 - resolution) - resolution)
+        if early.size:
+            return (f"the zeros of {_ENTRIES[first]} and {_ENTRIES[second]} "
+                    f"do not interlace below E = {float(turns[early[0] + 1])!r}")
+    return None
+
+
+def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapInterval]:
     """Locate the N spectral gaps of the Lame-N operator numerically.
 
-    Scans the Floquet trace over [0, E_max] (default (N+1)^2 + 1, above
-    the last gap), keeps the maximal runs with |Tr| > 2 and one sign of
-    Tr, split where the trace changes sign (a band narrower than the
-    step), and discards the semi-infinite forbidden region below the
-    spectrum.  Each edge is then bracketed by its two neighbouring scan
-    samples and refined on the signed target Tr = 2s, s = (-1)^g the sign
-    of the trace in gap g: every round cuts all 2N brackets into 16 equal
-    parts, evaluates the trace at the cuts in one batched call and keeps
-    the part where s Tr crosses 2, until each bracket is at most 1e-9
-    wide; the edge is its midpoint.  The default scan step is
-    min(1e-3, m/10), sized from the N = 1 gap width m; it resolves only
-    gaps wider than itself.  Higher gaps can be far narrower: the
-    narrowest is 4.6e-5 wide at (N, m) = (3, 0.05), 9.2e-7 at (4, 0.05),
-    1.7e-8 at (5, 0.05) and 2.3e-4 at (5, 0.3), and there the default
-    scan raises ResolutionError unless a finer ``scan_step`` is passed.
-    Nothing here uses :func:`band_edges`, which these gaps check.
+    Every band edge is a simple zero in E of one of the half-period
+    entries y1, y2, y1', y2' at K, the four Neumann and Dirichlet problems
+    on [0, K] (Magnus & Winkler, *Hill's Equation*, ch. 1-2; Eastham, *The
+    Spectral Theory of Periodic Differential Equations*, ch. 1-3), and
+    zeros of one entry lie a band and a gap apart.  So the entries are
+    scanned over [0, E_max] (default (N+1)^2 + 1, above the last gap) at
+    a step of 0.02, and every sign change is refined, all together, by
+    batched multisection to a few ulp.  If the zeros of y1 and y1', or of
+    y2 and y2', fail to interlace, the step missed a pair of zeros: it is
+    halved and the scan repeated, at most 6 times, before ResolutionError.
 
-    Raises ResolutionError if the step could not resolve a gap of width
-    m (the N = 1 width) or if fewer than N gaps survive; NumericalError
-    if more than N turn up; DomainError if E_max is not finite or past
-    the energies the scan resolves, or if a gap run touches E_max,
-    which means E_max cuts through a gap and should be raised.  Runs
-    whose trace never clears |Tr| = 2 by more than 1e-7 are dropped as
-    grazing artifacts rather than counted as gaps.
-
-    Gaps come back in energy order, and the order is the label: the
-    i-th gap (1-based) sits at the i-th extended-zone edge kappa*l =
-    i*pi, so Floquet solutions there wind i times.  That labeling
-    follows by continuity from the free limit and is reported as an
-    annotation, not checked.
+    The sorted zeros are the bottom of the spectrum and then the edges of
+    each gap in pairs, closed gaps included.  A pair closer than 1e-12
+    max(1, E) (2K/pi)^4 is closed; the factor, h^4 relative to m = 0,
+    covers the Magnus splitting of closed gaps as the step h = K/1536 grows.
+    Fewer than N open gaps raise ResolutionError, more NumericalError.
+    DomainError means E_max is not positive, past the energies the scan
+    resolves, or inside a forbidden region.  Nothing here uses
+    :func:`band_edges`.  Gaps come back in energy order, and the order is
+    the label: the i-th gap sits at the extended-zone edge kappa*l = i*pi
+    (by continuity from the free limit; an annotation, not checked).
     """
     N = int(N)
     if N < 1:
@@ -399,55 +417,37 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None,
     lat = lattice(m)
     if lat.m == 0.0:
         raise DomainError("all gaps close at m = 0; there is nothing to scan")
-    if E_max is None:
-        E_max = (N + 1) ** 2 + 1.0
-    E_max = float(E_max)
-    if scan_step is None:
-        scan_step = min(1e-3, m / 10.0)
-    scan_step = float(scan_step)
-    if not 0.0 < scan_step <= E_max:
-        raise DomainError(f"scan step must lie in (0, E_max], got {scan_step!r}")
-    if scan_step > m:
-        raise ResolutionError(
-            f"scan step {scan_step!r} exceeds the narrowest expected gap width {m!r}")
+    E_max = float((N + 1) ** 2 + 1 if E_max is None else E_max)
+    if not E_max > 0.0:
+        raise DomainError(f"E_max must be positive, got {E_max!r}")
+    resolution = _CLOSED * (2.0 * lat.K / math.pi) ** 4
 
-    strength = N * (N + 1) * m
-    # DomainError for an E_max the scan cannot resolve, before the grid is built
-    floquet_traces(np.array([0.0, E_max]), strength, lat.K, m)
-    count = int(math.ceil(E_max / scan_step)) + 1
-    energies = np.linspace(0.0, E_max, count)
-    traces = floquet_traces(energies, strength, lat.K, m)
-    runs = _gap_runs(traces)
-    if runs and runs[-1][1] == count - 1:
-        raise DomainError(
-            f"forbidden region still open at E_max = {E_max!r}; raise E_max")
-    if len(runs) < N:
-        raise ResolutionError(
-            f"found {len(runs)} of {N} expected gaps; scan_step = {scan_step!r} "
-            f"resolves only gaps wider than itself, so pass a smaller "
-            f"scan_step, or raise E_max")
-    if len(runs) > N:
-        raise NumericalError(
-            f"found {len(runs)} forbidden intervals where {N} were expected")
+    def entries(E):
+        return _half_period_entries(E, N * (N + 1) * m, lat.K, m)
 
-    # Brackets (left, right) of the lower and upper edge of every gap; the
-    # gap side of a bracket is its right end for a lower edge.
-    left = energies[[i for i0, i1 in runs for i in (i0 - 1, i1)]]
-    right = energies[[i for i0, i1 in runs for i in (i0, i1 + 1)]]
-    sign = np.repeat(np.sign(traces[[i0 for i0, _ in runs]]), 2)
-    gap_on_right = np.tile([True, False], N)
-    fractions = np.linspace(0.0, 1.0, _SECTIONS + 1)
-    rows = np.arange(2 * N)
-    rounds = math.ceil(math.log(scan_step / _EDGE_BRACKET, _SECTIONS))
-    for _ in range(max(rounds, 0)):
-        points = left[:, None] + (right - left)[:, None] * fractions
-        interior = floquet_traces(points[:, 1:-1].ravel(), strength, lat.K, m)
-        in_gap = np.column_stack((
-            ~gap_on_right,
-            sign[:, None] * interior.reshape(2 * N, -1) > 2.0,
-            gap_on_right))
-        # first point on the right end's side: the edge lies just before it
-        j = np.argmax(in_gap == gap_on_right[:, None], axis=1)
-        left, right = points[rows, j - 1], points[rows, j]
-    edges = 0.5 * (left + right)
-    return [GapInterval(float(lo), float(hi)) for lo, hi in zip(edges[0::2], edges[1::2])]
+    entries(np.array([0.0, E_max]))  # an unresolved E_max fails before the grid
+    step = _SCAN_STEP
+    for _ in range(_RESCANS + 1):
+        energies = np.linspace(0.0, E_max, int(math.ceil(E_max / step)) + 1)
+        up = entries(energies) > 0.0
+        entry, i = np.nonzero(up[:, 1:] != up[:, :-1])
+        zeros = _refine(entries, entry, energies[i], energies[i + 1], up[entry, i + 1])
+        fault = _interlacing_fault(zeros, entry, resolution)
+        if fault is None:
+            break
+        step /= 2.0
+    else:
+        raise ResolutionError(f"{fault} in [0, {E_max!r}] at scan step {2.0 * step!r}")
+
+    zeros = np.sort(zeros)
+    if zeros.size % 2 == 0:
+        raise DomainError(f"forbidden region still open at E_max = {E_max!r}; raise E_max")
+    gaps = [GapInterval(float(lo), float(hi)) for lo, hi in zip(zeros[1::2], zeros[2::2])
+            if hi - lo > resolution * max(1.0, hi)]
+    if len(gaps) < N:
+        raise ResolutionError(
+            f"found {len(gaps)} of {N} expected gaps below E_max = {E_max!r}, a gap "
+            f"narrower than {resolution:.3g} max(1, E) counting as closed")
+    if len(gaps) > N:
+        raise NumericalError(f"found {len(gaps)} open gaps where {N} were expected")
+    return gaps

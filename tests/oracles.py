@@ -211,17 +211,18 @@ def ode_hill_trace(q, period: float = 2.0 * math.pi) -> float:
     return float(sol.y[0, -1] + sol.y[3, -1])
 
 
-def mp_magnus_trace(E: float, strength: float, K: float, m: float,
-                    steps: int = 1536, dps: int = 30) -> float:
-    """Floquet trace of psi'' = (strength sn^2(z|m) - E) psi by the Magnus scheme
-    of ``bands.floquet_traces``, carried out in ``dps``-digit arithmetic.
+def mp_magnus_entries(E: float, strength: float, K: float, m: float,
+                      steps: int = 1536, dps: int = 30) -> tuple:
+    """Half-period entries of psi'' = (strength sn^2(z|m) - E) psi by the Magnus
+    scheme of ``bands._half_period_entries``, in ``dps``-digit arithmetic.
 
-    Same half-period trace 2 (a d + b c), same ``steps`` steps on [0, K],
-    same two Gauss nodes and the same fourth-order exponent; only the
-    step exponential (mpmath cosh/sinh or cos/sin of sqrt|mu^2|) and the
-    product run in extended precision.  It checks the arithmetic of the
-    float kernel, not its discretisation, so the node values sn^2 come
-    from the package's float ``jacobi`` as they do in the kernel.
+    Returns (y1, y2/h, h y1', y2') at z = K, h = K/steps, as the kernel
+    does but as ``dps``-digit mpf numbers: same ``steps`` steps on [0, K], same two Gauss nodes and the
+    same fourth-order exponent; only the step exponential (mpmath
+    cosh/sinh or cos/sin of sqrt|mu^2|) and the product run in extended
+    precision.  It checks the arithmetic of the float kernel, not its
+    discretisation, so the node values sn^2 come from the package's float
+    ``jacobi`` as they do in the kernel.
     """
     from kdvorbits.elliptic import jacobi
 
@@ -249,6 +250,14 @@ def mp_magnus_trace(E: float, strength: float, K: float, m: float,
                 ch, s = mp.mpf(1), mp.mpf(1)
             ea, eb, ec, ed = ch - delta * s, h * s, h * qbar * s, ch + delta * s
             a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
+        return a, b / h, c * h, d
+
+
+def mp_magnus_trace(E: float, strength: float, K: float, m: float,
+                    steps: int = 1536, dps: int = 30) -> float:
+    """Floquet trace 2 (y1 y2' + y1' y2) at K of :func:`mp_magnus_entries`."""
+    a, b, c, d = mp_magnus_entries(E, strength, K, m, steps, dps)
+    with mp.workdps(dps):
         return float(2 * (a * d + b * c))
 
 

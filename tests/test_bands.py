@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+import kdvorbits.bands as bands
 from kdvorbits.bands import (
     _CHUNK,
-    _TANGENCY,
     BandPoint,
     GapInterval,
-    _gap_runs,
+    _half_period_entries,
     band_edges,
     crystal_momentum,
     exceptional_energy_asymptote,
@@ -272,22 +272,6 @@ class TestExceptionalEnergyAsymptote:
             exceptional_energy_asymptote(0, 0.3)
 
 
-class TestGapRuns:
-    def test_synthetic_trace(self):
-        # skipped: the run at E = 0 and a run peaking at exactly 2 + tangency;
-        # kept: a run one ulp above it and a run reaching the last sample
-        edge = 2.0 + _TANGENCY
-        above = np.nextafter(edge, np.inf)
-        traces = np.array([3.0, 2.5, 1.0, edge, -edge, 0.0, -above, 1.0, 2.4, 2.1])
-        assert _gap_runs(traces) == [(6, 6), (8, 9)]
-
-    def test_sign_flip_splits_a_run(self):
-        # a band narrower than the step: gap 1 (Tr < -2) runs straight
-        # into gap 2 (Tr > 2)
-        traces = np.array([3.0, 1.0, -2.5, -3.0, 2.2, 2.6, 1.5])
-        assert _gap_runs(traces) == [(2, 3), (4, 5)]
-
-
 class TestFloquetTraces:
     M = 0.55
 
@@ -303,9 +287,13 @@ class TestFloquetTraces:
                     edges[2] - 1e-6, edges[2] + 1e-6]
         scanned = self.scan(energies)
         strength, K = 12.0 * self.M, lattice(self.M).K
-        for E, trace in zip(energies, scanned):
+        entries = _half_period_entries(np.array(energies), strength, K, self.M)
+        for E, trace, entry in zip(energies, scanned, entries.T):
             exact = oracles.mp_magnus_trace(E, strength, K, self.M)
             assert abs(trace - exact) <= 1e-12 * max(1.0, abs(exact)), E
+            exact = [float(x) for x in oracles.mp_magnus_entries(E, strength, K, self.M)]
+            scale = max(1.0, max(abs(x) for x in exact))
+            assert_allclose(entry, exact, rtol=0.0, atol=1e-12 * scale, err_msg=str(E))
 
     def test_values_do_not_depend_on_the_batch(self):
         assert self.scan([]).shape == (0,)
@@ -335,7 +323,7 @@ class TestNumericBandGaps:
                         [4.5, 3.0 + math.sqrt(3.0)], atol=1e-6)
 
     def test_band_narrower_than_the_step(self):
-        # the lowest band [2.923775, 2.923821] is narrower than the 1e-3 step
+        # the lowest band [2.923775, 2.923821] is narrower than the 0.02 step
         m = 0.95
         edges = band_edges(m, 3)
         assert edges[1] - edges[0] < 1e-4
@@ -362,9 +350,39 @@ class TestNumericBandGaps:
         adaptive = np.trace(floquet_monodromy(lame_profile(2, 0.5, E, 1.0), 1.0))
         assert abs(batched - adaptive) < 1e-8
 
-    def test_step_coarser_than_gap_is_refused(self):
-        with pytest.raises(ResolutionError):
-            numeric_band_gaps(1, 0.6, scan_step=0.7)
+    @pytest.mark.parametrize("N, m", [(N, m) for N in range(1, 7)
+                                      for m in (0.05, 0.3, 0.6, 0.95)] + [(8, 0.3)])
+    def test_every_edge_matches_the_ince_blocks(self, N, m):
+        # down to gaps 2.8e-10 wide, at (6, 0.05), and bands 4.6e-5 wide
+        gaps = numeric_band_gaps(N, m)
+        assert len(gaps) == N
+        assert_allclose([e for gap in gaps for e in gap], band_edges(m, N)[1:],
+                        rtol=0.0, atol=1e-10)
+
+    def test_never_consults_the_ince_blocks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("band_edges called")
+
+        monkeypatch.setattr(bands, "band_edges", refuse)
+        assert len(numeric_band_gaps(3, 0.6)) == 3
+
+    def test_gap_below_the_resolution_is_refused(self):
+        # band_edges gives the sixth gap a width of 1.4e-14 here: the scan
+        # must refuse it rather than return five gaps
+        edges = band_edges(0.01, 6)
+        assert edges[12] - edges[11] < 1e-13
+        with pytest.raises(ResolutionError, match="found 5 of 6"):
+            numeric_band_gaps(6, 0.01)
+
+    def test_missed_zeros_are_refused(self, monkeypatch):
+        # on the grid 0, 5, 10 both zeros of y1'(K) below 5, at 1.27 and
+        # 4.73, fall in one step, and no rescan may halve it
+        monkeypatch.setattr(bands, "_SCAN_STEP", 5.0)
+        monkeypatch.setattr(bands, "_RESCANS", 0)
+        with pytest.raises(ResolutionError, match=r"zeros of y1'\(K\) and y1\(K\)"):
+            numeric_band_gaps(2, 0.5)
+        monkeypatch.setattr(bands, "_RESCANS", 1)
+        assert len(numeric_band_gaps(2, 0.5)) == 2
 
     def test_truncated_scan_misses_a_gap(self):
         with pytest.raises(ResolutionError):
@@ -382,14 +400,14 @@ class TestNumericBandGaps:
         with pytest.raises(DomainError):
             numeric_band_gaps(0, 0.5)
         with pytest.raises(DomainError):
-            numeric_band_gaps(1, 0.5, scan_step=-1.0)
-        with pytest.raises(DomainError):
             numeric_band_gaps(1, 0.5, E_max=float("nan"))
+        with pytest.raises(DomainError, match="positive"):
+            numeric_band_gaps(1, 0.5, E_max=0.0)
 
     @pytest.mark.parametrize("E_max", [math.inf, 1e300])
     def test_unresolved_E_max_refused_before_the_grid(self, E_max):
-        # checked against the range the scan resolves before the
-        # E_max / scan_step grid is allocated
+        # checked against the range the scan resolves before the scan grid
+        # is allocated
         with pytest.raises(DomainError, match="resolves energies"):
             numeric_band_gaps(2, 0.5, E_max=E_max)
 
