@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _EDGE_SNAP = 1e-9
+_N_MAX = 4096  # band_edges' dense blocks hold about (N/2)^2 floats
 _HALF_STEPS = 1536  # Magnus steps across the half period [0, K] of sn^2
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # The half period is cut into _BLOCKS blocks of consecutive steps that are
@@ -154,15 +155,15 @@ def band_edges(m: float, N: int = 1) -> tuple[float, ...]:
     invariant tridiagonal blocks (Ince 1940; Arscott, *Periodic
     Differential Equations*, ch. IX; DLMF 29.15(i)), whose eigenvalues
     are minus the edges.  Each block is symmetrised with off-diagonals
-    sqrt(u_r l_r+2), so the memory is O(N).
+    sqrt(u_r l_r+2) and solved densely by ``numpy.linalg.eigvalsh``: O(N^2)
+    memory, so N is capped at 4096 (2049 rows, 34 MB, about 2.5 s).
     """
     N = int(N)
-    if N < 1:
-        raise DomainError(f"Lame index N must be a positive integer, got {N}")
+    if not 1 <= N <= _N_MAX:
+        raise DomainError(f"Lame index N must be an integer in [1, {_N_MAX}], got {N}")
     m = float(m)
     if not 0.0 <= m < 1.0 or math.isnan(m):
         raise DomainError(f"band_edges requires 0 <= m < 1, got {m!r}")
-    from scipy.linalg import eigvalsh_tridiagonal
 
     n2 = N * (N + 1)
     blocks = []
@@ -180,7 +181,9 @@ def band_edges(m: float, N: int = 1) -> tuple[float, ...]:
         off = 0.25 * m * np.sqrt((N - s) * (N + s + 1) * (N + s + 2) * (N - s - 1))
         if first == 0:
             off[:1] *= math.sqrt(2.0)
-        blocks.append(eigvalsh_tridiagonal(diag, off))
+        block = np.diag(off, -1)  # eigvalsh reads the lower triangle only
+        np.fill_diagonal(block, diag)
+        blocks.append(np.linalg.eigvalsh(block))
     return tuple(float(e) for e in np.sort(-np.concatenate(blocks)))
 
 

@@ -31,7 +31,6 @@ import re
 import sys
 
 import numpy as np
-import scipy.special as sp
 
 from .asymptotics import (
     K_asymptotes,
@@ -45,7 +44,7 @@ from .asymptotics import (
 )
 from .bands import band_edges, crystal_momentum, floquet_traces
 from .errors import DomainError, NumericalError
-from .hill import floquet_monodromy, kdv_evolve, winding_number
+from .hill import floquet, kdv_evolve
 from .orbits import cnoidal_profile, level_curve, orbit_data
 from .profiles import grid
 from .shoaling import read_bathymetry, shoaling_path
@@ -212,16 +211,16 @@ def _cmd_profile(args) -> str:
 def _cmd_oracle(args) -> str:
     prof = cnoidal_profile(args.m, args.V, args.c)
     closed = orbit_data(args.m, args.V)
-    floquet = float(np.trace(floquet_monodromy(prof, args.c)))
+    monodromy, winding = floquet(prof, args.c)
     tau = 1e-4
     evolved = kdv_evolve(prof, args.c, tau)
     expected = cnoidal_profile(args.m, args.V, args.c, tau=tau)
     drift = float(np.max(np.abs(evolved.samples - expected.samples)))
     return _json_text({
         "closed_trace": closed.trace,
-        "floquet_trace": floquet,
+        "floquet_trace": float(np.trace(monodromy)),
         "winding_closed": closed.orbit.winding,
-        "winding_numeric": winding_number(prof, args.c),
+        "winding_numeric": winding,
         "kdv_translation_error": drift,
     })
 
@@ -330,9 +329,10 @@ def _cmd_check_asymptotics(args) -> str:
                                [rel_zeta(1e-4), rel_zeta(5e-5)], (3.0, 5.0)))
 
     def errs_K(g):
+        from scipy.special import ellipk, ellipkm1  # ~0.25 s, paid here only
         big, small = K_asymptotes(1.0 - g)
-        return (abs(big.value - sp.ellipkm1(g)),
-                abs(small.value - sp.ellipk(g)))
+        return (abs(big.value - ellipkm1(g)),
+                abs(small.value - ellipk(g)))
     big_1, small_1 = errs_K(1e-5)
     big_2, small_2 = errs_K(5e-6)
     checks.append(_ratio_check("K_log_branch_first_order",

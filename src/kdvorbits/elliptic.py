@@ -4,7 +4,8 @@ Everything downstream (Weierstrass functions, monodromy, band structure,
 shoaling) is built on the four primitives in this module:
 
 * ``ellint_K`` / ``ellint_E`` -- complete elliptic integrals via the
-  arithmetic-geometric mean,
+  arithmetic-geometric mean, and ``ellint_F_zeta`` -- Legendre's F and
+  Jacobi's zeta at an amplitude, by descending Landen on the same chain,
 * ``jacobi`` -- real-argument sn/cn/dn by the descending Landen (AGM
   amplitude) recursion,
 * ``jacobi_complex`` -- complex-argument sn/cn/dn assembled from two real
@@ -14,9 +15,9 @@ shoaling) is built on the four primitives in this module:
 Throughout the package the *parameter* convention is used: ``m`` is the
 squared elliptic modulus, so ``sn(u, m) -> sin(u)`` as ``m -> 0`` and
 ``-> tanh(u)`` as ``m -> 1``.  All public entry points accept
-``0 <= m < 1`` (``ellint_E`` also ``m == 1``).  ``jacobi_complex``
-takes ``m == 0``, and any ``m`` for which ``1 - m`` rounds to 1, as the
-circular limit, so its evaluation at ``1 - m`` never reaches 1.
+``0 <= m < 1`` (``ellint_E`` and ``ellint_F_zeta`` also ``m == 1``).
+``jacobi_complex`` takes ``m == 0``, and any ``m`` for which ``1 - m``
+rounds to 1, as the circular limit, never evaluating at ``1 - m = 1``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "JacobiTriple",
     "ellint_K",
     "ellint_E",
+    "ellint_F_zeta",
     "jacobi",
     "jacobi_complex",
     "dn_power_integral",
@@ -64,12 +66,12 @@ def _check_parameter(m: float, *, allow_one: bool = False) -> float:
     return m
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1024)
 def _agm_chain(m: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     """AGM sequence for parameter m: (a_n), (c_n), and sum 2^(n-1) c_n^2.
 
-    Cached per float m, with the same bound as the lattice cache: a
-    root find or a sweep over m asks for a new chain at every step.
+    Cached per float m, bounded (a sweep over m asks for new chains at
+    every step) at twice the lattice cache: each lattice uses m and 1 - m.
 
     Seeds a0 = 1, b0 = sqrt(1 - m), c0 = sqrt(m); then
     a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2.
@@ -136,6 +138,44 @@ def ellint_differences(m: float) -> tuple[float, float, float]:
         tail += power * c_sq
         power *= 2.0
     return K, K * (0.5 * m + tail), 2.0 * K * tail
+
+
+def ellint_F_zeta(phi: float, m: float) -> tuple[float, float]:
+    """Legendre's F(phi|m) and Jacobi's zeta Z(phi|m) = E(phi|m) - E F(phi|m) / K.
+
+    For 0 <= phi <= pi/2 and 0 <= m <= 1, by descending Landen on the
+    AGM chain of K (A&S 17.6): tan(phi_{n+1} - phi_n) = r tan phi_n with
+    r = b_n/a_n, on the branch within pi/2 of phi_n, F = phi_N / (2^N a_N)
+    and Z = sum_{n>=1} c_n sin phi_n.  No angle is formed: with
+    D = sqrt(cos^2 + r^2 sin^2), sin phi_{n+1} = (1 + r) sin cos / D and
+    cos phi_{n+1} = (cos^2 - r sin^2) / D keep their error from growing
+    with phi_n, and their signs count the turns of phi_N.  b_n is formed
+    as the chain forms it and c_{n+1} as c_n^2 / (4 a_{n+1}), so neither
+    cancels.  At m = 1, F = asinh(tan phi) and Z = sin phi.
+    """
+    m = _check_parameter(m, allow_one=True)
+    if m == 1.0:
+        return math.asinh(math.tan(phi)), math.sin(phi)
+    a_seq = _agm_chain(m)[0]
+    sin, cos, turns, Z = math.sin(phi), math.cos(phi), 0.0, 0.0
+    b, c, n = math.sqrt(1.0 - m), math.sqrt(m), 0
+    for a, a_next in zip(a_seq, a_seq[1:]):
+        c = c * c / (4.0 * a_next)
+        if c < 1e-18:  # this step and the rest double phi_n to 1e-18
+            break
+        r = b / a
+        b = math.sqrt(a * b)
+        # phi_n = 2 pi turns + atan2(sin, cos); past +-pi/2, one more turn
+        turns += turns
+        if cos < 0.0:
+            turns += math.copysign(1.0, sin)
+        r_sin = r * sin
+        root = math.sqrt(cos * cos + r_sin * r_sin)
+        sin, cos = (1.0 + r) * sin * cos / root, (cos * cos - r_sin * sin) / root
+        Z += c * sin
+        n += 1
+    phi = 2.0 * math.pi * turns + math.atan2(sin, cos)
+    return math.ldexp(phi / a_seq[n], -n), Z
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ translated Lame equation and measures, by finite differences, how well it
 actually solves the cnoidal Hill equation.
 
 ``scipy.integrate.solve_ivp`` is imported inside :func:`_integrate`, on
-first use: importing ``scipy.integrate`` also loads ``scipy.optimize``
-and ``scipy.linalg``, about 0.3 s that every ``kdvorbits`` process would
-otherwise pay before its first command, although only the Floquet oracle
-integrates an ODE.
+first use: importing ``scipy.integrate`` also loads ``scipy.special``,
+``scipy.optimize`` and ``scipy.linalg``, about 0.4 s (2 cores, scipy
+1.17) that every ``kdvorbits`` process would otherwise pay before its
+first command, although only the Floquet oracle integrates an ODE.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .profiles import Profile
 from .weierstrass import lattice, sigma, wp, wp_inverse, zeta
 
 __all__ = [
+    "floquet",
     "floquet_monodromy",
     "winding_number",
     "lame_exact_residual",
@@ -81,43 +82,28 @@ def _integrate(rhs, y0, period: float) -> np.ndarray:
     return y
 
 
-def floquet_monodromy(profile: Profile, c: float) -> np.ndarray:
-    """2x2 monodromy matrix of psi'' = (6 p / c) psi over one period.
+def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
+    """Monodromy matrix and winding of psi'' = (6 p / c) psi, from one integration.
 
-    Both columns of the fundamental matrix are integrated together with
-    DOP853, and the determinant is checked (:func:`_integrate`).
-    """
-    q = _hill_q(profile, c)
+    The fundamental pair (psi1(0), psi1'(0)) = (1, 0) and
+    (psi2(0), psi2'(0)) = (0, 1), integrated over one period with DOP853
+    and its determinant checked (:func:`_integrate`), ends at the
+    monodromy matrix.  The stereographic angle theta = 2 atan2(psi2, psi1)
+    obeys theta' = 2 / (psi1^2 + psi2^2) > 0 (the Wronskian is 1), so the
+    lap count L = theta(2 pi) / 2 pi is monotone and cheap to integrate
+    as a fifth component alongside the pair itself.
 
-    def rhs(x, y):
-        qq = q(x)
-        return (y[1], qq * y[0], y[3], qq * y[2])
-
-    y = _integrate(rhs, (1.0, 0.0, 0.0, 1.0), profile.period)
-    return np.array([[y[0], y[2]], [y[1], y[3]]])
-
-
-def winding_number(profile: Profile, c: float) -> int:
-    """Winding of the projective solution ratio psi2/psi1 over one period.
-
-    With the fundamental pair (psi1(0), psi1'(0)) = (1, 0) and
-    (psi2(0), psi2'(0)) = (0, 1) the stereographic angle
-    theta = 2 atan2(psi2, psi1) obeys theta' = 2 / (psi1^2 + psi2^2) > 0
-    (the 2 x 2 Wronskian is 1), so the accumulated lap count
-    L = theta(2 pi) / 2 pi is monotone and cheap to integrate as a fifth
-    component alongside the pair itself.
-
-    In the stable case |trace| < 2 the winding is floor(L).  In the
-    unstable case the fractional part of L is not an invariant -- it
-    shifts with the spatial phase of the profile, and floor(L) jumps
-    when a zero of psi2 crosses an endpoint -- but L always straddles
-    the winding within one lap, and the winding has a definite parity
-    there: odd for trace < -2, even for trace > 2.  So the count is
-    corrected to the member of {floor(L), floor(L) + 1} with that
-    parity, which is exactly the (phase-independent) number of zeros of
-    a Floquet solution per period.  Values of L within 1e-6 of an
-    integer (band edges, where |trace| = 2) snap to it first.  The
-    determinant of the pair is checked as in :func:`floquet_monodromy`.
+    The winding of the projective solution ratio psi2/psi1 is floor(L)
+    in the stable case |trace| < 2.  In the unstable case the fractional
+    part of L is not an invariant -- it shifts with the spatial phase of
+    the profile, and floor(L) jumps when a zero of psi2 crosses an
+    endpoint -- but L always straddles the winding within one lap, and
+    the winding has a definite parity there: odd for trace < -2, even
+    for trace > 2.  So the count is corrected to the member of
+    {floor(L), floor(L) + 1} with that parity, which is exactly the
+    (phase-independent) number of zeros of a Floquet solution per
+    period.  Values of L within 1e-6 of an integer (band edges, where
+    |trace| = 2) snap to it first.
     """
     q = _hill_q(profile, c)
 
@@ -130,20 +116,21 @@ def winding_number(profile: Profile, c: float) -> int:
     trace = y[0] + y[3]
     laps = y[4] / (2.0 * math.pi)
     nearest = round(laps)
-    if abs(laps - nearest) < 1e-6:
-        base = int(nearest)
-    else:
-        base = math.floor(laps)
-
-    if trace <= -2.0 + 1e-9:
-        parity = 1
-    elif trace >= 2.0 - 1e-9:
-        parity = 0
-    else:
-        return max(0, base)
-    if base % 2 != parity:
+    base = int(nearest) if abs(laps - nearest) < 1e-6 else math.floor(laps)
+    # unstable: the winding is odd for trace < -2, even for trace > 2
+    if abs(trace) >= 2.0 - 1e-9 and base % 2 != (trace < 0.0):
         base = base + 1 if laps - base > 0.0 else base - 1
-    return max(0, base)
+    return np.array([[y[0], y[2]], [y[1], y[3]]]), max(0, base)
+
+
+def floquet_monodromy(profile: Profile, c: float) -> np.ndarray:
+    """2x2 monodromy matrix of psi'' = (6 p / c) psi over one period; see :func:`floquet`."""
+    return floquet(profile, c)[0]
+
+
+def winding_number(profile: Profile, c: float) -> int:
+    """Winding of the projective solution ratio psi2/psi1 over one period; see :func:`floquet`."""
+    return floquet(profile, c)[1]
 
 
 def lame_exact_residual(m: float, V: float, zs) -> float:

@@ -13,25 +13,26 @@ of the central charge).
 On each of the four edges of the rectangle w is purely imaginary, or
 real up to the constant -i pi/2, so one real edge exponent carries it.
 Let phi and mu be the amplitude and parameter of a on its edge
-(:func:`.weierstrass.wp_amplitude`), F = F(phi|mu) and Ep = E(phi|mu)
-Legendre's incomplete integrals, and g_i = sqrt|V - e_i| the gaps:
+(:func:`.weierstrass.wp_amplitude`), F = F(phi|mu) Legendre's incomplete
+integral, Z = Z(phi|mu) Jacobi's zeta (:func:`.elliptic.ellint_F_zeta`)
+and g_i = sqrt|V - e_i| the gaps:
 
     right edge (band,   e3 < V < e1, mu = 1-m):  w = -i phi_w,
-        phi_w = K Ep - (K - E) F
+        phi_w = K Z + (pi/2) F / Kc
     imaginary axis (below the wedge, V < e2, mu = 1-m):  w = -i phi_w,
-        phi_w = K Ep - (K - E) F + K g2 g3 / g1
+        phi_w = K Z + (pi/2) F / Kc + K g2 g3 / g1
     top edge (inside the wedge, e2 < V < e3, mu = m):  w = rho - i pi/2,
-        rho = K Ep - E F
+        rho = K Z
     real axis (above the spectrum, V > e1, mu = m):  w = rho,
-        rho = K Ep - E F + K g1 g3 / g2
+        rho = K Z + K g1 g3 / g2
 
-F is the arc parameter u of a along its edge, Ep = E(am u|mu) is
-Jacobi's epsilon there (DLMF 22.16(iii)), and the last terms are
-K cn dn / sn at u.  Legendre's relation makes phi_w -> pi/2 exactly at
-both wedge corners.  :func:`orbit_data` evaluates the exponent once and
-reads the trace, kc and the orbit class off it; working edge-by-edge in
-real arithmetic keeps the trichotomy |trace| < 2 / = 2 / > 2 exact,
-which the classifier relies on.
+F is the arc parameter u of a along its edge, and the last terms are
+K cn dn / sn at u.  Where mu = 1-m, Legendre's relation (DLMF 19.7.1)
+turns K E(phi|mu) - (K - E) F into K Z + (pi/2) F / Kc: pi/2 at both
+wedge corners (phi = pi/2), and F / Kc = 0 at m = 0 (Kc = inf).  One
+evaluation of the exponent gives :func:`orbit_data` the trace, kc and
+the orbit class; working edge-by-edge in real arithmetic keeps the
+trichotomy |trace| < 2 / = 2 / > 2 exact, which the classifier relies on.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ellipeinc, ellipkinc
 
-from .elliptic import jacobi
+from .elliptic import ellint_F_zeta, jacobi
 from .errors import DomainError, InsideWedgeError, NumericalError
 from .profiles import Profile
 from .weierstrass import BOUNDARY_TOL, EdgeAmplitude, RectLattice, lattice, wp_amplitude
@@ -120,22 +120,24 @@ def _edge_exponent(lat: RectLattice, amp: EdgeAmplitude) -> float:
     """The real edge exponent of V off the corners: phi_w or rho.
 
     phi_w = |Im w| below the wedge and on the band, rho = Re w inside
-    and above it; the Legendre part is K Ep - (K - E) F on the right
-    edge and the imaginary axis, K Ep - E F on the top edge and the real
-    axis.  Below and above the wedge K cn dn / sn at a is added as a
-    product of gaps: no division by a small sn.
+    and above it, in the forms of the module docstring, with K cn dn / sn
+    as a product of gaps: no division by a small sn.  On the real axis
+    Z(phi|m) = m sn cd - Z(phi'|m) at u = F(phi|m), where
+    tan phi' = g1 / sqrt(1 - m) is the amplitude of K - u: no small
+    difference is formed as V -> e1.
     """
     edge, phi, mu, _, (g1, g2, g3) = amp
-    F = ellipkinc(phi, mu)
-    Ep = ellipeinc(phi, mu)
-    if edge in ("imaginary", "right"):
-        part = float(lat.K * Ep - (lat.K - lat.E) * F)
-    else:
-        part = float(lat.K * Ep - lat.E * F)
+    if edge == "real":
+        root = math.sqrt(1.0 - lat.m)
+        sn_cd = g1 / math.hypot(1.0, g1) / math.hypot(root, g1)
+        Z = lat.m * sn_cd - ellint_F_zeta(math.atan2(g1, root), lat.m)[1]
+        return lat.K * Z + lat.K * g1 * (g3 / g2)
+    F, Z = ellint_F_zeta(phi, mu)
+    if edge == "top":
+        return lat.K * Z
+    part = lat.K * Z + 0.5 * math.pi * F / lat.Kc
     if edge == "imaginary":
         return part + lat.K * g2 * (g3 / g1)
-    if edge == "real":
-        return part + lat.K * g1 * (g3 / g2)
     return part
 
 

@@ -33,9 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from scipy.special import ellipkinc
-
-from .elliptic import ellint_E, ellint_K, jacobi, jacobi_complex
+from .elliptic import ellint_E, ellint_F_zeta, ellint_K, jacobi, jacobi_complex
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -360,7 +358,7 @@ def wp_inverse(V: float, lat: RectLattice) -> complex:
         V >= e1:        a = x,       x in (0, K]    (real axis, decreasing)
 
     The arc parameter X or Y is Legendre's F(phi|mu) at the amplitude
-    and parameter of :func:`wp_amplitude` (``scipy.special.ellipkinc``).
+    and parameter of :func:`wp_amplitude`.
     V = +-inf returns 0 (the pole).  V on a corner (the ``corner`` of
     :func:`wp_amplitude`) returns that corner exactly; at m = 0 the
     corner e2 = e3 lies at infinity and raises :class:`DomainError`.
@@ -375,7 +373,7 @@ def wp_inverse(V: float, lat: RectLattice) -> complex:
         return complex(lat.K, lat.Kc)
     if corner == "e1":
         return complex(lat.K, 0.0)
-    t = float(ellipkinc(phi, mu))
+    t = ellint_F_zeta(phi, mu)[0]
     if edge == "imaginary":
         return complex(0.0, t)
     if edge == "top":

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,18 @@ class TestBandEdges:
     def test_rejects_bad_index(self, N):
         with pytest.raises(DomainError):
             band_edges(0.5, N)
+
+    @pytest.mark.parametrize("N", [4097, 10**12])
+    def test_index_is_capped_before_allocating(self, N):
+        # the dense blocks of N = 4097 would hold 34 MB; refuse with nothing built
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="4096"):
+                band_edges(0.5, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @pytest.mark.parametrize("m", [0.0, 1e-300, 0.05, 0.3, 0.37, 0.95, 1.0 - 2.0**-52])
     def test_N1_is_exact(self, m):

@@ -429,6 +429,22 @@ class TestOracle:
         record = self.oracle(capsys, 0.5, 0.5, 1.0)
         assert abs(record["closed_trace"] - 2.0) < 1e-6
 
+    def test_integrates_once(self, capsys, monkeypatch):
+        # trace and winding come from the same five-component integration;
+        # hill imports solve_ivp on first use, so count it where that import looks
+        import scipy.integrate
+
+        solve_ivp, calls = scipy.integrate.solve_ivp, []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+        record = self.oracle(capsys, 0.5, -0.2, 1.0)
+        assert calls == [5]
+        assert record["winding_numeric"] == 1
+
 
 class TestCheckAsymptotics:
     def test_battery_is_green(self, capsys):

@@ -14,6 +14,7 @@ from kdvorbits.elliptic import (
     dn_power_integral,
     ellint_differences,
     ellint_E,
+    ellint_F_zeta,
     ellint_K,
     jacobi,
     jacobi_complex,
@@ -55,6 +56,30 @@ class TestCompleteIntegrals:
             expected = [float(K), float(K - E), float((2 - mm) * K - 2 * E)]
         assert_allclose(ellint_differences(m), expected, rtol=2e-15, atol=0.0)
 
+    @pytest.mark.parametrize("m", [0.0, 1e-15, 1e-9, 0.05, 0.5, 0.95,
+                                   1.0 - 1e-9, 1.0 - 1e-15, 1.0])
+    def test_incomplete_F_and_zeta_match_mpmath(self, m):
+        # Z(phi|m) = E(phi|m) - E F(phi|m) / K; at m = 1, F = asinh(tan phi), Z = sin phi
+        for phi in (0.0, 1e-8, 0.3, math.pi / 4, 1.2, math.pi / 2 - 1e-8, math.pi / 2):
+            with mp.workdps(40):
+                mm, ph = mp.mpf(m), mp.mpf(phi)
+                if m == 1.0:
+                    F, Z = mp.asinh(mp.tan(ph)), mp.sin(ph)
+                else:
+                    F = mp.ellipf(ph, mm)
+                    Z = mp.ellipe(ph, mm) - mp.ellipe(mm) / mp.ellipk(mm) * F
+                F, Z = float(F), float(Z)
+            got_F, got_Z = ellint_F_zeta(phi, m)
+            assert abs(got_F - F) <= 1e-14 * abs(F), (m, phi)
+            assert abs(got_Z - Z) <= 5e-15, (m, phi)
+
+    def test_incomplete_F_meets_K_at_the_quarter_period(self):
+        # a branch rule with a tie at phi = pi/2 returns 2K there; the float
+        # pi/2 is 6e-17 short, which moves F by about an ulp as m -> 1
+        for m in [*np.linspace(0.0, 0.99, 100), 0.999]:
+            K = ellint_K(m)
+            assert abs(ellint_F_zeta(math.pi / 2, m)[0] - K) <= 2 * math.ulp(K), m
+
     def test_domain_errors(self):
         for bad in (-0.1, 1.0, 1.5, math.nan):
             with pytest.raises(DomainError):
@@ -63,6 +88,9 @@ class TestCompleteIntegrals:
                 ellint_differences(bad)
         with pytest.raises(DomainError):
             ellint_E(1.0 + 1e-12)
+        for bad in (-0.1, 1.0 + 1e-12, math.nan):
+            with pytest.raises(DomainError):
+                ellint_F_zeta(0.5, bad)
 
     @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
     @settings(max_examples=60, deadline=None)

@@ -71,7 +71,7 @@ def test_bands_uses_no_root_finder_and_no_oracle():
 
 
 # hill reaches the closed-form route only for lame_exact_residual; moving
-# that helper out of hill (ROADMAP item 5) empties this list
+# that helper out of hill (ROADMAP item 4) empties this list
 HILL_REACHES = {"orbits.monodromy_trace", "weierstrass.lattice", "weierstrass.sigma",
                 "weierstrass.wp", "weierstrass.wp_inverse", "weierstrass.zeta"}
 
@@ -95,21 +95,40 @@ def test_hill_reaches_the_closed_form_only_through_its_allow_list():
     assert offenders == []
 
 
-def test_importing_every_layer_loads_no_optimize_integrate_or_linalg():
-    # every command runs in a fresh process, where scipy.integrate (which loads
-    # scipy.optimize and scipy.linalg) costs ~0.3 s that few commands need
+def _scipy_loaded_after(*lines):
+    """The scipy modules (two name levels) a fresh interpreter holds after
+    importing every layer and running ``lines``."""
     layers = sorted(path.stem for path in PACKAGE.glob("*.py"))
     code = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(PACKAGE.parent)!r})",
         "import kdvorbits.cli, kdvorbits.virasoro",
         *(f"import kdvorbits.{name}" for name in layers if name != "__init__"),
+        *lines,
         "print(*sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"
-        " if m.startswith('scipy.')}))",
+        " if m == 'scipy' or m.startswith('scipy.')}))",
     ])
-    loaded = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
-                            text=True, check=True).stdout.split()
-    assert {"scipy.optimize", "scipy.integrate", "scipy.linalg"} & set(loaded) == set()
+    return subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_importing_every_layer_loads_no_optimize_integrate_or_linalg():
+    # every command runs in a fresh process, where scipy.special alone costs
+    # ~0.25 s and scipy.integrate (with special, optimize and linalg) ~0.4 s
+    assert _scipy_loaded_after() == []
+
+
+def test_closed_form_and_band_edges_compute_without_scipy():
+    loaded = _scipy_loaded_after(
+        "from kdvorbits.orbits import level_curve, orbit_data",
+        "from kdvorbits.weierstrass import lattice, wp_inverse",
+        "from kdvorbits.bands import band_edges",
+        "for V in (-3.0, -0.4, 0.2, 0.45, 0.5, 3.0): orbit_data(0.5, V)",
+        "for V in (-3.0, -0.2, 0.2, 3.0): wp_inverse(V, lattice(0.3))",
+        "level_curve(-0.5, 0.5, 'below_wedge'); level_curve(0.5, 0.5, 'above_wedge')",
+        "band_edges(0.5, 3)",
+    )
+    assert loaded == []
 
 
 def _lines_inside_functions(name):
@@ -120,13 +139,19 @@ def _lines_inside_functions(name):
             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
 
 
+# the only scipy a module may import, and only inside a function
+LAZY_SCIPY = {"hill": "scipy.integrate", "cli": "scipy.special"}
+
+
 def test_no_scipy_optimize_and_scipy_integrate_only_on_first_use_in_hill():
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         lazy = _lines_inside_functions(path.stem)
+        allowed = LAZY_SCIPY.get(path.stem)
         for line, module in _imports(path.stem):
-            if module.startswith("scipy.optimize") or (
-                    module.startswith("scipy.integrate")
-                    and (path.stem != "hill" or line not in lazy)):
+            if module.split(".")[0] != "scipy":
+                continue
+            if line not in lazy or allowed is None or not (
+                    module == allowed or module.startswith(allowed + ".")):
                 offenders.append(f"{path.name}:{line} {module}")
     assert offenders == []

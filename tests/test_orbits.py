@@ -111,6 +111,14 @@ class TestHolonomyRoutes:
             got = uniform_representative(m, V).kc
             assert abs(got - want) <= 1e-13 * abs(want), (m, V)
 
+    @pytest.mark.parametrize("offset", [1e-10, 1e-8, 1e-6, 1e-3, 0.1, 3.0])
+    def test_kc_just_above_the_parabolic_line(self, offset):
+        # m = 1/2 puts e1 = 1/2 on a float; approaching it from above,
+        # rho must not be a small difference of two O(1) terms
+        V = lattice(0.5).e1 + offset
+        want = oracles.mp_kc(0.5, V)
+        assert abs(uniform_representative(0.5, V).kc - want) <= 2e-15 * abs(want)
+
 
 class TestHugeV:
     """|V| up to the float range: an answer, never an arithmetic error."""
