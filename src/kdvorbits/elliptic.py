@@ -4,8 +4,8 @@ Everything downstream (Weierstrass functions, monodromy, band structure,
 shoaling) is built on the four primitives in this module:
 
 * ``ellint_K`` / ``ellint_E`` -- complete elliptic integrals via the
-  arithmetic-geometric mean, and ``ellint_F_zeta`` -- Legendre's F and
-  Jacobi's zeta at an amplitude, by descending Landen on the same chain,
+  arithmetic-geometric mean, and ``ellint_F_zeta`` -- Legendre's F and Jacobi's
+  zeta at the amplitude phi = atan(y / x), by descending Landen on the same chain,
 * ``jacobi`` -- real-argument sn/cn/dn by the descending Landen (AGM
   amplitude) recursion,
 * ``jacobi_complex`` -- complex-argument sn/cn/dn assembled from two real
@@ -70,13 +70,12 @@ def _check_parameter(m: float, *, allow_one: bool = False) -> float:
 def _agm_chain(m: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     """AGM sequence for parameter m: (a_n), (c_n), and sum 2^(n-1) c_n^2.
 
-    Cached per float m, bounded (a sweep over m asks for new chains at
-    every step) at twice the lattice cache: each lattice uses m and 1 - m.
+    Cached per float m, at twice the lattice cache: a lattice, and every
+    edge exponent and wp_inverse on it, ask for the chains of m and 1 - m.
 
     Seeds a0 = 1, b0 = sqrt(1 - m), c0 = sqrt(m); then
     a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2.
-    Convergence is quadratic, so ten or so rounds suffice even for
-    m = 1 - 1e-15.
+    Convergence is quadratic: ten or so rounds suffice even for m = 1 - 1e-15.
     """
     a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
     a_seq = [a]
@@ -140,28 +139,36 @@ def ellint_differences(m: float) -> tuple[float, float, float]:
     return K, K * (0.5 * m + tail), 2.0 * K * tail
 
 
-def ellint_F_zeta(phi: float, m: float) -> tuple[float, float]:
+def ellint_F_zeta(y: float, x: float, m: float) -> tuple[float, float]:
     """Legendre's F(phi|m) and Jacobi's zeta Z(phi|m) = E(phi|m) - E F(phi|m) / K.
 
-    For 0 <= phi <= pi/2 and 0 <= m <= 1, by descending Landen on the
-    AGM chain of K (A&S 17.6): tan(phi_{n+1} - phi_n) = r tan phi_n with
-    r = b_n/a_n, on the branch within pi/2 of phi_n, F = phi_N / (2^N a_N)
-    and Z = sum_{n>=1} c_n sin phi_n.  No angle is formed: with
+    For 0 <= m <= 1 and 0 <= phi <= pi/2 given as y, x >= 0 with tan phi = y / x
+    (x = 0 is pi/2, where F is K bit for bit; x = inf is 0), by descending Landen
+    on the AGM chain of K (A&S 17.6): with r = b_n/a_n, tan(phi_{n+1} - phi_n)
+    = r tan phi_n on the branch within pi/2 of phi_n, F = phi_N / (2^N a_N) and
+    Z = sum_{n>=1} c_n sin phi_n.  Only phi_N is formed as an angle: with
     D = sqrt(cos^2 + r^2 sin^2), sin phi_{n+1} = (1 + r) sin cos / D and
     cos phi_{n+1} = (cos^2 - r sin^2) / D keep their error from growing
     with phi_n, and their signs count the turns of phi_N.  b_n is formed
     as the chain forms it and c_{n+1} as c_n^2 / (4 a_{n+1}), so neither
-    cancels.  At m = 1, F = asinh(tan phi) and Z = sin phi.
+    cancels.  At m = 1, F = asinh(y / x) and Z = sin phi.
     """
     m = _check_parameter(m, allow_one=True)
+    if not (y >= 0.0 and x >= 0.0 and y + x > 0.0) or y == x == math.inf:
+        raise DomainError(f"amplitude pair must be >= 0, not both 0 or inf: ({y!r}, {x!r})")
+    h = math.hypot(y, x)
+    if not 1e-300 < h < 1e300:  # an infinite side, or hypot would overflow or lose digits
+        t = max(y, x)
+        y, x = (y / t, x / t) if t < math.inf else (float(y > x), float(x > y))
+        h = math.hypot(y, x)
+    sin, cos = y / h, x / h
     if m == 1.0:
-        return math.asinh(math.tan(phi)), math.sin(phi)
+        return (math.asinh(y / x) if x else math.inf), sin
     a_seq = _agm_chain(m)[0]
-    sin, cos, turns, Z = math.sin(phi), math.cos(phi), 0.0, 0.0
-    b, c, n = math.sqrt(1.0 - m), math.sqrt(m), 0
+    b, c, c_min, n, turns, Z = math.sqrt(1.0 - m), math.sqrt(m), 1e-17 * m, 0, 0.0, 0.0
     for a, a_next in zip(a_seq, a_seq[1:]):
         c = c * c / (4.0 * a_next)
-        if c < 1e-18:  # this step and the rest double phi_n to 1e-18
+        if c < c_min:  # under 4e-17 c_1 (c_1 >= m/4), not absolute: Z ~ c_1 as m -> 0
             break
         r = b / a
         b = math.sqrt(a * b)
@@ -175,7 +182,7 @@ def ellint_F_zeta(phi: float, m: float) -> tuple[float, float]:
         Z += c * sin
         n += 1
     phi = 2.0 * math.pi * turns + math.atan2(sin, cos)
-    return math.ldexp(phi / a_seq[n], -n), Z
+    return math.ldexp(phi / a_seq[-1], -n), Z
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ of the central charge).
 
 On each of the four edges of the rectangle w is purely imaginary, or
 real up to the constant -i pi/2, so one real edge exponent carries it.
-Let phi and mu be the amplitude and parameter of a on its edge
-(:func:`.weierstrass.wp_amplitude`), F = F(phi|mu) Legendre's incomplete
-integral, Z = Z(phi|mu) Jacobi's zeta (:func:`.elliptic.ellint_F_zeta`)
-and g_i = sqrt|V - e_i| the gaps:
+Let phi and mu be the amplitude and parameter of a on its edge, with tan phi
+a ratio of the gaps g_i = sqrt|V - e_i| (:func:`.weierstrass.wp_amplitude`),
+and F = F(phi|mu) and Z = Z(phi|mu) Legendre's integral and Jacobi's zeta,
+both from one angle-free :func:`.elliptic.ellint_F_zeta` on that ratio:
 
     right edge (band,   e3 < V < e1, mu = 1-m):  w = -i phi_w,
         phi_w = K Z + (pi/2) F / Kc
@@ -120,21 +120,16 @@ def _edge_exponent(lat: RectLattice, amp: EdgeAmplitude) -> float:
     """The real edge exponent of V off the corners: phi_w or rho.
 
     phi_w = |Im w| below the wedge and on the band, rho = Re w inside
-    and above it, in the forms of the module docstring, with K cn dn / sn
-    as a product of gaps: no division by a small sn.  On the real axis
-    Z(phi|m) = m sn cd - Z(phi'|m) at u = F(phi|m), where
-    tan phi' = g1 / sqrt(1 - m) is the amplitude of K - u: no small
-    difference is formed as V -> e1.
+    and above it, in the forms of the module docstring: sums of
+    non-negative terms, with K cn dn / sn as a product of gaps, so nothing
+    cancels and no small sn divides as V nears a corner.
     """
-    edge, phi, mu, _, (g1, g2, g3) = amp
-    if edge == "real":
-        root = math.sqrt(1.0 - lat.m)
-        sn_cd = g1 / math.hypot(1.0, g1) / math.hypot(root, g1)
-        Z = lat.m * sn_cd - ellint_F_zeta(math.atan2(g1, root), lat.m)[1]
-        return lat.K * Z + lat.K * g1 * (g3 / g2)
-    F, Z = ellint_F_zeta(phi, mu)
+    edge, amplitude, mu, _, (g1, g2, g3) = amp
+    F, Z = ellint_F_zeta(*amplitude, mu)
     if edge == "top":
         return lat.K * Z
+    if edge == "real":
+        return lat.K * Z + lat.K * g1 * (g3 / g2)
     part = lat.K * Z + 0.5 * math.pi * F / lat.Kc
     if edge == "imaginary":
         return part + lat.K * g2 * (g3 / g1)

@@ -15,10 +15,9 @@ function theta_1 (DLMF 23.6(i)), after a centred quasi-period
 reduction; for m > 1/2 they are evaluated on the rotated lattice of
 1 - m, whose nome is at most exp(-pi).  ``wp_amplitude`` places V on
 the boundary of the half fundamental rectangle, where ``wp`` is real
-and monotone on each of the four edges: there sn^2, cn^2 and dn^2 of
-the arc parameter are ratios of the gaps V - e_i, so the arc parameter
-is Legendre's incomplete integral F(phi|mu) at an amplitude phi read
-off those gaps, and ``wp_inverse`` is that integral.
+and monotone on each of the four edges: there tan phi of the Jacobi
+amplitude of the arc parameter is a ratio of the gaps V - e_i, and
+``wp_inverse`` is Legendre's incomplete integral F(phi|mu) at it.
 
 The degenerate case ``m == 0`` (second period at infinity) is supported
 through the trigonometric limits ``wp = 1/sin^2 z - 1/3``,
@@ -293,13 +292,13 @@ def sigma(z: complex, lat: RectLattice) -> complex:
 class EdgeAmplitude(NamedTuple):
     """Where V sits on the boundary of the half rectangle; see :func:`wp_amplitude`.
 
-    a = wp_inverse(V) is the arc parameter F(phi|mu) along ``edge``
-    ("imaginary", "top", "right" or "real"); ``corner`` is "e2", "e3",
-    "e1" or None, and ``gaps`` is (sqrt|V - e1|, sqrt|V - e2|, sqrt|V - e3|).
+    a = wp_inverse(V) is the arc parameter F(phi|mu) along ``edge`` ("imaginary",
+    "top", "right" or "real"), with tan phi = y / x for ``amplitude`` = (y, x);
+    ``corner`` is "e2", "e3", "e1" or None; ``gaps`` is sqrt|V - e_i| for i = 1, 2, 3.
     """
 
     edge: str
-    phi: float
+    amplitude: tuple[float, float]
     mu: float
     corner: str | None
     gaps: tuple[float, float, float]
@@ -309,18 +308,18 @@ def wp_amplitude(V: float, lat: RectLattice) -> EdgeAmplitude:
     """The edge and corner holding a = wp^-1(V), and the amplitude of a there.
 
     On each edge of the half rectangle sn^2, cn^2 and dn^2 of the arc
-    parameter are ratios of the gaps V - e_i, so the Jacobi amplitude
-    phi in [0, pi/2] is one atan2 and the arc parameter is F(phi|mu)
-    (DLMF 23.6(iv)):
+    parameter are ratios of the gaps g_i = sqrt|V - e_i|, so tan phi of
+    the Jacobi amplitude phi in [0, pi/2] is the ratio y / x of the pair
+    ``amplitude`` and the arc parameter is F(phi|mu) (DLMF 22.16(iii)):
 
-        V <= e2:        a = iY,       phi = atan2(1, sqrt(e2 - V)),        mu = 1-m
-        e2 <= V <= e3:  a = X + iKc,  phi = atan2(sqrt(V-e2), sqrt(e3-V)),  mu = m
-        e3 <= V <= e1:  a = K + iY,   phi = atan2(sqrt(e1-V), sqrt(V-e3)),  mu = 1-m
-        V >= e1:        a = x,        phi = atan2(1, sqrt(V - e1)),        mu = m
+        V <= e2:        a = iY,       amplitude = (1, g2),    mu = 1-m
+        e2 <= V <= e3:  a = X + iKc,  amplitude = (g2, g3),   mu = m
+        e3 <= V <= e1:  a = K + iY,   amplitude = (g1, g3),   mu = 1-m
+        V >= e1:        a = x,        amplitude = (1, g1),    mu = m
 
-    with X, Y or x = F(phi|mu).  mu = 1-m is the float at which
-    :func:`lattice` evaluates Kc, so F(pi/2|mu) meets Kc at the corners.
-    V = +-inf gives phi = 0, the pole.
+    with X, Y or x = F(phi|mu); no angle is formed.  mu = 1-m is the float
+    at which :func:`lattice` evaluates Kc, so F at g2 = 0 or g3 = 0 is
+    Kc at the corners.  V = +-inf gives (1, inf), phi = 0, the pole.
 
     V within ``BOUNDARY_TOL`` of a corner sits on it: ``corner`` names
     the nearest, a tie going to e2 and then e3 (the double corner
@@ -336,14 +335,13 @@ def wp_amplitude(V: float, lat: RectLattice) -> EdgeAmplitude:
     else:
         corner = "e1" if d1 <= BOUNDARY_TOL else None
     gaps = g1, g2, g3 = math.sqrt(d1), math.sqrt(d2), math.sqrt(d3)
-    m = lat.m
     if V < lat.e2:
-        return EdgeAmplitude("imaginary", math.atan2(1.0, g2), 1.0 - m, corner, gaps)
+        return EdgeAmplitude("imaginary", (1.0, g2), 1.0 - lat.m, corner, gaps)
     if V < lat.e3:
-        return EdgeAmplitude("top", math.atan2(g2, g3), m, corner, gaps)
+        return EdgeAmplitude("top", (g2, g3), lat.m, corner, gaps)
     if V < lat.e1:
-        return EdgeAmplitude("right", math.atan2(g1, g3), 1.0 - m, corner, gaps)
-    return EdgeAmplitude("real", math.atan2(1.0, g1), m, corner, gaps)
+        return EdgeAmplitude("right", (g1, g3), 1.0 - lat.m, corner, gaps)
+    return EdgeAmplitude("real", (1.0, g1), lat.m, corner, gaps)
 
 
 def wp_inverse(V: float, lat: RectLattice) -> complex:
@@ -357,13 +355,12 @@ def wp_inverse(V: float, lat: RectLattice) -> complex:
         e3 <= V <= e1:  a = K + iY,  Y in [Kc, 0]   (right edge, Im decreasing)
         V >= e1:        a = x,       x in (0, K]    (real axis, decreasing)
 
-    The arc parameter X or Y is Legendre's F(phi|mu) at the amplitude
-    and parameter of :func:`wp_amplitude`.
+    The arc parameter X, Y or x is F(phi|mu) as in :func:`wp_amplitude`.
     V = +-inf returns 0 (the pole).  V on a corner (the ``corner`` of
     :func:`wp_amplitude`) returns that corner exactly; at m = 0 the
     corner e2 = e3 lies at infinity and raises :class:`DomainError`.
     """
-    edge, phi, mu, corner, _ = wp_amplitude(V, lat)
+    edge, amplitude, mu, corner, _ = wp_amplitude(V, lat)
     if corner == "e2":
         if lat.m == 0.0:
             raise DomainError(
@@ -373,7 +370,7 @@ def wp_inverse(V: float, lat: RectLattice) -> complex:
         return complex(lat.K, lat.Kc)
     if corner == "e1":
         return complex(lat.K, 0.0)
-    t = ellint_F_zeta(phi, mu)[0]
+    t = ellint_F_zeta(*amplitude, mu)[0]
     if edge == "imaginary":
         return complex(0.0, t)
     if edge == "top":

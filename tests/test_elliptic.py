@@ -59,26 +59,27 @@ class TestCompleteIntegrals:
     @pytest.mark.parametrize("m", [0.0, 1e-15, 1e-9, 0.05, 0.5, 0.95,
                                    1.0 - 1e-9, 1.0 - 1e-15, 1.0])
     def test_incomplete_F_and_zeta_match_mpmath(self, m):
-        # Z(phi|m) = E(phi|m) - E F(phi|m) / K; at m = 1, F = asinh(tan phi), Z = sin phi
-        for phi in (0.0, 1e-8, 0.3, math.pi / 4, 1.2, math.pi / 2 - 1e-8, math.pi / 2):
+        # Z(phi|m) = E(phi|m) - E F(phi|m) / K with tan phi = y / x;
+        # at m = 1, F = asinh(y / x), Z = sin phi
+        for y, x in ((0.0, 1.0), (1e-8, 1.0), (0.3, 1.0), (1.0, 1.0), (2.5, 1.0),
+                     (1.0, 1e-8), (1.0, 0.0), (1.0, math.inf), (1.2e308, 1.6e308),
+                     (5e-324, 5e-324)):
             with mp.workdps(40):
-                mm, ph = mp.mpf(m), mp.mpf(phi)
+                mm, ph = mp.mpf(m), mp.atan2(y, x)
                 if m == 1.0:
-                    F, Z = mp.asinh(mp.tan(ph)), mp.sin(ph)
+                    F, Z = (mp.asinh(mp.mpf(y) / x) if x else mp.inf), mp.sin(ph)
                 else:
                     F = mp.ellipf(ph, mm)
                     Z = mp.ellipe(ph, mm) - mp.ellipe(mm) / mp.ellipk(mm) * F
                 F, Z = float(F), float(Z)
-            got_F, got_Z = ellint_F_zeta(phi, m)
-            assert abs(got_F - F) <= 1e-14 * abs(F), (m, phi)
-            assert abs(got_Z - Z) <= 5e-15, (m, phi)
+            got_F, got_Z = ellint_F_zeta(y, x, m)
+            assert got_F == F or abs(got_F - F) <= 1e-14 * abs(F), (m, y, x)
+            assert abs(got_Z - Z) <= 5e-15, (m, y, x)
 
     def test_incomplete_F_meets_K_at_the_quarter_period(self):
-        # a branch rule with a tie at phi = pi/2 returns 2K there; the float
-        # pi/2 is 6e-17 short, which moves F by about an ulp as m -> 1
-        for m in [*np.linspace(0.0, 0.99, 100), 0.999]:
-            K = ellint_K(m)
-            assert abs(ellint_F_zeta(math.pi / 2, m)[0] - K) <= 2 * math.ulp(K), m
+        # x = 0 is phi = pi/2 exactly: F is K bit for bit
+        for m in [*np.linspace(0.0, 0.99, 100), 0.999, 1.0 - 2**-30, 1.0 - 2**-52]:
+            assert ellint_F_zeta(1.0, 0.0, m)[0] == ellint_K(m), m
 
     def test_domain_errors(self):
         for bad in (-0.1, 1.0, 1.5, math.nan):
@@ -90,7 +91,11 @@ class TestCompleteIntegrals:
             ellint_E(1.0 + 1e-12)
         for bad in (-0.1, 1.0 + 1e-12, math.nan):
             with pytest.raises(DomainError):
-                ellint_F_zeta(0.5, bad)
+                ellint_F_zeta(1.0, 2.0, bad)
+        for y, x in ((-1.0, 1.0), (1.0, -1e-300), (math.nan, 1.0), (1.0, math.nan),
+                     (0.0, 0.0), (math.inf, math.inf)):
+            with pytest.raises(DomainError):
+                ellint_F_zeta(y, x, 0.5)
 
     @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
     @settings(max_examples=60, deadline=None)

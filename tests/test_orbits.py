@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -113,11 +114,22 @@ class TestHolonomyRoutes:
 
     @pytest.mark.parametrize("offset", [1e-10, 1e-8, 1e-6, 1e-3, 0.1, 3.0])
     def test_kc_just_above_the_parabolic_line(self, offset):
-        # m = 1/2 puts e1 = 1/2 on a float; approaching it from above,
-        # rho must not be a small difference of two O(1) terms
-        V = lattice(0.5).e1 + offset
-        want = oracles.mp_kc(0.5, V)
-        assert abs(uniform_representative(0.5, V).kc - want) <= 2e-15 * abs(want)
+        # at these m the corners are floats, so V - e_i is exact; beside
+        # every corner, and as phi -> pi/2 above e1 in particular, the edge
+        # exponent must not be a small difference of two O(1) terms
+        for m in (2**-31, 0.125, 0.5, 0.875, 1 - 2**-9, 1 - 2**-51):
+            lat, q = lattice(m), Fraction(m)
+            corners = (lat.e1, lat.e2, lat.e3)
+            assert [Fraction(e) for e in corners] == [(2 - q) / 3, -(1 + q) / 3,
+                                                      (2 * q - 1) / 3]
+            for corner in corners:
+                for V in (corner - offset, corner + offset):
+                    if any(abs(V - e) < 1e-10 for e in corners if e != corner):
+                        continue
+                    want = oracles.mp_kc(m, V)
+                    got = uniform_representative(m, V).kc
+                    assert abs(got.real - want.real) <= 1e-14 * abs(want.real), (m, V)
+                    assert abs(got.imag - want.imag) <= 1e-14 * abs(want.imag), (m, V)
 
 
 class TestHugeV:
@@ -539,6 +551,7 @@ class TestLevelCurve:
                     level_curve(target, m, region)
 
     @settings(deadline=None, max_examples=400)
+    @example(m=1 - 2**-52, kc=5.0)
     @given(m=ANY_M, kc=st.one_of(st.floats(-1e300, 1e300), st.floats(-3.0, 3.0),
                                  st.sampled_from([-1.0 / 24.0, 0.0, 1e-40, -1e-40])))
     def test_every_target_round_trips(self, m, kc):
