@@ -3,7 +3,7 @@
 The potential p enters Hill's equation as psi'' = q(x) psi with
 q = 6 p / c, so a constant p = kc*c reproduces the trace
 2 cosh(2 pi sqrt(6 kc)).  Everything in this module works from the
-sampled profile by direct ODE integration or spectral stepping; nothing
+sampled profile by direct RK4 stepping or spectral stepping; nothing
 here touches the elliptic closed forms, which is what makes the
 trace/winding cross-checks in the test suite meaningful.
 
@@ -12,11 +12,10 @@ way: it evaluates the classical product-of-sigmas solution of the
 translated Lame equation and measures, by finite differences, how well it
 actually solves the cnoidal Hill equation.
 
-``scipy.integrate.solve_ivp`` is imported inside :func:`_integrate`, on
-first use: importing ``scipy.integrate`` also loads ``scipy.special``,
-``scipy.optimize`` and ``scipy.linalg``, about 0.4 s (2 cores, scipy
-1.17) that every ``kdvorbits`` process would otherwise pay before its
-first command, although only the Floquet oracle integrates an ODE.
+The Floquet oracle is a classical RK4 sweep in plain numpy, a
+polynomial propagator rather than the Magnus exponential of ``bands``,
+so the two numerical routes share no method, and this module imports no
+scipy.
 """
 
 from __future__ import annotations
@@ -38,60 +37,78 @@ __all__ = [
     "kdv_evolve",
 ]
 
-_RTOL = 1e-10
-_ATOL = 1e-10
+_RTOL = 1e-10  # relative error budget of the Wronskian check
 _DET_TOL = 1e-8
+_SWEEP_TOL = 1e-11  # step-doubling estimate over max(1, max|M|)
+_FIRST_STEPS = 2048
+_LAST_STEPS = 65536
 _STENCIL_STEP = 1e-4  # lame_exact_residual's stencil width over max(1, |z|)
 
 # RK4 covers the imaginary axis out to ~2.828; keep a sliver of margin.
 _CFL_LIMIT = 2.8
 
 
-def _hill_q(profile: Profile, c: float):
-    if c == 0.0:
-        raise DomainError("central charge c must be nonzero")
-
-    def q(x):
-        return 6.0 * profile(x) / c
-
-    return q
+def _check_charge(c: float) -> None:
+    if c == 0.0 or not math.isfinite(c):
+        raise DomainError(f"central charge c must be finite and nonzero, got {c!r}")
 
 
-def _integrate(rhs, y0, period: float) -> np.ndarray:
-    """Final state of ``rhs`` integrated over one period with DOP853.
+def _sweep(q: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+    """Classical RK4 for y' = [[0, 1], [q, 0]] y over q at every half step.
 
-    Its first four components are the fundamental pair (psi1, psi1',
-    psi2, psi2'), whose Wronskian det M (exactly 1 in arithmetic) is the
-    a-posteriori error check: 1e-8 absolute at moderate matrix norms,
-    relaxed to the integrator's relative error budget ~|M|^2 rtol once
-    the entries grow exponentially large (there an absolute check is
-    unsatisfiable in double precision).
+    ``q`` holds q(j h / 2), j = 0..2n, for n a power of two.  Step k is the
+    RK4 propagator, a polynomial in h and q at x, x + h/2 and x + h; the
+    steps are multiplied in order (blocks advance side by side, then the
+    block starts are chained), so the running product holds the pair
+    (psi1, psi2) at every step.  Returns the final product (the
+    monodromy over n h) and the lap count sum(dalpha) / pi of
+    alpha = atan2(psi2, psi1), each increment read in [-pi/2, 3pi/2)
+    (see :func:`floquet`).
     """
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, (0.0, period), y0, method="DOP853", rtol=_RTOL, atol=_ATOL)
-    if not sol.success:
-        raise NumericalError(f"Floquet integration failed: {sol.message}",
-                             abscissa=float(sol.t[-1]))
-    y = sol.y[:, -1]
-    det = y[0] * y[3] - y[2] * y[1]
-    nrm = float(np.max(np.abs(y[:4])))
-    if abs(det - 1.0) > max(_DET_TOL, 10.0 * _RTOL * nrm * nrm):
-        raise NumericalError(
-            f"monodromy determinant drifted to {det!r}; integration untrustworthy")
-    return y
+    q0, q1, q2 = q[:-1:2], q[1::2], q[2::2]
+    hh = h * h
+    steps = np.empty((q1.size, 2, 2))
+    steps[:, 0, 0] = 1.0 + hh * (q0 + 2.0 * q1) / 6.0 + hh * hh * q0 * q1 / 24.0
+    steps[:, 0, 1] = h + hh * h * q1 / 6.0
+    steps[:, 1, 0] = h * (q0 + 4.0 * q1 + q2) / 6.0 + hh * h * q1 * (q0 + q2) / 12.0
+    steps[:, 1, 1] = 1.0 + hh * (2.0 * q1 + q2) / 6.0 + hh * hh * q1 * q2 / 24.0
+    width = 1 << (q1.size.bit_length() // 2)
+    run = steps.reshape(-1, width, 2, 2)
+    for j in range(1, width):
+        run[:, j] = run[:, j] @ run[:, j - 1]
+    start = np.empty((run.shape[0], 2, 2))
+    start[0] = np.eye(2)
+    for b in range(1, run.shape[0]):
+        start[b] = run[b - 1, -1] @ start[b - 1]
+    run = (run @ start[:, None]).reshape(-1, 2, 2)
+    turn = np.diff(np.arctan2(np.append(0.0, run[:, 0, 1]),
+                              np.append(1.0, run[:, 0, 0])))
+    turn = (turn + 0.5 * math.pi) % (2.0 * math.pi) - 0.5 * math.pi
+    return run[-1], float(turn.sum()) / math.pi
 
 
 def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
-    """Monodromy matrix and winding of psi'' = (6 p / c) psi, from one integration.
+    """Monodromy matrix and winding of psi'' = (6 p / c) psi, from one sweep.
 
     The fundamental pair (psi1(0), psi1'(0)) = (1, 0) and
-    (psi2(0), psi2'(0)) = (0, 1), integrated over one period with DOP853
-    and its determinant checked (:func:`_integrate`), ends at the
-    monodromy matrix.  The stereographic angle theta = 2 atan2(psi2, psi1)
-    obeys theta' = 2 / (psi1^2 + psi2^2) > 0 (the Wronskian is 1), so the
-    lap count L = theta(2 pi) / 2 pi is monotone and cheap to integrate
-    as a fifth component alongside the pair itself.
+    (psi2(0), psi2'(0)) = (0, 1) is carried over one period by classical
+    RK4 (:func:`_sweep`) on q = 6 p / c sampled at the half steps of a
+    uniform grid; the pair ends at the monodromy matrix.  The error is
+    estimated by step doubling, max|M - M_2h| / 15 against the sweep of
+    twice the step on every other node, and the step count doubles from
+    2048 until that is at most 1e-11 max(1, max|M|), else
+    :class:`NumericalError` past 65536 steps.  The Wronskian det M
+    (exactly 1 in arithmetic) is checked last: 1e-8 absolute at moderate
+    matrix norms, relaxed to ~|M|^2 1e-9 once the entries grow
+    exponentially large (there an absolute check is unsatisfiable).
+
+    The stereographic angle theta = 2 atan2(psi2, psi1) obeys
+    theta' = 2 / (psi1^2 + psi2^2) > 0 (the Wronskian is 1), so the lap
+    count L = theta(2 pi) / 2 pi is monotone, and each step's increment
+    of atan2(psi2, psi1) is read in [-pi/2, 3pi/2).  A step near a band
+    edge turns it by almost pi (the pair passes close to the origin),
+    but none turns it by 3pi/2: that takes two zeros of psi1 or psi2 in
+    one step, so h sqrt(-q) > pi, where RK4's step error is of order one.
 
     The winding of the projective solution ratio psi2/psi1 is floor(L)
     in the stable case |trace| < 2.  In the unstable case the fractional
@@ -105,22 +122,37 @@ def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
     period.  Values of L within 1e-6 of an integer (band edges, where
     |trace| = 2) snap to it first.
     """
-    q = _hill_q(profile, c)
-
-    def rhs(x, y):
-        qq = q(x)
-        return (y[1], qq * y[0], y[3], qq * y[2],
-                2.0 / (y[0] * y[0] + y[2] * y[2]))
-
-    y = _integrate(rhs, (1.0, 0.0, 0.0, 1.0, 0.0), profile.period)
-    trace = y[0] + y[3]
-    laps = y[4] / (2.0 * math.pi)
+    _check_charge(c)
+    steps, coarse = _FIRST_STEPS, None
+    while True:
+        q = (6.0 / c) * profile.resampled(2 * steps).samples
+        if not np.all(np.isfinite(q)):
+            raise DomainError("the Hill potential 6 p / c is not finite")
+        q = np.append(q, q[0])
+        h = profile.period / steps
+        if coarse is None:
+            coarse = _sweep(q[::2], 2.0 * h)[0]
+        mat, laps = _sweep(q, h)
+        error = float(np.max(np.abs(mat - coarse))) / 15.0
+        nrm = float(np.max(np.abs(mat)))
+        if error <= _SWEEP_TOL * max(1.0, nrm):
+            break
+        if steps == _LAST_STEPS:
+            raise NumericalError(
+                f"Floquet sweep did not converge in {steps} RK4 steps "
+                f"(step-doubling estimate {error!r})")
+        steps, coarse = 2 * steps, mat
+    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    if abs(det - 1.0) > max(_DET_TOL, 10.0 * _RTOL * nrm * nrm):
+        raise NumericalError(
+            f"monodromy determinant drifted to {det!r}; sweep untrustworthy")
+    trace = mat[0, 0] + mat[1, 1]
     nearest = round(laps)
     base = int(nearest) if abs(laps - nearest) < 1e-6 else math.floor(laps)
     # unstable: the winding is odd for trace < -2, even for trace > 2
     if abs(trace) >= 2.0 - 1e-9 and base % 2 != (trace < 0.0):
         base = base + 1 if laps - base > 0.0 else base - 1
-    return np.array([[y[0], y[2]], [y[1], y[3]]]), max(0, base)
+    return mat, max(0, base)
 
 
 def floquet_monodromy(profile: Profile, c: float) -> np.ndarray:
@@ -214,8 +246,7 @@ def kdv_evolve(profile: Profile, c: float, tau: float,
     it raises :class:`StabilityError`.  Cnoidal waves translate rigidly:
     p(x, tau) = p(x - v tau, 0) with v from :func:`cnoidal_speed`.
     """
-    if c == 0.0:
-        raise DomainError("central charge c must be nonzero")
+    _check_charge(c)
     if tau == 0.0:
         return profile
     samples = profile.samples.astype(float)

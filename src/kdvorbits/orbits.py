@@ -400,6 +400,8 @@ def cnoidal_profile(m: float, V: float, c: float, tau: float = 0.0,
     so ``tau`` just shifts the profile.  At m = 0 this degenerates to the
     constant c (V/2 - 1/3)/12.
     """
+    if not math.isfinite(c):
+        raise DomainError(f"central charge must be finite, got {c!r}")
     lat = lattice(m)
     K = lat.K
     amp = c * K * K / (3.0 * math.pi**2)

@@ -3,8 +3,9 @@
 A :class:`Profile` couples a callable evaluator with uniform samples on
 [0, 2pi).  Profiles built from samples evaluate by trigonometric
 interpolation, so spectral operations (used by the KdV stepper and the
-coadjoint action) and pointwise evaluation (used by the Floquet
-integrator) see the same function to machine precision.
+coadjoint action), pointwise evaluation and resampling onto a finer
+grid (used by the Floquet sweep) see the same function to machine
+precision.
 """
 
 from __future__ import annotations
@@ -43,6 +44,19 @@ def spectral_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
     return np.fft.irfft(coef, n)
 
 
+def _trig_resample(samples: np.ndarray, n: int) -> np.ndarray:
+    """The trigonometric interpolant of ``samples`` on grid(n): a zero-padded
+    inverse rFFT onto grid(k n), k n > size, so no mode aliases, with
+    an even count's Nyquist term at half weight as in :func:`_trig_evaluator`."""
+    size = samples.size
+    k = size // n + 1
+    coef = np.zeros(k * n // 2 + 1, dtype=complex)
+    coef[:size // 2 + 1] = np.fft.rfft(samples) * (k * n / size)
+    if size % 2 == 0:
+        coef[size // 2] = 0.5 * coef[size // 2].real
+    return np.fft.irfft(coef, k * n)[::k]
+
+
 def _trig_evaluator(samples: np.ndarray) -> Callable:
     """Trigonometric interpolant through uniform samples on [0, 2pi)."""
     n = samples.size
@@ -63,6 +77,7 @@ def _trig_evaluator(samples: np.ndarray) -> Callable:
         ang = np.multiply.outer(xa, k)
         return np.cos(ang) @ wr + np.sin(ang) @ wi
 
+    evaluate.nodes = samples  # Profile.resampled takes the FFT route on these
     return evaluate
 
 
@@ -108,6 +123,10 @@ class Profile:
         return Profile.from_samples(spectral_derivative(self.samples, order))
 
     def resampled(self, n: int) -> "Profile":
+        """The same function sampled on grid(n)."""
         if n == self.n:
             return self
-        return Profile.from_callable(self.evaluator, n)
+        nodes = getattr(self.evaluator, "nodes", None)
+        if nodes is None or n < _MIN_SAMPLES:  # from_callable refuses n < 8
+            return Profile.from_callable(self.evaluator, n)
+        return Profile(evaluator=self.evaluator, samples=_trig_resample(nodes, n))

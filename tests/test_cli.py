@@ -430,20 +430,31 @@ class TestOracle:
         assert abs(record["closed_trace"] - 2.0) < 1e-6
 
     def test_integrates_once(self, capsys, monkeypatch):
-        # trace and winding come from the same five-component integration;
-        # hill imports solve_ivp on first use, so count it where that import looks
-        import scipy.integrate
+        # trace and winding come from one RK4 sweep per step count: the
+        # 2048-step sweep and the 1024-step sweep of its error estimate
+        from kdvorbits import hill
 
-        solve_ivp, calls = scipy.integrate.solve_ivp, []
+        sweep, steps = hill._sweep, []
 
-        def counted(*args, **kwargs):
-            calls.append(len(args[2]))
-            return solve_ivp(*args, **kwargs)
+        def counted(q, h):
+            steps.append(q.size // 2)
+            return sweep(q, h)
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+        monkeypatch.setattr(hill, "_sweep", counted)
         record = self.oracle(capsys, 0.5, -0.2, 1.0)
-        assert calls == [5]
+        assert steps == [1024, 2048]
         assert record["winding_numeric"] == 1
+
+
+@pytest.mark.parametrize("command", ["oracle", "profile"])
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_nonfinite_central_charge_is_refused(capsys, command, c):
+    code, out, err = run_cli(capsys, command, "--m", 0.5, "--V", 0.2, "--c", c)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    report = json.loads(err)
+    assert report["error"] == "DomainError"
+    assert "must be finite" in report["message"]
 
 
 class TestCheckAsymptotics:

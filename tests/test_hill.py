@@ -1,7 +1,7 @@
 """Floquet oracle tests: monodromy, winding, Lame residuals, KdV stepping.
 
 The point of this module is cross-validation, so most tests compare the
-direct ODE/spectral machinery in kdvorbits.hill against the closed-form
+direct RK4/spectral machinery in kdvorbits.hill against the closed-form
 elliptic layer it is supposed to be independent of.
 """
 
@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from kdvorbits import hill
 from kdvorbits.errors import DomainError, NumericalError, StabilityError
 from kdvorbits.hill import (
+    floquet,
     floquet_monodromy,
     kdv_evolve,
     lame_exact_residual,
@@ -29,9 +30,25 @@ from kdvorbits.orbits import (
     winding_from_kc,
 )
 from kdvorbits.profiles import Profile
+from kdvorbits.virasoro import CircleDiffeo, coadjoint
 from kdvorbits.weierstrass import lattice
 
 C = 2.0
+
+# (m, V, c, amplitudes, phases) of coadjoint moves by Fourier circle maps,
+# picked where an adaptive DOP853 at rtol 1e-10 is off the closed-form
+# trace by more than 1e-10 relative
+MOVES = [
+    (0.5, -1.1, -1.2, (0.1, 0.08, 0.05), (1.7, 0.1, 2.1)),
+    (0.6, 0.4, -2.8, (0.07, 0.07, 0.06), (0.3, 0.7, 1.2)),
+    (0.5, 0.4, -2.0, (0.065, 0.055, 0.045), (4.5, 4.2, 3.1)),
+    (0.23, 0.3, -1.8, (0.04, 0.1, 0.04), (4.0, 2.9, 4.6)),
+]
+
+
+def moved_profile(m, V, c, amplitudes, phases):
+    return coadjoint(cnoidal_profile(m, V, c),
+                     CircleDiffeo.fourier(amplitudes, phases), c)
 
 
 def constant_profile(kc, c=C, n=32):
@@ -77,9 +94,44 @@ class TestFloquetMonodromy:
         tr2 = np.trace(floquet_monodromy(cnoidal_profile(0.6, 0.8, -7.0), -7.0))
         assert_allclose(tr1, tr2, rtol=1e-8)
 
+    @pytest.mark.parametrize("m,V,c,amplitudes,phases", MOVES)
+    def test_moved_trace_matches_closed_form(self, m, V, c, amplitudes, phases):
+        exact = monodromy_trace(m, V)
+        tr = float(np.trace(floquet_monodromy(
+            moved_profile(m, V, c, amplitudes, phases), c)))
+        assert abs(tr - exact) <= 1e-10 * abs(exact)
+
+    def test_step_doubling_sweeps_each_step_count_once(self, monkeypatch):
+        # the accepted fine sweep is the next coarse one, so a profile that
+        # needs doubling is swept at 1024, 2048, 4096, ... steps, once each
+        sweep, counts = hill._sweep, []
+
+        def counted(q, h):
+            counts.append(q.size // 2)
+            return sweep(q, h)
+
+        monkeypatch.setattr(hill, "_sweep", counted)
+        floquet(moved_profile(*MOVES[0]), MOVES[0][2])
+        assert len(counts) >= 3
+        assert counts == [1024 << k for k in range(len(counts))]
+
     def test_zero_central_charge_rejected(self):
         with pytest.raises(DomainError):
             floquet_monodromy(constant_profile(0.1), 0.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_central_charge_rejected(self, c):
+        with pytest.raises(DomainError, match="finite"):
+            floquet(constant_profile(0.1), c)
+
+    def test_nonfinite_potential_rejected(self, monkeypatch):
+        def spiked(x):
+            x = np.asarray(x, float)
+            return np.where(np.abs(x - 1.0) < 0.1, math.inf, 0.0)
+
+        monkeypatch.setattr(hill, "_sweep", None)  # refused before any sweep
+        with pytest.raises(DomainError, match="not finite"):
+            floquet(Profile.from_callable(spiked, n=64), C)
 
 
 class TestWindingNumber:
@@ -133,16 +185,18 @@ class TestWindingNumber:
 
 @pytest.mark.parametrize("oracle", [floquet_monodromy, winding_number])
 def test_drifted_wronskian_is_refused(oracle, monkeypatch):
-    # psi1(2 pi) off by 1e-6 moves det M by about 6e-7, far past 1e-8;
-    # hill imports solve_ivp on first use, so patch it where that import looks
-    solve_ivp = scipy.integrate.solve_ivp
+    # psi1(2 pi) off by 1e-6 moves det M by about 6e-7, far past 1e-8; the
+    # drift is planted in every sweep, so the step-doubling estimate, which
+    # differences two sweeps, does not see it and only det M can
+    sweep = hill._sweep
 
-    def drifted(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        sol.y[0, -1] += 1e-6
-        return sol
+    def drifted(q, h):
+        mat, laps = sweep(q, h)
+        mat = mat.copy()
+        mat[0, 0] += 1e-6
+        return mat, laps
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", drifted)
+    monkeypatch.setattr(hill, "_sweep", drifted)
     with pytest.raises(NumericalError, match="determinant"):
         oracle(constant_profile(-0.02), C)
 
@@ -231,3 +285,8 @@ class TestKdvEvolve:
     def test_zero_central_charge_rejected(self):
         with pytest.raises(DomainError):
             kdv_evolve(constant_profile(0.1), 0.0, 1e-3)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_nonfinite_central_charge_rejected(self, c):
+        with pytest.raises(DomainError, match="finite"):
+            kdv_evolve(constant_profile(0.1), c, 1e-3)

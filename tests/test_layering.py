@@ -134,6 +134,20 @@ def test_closed_form_and_band_edges_compute_without_scipy():
     assert loaded == []
 
 
+def test_floquet_oracle_and_coadjoint_moves_compute_without_scipy():
+    loaded = _scipy_loaded_after(
+        "from kdvorbits.hill import (floquet, kdv_evolve, lame_exact_residual,",
+        "                            winding_number)",
+        "from kdvorbits.orbits import cnoidal_profile",
+        "from kdvorbits.virasoro import CircleDiffeo, coadjoint",
+        "p = cnoidal_profile(0.5, -0.2, 1.0)",
+        "floquet(p, 1.0); winding_number(p, 1.0); kdv_evolve(p, 1.0, 1e-4)",
+        "lame_exact_residual(0.5, 1.0, [1.0 + 1.5j])",
+        "winding_number(coadjoint(p, CircleDiffeo.fourier([0.1], [0.3]), 1.0), 1.0)",
+    )
+    assert loaded == []
+
+
 def _lines_inside_functions(name):
     path = PACKAGE / f"{name}.py"
     tree = ast.parse(path.read_text(), str(path))
@@ -143,10 +157,10 @@ def _lines_inside_functions(name):
 
 
 # the only scipy a module may import, and only inside a function
-LAZY_SCIPY = {"hill": "scipy.integrate", "cli": "scipy.special"}
+LAZY_SCIPY = {"cli": "scipy.special"}
 
 
-def test_no_scipy_optimize_and_scipy_integrate_only_on_first_use_in_hill():
+def test_only_cli_imports_scipy_and_only_on_first_use():
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         lazy = _lines_inside_functions(path.stem)

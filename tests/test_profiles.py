@@ -87,3 +87,35 @@ class TestProfile:
             Profile.from_samples([1.0, 2.0, 3.0])
         with pytest.raises(DomainError):
             Profile.from_callable(bumpy, n=4)
+
+
+class TestTrigResampling:
+    # a sample-built profile resamples by a zero-padded inverse rFFT, which
+    # must agree with pointwise evaluation of the same interpolant
+    @pytest.mark.parametrize("n", [31, 32, 33, 257, 512])
+    @pytest.mark.parametrize("target", [8, 48, 101, 4096])
+    def test_matches_the_interpolant(self, n, target):
+        samples = 1.0 + 3.0 * np.random.default_rng(n).standard_normal(n)
+        p = Profile.from_samples(samples)
+        q = p.resampled(target)
+        assert q.n == target and q.evaluator is p.evaluator
+        assert_allclose(q.samples, p(grid(target)), rtol=0,
+                        atol=1e-13 * np.max(np.abs(samples)))
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    @pytest.mark.parametrize("factor", [3, 4, 8.5])
+    def test_nyquist_cosine(self, n, factor):
+        # cos(n x / 2) sampled on grid(n) is (-1)^j; its interpolant is the
+        # cosine itself, with the Nyquist term at half weight.  The angle is
+        # reduced in integers, since the evaluator's own k x rounds (2.5e-13
+        # at n = 512)
+        p = Profile.from_samples(np.cos(0.5 * n * grid(n)))
+        target = int(factor * n)
+        j = np.arange(target)
+        exact = np.cos(math.pi * (j * n % (2 * target)) / target)
+        assert_allclose(p.resampled(target).samples, exact, rtol=0, atol=1e-14)
+        assert_allclose(p(grid(target)), exact, rtol=0, atol=1e-12)
+
+    def test_too_few_samples_rejected(self):
+        with pytest.raises(DomainError):
+            Profile.from_samples(bumpy(grid(32))).resampled(4)
