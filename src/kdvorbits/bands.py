@@ -268,7 +268,8 @@ def _half_period_entries(energies: np.ndarray, strength: float, K: float,
     energies instead of 1536 times.  Every step phase sqrt|x| must stay
     at most 1, which holds for |E| up to about (1536 / K)^2, 6.9e5 at
     m = 1/2; other energies, and non-finite ones, raise DomainError
-    naming the range.
+    naming the range.  Past a strength of about 2 (1536 / K)^2, 1.4e6
+    at m = 1/2, no energy qualifies, and the error names the strength.
     """
     E = np.asarray(energies, float)
     flat = E.ravel()
@@ -288,9 +289,11 @@ def _half_period_entries(energies: np.ndarray, strength: float, K: float,
     e_lo, e_hi = float(flat.min()), float(flat.max())
     x_max = max(abs(x0.max() - h2 * e_lo), abs(x0.min() - h2 * e_hi))
     if not x_max <= 1.0:
+        lo, hi = (x0.max() - 1.0) / h2, (x0.min() + 1.0) / h2
+        span = (f"energies in [{lo:.6g}, {hi:.6g}] only" if lo <= hi
+                else f"no energy at strength N(N+1)m = {strength!r}")
         raise DomainError(
-            f"the {_HALF_STEPS}-step Magnus scan resolves energies in "
-            f"[{(x0.max() - 1.0) / h2:.6g}, {(x0.min() + 1.0) / h2:.6g}] only "
+            f"the {_HALF_STEPS}-step Magnus scan resolves {span} "
             f"(step phase at most 1), got energies in [{e_lo!r}, {e_hi!r}]")
     degree = 0
     while x_max ** (degree + 1) / math.factorial(2 * degree + 2) > _TRUNCATION:

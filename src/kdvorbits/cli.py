@@ -25,6 +25,7 @@ failure; the error is reported on stderr as a one-line JSON object
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -43,6 +44,7 @@ from .asymptotics import (
     one_minus_m_nonperturbative,
 )
 from .bands import band_edges, crystal_momentum, floquet_traces
+from .elliptic import ellint_K
 from .errors import DomainError, NumericalError
 from .hill import floquet, kdv_evolve
 from .orbits import cnoidal_profile, level_curve, orbit_data
@@ -328,13 +330,14 @@ def _cmd_check_asymptotics(args) -> str:
     checks.append(_ratio_check("degenerate_zeta_quartic_in_nome",
                                [rel_zeta(1e-4), rel_zeta(5e-5)], (3.0, 5.0)))
 
+    # 1 - g is exact at g = 2^-17 and 2^-18, so the AGM reference K(1 - g)
+    # stays within a few ulp; K_asymptotes is a closed form in logs
     def errs_K(g):
-        from scipy.special import ellipk, ellipkm1  # ~0.25 s, paid here only
         big, small = K_asymptotes(1.0 - g)
-        return (abs(big.value - ellipkm1(g)),
-                abs(small.value - ellipk(g)))
-    big_1, small_1 = errs_K(1e-5)
-    big_2, small_2 = errs_K(5e-6)
+        return (abs(big.value - ellint_K(1.0 - g)),
+                abs(small.value - ellint_K(g)))
+    big_1, small_1 = errs_K(2.0 ** -17)
+    big_2, small_2 = errs_K(2.0 ** -18)
     checks.append(_ratio_check("K_log_branch_first_order",
                                [big_1, big_2], (1.5, 3.0)))
     checks.append(_ratio_check("K_complement_second_order",
@@ -368,7 +371,9 @@ class _Parser(argparse.ArgumentParser):
             re.IGNORECASE)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first :func:`main` call."""
     parser = _Parser(
         prog="kdvorbits",
         description="Coadjoint orbits of cnoidal waves: classification, "
@@ -453,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = args.handler(args)
     except (DomainError, OSError) as exc:

@@ -53,17 +53,15 @@ def _check_charge(c: float) -> None:
         raise DomainError(f"central charge c must be finite and nonzero, got {c!r}")
 
 
-def _sweep(q: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+def _sweep(q: np.ndarray, h: float) -> np.ndarray:
     """Classical RK4 for y' = [[0, 1], [q, 0]] y over q at every half step.
 
     ``q`` holds q(j h / 2), j = 0..2n, for n a power of two.  Step k is the
     RK4 propagator, a polynomial in h and q at x, x + h/2 and x + h; the
     steps are multiplied in order (blocks advance side by side, then the
-    block starts are chained), so the running product holds the pair
-    (psi1, psi2) at every step.  Returns the final product (the
-    monodromy over n h) and the lap count sum(dalpha) / pi of
-    alpha = atan2(psi2, psi1), each increment read in [-pi/2, 3pi/2)
-    (see :func:`floquet`).
+    block starts are chained).  Returns the running product, shape
+    (n, 2, 2): its first row holds the pair (psi1, psi2) after every
+    step, and its last entry is the monodromy over n h.
     """
     q0, q1, q2 = q[:-1:2], q[1::2], q[2::2]
     hh = h * h
@@ -80,11 +78,7 @@ def _sweep(q: np.ndarray, h: float) -> tuple[np.ndarray, float]:
     start[0] = np.eye(2)
     for b in range(1, run.shape[0]):
         start[b] = run[b - 1, -1] @ start[b - 1]
-    run = (run @ start[:, None]).reshape(-1, 2, 2)
-    turn = np.diff(np.arctan2(np.append(0.0, run[:, 0, 1]),
-                              np.append(1.0, run[:, 0, 0])))
-    turn = (turn + 0.5 * math.pi) % (2.0 * math.pi) - 0.5 * math.pi
-    return run[-1], float(turn.sum()) / math.pi
+    return (run @ start[:, None]).reshape(-1, 2, 2)
 
 
 def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
@@ -131,8 +125,9 @@ def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
         q = np.append(q, q[0])
         h = profile.period / steps
         if coarse is None:
-            coarse = _sweep(q[::2], 2.0 * h)[0]
-        mat, laps = _sweep(q, h)
+            coarse = _sweep(q[::2], 2.0 * h)[-1]
+        run = _sweep(q, h)
+        mat = run[-1]
         error = float(np.max(np.abs(mat - coarse))) / 15.0
         nrm = float(np.max(np.abs(mat)))
         if error <= _SWEEP_TOL * max(1.0, nrm):
@@ -147,6 +142,12 @@ def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
         raise NumericalError(
             f"monodromy determinant drifted to {det!r}; sweep untrustworthy")
     trace = mat[0, 0] + mat[1, 1]
+    # the lap count sum(dalpha) / pi of alpha = atan2(psi2, psi1), on the
+    # accepted sweep only
+    turn = np.diff(np.arctan2(np.append(0.0, run[:, 0, 1]),
+                              np.append(1.0, run[:, 0, 0])))
+    turn = (turn + 0.5 * math.pi) % (2.0 * math.pi) - 0.5 * math.pi
+    laps = float(turn.sum()) / math.pi
     nearest = round(laps)
     base = int(nearest) if abs(laps - nearest) < 1e-6 else math.floor(laps)
     # unstable: the winding is odd for trace < -2, even for trace > 2

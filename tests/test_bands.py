@@ -424,6 +424,15 @@ class TestNumericBandGaps:
         with pytest.raises(DomainError, match="resolves energies"):
             numeric_band_gaps(2, 0.5, E_max=E_max)
 
+    def test_strength_past_every_resolved_energy_is_named(self):
+        # at N(N+1)m past about 2 (1536 / K)^2 the lower end of the resolved
+        # range passes the upper one; no E_max can help, so the error says
+        # that instead of printing a backwards range
+        with pytest.raises(DomainError) as info:
+            numeric_band_gaps(3000, 0.5)
+        assert "resolves no energy at strength N(N+1)m = 4501500.0" in str(info.value)
+        assert "only" not in str(info.value)
+
     def test_result_types(self):
         gaps = numeric_band_gaps(1, 0.6)
         assert isinstance(gaps[0], GapInterval)

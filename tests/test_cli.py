@@ -12,12 +12,13 @@ import math
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from kdvorbits import cli
-from kdvorbits.asymptotics import V_near_m1
+from kdvorbits.asymptotics import K_asymptotes, V_near_m1
 from kdvorbits.bands import band_edges
 from kdvorbits.cli import main
 from kdvorbits.errors import NumericalError
@@ -310,6 +311,16 @@ class TestBand:
         assert report["error"] == "DomainError"
         assert "resolves energies in" in report["message"]
 
+    def test_strength_beyond_the_scan_resolution(self, capsys):
+        code, out, err = run_cli(capsys, "band", "--m", 0.5, "--N", 2000,
+                                 "--E-max", 5.0)
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "DomainError"
+        assert report["message"].startswith(
+            "the 1536-step Magnus scan resolves no energy at strength "
+            "N(N+1)m = 2001000.0 ")
+
 
 @pytest.mark.parametrize("argv", [
     ("band", "--m", "0.5", "--N", "2", "--E-max", "inf", "--samples", "3"),
@@ -471,6 +482,21 @@ class TestCheckAsymptotics:
                 lo, hi = check["window"]
                 assert lo <= check["ratio"] <= hi
 
+    def test_K_references_within_four_ulp(self, capsys):
+        # the K rows measure |asymptote - reference K| at g = 2^-17 and 2^-18;
+        # with 40-digit K(1 - g) and K(g) in place of the references each
+        # measured error may move by at most 4 ulp of that K
+        _, out, _ = run_cli(capsys, "check-asymptotics")
+        measured = {c["name"]: c["measured"] for c in json.loads(out)["checks"]}
+        for i, g in enumerate((2.0 ** -17, 2.0 ** -18)):
+            big, small = K_asymptotes(1.0 - g)
+            with mp.workdps(40):
+                rows = [("K_log_branch_first_order", big.value, mp.ellipk(1 - mp.mpf(g))),
+                        ("K_complement_second_order", small.value, mp.ellipk(mp.mpf(g)))]
+                for name, value, K in rows:
+                    exact = float(abs(value - K))
+                    assert abs(measured[name][i] - exact) <= 4.0 * math.ulp(float(K)), name
+
     @pytest.mark.parametrize("q2", [1e-4, 5e-5, 2.5e-5, 6.25e-6, 1e-8])
     def test_nome_round_trip(self, q2):
         # the battery's m for a given nome square, from the theta quotient
@@ -498,6 +524,34 @@ class TestOutputPlumbing:
         runs = [run_cli(capsys, "band", "--m", 0.6, "--E-max", 2.0,
                         "--samples", 40) for _ in range(2)]
         assert runs[0] == runs[1]
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # a usage error and a domain error leave the process-wide parser as
+        # a fresh interpreter would find it
+        calls = [("classify", "--m", "0.5"),
+                 ("band", "--m", "0.5", "--N", "0", "--E-max", "1"),
+                 ("classify", "--m", "0.3", "--V", "-0.9"),
+                 ("diagram", "--m-range", "0.2", "0.6", "--V-range", "-1", "1",
+                  "--grid", "3", "2")]
+        fresh = [subprocess.run([sys.executable, "-m", "kdvorbits.cli", *argv],
+                                capture_output=True) for argv in calls]
+        used, parse_args = [], cli._Parser.parse_args
+
+        def recorded(parser, *args, **kwargs):
+            used.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+        for argv, proc in zip(calls, fresh):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out.encode(), captured.err.encode()) == (
+                proc.returncode, proc.stdout, proc.stderr), argv
+        assert [proc.returncode for proc in fresh] == [2, 2, 0, 0]
+        assert len({id(parser) for parser in used}) == 1
 
     def test_subprocess_entry(self):
         proc = subprocess.run(

@@ -134,6 +134,17 @@ def test_closed_form_and_band_edges_compute_without_scipy():
     assert loaded == []
 
 
+def test_battery_and_oracle_commands_run_without_scipy():
+    loaded = _scipy_loaded_after(
+        "import os",
+        "from kdvorbits.cli import main",
+        "assert main(['check-asymptotics', '--out', os.devnull]) == 0",
+        "assert main(['oracle', '--m', '0.5', '--V', '-0.2', '--c', '1',",
+        "             '--out', os.devnull]) == 0",
+    )
+    assert loaded == []
+
+
 def test_floquet_oracle_and_coadjoint_moves_compute_without_scipy():
     loaded = _scipy_loaded_after(
         "from kdvorbits.hill import (floquet, kdv_evolve, lame_exact_residual,",
@@ -148,27 +159,10 @@ def test_floquet_oracle_and_coadjoint_moves_compute_without_scipy():
     assert loaded == []
 
 
-def _lines_inside_functions(name):
-    path = PACKAGE / f"{name}.py"
-    tree = ast.parse(path.read_text(), str(path))
-    return {node.lineno for fn in ast.walk(tree)
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
-
-
-# the only scipy a module may import, and only inside a function
-LAZY_SCIPY = {"cli": "scipy.special"}
-
-
-def test_only_cli_imports_scipy_and_only_on_first_use():
-    offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        lazy = _lines_inside_functions(path.stem)
-        allowed = LAZY_SCIPY.get(path.stem)
-        for line, module in _imports(path.stem):
-            if module.split(".")[0] != "scipy":
-                continue
-            if line not in lazy or allowed is None or not (
-                    module == allowed or module.startswith(allowed + ".")):
-                offenders.append(f"{path.name}:{line} {module}")
+def test_no_module_imports_scipy():
+    # the runtime needs numpy alone; scipy is a test dependency
+    offenders = [f"{path.name}:{line} {module}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for line, module in _imports(path.stem)
+                 if module.split(".")[0] == "scipy"]
     assert offenders == []
