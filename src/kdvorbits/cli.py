@@ -17,9 +17,9 @@ Commands::
     profile             sampled cnoidal Hill potential
     oracle              closed form vs. numerical Floquet cross-check
 
-Exit codes: 0 on success, 2 on a domain error, 3 on a numerical
-failure; the error is reported on stderr as a one-line JSON object
-``{"error": <class>, "message": <text>}``.
+Exit codes: 0 on success (and for ``--help``), 2 on a usage or domain
+error, 3 on a numerical failure; the error is reported on stderr as a
+one-line JSON object ``{"error": <class>, "message": <text>}``.
 """
 
 from __future__ import annotations
@@ -361,7 +361,9 @@ class _Parser(argparse.ArgumentParser):
 
     argparse takes only -1 and -1.5 for negative numbers; anything else
     with a leading dash ends the value list.  Non-finite ends then reach
-    the range checks and get the JSON error of the CLI contract.
+    the range checks and get the JSON error of the CLI contract, and so
+    does a usage error, which :func:`main` reports once: a subcommand's
+    ArgumentError passes through its parent's ``error`` unchanged.
     """
 
     def __init__(self, *args, **kwargs):
@@ -369,6 +371,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
             re.IGNORECASE)
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 @functools.cache
@@ -458,10 +463,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         text = args.handler(args)
-    except (DomainError, OSError) as exc:
+    except (argparse.ArgumentError, DomainError, OSError) as exc:
         _report_error(exc)
         return 2
     except NumericalError as exc:

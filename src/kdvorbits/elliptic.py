@@ -72,6 +72,9 @@ def _agm_chain(m: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
 
     Cached per float m, at twice the lattice cache: a lattice, and every
     edge exponent and wp_inverse on it, ask for the chains of m and 1 - m.
+    Its callers are the scalar routes, whose m repeat: ellint_K/E (so
+    ``lattice``), ellint_F_zeta (so ``level_curve``) and jacobi; the Newton
+    steps of m_from_depth never repeat an m, so ellint_differences does not.
 
     Seeds a0 = 1, b0 = sqrt(1 - m), c0 = sqrt(m); then
     a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2.
@@ -119,7 +122,7 @@ def ellint_E(m: float) -> float:
     return K * (1.0 - csum)
 
 
-def ellint_differences(m: float) -> tuple[float, float, float]:
+def ellint_differences(m):
     """K(m), K(m) - E(m) and (2 - m)K(m) - 2E(m), the last two without cancellation.
 
     K - E = K sum_{n>=0} 2^(n-1) c_n^2 and (2 - m)K - 2E = 2K sum_{n>=1}
@@ -127,16 +130,29 @@ def ellint_differences(m: float) -> tuple[float, float, float]:
     c_n = c_{n-1}^2 / (4 a_n) in place of (a_{n-1} - b_{n-1})/2, whose
     subtraction loses digits as m -> 0.  So both keep their relative
     accuracy where they vanish like pi m/4 and pi m^2/16.
+
+    Accepts a scalar or an array of m; scalar in, floats out.  Each element
+    runs the recurrence of :func:`_agm_chain` and stops on its own test, so
+    its values are bit for bit those of a call on it alone.
     """
-    m = _check_parameter(m)
-    a_seq, _, _ = _agm_chain(m)
-    K = math.pi / (2.0 * a_seq[-1])
-    c_sq, tail, power = m, 0.0, 1.0
-    for a in a_seq[1:]:
-        c_sq = c_sq * c_sq / (16.0 * a * a)
-        tail += power * c_sq
+    m = np.asarray(m, dtype=float)
+    bad = m[~((m >= 0.0) & (m < 1.0))]
+    if bad.size:
+        _check_parameter(bad[0])
+    a, b, c = np.ones_like(m), np.sqrt(1.0 - m), np.sqrt(m)
+    c_sq, tail, power = m, np.zeros_like(m), 1.0
+    for _ in range(_AGM_MAX_ITER):
+        live = np.abs(c) > _AGM_TOL * a
+        if not live.any():
+            break
+        a, b, c = (np.where(live, 0.5 * (a + b), a), np.where(live, np.sqrt(a * b), b),
+                   np.where(live, 0.5 * (a - b), c))
+        c_sq = np.where(live, c_sq * c_sq / (16.0 * a * a), c_sq)
+        tail = np.where(live, tail + power * c_sq, tail)
         power *= 2.0
-    return K, K * (0.5 * m + tail), 2.0 * K * tail
+    K = math.pi / (2.0 * a)
+    out = K, K * (0.5 * m + tail), 2.0 * K * tail
+    return tuple(map(float, out)) if m.ndim == 0 else out
 
 
 def ellint_F_zeta(y: float, x: float, m: float) -> tuple[float, float]:

@@ -70,6 +70,18 @@ def _require_positive(**fields):
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _in_float_range(compute, **inputs) -> float:
+    """compute(), or a DomainError naming the inputs if it leaves the float range."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        named = ", ".join(f"{name} = {v!r}" for name, v in inputs.items())
+        raise DomainError(f"{named} take the result out of float range")
+    return value
+
+
 def zero_average_V(m: float) -> float:
     """Velocity parameter of the zero-average cnoidal wave: 2E/K - (4-2m)/3.
 
@@ -186,12 +198,15 @@ def depth_from_m(m: float, T: float, F: float, rho: float, g: float) -> float:
             f"pointedness must lie in (0, 1) to invert the transport "
             f"relation, got {m!r}")
     _require_positive(T=T, F=F, rho=rho, g=g)
-    return (_depth_scale(T, F, rho, g) / _transport_bracket(m)) ** (2.0 / 9.0)
+    scale = _depth_scale(T, F, rho, g)
+    return _in_float_range(lambda: (scale / _transport_bracket(m)) ** (2.0 / 9.0),
+                           m=m, T=T, F=F, rho=rho, g=g)
 
 
 def _depth_scale(T: float, F: float, rho: float, g: float) -> float:
     """h^(9/2) times the transport bracket along a conserved train."""
-    return 9.0 / 256.0 * math.sqrt(g) / rho * T**3 * F
+    return _in_float_range(lambda: 9.0 / 256.0 * math.sqrt(g) / rho * T**3 * F,
+                           T=T, F=F, rho=rho, g=g)
 
 
 @lru_cache(maxsize=1)
@@ -200,7 +215,7 @@ def _reach() -> tuple[float, float]:
     return _transport_bracket(_M_FLOOR), _transport_bracket(_M_CEIL)
 
 
-def m_from_depth(h: float, T: float, F: float, rho: float, g: float) -> float:
+def m_from_depth(h, T: float, F: float, rho: float, g: float):
     """Invert the depth-pointedness relation: the m with depth_from_m = h.
 
     Newton's method on log(B(m) / B_h), B the transport bracket and B_h
@@ -212,46 +227,63 @@ def m_from_depth(h: float, T: float, F: float, rho: float, g: float) -> float:
     instead, so no m is evaluated twice.  Stops when a step moves m by
     at most _M_RTOL m, or when no float is left between the ends;
     NumericalError after _MAX_STEPS evaluations.
+
+    Accepts a scalar depth or an array of depths; scalar in, float out.
+    One iteration runs over all depths (log and expm1 per element through
+    math), each leaving on its own exit, so its m is bit for bit that of a
+    call on it alone.  An array raises for its first offending depth, with
+    the message of that call.
     """
-    _require_positive(h=h, T=T, F=F, rho=rho, g=g)
+    _require_positive(T=T, F=F, rho=rho, g=g)
     scale = _depth_scale(T, F, rho, g)
     b_lo, b_hi = _reach()
-    if h > (scale / b_lo) ** (2.0 / 9.0):
-        raise DomainError(
-            f"depth {h!r} exceeds the m -> 0 reach of the transport "
-            "relation; the train would be rounder than representable")
-    if h < (scale / b_hi) ** (2.0 / 9.0):
-        raise DomainError(
-            f"depth {h!r} lies below the m -> 1 floor of the transport "
-            "relation")
-    target = scale / h**4.5
-    lo, hi = _M_FLOOR, _M_CEIL
-    f_lo, f_hi = math.log(b_lo / target), math.log(b_hi / target)
-    m = 0.5
+    deep, shallow = (scale / b_lo) ** (2.0 / 9.0), (scale / b_hi) ** (2.0 / 9.0)
+    hs = np.asarray(h, dtype=float)
+    targets = []
+    try:
+        for x in hs.ravel().tolist():
+            if not 0.0 < x < math.inf:
+                _require_positive(h=x)
+            if x > deep:
+                raise DomainError(
+                    f"depth {x!r} exceeds the m -> 0 reach of the transport "
+                    "relation; the train would be rounder than representable")
+            if x < shallow:
+                raise DomainError(
+                    f"depth {x!r} lies below the m -> 1 floor of the transport "
+                    "relation")
+            targets.append(scale / x**4.5)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"depth {x!r} takes h^(9/2) out of float range") from None
+    target = np.array(targets)
+    lo, hi = np.full_like(target, _M_FLOOR), np.full_like(target, _M_CEIL)
+    f_lo = np.array([math.log(b_lo / t) for t in targets])
+    f_hi = np.array([math.log(b_hi / t) for t in targets])
+    m, out, live = np.full_like(target, 0.5), np.empty_like(target), np.arange(target.size)
     for _ in range(_MAX_STEPS):
         K, D1, D2 = ellint_differences(m)  # _transport_bracket, keeping K, D1
         bracket = K * K / 3.0 * (K * D2 + D1 * (2.0 * m * K - 3.0 * D1))
-        f = math.log(bracket / target)
-        if f == 0.0:
-            return m
-        if f < 0.0:
-            lo, f_lo = m, f
-        else:
-            hi, f_hi = m, f
+        f = np.array([math.log(r) for r in (bracket / target).tolist()])
+        below = f < 0.0
+        lo, f_lo = np.where(below, m, lo), np.where(below, f, f_lo)
+        hi, f_hi = np.where(below, hi, m), np.where(below, f_hi, f)
         dx = f * bracket / ((K - D1) * K * D1 * (m * K - D1))
-        q = math.expm1(-dx)  # the odds m / (1 - m) scale by 1 + q
-        m_next = m + m * (1.0 - m) * q / (1.0 + m * q)
-        if abs(m_next - m) <= _M_RTOL * m:
-            return m_next
-        if not lo < m_next < hi:
-            odds = math.sqrt(lo / (1.0 - lo) * hi / (1.0 - hi))
-            m_next = odds / (1.0 + odds)
-            if not lo < m_next < hi:
-                return lo if abs(f_lo) < abs(f_hi) else hi
-        m = m_next
+        q = np.array([math.expm1(-d) for d in dx.tolist()])  # the odds scale by 1 + q
+        newton = m + m * (1.0 - m) * q / (1.0 + m * q)
+        odds = np.sqrt(lo / (1.0 - lo) * hi / (1.0 - hi))
+        m_next = np.where((lo < newton) & (newton < hi), newton, odds / (1.0 + odds))
+        # exits: f is exactly 0, the step settled, no float is left between the ends
+        exact, settled = f == 0.0, np.abs(newton - m) <= _M_RTOL * m
+        done = exact | settled | ~((lo < m_next) & (m_next < hi))
+        out[live[done]] = np.where(exact, m, np.where(settled, newton, np.where(
+            np.abs(f_lo) < np.abs(f_hi), lo, hi)))[done]
+        live, m, target, lo, hi, f_lo, f_hi = (
+            v[~done] for v in (live, m_next, target, lo, hi, f_lo, f_hi))
+        if not live.size:
+            return float(out[0]) if hs.ndim == 0 else out.reshape(hs.shape)
     raise NumericalError(
-        f"m_from_depth did not settle in {_MAX_STEPS} steps at depth {h!r}",
-        abscissa=m)
+        f"m_from_depth did not settle in {_MAX_STEPS} steps at depth "
+        f"{float(hs.flat[live[0]])!r}", abscissa=float(m[0]))
 
 
 def critical_depth(T: float, F: float, rho: float, g: float) -> float:
@@ -263,8 +295,10 @@ def critical_depth(T: float, F: float, rho: float, g: float) -> float:
     """
     _require_positive(T=T, F=F, rho=rho, g=g)
     K_star = lattice(critical_m()).K
-    return ((g * T**6 * F * F / (rho * rho)) ** (1.0 / 9.0)
-            * (3.0 / (4.0 * K_star ** (4.0 / 3.0))) ** (2.0 / 3.0))
+    return _in_float_range(
+        lambda: ((g * T**6 * F * F / (rho * rho)) ** (1.0 / 9.0)
+                 * (3.0 / (4.0 * K_star ** (4.0 / 3.0))) ** (2.0 / 3.0)),
+        T=T, F=F, rho=rho, g=g)
 
 
 def depth_profile_D(X, t: float, train: WaveTrain):
@@ -317,10 +351,11 @@ def shoaling_path(h_values, T: float, F: float, rho: float,
                   g: float) -> ShoalingPath:
     """Trace a conserved wave train through decreasing depths.
 
-    For each depth: invert the transport relation for m, apply the
-    leading-order wavelength, place the zero-average wave in the orbit
-    diagram (V, k/c, class), and flag whether it sits inside the
-    forbidden wedge.  The speed column is the leading-order sqrt(g h);
+    Takes a sequence or an array of depths and inverts the transport
+    relation for all of them in one :func:`m_from_depth` call.  For each
+    depth: apply the leading-order wavelength, place the zero-average
+    wave in the orbit diagram (V, k/c, class), and flag whether it sits
+    inside the forbidden wedge.  The speed column is the leading-order sqrt(g h);
     the recorded eps says how much to trust it.
 
     If consecutive depths straddle the wedge boundary, the path reports
@@ -335,8 +370,7 @@ def shoaling_path(h_values, T: float, F: float, rho: float,
     m_star = critical_m()
     points = []
     entry = None
-    for i, h in enumerate(hs):
-        m = m_from_depth(h, T, F, rho, g)
+    for i, (h, m) in enumerate(zip(hs, m_from_depth(hs, T, F, rho, g).tolist())):
         V = zero_average_V(m)
         data = orbit_data(m, V)
         in_wedge = m > m_star

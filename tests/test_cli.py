@@ -7,6 +7,7 @@ byte determinism, column schemas, and agreement between the emitted
 numbers and the library calls they wrap.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -396,6 +397,26 @@ class TestShoal:
         assert code == 2
         assert "message" in json.loads(err)
 
+    def test_overflowing_train_rejected(self, capsys, tmp_path):
+        bed = self.write_bed(tmp_path, [5.0, 4.0])
+        code, out, err = run_cli(capsys, "shoal", "--bathymetry", bed,
+                                 "--T", "1e200", "--F", "1e4")
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["error"] == "DomainError"
+        assert "T = 1e+200" in json.loads(err)["message"]
+
+    def test_json_bytes_are_pinned(self, capsys, tmp_path):
+        # 1001 stations from 4 h* to 0.4 h* with uneven steps; the digest was
+        # recorded when m_from_depth still inverted one station per call
+        h_star = critical_depth(T_SEA, F_SEA, RHO_SEA, G_SEA)
+        depths = [4.0 * h_star * 0.1 ** ((i + 0.3 * math.sin(i)) / 1000.0)
+                  for i in range(1001)]
+        bed = self.write_bed(tmp_path, depths)
+        code, out, _ = run_cli(capsys, *self.shoal_args(bed), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0e35c31a2f10f495a2085518a1e48a51290ae28ac590218b7108d4137e681ed3")
+
 
 class TestProfile:
     def test_matches_library_samples(self, capsys):
@@ -525,6 +546,25 @@ class TestOutputPlumbing:
                         "--samples", 40) for _ in range(2)]
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--m", "0.5"),
+        ("classify", "--m", "abc", "--V", "1"),
+        ("classify", "--m", "0.5", "--V", "0.1", "--bogus"),
+        ("diagram", "--grid", "3"),
+        ("nosuch",),
+        (),
+    ])
+    def test_usage_error_is_one_json_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["error"] == "ArgumentError"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--help"])
+        assert exc.value.code == 0
+        assert "--V" in capsys.readouterr().out
+
     def test_one_parser_serves_every_call(self, capsys, monkeypatch):
         # a usage error and a domain error leave the process-wide parser as
         # a fresh interpreter would find it
@@ -543,10 +583,7 @@ class TestOutputPlumbing:
 
         monkeypatch.setattr(cli._Parser, "parse_args", recorded)
         for argv, proc in zip(calls, fresh):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
+            code = main(list(argv))
             captured = capsys.readouterr()
             assert (code, captured.out.encode(), captured.err.encode()) == (
                 proc.returncode, proc.stdout, proc.stderr), argv

@@ -97,6 +97,29 @@ class TestCompleteIntegrals:
             with pytest.raises(DomainError):
                 ellint_F_zeta(y, x, 0.5)
 
+    def test_differences_take_arrays_bit_for_bit(self):
+        # each element stops its AGM on its own test: an array call equals
+        # the 0-d calls, and both equal the tail summed on the cached scalar
+        # chain, on m log-spread towards 0 and towards 1
+        ms = np.concatenate([[0.0, 5e-324, 0.5, 1.0 - 2.0**-53], np.geomspace(1e-36, 0.5, 300),
+                             1.0 - np.geomspace(2.0**-53, 0.5, 300)])
+        arrays = ellint_differences(ms.reshape(2, -1))
+        for i, m in enumerate(ms.tolist()):
+            alone = ellint_differences(m)
+            assert all(type(v) is float for v in alone)
+            assert alone == tuple(float(v.flat[i]) for v in arrays), m
+            a_seq = _agm_chain(m)[0]
+            c_sq, tail = m, 0.0
+            for n, a in enumerate(a_seq[1:]):
+                c_sq = c_sq * c_sq / (16.0 * a * a)
+                tail += 2.0**n * c_sq
+            K = math.pi / (2.0 * a_seq[-1])
+            assert alone == (K, K * (0.5 * m + tail), 2.0 * K * tail), m
+
+    def test_differences_name_the_first_bad_element(self):
+        with pytest.raises(DomainError, match=r"got 1\.5\b"):
+            ellint_differences(np.array([0.5, 1.5, -1.0, math.nan]))
+
     @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
     @settings(max_examples=60, deadline=None)
     def test_legendre_relation(self, m):

@@ -12,13 +12,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 import oracles
-from kdvorbits.errors import DomainError
+from kdvorbits import shoaling
+from kdvorbits.errors import DomainError, NumericalError
 from kdvorbits.orbits import OrbitKind, classify, cnoidal_profile
 from kdvorbits.shoaling import (
     WaveTrain,
@@ -237,6 +238,16 @@ class TestDepthFromM:
             depth_from_m(0.5, T_REF, 0.0, RHO_REF, G_REF)
 
 
+def _reach_depths():
+    """240 log-spaced depths over the whole reach of m_from_depth for the
+    reference train, plus points within 1e-4 and 1e-3 of either end."""
+    args = (T_REF, F_REF, RHO_REF, G_REF)
+    shallow = depth_from_m(1.0 - 1e-15, *args)
+    deep = depth_from_m(1e-6, *args)
+    return [*np.geomspace(shallow, deep, 240).tolist(), shallow * (1.0 + 1e-4),
+            shallow * 1.001, deep * 0.999, deep * (1.0 - 1e-4)]
+
+
 class TestMFromDepth:
     @pytest.mark.parametrize("m", [0.05, 0.3, 0.6, 0.9, 0.99])
     def test_round_trip(self, m):
@@ -257,15 +268,10 @@ class TestMFromDepth:
             m_from_depth(0.99 * shallow, T_REF, F_REF, RHO_REF, G_REF)
 
     def test_newton_matches_brentq_across_the_reach(self):
-        # 240 log-spaced depths over the whole reach, plus points within
-        # 1e-4 and 1e-3 of either end; the oracle is brentq on depth_from_m
+        # the oracle is brentq on depth_from_m
         args = (T_REF, F_REF, RHO_REF, G_REF)
-        shallow = depth_from_m(1.0 - 1e-15, *args)
-        deep = depth_from_m(1e-6, *args)
-        hs = [*np.geomspace(shallow, deep, 240), shallow * (1.0 + 1e-4),
-              shallow * 1.001, deep * 0.999, deep * (1.0 - 1e-4)]
         worst = {"newton": 0.0, "brentq": 0.0}
-        for h in hs:
+        for h in _reach_depths():
             expected = brentq(lambda m: depth_from_m(m, *args) - h,
                               1e-6, 1.0 - 1e-15, xtol=1e-15, rtol=8.9e-16)
             m = m_from_depth(h, *args)
@@ -274,6 +280,46 @@ class TestMFromDepth:
                 worst[name] = max(worst[name], abs(depth_from_m(value, *args) / h - 1.0))
         # near m = 1 one float step in m moves the depth by ~1e-3
         assert worst["newton"] <= worst["brentq"]
+
+    def test_array_is_the_scalar_calls_bit_for_bit(self):
+        args = (T_REF, F_REF, RHO_REF, G_REF)
+        hs = _reach_depths()
+        alone = [m_from_depth(h, *args) for h in hs]
+        assert all(type(m) is float for m in alone)
+        assert m_from_depth(np.array(hs), *args).tolist() == alone
+        # the shape is kept, and the order of the depths changes nothing
+        backwards = m_from_depth(np.array(hs[::-1]).reshape(4, -1), *args)
+        assert backwards.shape == (4, 61)
+        assert backwards.ravel().tolist() == alone[::-1]
+
+    def test_array_raises_for_the_first_offending_depth(self):
+        args = (T_REF, F_REF, RHO_REF, G_REF)
+        deep = 1.01 * depth_from_m(1e-6, *args)
+        shallow = 0.99 * depth_from_m(1.0 - 1e-15, *args)
+        for hs in ([H_REF, deep, shallow, -1.0], [H_REF, shallow, deep],
+                   [H_REF, math.nan, deep], [H_REF, H_REF, 0.0, shallow]):
+            bad = next(h for h in hs if h != H_REF)
+            with pytest.raises(DomainError) as alone:
+                m_from_depth(bad, *args)
+            with pytest.raises(DomainError) as together:
+                m_from_depth(np.array(hs), *args)
+            assert str(together.value) == str(alone.value)
+
+    def test_array_names_the_first_depth_that_does_not_settle(self, monkeypatch):
+        monkeypatch.setattr(shoaling, "_MAX_STEPS", 5)
+        args = (T_REF, F_REF, RHO_REF, G_REF)
+        hs = _reach_depths()[::6]
+        unsettled = []
+        for h in hs:
+            try:
+                m_from_depth(h, *args)
+            except NumericalError as exc:
+                unsettled.append((h, str(exc)))
+        assert unsettled and unsettled[0][0] != hs[0]
+        with pytest.raises(NumericalError) as together:
+            m_from_depth(np.array(hs), *args)
+        assert str(together.value) == unsettled[0][1]
+        assert repr(unsettled[0][0]) in unsettled[0][1]
 
     @pytest.mark.parametrize("m_true", [1.2e-6, 1e-4, 0.01, 0.08, 0.3, 0.5,
                                         0.8261, 0.99, 1.0 - 1e-9, 1.0 - 1e-13])
@@ -305,6 +351,32 @@ class TestCriticalDepth:
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(DomainError):
             critical_depth(0.0, F_REF, RHO_REF, G_REF)
+
+
+class TestFloatRange:
+    # finite floats, with subnormals and +-1.8e308 among them; the examples
+    # are an underflowing transport bracket, an overflowing T**3 and T**6,
+    # a subnormal density, and reaches so wide that h**4.5 overflows or
+    # underflows to 0 inside them
+    @given(*[st.floats(allow_nan=False, allow_infinity=False)] * 5)
+    @example(1e-300, 8.0, 1e4, 1025.0, 9.81)
+    @example(5.0, 1e200, 1e4, 1025.0, 9.81)
+    @example(5.0, 1e60, 1e4, 1025.0, 9.81)
+    @example(5.0, 8.0, 1e4, 1e-320, 9.81)
+    @example(1e100, 1e100, 1.0, 1.0, 1.0)
+    @example(1e-80, 1e-107, 1.0, 1.0, 1.0)
+    @settings(max_examples=400, deadline=None)
+    def test_every_finite_input_gets_a_value_or_a_contract_error(self, x, T, F, rho, g):
+        calls = (lambda: depth_from_m(x, T, F, rho, g),
+                 lambda: critical_depth(T, F, rho, g),
+                 lambda: m_from_depth(x, T, F, rho, g),
+                 lambda: m_from_depth(np.array([x, 0.5 * x]), T, F, rho, g))
+        for call in calls:
+            try:
+                value = np.asarray(call())
+            except (DomainError, NumericalError):
+                continue
+            assert np.all((value > 0.0) & (value < math.inf))
 
 
 class TestDepthProfile:
