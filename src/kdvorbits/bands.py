@@ -33,7 +33,7 @@ from .asymptotics import Approximation
 from .elliptic import jacobi
 from .errors import DomainError, NumericalError, ResolutionError
 from .profiles import Profile
-from .weierstrass import lattice, wp_amplitude, wp_inverse, zeta
+from .weierstrass import E2, lattice, wp_amplitude, wp_inverse, zeta
 
 __all__ = [
     "BandPoint",
@@ -111,7 +111,7 @@ def crystal_momentum(E: float, m: float) -> BandPoint:
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E!r}")
     V = (2.0 * m + 2.0) / 3.0 - E
-    if lat.m == 0.0 and wp_amplitude(V, lat).corner == "e2":
+    if lat.m == 0.0 and wp_amplitude(V, lat).corner == E2:
         # Double corner e2 = e3: the inverse point runs off to i*infinity,
         # but the dispersion pi*sqrt(E) passes through continuously.
         return BandPoint(E, math.pi, complex(math.pi, 0.0), False)

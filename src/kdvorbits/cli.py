@@ -68,7 +68,11 @@ def _fmt(value) -> str:
 
 def _csv(columns, rows) -> str:
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    row_format = _ROW_FORMATS.get(tuple(columns))
+    if row_format is None:
+        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    else:  # the cells of these schemas are floats, strings and ints, as _fmt prints them
+        lines.extend(row_format % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -119,20 +123,26 @@ _DIAGRAM_COLUMNS = ("m", "V", "trace", "kc_real", "kc_imag", "class",
 def _cmd_diagram(args) -> str:
     ms = _axis(args.m_range[0], args.m_range[1], args.grid[0], "m")
     vs = _axis(args.V_range[0], args.V_range[1], args.grid[1], "V")
-    rows = []
-    for m in ms:           # row-major: m is the outer loop
-        for v in vs:
-            data = orbit_data(m, v)
-            rows.append([float(m), float(v), data.trace, data.kc.real,
-                         data.kc.imag, data.orbit.kind.value,
-                         data.orbit.winding])
+    m_grid, v_grid = (g.ravel() for g in np.meshgrid(ms, vs, indexing="ij"))  # row-major: m outer
+    data = orbit_data(m_grid, v_grid)
+    rows = [[m, v, trace, kc_real, kc_imag, orbit.kind.value, orbit.winding]
+            for m, v, trace, kc_real, kc_imag, orbit in zip(
+                m_grid.tolist(), v_grid.tolist(), data.trace.tolist(), data.kc.real.tolist(),
+                data.kc.imag.tolist(), data.orbit.tolist())]
     return _table(args, _DIAGRAM_COLUMNS, rows)
+
+
+_LEVEL_CURVE_COLUMNS = ("m", "V")
+# One %-format per row for the schemas with many rows, in place of one
+# _fmt call per cell.
+_ROW_FORMATS = {_DIAGRAM_COLUMNS: "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d",
+                _LEVEL_CURVE_COLUMNS: "%.17g,%.17g"}
 
 
 def _cmd_level_curve(args) -> str:
     ms = _axis(args.m_min, args.m_max, args.m_samples, "m")
-    rows = [[float(m), level_curve(args.kc, m, args.region)] for m in ms]
-    return _table(args, ("m", "V"), rows)
+    rows = list(zip(ms.tolist(), level_curve(args.kc, ms, args.region).tolist()))
+    return _table(args, _LEVEL_CURVE_COLUMNS, rows)
 
 
 _BAND_COLUMNS = ("E", "kappa_ell", "in_gap", "winding")

@@ -1,7 +1,7 @@
 """Jacobi elliptic functions and complete elliptic integrals.
 
 Everything downstream (Weierstrass functions, monodromy, band structure,
-shoaling) is built on the four primitives in this module:
+shoaling) is built on the primitives in this module:
 
 * ``ellint_K`` / ``ellint_E`` -- complete elliptic integrals via the
   arithmetic-geometric mean, and ``ellint_F_zeta`` -- Legendre's F and Jacobi's
@@ -9,8 +9,10 @@ shoaling) is built on the four primitives in this module:
 * ``jacobi`` -- real-argument sn/cn/dn by the descending Landen (AGM
   amplitude) recursion,
 * ``jacobi_complex`` -- complex-argument sn/cn/dn assembled from two real
-  evaluations (one at modulus parameter ``m``, one at ``1 - m``),
-* ``dn_power_integral`` -- full-period integrals of even powers of dn.
+  evaluations (one at modulus parameter ``m``, one at ``1 - m``).
+
+``jacobi``, ``ellint_differences`` and ``ellint_F_zeta`` also take arrays,
+element by element bit for bit equal to their scalar calls.
 
 Throughout the package the *parameter* convention is used: ``m`` is the
 squared elliptic modulus, so ``sn(u, m) -> sin(u)`` as ``m -> 0`` and
@@ -38,7 +40,6 @@ __all__ = [
     "ellint_F_zeta",
     "jacobi",
     "jacobi_complex",
-    "dn_power_integral",
 ]
 
 # Stop the AGM once c_n is below this; the truncation error of the
@@ -73,8 +74,11 @@ def _agm_chain(m: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     Cached per float m, at twice the lattice cache: a lattice, and every
     edge exponent and wp_inverse on it, ask for the chains of m and 1 - m.
     Its callers are the scalar routes, whose m repeat: ellint_K/E (so
-    ``lattice``), ellint_F_zeta (so ``level_curve``) and jacobi; the Newton
-    steps of m_from_depth never repeat an m, so ellint_differences does not.
+    ``lattice``), a scalar ellint_F_zeta (so ``classify`` and a scalar
+    ``level_curve``) and jacobi.  The array routes run their own masked
+    chain, each element stopping on the test below: ellint_differences,
+    whose m_from_depth steps never repeat an m, and an array ellint_F_zeta,
+    whose diagram cells and level-curve steps would each ask for a chain.
 
     Seeds a0 = 1, b0 = sqrt(1 - m), c0 = sqrt(m); then
     a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2.
@@ -155,7 +159,7 @@ def ellint_differences(m):
     return tuple(map(float, out)) if m.ndim == 0 else out
 
 
-def ellint_F_zeta(y: float, x: float, m: float) -> tuple[float, float]:
+def ellint_F_zeta(y, x, m):
     """Legendre's F(phi|m) and Jacobi's zeta Z(phi|m) = E(phi|m) - E F(phi|m) / K.
 
     For 0 <= m <= 1 and 0 <= phi <= pi/2 given as y, x >= 0 with tan phi = y / x
@@ -168,26 +172,29 @@ def ellint_F_zeta(y: float, x: float, m: float) -> tuple[float, float]:
     with phi_n, and their signs count the turns of phi_N.  b_n is formed
     as the chain forms it and c_{n+1} as c_n^2 / (4 a_{n+1}), so neither
     cancels.  At m = 1, F = asinh(y / x) and Z = sin phi.
+
+    Accepts scalars or arrays, broadcast together; scalars in, floats out.
+    Each element of an array runs the recurrences of a scalar call and stops
+    on its own tests, so its F and Z are bit for bit those of that call; an
+    array with an invalid element raises the error of the first one.
     """
-    m = _check_parameter(m, allow_one=True)
+    if not (isinstance(y, float) and isinstance(x, float) and isinstance(m, float)) and (
+            np.ndim(y) or np.ndim(x) or np.ndim(m)):
+        return _F_zeta_array(*np.broadcast_arrays(*(np.array(v, dtype=float) for v in (y, x, m))))
+    m = float(m)
+    if not 0.0 <= m <= 1.0:
+        _check_parameter(m, allow_one=True)
     if not (y >= 0.0 and x >= 0.0 and y + x > 0.0) or y == x == math.inf:
         raise DomainError(f"amplitude pair must be >= 0, not both 0 or inf: ({y!r}, {x!r})")
     h = math.hypot(y, x)
     if not 1e-300 < h < 1e300:  # an infinite side, or hypot would overflow or lose digits
-        t = max(y, x)
-        y, x = (y / t, x / t) if t < math.inf else (float(y > x), float(x > y))
-        h = math.hypot(y, x)
+        y, x, h = _scaled_pair(y, x)
     sin, cos = y / h, x / h
     if m == 1.0:
         return (math.asinh(y / x) if x else math.inf), sin
-    a_seq = _agm_chain(m)[0]
-    b, c, c_min, n, turns, Z = math.sqrt(1.0 - m), math.sqrt(m), 1e-17 * m, 0, 0.0, 0.0
-    for a, a_next in zip(a_seq, a_seq[1:]):
-        c = c * c / (4.0 * a_next)
-        if c < c_min:  # under 4e-17 c_1 (c_1 >= m/4), not absolute: Z ~ c_1 as m -> 0
-            break
-        r = b / a
-        b = math.sqrt(a * b)
+    steps, a_last = _landen_steps(m)
+    turns, Z = 0.0, 0.0
+    for r, c in steps:
         # phi_n = 2 pi turns + atan2(sin, cos); past +-pi/2, one more turn
         turns += turns
         if cos < 0.0:
@@ -196,9 +203,74 @@ def ellint_F_zeta(y: float, x: float, m: float) -> tuple[float, float]:
         root = math.sqrt(cos * cos + r_sin * r_sin)
         sin, cos = (1.0 + r) * sin * cos / root, (cos * cos - r_sin * sin) / root
         Z += c * sin
-        n += 1
     phi = 2.0 * math.pi * turns + math.atan2(sin, cos)
-    return math.ldexp(phi / a_seq[-1], -n), Z
+    return math.ldexp(phi / a_last, -len(steps)), Z
+
+
+@lru_cache(maxsize=1024)
+def _landen_steps(m: float) -> tuple[tuple[tuple[float, float], ...], float]:
+    """The (r_n, c_{n+1}) of each descending Landen step of :func:`ellint_F_zeta`
+    at m, and a_N: they depend on m alone, and its scalar callers repeat m."""
+    a_seq = _agm_chain(m)[0]
+    b, c, c_min, steps = math.sqrt(1.0 - m), math.sqrt(m), 1e-17 * m, []
+    for a, a_next in zip(a_seq, a_seq[1:]):
+        c = c * c / (4.0 * a_next)
+        if c < c_min:  # under 4e-17 c_1 (c_1 >= m/4), not absolute: Z ~ c_1 as m -> 0
+            break
+        steps.append((b / a, c))
+        b = math.sqrt(a * b)
+    return tuple(steps), a_seq[-1]
+
+
+def _scaled_pair(y: float, x: float) -> tuple[float, float, float]:
+    """(y, x, hypot(y, x)) for a pair whose hypot is out of range: divided
+    by its larger side, or, with an infinite side, the direction it points."""
+    t = max(y, x)
+    y, x = (y / t, x / t) if t < math.inf else (float(y > x), float(x > y))
+    return y, x, math.hypot(y, x)
+
+
+def _F_zeta_array(y: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ellint_F_zeta` element by element: the chain of :func:`_agm_chain`
+    and the Landen steps in one masked loop, hypot, atan2 and asinh through math."""
+    ok = ((m >= 0.0) & (m <= 1.0) & (y >= 0.0) & (x >= 0.0) & (np.maximum(y, x) > 0.0)
+          & (np.minimum(y, x) < math.inf))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        ellint_F_zeta(float(y.flat[i]), float(x.flat[i]), float(m.flat[i]))
+    y, x = y.copy(), x.copy()
+    h = np.array(list(map(math.hypot, y.ravel().tolist(), x.ravel().tolist()))).reshape(y.shape)
+    for i in np.flatnonzero(~((h > 1e-300) & (h < 1e300))).tolist():
+        y.flat[i], x.flat[i], h.flat[i] = _scaled_pair(float(y.flat[i]), float(x.flat[i]))
+    sin, cos = y / h, x / h
+    one = m == 1.0
+    mu = np.where(one, 0.0, m)  # m = 1 takes the asinh branch below
+    a, b, c_agm = np.ones_like(mu), np.sqrt(1.0 - mu), np.sqrt(mu)
+    c, c_min, turns, Z = c_agm, 1e-17 * mu, np.zeros_like(mu), np.zeros_like(mu)
+    n, landen = np.zeros(mu.shape, dtype=int), np.ones(mu.shape, dtype=bool)
+    for _ in range(_AGM_MAX_ITER):
+        chain = np.abs(c_agm) > _AGM_TOL * a  # a, c_agm stay put once it stops
+        if not chain.any():
+            break
+        a_next = 0.5 * (a + b)
+        c_next = c * c / (4.0 * a_next)
+        landen &= chain & ~(c_next < c_min)
+        r = b / a
+        twice = turns + turns
+        r_sin = r * sin
+        root = np.sqrt(cos * cos + r_sin * r_sin)
+        step = ((1.0 + r) * sin * cos / root, (cos * cos - r_sin * sin) / root)
+        turns = np.where(landen, np.where(cos < 0.0, twice + np.copysign(1.0, sin), twice), turns)
+        sin, cos = np.where(landen, step[0], sin), np.where(landen, step[1], cos)
+        c, Z, n = np.where(landen, c_next, c), np.where(landen, Z + c_next * sin, Z), n + landen
+        a, b, c_agm = (np.where(chain, a_next, a), np.where(chain, np.sqrt(a * b), b),
+                       np.where(chain, 0.5 * (a - b), c_agm))
+    angle = np.array(list(map(math.atan2, sin.ravel().tolist(), cos.ravel().tolist())))
+    F = np.ldexp((2.0 * math.pi * turns + angle.reshape(mu.shape)) / a, -n)
+    for i in np.flatnonzero(one).tolist():
+        y_i, x_i = float(y.flat[i]), float(x.flat[i])
+        F.flat[i], Z.flat[i] = (math.asinh(y_i / x_i) if x_i else math.inf), sin.flat[i]
+    return F, Z
 
 
 # ---------------------------------------------------------------------------
@@ -319,35 +391,3 @@ def jacobi_complex(z: complex, m: float) -> JacobiTriple:
     cn = complex(c * c1, -s * d * s1 * d1) / den
     dn = complex(d * c1 * d1, -m * s * c * s1) / den
     return JacobiTriple(sn, cn, dn)
-
-
-# ---------------------------------------------------------------------------
-# Full-period integrals of dn^N.
-# ---------------------------------------------------------------------------
-
-
-def dn_power_integral(N: int, m: float) -> float:
-    """Integral of dn^N(u|m) over a full real period, u in [0, 2K].
-
-    Seeds I_0 = 2K, I_2 = 2E and the three-term recursion
-
-        (N+1) I_{N+2} = 2N(2-m) I_N/... (written for the step N -> N+2):
-        (n+1) I_{n+2} = (2-m) n I_n + (m-1)(n-1) I_{n-2},
-
-    obtained by integrating d/du [sn cn dn^(n-1)] over the period.
-    Only even N >= 0 are supported (odd powers integrate to 2K-periodic
-    combinations that this package never needs).
-    """
-    if not isinstance(N, (int, np.integer)) or N < 0 or N % 2:
-        raise DomainError(f"dn_power_integral expects an even integer N >= 0, got {N!r}")
-    m = _check_parameter(m)
-    I_prev = 2.0 * ellint_K(m)  # I_0
-    if N == 0:
-        return I_prev
-    I_curr = 2.0 * ellint_E(m)  # I_2
-    n = 2
-    while n < N:
-        I_prev, I_curr = I_curr, ((2.0 - m) * n * I_curr + (m - 1.0) * (n - 1) * I_prev) / (n + 1)
-        n += 2
-    return I_curr
-

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +49,8 @@ import numpy as np
 from .elliptic import ellint_F_zeta, jacobi
 from .errors import DomainError, InsideWedgeError, NumericalError
 from .profiles import Profile
-from .weierstrass import BOUNDARY_TOL, EdgeAmplitude, RectLattice, lattice, wp_amplitude
+from .weierstrass import (BOUNDARY_TOL, E1, IMAGINARY, REAL, RIGHT, TOP, EdgeAmplitude,
+                          RectLattice, lattice, wp_amplitude)
 
 __all__ = [
     "OrbitKind",
@@ -68,12 +70,14 @@ __all__ = [
 ]
 
 _SIX_PI_SQ = 6.0 * math.pi**2
+_LATTICE_FIELDS = [f.name for f in fields(RectLattice)]
 
 # Snap width used when flooring nearly-integer winding ratios; must stay
 # well below the 1e-9 offsets the classifier is specified to resolve.
 _FLOOR_SNAP = 4e-12
 
 _NEWTON_CAP = 400  # level_curve steps before it gives up
+_FEW_ROWS = 12  # level_curve rows below which numpy's per-call cost outruns an array pass
 _S_MAX = math.sqrt(sys.float_info.max)  # the largest gap s with c -+ s^2 finite
 
 
@@ -116,24 +120,22 @@ class OrbitData(NamedTuple):
     orbit: OrbitClass
 
 
-def _edge_exponent(lat: RectLattice, amp: EdgeAmplitude) -> float:
+def _edge_exponent(lat: RectLattice, amp: EdgeAmplitude):
     """The real edge exponent of V off the corners: phi_w or rho.
 
     phi_w = |Im w| below the wedge and on the band, rho = Re w inside
     and above it, in the forms of the module docstring: sums of
     non-negative terms, with K cn dn / sn as a product of gaps, so nothing
-    cancels and no small sn divides as V nears a corner.
+    cancels and no small sn divides as V nears a corner.  The same
+    arithmetic serves floats and arrays: off its edge a term is a zero, a
+    gap times False over a denominator of 1.
     """
     edge, amplitude, mu, _, (g1, g2, g3) = amp
     F, Z = ellint_F_zeta(*amplitude, mu)
-    if edge == "top":
-        return lat.K * Z
-    if edge == "real":
-        return lat.K * Z + lat.K * g1 * (g3 / g2)
-    part = lat.K * Z + 0.5 * math.pi * F / lat.Kc
-    if edge == "imaginary":
-        return part + lat.K * g2 * (g3 / g1)
-    return part
+    below, above = edge == IMAGINARY, edge == REAL
+    x = lat.K * Z + (edge % 2 == 0) * (0.5 * math.pi * F / lat.Kc)  # where mu = 1 - m
+    return x + lat.K * (below * g2 + above * g1) * (g3 / (below * g1 + above * g2
+                                                          + (edge % 3 != 0)))
 
 
 def _two_cosh(x: float) -> float:
@@ -159,7 +161,39 @@ def _floor_snap(x: float) -> int:
     return math.floor(x)
 
 
-def orbit_data(m: float, V: float) -> OrbitData:
+@lru_cache(maxsize=256)  # a diagram holds a few dozen; windings grow without bound
+def _orbit_class(kind: OrbitKind, winding: int) -> OrbitClass:
+    return OrbitClass(kind, winding)
+
+
+_PARABOLIC = OrbitData(2.0, 0.0 + 0.0j, True, _orbit_class(OrbitKind.PARABOLIC, 0))
+_EXCEPTIONAL = OrbitData(-2.0, complex(-1.0 / 24.0, 0.0), True,
+                         _orbit_class(OrbitKind.EXCEPTIONAL, 1))
+
+
+def _orbit_on_edge(edge: int, x: float) -> OrbitData:
+    """The orbit data of edge exponent x on an edge, off the corners."""
+    if edge == TOP:
+        kc = complex((x * x - math.pi**2 / 4.0) / _SIX_PI_SQ, -x / (6.0 * math.pi))
+        return OrbitData(-_two_cosh(2.0 * x), kc, False,
+                         _orbit_class(OrbitKind.HYPERBOLIC, 1))
+    if edge == REAL:
+        return OrbitData(_two_cosh(2.0 * x), complex(_square_over_six_pi_sq(x), 0.0),
+                         True, _orbit_class(OrbitKind.HYPERBOLIC, 0))
+    winding = _floor_snap(2.0 * x / math.pi) if edge == IMAGINARY else 0
+    return OrbitData(2.0 * math.cos(2.0 * x), complex(-_square_over_six_pi_sq(x), 0.0),
+                     True, _orbit_class(OrbitKind.ELLIPTIC, winding))
+
+
+def _lattices(m: np.ndarray) -> RectLattice:
+    """A lattice whose fields are arrays: those of lattice(m) for each element of m."""
+    values, index = np.unique(m, return_inverse=True)
+    lats = [lattice(v) for v in values.tolist()]
+    return RectLattice(*(np.array([getattr(lat, f) for lat in lats])[index].reshape(m.shape)
+                         for f in _LATTICE_FIELDS))
+
+
+def orbit_data(m, V) -> OrbitData:
     """Trace 2 cosh(2w), kc = w^2/(6 pi^2) and orbit class of the wave (m, V).
 
     One lattice lookup, one :func:`.weierstrass.wp_amplitude` (the edge
@@ -177,27 +211,37 @@ def orbit_data(m: float, V: float) -> OrbitData:
 
     floor(2x/pi) = floor(sqrt(24 |kc|)) >= 1.  The cosh traces are +inf
     once they overflow (|V| above about 1e5).
+
+    Arrays m and V, broadcast together, give arrays of that shape (orbit:
+    OrbitClass objects) from one wp_amplitude and one ellint_F_zeta over
+    the grid; cos, cosh and the floor go through math, so each cell is its
+    scalar call bit for bit, and the first invalid cell raises its error.
     """
+    if isinstance(m, np.ndarray) or isinstance(V, np.ndarray):
+        return _orbit_data_array(*np.broadcast_arrays(np.asarray(m, dtype=float),
+                                                      np.asarray(V, dtype=float)))
     lat = lattice(m)
     if not math.isfinite(V):
         raise DomainError(f"V must be finite, got {V!r}")
     amp = wp_amplitude(V, lat)
-    if amp.corner == "e1":
-        return OrbitData(2.0, 0.0 + 0.0j, True, OrbitClass(OrbitKind.PARABOLIC, 0))
-    if amp.corner is not None:
-        return OrbitData(-2.0, complex(-1.0 / 24.0, 0.0), True,
-                         OrbitClass(OrbitKind.EXCEPTIONAL, 1))
-    x = _edge_exponent(lat, amp)
-    if amp.edge == "top":
-        kc = complex((x * x - math.pi**2 / 4.0) / _SIX_PI_SQ, -x / (6.0 * math.pi))
-        return OrbitData(-_two_cosh(2.0 * x), kc, False,
-                         OrbitClass(OrbitKind.HYPERBOLIC, 1))
-    if amp.edge == "real":
-        return OrbitData(_two_cosh(2.0 * x), complex(_square_over_six_pi_sq(x), 0.0),
-                         True, OrbitClass(OrbitKind.HYPERBOLIC, 0))
-    winding = _floor_snap(2.0 * x / math.pi) if amp.edge == "imaginary" else 0
-    return OrbitData(2.0 * math.cos(2.0 * x), complex(-_square_over_six_pi_sq(x), 0.0),
-                     True, OrbitClass(OrbitKind.ELLIPTIC, winding))
+    if amp.corner:
+        return _PARABOLIC if amp.corner == E1 else _EXCEPTIONAL
+    return _orbit_on_edge(amp.edge, _edge_exponent(lat, amp))
+
+
+def _orbit_data_array(m: np.ndarray, V: np.ndarray) -> OrbitData:
+    bad = ~((m >= 0.0) & (m < 1.0) & np.isfinite(V))
+    if bad.any():
+        orbit_data(float(m.flat[np.argmax(bad)]), float(V.flat[np.argmax(bad)]))
+    lat = _lattices(m)
+    amp = wp_amplitude(V, lat)
+    with np.errstate(divide="ignore", invalid="ignore"):  # gaps vanish on the corners
+        x = _edge_exponent(lat, amp).ravel().tolist()
+    cells = [(_PARABOLIC if corner == E1 else _EXCEPTIONAL) if corner else _orbit_on_edge(edge, x_i)
+             for corner, edge, x_i in zip(amp.corner.ravel().tolist(), amp.edge.ravel().tolist(), x)]
+    columns = list(zip(*cells)) or [()] * 4
+    return OrbitData(*(np.array(column, dtype=kind).reshape(m.shape)
+                       for column, kind in zip(columns, (float, complex, bool, object))))
 
 
 def monodromy_trace(m: float, V: float) -> float:
@@ -240,17 +284,17 @@ def constant_trace(kc: float) -> float:
     return 2.0 * math.cos(2.0 * math.pi * math.sqrt(-6.0 * kc))
 
 
-def _dx_dV(lat: RectLattice, amp: EdgeAmplitude, V: float) -> float:
+def _dx_dV(lat: RectLattice, amp: EdgeAmplitude, V):
     """dx/dV of the edge exponent x of :func:`_edge_exponent`, off the corners.
 
     zeta' = -wp gives dw/da = -(K V + eta1), and dV = wp'(a) da with
     |wp'(a)| = 2 g1 g2 g3, so dx/dV = (K V + eta1) / (2 g1 g2 g3) below
     and above the wedge and its negative on the band.  K (V / g1) keeps
-    |V| near the float limit from overflowing.
+    |V| near the float limit from overflowing.  Floats or arrays.
     """
     g1, g2, g3 = amp.gaps
     rate = (lat.K * (V / g1) + lat.eta1 / g1) / g2 / g3 / 2.0
-    return -rate if amp.edge == "right" else rate
+    return rate * (1 - 2 * (amp.edge == RIGHT))
 
 
 def dk_dV(m: float, V: float) -> float:
@@ -269,18 +313,18 @@ def dk_dV(m: float, V: float) -> float:
     if not math.isfinite(V):
         raise DomainError(f"V must be finite, got {V!r}")
     amp = wp_amplitude(V, lat)
-    if amp.corner == "e1":
+    if amp.corner == E1:
         return lat.E**2 / (_SIX_PI_SQ * (1.0 - lat.m))
-    if amp.corner is not None:
+    if amp.corner:
         return math.inf
-    if amp.edge == "top":
+    if amp.edge == TOP:
         raise InsideWedgeError(
             "d(kc)/dV is undefined inside the wedge (kc is not real there)")
     slope = 2.0 * _edge_exponent(lat, amp) * _dx_dV(lat, amp, V) / _SIX_PI_SQ
-    return slope if amp.edge == "real" else -slope
+    return slope if amp.edge == REAL else -slope
 
 
-def level_curve(target_kc: float, m: float, region: str) -> float:
+def level_curve(target_kc: float, m, region: str):
     """Solve kc(m, V) = target_kc for V on one side of the wedge.
 
     ``region`` is "below_wedge" (requires target_kc <= -1/24; returns
@@ -302,8 +346,65 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
     other V must reproduce kc to
     max(1e-10 max(1, |kc|), 4 |dk_dV| ulp(V)), the kc step between
     adjacent floats; a target beyond every finite V raises DomainError.
+
+    An array of m gives an array of V: every m runs this Newton iteration
+    (:func:`_level_row`) with its own bracket and exits, so each V is that
+    of its scalar call bit for bit, and the first failing m in row order
+    raises its error.  While many rows are live, one array pass evaluates
+    the exponents of a step for all of them.
     """
     target_kc = float(target_kc)
+    scalar = isinstance(m, float) or np.ndim(m) == 0
+    ms = [m] if scalar else np.asarray(m, dtype=float).ravel().tolist()
+    rows, asks = [], []
+    for m_i in ms:
+        rows.append(_level_row(target_kc, m_i, region))
+        asks.append(next(rows[-1]))
+        if asks[-1][0] == _FAILED:  # the rows after it cannot report first
+            break
+    live = [i for i, ask in enumerate(asks) if ask[0] < _DONE]
+    table = _lattices(np.array(ms[:live[-1] + 1])) if len(live) > _FEW_ROWS else None
+    while len(live) > _FEW_ROWS:
+        V = np.array([asks[i][1] for i in live])
+        lat = RectLattice(*(getattr(table, f)[live] for f in _LATTICE_FIELDS))
+        amp = wp_amplitude(V, lat)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a slope only off the corners
+            x, rate = _edge_exponent(lat, amp).tolist(), _dx_dV(lat, amp, V).tolist()
+        for i, x_i, rate_i in zip(live, x, rate):
+            asks[i] = rows[i].send((x_i, rate_i) if asks[i][0] == _SLOPE else x_i)
+        live = [i for i in live if asks[i][0] < _DONE]
+    for i in live:  # a few rows left: each runs to its end on answers of its own
+        row, ask, lat = rows[i], asks[i], lattice(ms[i])
+        while ask[0] < _DONE:
+            amp = wp_amplitude(ask[1], lat)
+            x = _edge_exponent(lat, amp)
+            ask = row.send((x, _dx_dV(lat, amp, ask[1])) if ask[0] == _SLOPE else x)
+        asks[i] = ask
+    for outcome, value in asks:
+        if outcome == _FAILED:
+            raise value
+    V = [value for _, value in asks]
+    return V[0] if scalar else np.array(V, dtype=float).reshape(np.shape(m))
+
+
+# What a level_curve row yields: asks for x, or x and dx/dV, at a V, then
+# its outcome, a V or the error it raises.
+_X, _SLOPE, _DONE, _FAILED = range(4)
+
+
+def _level_row(target_kc: float, m: float, region: str):
+    """One m of :func:`level_curve` as a generator: it yields (_X, V) for x
+    at V and (_SLOPE, V) for (x, dx/dV), then (_DONE, V) or (_FAILED, error)."""
+    try:
+        V = yield from _level_steps(target_kc, m, region)
+    except (DomainError, NumericalError) as exc:
+        yield _FAILED, exc
+    else:
+        yield _DONE, V
+
+
+def _level_steps(target_kc: float, m: float, region: str):
+    """The search of :func:`level_curve` for one m; see :func:`_level_row`."""
     if not math.isfinite(target_kc):
         raise DomainError(f"target kc must be finite, got {target_kc!r}")
     lat = lattice(m)
@@ -338,9 +439,6 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
     if math.isinf(target):
         target = math.sqrt(_SIX_PI_SQ) * math.sqrt(abs(target_kc))
 
-    def exponent_at(V):
-        return _edge_exponent(lat, wp_amplitude(V, lat))
-
     # The first floats past the snap bands bound the search; a target
     # short of x there resolves to the corner.
     near, far = math.nextafter(corner + side * BOUNDARY_TOL, side * math.inf), math.inf
@@ -348,23 +446,21 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
         far = math.nextafter(lat.e3 + BOUNDARY_TOL, math.inf)
         if far >= near:  # the two snap bands cover the band
             near = far = 0.5 * (lat.e1 + lat.e3)
-        if target >= exponent_at(far):
+        if target >= (yield _X, far):
             return lat.e3
-    if target <= exponent_at(near):
+    if target <= (yield _X, near):
         return corner
     lo, hi = math.sqrt(abs(near - corner)), math.sqrt(abs(far - corner))
 
     s = min(max(target / lat.K, lo), hi, _S_MAX)
     for _ in range(_NEWTON_CAP):
         V = corner + side * s * s
-        amp = wp_amplitude(V, lat)
-        x = _edge_exponent(lat, amp)
-        dx_dV = _dx_dV(lat, amp, V)
+        x, dx_dV = yield _SLOPE, V
         if x == target:
             break
         if x < target:
             if s == _S_MAX:
-                raise DomainError(f"no finite V has kc = {target_kc!r} at m = {m!r}")
+                raise DomainError(f"no finite V has kc = {target_kc!r} at m = {float(m)!r}")
             lo = s
         else:
             hi = s
@@ -378,8 +474,9 @@ def level_curve(target_kc: float, m: float, region: str) -> float:
     else:
         raise NumericalError("level-curve search did not converge", abscissa=V)
 
+    # orbit_data's kc at V, from the exponent it would evaluate there
+    error = abs(side * _square_over_six_pi_sq(x) - target_kc)
     slack = 8.0 * abs(x * dx_dV) / _SIX_PI_SQ * math.ulp(V)  # 4 |dk_dV| ulp(V)
-    error = abs(orbit_data(m, V).kc.real - target_kc)
     if not error <= max(1e-10 * max(1.0, abs(target_kc)), slack):
         raise NumericalError("level-curve solve failed verification", abscissa=V)
     return V

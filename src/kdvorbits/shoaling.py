@@ -116,7 +116,7 @@ def critical_m() -> float:
 def wavelength(h: float, T: float, g: float) -> float:
     """Leading-order wavelength lambda = sqrt(g h) T  [m]."""
     _require_positive(h=h, T=T, g=g)
-    return math.sqrt(g * h) * T
+    return _in_float_range(lambda: math.sqrt(g * h) * T, h=h, T=T, g=g)
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,8 @@ class WaveTrain:
     @property
     def epsilon(self) -> float:
         """The shallow-water expansion parameter h^2 / lambda^2."""
-        return self.h * self.h / (self.lam * self.lam)
+        return _in_float_range(lambda: self.h * self.h / (self.lam * self.lam),
+                               h=self.h, lam=self.lam)
 
 
 def _transport_bracket(m: float) -> float:
@@ -180,8 +181,12 @@ def energy_transport(train: WaveTrain) -> float:
     A flat train (m = 0) transports nothing: the bracket cancels
     algebraically.
     """
-    return (256.0 / 9.0 * train.rho * train.g
-            * train.h**6 / train.lam**3 * _transport_bracket(train.m))
+    bracket = _transport_bracket(train.m)
+    if bracket == 0.0:
+        return 0.0
+    return _in_float_range(
+        lambda: 256.0 / 9.0 * train.rho * train.g * train.h**6 / train.lam**3 * bracket,
+        h=train.h, lam=train.lam, m=train.m, rho=train.rho, g=train.g)
 
 
 def depth_from_m(m: float, T: float, F: float, rho: float, g: float) -> float:

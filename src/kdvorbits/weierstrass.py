@@ -32,11 +32,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .elliptic import ellint_E, ellint_F_zeta, ellint_K, jacobi, jacobi_complex
 from .errors import DomainError, PoleError
 
 __all__ = [
     "BOUNDARY_TOL",
+    "EDGES",
+    "CORNERS",
     "RectLattice",
     "EdgeAmplitude",
     "lattice",
@@ -50,6 +54,14 @@ __all__ = [
 
 #: Absolute tolerance on V for deciding that it sits on a corner e_i.
 BOUNDARY_TOL = 1e-12
+
+#: The edges of the half rectangle in the order V meets them, named by
+#: their codes in :class:`EdgeAmplitude`; corner code k is the corner where
+#: edge k begins, 0 none.
+EDGES = ("imaginary", "top", "right", "real")
+CORNERS = (None, "e2", "e3", "e1")
+IMAGINARY, TOP, RIGHT, REAL = range(4)
+E2, E3, E1 = TOP, RIGHT, REAL
 
 _POLE_TOL = 1e-9
 # Terms of the theta_1 series; at the largest nome used, exp(-pi), the
@@ -292,19 +304,27 @@ def sigma(z: complex, lat: RectLattice) -> complex:
 class EdgeAmplitude(NamedTuple):
     """Where V sits on the boundary of the half rectangle; see :func:`wp_amplitude`.
 
-    a = wp_inverse(V) is the arc parameter F(phi|mu) along ``edge`` ("imaginary",
-    "top", "right" or "real"), with tan phi = y / x for ``amplitude`` = (y, x);
-    ``corner`` is "e2", "e3", "e1" or None; ``gaps`` is sqrt|V - e_i| for i = 1, 2, 3.
+    a = wp_inverse(V) is the arc parameter F(phi|mu) along the edge coded
+    ``edge`` (an index into :data:`EDGES`), with tan phi = y / x for
+    ``amplitude`` = (y, x); ``corner`` indexes :data:`CORNERS` (0: none);
+    ``gaps`` is sqrt|V - e_i| for i = 1, 2, 3.  Each field is an array where V is.
     """
 
-    edge: str
+    edge: int
     amplitude: tuple[float, float]
     mu: float
-    corner: str | None
+    corner: int
     gaps: tuple[float, float, float]
 
 
-def wp_amplitude(V: float, lat: RectLattice) -> EdgeAmplitude:
+def _by_edge(edge, *rows):
+    """rows[edge], a tuple; picked element by element where ``edge`` is an array."""
+    if isinstance(edge, np.ndarray):
+        return tuple(np.choose(edge, column) for column in zip(*rows))
+    return rows[edge]
+
+
+def wp_amplitude(V, lat: RectLattice) -> EdgeAmplitude:
     """The edge and corner holding a = wp^-1(V), and the amplitude of a there.
 
     On each edge of the half rectangle sn^2, cn^2 and dn^2 of the arc
@@ -324,24 +344,22 @@ def wp_amplitude(V: float, lat: RectLattice) -> EdgeAmplitude:
     V within ``BOUNDARY_TOL`` of a corner sits on it: ``corner`` names
     the nearest, a tie going to e2 and then e3 (the double corner
     e2 = e3 of m = 0 is e2).  No other code compares V with the corners.
+    V may be an array, with a lattice whose fields are arrays of its shape;
+    the decision is the same arithmetic, element by element.
     """
-    if math.isnan(V):
+    array = isinstance(V, np.ndarray)
+    if np.isnan(V).any() if array else math.isnan(V):
         raise DomainError("wp_amplitude received NaN")
     d1, d2, d3 = abs(V - lat.e1), abs(V - lat.e2), abs(V - lat.e3)
-    if d2 <= d3 and d2 <= d1:
-        corner = "e2" if d2 <= BOUNDARY_TOL else None
-    elif d3 <= d1:
-        corner = "e3" if d3 <= BOUNDARY_TOL else None
-    else:
-        corner = "e1" if d1 <= BOUNDARY_TOL else None
-    gaps = g1, g2, g3 = math.sqrt(d1), math.sqrt(d2), math.sqrt(d3)
-    if V < lat.e2:
-        return EdgeAmplitude("imaginary", (1.0, g2), 1.0 - lat.m, corner, gaps)
-    if V < lat.e3:
-        return EdgeAmplitude("top", (g2, g3), lat.m, corner, gaps)
-    if V < lat.e1:
-        return EdgeAmplitude("right", (g1, g3), 1.0 - lat.m, corner, gaps)
-    return EdgeAmplitude("real", (1.0, g1), lat.m, corner, gaps)
+    corner = (E2 * ((d2 <= BOUNDARY_TOL) & (d2 <= d3) & (d2 <= d1))
+              + E3 * ((d3 <= BOUNDARY_TOL) & (d3 < d2) & (d3 <= d1))
+              + E1 * ((d1 <= BOUNDARY_TOL) & (d1 < d2) & (d1 < d3)))
+    sqrt = np.sqrt if array else math.sqrt
+    gaps = g1, g2, g3 = sqrt(d1), sqrt(d2), sqrt(d3)
+    edge = 0 + (V >= lat.e2) + (V >= lat.e3) + (V >= lat.e1)  # corners at or below V, as ints
+    mc = 1.0 - lat.m
+    y, x, mu = _by_edge(edge, (1.0, g2, mc), (g2, g3, lat.m), (g1, g3, mc), (1.0, g1, lat.m))
+    return EdgeAmplitude(edge, (y, x), mu, corner, gaps)
 
 
 def wp_inverse(V: float, lat: RectLattice) -> complex:
@@ -361,20 +379,14 @@ def wp_inverse(V: float, lat: RectLattice) -> complex:
     corner e2 = e3 lies at infinity and raises :class:`DomainError`.
     """
     edge, amplitude, mu, corner, _ = wp_amplitude(V, lat)
-    if corner == "e2":
+    if corner == E2:
         if lat.m == 0.0:
             raise DomainError(
                 "wp_inverse at the double corner e2 = e3 = -1/3 lies at infinity for m = 0")
         return 1j * lat.Kc
-    if corner == "e3":
+    if corner == E3:
         return complex(lat.K, lat.Kc)
-    if corner == "e1":
+    if corner == E1:
         return complex(lat.K, 0.0)
     t = ellint_F_zeta(*amplitude, mu)[0]
-    if edge == "imaginary":
-        return complex(0.0, t)
-    if edge == "top":
-        return complex(t, lat.Kc)
-    if edge == "right":
-        return complex(lat.K, t)
-    return complex(t, 0.0)
+    return (complex(0.0, t), complex(t, lat.Kc), complex(lat.K, t), complex(t, 0.0))[edge]

@@ -7,7 +7,9 @@ byte determinism, column schemas, and agreement between the emitted
 numbers and the library calls they wrap.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -16,6 +18,8 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kdvorbits import cli
@@ -23,7 +27,7 @@ from kdvorbits.asymptotics import K_asymptotes, V_near_m1
 from kdvorbits.bands import band_edges
 from kdvorbits.cli import main
 from kdvorbits.errors import NumericalError
-from kdvorbits.orbits import cnoidal_profile
+from kdvorbits.orbits import cnoidal_profile, orbit_data
 from kdvorbits.shoaling import WaveTrain, critical_depth, wavelength
 from kdvorbits.weierstrass import lattice
 
@@ -139,6 +143,43 @@ class TestDiagram:
                          -1, 1, "--grid", 7, 7, "--json")
         assert first == second
 
+    # Digests recorded when diagram still called orbit_data once per cell.
+    # The first grid steps m by 1/16 from 0 and V by 1/48, so every row
+    # has cells on its corners e1, e2 and e3 (the double corner at m = 0),
+    # and it covers all four regions; the second reaches |V| = 1e6, where
+    # the cosh traces are inf.
+    @pytest.mark.parametrize("argv, digest", [
+        (("--m-range", 0, 0.9375, "--V-range", -3, 3, "--grid", 16, 289),
+         "11c70cfc986116d4e3838d317dc86da1f9bee9fee7b58d6d817e17fba280c42e"),
+        (("--m-range", 0, 0.99, "--V-range", -1e6, 1e6, "--grid", 12, 41,
+          "--json"),
+         "e6f8418d416cda4bcffddde9cac7d5bfe92d52279458ef8027b43ea2e1de0a16"),
+    ])
+    def test_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "diagram", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True),
+           st.floats(-1e7, 1e7), st.floats(-1e7, 1e7),
+           st.integers(1, 5), st.integers(1, 7))
+    def test_rows_are_the_cells_own_orbit_data(self, m_lo, m_hi, v_lo, v_hi, nm, nv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([str(a) for a in ("diagram", "--m-range", repr(m_lo), repr(m_hi),
+                                          "--V-range", repr(v_lo), repr(v_hi),
+                                          "--grid", nm, nv)])
+        assert code == 0
+        expected = ["m,V,trace,kc_real,kc_imag,class,winding"]
+        for m in (np.linspace(m_lo, m_hi, nm) if nm > 1 else [m_lo]):
+            for V in (np.linspace(v_lo, v_hi, nv) if nv > 1 else [v_lo]):
+                d = orbit_data(float(m), float(V))
+                expected.append("%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d" % (
+                    m, V, d.trace, d.kc.real, d.kc.imag, d.orbit.kind.value,
+                    d.orbit.winding))
+        assert out.getvalue() == "\n".join(expected) + "\n"
+
 
 class TestLevelCurve:
     def test_wedge_boundary_is_a_straight_line(self, capsys):
@@ -194,6 +235,55 @@ class TestLevelCurve:
         assert code == 2 and out == ""
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "DomainError"
+
+    # Digests recorded when level-curve still solved one m per call: both
+    # regions, the corner levels -1/24, 0 and 1e-40, the m = 0 closed form,
+    # m up to 1 - 1e-7, and the band split by its two snap bands at the end.
+    @pytest.mark.parametrize("argv, digest", [
+        (("--kc", -1.0 / 24.0, "--region", "below_wedge", "--m-samples", 9),
+         "fa92337bd03c1a7642e6a0c548343c131237c62302882cbda1c06fadd2c5a2f4"),
+        (("--kc", -1.0 / 24.0, "--region", "above_wedge", "--m-samples", 9),
+         "811f8392746bcd0ea3457c38241bd5c2233deac80a6a2e1c483b351a8ad46f41"),
+        (("--kc", 0, "--region", "above_wedge", "--m-samples", 9),
+         "9c9eccd74e2a2be4e55d18791b0fa123c2a1a4862dd2f1def03ee57d6ed283f3"),
+        (("--kc", 1e-40, "--region", "above_wedge", "--m-samples", 9),
+         "9c9eccd74e2a2be4e55d18791b0fa123c2a1a4862dd2f1def03ee57d6ed283f3"),
+        (("--kc", -0.3, "--region", "below_wedge", "--m-samples", 64),
+         "4f11078a6b49cc226a3e6bbcafa0dde3e3b240e43bfd2543fe7b263ce692a930"),
+        (("--kc", -12.5, "--region", "below_wedge", "--m-samples", 33),
+         "a32d5b6a766386ecf5b8995dbafa1578a932b5f6c0c8fe8305542e3da15296ca"),
+        (("--kc", 0.2, "--region", "above_wedge", "--m-samples", 64),
+         "3dd372fe7a979f61b060a6675a84137aa269adf37525ed103b5e67d27fe0fe55"),
+        (("--kc", -0.03, "--region", "above_wedge", "--m-samples", 64, "--json"),
+         "79e3c03170e02ffb4bc943d38ef517be322a395f28966fc23bcb95447f64573f"),
+        (("--kc", -0.03, "--region", "above_wedge", "--m-samples", 9,
+          "--m-min", 0.99999999999, "--m-max", 0.9999999999999),
+         "b12f97d307ecb6ac7868f0f5bc7aa8c0142927b5a021c3bc5762cc910a376ea0"),
+    ])
+    def test_bytes_are_pinned(self, capsys, argv, digest):
+        if "--m-min" not in argv:
+            argv += ("--m-min", 0, "--m-max", 0.9999999)
+        code, out, _ = run_cli(capsys, "level-curve", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--kc", -1e307, "--region", "below_wedge", "--m-min", 0),
+         "no finite V has kc = -1e+307 at m = 0"),
+        (("--kc", -1e307, "--region", "below_wedge", "--m-min", 0.25),
+         "no finite V has kc = -1e+307 at m = 0.25"),
+        (("--kc", -0.3, "--region", "below_wedge", "--m-min", 0.5, "--m-max", 1.5),
+         "lattice requires 0 <= m < 1, got 1.0"),
+        (("--kc", 0.3, "--region", "below_wedge", "--m-min", -0.5),
+         "lattice requires 0 <= m < 1, got -0.5"),
+    ])
+    def test_first_failing_m_reports(self, capsys, argv, message):
+        # the rows fail for different reasons; the first in row order reports
+        if "--m-max" not in argv:
+            argv += ("--m-max", 0.5)
+        code, out, err = run_cli(capsys, "level-curve", *argv, "--m-samples", 3)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "DomainError", "message": message}
 
     def test_tiny_kc_above_the_wedge(self, capsys):
         code, out, err = run_cli(capsys, "level-curve", "--kc", 1e-40,

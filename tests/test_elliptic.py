@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from kdvorbits.elliptic import (
     JacobiTriple,
     _agm_chain,
-    dn_power_integral,
     ellint_differences,
     ellint_E,
     ellint_F_zeta,
@@ -96,6 +95,49 @@ class TestCompleteIntegrals:
                      (0.0, 0.0), (math.inf, math.inf)):
             with pytest.raises(DomainError):
                 ellint_F_zeta(y, x, 0.5)
+
+    @pytest.mark.parametrize("m", [0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0])
+    def test_incomplete_F_and_zeta_take_arrays_bit_for_bit(self, m):
+        # sides over e^-20 .. e^5, zero, inf and beyond hypot's range on both
+        # ends; each element of one array call is its scalar call, bit for bit
+        sides = np.concatenate([np.exp(np.linspace(-20.0, 5.0, 26)),
+                                [0.0, math.inf, 5e-324, 1e-310, 1e-301, 1e301, 1.7e308]])
+        y, x = (a.ravel() for a in np.meshgrid(sides, sides))
+        keep = (np.maximum(y, x) > 0.0) & (np.minimum(y, x) < math.inf)
+        y, x = y[keep].reshape(1, -1), x[keep].reshape(1, -1)
+        F, Z = ellint_F_zeta(y, x, m)
+        assert F.shape == Z.shape == y.shape
+        for i in range(y.size):
+            alone = ellint_F_zeta(float(y.flat[i]), float(x.flat[i]), m)
+            assert (F.flat[i], Z.flat[i]) == alone, (y.flat[i], x.flat[i])
+        # x = 0 is phi = pi/2: F is K bit for bit
+        assert np.all(F[x == 0.0] == (ellint_K(m) if m < 1.0 else math.inf))
+
+    def test_incomplete_F_and_zeta_each_element_its_own_parameter(self):
+        # one call over mixed m: every element stops its chain on its own tests
+        rng = np.random.default_rng(5)
+        m = rng.permutation(np.concatenate([[0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0, 5e-324],
+                                            rng.uniform(0.0, 1.0, 94)]))
+        y, x = np.exp(rng.uniform(-20.0, 5.0, 100)), np.exp(rng.uniform(-20.0, 5.0, 100))
+        F, Z = ellint_F_zeta(y, x, m)
+        for args, f, z in zip(zip(y.tolist(), x.tolist(), m.tolist()), F.tolist(), Z.tolist()):
+            assert (f, z) == ellint_F_zeta(*args), args
+
+    @pytest.mark.parametrize("y, x, m", [
+        ([1.0, 1.0, -1.0, 1.0], [1.0, 2.0, 1.0, 1.0], [0.5, 1.5, 0.5, math.nan]),
+        ([1.0, 0.0, 1.0], [1.0, 0.0, -1.0], 0.5),
+        ([1.0, math.inf, math.nan], [1.0, math.inf, 1.0], [0.3, 0.4, 0.5]),
+    ])
+    def test_array_raises_for_its_first_invalid_element(self, y, x, m):
+        y, x, m = np.broadcast_arrays(np.array(y), np.array(x), np.array(m))
+        first = next(i for i in range(y.size)
+                     if not (0.0 <= m[i] <= 1.0 and y[i] >= 0.0 and x[i] >= 0.0
+                             and y[i] + x[i] > 0.0 and min(y[i], x[i]) < math.inf))
+        with pytest.raises(DomainError) as alone:
+            ellint_F_zeta(float(y[first]), float(x[first]), float(m[first]))
+        with pytest.raises(DomainError) as together:
+            ellint_F_zeta(y, x, m)
+        assert str(together.value) == str(alone.value)
 
     def test_differences_take_arrays_bit_for_bit(self):
         # each element stops its AGM on its own test: an array call equals
@@ -309,27 +351,3 @@ class TestJacobiComplex:
         for z in (0.3 + 0.2j, -2.0 + 5.0j, 1e3 - 0.5j, 1j):
             sn, cn, dn = jacobi_complex(z, m)
             assert sn == cmath.sin(z) and cn == cmath.cos(z) and dn == 1.0
-
-
-class TestDnPowerIntegral:
-    @pytest.mark.parametrize("m", [0.0, 0.3, 0.7, 0.95])
-    def test_low_orders_are_K_and_E(self, m):
-        assert_allclose(dn_power_integral(0, m), 2 * ellint_K(m), rtol=1e-15)
-        assert_allclose(dn_power_integral(2, m), 2 * ellint_E(m), rtol=1e-15)
-
-    def test_fourth_power_closed_form(self):
-        m = 0.6
-        K, E = ellint_K(m), ellint_E(m)
-        expected = ((2 * m - 2) * K + (8 - 4 * m) * E) / 3.0
-        assert_allclose(dn_power_integral(4, m), expected, rtol=1e-14)
-
-    @pytest.mark.parametrize("N", [0, 2, 4, 6, 8])
-    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
-    def test_against_ode_quadrature(self, N, m):
-        assert_allclose(dn_power_integral(N, m),
-                        oracles.ode_dn_power_integral(N, m), rtol=1e-11)
-
-    def test_rejects_odd_and_negative(self):
-        for bad in (1, 3, -2, 2.0):
-            with pytest.raises(DomainError):
-                dn_power_integral(bad, 0.5)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from kdvorbits.orbits import (
     uniform_representative,
     winding_from_kc,
 )
-from kdvorbits.weierstrass import lattice, wp_amplitude, wp_inverse, zeta
+from kdvorbits.weierstrass import CORNERS, lattice, wp_amplitude, wp_inverse, zeta
 
 import oracles
 
@@ -296,7 +297,7 @@ class TestOneCornerRule:
                  "e3": OrbitKind.EXCEPTIONAL}
         for offset in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
             V = getattr(lat, corner) + offset * BOUNDARY_TOL
-            named = wp_amplitude(V, lat).corner
+            named = CORNERS[wp_amplitude(V, lat).corner]
             assert points.get(wp_inverse(V, lat)) == named, V
             kind = orbit_data(m, V).orbit.kind
             assert (kind if kind in kinds.values() else None) == kinds.get(named), V
@@ -357,6 +358,26 @@ class TestOrbitData:
             level_curve(kc, m, region)
         except (DomainError, NumericalError):
             pass
+
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.lists(ANY_M, min_size=1, max_size=6), V=st.lists(ANY_V, min_size=1, max_size=8))
+    def test_arrays_are_their_cells(self, m, V):
+        # every cell of one call over the broadcast grid is its scalar call
+        data = orbit_data(np.array(m)[:, None], np.array(V))
+        assert data.trace.shape == data.kc.shape == data.orbit.shape == (len(m), len(V))
+        for (i, m_i), (j, V_j) in itertools.product(enumerate(m), enumerate(V)):
+            alone = orbit_data(m_i, V_j)
+            cell = (data.trace[i, j], data.kc[i, j], data.has_rest_frame[i, j], data.orbit[i, j])
+            assert repr(tuple(map(float, (cell[0], cell[1].real, cell[1].imag)))) == repr(
+                (alone.trace, alone.kc.real, alone.kc.imag)), (m_i, V_j)
+            assert (cell[2], cell[3]) == (alone.has_rest_frame, alone.orbit)
+
+    def test_an_array_raises_for_its_first_invalid_cell(self):
+        m, V = np.array([0.5, 0.5, 1.5, -1.0]), np.array([0.1, math.nan, 0.0, 0.0])
+        with pytest.raises(DomainError, match="V must be finite, got nan"):
+            orbit_data(m, V)
+        with pytest.raises(DomainError, match="lattice requires 0 <= m < 1, got 1.5"):
+            orbit_data(m[::-1][1:], V[::-1][1:])
 
     @pytest.mark.parametrize("m", [5e-324, 1e-300, 1e-17])
     def test_tiny_m_is_the_m_zero_limit(self, m):
@@ -563,6 +584,37 @@ class TestLevelCurve:
             return
         tol = max(1e-10 * max(1.0, abs(kc)), 4.0 * abs(dk_dV(m, V)) * math.ulp(V))
         assert abs(orbit_data(m, V).kc.real - kc) <= tol
+
+    @settings(deadline=None, max_examples=60)
+    @example(m=[0.5] * 20 + [1.5, 0.0], kc=-1e307, region="below_wedge")
+    @example(m=[1 - 2**-52, 0.3] * 10, kc=-1e-40, region="above_wedge")
+    @given(m=st.lists(ANY_M, min_size=1, max_size=40),
+           kc=st.one_of(st.floats(-1e300, 1e300), st.floats(-3.0, 3.0),
+                        st.sampled_from([-1.0 / 24.0, 0.0, 1e-40, -1e-40, -1e307])),
+           region=st.sampled_from(["below_wedge", "above_wedge"]))
+    def test_an_array_of_m_is_each_m_alone(self, m, kc, region):
+        # each V bit for bit that of its own call; or the error of the first
+        # failing m, in row order, as one call per m gives
+        alone = []
+        for m_i in m:
+            try:
+                alone.append(repr(level_curve(kc, m_i, region)))
+            except (DomainError, NumericalError) as exc:
+                alone.append(exc)
+                break
+        try:
+            together = level_curve(kc, np.array(m), region)
+        except (DomainError, NumericalError) as exc:
+            assert (type(exc), str(exc)) == (type(alone[-1]), str(alone[-1]))
+        else:
+            assert [repr(V) for V in together.tolist()] == alone
+
+    def test_an_array_of_m_keeps_its_shape(self):
+        m = np.linspace(0.1, 0.9, 30).reshape(5, 6)
+        V = level_curve(-0.3, m, "below_wedge")
+        assert V.shape == (5, 6)
+        assert V[2, 3] == level_curve(-0.3, float(m[2, 3]), "below_wedge")
+        assert level_curve(-0.3, np.empty(0), "below_wedge").shape == (0,)
 
     def test_level_curves_nest_in_m(self):
         # deeper kc targets push V further down, at every m

@@ -365,18 +365,39 @@ class TestFloatRange:
     @example(5.0, 8.0, 1e4, 1e-320, 9.81)
     @example(1e100, 1e100, 1.0, 1.0, 1.0)
     @example(1e-80, 1e-107, 1.0, 1.0, 1.0)
+    @example(1e100, 10.0, 8.0, 1025.0, 9.81)  # h**6 overflows in energy_transport
+    @example(1.0, 1e-170, 8.0, 1025.0, 9.81)  # lam**3 and lam * lam underflow to 0
+    @example(1e300, 1e10, 8.0, 1025.0, 1e300)  # g h overflows in wavelength
     @settings(max_examples=400, deadline=None)
     def test_every_finite_input_gets_a_value_or_a_contract_error(self, x, T, F, rho, g):
+        # the wave train reads (h, lam, T) = (x, T, F)
         calls = (lambda: depth_from_m(x, T, F, rho, g),
                  lambda: critical_depth(T, F, rho, g),
                  lambda: m_from_depth(x, T, F, rho, g),
-                 lambda: m_from_depth(np.array([x, 0.5 * x]), T, F, rho, g))
+                 lambda: m_from_depth(np.array([x, 0.5 * x]), T, F, rho, g),
+                 lambda: wavelength(x, T, g),
+                 lambda: WaveTrain(x, T, 0.5, F, rho, g).F,  # energy_transport
+                 lambda: WaveTrain(x, T, 0.5, F, rho, g, F=1.0).epsilon)
         for call in calls:
             try:
-                value = np.asarray(call())
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # eps beyond 0.05
+                    value = np.asarray(call())
             except (DomainError, NumericalError):
                 continue
             assert np.all((value > 0.0) & (value < math.inf))
+
+    @pytest.mark.parametrize("call", [
+        lambda: WaveTrain(1e100, 10.0, 0.5, 8.0, 1025.0, 9.81),
+        lambda: WaveTrain(1.0, 1e-170, 0.5, 8.0, 1025.0, 9.81),
+        lambda: WaveTrain(1.0, 1e-170, 0.5, 8.0, 1025.0, 9.81, F=1e4),
+        lambda: wavelength(1e300, 1e10, 1e300),
+    ])
+    def test_wave_train_out_of_float_range(self, call):
+        # an OverflowError, a ZeroDivisionError and an inf before
+        with pytest.raises(DomainError, match="take the result out of float range"):
+            call()
+
 
 
 class TestDepthProfile:
