@@ -11,7 +11,7 @@ shoaling) is built on the primitives in this module:
 * ``jacobi_complex`` -- complex-argument sn/cn/dn assembled from two real
   evaluations (one at modulus parameter ``m``, one at ``1 - m``).
 
-``jacobi``, ``ellint_differences`` and ``ellint_F_zeta`` also take arrays,
+``jacobi``, ``ellint_KE``, ``ellint_differences`` and ``ellint_F_zeta`` also take arrays,
 element by element bit for bit equal to their scalar calls.
 
 Throughout the package the *parameter* convention is used: ``m`` is the
@@ -37,6 +37,7 @@ __all__ = [
     "JacobiTriple",
     "ellint_K",
     "ellint_E",
+    "ellint_KE",
     "ellint_F_zeta",
     "jacobi",
     "jacobi_complex",
@@ -73,12 +74,12 @@ def _agm_chain(m: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
 
     Cached per float m, at twice the lattice cache: a lattice, and every
     edge exponent and wp_inverse on it, ask for the chains of m and 1 - m.
-    Its callers are the scalar routes, whose m repeat: ellint_K/E (so
-    ``lattice``), a scalar ellint_F_zeta (so ``classify`` and a scalar
-    ``level_curve``) and jacobi.  The array routes run their own masked
-    chain, each element stopping on the test below: ellint_differences,
-    whose m_from_depth steps never repeat an m, and an array ellint_F_zeta,
-    whose diagram cells and level-curve steps would each ask for a chain.
+    Its callers are the scalar routes, whose m repeat: ellint_K/E/KE (so a
+    scalar ``lattice``), a scalar ellint_F_zeta (so ``classify`` and a
+    scalar ``level_curve``) and jacobi.  The array routes run a masked
+    chain, each element stopping on the test below: ellint_KE (an array
+    ``lattice``) and ellint_differences, whose m_from_depth steps never
+    repeat an m, on :func:`_agm_masked`, and an array ellint_F_zeta.
 
     Seeds a0 = 1, b0 = sqrt(1 - m), c0 = sqrt(m); then
     a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2.
@@ -107,9 +108,7 @@ def ellint_K(m: float) -> float:
     pi / (2 * agm(1, sqrt(1-m))).  Relative accuracy is a few ulp for
     every m in [0, 1); K diverges (like -log sqrt(1-m) + log 4) at m = 1.
     """
-    m = _check_parameter(m)
-    a_seq, _, _ = _agm_chain(m)
-    return math.pi / (2.0 * a_seq[-1])
+    return ellint_KE(m)[0]
 
 
 def ellint_E(m: float) -> float:
@@ -119,11 +118,18 @@ def ellint_E(m: float) -> float:
     chain as K via E = K * (1 - sum_n 2^(n-1) c_n^2).  E(1) = 1 exactly.
     """
     m = _check_parameter(m, allow_one=True)
-    if m == 1.0:
-        return 1.0
-    a_seq, _, csum = _agm_chain(m)
-    K = math.pi / (2.0 * a_seq[-1])
-    return K * (1.0 - csum)
+    return 1.0 if m == 1.0 else ellint_KE(m)[1]
+
+
+def ellint_KE(m):
+    """K(m) and E(m) for 0 <= m < 1 from one AGM chain.  An array of m gives
+    arrays from one masked chain, each element bit for bit its scalar call."""
+    if isinstance(m, np.ndarray):
+        K, csum, _ = _agm_masked(np.asarray(m, dtype=float))
+    else:
+        a_seq, _, csum = _agm_chain(_check_parameter(m))
+        K = math.pi / (2.0 * a_seq[-1])
+    return K, K * (1.0 - csum)
 
 
 def ellint_differences(m):
@@ -140,11 +146,19 @@ def ellint_differences(m):
     its values are bit for bit those of a call on it alone.
     """
     m = np.asarray(m, dtype=float)
+    K, _, tail = _agm_masked(m)
+    out = K, K * (0.5 * m + tail), 2.0 * K * tail
+    return tuple(map(float, out)) if m.ndim == 0 else out
+
+
+def _agm_masked(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per element of m, the chain of :func:`_agm_chain` to its own stop: K, the sum
+    2^(n-1) c_n^2 and its n >= 1 tail, with c_n^2 = c_{n-1}^4 / (16 a_n^2)."""
     bad = m[~((m >= 0.0) & (m < 1.0))]
     if bad.size:
         _check_parameter(bad[0])
     a, b, c = np.ones_like(m), np.sqrt(1.0 - m), np.sqrt(m)
-    c_sq, tail, power = m, np.zeros_like(m), 1.0
+    c_sq, csum, tail, power = m, 0.5 * c * c, np.zeros_like(m), 1.0
     for _ in range(_AGM_MAX_ITER):
         live = np.abs(c) > _AGM_TOL * a
         if not live.any():
@@ -152,11 +166,10 @@ def ellint_differences(m):
         a, b, c = (np.where(live, 0.5 * (a + b), a), np.where(live, np.sqrt(a * b), b),
                    np.where(live, 0.5 * (a - b), c))
         c_sq = np.where(live, c_sq * c_sq / (16.0 * a * a), c_sq)
+        csum = np.where(live, csum + power * c * c, csum)
         tail = np.where(live, tail + power * c_sq, tail)
         power *= 2.0
-    K = math.pi / (2.0 * a)
-    out = K, K * (0.5 * m + tail), 2.0 * K * tail
-    return tuple(map(float, out)) if m.ndim == 0 else out
+    return math.pi / (2.0 * a), csum, tail
 
 
 def ellint_F_zeta(y, x, m):

@@ -185,14 +185,6 @@ def _orbit_on_edge(edge: int, x: float) -> OrbitData:
                      True, _orbit_class(OrbitKind.ELLIPTIC, winding))
 
 
-def _lattices(m: np.ndarray) -> RectLattice:
-    """A lattice whose fields are arrays: those of lattice(m) for each element of m."""
-    values, index = np.unique(m, return_inverse=True)
-    lats = [lattice(v) for v in values.tolist()]
-    return RectLattice(*(np.array([getattr(lat, f) for lat in lats])[index].reshape(m.shape)
-                         for f in _LATTICE_FIELDS))
-
-
 def orbit_data(m, V) -> OrbitData:
     """Trace 2 cosh(2w), kc = w^2/(6 pi^2) and orbit class of the wave (m, V).
 
@@ -233,7 +225,7 @@ def _orbit_data_array(m: np.ndarray, V: np.ndarray) -> OrbitData:
     bad = ~((m >= 0.0) & (m < 1.0) & np.isfinite(V))
     if bad.any():
         orbit_data(float(m.flat[np.argmax(bad)]), float(V.flat[np.argmax(bad)]))
-    lat = _lattices(m)
+    lat = lattice(m)
     amp = wp_amplitude(V, lat)
     with np.errstate(divide="ignore", invalid="ignore"):  # gaps vanish on the corners
         x = _edge_exponent(lat, amp).ravel().tolist()
@@ -348,7 +340,8 @@ def level_curve(target_kc: float, m, region: str):
     adjacent floats; a target beyond every finite V raises DomainError.
 
     An array of m gives an array of V: every m runs this Newton iteration
-    (:func:`_level_row`) with its own bracket and exits, so each V is that
+    (:func:`_level_row`) with its own bracket and exits, on one array
+    lattice (:func:`.weierstrass.lattice`), so each V is that
     of its scalar call bit for bit, and the first failing m in row order
     raises its error.  While many rows are live, one array pass evaluates
     the exponents of a step for all of them.
@@ -356,14 +349,19 @@ def level_curve(target_kc: float, m, region: str):
     target_kc = float(target_kc)
     scalar = isinstance(m, float) or np.ndim(m) == 0
     ms = [m] if scalar else np.asarray(m, dtype=float).ravel().tolist()
+    table, lats = None, [None] * len(ms)  # None: the row builds its own lattice, or raises
+    if not scalar:
+        valid = [0.0 <= m_i < 1.0 for m_i in ms]
+        table = lattice(np.where(valid, ms, 0.0))
+        lats = [RectLattice(*fields) if ok else None for ok, fields in
+                zip(valid, zip(*(getattr(table, f).tolist() for f in _LATTICE_FIELDS)))]
     rows, asks = [], []
-    for m_i in ms:
-        rows.append(_level_row(target_kc, m_i, region))
+    for m_i, lat in zip(ms, lats):
+        rows.append(_level_row(target_kc, m_i, region, lat))
         asks.append(next(rows[-1]))
         if asks[-1][0] == _FAILED:  # the rows after it cannot report first
             break
     live = [i for i, ask in enumerate(asks) if ask[0] < _DONE]
-    table = _lattices(np.array(ms[:live[-1] + 1])) if len(live) > _FEW_ROWS else None
     while len(live) > _FEW_ROWS:
         V = np.array([asks[i][1] for i in live])
         lat = RectLattice(*(getattr(table, f)[live] for f in _LATTICE_FIELDS))
@@ -374,7 +372,7 @@ def level_curve(target_kc: float, m, region: str):
             asks[i] = rows[i].send((x_i, rate_i) if asks[i][0] == _SLOPE else x_i)
         live = [i for i in live if asks[i][0] < _DONE]
     for i in live:  # a few rows left: each runs to its end on answers of its own
-        row, ask, lat = rows[i], asks[i], lattice(ms[i])
+        row, ask, lat = rows[i], asks[i], lats[i] or lattice(ms[i])
         while ask[0] < _DONE:
             amp = wp_amplitude(ask[1], lat)
             x = _edge_exponent(lat, amp)
@@ -392,22 +390,22 @@ def level_curve(target_kc: float, m, region: str):
 _X, _SLOPE, _DONE, _FAILED = range(4)
 
 
-def _level_row(target_kc: float, m: float, region: str):
+def _level_row(target_kc: float, m: float, region: str, lat: RectLattice | None):
     """One m of :func:`level_curve` as a generator: it yields (_X, V) for x
     at V and (_SLOPE, V) for (x, dx/dV), then (_DONE, V) or (_FAILED, error)."""
     try:
-        V = yield from _level_steps(target_kc, m, region)
+        V = yield from _level_steps(target_kc, m, region, lat)
     except (DomainError, NumericalError) as exc:
         yield _FAILED, exc
     else:
         yield _DONE, V
 
 
-def _level_steps(target_kc: float, m: float, region: str):
-    """The search of :func:`level_curve` for one m; see :func:`_level_row`."""
+def _level_steps(target_kc: float, m: float, region: str, lat: RectLattice | None):
+    """The search of :func:`level_curve` for one m, on ``lat`` or lattice(m)."""
     if not math.isfinite(target_kc):
         raise DomainError(f"target kc must be finite, got {target_kc!r}")
-    lat = lattice(m)
+    lat = lat or lattice(m)
     boundary = -1.0 / 24.0
 
     if region == "below_wedge":

@@ -82,15 +82,17 @@ def _in_float_range(compute, **inputs) -> float:
     return value
 
 
-def zero_average_V(m: float) -> float:
+def zero_average_V(m):
     """Velocity parameter of the zero-average cnoidal wave: 2E/K - (4-2m)/3.
 
     Runs from 2/3 at m = 0 (hugging the parabolic line (2-m)/3 from
-    below) down to -2/3 as m -> 1.
+    below) down to -2/3 as m -> 1.  An array of m gives each its scalar call.
     """
-    m = float(m)
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"squared modulus must lie in [0, 1), got {m!r}")
+    m = m if isinstance(m, np.ndarray) else float(m)
+    ok = np.ravel((m >= 0.0) & (m < 1.0))
+    if not ok.all():
+        bad = float(np.ravel(m)[np.argmin(ok)])
+        raise DomainError(f"squared modulus must lie in [0, 1), got {bad!r}")
     lat = lattice(m)
     return 2.0 * lat.E / lat.K - (4.0 - 2.0 * m) / 3.0
 
@@ -356,12 +358,13 @@ def shoaling_path(h_values, T: float, F: float, rho: float,
                   g: float) -> ShoalingPath:
     """Trace a conserved wave train through decreasing depths.
 
-    Takes a sequence or an array of depths and inverts the transport
-    relation for all of them in one :func:`m_from_depth` call.  For each
-    depth: apply the leading-order wavelength, place the zero-average
-    wave in the orbit diagram (V, k/c, class), and flag whether it sits
-    inside the forbidden wedge.  The speed column is the leading-order sqrt(g h);
-    the recorded eps says how much to trust it.
+    Takes a sequence or an array of depths.  For each depth: apply the
+    leading-order wavelength, place the zero-average wave in the orbit
+    diagram (V, k/c, class), and flag whether it sits inside the
+    forbidden wedge.  The speed column is the leading-order sqrt(g h);
+    the recorded eps says how much to trust it.  The whole path is one
+    array pass, each station bit for bit its scalar calls; the first
+    station whose lambda or lambda^2 leaves the float range raises.
 
     If consecutive depths straddle the wedge boundary, the path reports
     the crossing depth, which is :func:`critical_depth` by construction.
@@ -372,24 +375,24 @@ def shoaling_path(h_values, T: float, F: float, rho: float,
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise DomainError("depths must be strictly decreasing along the path")
 
-    m_star = critical_m()
-    points = []
-    entry = None
-    for i, (h, m) in enumerate(zip(hs, m_from_depth(hs, T, F, rho, g).tolist())):
-        V = zero_average_V(m)
-        data = orbit_data(m, V)
-        in_wedge = m > m_star
-        if in_wedge and entry is None:
-            entry = i
-        lam = wavelength(h, T, g)
-        points.append(PathPoint(
-            h=h, lam=lam, m=m, V=V, kc=data.kc,
-            orbit=data.orbit, in_wedge=in_wedge,
-            epsilon=h * h / (lam * lam), speed=math.sqrt(g * h)))
-
-    crossing = None
-    if entry is not None and entry > 0:
-        crossing = critical_depth(T, F, rho, g)
+    m = m_from_depth(hs, T, F, rho, g)
+    V = zero_average_V(m)
+    data = orbit_data(m, V)
+    h = np.array(hs)
+    with np.errstate(all="ignore"):  # out of range is checked below, as wavelength does
+        lam = np.sqrt(g * h) * T
+        epsilon = h * h / (lam * lam)
+        bad = ~((lam > 0.0) & (lam < math.inf) & (lam * lam > 0.0))
+    if bad.any():  # wavelength raises, or else lam^2 underflows to 0 and epsilon does
+        i = int(np.argmax(bad))
+        lam_i = wavelength(hs[i], T, g)
+        _in_float_range(lambda: hs[i] * hs[i] / (lam_i * lam_i), h=hs[i], lam=lam_i)
+    in_wedge = m > critical_m()
+    entry = int(np.argmax(in_wedge)) if in_wedge.any() else None
+    points = list(map(PathPoint, hs, lam.tolist(), m.tolist(), V.tolist(), data.kc.tolist(),
+                      data.orbit.tolist(), in_wedge.tolist(), epsilon.tolist(),
+                      np.sqrt(g * h).tolist()))
+    crossing = critical_depth(T, F, rho, g) if entry else None  # straddled by two stations
     return ShoalingPath(points, entry, crossing)
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import ellint_E, ellint_F_zeta, ellint_K, jacobi, jacobi_complex
+from .elliptic import ellint_F_zeta, ellint_KE, jacobi, jacobi_complex
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -71,7 +71,7 @@ _THETA_TERMS = 8
 
 @dataclass(frozen=True)
 class RectLattice:
-    """Precomputed data for the rectangular lattice with parameter ``m``."""
+    """Precomputed data for the rectangular lattice with parameter ``m`` (or arrays of m)."""
 
     m: float
     K: float  # real half-period (omega1)
@@ -99,8 +99,7 @@ class RectLattice:
         return 1j * self.eta2_im
 
 
-@lru_cache(maxsize=512)
-def lattice(m: float) -> RectLattice:
+def lattice(m) -> RectLattice:
     """Build the rectangular lattice attached to elliptic parameter ``m``.
 
     Requires 0 <= m < 1.  For m = 0 the imaginary half-period degenerates
@@ -108,29 +107,46 @@ def lattice(m: float) -> RectLattice:
     that limit, so the lattice object itself is still usable.  An m so
     small that 1 - m rounds to 1 (below about 2^-54) is that limit too:
     the returned lattice has m = 0.0.
+
+    A scalar m is cached.  An array of m gives array fields, each element bit for
+    bit lattice(m_i), from one masked AGM over m and one over 1 - m.
     """
+    if not isinstance(m, np.ndarray):
+        return _lattice(m)
+    bad = ~((m >= 0.0) & (m < 1.0))
+    if bad.any():
+        _lattice(float(m.flat[np.argmax(bad)]))
+    m = np.where(1.0 - m == 1.0, 0.0, m)
+    zero = m == 0.0
+    Kc, Ec = ellint_KE(np.where(zero, 0.0, 1.0 - m))
+    g3 = np.array(list(map(_g3, m.ravel().tolist()))).reshape(m.shape)
+    return _assemble(m, *ellint_KE(m), np.where(zero, math.inf, Kc), np.where(zero, 1.0, Ec), g3)
+
+
+@lru_cache(maxsize=512)
+def _lattice(m: float) -> RectLattice:
     m = float(m)
     if not 0.0 <= m < 1.0 or math.isnan(m):
         raise DomainError(f"lattice requires 0 <= m < 1, got {m!r}")
-    if 1.0 - m == 1.0:
-        m = 0.0
-    K = ellint_K(m)
-    E = ellint_E(m)
-    if m == 0.0:
-        Kc, Ec = math.inf, 1.0
-        eta2_im = math.inf
-    else:
-        Kc = ellint_K(1.0 - m)
-        Ec = ellint_E(1.0 - m)
-        eta2_im = -(Ec - (1.0 + m) * Kc / 3.0)
+    m = 0.0 if 1.0 - m == 1.0 else m
+    Kc, Ec = (math.inf, 1.0) if m == 0.0 else ellint_KE(1.0 - m)
+    return _assemble(m, *ellint_KE(m), Kc, Ec, _g3(m))
+
+
+lattice.cache_info = _lattice.cache_info  # the scalar route's hits and misses
+
+
+def _g3(m: float) -> float:
+    """g3 through Python floats: numpy's m**3 and m**2 are not always Python's."""
+    return (4.0 / 27.0) * (2.0 * m**3 - 3.0 * m**2 - 3.0 * m + 2.0)
+
+
+def _assemble(m, K, E, Kc, Ec, g3) -> RectLattice:
+    """The lattice from K, E at m and 1 - m, floats or arrays; Kc = inf gives eta2_im = inf."""
     e1 = (2.0 - m) / 3.0
-    e2 = -(1.0 + m) / 3.0
-    e3 = (2.0 * m - 1.0) / 3.0
-    g2 = (4.0 / 3.0) * (m * m - m + 1.0)
-    g3 = (4.0 / 27.0) * (2.0 * m**3 - 3.0 * m**2 - 3.0 * m + 2.0)
-    eta1 = E - e1 * K
-    return RectLattice(m=m, K=K, E=E, Kc=Kc, Ec=Ec, e1=e1, e2=e2, e3=e3,
-                       g2=g2, g3=g3, eta1=eta1, eta2_im=eta2_im)
+    return RectLattice(m=m, K=K, E=E, Kc=Kc, Ec=Ec, e1=e1, e2=-(1.0 + m) / 3.0,
+                       e3=(2.0 * m - 1.0) / 3.0, g2=(4.0 / 3.0) * (m * m - m + 1.0), g3=g3,
+                       eta1=E - e1 * K, eta2_im=-(Ec - (1.0 + m) * Kc / 3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from kdvorbits.elliptic import (
     ellint_E,
     ellint_F_zeta,
     ellint_K,
+    ellint_KE,
     jacobi,
     jacobi_complex,
 )
@@ -161,6 +162,18 @@ class TestCompleteIntegrals:
     def test_differences_name_the_first_bad_element(self):
         with pytest.raises(DomainError, match=r"got 1\.5\b"):
             ellint_differences(np.array([0.5, 1.5, -1.0, math.nan]))
+
+    def test_K_and_E_together_bit_for_bit(self):
+        # ellint_KE is (ellint_K, ellint_E) on the scalar chain, and an array
+        # call is its elements' scalar calls, on m log-spread towards 0 and 1
+        ms = np.concatenate([[0.0, 5e-324, 0.5, 1.0 - 2.0**-53], np.geomspace(1e-36, 0.5, 300),
+                             1.0 - np.geomspace(2.0**-53, 0.5, 300)])
+        K, E = ellint_KE(ms.reshape(2, -1))
+        assert K.shape == E.shape == (2, ms.size // 2)
+        for m, k, e in zip(ms.tolist(), K.ravel().tolist(), E.ravel().tolist()):
+            assert ellint_KE(m) == (ellint_K(m), ellint_E(m)) == (k, e), m
+        with pytest.raises(DomainError, match=r"got 1\.0\b"):
+            ellint_KE(np.array([0.5, 1.0, math.nan]))
 
     @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
     @settings(max_examples=60, deadline=None)

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 import oracles
 from kdvorbits import shoaling
 from kdvorbits.errors import DomainError, NumericalError
-from kdvorbits.orbits import OrbitKind, classify, cnoidal_profile
+from kdvorbits.orbits import OrbitKind, classify, cnoidal_profile, orbit_data
 from kdvorbits.shoaling import (
     WaveTrain,
     critical_depth,
@@ -434,6 +434,34 @@ class TestDepthProfile:
         assert crest > TRAIN_REF.h
 
 
+# moderate values, or anything from the smallest subnormal to the float limit
+POSITIVE = st.one_of(st.floats(0.1, 1e5), st.floats(min_value=5e-324, max_value=1.7e308))
+
+
+def _station_by_station(hs, T, F, rho, g):
+    """:func:`shoaling_path` one station at a time from the scalar calls: the
+    per-station loop the array pass replaced.  Where lam^2 underflows to 0
+    that loop divided by zero; the path raises a DomainError there."""
+    if not hs:
+        raise DomainError("need at least one depth")
+    if any(b >= a for a, b in zip(hs, hs[1:])):
+        raise DomainError("depths must be strictly decreasing along the path")
+    points, entry = [], None
+    for i, (h, m) in enumerate(zip(hs, m_from_depth(np.array(hs), T, F, rho, g).tolist())):
+        V = zero_average_V(m)
+        data = orbit_data(m, V)
+        in_wedge = m > critical_m()
+        if in_wedge and entry is None:
+            entry = i
+        lam = wavelength(h, T, g)
+        if lam * lam == 0.0:
+            raise DomainError(f"h = {h!r}, lam = {lam!r} take the result out of float range")
+        points.append(shoaling.PathPoint(h, lam, m, V, data.kc, data.orbit, in_wedge,
+                                         h * h / (lam * lam), math.sqrt(g * h)))
+    crossing = critical_depth(T, F, rho, g) if entry else None
+    return shoaling.ShoalingPath(points, entry, crossing)
+
+
 class TestShoalingPath:
     def setup_method(self):
         self.h_star = critical_depth(T_REF, F_REF, RHO_REF, G_REF)
@@ -485,6 +513,38 @@ class TestShoalingPath:
     def test_rejects_bad_sequences(self, hs):
         with pytest.raises(DomainError):
             shoaling_path(hs, T_REF, F_REF, RHO_REF, G_REF)
+
+    # T, F, rho, g from POSITIVE; the beach starts at
+    # `start` times the depth of m = 1/2 and falls by `steps`.  The examples
+    # overflow g h in the wavelength (a numpy RuntimeWarning in a bare array
+    # pass) and underflow lam^2 to 0 under h^2.
+    @given(T=POSITIVE, F=POSITIVE, rho=POSITIVE, g=POSITIVE, start=st.floats(0.1, 400.0),
+           steps=st.lists(st.floats(0.5, 0.999), max_size=6))
+    @example(T=80.15, F=1025.0, rho=18.85, g=1.945e274, start=200.0, steps=[0.5])
+    @example(T=1e-100, F=1e300, rho=1e-300, g=5e-324, start=1.2, steps=[0.8, 0.6])
+    @example(T=T_REF, F=F_REF, rho=RHO_REF, g=G_REF, start=3.0, steps=[0.6] * 5)
+    @settings(max_examples=300, deadline=None)
+    def test_the_array_pass_is_each_station_alone(self, T, F, rho, g, start, steps):
+        try:
+            h0 = start * depth_from_m(0.5, T, F, rho, g)
+        except DomainError:
+            h0 = start
+        hs = [h0]
+        for step in steps:
+            hs.append(hs[-1] * step)
+        try:
+            expected = _station_by_station(hs, T, F, rho, g)
+        except (DomainError, NumericalError) as exc:
+            expected = exc
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy warning may reach the CLI
+                path = shoaling_path(hs, T, F, rho, g)
+        except (DomainError, NumericalError) as exc:
+            assert (type(exc), str(exc)) == (type(expected), str(expected))
+        else:
+            # repr tells float from numpy scalar, -0.0 from 0.0, and rounds-trips
+            assert repr(path) == repr(expected)
 
 
 class TestReadBathymetry:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from kdvorbits.elliptic import ellint_E, ellint_F_zeta, ellint_K
 from kdvorbits.errors import DomainError, PoleError
 from kdvorbits.weierstrass import (
+    RectLattice,
     lattice,
     sigma,
     wp,
@@ -65,6 +67,32 @@ class TestLattice:
         for bad in (-0.2, 1.0, 2.0, math.nan):
             with pytest.raises(DomainError):
                 lattice(bad)
+
+    def test_an_array_of_m_is_each_m_alone(self):
+        # m uniform and log-spread toward 0 and 1, with 0, the smallest
+        # subnormal, 2^-54 (1 - m rounds to 1: the m = 0 lattice), 1e-17 and
+        # 1 - 2^-53; every field of every element bit for bit its scalar call
+        rng = np.random.default_rng(18)
+        m = rng.permutation(np.concatenate([
+            rng.uniform(0.0, 1.0, 500), 10.0 ** -rng.uniform(0.0, 320.0, 300),
+            1.0 - 10.0 ** -rng.uniform(0.0, 15.9, 300),
+            [0.0, 5e-324, 2.0**-54, 1e-17, 1.0 - 2.0**-53]])).reshape(-1, 5)
+        together = lattice(m)
+        for field in fields(RectLattice):
+            column = getattr(together, field.name)
+            assert column.shape == m.shape
+            alone = [getattr(lattice(m_i), field.name) for m_i in m.ravel().tolist()]
+            assert list(map(float.hex, column.ravel().tolist())) == list(map(float.hex, alone)), \
+                field.name
+
+    @pytest.mark.parametrize("m", [[0.5, math.nan, -0.1], [0.2, -0.1, 1.0], [0.0, 0.3, 1.0]])
+    def test_an_array_raises_for_its_first_invalid_m(self, m):
+        first = next(m_i for m_i in m if not 0.0 <= m_i < 1.0)
+        with pytest.raises(DomainError) as alone:
+            lattice(first)
+        with pytest.raises(DomainError) as together:
+            lattice(np.array(m))
+        assert str(together.value) == str(alone.value)
 
 
 def _random_cell_points(lat, n, seed, margin=0.25):
