@@ -154,6 +154,12 @@ def _square_over_six_pi_sq(x: float) -> float:
     return square / _SIX_PI_SQ
 
 
+def _root_times(k: float, kc: float) -> float:
+    """sqrt(k |kc|); where k |kc| overflows (|kc| past about 1e307), the roots apart."""
+    root = math.sqrt(k * abs(kc))
+    return math.sqrt(k) * math.sqrt(abs(kc)) if math.isinf(root) else root
+
+
 def _floor_snap(x: float) -> int:
     r = round(x)
     if abs(x - r) < _FLOOR_SNAP:
@@ -261,19 +267,19 @@ def winding_from_kc(kc: float) -> int:
     kc = float(kc)
     if math.isnan(kc) or kc > 0.0:
         raise DomainError(f"winding_from_kc requires kc <= 0, got {kc!r}")
-    return _floor_snap(math.sqrt(-24.0 * kc))
+    return _floor_snap(_root_times(24.0, kc))
 
 
 def constant_trace(kc: float) -> float:
     """Monodromy trace of the constant potential p = kc * c.
 
-    2 cosh(2 pi sqrt(6 kc)) for kc >= 0, turning into
-    2 cos(2 pi sqrt(6 |kc|)) for kc < 0.
+    2 cosh(2 pi sqrt(6 kc)) for kc >= 0 (+inf once it overflows), turning
+    into 2 cos(2 pi sqrt(6 |kc|)) for kc < 0.
     """
     kc = float(kc)
     if kc >= 0.0:
-        return 2.0 * math.cosh(2.0 * math.pi * math.sqrt(6.0 * kc))
-    return 2.0 * math.cos(2.0 * math.pi * math.sqrt(-6.0 * kc))
+        return _two_cosh(2.0 * math.pi * _root_times(6.0, kc))
+    return 2.0 * math.cos(2.0 * math.pi * _root_times(6.0, kc))
 
 
 def _dx_dV(lat: RectLattice, amp: EdgeAmplitude, V):
@@ -432,10 +438,7 @@ def _level_steps(target_kc: float, m: float, region: str, lat: RectLattice | Non
             raise DomainError(f"no finite V has kc = {target_kc!r} at m = 0")
         return V
 
-    # Past |kc| ~ 3e306 the product overflows and the roots are taken apart.
-    target = math.sqrt(_SIX_PI_SQ * abs(target_kc))
-    if math.isinf(target):
-        target = math.sqrt(_SIX_PI_SQ) * math.sqrt(abs(target_kc))
+    target = _root_times(_SIX_PI_SQ, target_kc)
 
     # The first floats past the snap bands bound the search; a target
     # short of x there resolves to the corner.

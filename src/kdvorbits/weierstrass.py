@@ -154,63 +154,56 @@ def _assemble(m, K, E, Kc, Ec, g3) -> RectLattice:
 # ---------------------------------------------------------------------------
 
 
-def _wp_real(x: float, lat: RectLattice) -> float:
-    """wp on the real axis: 1/sn^2(x|m) - (m+1)/3 (even, period 2K)."""
-    s, _, _ = jacobi(x, lat.m)
-    return 1.0 / (s * s) - (lat.m + 1.0) / 3.0
+def _reduce_real(z, period: float, name: str):
+    """z less the multiple of the real period nearest it.  A lattice point raises
+    PoleError, and a z too large to reduce (its rest over a period) DomainError."""
+    w = z - period * round(z.real / period)
+    if not abs(w.real) <= period:
+        raise DomainError(f"{name} cannot reduce z = {z!r} modulo its period {period!r}")
+    if abs(w) < _POLE_TOL:
+        raise PoleError(f"{name} evaluated too close to a lattice point")
+    return w
 
 
-def _wp_prime_real(x: float, lat: RectLattice) -> float:
-    """wp' on the real axis: -2 cn dn / sn^3."""
-    s, c, d = jacobi(x, lat.m)
-    return -2.0 * c * d / s**3
+def _circular(f, z, name: str):
+    """f(w) on the lattice of m = 0, w = z modulo pi: real for a real z, and
+    a DomainError where sin w overflows (|Im z| past about 355)."""
+    z = complex(z)
+    w = _reduce_real(z, math.pi, name)
+    try:
+        val = f(w)
+    except OverflowError:
+        raise DomainError(f"{name} overflows at z = {z!r}") from None
+    return val.real if z.imag == 0.0 else val
 
 
 def wp(z: complex, lat: RectLattice):
     """Weierstrass p-function.  Real input returns a float, complex a complex.
 
     Complex arguments go through m sn^2(z - iK'|m) - (m+1)/3 with the
-    complex Jacobi split; real arguments stay in real arithmetic.
+    complex Jacobi split; real arguments stay in real arithmetic,
+    1/sn^2(x|m) - (m+1)/3 (even, period 2K).
     """
     if lat.m == 0.0:
-        z = complex(z)
-        w = z - math.pi * round(z.real / math.pi)
-        if abs(w) < _POLE_TOL:
-            raise PoleError("wp evaluated too close to a lattice point")
-        val = 1.0 / cmath.sin(w) ** 2 - 1.0 / 3.0
-        return val.real if z.imag == 0.0 else val
-
+        return _circular(lambda w: 1.0 / cmath.sin(w) ** 2 - 1.0 / 3.0, z, "wp")
     if isinstance(z, complex) and z.imag != 0.0:
         s = jacobi_complex(z - 1j * lat.Kc, lat.m).sn
         return lat.m * s * s - (lat.m + 1.0) / 3.0
-
-    x = z.real if isinstance(z, complex) else float(z)
-    x0 = x - 2.0 * lat.K * round(x / (2.0 * lat.K))
-    if abs(x0) < _POLE_TOL:
-        raise PoleError("wp evaluated too close to a lattice point")
-    val = _wp_real(x0, lat)
+    s, _, _ = jacobi(_reduce_real(float(z.real), 2.0 * lat.K, "wp"), lat.m)
+    val = 1.0 / (s * s) - (lat.m + 1.0) / 3.0
     return complex(val) if isinstance(z, complex) else val
 
 
 def wp_prime(z: complex, lat: RectLattice):
-    """Derivative of the p-function; same input/output convention as wp."""
+    """Derivative of the p-function, -2 cn dn / sn^3 on the real axis; same
+    input/output convention as wp."""
     if lat.m == 0.0:
-        z = complex(z)
-        w = z - math.pi * round(z.real / math.pi)
-        if abs(w) < _POLE_TOL:
-            raise PoleError("wp_prime evaluated too close to a lattice point")
-        val = -2.0 * cmath.cos(w) / cmath.sin(w) ** 3
-        return val.real if z.imag == 0.0 else val
-
+        return _circular(lambda w: -2.0 * cmath.cos(w) / cmath.sin(w) ** 3, z, "wp_prime")
     if isinstance(z, complex) and z.imag != 0.0:
         s, c, d = jacobi_complex(z - 1j * lat.Kc, lat.m)
         return 2.0 * lat.m * s * c * d
-
-    x = z.real if isinstance(z, complex) else float(z)
-    x0 = x - 2.0 * lat.K * round(x / (2.0 * lat.K))
-    if abs(x0) < _POLE_TOL:
-        raise PoleError("wp_prime evaluated too close to a lattice point")
-    val = _wp_prime_real(x0, lat)
+    s, c, d = jacobi(_reduce_real(float(z.real), 2.0 * lat.K, "wp_prime"), lat.m)
+    val = -2.0 * c * d / s**3
     return complex(val) if isinstance(z, complex) else val
 
 

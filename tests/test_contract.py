@@ -1,0 +1,85 @@
+"""Every finite float input gets a value or a contract error.
+
+A call on finite floats, subnormals and +-1.7e308 among them, returns a value
+or raises :class:`DomainError` or :class:`NumericalError`; no other exception
+and no numpy warning may escape (pyproject turns numpy's warnings into errors).
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kdvorbits.elliptic import (
+    ellint_differences,
+    ellint_E,
+    ellint_F_zeta,
+    ellint_K,
+    ellint_KE,
+    jacobi,
+    jacobi_complex,
+)
+from kdvorbits.errors import DomainError, NumericalError
+from kdvorbits.orbits import constant_trace, winding_from_kc
+from kdvorbits.weierstrass import lattice, wp, wp_prime
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# finite floats, and as often the parameter range 0 <= m <= 1 with its subnormals
+PARAMETER = st.one_of(st.floats(0.0, 1.0), FINITE)
+
+
+def _each_gets_the_contract(*calls):
+    for call in calls:
+        try:
+            call()
+        except (DomainError, NumericalError):
+            pass
+
+
+class TestElliptic:
+    # the examples: the circular limit of jacobi_complex, where sin z overflows,
+    # and a period reduction of jacobi that overflows to -inf
+    @given(m=PARAMETER, y=FINITE, x=FINITE, u=FINITE, v=FINITE)
+    @example(m=1.976e-320, y=1.0, x=1.0, u=1.7673744569203736e-238, v=1.7e308)
+    @example(m=0.25, y=1.7976931348623157e308, x=5e-324, u=1.7976931348623157e308, v=-1.7e308)
+    @settings(max_examples=400, deadline=None)
+    def test_scalars(self, m, y, x, u, v):
+        _each_gets_the_contract(
+            lambda: ellint_K(m), lambda: ellint_E(m), lambda: ellint_KE(m),
+            lambda: ellint_differences(m), lambda: ellint_F_zeta(y, x, m),
+            lambda: jacobi(u, m), lambda: jacobi_complex(complex(u, v), m))
+
+    # rows of (m, y, x, u); the arrays are the columns.  In the example the
+    # period reduction of jacobi overflows (a numpy warning)
+    @given(st.lists(st.tuples(PARAMETER, FINITE, FINITE, FINITE), min_size=1, max_size=4))
+    @example([(0.25, 1.0, 1.0, 1.7976931348623157e308), (0.3, 1e-310, 1.7e308, -1.7e308)])
+    @settings(max_examples=300, deadline=None)
+    def test_arrays(self, rows):
+        m, y, x, u = (np.array(column) for column in zip(*rows))
+        _each_gets_the_contract(
+            lambda: ellint_KE(m), lambda: ellint_differences(m), lambda: ellint_F_zeta(y, x, m),
+            lambda: ellint_F_zeta(y, x, 0.5), lambda: jacobi(u, float(m[0])))
+
+
+class TestOrbits:
+    # a cosh past overflow, a cos and a floor of an overflowing 6|kc| and 24|kc|
+    @given(FINITE)
+    @example(1e300)
+    @example(-1.7e308)
+    @example(1.7976931348623157e308)
+    @settings(max_examples=300, deadline=None)
+    def test_constant_potential(self, kc):
+        _each_gets_the_contract(lambda: constant_trace(kc), lambda: winding_from_kc(kc))
+
+
+class TestWeierstrass:
+    # the example overflowed the period reduction: sn came out 0 and 1/sn^2 divided by it
+    @given(m=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True)),
+           x=FINITE, y=FINITE)
+    @example(m=0.5, x=1.7e308, y=0.0)
+    @example(m=0.0, x=1.7976931348623157e308, y=1.7e308)
+    @settings(max_examples=300, deadline=None)
+    def test_wp_and_its_derivative(self, m, x, y):
+        lat = lattice(m)
+        _each_gets_the_contract(
+            lambda: wp(x, lat), lambda: wp_prime(x, lat),
+            lambda: wp(complex(x, y), lat), lambda: wp_prime(complex(x, y), lat))

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kdvorbits.elliptic import (
+    _FLOAT,
     JacobiTriple,
-    _agm_chain,
+    _agm,
+    _float_agm,
     ellint_differences,
     ellint_E,
     ellint_F_zeta,
@@ -151,7 +153,7 @@ class TestCompleteIntegrals:
             alone = ellint_differences(m)
             assert all(type(v) is float for v in alone)
             assert alone == tuple(float(v.flat[i]) for v in arrays), m
-            a_seq = _agm_chain(m)[0]
+            a_seq = [state.a for state in _agm(m, _FLOAT)]
             c_sq, tail = m, 0.0
             for n, a in enumerate(a_seq[1:]):
                 c_sq = c_sq * c_sq / (16.0 * a * a)
@@ -260,6 +262,19 @@ class TestJacobiReal:
             assert batch.cn[i] == single.cn
             assert batch.dn[i] == single.dn
 
+    def test_arrays_agree_with_floats_to_a_few_ulp(self):
+        # one descent serves both, but numpy's arcsin and sin are not always
+        # math's: an element can differ from its float call in the last bits,
+        # which the descent grows to about 2.7e-15 at most as m -> 1, |u| ~ 20
+        rng = np.random.default_rng(3)
+        us = rng.uniform(-30.0, 30.0, 400)
+        ms = [0.0, 1e-9, 0.37, 0.5, 0.9, *(1.0 - np.geomspace(1e-9, 1e-2, 12)),
+              *rng.uniform(0.0, 1.0 - 1e-9, 8)]
+        for m in map(float, ms):
+            batch = np.array(jacobi(us, m))
+            single = np.array([tuple(jacobi(u, m)) for u in us.tolist()]).T
+            assert np.abs(batch - single).max() <= 4e-15, m
+
     def test_scalar_returns_floats(self):
         out = jacobi(0.5, 0.5)
         assert all(isinstance(v, float) for v in out)
@@ -283,12 +298,12 @@ class TestJacobiReal:
 
 class TestAgmCache:
     def test_long_sweep_stays_bounded(self):
-        maxsize = _agm_chain.cache_info().maxsize
+        maxsize = _float_agm.cache_info().maxsize
         assert maxsize is not None
         for m in np.linspace(0.01, 0.99, 3 * maxsize):
             ellint_K(float(m))
             jacobi(0.7, float(m))
-        assert _agm_chain.cache_info().currsize <= maxsize
+        assert _float_agm.cache_info().currsize <= maxsize
 
 
 class TestJacobiComplex:

@@ -23,6 +23,23 @@ def test_no_module_imports_a_private_name():
     assert offenders == []
 
 
+def test_elliptic_forms_the_agm_step_in_one_function():
+    # b_{n+1} = sqrt(a_n b_n), a square root of a product, is the AGM step:
+    # one chain builder serves every recurrence, for floats and arrays alike
+    path = PACKAGE / "elliptic.py"
+    builders = set()
+    for function in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Call) and len(node.args) == 1
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "sqrt"
+                    and isinstance(node.args[0], ast.BinOp)
+                    and isinstance(node.args[0].op, ast.Mult)):
+                builders.add(function.name)
+    assert builders == {"_agm"}
+
+
 def _imports(name):
     """(line, module) for every import in one package module; a
     from-import lists its module and each name under it."""
