@@ -18,8 +18,8 @@ tridiagonal matrices (:func:`band_edges`).  :func:`numeric_band_gaps` is
 the independent check and never consults the matrices.  As sn^2 is even
 about K, Tr - 2 = 4 y1'(K) y2(K) and Tr + 2 = 4 y1(K) y2'(K) for the
 fundamental solutions y1, y2 at 0, so each edge is a simple zero in E of
-one of these half-period entries, which a batched Magnus integrator scans
-at once; their zeros must interlace, y1 with y1' and y2 with y2'.
+one of these entries, which a batched Magnus integrator scans and regula
+falsi refines; their zeros must interlace, y1 with y1' and y2 with y2'.
 """
 
 from __future__ import annotations
@@ -62,12 +62,11 @@ _CHUNK = 2**14 // _BLOCKS
 _COSH = tuple(1.0 / math.factorial(2 * n) for n in range(11))
 _SINHC = tuple(1.0 / math.factorial(2 * n + 1) for n in range(11))
 _TRUNCATION = 2.0**-64
-# The gap scan: first step and halvings, entry names, multisection parts per
-# round, final bracket width in ulp, closed-gap width per max(1, E) (2K/pi)^4.
+# The gap scan: first step and halvings, entry names, final bracket width in
+# ulp, closed-gap width per max(1, E) (2K/pi)^4.
 _SCAN_STEP, _RESCANS = 0.02, 6
 _ENTRIES = ("y1(K)", "y2(K)", "y1'(K)", "y2'(K)")
-_SECTIONS, _ULPS = 16, 4
-_CLOSED = 1e-12
+_ULPS, _CLOSED = 4, 1e-12
 
 
 class BandPoint(NamedTuple):
@@ -248,9 +247,37 @@ def exceptional_energy_asymptote(n: int, m: float,
 # Numerical gap detection: a batched scan of the half-period entries.
 # ---------------------------------------------------------------------------
 
-def _half_period_entries(energies: np.ndarray, strength: float, K: float,
-                         m: float) -> np.ndarray:
-    """Half-period entries of psi'' = (strength sn^2(z|m) - E) psi, per energy.
+def _magnus_nodes(strength: float, K: float, m: float) -> tuple:
+    """(strength, h^2, x0, delta, delta^2) of the steps of :func:`_half_period_entries`."""
+    h = K / _HALF_STEPS
+    h2 = h * h
+    base = h * np.arange(_HALF_STEPS)
+    gauss = (jacobi(base + h * (0.5 + side * _GAUSS_OFFSET), m).sn for side in (-1.0, 1.0))
+    q_lo, q_hi = (strength * s * s for s in gauss)
+    delta = (math.sqrt(3.0) * h2 / 12.0) * (q_hi - q_lo)
+    delta_sq = delta * delta
+    return strength, h2, delta_sq + h2 * (0.5 * (q_lo + q_hi)), delta, delta_sq
+
+
+def _series_degree(nodes: tuple, e_lo: float, e_hi: float) -> int:
+    """The Taylor degree in x for energies in [e_lo, e_hi]; DomainError once sqrt|x| passes 1."""
+    strength, h2, x0 = nodes[:3]
+    x_max = max(abs(x0.max() - h2 * e_lo), abs(x0.min() - h2 * e_hi))
+    if not x_max <= 1.0:
+        lo, hi = (x0.max() - 1.0) / h2, (x0.min() + 1.0) / h2
+        span = (f"energies in [{lo:.6g}, {hi:.6g}] only" if lo <= hi
+                else f"no energy at strength N(N+1)m = {strength!r}")
+        raise DomainError(
+            f"the {_HALF_STEPS}-step Magnus scan resolves {span} "
+            f"(step phase at most 1), got energies in [{e_lo!r}, {e_hi!r}]")
+    degree = 0
+    while x_max ** (degree + 1) / math.factorial(2 * degree + 2) > _TRUNCATION:
+        degree += 1
+    return degree
+
+
+def _half_period_entries(energies: np.ndarray, nodes: tuple) -> np.ndarray:
+    """Half-period entries of psi'' = (strength sn^2(z|m) - E) psi on ``nodes``, per energy.
 
     Returns (a, b, c, d) = (y1, y2/h, h y1', y2') at z = K along a new
     first axis: the fundamental solutions y1, y2 at 0 in the variables
@@ -275,29 +302,8 @@ def _half_period_entries(energies: np.ndarray, strength: float, K: float,
     flat = E.ravel()
     if flat.size == 0:
         return np.empty((4,) + E.shape)
-    h = K / _HALF_STEPS
-    h2 = h * h
-    base = h * np.arange(_HALF_STEPS)
-    q_lo = jacobi(base + h * (0.5 - _GAUSS_OFFSET), m).sn
-    q_hi = jacobi(base + h * (0.5 + _GAUSS_OFFSET), m).sn
-    q_lo = strength * q_lo * q_lo
-    q_hi = strength * q_hi * q_hi
-    delta = (math.sqrt(3.0) * h2 / 12.0) * (q_hi - q_lo)
-    delta_sq = delta * delta
-    x0 = delta_sq + h2 * (0.5 * (q_lo + q_hi))
-
-    e_lo, e_hi = float(flat.min()), float(flat.max())
-    x_max = max(abs(x0.max() - h2 * e_lo), abs(x0.min() - h2 * e_hi))
-    if not x_max <= 1.0:
-        lo, hi = (x0.max() - 1.0) / h2, (x0.min() + 1.0) / h2
-        span = (f"energies in [{lo:.6g}, {hi:.6g}] only" if lo <= hi
-                else f"no energy at strength N(N+1)m = {strength!r}")
-        raise DomainError(
-            f"the {_HALF_STEPS}-step Magnus scan resolves {span} "
-            f"(step phase at most 1), got energies in [{e_lo!r}, {e_hi!r}]")
-    degree = 0
-    while x_max ** (degree + 1) / math.factorial(2 * degree + 2) > _TRUNCATION:
-        degree += 1
+    degree = _series_degree(nodes, float(flat.min()), float(flat.max()))
+    _, h2, x0, delta, delta_sq = nodes
 
     # Step k = (block, j) as column vectors that broadcast over energies.
     shape = (_BLOCKS, _HALF_STEPS // _BLOCKS, 1)
@@ -349,27 +355,36 @@ def floquet_traces(energies: np.ndarray, strength: float, K: float, m: float) ->
     entries.  Matches the same scheme in 30-digit arithmetic to ~1e-13
     max(1, |Tr|), and the adaptive oracle in :mod:`.hill` to ~1e-9.
     """
-    a, b, c, d = _half_period_entries(energies, strength, K, m)
+    a, b, c, d = _half_period_entries(energies, _magnus_nodes(strength, K, m))
     return 2.0 * (a * d + b * c)
 
 
-def _refine(entries, entry: np.ndarray, left: np.ndarray, right: np.ndarray,
-            right_up: np.ndarray) -> np.ndarray:
-    """Zeros of entries(E)[entry] in brackets whose right ends have sign right_up.
+def _refine(nodes: tuple, entry: np.ndarray, left: np.ndarray, right: np.ndarray,
+            f_left: np.ndarray, f_right: np.ndarray) -> np.ndarray:
+    """Zeros of entry ``entry`` in brackets whose end values f_left, f_right differ in sign.
 
-    Every round cuts all brackets into 16 equal parts, evaluates the cuts
-    in one batched call and keeps the first part that ends on the right
-    end's side, until no bracket is wider than 4 ulp of max(1, E).
+    Each round evaluates, for every open bracket in one batched call, the
+    regula falsi point t, t -+ 1 ulp of max(1, t) and the midpoint, and keeps
+    the first part that ends on the right end's side (positive or not).  The
+    midpoint at least halves a bracket; the pair about t closes it once t is
+    within an ulp of the zero (Dowell & Jarratt, *BIT* 11, 1971).  Rounds go
+    on until no bracket is wider than 4 ulp of max(1, E).
     """
-    rows = np.arange(entry.size)
-    fractions = np.linspace(0.0, 1.0, _SECTIONS + 1)[1:-1]
-    while np.any(right - left > _ULPS * np.spacing(np.maximum(right, 1.0))):
-        cuts = left[:, None] + (right - left)[:, None] * fractions
-        past = (entries(cuts)[entry, rows] > 0.0) == right_up[:, None]
-        j = np.argmax(np.column_stack((past, np.ones_like(right_up))), axis=1)
-        points = np.column_stack((left, cuts, right))
-        left, right = points[rows, j], points[rows, j + 1]
-    return 0.5 * (left + right)
+    while True:
+        open_ = np.flatnonzero(right - left > _ULPS * np.spacing(np.maximum(right, 1.0)))
+        if open_.size == 0:
+            return 0.5 * (left + right)
+        lo, hi, f_lo, f_hi = left[open_], right[open_], f_left[open_], f_right[open_]
+        t = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        ulp = np.spacing(np.maximum(t, 1.0))
+        cuts = np.sort(np.column_stack((t - ulp, t + ulp, 0.5 * (lo + hi))), axis=1)
+        points = np.column_stack((lo, np.clip(cuts, lo[:, None], hi[:, None]), hi))
+        rows = np.arange(open_.size)
+        values = _half_period_entries(points[:, 1:4], nodes)[entry[open_], rows]
+        values = np.column_stack((f_lo, values, f_hi))
+        j = np.argmax((values[:, 1:] > 0.0) == (f_hi > 0.0)[:, None], axis=1)
+        left[open_], right[open_] = points[rows, j], points[rows, j + 1]
+        f_left[open_], f_right[open_] = values[rows, j], values[rows, j + 1]
 
 
 def _interlacing_fault(zeros: np.ndarray, entry: np.ndarray, resolution: float) -> str | None:
@@ -401,8 +416,8 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapI
     Spectral Theory of Periodic Differential Equations*, ch. 1-3), and
     zeros of one entry lie a band and a gap apart.  So the entries are
     scanned over [0, E_max] (default (N+1)^2 + 1, above the last gap) at
-    a step of 0.02, and every sign change is refined, all together, by
-    batched multisection to a few ulp.  If the zeros of y1 and y1', or of
+    a step of 0.02, and every sign change is refined from the entries'
+    values, all at once, to a few ulp.  If the zeros of y1 and y1', or of
     y2 and y2', fail to interlace, the step missed a pair of zeros: it is
     halved and the scan repeated, at most 6 times, before ResolutionError.
 
@@ -428,16 +443,15 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapI
         raise DomainError(f"E_max must be positive, got {E_max!r}")
     resolution = _CLOSED * (2.0 * lat.K / math.pi) ** 4
 
-    def entries(E):
-        return _half_period_entries(E, N * (N + 1) * m, lat.K, m)
-
-    entries(np.array([0.0, E_max]))  # an unresolved E_max fails before the grid
+    nodes = _magnus_nodes(N * (N + 1) * m, lat.K, m)
+    _series_degree(nodes, 0.0, E_max)  # an unresolved E_max fails before the grid
     step = _SCAN_STEP
     for _ in range(_RESCANS + 1):
         energies = np.linspace(0.0, E_max, int(math.ceil(E_max / step)) + 1)
-        up = entries(energies) > 0.0
-        entry, i = np.nonzero(up[:, 1:] != up[:, :-1])
-        zeros = _refine(entries, entry, energies[i], energies[i + 1], up[entry, i + 1])
+        values = _half_period_entries(energies, nodes)
+        entry, i = np.nonzero((values[:, 1:] > 0.0) != (values[:, :-1] > 0.0))
+        zeros = _refine(nodes, entry, energies[i], energies[i + 1],
+                        values[entry, i], values[entry, i + 1])
         fault = _interlacing_fault(zeros, entry, resolution)
         if fault is None:
             break

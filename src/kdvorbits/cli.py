@@ -133,10 +133,12 @@ def _cmd_diagram(args) -> str:
 
 
 _LEVEL_CURVE_COLUMNS = ("m", "V")
+_BAND_COLUMNS = ("E", "kappa_ell", "in_gap", "winding")
 # One %-format per row for the schemas with many rows, in place of one
-# _fmt call per cell.
+# _fmt call per cell; their booleans come pre-rendered by _fmt.
 _ROW_FORMATS = {_DIAGRAM_COLUMNS: "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d",
-                _LEVEL_CURVE_COLUMNS: "%.17g,%.17g"}
+                _LEVEL_CURVE_COLUMNS: "%.17g,%.17g",
+                _BAND_COLUMNS: "%.17g,%.17g,%s,%d"}
 
 
 def _cmd_level_curve(args) -> str:
@@ -145,39 +147,33 @@ def _cmd_level_curve(args) -> str:
     return _table(args, _LEVEL_CURVE_COLUMNS, rows)
 
 
-_BAND_COLUMNS = ("E", "kappa_ell", "in_gap", "winding")
-
-
-def _band_rows_closed_form(energies, m: float) -> list:
+def _band_rows_closed_form(energies, m: float, csv: bool) -> list:
     rows = []
     for e in energies:
         point = crystal_momentum(e, m)
         wind = int(math.floor(point.kappa_ell_extended.real / math.pi + 1e-9))
-        rows.append([float(e), point.kappa_ell, point.in_gap, wind])
+        rows.append([float(e), point.kappa_ell, _fmt(point.in_gap) if csv else point.in_gap, wind])
     return rows
 
 
-def _band_rows_scanned(energies, N: int, m: float) -> list:
-    traces = floquet_traces(np.asarray(energies, float),
-                             N * (N + 1) * m, lattice(m).K, m)
+def _band_rows_scanned(energies, N: int, m: float, csv: bool) -> list:
+    traces = floquet_traces(energies, N * (N + 1) * m, lattice(m).K, m)
     kappa = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
 
-    # Gaps are open, and the winding column counts the gaps whose lower
-    # edge lies at or below E, so it stops at N in the top band; the N = 1
-    # closed form reports the extended-zone floor(kappa_ell / pi), which
-    # keeps growing there.  On an edge the crystal momentum is exactly 0
-    # or pi, by the sign of the trace; the N = 1 closed form snaps there
-    # within the same 1e-9.
-    edges = band_edges(m, N)
-    gaps = list(zip(edges[1::2], edges[2::2]))
-    rows = []
-    for e, k, t in zip(energies, kappa, traces):
-        if min(abs(e - edge) for edge in edges) <= 1e-9 * max(1.0, abs(e)):
-            k = 0.0 if t > 0.0 else math.pi
-        in_gap = e < edges[0] or any(lo < e < hi for lo, hi in gaps)
-        winding = sum(lo <= e for lo, _ in gaps)
-        rows.append([float(e), float(k), bool(in_gap), int(winding)])
-    return rows
+    # Sorted edges: E is strictly inside a gap, or below the spectrum, when
+    # as many edges lie below it as up to it, an even number, and the gaps
+    # opening up to E number half of those (at most N, while the N = 1
+    # closed form's floor(kappa_ell / pi) keeps growing).  Within 1e-9 of an
+    # edge kappa is 0 or pi by the sign of the trace, as the N = 1 form snaps.
+    edges = np.array(band_edges(m, N))
+    below, upto = (np.searchsorted(edges, energies, side) for side in ("left", "right"))
+    nearest = np.minimum(np.abs(energies - edges[np.maximum(below - 1, 0)]),
+                         np.abs(energies - edges[np.minimum(below, edges.size - 1)]))
+    kappa = np.where(nearest <= 1e-9 * np.maximum(1.0, np.abs(energies)),
+                     np.where(traces > 0.0, 0.0, math.pi), kappa)
+    in_gap = (below == upto) & (below % 2 == 0)
+    gap_cells = np.where(in_gap, "true", "false") if csv else in_gap
+    return list(zip(energies.tolist(), kappa.tolist(), gap_cells.tolist(), (upto // 2).tolist()))
 
 
 def _cmd_band(args) -> str:
@@ -187,9 +183,9 @@ def _cmd_band(args) -> str:
         raise DomainError(f"E_max must be positive, got {args.E_max!r}")
     energies = _axis(0.0, args.E_max, args.samples, "E")
     if args.N == 1:
-        rows = _band_rows_closed_form(energies, args.m)
+        rows = _band_rows_closed_form(energies, args.m, not args.json)
     else:
-        rows = _band_rows_scanned(energies, args.N, args.m)
+        rows = _band_rows_scanned(energies, args.N, args.m, not args.json)
     return _table(args, _BAND_COLUMNS, rows)
 
 
@@ -476,17 +472,17 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         text = args.handler(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:  # a path that cannot be written is an OSError, exit 2
+            with open(args.out, "w", newline="") as handle:
+                handle.write(text)
     except (argparse.ArgumentError, DomainError, OSError) as exc:
         _report_error(exc)
         return 2
     except NumericalError as exc:
         _report_error(exc)
         return 3
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
     return 0
 
 

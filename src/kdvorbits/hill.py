@@ -81,6 +81,7 @@ def _sweep(q: np.ndarray, h: float) -> np.ndarray:
     return (run @ start[:, None]).reshape(-1, 2, 2)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blown-up sweep fails its own checks
 def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
     """Monodromy matrix and winding of psi'' = (6 p / c) psi, from one sweep.
 
@@ -237,6 +238,7 @@ def lame_exact_residual(m: float, V: float, zs) -> float:
     return worst
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blown-up sweep fails its own checks
 def kdv_evolve(profile: Profile, c: float, tau: float,
                steps: int | None = None) -> Profile:
     """Evolve the profile under KdV, p_tau = (c/12) p_xxx - 3 p p_x.

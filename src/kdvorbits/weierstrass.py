@@ -154,12 +154,17 @@ def _assemble(m, K, E, Kc, Ec, g3) -> RectLattice:
 # ---------------------------------------------------------------------------
 
 
+def _multiple(x: float, period: float, z, name: str) -> int:
+    """The multiple of period nearest x; DomainError from 2^52 periods on (the rest is noise)."""
+    if not abs(x) < 2.0**52 * period:
+        raise DomainError(f"{name} cannot reduce z = {z!r} modulo its period {period!r}")
+    return round(x / period)
+
+
 def _reduce_real(z, period: float, name: str):
     """z less the multiple of the real period nearest it.  A lattice point raises
-    PoleError, and a z too large to reduce (its rest over a period) DomainError."""
-    w = z - period * round(z.real / period)
-    if not abs(w.real) <= period:
-        raise DomainError(f"{name} cannot reduce z = {z!r} modulo its period {period!r}")
+    PoleError, and a z too large to reduce DomainError."""
+    w = z - period * _multiple(z.real, period, z, name)
     if abs(w) < _POLE_TOL:
         raise PoleError(f"{name} evaluated too close to a lattice point")
     return w
@@ -212,14 +217,12 @@ def wp_prime(z: complex, lat: RectLattice):
 # ---------------------------------------------------------------------------
 
 
-def _reduce(z: complex, lat: RectLattice) -> tuple[complex, int, int]:
-    """Centered reduction z = z0 + 2K n1 + 2iKc n2 with z0 in the base cell."""
-    x, y = z.real, z.imag
-    n1 = round(x / (2.0 * lat.K))
-    x0 = x - 2.0 * lat.K * n1
-    n2 = round(y / (2.0 * lat.Kc))
-    y0 = y - 2.0 * lat.Kc * n2
-    return complex(x0, y0), int(n1), int(n2)
+def _reduce(z: complex, lat: RectLattice, name: str) -> tuple[complex, int, int]:
+    """Centered reduction z = z0 + 2K n1 + 2iKc n2 with z0 in the base cell;
+    a z too large to reduce raises DomainError, as in :func:`_reduce_real`."""
+    n1 = _multiple(z.real, 2.0 * lat.K, z, name)
+    n2 = _multiple(z.imag, 2.0 * lat.Kc, z, name)
+    return complex(z.real - 2.0 * lat.K * n1, z.imag - 2.0 * lat.Kc * n2), n1, n2
 
 
 def _zeta_sigma(z0: complex, lat: RectLattice) -> tuple[complex, complex]:
@@ -267,12 +270,9 @@ def zeta(z: complex, lat: RectLattice) -> complex:
     """
     z = complex(z)
     if lat.m == 0.0:
-        w = z - math.pi * round(z.real / math.pi)
-        if abs(w) < _POLE_TOL:
-            raise PoleError("zeta evaluated too close to a lattice point")
-        return z / 3.0 + 1.0 / cmath.tan(w)
+        return z / 3.0 + 1.0 / cmath.tan(_reduce_real(z, math.pi, "zeta"))
 
-    z0, n1, n2 = _reduce(z, lat)
+    z0, n1, n2 = _reduce(z, lat, "zeta")
     if abs(z0) < _POLE_TOL:
         raise PoleError("zeta evaluated too close to a lattice point")
     corr = complex(2.0 * n1 * lat.eta1, 2.0 * n2 * lat.eta2_im)
@@ -287,22 +287,25 @@ def sigma(z: complex, lat: RectLattice) -> complex:
 
         sigma(z0 + 2 n1 w1 + 2 n2 w2)
             = (-1)^(n1 + n2 + n1 n2) exp(eta_L (z0 + L/2)) sigma(z0).
+
+    A z too large to reduce, or where exp overflows, raises DomainError.
     """
     z = complex(z)
-    if lat.m == 0.0:
-        return cmath.sin(z) * cmath.exp(z * z / 6.0)
-
-    z0, n1, n2 = _reduce(z, lat)
-    if z0 == 0.0:
-        return 0.0 + 0.0j
-    val = _zeta_sigma(z0, lat)[1]
-
-    if n1 == 0 and n2 == 0:
-        return val
-    L = complex(2.0 * lat.K * n1, 2.0 * lat.Kc * n2)
-    eta_L = complex(2.0 * n1 * lat.eta1, 2.0 * n2 * lat.eta2_im)
-    sign = -1.0 if (n1 + n2 + n1 * n2) % 2 else 1.0
-    return sign * cmath.exp(eta_L * (z0 + L / 2.0)) * val
+    try:
+        if lat.m == 0.0:
+            return cmath.sin(z) * cmath.exp(z * z / 6.0)
+        z0, n1, n2 = _reduce(z, lat, "sigma")
+        if z0 == 0.0:
+            return 0.0 + 0.0j
+        val = _zeta_sigma(z0, lat)[1]
+        if n1 == 0 and n2 == 0:
+            return val
+        L = complex(2.0 * lat.K * n1, 2.0 * lat.Kc * n2)
+        eta_L = complex(2.0 * n1 * lat.eta1, 2.0 * n2 * lat.eta2_im)
+        sign = -1.0 if (n1 + n2 + n1 * n2) % 2 else 1.0
+        return sign * cmath.exp(eta_L * (z0 + L / 2.0)) * val
+    except OverflowError:
+        raise DomainError(f"sigma overflows at z = {z!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from kdvorbits.bands import (
     BandPoint,
     GapInterval,
     _half_period_entries,
+    _magnus_nodes,
     band_edges,
     crystal_momentum,
     exceptional_energy_asymptote,
@@ -300,7 +301,7 @@ class TestFloquetTraces:
                     edges[2] - 1e-6, edges[2] + 1e-6]
         scanned = self.scan(energies)
         strength, K = 12.0 * self.M, lattice(self.M).K
-        entries = _half_period_entries(np.array(energies), strength, K, self.M)
+        entries = _half_period_entries(np.array(energies), _magnus_nodes(strength, K, self.M))
         for E, trace, entry in zip(energies, scanned, entries.T):
             exact = oracles.mp_magnus_trace(E, strength, K, self.M)
             assert abs(trace - exact) <= 1e-12 * max(1.0, abs(exact)), E
@@ -371,6 +372,41 @@ class TestNumericBandGaps:
         assert len(gaps) == N
         assert_allclose([e for gap in gaps for e in gap], band_edges(m, N)[1:],
                         rtol=0.0, atol=1e-10)
+
+    # float.hex edges recorded while every bracket was still refined by
+    # twelve rounds of 16-way multisection on the entries' signs alone
+    @pytest.mark.parametrize("N, m, edges", [
+        (2, 0.5, ["0x1.800000000017cp+0", "0x1.8000000000014p+1",
+                  "0x1.200000000001ap+2", "0x1.2ed9eba161354p+2"]),
+        (3, 0.95, ["0x1.763fc3a3f98a0p+1", "0x1.f2960c4c932ebp+2",
+                   "0x1.f33333333404ap+2", "0x1.5270700713a32p+3",
+                   "0x1.5c09a8b09c08ap+3", "0x1.76b4f9d9b6e7ep+3"]),
+        (6, 0.05, ["0x1.79198ff6c8f36p+0", "0x1.42749bf40b2eep+1",
+                   "0x1.3be0c19d0b976p+2", "0x1.443bd8bfff0bap+2",
+                   "0x1.3b0d0a8a3d71ep+3", "0x1.3b2caec3877e8p+3",
+                   "0x1.0a98beae35822p+4", "0x1.0a98ea1f85716p+4",
+                   "0x1.96e7e1bb74b8ap+4", "0x1.96e7e1ec87a80p+4",
+                   "0x1.2137887543cc6p+5", "0x1.213788754d77ep+5"]),
+    ])
+    def test_edges_are_pinned_to_a_few_ulp(self, N, m, edges):
+        found = np.array([e for gap in numeric_band_gaps(N, m) for e in gap])
+        pinned = np.array([float.fromhex(e) for e in edges])
+        assert np.all(np.abs(found - pinned) <= 8.0 * np.spacing(np.maximum(pinned, 1.0)))
+
+    # calls and energies of the sign-only multisection: (2, 0.5) took 14
+    # calls and 1763 energies, (3, 0.6) 13 calls and 2338 energies
+    @pytest.mark.parametrize("N, m, energies", [(2, 0.5, 1763), (3, 0.6, 2338)])
+    def test_refinement_takes_few_kernel_calls(self, monkeypatch, N, m, energies):
+        work = []
+
+        def counted(E, *args):
+            work.append(np.size(E))
+            return _half_period_entries(E, *args)
+
+        monkeypatch.setattr(bands, "_half_period_entries", counted)
+        assert len(numeric_band_gaps(N, m)) == N
+        assert len(work) <= 9
+        assert sum(work) < energies / 2
 
     def test_never_consults_the_ince_blocks(self, monkeypatch):
         def refuse(*args):

@@ -364,6 +364,31 @@ class TestBand:
             assert int(row[3]) == sum(lo < e for lo, _ in gaps), row
         assert judged == 512
 
+    # Digests recorded when the scanned rows were built one energy at a
+    # time: the benchmark's seed-7 band scan (2048 rows, CSV and JSON), the
+    # narrow lowest band of N = 3 at m = 0.95, the N = 2 grid through the
+    # edges 1.5, 3 and 4.5, and the N = 1 closed form (CSV and JSON).
+    @pytest.mark.parametrize("argv, digest", [
+        (("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824",
+          "--samples", 2048),
+         "ef7c1f9c2826193a9806ee77912e67569ce145e208e5d9853607e316f2fc81f7"),
+        (("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824",
+          "--samples", 2048, "--json"),
+         "377d038db90bcb27fb1105a0e17131efafa6756a4f6adf3abf868592a2212624"),
+        (("--m", 0.95, "--N", 3, "--E-max", 13),
+         "65cee0589a05567bfbe70979d0f237425bf41fc607629607d1249c7af62d8047"),
+        (("--m", 0.5, "--N", 2, "--E-max", 6.0, "--samples", 121),
+         "b078c5ee26b5bd018362657f3ad28b165ca12a3f716595cf3aaaa1b109eb35fc"),
+        (("--m", 0.6, "--E-max", 3.0, "--samples", 60),
+         "1c14be6c32f5ba34f7edcf172b28c9e6771614b6f8aea2be7e41e9d8fefbd61b"),
+        (("--m", 0.6, "--E-max", 3.0, "--samples", 60, "--json"),
+         "ae0275644ccd869524f50e3a346e135562d0bbc90d8ff1d68d3b3186f10aa188"),
+    ])
+    def test_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "band", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_closed_gaps_at_m0_match_the_free_dispersion(self, capsys):
         # at m = 0 the gaps close onto E = 1, 4, 9: no row is forbidden and
         # the winding is the N = 1 closed form's, edges included
@@ -687,3 +712,90 @@ class TestOutputPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["class"] == "Hyperbolic"
+
+
+# The argv vocabulary: every subcommand's flags with values that work, and
+# for every flag the bad ones too (non-finite, out of range, not a number,
+# empty).  Counts stay small, so no drawn call computes for long; --help is
+# left out, as it exits through SystemExit by design.
+_BAD = ["nan", "inf", "-inf", "-1e300", "abc", ""]
+_M = ["0", "0.3", "0.95", "1e-300", "1", "-0.1"] + _BAD
+_V = ["-0.9", "0", "0.2", "1e6", "-1e6"] + _BAD
+_COUNT = ["0", "1", "5", "-1", "5000", "2.5"] + _BAD
+_POSITIVE = ["1", "8", "2e4", "1025", "9.81", "0", "-2"] + _BAD
+_BED, _NO_BED, _BAD_BED, _DIR, _OUT, _NO_DIR = (
+    "bed.csv", "missing.csv", "garbage.csv", ".", "out.txt", "missing/out.txt")
+_ARGV = {
+    "classify": {"--m": (1, _M), "--V": (1, _V)},
+    "diagram": {"--m-range": (2, _M), "--V-range": (2, _V), "--grid": (2, _COUNT)},
+    "level-curve": {"--kc": (1, ["-0.3", "0", "0.2", "-12.5"] + _V),
+                    "--region": (1, ["below_wedge", "above_wedge", "inside"]),
+                    "--m-samples": (1, _COUNT), "--m-min": (1, _M), "--m-max": (1, _M)},
+    "band": {"--m": (1, _M), "--N": (1, ["1", "2", "3", "0", "5000", "x"]),
+             "--E-max": (1, ["3", "7", "0", "-1", "1e6"] + _BAD), "--samples": (1, _COUNT)},
+    "shoal": {"--bathymetry": (1, [_BED, _NO_BED, _BAD_BED, _DIR]), "--T": (1, _POSITIVE),
+              "--F": (1, _POSITIVE), "--rho": (1, _POSITIVE), "--g": (1, _POSITIVE)},
+    "check-asymptotics": {},
+    "profile": {"--m": (1, _M), "--V": (1, _V), "--c": (1, _POSITIVE), "--samples": (1, _COUNT)},
+    "oracle": {"--m": (1, _M), "--V": (1, _V), "--c": (1, _POSITIVE)},
+}
+_EXTRAS = [("--json",), ("--out", _OUT), ("--out", _DIR), ("--out", _NO_DIR),
+           ("--bogus",), ("stray",), ("--m",)]
+
+
+def _assert_the_contract(argv):
+    """Exit code 0, 2 or 3, nothing raised; stderr is empty on success and
+    one JSON line otherwise, with nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+        assert sorted(json.loads(err.getvalue())) == ["error", "message"], argv
+
+
+class TestArgvContract:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv")
+        h_star = critical_depth(T_SEA, F_SEA, RHO_SEA, G_SEA)
+        depths = np.linspace(5.0, 0.6 * h_star, 5)
+        (root / _BED).write_text("X,h\n" + "".join(
+            "%.17g,%.17g\n" % (50.0 * i, h) for i, h in enumerate(depths)))
+        (root / _BAD_BED).write_text("X,h\n0,abc\n1\n")
+        return root
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_every_argv_gets_an_exit_code_and_at_most_one_json_line(self, workdir, data):
+        command = data.draw(st.sampled_from(sorted(_ARGV) + ["nosuch"]), label="command")
+        groups = []
+        for flag, (arity, values) in _ARGV.get(command, {}).items():
+            if data.draw(st.integers(0, 7), label=f"keep {flag}"):
+                size = data.draw(st.sampled_from([arity] * 3 + [arity - 1]), label=f"{flag} arity")
+                groups.append((flag, *data.draw(
+                    st.lists(st.sampled_from(values), min_size=size, max_size=size), label=flag)))
+        groups += data.draw(st.lists(st.sampled_from(_EXTRAS), max_size=2), label="extras")
+        argv = [command] + [token for group in data.draw(st.permutations(groups), label="order")
+                            for token in group]
+        argv = [str(workdir / t) if t in (_BED, _NO_BED, _BAD_BED, _DIR, _OUT, _NO_DIR) else t
+                for t in argv]
+        _assert_the_contract(argv)
+
+    # calls that broke the contract: an --out that cannot be opened raised
+    # out of main, and the oracle's sweeps printed numpy overflow warnings
+    @pytest.mark.parametrize("argv", [
+        ("check-asymptotics", "--out", _DIR),
+        ("classify", "--m", "0.5", "--V", "0", "--out", _NO_DIR),
+        ("oracle", "--m", "0.95", "--V", "-1e6", "--c", "1"),
+        ("oracle", "--m", "1e-300", "--V", "1e6", "--c", "1"),
+        ("oracle", "--m", "0.95", "--V", "1e300", "--c", "1"),
+        ("oracle", "--m", "0", "--V", "-0.9", "--c", "1e300"),
+    ])
+    def test_calls_that_broke_it(self, workdir, argv):
+        _assert_the_contract([str(workdir / t) if t in (_DIR, _NO_DIR) else t for t in argv])
+

@@ -6,6 +6,7 @@ and no numpy warning may escape (pyproject turns numpy's warnings into errors).
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from kdvorbits.elliptic import (
 )
 from kdvorbits.errors import DomainError, NumericalError
 from kdvorbits.orbits import constant_trace, winding_from_kc
-from kdvorbits.weierstrass import lattice, wp, wp_prime
+from kdvorbits.weierstrass import lattice, sigma, wp, wp_prime, zeta
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # finite floats, and as often the parameter range 0 <= m <= 1 with its subnormals
@@ -83,3 +84,26 @@ class TestWeierstrass:
         _each_gets_the_contract(
             lambda: wp(x, lat), lambda: wp_prime(x, lat),
             lambda: wp(complex(x, y), lat), lambda: wp_prime(complex(x, y), lat))
+
+    # the examples: a rest of rounding noise that reads as a lattice point or
+    # a zero, and the quasi-periodic factor of sigma past overflow
+    @given(m=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True)),
+           x=FINITE, y=FINITE)
+    @example(m=0.5, x=1e53, y=1.0)
+    @example(m=0.5, x=3e52, y=3e52)
+    @example(m=0.5, x=1e3, y=0.0)
+    @example(m=0.0, x=1e3, y=1e3)
+    @settings(max_examples=300, deadline=None)
+    def test_zeta_and_sigma(self, m, x, y):
+        lat = lattice(m)
+        _each_gets_the_contract(
+            lambda: zeta(x, lat), lambda: sigma(x, lat),
+            lambda: zeta(complex(x, y), lat), lambda: sigma(complex(x, y), lat))
+
+    # no lattice point lies near these, so no PoleError: the reduction
+    # itself is rounding noise
+    @pytest.mark.parametrize("f, z", [(zeta, 1e53), (zeta, 3e52j), (sigma, 1e53),
+                                      (sigma, 1e53 + 1j), (wp, 1e53)])
+    def test_an_unreducible_argument_is_refused(self, f, z):
+        with pytest.raises(DomainError, match="cannot reduce"):
+            f(z, lattice(0.5))
