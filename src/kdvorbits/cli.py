@@ -57,35 +57,40 @@ _GRID_LIMIT = 4096
 
 # ---------------------------------------------------------------- output
 
-def _fmt(value) -> str:
-    """One CSV cell: %.17g floats, lowercase booleans, plain ints."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
+_BOOLEAN = ("false", "true")  # a boolean cell as CSV and JSON print it
 
 
 def _csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    row_format = _ROW_FORMATS.get(tuple(columns))
-    if row_format is None:
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    else:  # the cells of these schemas are floats, strings and ints, as _fmt prints them
-        lines.extend(row_format % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    row_format = _ROW_FORMATS[tuple(columns)]
+    return "\n".join([",".join(columns), *(row_format % tuple(row) for row in rows)]) + "\n"
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+# The non-finite floats as str prints them and as json.dumps does
+_NONFINITE = (("-inf", "-Infinity"), ("inf", "Infinity"), ("nan", "NaN"))
+
+
+def _json_table(columns, rows, extra) -> str:
+    """json.dumps({"columns": columns, "rows": rows, **extra}, indent=2) + "\n",
+    with each row one %-format of _JSON_ROW_FORMATS.  A float cell prints as
+    str prints it, float.__repr__ as in json; inf and nan are mended after,
+    at the start of their lines."""
+    text = _json_text({"columns": list(columns), "rows": [], **extra})
+    if not rows:
+        return text
+    template = _JSON_ROW_FORMATS[tuple(columns)]
+    body = ",\n".join(template % tuple(row) for row in rows)
+    for token, json_token in _NONFINITE:
+        body = body.replace("\n      " + token, "\n      " + json_token)
+    return text.replace('\n  "rows": []', '\n  "rows": [\n' + body + "\n  ]", 1)
+
+
 def _table(args, columns, rows, extra=None) -> str:
     if args.json:
-        payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
-        if extra:
-            payload.update(extra)
-        return _json_text(payload)
+        return _json_table(columns, rows, extra or {})
     return _csv(columns, rows)
 
 
@@ -134,11 +139,18 @@ def _cmd_diagram(args) -> str:
 
 _LEVEL_CURVE_COLUMNS = ("m", "V")
 _BAND_COLUMNS = ("E", "kappa_ell", "in_gap", "winding")
-# One %-format per row for the schemas with many rows, in place of one
-# _fmt call per cell; their booleans come pre-rendered by _fmt.
+_SHOAL_COLUMNS = ("X", "h", "lambda", "m", "V", "kc_real", "kc_imag",
+                  "class", "winding", "in_wedge", "epsilon", "speed")
+_PROFILE_COLUMNS = ("x", "p")
+# One %-format per row of each table, CSV and JSON: the cells are Python
+# floats and ints, the class names, and booleans from _BOOLEAN.
 _ROW_FORMATS = {_DIAGRAM_COLUMNS: "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d",
                 _LEVEL_CURVE_COLUMNS: "%.17g,%.17g",
-                _BAND_COLUMNS: "%.17g,%.17g,%s,%d"}
+                _BAND_COLUMNS: "%.17g,%.17g,%s,%d",
+                _SHOAL_COLUMNS: "%.17g," * 7 + "%s,%d,%s,%.17g,%.17g",
+                _PROFILE_COLUMNS: "%.17g,%.17g"}
+_JSON_ROW_FORMATS = {columns: "    [\n%s\n    ]" % ",\n".join(
+    '      "%s"' if name == "class" else "      %s" for name in columns) for columns in _ROW_FORMATS}
 
 
 def _cmd_level_curve(args) -> str:
@@ -147,16 +159,16 @@ def _cmd_level_curve(args) -> str:
     return _table(args, _LEVEL_CURVE_COLUMNS, rows)
 
 
-def _band_rows_closed_form(energies, m: float, csv: bool) -> list:
+def _band_rows_closed_form(energies, m: float) -> list:
     rows = []
     for e in energies:
         point = crystal_momentum(e, m)
         wind = int(math.floor(point.kappa_ell_extended.real / math.pi + 1e-9))
-        rows.append([float(e), point.kappa_ell, _fmt(point.in_gap) if csv else point.in_gap, wind])
+        rows.append([float(e), point.kappa_ell, _BOOLEAN[point.in_gap], wind])
     return rows
 
 
-def _band_rows_scanned(energies, N: int, m: float, csv: bool) -> list:
+def _band_rows_scanned(energies, N: int, m: float) -> list:
     traces = floquet_traces(energies, N * (N + 1) * m, lattice(m).K, m)
     kappa = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
 
@@ -172,8 +184,8 @@ def _band_rows_scanned(energies, N: int, m: float, csv: bool) -> list:
     kappa = np.where(nearest <= 1e-9 * np.maximum(1.0, np.abs(energies)),
                      np.where(traces > 0.0, 0.0, math.pi), kappa)
     in_gap = (below == upto) & (below % 2 == 0)
-    gap_cells = np.where(in_gap, "true", "false") if csv else in_gap
-    return list(zip(energies.tolist(), kappa.tolist(), gap_cells.tolist(), (upto // 2).tolist()))
+    gap_cells = np.where(in_gap, "true", "false").tolist()
+    return list(zip(energies.tolist(), kappa.tolist(), gap_cells, (upto // 2).tolist()))
 
 
 def _cmd_band(args) -> str:
@@ -183,24 +195,18 @@ def _cmd_band(args) -> str:
         raise DomainError(f"E_max must be positive, got {args.E_max!r}")
     energies = _axis(0.0, args.E_max, args.samples, "E")
     if args.N == 1:
-        rows = _band_rows_closed_form(energies, args.m, not args.json)
+        rows = _band_rows_closed_form(energies, args.m)
     else:
-        rows = _band_rows_scanned(energies, args.N, args.m, not args.json)
+        rows = _band_rows_scanned(energies, args.N, args.m)
     return _table(args, _BAND_COLUMNS, rows)
-
-
-_SHOAL_COLUMNS = ("X", "h", "lambda", "m", "V", "kc_real", "kc_imag",
-                  "class", "winding", "in_wedge", "epsilon", "speed")
 
 
 def _cmd_shoal(args) -> str:
     xs, hs = read_bathymetry(args.bathymetry)
     path = shoaling_path(hs, args.T, args.F, args.rho, args.g)
-    rows = []
-    for x, p in zip(xs, path.points):
-        rows.append([float(x), p.h, p.lam, p.m, p.V, p.kc.real, p.kc.imag,
-                     p.orbit.kind.value, p.orbit.winding, p.in_wedge,
-                     p.epsilon, p.speed])
+    rows = [(x, p.h, p.lam, p.m, p.V, p.kc.real, p.kc.imag, p.orbit.kind.value,
+             p.orbit.winding, _BOOLEAN[p.in_wedge], p.epsilon, p.speed)
+            for x, p in zip(xs.tolist(), path.points)]
     extra = {"entry_index": path.entry_index,
              "crossing_depth": path.crossing_depth}
     return _table(args, _SHOAL_COLUMNS, rows, extra=extra)
@@ -213,7 +219,7 @@ def _cmd_profile(args) -> str:
     prof = cnoidal_profile(args.m, args.V, args.c, n=args.samples)
     xs = grid(args.samples)
     rows = [[float(x), float(p)] for x, p in zip(xs, prof.samples)]
-    return _table(args, ("x", "p"), rows)
+    return _table(args, _PROFILE_COLUMNS, rows)
 
 
 def _cmd_oracle(args) -> str:

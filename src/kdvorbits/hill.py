@@ -92,7 +92,8 @@ def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
     estimated by step doubling, max|M - M_2h| / 15 against the sweep of
     twice the step on every other node, and the step count doubles from
     2048 until that is at most 1e-11 max(1, max|M|), else
-    :class:`NumericalError` past 65536 steps.  The Wronskian det M
+    :class:`NumericalError` past 65536 steps, or at once where M or the
+    estimate is not finite.  The Wronskian det M
     (exactly 1 in arithmetic) is checked last: 1e-8 absolute at moderate
     matrix norms, relaxed to ~|M|^2 1e-9 once the entries grow
     exponentially large (there an absolute check is unsatisfiable).
@@ -131,9 +132,9 @@ def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
         mat = run[-1]
         error = float(np.max(np.abs(mat - coarse))) / 15.0
         nrm = float(np.max(np.abs(mat)))
-        if error <= _SWEEP_TOL * max(1.0, nrm):
+        if error <= _SWEEP_TOL * max(1.0, nrm) and math.isfinite(nrm):
             break
-        if steps == _LAST_STEPS:
+        if steps == _LAST_STEPS or not math.isfinite(error + nrm):
             raise NumericalError(
                 f"Floquet sweep did not converge in {steps} RK4 steps "
                 f"(step-doubling estimate {error!r})")

@@ -208,16 +208,17 @@ def orbit_data(m, V) -> OrbitData:
         above e1:         2 cosh 2x,   x^2/(6 pi^2),           Hyperbolic(n = 0)
 
     floor(2x/pi) = floor(sqrt(24 |kc|)) >= 1.  The cosh traces are +inf
-    once they overflow (|V| above about 1e5).
+    once they overflow (|V| above about 1e5).  m may be its lattice(m).
 
     Arrays m and V, broadcast together, give arrays of that shape (orbit:
-    OrbitClass objects) from one wp_amplitude and one ellint_F_zeta over
-    the grid; cos, cosh and the floor go through math, so each cell is its
-    scalar call bit for bit, and the first invalid cell raises its error.
+    OrbitClass objects) from one lattice over the distinct m (or the
+    lattice given, of V's shape), one wp_amplitude and one ellint_F_zeta;
+    only cosh goes through math, as numpy's other operations match it bit
+    for bit, so each cell is its scalar call, and the first invalid cell
+    raises its error.
     """
-    if isinstance(m, np.ndarray) or isinstance(V, np.ndarray):
-        return _orbit_data_array(*np.broadcast_arrays(np.asarray(m, dtype=float),
-                                                      np.asarray(V, dtype=float)))
+    if isinstance(getattr(m, "m", m), np.ndarray) or isinstance(V, np.ndarray):
+        return _orbit_data_array(m, np.asarray(V, dtype=float))
     lat = lattice(m)
     if not math.isfinite(V):
         raise DomainError(f"V must be finite, got {V!r}")
@@ -227,19 +228,40 @@ def orbit_data(m, V) -> OrbitData:
     return _orbit_on_edge(amp.edge, _edge_exponent(lat, amp))
 
 
-def _orbit_data_array(m: np.ndarray, V: np.ndarray) -> OrbitData:
+def _orbit_data_array(m, V: np.ndarray) -> OrbitData:
+    lat = m if isinstance(m, RectLattice) else None
+    m, V = np.broadcast_arrays(np.asarray(lat.m if lat else m, dtype=float), V)
+    shape, (m, V) = m.shape, np.atleast_1d(m, V)
     bad = ~((m >= 0.0) & (m < 1.0) & np.isfinite(V))
     if bad.any():
         orbit_data(float(m.flat[np.argmax(bad)]), float(V.flat[np.argmax(bad)]))
-    lat = lattice(m)
+    if lat is None:
+        distinct, where = np.unique(m, return_inverse=True)
+        table = lattice(distinct)
+        lat = RectLattice(*(getattr(table, f)[where].reshape(m.shape) for f in _LATTICE_FIELDS))
     amp = wp_amplitude(V, lat)
-    with np.errstate(divide="ignore", invalid="ignore"):  # gaps vanish on the corners
-        x = _edge_exponent(lat, amp).ravel().tolist()
-    cells = [(_PARABOLIC if corner == E1 else _EXCEPTIONAL) if corner else _orbit_on_edge(edge, x_i)
-             for corner, edge, x_i in zip(amp.corner.ravel().tolist(), amp.edge.ravel().tolist(), x)]
-    columns = list(zip(*cells)) or [()] * 4
-    return OrbitData(*(np.array(column, dtype=kind).reshape(m.shape)
-                       for column, kind in zip(columns, (float, complex, bool, object))))
+    case = np.where(amp.corner, 3 + amp.corner, amp.edge)  # the four edges, then e2, e3, e1
+    hyperbolic = (case == TOP) | (case == REAL)
+    with np.errstate(all="ignore"):  # the gaps vanish on the corners, which take constants
+        x = _edge_exponent(lat, amp)
+        sq = x * x
+        square = np.where(np.isinf(sq), x * (x / _SIX_PI_SQ), sq / _SIX_PI_SQ)
+        turns = 2.0 * x / math.pi
+        near = np.round(turns)
+        turns = np.where(np.abs(turns - near) < _FLOOR_SNAP, near, np.floor(turns))
+        cosh = np.zeros(x.shape)
+        cosh[hyperbolic] = list(map(_two_cosh, (2.0 * x[hyperbolic]).tolist()))
+        kc = np.choose(case, (-square, (sq - math.pi**2 / 4.0) / _SIX_PI_SQ, -square, square,
+                              -1.0 / 24.0, -1.0 / 24.0, 0.0)).astype(complex)
+        kc.imag = np.where(case == TOP, -x / (6.0 * math.pi), 0.0)
+        cos = 2.0 * np.cos(2.0 * x)
+    trace = np.choose(case, (cos, -cosh, cos, cosh, -2.0, -2.0, 2.0))
+    # one OrbitClass per distinct winding + i kind, the kind's index in OrbitKind
+    labels, where = np.unique(np.choose(case, (turns, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0))
+                              + 1j * np.choose(case, (0, 1, 0, 1, 3, 3, 2)), return_inverse=True)
+    orbit = np.empty(labels.size, dtype=object)
+    orbit[:] = [_orbit_class(list(OrbitKind)[int(k.imag)], int(k.real)) for k in labels.tolist()]
+    return OrbitData(*(a.reshape(shape) for a in (trace, kc, case != TOP, orbit[where])))
 
 
 def monodromy_trace(m: float, V: float) -> float:

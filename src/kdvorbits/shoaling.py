@@ -86,15 +86,11 @@ def zero_average_V(m):
     """Velocity parameter of the zero-average cnoidal wave: 2E/K - (4-2m)/3.
 
     Runs from 2/3 at m = 0 (hugging the parabolic line (2-m)/3 from
-    below) down to -2/3 as m -> 1.  An array of m gives each its scalar call.
+    below) down to -2/3 as m -> 1.  An array of m gives each its scalar
+    call; m may be given as the lattice(m) the caller already holds.
     """
-    m = m if isinstance(m, np.ndarray) else float(m)
-    ok = np.ravel((m >= 0.0) & (m < 1.0))
-    if not ok.all():
-        bad = float(np.ravel(m)[np.argmin(ok)])
-        raise DomainError(f"squared modulus must lie in [0, 1), got {bad!r}")
     lat = lattice(m)
-    return 2.0 * lat.E / lat.K - (4.0 - 2.0 * m) / 3.0
+    return 2.0 * lat.E / lat.K - (4.0 - 2.0 * lat.m) / 3.0
 
 
 @lru_cache(maxsize=1)
@@ -376,8 +372,9 @@ def shoaling_path(h_values, T: float, F: float, rho: float,
         raise DomainError("depths must be strictly decreasing along the path")
 
     m = m_from_depth(hs, T, F, rho, g)
-    V = zero_average_V(m)
-    data = orbit_data(m, V)
+    lat = lattice(m)
+    V = zero_average_V(lat)
+    data = orbit_data(lat, V)
     h = np.array(hs)
     with np.errstate(all="ignore"):  # out of range is checked below, as wavelength does
         lam = np.sqrt(g * h) * T

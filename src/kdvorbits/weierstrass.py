@@ -109,8 +109,11 @@ def lattice(m) -> RectLattice:
     the returned lattice has m = 0.0.
 
     A scalar m is cached.  An array of m gives array fields, each element bit for
-    bit lattice(m_i), from one masked AGM over m and one over 1 - m.
+    bit lattice(m_i), from one masked AGM over m and one over 1 - m.  A
+    RectLattice is returned as it is, so a caller may pass one for m.
     """
+    if isinstance(m, RectLattice):
+        return m
     if not isinstance(m, np.ndarray):
         return _lattice(m)
     bad = ~((m >= 0.0) & (m < 1.0))
@@ -155,10 +158,12 @@ def _assemble(m, K, E, Kc, Ec, g3) -> RectLattice:
 
 
 def _multiple(x: float, period: float, z, name: str) -> int:
-    """The multiple of period nearest x; DomainError from 2^52 periods on (the rest is noise)."""
-    if not abs(x) < 2.0**52 * period:
+    """The multiple n of period nearest x.  DomainError where the rounding of
+    the rest x - n period, |n| ulp(period), would exceed the pole tolerance."""
+    n = x / period
+    if not abs(n) * math.ulp(period) <= _POLE_TOL:
         raise DomainError(f"{name} cannot reduce z = {z!r} modulo its period {period!r}")
-    return round(x / period)
+    return round(n)
 
 
 def _reduce_real(z, period: float, name: str):
@@ -187,7 +192,9 @@ def wp(z: complex, lat: RectLattice):
 
     Complex arguments go through m sn^2(z - iK'|m) - (m+1)/3 with the
     complex Jacobi split; real arguments stay in real arithmetic,
-    1/sn^2(x|m) - (m+1)/3 (even, period 2K).
+    1/sn^2(x|m) - (m+1)/3 (even, period 2K).  A real z n periods out with
+    |n| ulp(2K) > 1e-9, the pole tolerance (|z| > 8.35e6 at m = 1/2),
+    raises DomainError: the reduction would round the rest by more.
     """
     if lat.m == 0.0:
         return _circular(lambda w: 1.0 / cmath.sin(w) ** 2 - 1.0 / 3.0, z, "wp")
@@ -266,7 +273,9 @@ def zeta(z: complex, lat: RectLattice) -> complex:
 
     Reduced to the base cell (accumulating 2 n1 eta1 + 2 n2 eta2), then
     evaluated from the theta_1 series of :func:`_zeta_sigma`.  Arguments
-    within 1e-9 of a lattice point raise :class:`PoleError`.
+    within 1e-9 of a lattice point raise :class:`PoleError`, and as in
+    :func:`wp` a reduction that rounds the rest by more, |n1| ulp(2K) or
+    |n2| ulp(2Kc) > 1e-9, raises DomainError.
     """
     z = complex(z)
     if lat.m == 0.0:

@@ -532,6 +532,29 @@ class TestShoal:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0e35c31a2f10f495a2085518a1e48a51290ae28ac590218b7108d4137e681ed3")
 
+    def uneven_bed(self, tmp_path, top, bottom, n):
+        # n stations from top h* to bottom h* with uneven steps
+        h_star = critical_depth(T_SEA, F_SEA, RHO_SEA, G_SEA)
+        depths = [top * h_star * (bottom / top) ** ((i + 0.3 * math.sin(i)) / (n - 1))
+                  for i in range(n)]
+        return self.write_bed(tmp_path, depths)
+
+    # Digests recorded while tables were still encoded by json.dumps: the
+    # beach of the test above as CSV, and a deep beach whose entry_index
+    # and crossing_depth are null.
+    @pytest.mark.parametrize("top, bottom, n, flags, digest", [
+        (4.0, 0.4, 1001, (), "0dbd8ae26a04525c000d310355f2f6386b2ff70b8c9f93f997c13bc8b70afa11"),
+        (6.0, 1.2, 40, ("--json",), "3d1dfd96684f1acfc0e3145082ca47b2ee801854b077c9edf9d9db691c1bc3c5"),
+    ])
+    def test_more_bytes_are_pinned(self, capsys, tmp_path, top, bottom, n, flags, digest):
+        bed = self.uneven_bed(tmp_path, top, bottom, n)
+        code, out, _ = run_cli(capsys, *self.shoal_args(bed), *flags)
+        assert code == 0
+        if "--json" in flags:
+            payload = json.loads(out)
+            assert payload["entry_index"] is None and payload["crossing_depth"] is None
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestProfile:
     def test_matches_library_samples(self, capsys):
@@ -545,6 +568,14 @@ class TestProfile:
         ps = np.array([float(r[1]) for r in rows])
         assert_allclose(xs, 2.0 * math.pi * np.arange(16) / 16, rtol=1e-16)
         assert_allclose(ps, expected.samples, rtol=1e-16)
+
+    def test_json_bytes_are_pinned(self, capsys):
+        # recorded while tables were still encoded by json.dumps
+        code, out, _ = run_cli(capsys, "profile", "--m", 0.9, "--V", -0.5,
+                               "--c", -32, "--samples", 96, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "da0be5da89c68f6bbca5cf034419ce1de52cd079651f85e19f3bf95518470123")
 
     @pytest.mark.parametrize("n", [0, 5000])
     def test_rejects_bad_sample_counts(self, capsys, n):
@@ -712,6 +743,69 @@ class TestOutputPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["class"] == "Hyperbolic"
+
+
+
+def _dumps_table(columns, rows, extra):
+    """What json.dumps makes of a table; in_gap and in_wedge cells hold
+    booleans as cli._BOOLEAN prints them."""
+    rows = [[cell == "true" if name in ("in_gap", "in_wedge") else cell
+             for name, cell in zip(columns, row)] for row in rows]
+    return json.dumps({"columns": list(columns), "rows": rows, **extra}, indent=2) + "\n"
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_CELLS = {"class": st.sampled_from(["Elliptic", "Hyperbolic", "Parabolic", "Exceptional"]),
+          "winding": st.integers(0, 10**40), "in_gap": st.sampled_from(cli._BOOLEAN),
+          "in_wedge": st.sampled_from(cli._BOOLEAN)}
+_NONFINITE = [math.inf, -math.inf, math.nan]
+_TEXT = st.text(max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    """(columns, rows, extra) of one of the CLI's table schemas, with at
+    least one non-finite float cell and any extra keys and values."""
+    columns = draw(st.sampled_from(sorted(cli._JSON_ROW_FORMATS)))
+    cells = [_CELLS.get(name, _ANY_FLOAT) for name in columns]
+    rows = draw(st.lists(st.tuples(*cells).map(list), min_size=1, max_size=6))
+    rows[draw(st.integers(0, len(rows) - 1))][draw(st.sampled_from(
+        [i for i, cell in enumerate(cells) if cell is _ANY_FLOAT]))] = draw(
+        st.sampled_from(_NONFINITE))
+    extra = draw(st.dictionaries(_TEXT.filter(lambda k: k not in ("columns", "rows")), st.one_of(
+        st.none(), st.booleans(), _ANY_FLOAT, st.integers(-2**80, 2**80), _TEXT), max_size=3))
+    return columns, rows, extra
+
+
+class TestJsonTable:
+    """The row writer of --json tables prints json.dumps(payload, indent=2)."""
+
+    @pytest.mark.parametrize("columns, rows", [
+        (cli._DIAGRAM_COLUMNS,
+         [[0.5, -0.2, -math.inf, 0.0, -0.0, "Hyperbolic", 1],
+          [5e-324, 1e6, math.inf, 1.7e308, -5e-324, "Hyperbolic", 0],
+          [0.1, 2.0, math.nan, -1.0 / 24.0, 0.0, "Elliptic", 10**30]]),
+        (cli._PROFILE_COLUMNS, [[0.0, math.nan], [-0.0, -math.inf], [1.7e308, math.inf]]),
+        (cli._LEVEL_CURVE_COLUMNS, [[0.25, -math.inf]]),
+        (cli._BAND_COLUMNS, [[0.5, math.nan, "true", 2], [math.inf, 0.0, "false", 2**70]]),
+        (cli._SHOAL_COLUMNS,
+         [[0.0, 4.0, 50.0, 0.3, 0.1, -0.0, 0.0, "Elliptic", 0, "false", 1e-3, 6.2],
+          [40.0, 1.0, 1.7e308, 0.99, -0.6, math.inf, -math.inf, "Hyperbolic", 1, "true",
+           5e-324, math.nan]]),
+    ])
+    @pytest.mark.parametrize("extra", [
+        {}, {"entry_index": None, "crossing_depth": None},
+        {"entry_index": 2**64, "crossing_depth": -math.inf, "naïve €": 'say "hi"',
+         "back\\slash": "ünïcode\n\"q\"", "flags": True, "off": False, "nan": math.nan},
+    ])
+    def test_explicit_tables(self, columns, rows, extra):
+        for some in (rows, rows[:0]):
+            assert cli._json_table(columns, some, extra) == _dumps_table(columns, some, extra)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables())
+    def test_random_tables(self, table):
+        assert cli._json_table(*table) == _dumps_table(*table)
 
 
 # The argv vocabulary: every subcommand's flags with values that work, and

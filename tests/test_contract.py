@@ -5,6 +5,8 @@ or raises :class:`DomainError` or :class:`NumericalError`; no other exception
 and no numpy warning may escape (pyproject turns numpy's warnings into errors).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -107,3 +109,23 @@ class TestWeierstrass:
     def test_an_unreducible_argument_is_refused(self, f, z):
         with pytest.raises(DomainError, match="cannot reduce"):
             f(z, lattice(0.5))
+
+    # Past 1e-9 / ulp(2K) periods (about 8.35e6 at m = 1/2) the rounding of
+    # the rest, |n| ulp(2K), exceeds the 1e-9 pole tolerance: at 1e16 the
+    # rest came out 0 and read as a pole, at -3e15 as a value of noise.
+    @pytest.mark.parametrize("f, z", [
+        (f, z) for f in (wp, wp_prime, zeta, sigma) for z in (1e16, -3e15, 8.4e6, -8.4e6)
+    ] + [(zeta, 1.0 + 1e16j), (zeta, 1e7j), (sigma, 1e7j), (zeta, 1e16 + 1.0j)])
+    def test_a_reduction_rounder_than_the_pole_tolerance_is_refused(self, f, z):
+        with pytest.raises(DomainError, match="cannot reduce"):
+            f(z, lattice(0.5))
+
+    @pytest.mark.parametrize("m", [0.0, 0.5, 0.9])
+    def test_the_last_reducible_periods_still_answer(self, m):
+        lat = lattice(m)
+        period = math.pi if m == 0.0 else 2.0 * lat.K
+        x = 0.99e-9 / math.ulp(period) * period
+        for f in (wp, wp_prime, zeta):
+            assert math.isfinite(abs(f(x, lat)))
+        with pytest.raises(DomainError, match="cannot reduce"):
+            wp(1.02e-9 / math.ulp(period) * period, lat)

@@ -115,6 +115,21 @@ class TestFloquetMonodromy:
         assert len(counts) >= 3
         assert counts == [1024 << k for k in range(len(counts))]
 
+    @pytest.mark.parametrize("m, V", [(0.0, 1e6), (0.95, -1e6)])
+    def test_overflowed_sweep_raises_at_once(self, monkeypatch, m, V):
+        # the monodromy overflows (m = 0) or the coarse sweep of the
+        # estimate does (m = 0.95): no doubling up to 65536 steps follows
+        sweep, counts = hill._sweep, []
+
+        def counted(q, h):
+            counts.append(q.size // 2)
+            return sweep(q, h)
+
+        monkeypatch.setattr(hill, "_sweep", counted)
+        with pytest.raises(NumericalError, match="did not converge in 2048 RK4 steps"):
+            floquet(cnoidal_profile(m, V, 1.0), 1.0)
+        assert counts == [1024, 2048]
+
     def test_zero_central_charge_rejected(self):
         with pytest.raises(DomainError):
             floquet_monodromy(constant_profile(0.1), 0.0)

@@ -372,6 +372,19 @@ class TestOrbitData:
                 (alone.trace, alone.kc.real, alone.kc.imag)), (m_i, V_j)
             assert (cell[2], cell[3]) == (alone.has_rest_frame, alone.orbit)
 
+    def test_arrays_build_the_lattice_of_the_distinct_m(self, monkeypatch):
+        from kdvorbits import orbits
+
+        sizes, build = [], orbits.lattice
+        monkeypatch.setattr(orbits, "lattice", lambda m: sizes.append(np.size(m)) or build(m))
+        m, V = np.meshgrid([0.9, 0.1, 0.5, 0.1], np.linspace(-2.0, 2.0, 7), indexing="ij")
+        data = orbit_data(m, V)
+        assert sizes == [3]
+        given = orbit_data(lattice(m), V)  # or takes the lattice built
+        assert all(np.array_equal(a, b) for a, b in zip(data, given))
+        zero_d = orbit_data(np.array(0.5), np.array(0.1))
+        assert [a.shape for a in zero_d] == [()] * 4 and zero_d.orbit[()] == classify(0.5, 0.1)
+
     def test_an_array_raises_for_its_first_invalid_cell(self):
         m, V = np.array([0.5, 0.5, 1.5, -1.0]), np.array([0.1, math.nan, 0.0, 0.0])
         with pytest.raises(DomainError, match="V must be finite, got nan"):

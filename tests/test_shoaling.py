@@ -509,6 +509,21 @@ class TestShoalingPath:
         assert path.entry_index is None
         assert path.crossing_depth is None
 
+    def test_builds_one_array_lattice(self, monkeypatch):
+        # zero_average_V and orbit_data share the lattice the path built
+        from kdvorbits import orbits
+
+        arrays = []
+        for module in (shoaling, orbits):
+            def counted(m, build=module.lattice):
+                arrays.append(isinstance(m, np.ndarray))
+                return build(m)
+            monkeypatch.setattr(module, "lattice", counted)
+        hs = np.linspace(H_REF, 0.5 * self.h_star, 9)
+        path = shoaling_path(hs, T_REF, F_REF, RHO_REF, G_REF)
+        assert arrays.count(True) == 1
+        assert path == self.path
+
     @pytest.mark.parametrize("hs", [[], [3.0, 3.0], [2.0, 3.0]])
     def test_rejects_bad_sequences(self, hs):
         with pytest.raises(DomainError):
