@@ -151,7 +151,8 @@ def V_near_m1(kc: float, m: float) -> Approximation:
 
     with the cosh turning into a cos for -1/24 < kc <= 0.  The slope is
     smallest in the limit kc -> -1/24 (where it tends to -2/3) and grows
-    with kc.  Remainder O((1-m)^2); validity 1 - m.
+    with kc; past kc = 2135.18, where the slope overflows, DomainError.
+    Remainder O((1-m)^2); validity 1 - m.
     """
     kc = float(kc)
     m = float(m)
@@ -160,9 +161,14 @@ def V_near_m1(kc: float, m: float) -> Approximation:
     if not 0.0 <= m <= 1.0:
         raise DomainError(f"m must lie in [0, 1], got {m!r}")
     s = _SIX_PI_SQ * kc
-    amp = math.cosh(math.sqrt(s)) if s >= 0.0 else math.cos(math.sqrt(-s))
-    value = 1.0 / 3.0 + (amp * amp - 2.0 / 3.0) * (1.0 - m)
-    return Approximation(value, 1.0 - m)
+    try:
+        amp = math.cosh(math.sqrt(s)) if s >= 0.0 else math.cos(math.sqrt(-s))
+    except OverflowError:
+        amp = math.inf
+    slope = amp * amp - 2.0 / 3.0
+    if slope == math.inf:
+        raise DomainError(f"the slope of V_near_m1 overflows at kc = {kc!r}")
+    return Approximation(1.0 / 3.0 + slope * (1.0 - m), 1.0 - m)
 
 
 def V_near_m0(kc: float, m: float) -> Approximation:
@@ -220,25 +226,29 @@ def degenerate_zeta(z: complex, m: float, end: str) -> Approximation:
     with q^2 = exp(-2 pi K'/K); ``end="m_to_1"`` is the same lattice sum
     run along the other period, giving the hyperbolic counterpart with
     q^2 = exp(-2 pi K/K').  The correction keeps the error at O(q^4).
-    Validity is q^2 itself.
+    Validity is q^2 itself.  A z where sin or sinh overflows raises
+    DomainError.
     """
     z = complex(z)
     half, u, nome_sq = _degenerate_pieces(z, m, end)
     scale = math.pi**2 / (4.0 * half * half)
-    if end == "m_to_0":
-        s = cmath.sin(u)
-        if s == 0.0:
-            raise PoleError(f"z = {z!r} is a pole of the degenerate zeta form")
-        bracket = (z / 3.0 + (2.0 * half / math.pi) * cmath.cos(u) / s
-                   - 8.0 * (z - (half / math.pi) * cmath.sin(2.0 * u)) * nome_sq)
-        value = scale * bracket
-    else:
-        s = cmath.sinh(u)
-        if s == 0.0:
-            raise PoleError(f"z = {z!r} is a pole of the degenerate zeta form")
-        bracket = (z / 3.0 - (2.0 * half / math.pi) * cmath.cosh(u) / s
-                   - 8.0 * (z - (half / math.pi) * cmath.sinh(2.0 * u)) * nome_sq)
-        value = -scale * bracket
+    try:
+        if end == "m_to_0":
+            s = cmath.sin(u)
+            if s == 0.0:
+                raise PoleError(f"z = {z!r} is a pole of the degenerate zeta form")
+            bracket = (z / 3.0 + (2.0 * half / math.pi) * cmath.cos(u) / s
+                       - 8.0 * (z - (half / math.pi) * cmath.sin(2.0 * u)) * nome_sq)
+            value = scale * bracket
+        else:
+            s = cmath.sinh(u)
+            if s == 0.0:
+                raise PoleError(f"z = {z!r} is a pole of the degenerate zeta form")
+            bracket = (z / 3.0 - (2.0 * half / math.pi) * cmath.cosh(u) / s
+                       - 8.0 * (z - (half / math.pi) * cmath.sinh(2.0 * u)) * nome_sq)
+            value = -scale * bracket
+    except OverflowError:
+        raise DomainError(f"the degenerate zeta form overflows at z = {z!r}") from None
     return Approximation(value, nome_sq)
 
 
@@ -247,23 +257,24 @@ def degenerate_wp(z: complex, m: float, end: str) -> Approximation:
 
     Minus the derivative of :func:`degenerate_zeta`, term by term:
     1/sin^2 (or 1/sinh^2) plus the same exponentially small lattice
-    correction, error O(q^4).  Validity is q^2.
+    correction, error O(q^4).  Validity is q^2.  A z whose sin^2 or sinh^2
+    underflows to 0 is a pole; one where they overflow raises DomainError.
     """
     z = complex(z)
     half, u, nome_sq = _degenerate_pieces(z, m, end)
     scale = math.pi**2 / (4.0 * half * half)
-    if end == "m_to_0":
-        s = cmath.sin(u)
-        if s == 0.0:
+    try:
+        s = cmath.sin(u) if end == "m_to_0" else cmath.sinh(u)
+        if s * s == 0.0:
             raise PoleError(f"z = {z!r} is a pole of the degenerate wp form")
-        value = scale * (-1.0 / 3.0 + 1.0 / (s * s)
-                         + 8.0 * (1.0 - cmath.cos(2.0 * u)) * nome_sq)
-    else:
-        s = cmath.sinh(u)
-        if s == 0.0:
-            raise PoleError(f"z = {z!r} is a pole of the degenerate wp form")
-        value = scale * (1.0 / 3.0 + 1.0 / (s * s)
-                         + 8.0 * (cmath.cosh(2.0 * u) - 1.0) * nome_sq)
+        if end == "m_to_0":
+            value = scale * (-1.0 / 3.0 + 1.0 / (s * s)
+                             + 8.0 * (1.0 - cmath.cos(2.0 * u)) * nome_sq)
+        else:
+            value = scale * (1.0 / 3.0 + 1.0 / (s * s)
+                             + 8.0 * (cmath.cosh(2.0 * u) - 1.0) * nome_sq)
+    except OverflowError:
+        raise DomainError(f"the degenerate wp form overflows at z = {z!r}") from None
     return Approximation(value, nome_sq)
 
 

@@ -42,6 +42,7 @@ import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -77,8 +78,18 @@ _LATTICE_FIELDS = [f.name for f in fields(RectLattice)]
 _FLOOR_SNAP = 4e-12
 
 _NEWTON_CAP = 400  # level_curve steps before it gives up
-_FEW_ROWS = 12  # level_curve rows below which numpy's per-call cost outruns an array pass
 _S_MAX = math.sqrt(sys.float_info.max)  # the largest gap s with c -+ s^2 finite
+
+# The operations of the rules written once for a float and an array: numpy's
+# for an array, math's and the builtins' for a float, which pays no array
+# overhead.  ulp is math.ulp's, which np.spacing overflows at the largest floats.
+_ARRAY = SimpleNamespace(
+    where=np.where, sqrt=np.sqrt, nextafter=np.nextafter, minimum=np.minimum,
+    maximum=np.maximum, round=np.round, floor=np.floor, any=np.any,
+    ulp=lambda x: np.spacing(np.minimum(np.abs(x), 2.0**1023)))
+_FLOAT = SimpleNamespace(
+    where=lambda cond, x, y: x if cond else y, sqrt=math.sqrt, nextafter=math.nextafter,
+    minimum=min, maximum=max, round=round, floor=math.floor, any=bool, ulp=math.ulp)
 
 
 class OrbitKind(str, Enum):
@@ -146,12 +157,10 @@ def _two_cosh(x: float) -> float:
         return math.inf
 
 
-def _square_over_six_pi_sq(x: float) -> float:
+def _square_over_six_pi_sq(x, xp):
     """x^2 / (6 pi^2); past |x| ~ 1e154, where x*x overflows, divided first."""
     square = x * x
-    if math.isinf(square):
-        return x * (x / _SIX_PI_SQ)
-    return square / _SIX_PI_SQ
+    return xp.where(square == math.inf, x * (x / _SIX_PI_SQ), square / _SIX_PI_SQ)
 
 
 def _root_times(k: float, kc: float) -> float:
@@ -160,11 +169,10 @@ def _root_times(k: float, kc: float) -> float:
     return math.sqrt(k) * math.sqrt(abs(kc)) if math.isinf(root) else root
 
 
-def _floor_snap(x: float) -> int:
-    r = round(x)
-    if abs(x - r) < _FLOOR_SNAP:
-        return int(r)
-    return math.floor(x)
+def _floor_snap(x, xp):
+    """floor(x), or the integer within _FLOOR_SNAP of x; an int for a float."""
+    near = xp.round(x)
+    return xp.where(abs(x - near) < _FLOOR_SNAP, near, xp.floor(x))
 
 
 @lru_cache(maxsize=256)  # a diagram holds a few dozen; windings grow without bound
@@ -184,10 +192,10 @@ def _orbit_on_edge(edge: int, x: float) -> OrbitData:
         return OrbitData(-_two_cosh(2.0 * x), kc, False,
                          _orbit_class(OrbitKind.HYPERBOLIC, 1))
     if edge == REAL:
-        return OrbitData(_two_cosh(2.0 * x), complex(_square_over_six_pi_sq(x), 0.0),
+        return OrbitData(_two_cosh(2.0 * x), complex(_square_over_six_pi_sq(x, _FLOAT), 0.0),
                          True, _orbit_class(OrbitKind.HYPERBOLIC, 0))
-    winding = _floor_snap(2.0 * x / math.pi) if edge == IMAGINARY else 0
-    return OrbitData(2.0 * math.cos(2.0 * x), complex(-_square_over_six_pi_sq(x), 0.0),
+    winding = _floor_snap(2.0 * x / math.pi, _FLOAT) if edge == IMAGINARY else 0
+    return OrbitData(2.0 * math.cos(2.0 * x), complex(-_square_over_six_pi_sq(x, _FLOAT), 0.0),
                      True, _orbit_class(OrbitKind.ELLIPTIC, winding))
 
 
@@ -244,14 +252,10 @@ def _orbit_data_array(m, V: np.ndarray) -> OrbitData:
     hyperbolic = (case == TOP) | (case == REAL)
     with np.errstate(all="ignore"):  # the gaps vanish on the corners, which take constants
         x = _edge_exponent(lat, amp)
-        sq = x * x
-        square = np.where(np.isinf(sq), x * (x / _SIX_PI_SQ), sq / _SIX_PI_SQ)
-        turns = 2.0 * x / math.pi
-        near = np.round(turns)
-        turns = np.where(np.abs(turns - near) < _FLOOR_SNAP, near, np.floor(turns))
+        square, turns = _square_over_six_pi_sq(x, _ARRAY), _floor_snap(2.0 * x / math.pi, _ARRAY)
         cosh = np.zeros(x.shape)
         cosh[hyperbolic] = list(map(_two_cosh, (2.0 * x[hyperbolic]).tolist()))
-        kc = np.choose(case, (-square, (sq - math.pi**2 / 4.0) / _SIX_PI_SQ, -square, square,
+        kc = np.choose(case, (-square, (x * x - math.pi**2 / 4.0) / _SIX_PI_SQ, -square, square,
                               -1.0 / 24.0, -1.0 / 24.0, 0.0)).astype(complex)
         kc.imag = np.where(case == TOP, -x / (6.0 * math.pi), 0.0)
         cos = 2.0 * np.cos(2.0 * x)
@@ -289,7 +293,7 @@ def winding_from_kc(kc: float) -> int:
     kc = float(kc)
     if math.isnan(kc) or kc > 0.0:
         raise DomainError(f"winding_from_kc requires kc <= 0, got {kc!r}")
-    return _floor_snap(_root_times(24.0, kc))
+    return _floor_snap(_root_times(24.0, kc), _FLOAT)
 
 
 def constant_trace(kc: float) -> float:
@@ -367,142 +371,118 @@ def level_curve(target_kc: float, m, region: str):
     max(1e-10 max(1, |kc|), 4 |dk_dV| ulp(V)), the kc step between
     adjacent floats; a target beyond every finite V raises DomainError.
 
-    An array of m gives an array of V: every m runs this Newton iteration
-    (:func:`_level_row`) with its own bracket and exits, on one array
-    lattice (:func:`.weierstrass.lattice`), so each V is that
-    of its scalar call bit for bit, and the first failing m in row order
-    raises its error.  While many rows are live, one array pass evaluates
-    the exponents of a step for all of them.
+    An array of m gives an array of V of its shape.  The search is written
+    once: a float m runs it through ``math``, and an array runs it as one
+    masked numpy pass over every m, on one array lattice, with one
+    evaluation of the exponents per Newton step.  Each m stops on its own
+    tests, so each V is that of its scalar call bit for bit, and the first
+    failing m in row order raises the error of its scalar call.
     """
     target_kc = float(target_kc)
-    scalar = isinstance(m, float) or np.ndim(m) == 0
-    ms = [m] if scalar else np.asarray(m, dtype=float).ravel().tolist()
-    table, lats = None, [None] * len(ms)  # None: the row builds its own lattice, or raises
-    if not scalar:
-        valid = [0.0 <= m_i < 1.0 for m_i in ms]
-        table = lattice(np.where(valid, ms, 0.0))
-        lats = [RectLattice(*fields) if ok else None for ok, fields in
-                zip(valid, zip(*(getattr(table, f).tolist() for f in _LATTICE_FIELDS)))]
-    rows, asks = [], []
-    for m_i, lat in zip(ms, lats):
-        rows.append(_level_row(target_kc, m_i, region, lat))
-        asks.append(next(rows[-1]))
-        if asks[-1][0] == _FAILED:  # the rows after it cannot report first
-            break
-    live = [i for i, ask in enumerate(asks) if ask[0] < _DONE]
-    while len(live) > _FEW_ROWS:
-        V = np.array([asks[i][1] for i in live])
-        lat = RectLattice(*(getattr(table, f)[live] for f in _LATTICE_FIELDS))
-        amp = wp_amplitude(V, lat)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a slope only off the corners
-            x, rate = _edge_exponent(lat, amp).tolist(), _dx_dV(lat, amp, V).tolist()
-        for i, x_i, rate_i in zip(live, x, rate):
-            asks[i] = rows[i].send((x_i, rate_i) if asks[i][0] == _SLOPE else x_i)
-        live = [i for i in live if asks[i][0] < _DONE]
-    for i in live:  # a few rows left: each runs to its end on answers of its own
-        row, ask, lat = rows[i], asks[i], lats[i] or lattice(ms[i])
-        while ask[0] < _DONE:
-            amp = wp_amplitude(ask[1], lat)
-            x = _edge_exponent(lat, amp)
-            ask = row.send((x, _dx_dV(lat, amp, ask[1])) if ask[0] == _SLOPE else x)
-        asks[i] = ask
-    for outcome, value in asks:
-        if outcome == _FAILED:
-            raise value
-    V = [value for _, value in asks]
-    return V[0] if scalar else np.array(V, dtype=float).reshape(np.shape(m))
-
-
-# What a level_curve row yields: asks for x, or x and dx/dV, at a V, then
-# its outcome, a V or the error it raises.
-_X, _SLOPE, _DONE, _FAILED = range(4)
-
-
-def _level_row(target_kc: float, m: float, region: str, lat: RectLattice | None):
-    """One m of :func:`level_curve` as a generator: it yields (_X, V) for x
-    at V and (_SLOPE, V) for (x, dx/dV), then (_DONE, V) or (_FAILED, error)."""
+    if isinstance(m, float) or np.ndim(m) == 0:
+        V, state = _level_search(target_kc, m, region, _FLOAT)
+        if state == _RUNAWAY:
+            raise DomainError(f"no finite V has kc = {target_kc!r} at m = "
+                              f"{float(m) if lattice(m).m else 0!r}")
+        if state != _DONE:
+            raise NumericalError(_FAILURES[state], abscissa=V)
+        return V
+    m = np.asarray(m, dtype=float)
+    if not m.size:  # no m, so none fails
+        return m.copy()
+    valid = (m >= 0.0) & (m < 1.0)  # an invalid m fails in its row, on a stand-in lattice
     try:
-        V = yield from _level_steps(target_kc, m, region, lat)
-    except (DomainError, NumericalError) as exc:
-        yield _FAILED, exc
-    else:
-        yield _DONE, V
+        with np.errstate(all="ignore"):  # the float route's inf and nan pass silently too
+            V, state = _level_search(target_kc, np.where(valid, m, 0.5), region, _ARRAY)
+    except DomainError:  # the target or the region, which the first m reports as alone
+        level_curve(target_kc, float(m.flat[0]), region)
+        raise
+    failed = (state != _DONE) | ~valid
+    if failed.any():  # the first failing m raises its error
+        level_curve(target_kc, float(m.flat[np.argmax(failed)]), region)
+    return V
 
 
-def _level_steps(target_kc: float, m: float, region: str, lat: RectLattice | None):
-    """The search of :func:`level_curve` for one m, on ``lat`` or lattice(m)."""
+# The state of an m in the search of level_curve: searching, solved, or failed.
+_LIVE, _DONE, _RUNAWAY, _UNCONVERGED, _UNVERIFIED = range(5)
+_FAILURES = {_UNCONVERGED: "level-curve search did not converge",
+             _UNVERIFIED: "level-curve solve failed verification"}
+
+
+def _level_search(target_kc: float, m, region: str, xp):
+    """The search of :func:`level_curve` at a float m (xp = _FLOAT) or an array
+    of valid m (xp = _ARRAY): V and the state of each m, of m's shape."""
     if not math.isfinite(target_kc):
         raise DomainError(f"target kc must be finite, got {target_kc!r}")
-    lat = lat or lattice(m)
-    boundary = -1.0 / 24.0
-
+    lat, boundary = lattice(m), -1.0 / 24.0
     if region == "below_wedge":
         if target_kc > boundary + BOUNDARY_TOL:
             raise DomainError(
                 f"kc = {target_kc!r} has no solution below the wedge (needs kc <= -1/24)")
         if abs(target_kc - boundary) <= BOUNDARY_TOL:
-            return lat.e2
+            return lat.e2, _DONE
         corner, side = lat.e2, -1.0
     elif region == "above_wedge":
         if target_kc < boundary - BOUNDARY_TOL:
             raise DomainError(
                 f"kc = {target_kc!r} has no solution above the wedge (needs kc >= -1/24)")
         if abs(target_kc - boundary) <= BOUNDARY_TOL:
-            return lat.e3
+            return lat.e3, _DONE
         if target_kc == 0.0:
-            return lat.e1
+            return lat.e1, _DONE
         corner, side = lat.e1, math.copysign(1.0, target_kc)
     else:
         raise DomainError(f"region must be 'below_wedge' or 'above_wedge', got {region!r}")
-    if lat.m == 0.0:
-        V = 2.0 / 3.0 + 24.0 * target_kc
-        if math.isinf(V):
-            raise DomainError(f"no finite V has kc = {target_kc!r} at m = 0")
-        return V
-
+    flat = 2.0 / 3.0 + 24.0 * target_kc  # V at m = 0
+    V = xp.where(lat.m == 0.0, flat, corner)
+    state = xp.where(lat.m == 0.0, _RUNAWAY if math.isinf(flat) else _DONE, _LIVE)
+    live = state == _LIVE
     target = _root_times(_SIX_PI_SQ, target_kc)
 
-    # The first floats past the snap bands bound the search; a target
-    # short of x there resolves to the corner.
-    near, far = math.nextafter(corner + side * BOUNDARY_TOL, side * math.inf), math.inf
-    if region == "above_wedge" and side < 0.0:  # on the band
-        far = math.nextafter(lat.e3 + BOUNDARY_TOL, math.inf)
-        if far >= near:  # the two snap bands cover the band
-            near = far = 0.5 * (lat.e1 + lat.e3)
-        if target >= (yield _X, far):
-            return lat.e3
-    if target <= (yield _X, near):
-        return corner
-    lo, hi = math.sqrt(abs(near - corner)), math.sqrt(abs(far - corner))
+    # The first floats past the snap bands bound the search; a target short
+    # of x there resolves to the corner.  An m that has stopped idles at near.
+    near, far = xp.nextafter(corner + side * BOUNDARY_TOL, side * math.inf), math.inf
+    if region == "above_wedge" and side < 0.0 and xp.any(live):  # on the band
+        far = xp.nextafter(lat.e3 + BOUNDARY_TOL, math.inf)
+        covered = far >= near  # the two snap bands cover the band: its midpoint
+        near = xp.where(covered, 0.5 * (lat.e1 + lat.e3), near)
+        far = xp.where(covered, near, far)
+        to_e3 = live & (target >= _edge_exponent(lat, wp_amplitude(far, lat)))
+        V, state = xp.where(to_e3, lat.e3, V), xp.where(to_e3, _DONE, state)
+        live = state == _LIVE
+    if xp.any(live):
+        to_corner = live & (target <= _edge_exponent(lat, wp_amplitude(near, lat)))
+        V, state = xp.where(to_corner, corner, V), xp.where(to_corner, _DONE, state)
+        live = state == _LIVE
 
-    s = min(max(target / lat.K, lo), hi, _S_MAX)
+    lo, hi = xp.sqrt(abs(near - corner)), xp.sqrt(abs(far - corner))
+    s = xp.minimum(xp.minimum(xp.maximum(target / lat.K, lo), hi), _S_MAX)
+    searched, x, rate = live, V, V  # x and dx/dV at V, once searched
     for _ in range(_NEWTON_CAP):
-        V = corner + side * s * s
-        x, dx_dV = yield _SLOPE, V
-        if x == target:
+        if not xp.any(live):
             break
-        if x < target:
-            if s == _S_MAX:
-                raise DomainError(f"no finite V has kc = {target_kc!r} at m = {float(m)!r}")
-            lo = s
-        else:
-            hi = s
-        s_next = s - (x - target) / (2.0 * side * s * dx_dV)
-        if not lo < s_next < hi:
-            s_next = 0.5 * (lo + hi) if hi < math.inf else 2.0 * s
-        s_next = min(s_next, _S_MAX)
-        if corner + side * s_next * s_next == V:
-            break
-        s = s_next
-    else:
-        raise NumericalError("level-curve search did not converge", abscissa=V)
+        V = xp.where(live, corner + side * s * s, V)
+        at = xp.where(live, V, near)
+        amp = wp_amplitude(at, lat)
+        x = xp.where(live, _edge_exponent(lat, amp), x)
+        rate = xp.where(live, _dx_dV(lat, amp, at), rate)
+        below = x < target
+        lo, hi = xp.where(below, s, lo), xp.where(below, hi, s)
+        step = s - (x - target) / (2.0 * side * s * rate)
+        step = xp.minimum(xp.where((lo < step) & (step < hi), step,
+                                   xp.where(hi < math.inf, 0.5 * (lo + hi), 2.0 * s)), _S_MAX)
+        runaway = below & (s == _S_MAX)  # x short of the target at the largest gap
+        settled = (x == target) | (corner + side * step * step == V)
+        state = xp.where(live, xp.where(runaway, _RUNAWAY, xp.where(settled, _DONE, _LIVE)),
+                         state)
+        s, live = step, state == _LIVE
+    state = xp.where(live, _UNCONVERGED, state)
 
     # orbit_data's kc at V, from the exponent it would evaluate there
-    error = abs(side * _square_over_six_pi_sq(x) - target_kc)
-    slack = 8.0 * abs(x * dx_dV) / _SIX_PI_SQ * math.ulp(V)  # 4 |dk_dV| ulp(V)
-    if not error <= max(1e-10 * max(1.0, abs(target_kc)), slack):
-        raise NumericalError("level-curve solve failed verification", abscissa=V)
-    return V
+    error = abs(side * _square_over_six_pi_sq(x, xp) - target_kc)
+    slack = 8.0 * abs(x * rate) / _SIX_PI_SQ * xp.ulp(V)  # 4 |dk_dV| ulp(V)
+    verified = (error <= 1e-10 * max(1.0, abs(target_kc))) | (error <= slack)
+    return V, xp.where(searched & (state == _DONE), xp.where(verified, _DONE, _UNVERIFIED), state)
 
 
 # ---------------------------------------------------------------------------

@@ -192,13 +192,15 @@ def wp(z: complex, lat: RectLattice):
 
     Complex arguments go through m sn^2(z - iK'|m) - (m+1)/3 with the
     complex Jacobi split; real arguments stay in real arithmetic,
-    1/sn^2(x|m) - (m+1)/3 (even, period 2K).  A real z n periods out with
-    |n| ulp(2K) > 1e-9, the pole tolerance (|z| > 8.35e6 at m = 1/2),
-    raises DomainError: the reduction would round the rest by more.
+    1/sn^2(x|m) - (m+1)/3 (even, period 2K).  A z n1 periods 2K and n2
+    periods 2iKc out, with |n1| ulp(2K) or |n2| ulp(2Kc) > 1e-9, the pole
+    tolerance (|z| > 8.35e6 at m = 1/2), raises DomainError: the reduction
+    would round the rest by more.
     """
     if lat.m == 0.0:
         return _circular(lambda w: 1.0 / cmath.sin(w) ** 2 - 1.0 / 3.0, z, "wp")
     if isinstance(z, complex) and z.imag != 0.0:
+        _reduce(z, lat, "wp")  # refuses a z too far out; jacobi_complex reduces it
         s = jacobi_complex(z - 1j * lat.Kc, lat.m).sn
         return lat.m * s * s - (lat.m + 1.0) / 3.0
     s, _, _ = jacobi(_reduce_real(float(z.real), 2.0 * lat.K, "wp"), lat.m)
@@ -212,6 +214,7 @@ def wp_prime(z: complex, lat: RectLattice):
     if lat.m == 0.0:
         return _circular(lambda w: -2.0 * cmath.cos(w) / cmath.sin(w) ** 3, z, "wp_prime")
     if isinstance(z, complex) and z.imag != 0.0:
+        _reduce(z, lat, "wp_prime")
         s, c, d = jacobi_complex(z - 1j * lat.Kc, lat.m)
         return 2.0 * lat.m * s * c * d
     s, c, d = jacobi(_reduce_real(float(z.real), 2.0 * lat.K, "wp_prime"), lat.m)

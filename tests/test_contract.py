@@ -12,6 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kdvorbits.asymptotics import (
+    K_asymptotes,
+    V_near_m0,
+    V_near_m1,
+    degenerate_wp,
+    degenerate_zeta,
+    exceptional_V_asymptote,
+    k_large_V,
+    k_near_wedge,
+    one_minus_m_nonperturbative,
+)
 from kdvorbits.elliptic import (
     ellint_differences,
     ellint_E,
@@ -120,6 +131,14 @@ class TestWeierstrass:
         with pytest.raises(DomainError, match="cannot reduce"):
             f(z, lattice(0.5))
 
+    # jacobi_complex refuses only from 2^53 periods 4K': wp(0.3 + 1e16j) came
+    # out 5.55 - 7.06j, a value of the rounding noise of the reduction
+    @pytest.mark.parametrize("f", [wp, wp_prime])
+    @pytest.mark.parametrize("z", [0.3 + 1e16j, 0.3 + 1e8j])
+    def test_an_imaginary_part_too_far_out_is_refused(self, f, z):
+        with pytest.raises(DomainError, match="cannot reduce"):
+            f(z, lattice(0.5))
+
     @pytest.mark.parametrize("m", [0.0, 0.5, 0.9])
     def test_the_last_reducible_periods_still_answer(self, m):
         lat = lattice(m)
@@ -129,3 +148,35 @@ class TestWeierstrass:
             assert math.isfinite(abs(f(x, lat)))
         with pytest.raises(DomainError, match="cannot reduce"):
             wp(1.02e-9 / math.ulp(period) * period, lat)
+
+
+def _V_near_m0(kc, m):
+    """V_near_m0, which warns by design within 1e-3 of kc = -1/24 on a valid m."""
+    if abs(kc + 1.0 / 24.0) < 1e-3 and 0.0 <= m <= 1.0:
+        with pytest.warns(RuntimeWarning, match="V_near_m0 loses accuracy"):
+            return V_near_m0(kc, m)
+    return V_near_m0(kc, m)
+
+
+class TestAsymptotics:
+    # the examples: cosh of V_near_m1's slope past overflow; sin, then sinh,
+    # of a degenerate form past overflow; 1/sinh^2 where sinh^2 underflows
+    @given(m=PARAMETER, V=FINITE, kc=st.one_of(FINITE, st.floats(-0.05, 0.0)), x=FINITE,
+           y=FINITE, n=st.integers(-3, 10**6), side=st.sampled_from(["lower", "upper"]),
+           end=st.sampled_from(["m_to_0", "m_to_1"]))
+    @example(m=0.5, V=1.0, kc=1.8033316126960154e109, x=1.0, y=0.0, n=1, side="lower",
+             end="m_to_0")
+    @example(m=0.999999999, V=1.0, kc=1.0, x=0.5, y=-1.6014462564197873e179, n=1,
+             side="lower", end="m_to_0")
+    @example(m=0.5, V=1.0, kc=1.0, x=-1e300, y=0.0, n=1, side="lower", end="m_to_1")
+    @example(m=0.999999999, V=1.0, kc=1.0, x=3.9889411146863e-276, y=0.0, n=1,
+             side="lower", end="m_to_1")
+    @settings(max_examples=300, deadline=None)
+    def test_every_function(self, m, V, kc, x, y, n, side, end):
+        z = complex(x, y)
+        _each_gets_the_contract(
+            lambda: k_large_V(m, V), lambda: exceptional_V_asymptote(n, m),
+            lambda: k_near_wedge(m, V, side), lambda: one_minus_m_nonperturbative(kc, V),
+            lambda: V_near_m1(kc, m), lambda: _V_near_m0(kc, m),
+            lambda: degenerate_zeta(z, m, end), lambda: degenerate_wp(z, m, end),
+            lambda: K_asymptotes(m))

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import kdvorbits
 
 PACKAGE = Path(kdvorbits.__file__).parent
@@ -38,6 +41,30 @@ def test_elliptic_forms_the_agm_step_in_one_function():
                     and isinstance(node.args[0].op, ast.Mult)):
                 builders.add(function.name)
     assert builders == {"_agm"}
+
+
+def test_orbits_holds_no_generator():
+    # level_curve's search is one function body for a float and an array
+    path = PACKAGE / "orbits.py"
+    generators = [f"orbits.py:{node.lineno} {function.name}"
+                  for function in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(function) if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert generators == []
+
+
+@pytest.mark.parametrize("kc, region", [(-0.3, "below_wedge"), (0.3, "above_wedge"),
+                                        (-0.02, "above_wedge")])
+def test_an_array_level_curve_evaluates_every_m_in_one_pass(monkeypatch, kc, region):
+    # the two probes past the snap bands, then one evaluation per Newton step,
+    # each over the array of every m: no m runs on floats of its own
+    from kdvorbits import orbits
+
+    kinds, evaluate = [], orbits.wp_amplitude
+    monkeypatch.setattr(orbits, "wp_amplitude",
+                        lambda V, lat: kinds.append(type(V)) or evaluate(V, lat))
+    orbits.level_curve(kc, np.linspace(0.0, 0.999, 400), region)
+    assert set(kinds) == {np.ndarray} and len(kinds) <= orbits._NEWTON_CAP + 2
 
 
 def _imports(name):

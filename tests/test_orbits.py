@@ -601,6 +601,9 @@ class TestLevelCurve:
     @settings(deadline=None, max_examples=60)
     @example(m=[0.5] * 20 + [1.5, 0.0], kc=-1e307, region="below_wedge")
     @example(m=[1 - 2**-52, 0.3] * 10, kc=-1e-40, region="above_wedge")
+    # the search fails at the first m, before a later invalid m would report
+    @example(m=[0.5, 1.5], kc=-1e308, region="below_wedge")
+    @example(m=[0.3, 0.5, math.nan, 0.7], kc=-1e308, region="below_wedge")
     @given(m=st.lists(ANY_M, min_size=1, max_size=40),
            kc=st.one_of(st.floats(-1e300, 1e300), st.floats(-3.0, 3.0),
                         st.sampled_from([-1.0 / 24.0, 0.0, 1e-40, -1e-40, -1e307])),
