@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -70,19 +71,50 @@ def _per_element(f):
                                   dtype=float).reshape(np.shape(args[0]))
 
 
-# The numpy names the recurrences call: numpy's own for an array, math's and
-# the builtins for a float, so a float pays no array overhead.  select is where
-# over tuples, element by element for arrays (np.where would stack each tuple).
-_ARRAY = SimpleNamespace(
+def _cosh(x: float) -> float:
+    """math.cosh, +inf once it overflows."""
+    try:
+        return math.cosh(x)
+    except OverflowError:
+        return math.inf
+
+
+def _distinct(f, a, b):
+    pairs, where = np.unique(a + 1j * b, return_inverse=True)
+    out = np.empty(pairs.size, dtype=object)
+    out[:] = [f(pair.real, pair.imag) for pair in pairs.tolist()]
+    return out[where].reshape(np.shape(a))
+
+
+# The operations of the rules written once for a float and an array, in numpy's
+# names: numpy's own for an array, math's and the builtins' for a float, which pays
+# no array overhead; weierstrass and orbits take theirs from here too.  Beyond numpy's:
+# select, where over tuples (np.where would stack each tuple); choose(index, rows),
+# each column of the rows picked by index (a numpy scalar index takes its row as it
+# is); cosh, math's where ``where`` holds, +inf past overflow, else 0; complex from
+# parts; distinct, f(a, b) with one call per distinct pair, into an object array;
+# ulp, math.ulp's (np.spacing overflows at the largest floats).  No errstate for a float.
+ARRAY = SimpleNamespace(
     select=lambda cond, new, old: [np.where(cond, a, b) for a, b in zip(new, old)],
+    choose=lambda index, rows: rows[index] if np.ndim(index) == 0 else tuple(
+        np.choose(index, column) for column in zip(*rows)),
     where=np.where, sqrt=np.sqrt, sin=np.sin, cos=np.cos, arcsin=np.arcsin, clip=np.clip,
-    round=np.round, ldexp=np.ldexp, copysign=np.copysign, any=np.any, all=np.all,
-    ones_like=np.ones_like, zeros_like=np.zeros_like, atan2=_per_element(math.atan2))
-_FLOAT = SimpleNamespace(
+    round=np.round, floor=np.floor, ldexp=np.ldexp, copysign=np.copysign, any=np.any,
+    all=np.all, isnan=np.isnan, nextafter=np.nextafter, minimum=np.minimum,
+    maximum=np.maximum, ones_like=np.ones_like, zeros_like=np.zeros_like,
+    atan2=_per_element(math.atan2), distinct=_distinct, errstate=np.errstate,
+    cosh=lambda x, where: np.piecewise(x, [where], [lambda x: list(map(_cosh, x.tolist()))]),
+    complex=lambda real, imag: np.stack((real, imag), -1).view(complex)[..., 0],
+    ulp=lambda x: np.spacing(np.minimum(np.abs(x), 2.0**1023)))
+FLOAT = SimpleNamespace(
     select=lambda cond, x, y: x if cond else y, where=lambda cond, x, y: x if cond else y,
-    sqrt=math.sqrt, sin=math.sin, cos=math.cos, arcsin=math.asin, round=round,
-    clip=lambda x, lo, hi: min(hi, max(lo, x)), ldexp=math.ldexp, copysign=math.copysign,
-    any=bool, all=bool, ones_like=lambda x: 1.0, zeros_like=lambda x: 0.0, atan2=math.atan2)
+    choose=lambda index, rows: rows[index], sqrt=math.sqrt, sin=math.sin, cos=math.cos,
+    arcsin=math.asin, round=round, floor=math.floor, clip=lambda x, lo, hi: min(hi, max(lo, x)),
+    ldexp=math.ldexp, copysign=math.copysign, any=bool, all=bool, isnan=math.isnan,
+    nextafter=math.nextafter, minimum=min, maximum=max, ones_like=lambda x: 1.0,
+    zeros_like=lambda x: 0.0, atan2=math.atan2, complex=complex, ulp=math.ulp,
+    cosh=lambda x, where=True: _cosh(x) if where else 0.0,
+    distinct=lambda f, a, b: f(a, b), errstate=lambda **_: nullcontext())
 
 
 def _check_parameter(m: float, *, allow_one: bool = False) -> float:
@@ -96,12 +128,12 @@ def _check_parameter(m: float, *, allow_one: bool = False) -> float:
 def _parameter(m):
     """(m, xp) for a float m, or an array whose first bad element raises its float error."""
     if isinstance(m, float) or not np.ndim(m):
-        return _check_parameter(m), _FLOAT
+        return _check_parameter(m), FLOAT
     m = np.asarray(m, dtype=float)
     bad = m[~((m >= 0.0) & (m < 1.0))]
     if bad.size:
         _check_parameter(bad[0])
-    return m, _ARRAY
+    return m, ARRAY
 
 
 class _State(NamedTuple):
@@ -114,7 +146,7 @@ class _State(NamedTuple):
 
 
 def _agm(m, xp):
-    """The AGM chain of m, a float (xp = _FLOAT) or an array (xp = _ARRAY), state by state.
+    """The AGM chain of m, a float (xp = FLOAT) or an array (xp = ARRAY), state by state.
 
     Seeds a0 = 1, b0 = sqrt(1 - m), c0 = sqrt(m); then
     a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2
@@ -137,7 +169,7 @@ def _agm(m, xp):
 def _float_agm(m: float) -> tuple[_State, ...]:
     """The chain of a float m, cached at twice the lattice cache: a lattice and
     every edge exponent and wp_inverse on it ask for the chains of m and 1 - m."""
-    return tuple(_agm(m, _FLOAT))
+    return tuple(_agm(m, FLOAT))
 
 
 def ellint_K(m: float) -> float:
@@ -163,7 +195,7 @@ def ellint_E(m: float) -> float:
 def _chain_sums(m, xp):
     """K, sum_{n>=0} 2^(n-1) c_n^2 and its n >= 1 tail on the chain of m, the
     tail with c_n^2 = c_{n-1}^4 / (16 a_n^2), which does not cancel as m -> 0."""
-    states = iter(_float_agm(m) if xp is _FLOAT else _agm(m, xp))
+    states = iter(_float_agm(m) if xp is FLOAT else _agm(m, xp))
     _, a, _, c = next(states)
     csum, c_sq, tail, power = 0.5 * c * c, m, xp.zeros_like(m), 1.0
     for live, a, _, c in states:
@@ -232,7 +264,7 @@ def ellint_F_zeta(y, x, m):
         h = math.hypot(y, x)
     if m == 1.0:
         return (math.asinh(y / x) if x else math.inf), y / h
-    return _landen(y / h, x / h, m, _float_agm(m), _FLOAT)
+    return _landen(y / h, x / h, m, _float_agm(m), FLOAT)
 
 
 def _F_zeta_array(y: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +278,8 @@ def _F_zeta_array(y: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarr
     h = _per_element(math.hypot)(y, x)
     odd = (m == 1.0) | ~((h > 1e-300) & (h < 1e300))
     h, mu = np.where(odd, 1.0, h), np.where(odd, 0.0, m)
-    F, Z = _landen(np.where(odd, 0.0, y / h), np.where(odd, 1.0, x / h), mu, _agm(mu, _ARRAY),
-                   _ARRAY)
+    F, Z = _landen(np.where(odd, 0.0, y / h), np.where(odd, 1.0, x / h), mu, _agm(mu, ARRAY),
+                   ARRAY)
     for i in np.flatnonzero(odd).tolist():
         F.flat[i], Z.flat[i] = ellint_F_zeta(float(y.flat[i]), float(x.flat[i]), float(m.flat[i]))
     return F, Z
@@ -299,7 +331,7 @@ def jacobi(u, m: float) -> JacobiTriple:
     """
     m = _check_parameter(m)
     scalar = isinstance(u, float) or (np.ndim(u) == 0 and not isinstance(u, np.ndarray))
-    u, xp = (float(u), _FLOAT) if scalar else (np.asarray(u, dtype=float), _ARRAY)
+    u, xp = (float(u), FLOAT) if scalar else (np.asarray(u, dtype=float), ARRAY)
     if m == 0.0:
         return JacobiTriple(xp.sin(u), xp.cos(u), xp.ones_like(u))
     chain = _float_agm(m)

@@ -42,12 +42,11 @@ import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import ellint_F_zeta, jacobi
+from .elliptic import ARRAY, FLOAT, ellint_F_zeta, jacobi
 from .errors import DomainError, InsideWedgeError, NumericalError
 from .profiles import Profile
 from .weierstrass import (BOUNDARY_TOL, E1, IMAGINARY, REAL, RIGHT, TOP, EdgeAmplitude,
@@ -79,18 +78,6 @@ _FLOOR_SNAP = 4e-12
 
 _NEWTON_CAP = 400  # level_curve steps before it gives up
 _S_MAX = math.sqrt(sys.float_info.max)  # the largest gap s with c -+ s^2 finite
-
-# The operations of the rules written once for a float and an array: numpy's
-# for an array, math's and the builtins' for a float, which pays no array
-# overhead.  ulp is math.ulp's, which np.spacing overflows at the largest floats.
-_ARRAY = SimpleNamespace(
-    where=np.where, sqrt=np.sqrt, nextafter=np.nextafter, minimum=np.minimum,
-    maximum=np.maximum, round=np.round, floor=np.floor, any=np.any,
-    ulp=lambda x: np.spacing(np.minimum(np.abs(x), 2.0**1023)))
-_FLOAT = SimpleNamespace(
-    where=lambda cond, x, y: x if cond else y, sqrt=math.sqrt, nextafter=math.nextafter,
-    minimum=min, maximum=max, round=round, floor=math.floor, any=bool, ulp=math.ulp)
-
 
 class OrbitKind(str, Enum):
     ELLIPTIC = "Elliptic"
@@ -132,14 +119,14 @@ class OrbitData(NamedTuple):
 
 
 def _edge_exponent(lat: RectLattice, amp: EdgeAmplitude):
-    """The real edge exponent of V off the corners: phi_w or rho.
+    """The real edge exponent of V on its edge: phi_w or rho.
 
     phi_w = |Im w| below the wedge and on the band, rho = Re w inside
     and above it, in the forms of the module docstring: sums of
     non-negative terms, with K cn dn / sn as a product of gaps, so nothing
-    cancels and no small sn divides as V nears a corner.  The same
-    arithmetic serves floats and arrays: off its edge a term is a zero, a
-    gap times False over a denominator of 1.
+    cancels and no small sn or gap divides, on a corner too (only m = 0's
+    double corner gives nan).  The same arithmetic serves floats and
+    arrays: off its edge a term is a zero, a gap times False over 1.
     """
     edge, amplitude, mu, _, (g1, g2, g3) = amp
     F, Z = ellint_F_zeta(*amplitude, mu)
@@ -147,14 +134,6 @@ def _edge_exponent(lat: RectLattice, amp: EdgeAmplitude):
     x = lat.K * Z + (edge % 2 == 0) * (0.5 * math.pi * F / lat.Kc)  # where mu = 1 - m
     return x + lat.K * (below * g2 + above * g1) * (g3 / (below * g1 + above * g2
                                                           + (edge % 3 != 0)))
-
-
-def _two_cosh(x: float) -> float:
-    """2 cosh(x), +inf once cosh overflows."""
-    try:
-        return 2.0 * math.cosh(x)
-    except OverflowError:
-        return math.inf
 
 
 def _square_over_six_pi_sq(x, xp):
@@ -176,36 +155,18 @@ def _floor_snap(x, xp):
 
 
 @lru_cache(maxsize=256)  # a diagram holds a few dozen; windings grow without bound
-def _orbit_class(kind: OrbitKind, winding: int) -> OrbitClass:
-    return OrbitClass(kind, winding)
-
-
-_PARABOLIC = OrbitData(2.0, 0.0 + 0.0j, True, _orbit_class(OrbitKind.PARABOLIC, 0))
-_EXCEPTIONAL = OrbitData(-2.0, complex(-1.0 / 24.0, 0.0), True,
-                         _orbit_class(OrbitKind.EXCEPTIONAL, 1))
-
-
-def _orbit_on_edge(edge: int, x: float) -> OrbitData:
-    """The orbit data of edge exponent x on an edge, off the corners."""
-    if edge == TOP:
-        kc = complex((x * x - math.pi**2 / 4.0) / _SIX_PI_SQ, -x / (6.0 * math.pi))
-        return OrbitData(-_two_cosh(2.0 * x), kc, False,
-                         _orbit_class(OrbitKind.HYPERBOLIC, 1))
-    if edge == REAL:
-        return OrbitData(_two_cosh(2.0 * x), complex(_square_over_six_pi_sq(x, _FLOAT), 0.0),
-                         True, _orbit_class(OrbitKind.HYPERBOLIC, 0))
-    winding = _floor_snap(2.0 * x / math.pi, _FLOAT) if edge == IMAGINARY else 0
-    return OrbitData(2.0 * math.cos(2.0 * x), complex(-_square_over_six_pi_sq(x, _FLOAT), 0.0),
-                     True, _orbit_class(OrbitKind.ELLIPTIC, winding))
+def _orbit_class(kind, winding) -> OrbitClass:
+    """The class of OrbitKind number ``kind`` and ``winding``, each an int or a float."""
+    return OrbitClass(list(OrbitKind)[int(kind)], int(winding))
 
 
 def orbit_data(m, V) -> OrbitData:
     """Trace 2 cosh(2w), kc = w^2/(6 pi^2) and orbit class of the wave (m, V).
 
     One lattice lookup, one :func:`.weierstrass.wp_amplitude` (the edge
-    and corner of V) and at most one evaluation of the edge exponent x.
-    The trace is independent of the central charge and kc is in its
-    units; n is the winding:
+    and corner of V) and one evaluation of the edge exponent x.  The
+    trace is independent of the central charge and kc is in its units;
+    n is the winding:
 
         wedge edges:      -2,          -1/24 exactly,          Exceptional(n = 1)
         below the wedge:  2 cos 2x,    -x^2/(6 pi^2),          Elliptic(n = floor(2x/pi))
@@ -218,27 +179,40 @@ def orbit_data(m, V) -> OrbitData:
     floor(2x/pi) = floor(sqrt(24 |kc|)) >= 1.  The cosh traces are +inf
     once they overflow (|V| above about 1e5).  m may be its lattice(m).
 
-    Arrays m and V, broadcast together, give arrays of that shape (orbit:
-    OrbitClass objects) from one lattice over the distinct m (or the
-    lattice given, of V's shape), one wp_amplitude and one ellint_F_zeta;
-    only cosh goes through math, as numpy's other operations match it bit
-    for bit, so each cell is its scalar call, and the first invalid cell
-    raises its error.
+    The body is written once; a float runs it through ``math``.  Arrays m
+    and V, broadcast together, give arrays of that shape (orbit: OrbitClass
+    objects) from one lattice over the distinct m (or the lattice given, of
+    V's shape) in one numpy pass, which forms every column of the table on
+    every cell (cosh through math, on the hyperbolic cells alone) and picks
+    each cell's row, so each cell is its scalar call.  The first invalid
+    cell raises its error.
     """
     if isinstance(getattr(m, "m", m), np.ndarray) or isinstance(V, np.ndarray):
-        return _orbit_data_array(m, np.asarray(V, dtype=float))
-    lat = lattice(m)
-    if not math.isfinite(V):
-        raise DomainError(f"V must be finite, got {V!r}")
+        (lat, V, shape), xp = _cells(m, V), ARRAY
+    else:
+        lat, shape, xp = lattice(m), None, FLOAT
+        if not math.isfinite(V):
+            raise DomainError(f"V must be finite, got {V!r}")
+        V = float(V)  # an np.float64 V is answered in Python's types too
     amp = wp_amplitude(V, lat)
-    if amp.corner:
-        return _PARABOLIC if amp.corner == E1 else _EXCEPTIONAL
-    return _orbit_on_edge(amp.edge, _edge_exponent(lat, amp))
+    case = xp.where(amp.corner, 3 + amp.corner, amp.edge)  # the four edges, then e2, e3, e1
+    with xp.errstate(all="ignore"):  # nan x on m = 0's double corner, columns not picked overflow
+        x = _edge_exponent(lat, amp)
+        square, top = _square_over_six_pi_sq(x, xp), (x * x - math.pi**2 / 4.0) / _SIX_PI_SQ
+        cos, cosh = 2.0 * xp.cos(2.0 * x), 2.0 * xp.cosh(2.0 * x, (case == TOP) | (case == REAL))
+        turns = _floor_snap(xp.where(case == IMAGINARY, 2.0 * x / math.pi, 0.0), xp)
+        imag = xp.where(case == TOP, -x / (6.0 * math.pi), 0.0)
+    trace, real, kind, winding = xp.choose(case, (  # trace, Re kc, OrbitKind number, winding
+        (cos, -square, 0, turns), (-cosh, top, 1, 1), (cos, -square, 0, 0), (cosh, square, 1, 0),
+        (-2.0, -1.0 / 24.0, 3, 1), (-2.0, -1.0 / 24.0, 3, 1), (2.0, 0.0, 2, 0)))  # e2, e3, e1
+    data = trace, xp.complex(real, imag), case != TOP, xp.distinct(_orbit_class, kind, winding)
+    return OrbitData(*(data if shape is None else (a.reshape(shape) for a in data)))
 
 
-def _orbit_data_array(m, V: np.ndarray) -> OrbitData:
+def _cells(m, V):
+    """orbit_data's lattice, V (at least 1-d) and shape over arrays; a bad cell raises."""
     lat = m if isinstance(m, RectLattice) else None
-    m, V = np.broadcast_arrays(np.asarray(lat.m if lat else m, dtype=float), V)
+    m, V = np.broadcast_arrays(np.asarray(lat.m if lat else m, dtype=float), np.asarray(V, float))
     shape, (m, V) = m.shape, np.atleast_1d(m, V)
     bad = ~((m >= 0.0) & (m < 1.0) & np.isfinite(V))
     if bad.any():
@@ -247,25 +221,7 @@ def _orbit_data_array(m, V: np.ndarray) -> OrbitData:
         distinct, where = np.unique(m, return_inverse=True)
         table = lattice(distinct)
         lat = RectLattice(*(getattr(table, f)[where].reshape(m.shape) for f in _LATTICE_FIELDS))
-    amp = wp_amplitude(V, lat)
-    case = np.where(amp.corner, 3 + amp.corner, amp.edge)  # the four edges, then e2, e3, e1
-    hyperbolic = (case == TOP) | (case == REAL)
-    with np.errstate(all="ignore"):  # the gaps vanish on the corners, which take constants
-        x = _edge_exponent(lat, amp)
-        square, turns = _square_over_six_pi_sq(x, _ARRAY), _floor_snap(2.0 * x / math.pi, _ARRAY)
-        cosh = np.zeros(x.shape)
-        cosh[hyperbolic] = list(map(_two_cosh, (2.0 * x[hyperbolic]).tolist()))
-        kc = np.choose(case, (-square, (x * x - math.pi**2 / 4.0) / _SIX_PI_SQ, -square, square,
-                              -1.0 / 24.0, -1.0 / 24.0, 0.0)).astype(complex)
-        kc.imag = np.where(case == TOP, -x / (6.0 * math.pi), 0.0)
-        cos = 2.0 * np.cos(2.0 * x)
-    trace = np.choose(case, (cos, -cosh, cos, cosh, -2.0, -2.0, 2.0))
-    # one OrbitClass per distinct winding + i kind, the kind's index in OrbitKind
-    labels, where = np.unique(np.choose(case, (turns, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0))
-                              + 1j * np.choose(case, (0, 1, 0, 1, 3, 3, 2)), return_inverse=True)
-    orbit = np.empty(labels.size, dtype=object)
-    orbit[:] = [_orbit_class(list(OrbitKind)[int(k.imag)], int(k.real)) for k in labels.tolist()]
-    return OrbitData(*(a.reshape(shape) for a in (trace, kc, case != TOP, orbit[where])))
+    return lat, V, shape
 
 
 def monodromy_trace(m: float, V: float) -> float:
@@ -293,7 +249,7 @@ def winding_from_kc(kc: float) -> int:
     kc = float(kc)
     if math.isnan(kc) or kc > 0.0:
         raise DomainError(f"winding_from_kc requires kc <= 0, got {kc!r}")
-    return _floor_snap(_root_times(24.0, kc), _FLOAT)
+    return _floor_snap(_root_times(24.0, kc), FLOAT)
 
 
 def constant_trace(kc: float) -> float:
@@ -304,7 +260,7 @@ def constant_trace(kc: float) -> float:
     """
     kc = float(kc)
     if kc >= 0.0:
-        return _two_cosh(2.0 * math.pi * _root_times(6.0, kc))
+        return 2.0 * FLOAT.cosh(2.0 * math.pi * _root_times(6.0, kc))
     return 2.0 * math.cos(2.0 * math.pi * _root_times(6.0, kc))
 
 
@@ -380,7 +336,7 @@ def level_curve(target_kc: float, m, region: str):
     """
     target_kc = float(target_kc)
     if isinstance(m, float) or np.ndim(m) == 0:
-        V, state = _level_search(target_kc, m, region, _FLOAT)
+        V, state = _level_search(target_kc, m, region, FLOAT)
         if state == _RUNAWAY:
             raise DomainError(f"no finite V has kc = {target_kc!r} at m = "
                               f"{float(m) if lattice(m).m else 0!r}")
@@ -393,7 +349,7 @@ def level_curve(target_kc: float, m, region: str):
     valid = (m >= 0.0) & (m < 1.0)  # an invalid m fails in its row, on a stand-in lattice
     try:
         with np.errstate(all="ignore"):  # the float route's inf and nan pass silently too
-            V, state = _level_search(target_kc, np.where(valid, m, 0.5), region, _ARRAY)
+            V, state = _level_search(target_kc, np.where(valid, m, 0.5), region, ARRAY)
     except DomainError:  # the target or the region, which the first m reports as alone
         level_curve(target_kc, float(m.flat[0]), region)
         raise
@@ -410,8 +366,8 @@ _FAILURES = {_UNCONVERGED: "level-curve search did not converge",
 
 
 def _level_search(target_kc: float, m, region: str, xp):
-    """The search of :func:`level_curve` at a float m (xp = _FLOAT) or an array
-    of valid m (xp = _ARRAY): V and the state of each m, of m's shape."""
+    """The search of :func:`level_curve` at a float m (xp = FLOAT) or an array
+    of valid m (xp = ARRAY): V and the state of each m, of m's shape."""
     if not math.isfinite(target_kc):
         raise DomainError(f"target kc must be finite, got {target_kc!r}")
     lat, boundary = lattice(m), -1.0 / 24.0

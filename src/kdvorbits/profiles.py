@@ -33,8 +33,10 @@ def spectral_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
     """Derivative of a periodic sample vector via the rFFT.
 
     The Nyquist mode is zeroed for odd derivative orders (its sampled
-    derivative is not representable on the same grid).
+    derivative is not representable on the same grid).  ``order`` must be >= 0.
     """
+    if not order >= 0:  # a negative order would divide by the k = 0 mode
+        raise DomainError(f"derivative order must be >= 0, got {order!r}")
     n = samples.size
     coef = np.fft.rfft(samples)
     k = np.arange(coef.size)

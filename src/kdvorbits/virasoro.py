@@ -185,6 +185,8 @@ class CircleDiffeo:
         phi = np.zeros_like(a) if phases is None else np.asarray(phases, float)
         if phi.shape != a.shape:
             raise DomainError("phases must match amplitudes in length")
+        if not (np.isfinite(a).all() and np.isfinite(phi).all()):
+            raise DomainError("amplitudes and phases must be finite")
         load = float(np.sum(k * np.abs(a)))
         if load >= 1.0:
             raise DomainError(

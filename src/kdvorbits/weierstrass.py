@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import ellint_F_zeta, ellint_KE, jacobi, jacobi_complex
+from .elliptic import ARRAY, FLOAT, ellint_F_zeta, ellint_KE, jacobi, jacobi_complex
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -341,13 +341,6 @@ class EdgeAmplitude(NamedTuple):
     gaps: tuple[float, float, float]
 
 
-def _by_edge(edge, *rows):
-    """rows[edge], a tuple; picked element by element where ``edge`` is an array."""
-    if isinstance(edge, np.ndarray):
-        return tuple(np.choose(edge, column) for column in zip(*rows))
-    return rows[edge]
-
-
 def wp_amplitude(V, lat: RectLattice) -> EdgeAmplitude:
     """The edge and corner holding a = wp^-1(V), and the amplitude of a there.
 
@@ -371,18 +364,17 @@ def wp_amplitude(V, lat: RectLattice) -> EdgeAmplitude:
     V may be an array, with a lattice whose fields are arrays of its shape;
     the decision is the same arithmetic, element by element.
     """
-    array = isinstance(V, np.ndarray)
-    if np.isnan(V).any() if array else math.isnan(V):
+    xp = ARRAY if isinstance(V, np.ndarray) else FLOAT
+    if xp.any(xp.isnan(V)):
         raise DomainError("wp_amplitude received NaN")
     d1, d2, d3 = abs(V - lat.e1), abs(V - lat.e2), abs(V - lat.e3)
     corner = (E2 * ((d2 <= BOUNDARY_TOL) & (d2 <= d3) & (d2 <= d1))
               + E3 * ((d3 <= BOUNDARY_TOL) & (d3 < d2) & (d3 <= d1))
               + E1 * ((d1 <= BOUNDARY_TOL) & (d1 < d2) & (d1 < d3)))
-    sqrt = np.sqrt if array else math.sqrt
-    gaps = g1, g2, g3 = sqrt(d1), sqrt(d2), sqrt(d3)
+    gaps = g1, g2, g3 = xp.sqrt(d1), xp.sqrt(d2), xp.sqrt(d3)
     edge = 0 + (V >= lat.e2) + (V >= lat.e3) + (V >= lat.e1)  # corners at or below V, as ints
     mc = 1.0 - lat.m
-    y, x, mu = _by_edge(edge, (1.0, g2, mc), (g2, g3, lat.m), (g1, g3, mc), (1.0, g1, lat.m))
+    y, x, mu = xp.choose(edge, ((1.0, g2, mc), (g2, g3, lat.m), (g1, g3, mc), (1.0, g1, lat.m)))
     return EdgeAmplitude(edge, (y, x), mu, corner, gaps)
 
 

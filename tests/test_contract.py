@@ -3,8 +3,11 @@
 A call on finite floats, subnormals and +-1.7e308 among them, returns a value
 or raises :class:`DomainError` or :class:`NumericalError`; no other exception
 and no numpy warning may escape (pyproject turns numpy's warnings into errors).
+What comes back, a float or an array and of which shape, is pinned per input type.
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -33,8 +36,9 @@ from kdvorbits.elliptic import (
     jacobi_complex,
 )
 from kdvorbits.errors import DomainError, NumericalError
-from kdvorbits.orbits import constant_trace, winding_from_kc
-from kdvorbits.weierstrass import lattice, sigma, wp, wp_prime, zeta
+from kdvorbits.orbits import constant_trace, level_curve, orbit_data, winding_from_kc
+from kdvorbits.shoaling import zero_average_V
+from kdvorbits.weierstrass import lattice, sigma, wp, wp_amplitude, wp_prime, zeta
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # finite floats, and as often the parameter range 0 <= m <= 1 with its subnormals
@@ -180,3 +184,132 @@ class TestAsymptotics:
             lambda: V_near_m1(kc, m), lambda: _V_near_m0(kc, m),
             lambda: degenerate_zeta(z, m, end), lambda: degenerate_wp(z, m, end),
             lambda: K_asymptotes(m))
+
+
+def _kind(value):
+    """The type of a value and of its parts: an array's dtype and shape (and one
+    element's kind for dtype object), and the fields of a tuple or a dataclass."""
+    name = ("np." if type(value).__module__ == "numpy" else "") + type(value).__name__
+    if isinstance(value, np.ndarray):
+        element = f" of {_kind(value.flat[0])}" if value.dtype == object else ""
+        return f"array[{value.dtype}]{value.shape}{element}"
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, field.name) for field in dataclasses.fields(value))
+    elif not isinstance(value, tuple):
+        return name
+    parts = [(kind, len(list(run))) for kind, run in itertools.groupby(map(_kind, value))]
+    return "{}({})".format("" if name == "tuple" else name,  # a run of n equal kinds: kind*n
+                           ", ".join(kind + (f"*{n}" if n > 1 else "") for kind, n in parts))
+
+
+# Each call on one argument given as a float, an np.float64, a 0-d array and a
+# 1-d array, the rest floats: the kind of what comes back.
+_FORMS = {"float": float, "float64": np.float64, "0-d": np.array, "1-d": lambda x: np.array([x, x])}
+_CALLS = {
+    "ellint_KE(m)": (lambda a: ellint_KE(a), 0.5),
+    "ellint_F_zeta(y)": (lambda a: ellint_F_zeta(a, 0.5, 0.5), 0.3),
+    "ellint_F_zeta(m)": (lambda a: ellint_F_zeta(0.3, 0.5, a), 0.5),
+    "jacobi(u)": (lambda a: jacobi(a, 0.5), 0.7),
+    "lattice(m)": (lambda a: lattice(a), 0.5),
+    "wp_amplitude(V)": (lambda a: wp_amplitude(a, lattice(0.5)), 0.3),
+    "orbit_data(m)": (lambda a: orbit_data(a, 0.3), 0.5),
+    "orbit_data(V)": (lambda a: orbit_data(0.5, a), -0.2),
+    "level_curve(m)": (lambda a: level_curve(-0.3, a, "below_wedge"), 0.5),
+    "zero_average_V(m)": (lambda a: zero_average_V(a), 0.5),
+}
+_KINDS = {
+    ("ellint_KE(m)", "float"):
+        "(float*2)",
+    ("ellint_KE(m)", "float64"):
+        "(float*2)",
+    ("ellint_KE(m)", "0-d"):
+        "(float*2)",
+    ("ellint_KE(m)", "1-d"):
+        "(array[float64](2,)*2)",
+    ("ellint_F_zeta(y)", "float"):
+        "(float*2)",
+    ("ellint_F_zeta(y)", "float64"):
+        "(float*2)",
+    ("ellint_F_zeta(y)", "0-d"):
+        "(float*2)",
+    ("ellint_F_zeta(y)", "1-d"):
+        "(array[float64](2,)*2)",
+    ("ellint_F_zeta(m)", "float"):
+        "(float*2)",
+    ("ellint_F_zeta(m)", "float64"):
+        "(float*2)",
+    ("ellint_F_zeta(m)", "0-d"):
+        "(float*2)",
+    ("ellint_F_zeta(m)", "1-d"):
+        "(array[float64](2,)*2)",
+    ("jacobi(u)", "float"):
+        "JacobiTriple(float*3)",
+    ("jacobi(u)", "float64"):
+        "JacobiTriple(float*3)",
+    ("jacobi(u)", "0-d"):
+        "JacobiTriple(np.float64*3)",
+    ("jacobi(u)", "1-d"):
+        "JacobiTriple(array[float64](2,)*3)",
+    ("lattice(m)", "float"):
+        "RectLattice(float*12)",
+    ("lattice(m)", "float64"):
+        "RectLattice(float*12)",
+    ("lattice(m)", "0-d"):
+        "RectLattice(array[float64](), float*2, array[float64]()*2, np.float64*4, "
+        "array[float64](), np.float64*2)",
+    ("lattice(m)", "1-d"):
+        "RectLattice(array[float64](2,)*12)",
+    ("wp_amplitude(V)", "float"):
+        "EdgeAmplitude(int, (float*2), float, int, (float*3))",
+    ("wp_amplitude(V)", "float64"):
+        "EdgeAmplitude(np.int64, (float*2), float, np.int64, (float*3))",
+    ("wp_amplitude(V)", "0-d"):
+        "EdgeAmplitude(np.int64, (np.float64*2), float, np.int64, (np.float64*3))",
+    ("wp_amplitude(V)", "1-d"):
+        "EdgeAmplitude(array[int64](2,), (array[float64](2,)*2), array[float64](2,), "
+        "array[int64](2,), (array[float64](2,)*3))",
+    ("orbit_data(m)", "float"):
+        "OrbitData(float, complex, bool, OrbitClass(OrbitKind, int))",
+    ("orbit_data(m)", "float64"):
+        "OrbitData(float, complex, bool, OrbitClass(OrbitKind, int))",
+    ("orbit_data(m)", "0-d"):
+        "OrbitData(array[float64](), array[complex128](), array[bool](), array[object]() of "
+        "OrbitClass(OrbitKind, int))",
+    ("orbit_data(m)", "1-d"):
+        "OrbitData(array[float64](2,), array[complex128](2,), array[bool](2,), "
+        "array[object](2,) of OrbitClass(OrbitKind, int))",
+    ("orbit_data(V)", "float"):
+        "OrbitData(float, complex, bool, OrbitClass(OrbitKind, int))",
+    ("orbit_data(V)", "float64"):
+        "OrbitData(float, complex, bool, OrbitClass(OrbitKind, int))",
+    ("orbit_data(V)", "0-d"):
+        "OrbitData(array[float64](), array[complex128](), array[bool](), array[object]() of "
+        "OrbitClass(OrbitKind, int))",
+    ("orbit_data(V)", "1-d"):
+        "OrbitData(array[float64](2,), array[complex128](2,), array[bool](2,), "
+        "array[object](2,) of OrbitClass(OrbitKind, int))",
+    ("level_curve(m)", "float"):
+        "float",
+    ("level_curve(m)", "float64"):
+        "float",
+    ("level_curve(m)", "0-d"):
+        "np.float64",
+    ("level_curve(m)", "1-d"):
+        "array[float64](2,)",
+    ("zero_average_V(m)", "float"):
+        "float",
+    ("zero_average_V(m)", "float64"):
+        "float",
+    ("zero_average_V(m)", "0-d"):
+        "np.float64",
+    ("zero_average_V(m)", "1-d"):
+        "array[float64](2,)",
+}
+
+
+@pytest.mark.parametrize("call, form", list(_KINDS))
+def test_the_kind_of_each_answer(call, form):
+    # the floats come back as floats, an array as arrays; the 0-d array is
+    # answered in kinds of its own, which differ from call to call
+    f, x = _CALLS[call]
+    assert _kind(f(_FORMS[form](x))) == _KINDS[call, form]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kdvorbits.elliptic import (
-    _FLOAT,
+    FLOAT,
     JacobiTriple,
     _agm,
     _float_agm,
@@ -153,7 +153,7 @@ class TestCompleteIntegrals:
             alone = ellint_differences(m)
             assert all(type(v) is float for v in alone)
             assert alone == tuple(float(v.flat[i]) for v in arrays), m
-            a_seq = [state.a for state in _agm(m, _FLOAT)]
+            a_seq = [state.a for state in _agm(m, FLOAT)]
             c_sq, tail = m, 0.0
             for n, a in enumerate(a_seq[1:]):
                 c_sq = c_sq * c_sq / (16.0 * a * a)

@@ -26,6 +26,16 @@ def test_no_module_imports_a_private_name():
     assert offenders == []
 
 
+def test_only_elliptic_builds_a_namespace_of_operations():
+    # the float and array operations of the closed-form route are one pair,
+    # FLOAT and ARRAY in elliptic, which the layers above import
+    builders = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and getattr(node, "id", getattr(node, "attr", None)) == "SimpleNamespace"]
+    assert builders and {builder.split(":")[0] for builder in builders} == {"elliptic.py"}
+
+
 def test_elliptic_forms_the_agm_step_in_one_function():
     # b_{n+1} = sqrt(a_n b_n), a square root of a product, is the AGM step:
     # one chain builder serves every recurrence, for floats and arrays alike

@@ -359,8 +359,15 @@ class TestOrbitData:
         except (DomainError, NumericalError):
             pass
 
+    # the examples: the double corner of m = 0, where the exponent is nan; the
+    # overflowing square and cosh; the three corners of m = 1/2; e1 where it
+    # all but meets e3
     @settings(deadline=None, max_examples=60)
     @given(m=st.lists(ANY_M, min_size=1, max_size=6), V=st.lists(ANY_V, min_size=1, max_size=8))
+    @example(m=[0.0, 2.0**-54], V=[-1.0 / 3.0])
+    @example(m=[0.0, 0.5], V=[1.7e308, -1.7e308])
+    @example(m=[0.5], V=[-0.5, 0.0, 0.5])
+    @example(m=[1.0 - 2.0**-52], V=[0.3333333333338334])
     def test_arrays_are_their_cells(self, m, V):
         # every cell of one call over the broadcast grid is its scalar call
         data = orbit_data(np.array(m)[:, None], np.array(V))

@@ -38,6 +38,12 @@ class TestSpectralDerivative:
         d = spectral_derivative(np.cos(8 * x))
         assert_allclose(d, np.zeros(16), atol=1e-12)
 
+    @pytest.mark.parametrize("order", [-1, -3, math.nan])
+    def test_a_negative_order_is_refused(self, order):
+        # (1j k)^order divided by zero at k = 0
+        with pytest.raises(DomainError, match="order must be >= 0"):
+            spectral_derivative(np.sin(grid(16)), order=order)
+
 
 class TestProfile:
     def test_interpolant_reproduces_samples(self):

@@ -80,6 +80,14 @@ class TestCircleDiffeo:
         with pytest.raises(DomainError):
             CircleDiffeo.fourier([0.6, 0.25])  # sum k|a_k| = 1.1
 
+    @pytest.mark.parametrize("amplitudes, phases", [([math.nan], None), ([0.1], [math.inf]),
+                                                    ([0.1, math.inf], [0.0, 0.0]),
+                                                    ([0.1], [math.nan])])
+    def test_rejects_non_finite_amplitudes_and_phases(self, amplitudes, phases):
+        # the fold test, sum k|a_k| >= 1, is False for a nan sum and lets it through
+        with pytest.raises(DomainError, match="must be finite"):
+            CircleDiffeo.fourier(amplitudes, phases)
+
     def test_rejects_mismatched_phases(self):
         with pytest.raises(DomainError):
             CircleDiffeo.fourier([0.1, 0.1], [0.0])
