@@ -87,22 +87,22 @@ def _distinct(f, a, b):
 
 
 # The operations of the rules written once for a float and an array, in numpy's
-# names: numpy's own for an array, math's and the builtins' for a float, which pays
-# no array overhead; weierstrass and orbits take theirs from here too.  Beyond numpy's:
-# select, where over tuples (np.where would stack each tuple); choose(index, rows),
-# each column of the rows picked by index (a numpy scalar index takes its row as it
-# is); cosh, math's where ``where`` holds, +inf past overflow, else 0; complex from
-# parts; distinct, f(a, b) with one call per distinct pair, into an object array;
-# ulp, math.ulp's (np.spacing overflows at the largest floats).  No errstate for a float.
+# names: numpy's own for an array, math's and the builtins' for a float; route picks
+# one.  Beyond numpy's: select, where over tuples; choose(index, rows), each column
+# of the rows picked by index; cosh, math's where ``where`` holds, +inf past overflow,
+# else 0; complex from parts; distinct, f(a, b) once per distinct pair; each, math's
+# f per element; first_failing(ok, *values), the values where ok first fails; ulp,
+# math.ulp's (np.spacing overflows at the largest floats); errstate, none for a float.
 ARRAY = SimpleNamespace(
     select=lambda cond, new, old: [np.where(cond, a, b) for a, b in zip(new, old)],
-    choose=lambda index, rows: rows[index] if np.ndim(index) == 0 else tuple(
-        np.choose(index, column) for column in zip(*rows)),
+    choose=lambda index, rows: tuple(np.choose(index, column) for column in zip(*rows)),
     where=np.where, sqrt=np.sqrt, sin=np.sin, cos=np.cos, arcsin=np.arcsin, clip=np.clip,
     round=np.round, floor=np.floor, ldexp=np.ldexp, copysign=np.copysign, any=np.any,
     all=np.all, isnan=np.isnan, nextafter=np.nextafter, minimum=np.minimum,
     maximum=np.maximum, ones_like=np.ones_like, zeros_like=np.zeros_like,
-    atan2=_per_element(math.atan2), distinct=_distinct, errstate=np.errstate,
+    atan2=_per_element(math.atan2), hypot=_per_element(math.hypot),
+    each=lambda f, x: _per_element(f)(x), distinct=_distinct, errstate=np.errstate,
+    first_failing=lambda ok, *values: [float(v.flat[np.argmin(ok)]) for v in values],
     cosh=lambda x, where: np.piecewise(x, [where], [lambda x: list(map(_cosh, x.tolist()))]),
     complex=lambda real, imag: np.stack((real, imag), -1).view(complex)[..., 0],
     ulp=lambda x: np.spacing(np.minimum(np.abs(x), 2.0**1023)))
@@ -112,9 +112,23 @@ FLOAT = SimpleNamespace(
     arcsin=math.asin, round=round, floor=math.floor, clip=lambda x, lo, hi: min(hi, max(lo, x)),
     ldexp=math.ldexp, copysign=math.copysign, any=bool, all=bool, isnan=math.isnan,
     nextafter=math.nextafter, minimum=min, maximum=max, ones_like=lambda x: 1.0,
-    zeros_like=lambda x: 0.0, atan2=math.atan2, complex=complex, ulp=math.ulp,
-    cosh=lambda x, where=True: _cosh(x) if where else 0.0,
-    distinct=lambda f, a, b: f(a, b), errstate=lambda **_: nullcontext())
+    zeros_like=lambda x: 0.0, atan2=math.atan2, hypot=math.hypot, each=lambda f, x: f(x),
+    complex=complex, ulp=math.ulp, cosh=lambda x, where=True: _cosh(x) if where else 0.0,
+    distinct=lambda f, a, b: f(a, b), first_failing=lambda ok, *values: values,
+    errstate=lambda **_: nullcontext())
+
+
+def route(*values):
+    """The one float/array rule: (FLOAT, the values through float()) where each has
+    ndim 0, to answer in Python's types, else (ARRAY, float arrays of one shape)."""
+    for value in values:
+        if type(value) is not float:
+            break
+    else:
+        return FLOAT, values
+    if all(np.ndim(value) == 0 for value in values):
+        return FLOAT, tuple(map(float, values))
+    return ARRAY, tuple(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values)))
 
 
 def _check_parameter(m: float, *, allow_one: bool = False) -> float:
@@ -123,17 +137,6 @@ def _check_parameter(m: float, *, allow_one: bool = False) -> float:
         upper = "<= 1" if allow_one else "< 1"
         raise DomainError(f"elliptic parameter must satisfy 0 <= m {upper}, got {m!r}")
     return m
-
-
-def _parameter(m):
-    """(m, xp) for a float m, or an array whose first bad element raises its float error."""
-    if isinstance(m, float) or not np.ndim(m):
-        return _check_parameter(m), FLOAT
-    m = np.asarray(m, dtype=float)
-    bad = m[~((m >= 0.0) & (m < 1.0))]
-    if bad.size:
-        _check_parameter(bad[0])
-    return m, ARRAY
 
 
 class _State(NamedTuple):
@@ -192,9 +195,14 @@ def ellint_E(m: float) -> float:
     return 1.0 if m == 1.0 else ellint_KE(m)[1]
 
 
-def _chain_sums(m, xp):
-    """K, sum_{n>=0} 2^(n-1) c_n^2 and its n >= 1 tail on the chain of m, the
-    tail with c_n^2 = c_{n-1}^4 / (16 a_n^2), which does not cancel as m -> 0."""
+def _chain_sums(m):
+    """m as :func:`route` gives it (an invalid m, or an array's first, raises), K,
+    sum_{n>=0} 2^(n-1) c_n^2 and its n >= 1 tail on the chain of m, the tail
+    with c_n^2 = c_{n-1}^4 / (16 a_n^2), which does not cancel as m -> 0."""
+    xp, (m,) = route(m)
+    ok = (m >= 0.0) & (m < 1.0)
+    if not xp.all(ok):
+        _check_parameter(*xp.first_failing(ok, m))
     states = iter(_float_agm(m) if xp is FLOAT else _agm(m, xp))
     _, a, _, c = next(states)
     csum, c_sq, tail, power = 0.5 * c * c, m, xp.zeros_like(m), 1.0
@@ -203,13 +211,13 @@ def _chain_sums(m, xp):
         csum, c_sq, tail = xp.select(live, (csum + power * c * c, c_sq_next,
                                             tail + power * c_sq_next), (csum, c_sq, tail))
         power *= 2.0
-    return math.pi / (2.0 * a), csum, tail
+    return m, math.pi / (2.0 * a), csum, tail
 
 
 def ellint_KE(m):
-    """K(m) and E(m) for 0 <= m < 1 from one AGM chain.  An array of m gives
-    arrays from one masked chain, each element bit for bit its float call."""
-    K, csum, _ = _chain_sums(*_parameter(m))
+    """K(m) and E(m) for 0 <= m < 1 from one AGM chain.  An array of m (:func:`route`)
+    gives arrays from one masked chain, each element bit for bit its float call."""
+    _, K, csum, _ = _chain_sums(m)
     return K, K * (1.0 - csum)
 
 
@@ -222,11 +230,10 @@ def ellint_differences(m):
     subtraction loses digits as m -> 0.  So both keep their relative
     accuracy where they vanish like pi m/4 and pi m^2/16.
 
-    Accepts a scalar or an array of m; scalar in, floats out, and each
-    element of an array bit for bit its float call.
+    Accepts a scalar or an array of m, as :func:`route` decides; scalar in,
+    floats out, and each element of an array bit for bit its float call.
     """
-    m, xp = _parameter(m)
-    K, _, tail = _chain_sums(m, xp)
+    m, K, _, tail = _chain_sums(m)
     return K, K * (0.5 * m + tail), 2.0 * K * tail
 
 
@@ -244,43 +251,35 @@ def ellint_F_zeta(y, x, m):
     as c_n^2 / (4 a_{n+1}), so it does not cancel.  At m = 1, F = asinh(y / x)
     and Z = sin phi.
 
-    Accepts scalars or arrays, broadcast together; scalars in, floats out.
-    Each element of an array runs the recurrences of a float call and stops
-    on its own tests, so its F and Z are bit for bit those of that call; an
-    array with an invalid element raises the error of the first one.
+    Accepts scalars or arrays, broadcast together, as :func:`route` decides;
+    scalars in, floats out.  An array runs the float recurrences in one masked
+    pass, each element stopping on its own tests, so it is its float call bit for
+    bit; the first invalid element raises its error.
     """
-    if not (isinstance(y, float) and isinstance(x, float) and isinstance(m, float)) and (
-            np.ndim(y) or np.ndim(x) or np.ndim(m)):
-        return _F_zeta_array(*np.broadcast_arrays(*(np.array(v, dtype=float) for v in (y, x, m))))
-    y, x, m = float(y), float(x), float(m)
-    if not 0.0 <= m <= 1.0:
-        _check_parameter(m, allow_one=True)
-    if not (y >= 0.0 and x >= 0.0 and y + x > 0.0) or y == x == math.inf:
+    xp, (y, x, m) = route(y, x, m)
+    h = xp.hypot(y, x)
+    plain = (m >= 0.0) & (m < 1.0) & (y >= 0.0) & (x >= 0.0) & (h > 1e-300) & (h < 1e300)
+    if xp.all(plain):  # valid too, so the common case needs no other test
+        return _landen(y / h, x / h, m, _float_agm(m) if xp is FLOAT else _agm(m, xp), xp)
+    ok = ((m >= 0.0) & (m <= 1.0) & (y >= 0.0) & (x >= 0.0) & (h > 0.0)
+          & ((y < math.inf) | (x < math.inf)))
+    if not xp.all(ok):
+        y, x, m = xp.first_failing(ok, y, x, m)
+        if not 0.0 <= m <= 1.0:
+            _check_parameter(m, allow_one=True)
         raise DomainError(f"amplitude pair must be >= 0, not both 0 or inf: ({y!r}, {x!r})")
-    h = math.hypot(y, x)
-    if not 1e-300 < h < 1e300:  # an infinite side, or hypot would overflow or lose
-        t = max(y, x)           # digits: divide by the larger side, or point along it
-        y, x = (y / t, x / t) if t < math.inf else (float(y > x), float(x > y))
-        h = math.hypot(y, x)
-    if m == 1.0:
-        return (math.asinh(y / x) if x else math.inf), y / h
-    return _landen(y / h, x / h, m, _float_agm(m), FLOAT)
-
-
-def _F_zeta_array(y: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ellint_F_zeta` on arrays in one masked Landen pass; an element at
-    m = 1, or whose hypot is out of range, takes its float call instead."""
-    ok = ((m >= 0.0) & (m <= 1.0) & (y >= 0.0) & (x >= 0.0) & (np.maximum(y, x) > 0.0)
-          & (np.minimum(y, x) < math.inf))
-    if not ok.all():
-        i = int(np.argmin(ok))
-        ellint_F_zeta(float(y.flat[i]), float(x.flat[i]), float(m.flat[i]))
-    h = _per_element(math.hypot)(y, x)
-    odd = (m == 1.0) | ~((h > 1e-300) & (h < 1e300))
-    h, mu = np.where(odd, 1.0, h), np.where(odd, 0.0, m)
-    F, Z = _landen(np.where(odd, 0.0, y / h), np.where(odd, 1.0, x / h), mu, _agm(mu, ARRAY),
+    if xp is FLOAT:  # m = 1, or hypot out of range: divide by the larger side, or point along it
+        if not 1e-300 < h < 1e300:
+            t = max(y, x)
+            y, x = (y / t, x / t) if t < math.inf else (float(y > x), float(x > y))
+            h = math.hypot(y, x)
+        if m == 1.0:
+            return (math.asinh(y / x) if x else math.inf), y / h
+        return _landen(y / h, x / h, m, _float_agm(m), FLOAT)
+    h, mu = np.where(plain, h, 1.0), np.where(plain, m, 0.0)
+    F, Z = _landen(np.where(plain, y / h, 0.0), np.where(plain, x / h, 1.0), mu, _agm(mu, ARRAY),
                    ARRAY)
-    for i in np.flatnonzero(odd).tolist():
+    for i in np.flatnonzero(~plain).tolist():  # the rest take their float calls
         F.flat[i], Z.flat[i] = ellint_F_zeta(float(y.flat[i]), float(x.flat[i]), float(m.flat[i]))
     return F, Z
 
@@ -327,11 +326,10 @@ def jacobi(u, m: float) -> JacobiTriple:
     dn = sqrt(cn^2 + (1-m) sn^2), which is 1 - m sn^2 without its
     cancellation near u = K as m -> 1.  |u| >= 2^53 4K, past which the
     reduction is rounding noise, raises :class:`DomainError`.  Accepts
-    scalars or arrays; scalar in, floats out.
+    scalars or arrays, as :func:`route` decides; scalar in, floats out.
     """
     m = _check_parameter(m)
-    scalar = isinstance(u, float) or (np.ndim(u) == 0 and not isinstance(u, np.ndarray))
-    u, xp = (float(u), FLOAT) if scalar else (np.asarray(u, dtype=float), ARRAY)
+    xp, (u,) = route(u)
     if m == 0.0:
         return JacobiTriple(xp.sin(u), xp.cos(u), xp.ones_like(u))
     chain = _float_agm(m)

@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import ARRAY, FLOAT, ellint_F_zeta, jacobi
+from .elliptic import FLOAT, ellint_F_zeta, jacobi, route
 from .errors import DomainError, InsideWedgeError, NumericalError
 from .profiles import Profile
 from .weierstrass import (BOUNDARY_TOL, E1, IMAGINARY, REAL, RIGHT, TOP, EdgeAmplitude,
@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 _SIX_PI_SQ = 6.0 * math.pi**2
-_LATTICE_FIELDS = [f.name for f in fields(RectLattice)]
 
 # Snap width used when flooring nearly-integer winding ratios; must stay
 # well below the 1e-9 offsets the classifier is specified to resolve.
@@ -179,21 +178,25 @@ def orbit_data(m, V) -> OrbitData:
     floor(2x/pi) = floor(sqrt(24 |kc|)) >= 1.  The cosh traces are +inf
     once they overflow (|V| above about 1e5).  m may be its lattice(m).
 
-    The body is written once; a float runs it through ``math``.  Arrays m
-    and V, broadcast together, give arrays of that shape (orbit: OrbitClass
-    objects) from one lattice over the distinct m (or the lattice given, of
-    V's shape) in one numpy pass, which forms every column of the table on
-    every cell (cosh through math, on the hyperbolic cells alone) and picks
-    each cell's row, so each cell is its scalar call.  The first invalid
-    cell raises its error.
+    One body, for the element type :func:`.elliptic.route` picks: a float runs
+    it through ``math``.  Arrays m and V, broadcast together, give arrays of that
+    shape (orbit: OrbitClass objects) from one lattice over the distinct m (or the
+    lattice given) in one numpy pass, which forms every column of the table on
+    every cell (cosh through math, on the hyperbolic cells alone) and picks each
+    cell's row, so each cell is its scalar call.  The first invalid cell raises.
     """
-    if isinstance(getattr(m, "m", m), np.ndarray) or isinstance(V, np.ndarray):
-        (lat, V, shape), xp = _cells(m, V), ARRAY
-    else:
-        lat, shape, xp = lattice(m), None, FLOAT
-        if not math.isfinite(V):
-            raise DomainError(f"V must be finite, got {V!r}")
-        V = float(V)  # an np.float64 V is answered in Python's types too
+    lat = m if isinstance(m, RectLattice) else None
+    xp, (m, V) = route(lat.m if lat else m, V)
+    ok = (m >= 0.0) & (m < 1.0) & (abs(V) < math.inf)
+    if not xp.all(ok):  # the first invalid cell raises its error
+        m, V = xp.first_failing(ok, m, V)
+        lattice(m)
+        raise DomainError(f"V must be finite, got {V!r}")
+    if lat is None and xp is FLOAT:
+        lat = lattice(m)
+    elif lat is None:  # one lattice over the distinct m, gathered to the cells
+        distinct, where = np.unique(m, return_inverse=True)
+        lat = RectLattice(*(v[where].reshape(m.shape) for v in vars(lattice(distinct)).values()))
     amp = wp_amplitude(V, lat)
     case = xp.where(amp.corner, 3 + amp.corner, amp.edge)  # the four edges, then e2, e3, e1
     with xp.errstate(all="ignore"):  # nan x on m = 0's double corner, columns not picked overflow
@@ -205,23 +208,8 @@ def orbit_data(m, V) -> OrbitData:
     trace, real, kind, winding = xp.choose(case, (  # trace, Re kc, OrbitKind number, winding
         (cos, -square, 0, turns), (-cosh, top, 1, 1), (cos, -square, 0, 0), (cosh, square, 1, 0),
         (-2.0, -1.0 / 24.0, 3, 1), (-2.0, -1.0 / 24.0, 3, 1), (2.0, 0.0, 2, 0)))  # e2, e3, e1
-    data = trace, xp.complex(real, imag), case != TOP, xp.distinct(_orbit_class, kind, winding)
-    return OrbitData(*(data if shape is None else (a.reshape(shape) for a in data)))
-
-
-def _cells(m, V):
-    """orbit_data's lattice, V (at least 1-d) and shape over arrays; a bad cell raises."""
-    lat = m if isinstance(m, RectLattice) else None
-    m, V = np.broadcast_arrays(np.asarray(lat.m if lat else m, dtype=float), np.asarray(V, float))
-    shape, (m, V) = m.shape, np.atleast_1d(m, V)
-    bad = ~((m >= 0.0) & (m < 1.0) & np.isfinite(V))
-    if bad.any():
-        orbit_data(float(m.flat[np.argmax(bad)]), float(V.flat[np.argmax(bad)]))
-    if lat is None:
-        distinct, where = np.unique(m, return_inverse=True)
-        table = lattice(distinct)
-        lat = RectLattice(*(getattr(table, f)[where].reshape(m.shape) for f in _LATTICE_FIELDS))
-    return lat, V, shape
+    return OrbitData(trace, xp.complex(real, imag), case != TOP,
+                     xp.distinct(_orbit_class, kind, winding))
 
 
 def monodromy_trace(m: float, V: float) -> float:
@@ -327,35 +315,36 @@ def level_curve(target_kc: float, m, region: str):
     max(1e-10 max(1, |kc|), 4 |dk_dV| ulp(V)), the kc step between
     adjacent floats; a target beyond every finite V raises DomainError.
 
-    An array of m gives an array of V of its shape.  The search is written
-    once: a float m runs it through ``math``, and an array runs it as one
-    masked numpy pass over every m, on one array lattice, with one
-    evaluation of the exponents per Newton step.  Each m stops on its own
-    tests, so each V is that of its scalar call bit for bit, and the first
-    failing m in row order raises the error of its scalar call.
+    A float m gives a float, and an array of m an array of V of its shape, as
+    :func:`.elliptic.route` decides.  The search is written once: a float m
+    runs it through ``math``, and an array runs it as one masked numpy pass
+    over every m, on one array lattice, with one evaluation of the exponents
+    per Newton step.  Each m stops on its own tests, so each V is that of its
+    scalar call bit for bit, and the first failing m in row order raises the
+    error of its scalar call.
     """
     target_kc = float(target_kc)
-    if isinstance(m, float) or np.ndim(m) == 0:
+    xp, (m,) = route(m)
+    if xp is FLOAT:
         V, state = _level_search(target_kc, m, region, FLOAT)
         if state == _RUNAWAY:
             raise DomainError(f"no finite V has kc = {target_kc!r} at m = "
-                              f"{float(m) if lattice(m).m else 0!r}")
+                              f"{m if lattice(m).m else 0!r}")
         if state != _DONE:
             raise NumericalError(_FAILURES[state], abscissa=V)
         return V
-    m = np.asarray(m, dtype=float)
     if not m.size:  # no m, so none fails
         return m.copy()
     valid = (m >= 0.0) & (m < 1.0)  # an invalid m fails in its row, on a stand-in lattice
     try:
         with np.errstate(all="ignore"):  # the float route's inf and nan pass silently too
-            V, state = _level_search(target_kc, np.where(valid, m, 0.5), region, ARRAY)
+            V, state = _level_search(target_kc, np.where(valid, m, 0.5), region, xp)
     except DomainError:  # the target or the region, which the first m reports as alone
         level_curve(target_kc, float(m.flat[0]), region)
         raise
     failed = (state != _DONE) | ~valid
     if failed.any():  # the first failing m raises its error
-        level_curve(target_kc, float(m.flat[np.argmax(failed)]), region)
+        level_curve(target_kc, *xp.first_failing(~failed, m), region)
     return V
 
 

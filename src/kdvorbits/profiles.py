@@ -29,21 +29,51 @@ def grid(n: int) -> np.ndarray:
     return PERIOD * np.arange(n) / n
 
 
+def finite(values, message: str):
+    """values, or DomainError(message) if any is not finite (a value out of range)."""
+    if not np.isfinite(values).all():
+        raise DomainError(message)
+    return values
+
+
+def pointwise(fn: Callable, x):
+    """fn at x, a scalar or an array, for a callable that may take scalars only;
+    a value that is not finite, out of the float range, raises DomainError."""
+    xa = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):  # refused below
+        try:
+            out = np.asarray(fn(xa if xa.ndim else float(xa)), dtype=float)
+        except (TypeError, ValueError):
+            out = None
+        if out is None or out.shape != xa.shape:
+            out = np.array([float(fn(xi)) for xi in xa.ravel()]).reshape(xa.shape)
+    finite(out, "a value is not finite, out of the float range")
+    return float(out) if xa.ndim == 0 else out
+
+
+def _spectrum(samples: np.ndarray) -> np.ndarray:
+    """The rFFT of the samples, refused unless they and it are finite (it can overflow)."""
+    with np.errstate(all="ignore"):
+        return finite(np.fft.rfft(samples),
+                      "the samples are not finite, or their transform leaves the float range")
+
+
 def spectral_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
     """Derivative of a periodic sample vector via the rFFT.
 
     The Nyquist mode is zeroed for odd derivative orders (its sampled
-    derivative is not representable on the same grid).  ``order`` must be >= 0.
+    derivative is not representable on the same grid).  ``order`` must be >= 0,
+    and samples or a derivative out of the float range raise DomainError.
     """
     if not order >= 0:  # a negative order would divide by the k = 0 mode
         raise DomainError(f"derivative order must be >= 0, got {order!r}")
     n = samples.size
-    coef = np.fft.rfft(samples)
-    k = np.arange(coef.size)
-    coef = coef * (1j * k) ** order
-    if n % 2 == 0 and order % 2 == 1:
-        coef[-1] = 0.0
-    return np.fft.irfft(coef, n)
+    coef = _spectrum(samples)
+    with np.errstate(all="ignore"):  # a derivative out of range is refused below
+        coef = coef * (1j * np.arange(coef.size)) ** order
+        if n % 2 == 0 and order % 2 == 1:
+            coef[-1] = 0.0
+        return finite(np.fft.irfft(coef, n), "the derivative leaves the float range")
 
 
 def _trig_resample(samples: np.ndarray, n: int) -> np.ndarray:
@@ -53,16 +83,17 @@ def _trig_resample(samples: np.ndarray, n: int) -> np.ndarray:
     size = samples.size
     k = size // n + 1
     coef = np.zeros(k * n // 2 + 1, dtype=complex)
-    coef[:size // 2 + 1] = np.fft.rfft(samples) * (k * n / size)
-    if size % 2 == 0:
-        coef[size // 2] = 0.5 * coef[size // 2].real
-    return np.fft.irfft(coef, k * n)[::k]
+    with np.errstate(all="ignore"):  # out of range is refused below
+        coef[:size // 2 + 1] = np.fft.rfft(samples) * (k * n / size)
+        if size % 2 == 0:
+            coef[size // 2] = 0.5 * coef[size // 2].real
+        return finite(np.fft.irfft(coef, k * n)[::k], "the resampled profile leaves float range")
 
 
 def _trig_evaluator(samples: np.ndarray) -> Callable:
     """Trigonometric interpolant through uniform samples on [0, 2pi)."""
     n = samples.size
-    coef = np.fft.rfft(samples) / n
+    coef = _spectrum(samples) / n
     k = np.arange(coef.size, dtype=float)
     wr = 2.0 * coef.real
     wi = -2.0 * coef.imag
@@ -72,12 +103,11 @@ def _trig_evaluator(samples: np.ndarray) -> Callable:
         wi[-1] = 0.0
 
     def evaluate(x):
-        xa = np.asarray(x, dtype=float)
-        if xa.ndim == 0:
-            ang = float(xa) * k
-            return float(np.dot(np.cos(ang), wr) + np.dot(np.sin(ang), wi))
-        ang = np.multiply.outer(xa, k)
-        return np.cos(ang) @ wr + np.sin(ang) @ wi
+        with np.errstate(all="ignore"):  # x k or the value out of range is refused below
+            ang = np.multiply.outer(np.asarray(x, dtype=float), k)
+            value = finite(np.cos(ang) @ wr + np.sin(ang) @ wi,
+                            "the profile's argument or value leaves the float range")
+        return float(value) if value.ndim == 0 else value
 
     evaluate.nodes = samples  # Profile.resampled takes the FFT route on these
     return evaluate
@@ -95,13 +125,8 @@ class Profile:
     def from_callable(cls, f: Callable, n: int = _DEFAULT_SAMPLES) -> "Profile":
         if n < _MIN_SAMPLES:
             raise DomainError(f"need at least {_MIN_SAMPLES} samples, got {n}")
-        x = grid(n)
-        try:
-            vals = np.asarray(f(x), dtype=float)
-        except (TypeError, ValueError):
-            vals = None
-        if vals is None or vals.shape != x.shape:
-            vals = np.array([float(f(xi)) for xi in x])
+        vals = pointwise(f, grid(n))
+        _spectrum(vals)
         return cls(evaluator=f, samples=vals)
 
     @classmethod

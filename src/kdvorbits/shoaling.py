@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import ellint_differences, jacobi
+from .elliptic import FLOAT, ellint_differences, jacobi, route
 from .errors import DomainError, NumericalError
 from .orbits import OrbitClass, orbit_data
 from .weierstrass import lattice
@@ -59,8 +59,6 @@ _M_CEIL = 1.0 - 1e-15
 # amount (two ulp).
 _M_RTOL = 4.4e-16
 _MAX_STEPS = 100
-
-_SHALLOW_CHARGE = -32.0 * math.pi**3
 
 
 def _require_positive(**fields):
@@ -231,20 +229,21 @@ def m_from_depth(h, T: float, F: float, rho: float, g: float):
     at most _M_RTOL m, or when no float is left between the ends;
     NumericalError after _MAX_STEPS evaluations.
 
-    Accepts a scalar depth or an array of depths; scalar in, float out.
-    One iteration runs over all depths (log and expm1 per element through
-    math), each leaving on its own exit, so its m is bit for bit that of a
-    call on it alone.  An array raises for its first offending depth, with
-    the message of that call.
+    Accepts a scalar depth or an array of depths, as :func:`.elliptic.route`
+    decides; scalar in, float out.  One iteration runs over all depths (log and
+    expm1 per element through math), each leaving on its own exit, so its m is
+    bit for bit that of a call on it alone.  An array raises for its first
+    offending depth, with the message of that call.
     """
     _require_positive(T=T, F=F, rho=rho, g=g)
     scale = _depth_scale(T, F, rho, g)
     b_lo, b_hi = _reach()
     deep, shallow = (scale / b_lo) ** (2.0 / 9.0), (scale / b_hi) ** (2.0 / 9.0)
-    hs = np.asarray(h, dtype=float)
+    xp, (h,) = route(h)
+    depths = np.ravel(h).tolist()
     targets = []
     try:
-        for x in hs.ravel().tolist():
+        for x in depths:
             if not 0.0 < x < math.inf:
                 _require_positive(h=x)
             if x > deep:
@@ -283,10 +282,10 @@ def m_from_depth(h, T: float, F: float, rho: float, g: float):
         live, m, target, lo, hi, f_lo, f_hi = (
             v[~done] for v in (live, m_next, target, lo, hi, f_lo, f_hi))
         if not live.size:
-            return float(out[0]) if hs.ndim == 0 else out.reshape(hs.shape)
+            return float(out[0]) if xp is FLOAT else out.reshape(h.shape)
     raise NumericalError(
         f"m_from_depth did not settle in {_MAX_STEPS} steps at depth "
-        f"{float(hs.flat[live[0]])!r}", abscissa=float(m[0]))
+        f"{depths[live[0]]!r}", abscissa=float(m[0]))
 
 
 def critical_depth(T: float, F: float, rho: float, g: float) -> float:

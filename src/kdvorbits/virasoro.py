@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResolutionError
-from .profiles import PERIOD, Profile, grid, spectral_derivative
+from .profiles import PERIOD, Profile, finite, grid, pointwise, spectral_derivative
 
 __all__ = [
     "CircleDiffeo",
@@ -35,20 +35,6 @@ _FD_STEP = 1e-5
 _INVERSE_TOL = 1e-12
 _MAX_NEWTON = 100
 _CHECK_POINTS = 17
-
-
-def _maybe_vector(fn: Callable, x):
-    """Apply a possibly scalar-only callable to a scalar or an array."""
-    xa = np.asarray(x, dtype=float)
-    if xa.ndim == 0:
-        return float(fn(float(xa)))
-    try:
-        out = np.asarray(fn(xa), dtype=float)
-        if out.shape == xa.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(xi)) for xi in xa.ravel()]).reshape(xa.shape)
 
 
 class CircleDiffeo:
@@ -83,8 +69,8 @@ class CircleDiffeo:
 
     def _validate(self):
         xs = np.linspace(0.0, PERIOD, _CHECK_POINTS)
-        lo = _maybe_vector(self._f, xs)
-        hi = _maybe_vector(self._f, xs + PERIOD)
+        lo = pointwise(self._f, xs)
+        hi = pointwise(self._f, xs + PERIOD)
         if np.max(np.abs(hi - lo - PERIOD)) > 1e-9:
             raise DomainError("f(x + 2 pi) - f(x) != 2 pi: not a lift of a "
                               "circle map")
@@ -94,7 +80,7 @@ class CircleDiffeo:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x):
-        return _maybe_vector(self._f, x)
+        return pointwise(self._f, x)
 
     def derivative(self, x, order: int = 1):
         """d^order f / dx^order, analytic when available, else 5-point FD."""
@@ -102,19 +88,19 @@ class CircleDiffeo:
             raise DomainError(
                 f"derivatives are available up to third order, not {order}")
         if self._derivs is not None:
-            return _maybe_vector(self._derivs[order - 1], x)
+            return pointwise(self._derivs[order - 1], x)
         h = _FD_STEP
-        f = self._f
-        m2 = _maybe_vector(f, np.asarray(x, float) - 2 * h)
-        m1 = _maybe_vector(f, np.asarray(x, float) - h)
-        p1 = _maybe_vector(f, np.asarray(x, float) + h)
-        p2 = _maybe_vector(f, np.asarray(x, float) + 2 * h)
-        if order == 1:
-            return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
-        if order == 2:
-            f0 = _maybe_vector(f, x)
-            return (-m2 + 16.0 * m1 - 30.0 * f0 + 16.0 * p1 - p2) / (12.0 * h * h)
-        return (-m2 + 2.0 * m1 - 2.0 * p1 + p2) / (2.0 * h**3)
+
+        def stencil(x):  # through pointwise, which refuses a difference out of range
+            m2, m1, p1, p2 = (pointwise(self._f, x + s * h) for s in (-2.0, -1.0, 1.0, 2.0))
+            if order == 1:
+                return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
+            if order == 2:
+                f0 = pointwise(self._f, x)
+                return (-m2 + 16.0 * m1 - 30.0 * f0 + 16.0 * p1 - p2) / (12.0 * h * h)
+            return (-m2 + 2.0 * m1 - 2.0 * p1 + p2) / (2.0 * h**3)
+
+        return pointwise(stencil, x)
 
     def inverse(self, y):
         """The x with f(x) = y, elementwise for an array y.
@@ -123,7 +109,7 @@ class CircleDiffeo:
         point at once, each with its own bracket, until |f(x) - y| < 1e-12.
         """
         if self._inverse_fn is not None:
-            return _maybe_vector(self._inverse_fn, y)
+            return pointwise(self._inverse_fn, y)
         ya = np.asarray(y, dtype=float)
         flat = ya.ravel()
         # Peel off whole windings so each root lies in [0, 2 pi].
@@ -161,12 +147,12 @@ class CircleDiffeo:
 
     @classmethod
     def translation(cls, a: float) -> "CircleDiffeo":
-        """The rigid rotation x -> x + a (derivatives exactly 1, 0, 0)."""
+        """The rigid rotation x -> x + a (derivatives exactly 1, 0, 0); a must be finite."""
         a = float(a)
+        if not math.isfinite(a):
+            raise DomainError(f"rotation angle must be finite, got {a!r}")
         return cls(lambda x: np.asarray(x, float) + a,
-                   derivatives=(lambda x: np.ones_like(np.asarray(x, float)),
-                                lambda x: np.zeros_like(np.asarray(x, float)),
-                                lambda x: np.zeros_like(np.asarray(x, float))),
+                   derivatives=(np.ones_like, np.zeros_like, np.zeros_like),
                    inverse=lambda y: y - a, check=False)
 
     @classmethod
@@ -187,7 +173,8 @@ class CircleDiffeo:
             raise DomainError("phases must match amplitudes in length")
         if not (np.isfinite(a).all() and np.isfinite(phi).all()):
             raise DomainError("amplitudes and phases must be finite")
-        load = float(np.sum(k * np.abs(a)))
+        with np.errstate(over="ignore"):  # an inf load is refused below
+            load = float(np.sum(k * np.abs(a)))
         if load >= 1.0:
             raise DomainError(
                 f"sum of k|a_k| is {load:.4f}; need < 1 to keep f' > 0")
@@ -252,8 +239,10 @@ def schwarzian(f: CircleDiffeo, x):
     d1 = f.derivative(x, 1)
     if np.any(np.asarray(d1) <= 0.0):
         raise DomainError("f' <= 0 at the evaluation point")
-    ratio = f.derivative(x, 2) / d1
-    return f.derivative(x, 3) / d1 - 1.5 * ratio * ratio
+    with np.errstate(all="ignore"):  # out of range is refused
+        ratio = f.derivative(x, 2) / d1
+        return finite(f.derivative(x, 3) / d1 - 1.5 * ratio * ratio,
+                      "the Schwarzian leaves the float range")
 
 
 def coadjoint(p: Profile, f: CircleDiffeo, c: float) -> Profile:
@@ -267,12 +256,10 @@ def coadjoint(p: Profile, f: CircleDiffeo, c: float) -> Profile:
     """
     if not math.isfinite(c):
         raise DomainError(f"central charge must be finite, got {c!r}")
-    ys = grid(p.n)
-    xs = f.inverse(ys)
-    d1 = np.asarray(f.derivative(xs, 1), dtype=float)
-    anomaly = np.asarray(schwarzian(f, xs), dtype=float)
-    values = (_maybe_vector(p, xs) + (c / 12.0) * anomaly) / (d1 * d1)
-    return Profile.from_samples(values)
+    xs = f.inverse(grid(p.n))
+    d1, anomaly = f.derivative(xs, 1), schwarzian(f, xs)
+    with np.errstate(all="ignore"):  # from_samples refuses a sample out of range
+        return Profile.from_samples((pointwise(p, xs) + (c / 12.0) * anomaly) / (d1 * d1))
 
 
 def _resolved(samples: np.ndarray) -> bool:
@@ -309,10 +296,11 @@ def infinitesimal_coadjoint(p: Profile, xi: Profile, c: float) -> Profile:
                 f"{name} is not spectrally resolved at n = {n}; "
                 "refine the sampling")
     p_vals, xi_vals = p.samples, xi.samples
-    return Profile.from_samples(
-        -xi_vals * spectral_derivative(p_vals)
-        - 2.0 * spectral_derivative(xi_vals) * p_vals
-        + (c / 12.0) * spectral_derivative(xi_vals, 3))
+    with np.errstate(all="ignore"):  # from_samples refuses a sample out of range
+        return Profile.from_samples(
+            -xi_vals * spectral_derivative(p_vals)
+            - 2.0 * spectral_derivative(xi_vals) * p_vals
+            + (c / 12.0) * spectral_derivative(xi_vals, 3))
 
 
 def density_transform(psi: Callable, f: CircleDiffeo, h: float) -> Callable:
@@ -324,13 +312,6 @@ def density_transform(psi: Callable, f: CircleDiffeo, h: float) -> Callable:
     """
 
     def transformed(y):
-        ya = np.asarray(y, dtype=float)
-        if ya.ndim == 0:
-            x = f.inverse(float(ya))
-            return float(f.derivative(x, 1)) ** (-h) * psi(x)
-        xs = f.inverse(ya.ravel())
-        vals = np.asarray(f.derivative(xs, 1), float) ** (-h) \
-            * np.asarray([psi(xi) for xi in xs], dtype=float)
-        return vals.reshape(ya.shape)
+        return pointwise(lambda x: np.power(f.derivative(x, 1), -h) * psi(x), f.inverse(y))
 
     return transformed

@@ -32,9 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
-from .elliptic import ARRAY, FLOAT, ellint_F_zeta, ellint_KE, jacobi, jacobi_complex
+from .elliptic import FLOAT, ellint_F_zeta, ellint_KE, jacobi, jacobi_complex, route
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -108,48 +106,40 @@ def lattice(m) -> RectLattice:
     small that 1 - m rounds to 1 (below about 2^-54) is that limit too:
     the returned lattice has m = 0.0.
 
-    A scalar m is cached.  An array of m gives array fields, each element bit for
-    bit lattice(m_i), from one masked AGM over m and one over 1 - m.  A
+    A float m, or one of ndim 0 (:func:`.elliptic.route`), gives float fields,
+    cached.  An array of m gives array fields, each element bit for bit
+    lattice(m_i), from one masked AGM over m and one over 1 - m.  A
     RectLattice is returned as it is, so a caller may pass one for m.
     """
     if isinstance(m, RectLattice):
         return m
-    if not isinstance(m, np.ndarray):
-        return _lattice(m)
-    bad = ~((m >= 0.0) & (m < 1.0))
-    if bad.any():
-        _lattice(float(m.flat[np.argmax(bad)]))
-    m = np.where(1.0 - m == 1.0, 0.0, m)
-    zero = m == 0.0
-    Kc, Ec = ellint_KE(np.where(zero, 0.0, 1.0 - m))
-    g3 = np.array(list(map(_g3, m.ravel().tolist()))).reshape(m.shape)
-    return _assemble(m, *ellint_KE(m), np.where(zero, math.inf, Kc), np.where(zero, 1.0, Ec), g3)
+    try:  # the cache before route, which would double the time of a hit
+        return _cached(m)  # a float, or a numpy scalar: hashable, and float() takes it
+    except TypeError:  # an array is not hashable
+        xp, (m,) = route(m)
+        return _lattice(m, xp)
 
 
-@lru_cache(maxsize=512)
-def _lattice(m: float) -> RectLattice:
-    m = float(m)
-    if not 0.0 <= m < 1.0 or math.isnan(m):
-        raise DomainError(f"lattice requires 0 <= m < 1, got {m!r}")
-    m = 0.0 if 1.0 - m == 1.0 else m
-    Kc, Ec = (math.inf, 1.0) if m == 0.0 else ellint_KE(1.0 - m)
-    return _assemble(m, *ellint_KE(m), Kc, Ec, _g3(m))
+_cached = lru_cache(maxsize=512)(lambda m: _lattice(float(m), FLOAT))
 
 
-lattice.cache_info = _lattice.cache_info  # the scalar route's hits and misses
-
-
-def _g3(m: float) -> float:
-    """g3 through Python floats: numpy's m**3 and m**2 are not always Python's."""
-    return (4.0 / 27.0) * (2.0 * m**3 - 3.0 * m**2 - 3.0 * m + 2.0)
-
-
-def _assemble(m, K, E, Kc, Ec, g3) -> RectLattice:
-    """The lattice from K, E at m and 1 - m, floats or arrays; Kc = inf gives eta2_im = inf."""
-    e1 = (2.0 - m) / 3.0
+def _lattice(m, xp) -> RectLattice:
+    """The lattice of m, a float or an array, from K and E at m and 1 - m; g3 per
+    element in Python's powers, which numpy's are not always."""
+    ok = (m >= 0.0) & (m < 1.0)
+    if not xp.all(ok):
+        raise DomainError(f"lattice requires 0 <= m < 1, got {xp.first_failing(ok, m)[0]!r}")
+    m = xp.where(1.0 - m == 1.0, 0.0, m)
+    zero, e1 = m == 0.0, (2.0 - m) / 3.0
+    (K, E), (Kc, Ec) = ellint_KE(m), ellint_KE(xp.where(zero, 0.0, 1.0 - m))
+    Kc, Ec = xp.where(zero, math.inf, Kc), xp.where(zero, 1.0, Ec)  # so eta2_im = inf at 0
+    g3 = xp.each(lambda m: (4.0 / 27.0) * (2.0 * m**3 - 3.0 * m**2 - 3.0 * m + 2.0), m)
     return RectLattice(m=m, K=K, E=E, Kc=Kc, Ec=Ec, e1=e1, e2=-(1.0 + m) / 3.0,
                        e3=(2.0 * m - 1.0) / 3.0, g2=(4.0 / 3.0) * (m * m - m + 1.0), g3=g3,
                        eta1=E - e1 * K, eta2_im=-(Ec - (1.0 + m) * Kc / 3.0))
+
+
+lattice.cache_info = _cached.cache_info  # the float route's hits and misses
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +351,11 @@ def wp_amplitude(V, lat: RectLattice) -> EdgeAmplitude:
     V within ``BOUNDARY_TOL`` of a corner sits on it: ``corner`` names
     the nearest, a tie going to e2 and then e3 (the double corner
     e2 = e3 of m = 0 is e2).  No other code compares V with the corners.
-    V may be an array, with a lattice whose fields are arrays of its shape;
-    the decision is the same arithmetic, element by element.
+    V and the lattice's m are taken as :func:`.elliptic.route` decides, so an
+    array of V, or a lattice of arrays, gives arrays; the decision is the same
+    arithmetic, element by element.
     """
-    xp = ARRAY if isinstance(V, np.ndarray) else FLOAT
+    xp, (V, _) = route(V, lat.m)
     if xp.any(xp.isnan(V)):
         raise DomainError("wp_amplitude received NaN")
     d1, d2, d3 = abs(V - lat.e1), abs(V - lat.e2), abs(V - lat.e3)

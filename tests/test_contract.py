@@ -37,7 +37,16 @@ from kdvorbits.elliptic import (
 )
 from kdvorbits.errors import DomainError, NumericalError
 from kdvorbits.orbits import constant_trace, level_curve, orbit_data, winding_from_kc
-from kdvorbits.shoaling import zero_average_V
+from kdvorbits.profiles import Profile, grid, spectral_derivative
+from kdvorbits.shoaling import m_from_depth, zero_average_V
+from kdvorbits.virasoro import (
+    CircleDiffeo,
+    coadjoint,
+    compose,
+    density_transform,
+    infinitesimal_coadjoint,
+    schwarzian,
+)
 from kdvorbits.weierstrass import lattice, sigma, wp, wp_amplitude, wp_prime, zeta
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -186,6 +195,74 @@ class TestAsymptotics:
             lambda: K_asymptotes(m))
 
 
+# 8 to 16 finite samples, as often of order one as near the float limit
+SAMPLES = st.lists(st.one_of(st.floats(-2.0, 2.0), FINITE), min_size=8, max_size=16)
+SMOOTH = Profile.from_samples(np.cos(grid(16)))
+
+
+def _profile(samples):
+    try:
+        return Profile.from_samples(np.array(samples))
+    except DomainError:
+        return SMOOTH
+
+
+class TestProfiles:
+    # the examples: the transform of finite samples near the float limit
+    # overflowed, in from_samples and in spectral_derivative
+    @given(samples=SAMPLES, order=st.one_of(st.integers(-2, 6), st.floats(-2.0, 6.0)),
+           x=FINITE, n=st.integers(0, 40), a=FINITE, k=st.integers(0, 8))
+    @example(samples=[1.7e308, -1.7e308] * 4, order=1, x=0.5, n=16, a=1.0, k=1)
+    @example(samples=[1e307, -1e307] * 4, order=3, x=1e308, n=40, a=1.7e308, k=8)
+    @settings(max_examples=300, deadline=None)
+    def test_every_function(self, samples, order, x, n, a, k):
+        p = _profile(samples)
+        _each_gets_the_contract(
+            lambda: grid(n), lambda: Profile.from_samples(np.array(samples)),
+            lambda: spectral_derivative(np.array(samples), order),
+            lambda: Profile.from_callable(lambda t: a * np.cos(k * t), n),
+            lambda: p(x), lambda: p(np.array([x, 0.5])), lambda: p.mean(),
+            lambda: p.derivative(order), lambda: p.resampled(n))
+
+
+class TestVirasoro:
+    # the examples: a rotation by an infinite angle, and samples whose
+    # transform overflowed once coadjoint and its infinitesimal form had moved them
+    @given(samples=SAMPLES, a=FINITE, amplitudes=st.lists(st.one_of(st.floats(-0.3, 0.3), FINITE),
+                                                          max_size=3),
+           phase=FINITE, x=FINITE, c=FINITE, h=FINITE, order=st.integers(0, 4))
+    @example(samples=[1.0] * 8, a=math.inf, amplitudes=[0.1], phase=0.0, x=0.5, c=1.0, h=0.5,
+             order=1)
+    @example(samples=[1.7e308, -1.7e308] * 4, a=0.5, amplitudes=[0.1], phase=0.0, x=0.5, c=1.0,
+             h=0.5, order=1)
+    @settings(max_examples=300, deadline=None)
+    def test_every_function(self, samples, a, amplitudes, phase, x, c, h, order):
+        p = _profile(samples)
+        maps = []
+
+        def build(make):
+            try:
+                maps.append(make())
+            except DomainError:
+                pass
+
+        _each_gets_the_contract(
+            lambda: build(lambda: CircleDiffeo.translation(a)),
+            lambda: build(lambda: CircleDiffeo.fourier(amplitudes, [phase] * len(amplitudes))),
+            lambda: build(CircleDiffeo.identity),
+            lambda: build(lambda: CircleDiffeo(lambda t: t + 0.25 * math.sin(t) + a)))
+        maps.append(compose(maps[-1], maps[0]))
+        for f in maps:
+            _each_gets_the_contract(
+                lambda: f(x), lambda: f.derivative(x, order), lambda: f.inverse(x),
+                lambda: f(np.array([x, 0.5])), lambda: f.derivative(np.array([x, 0.5]), order),
+                lambda: f.inverse(np.array([x, 0.5])), lambda: schwarzian(f, np.array([x, 0.5])),
+                lambda: schwarzian(f, x), lambda: coadjoint(p, f, c),
+                lambda: density_transform(math.cos, f, h)(x))
+        _each_gets_the_contract(lambda: infinitesimal_coadjoint(p, SMOOTH, c),
+                                lambda: infinitesimal_coadjoint(SMOOTH, p, c))
+
+
 def _kind(value):
     """The type of a value and of its parts: an array's dtype and shape (and one
     element's kind for dtype object), and the fields of a tuple or a dataclass."""
@@ -216,6 +293,8 @@ _CALLS = {
     "orbit_data(V)": (lambda a: orbit_data(0.5, a), -0.2),
     "level_curve(m)": (lambda a: level_curve(-0.3, a, "below_wedge"), 0.5),
     "zero_average_V(m)": (lambda a: zero_average_V(a), 0.5),
+    "ellint_differences(m)": (lambda a: ellint_differences(a), 0.5),
+    "m_from_depth(h)": (lambda a: m_from_depth(a, 10.0, 1e4, 1025.0, 9.81), 3.0),
 }
 _KINDS = {
     ("ellint_KE(m)", "float"):
@@ -247,7 +326,7 @@ _KINDS = {
     ("jacobi(u)", "float64"):
         "JacobiTriple(float*3)",
     ("jacobi(u)", "0-d"):
-        "JacobiTriple(np.float64*3)",
+        "JacobiTriple(float*3)",
     ("jacobi(u)", "1-d"):
         "JacobiTriple(array[float64](2,)*3)",
     ("lattice(m)", "float"):
@@ -255,16 +334,15 @@ _KINDS = {
     ("lattice(m)", "float64"):
         "RectLattice(float*12)",
     ("lattice(m)", "0-d"):
-        "RectLattice(array[float64](), float*2, array[float64]()*2, np.float64*4, "
-        "array[float64](), np.float64*2)",
+        "RectLattice(float*12)",
     ("lattice(m)", "1-d"):
         "RectLattice(array[float64](2,)*12)",
     ("wp_amplitude(V)", "float"):
         "EdgeAmplitude(int, (float*2), float, int, (float*3))",
     ("wp_amplitude(V)", "float64"):
-        "EdgeAmplitude(np.int64, (float*2), float, np.int64, (float*3))",
+        "EdgeAmplitude(int, (float*2), float, int, (float*3))",
     ("wp_amplitude(V)", "0-d"):
-        "EdgeAmplitude(np.int64, (np.float64*2), float, np.int64, (np.float64*3))",
+        "EdgeAmplitude(int, (float*2), float, int, (float*3))",
     ("wp_amplitude(V)", "1-d"):
         "EdgeAmplitude(array[int64](2,), (array[float64](2,)*2), array[float64](2,), "
         "array[int64](2,), (array[float64](2,)*3))",
@@ -273,8 +351,7 @@ _KINDS = {
     ("orbit_data(m)", "float64"):
         "OrbitData(float, complex, bool, OrbitClass(OrbitKind, int))",
     ("orbit_data(m)", "0-d"):
-        "OrbitData(array[float64](), array[complex128](), array[bool](), array[object]() of "
-        "OrbitClass(OrbitKind, int))",
+        "OrbitData(float, complex, bool, OrbitClass(OrbitKind, int))",
     ("orbit_data(m)", "1-d"):
         "OrbitData(array[float64](2,), array[complex128](2,), array[bool](2,), "
         "array[object](2,) of OrbitClass(OrbitKind, int))",
@@ -283,8 +360,7 @@ _KINDS = {
     ("orbit_data(V)", "float64"):
         "OrbitData(float, complex, bool, OrbitClass(OrbitKind, int))",
     ("orbit_data(V)", "0-d"):
-        "OrbitData(array[float64](), array[complex128](), array[bool](), array[object]() of "
-        "OrbitClass(OrbitKind, int))",
+        "OrbitData(float, complex, bool, OrbitClass(OrbitKind, int))",
     ("orbit_data(V)", "1-d"):
         "OrbitData(array[float64](2,), array[complex128](2,), array[bool](2,), "
         "array[object](2,) of OrbitClass(OrbitKind, int))",
@@ -293,7 +369,7 @@ _KINDS = {
     ("level_curve(m)", "float64"):
         "float",
     ("level_curve(m)", "0-d"):
-        "np.float64",
+        "float",
     ("level_curve(m)", "1-d"):
         "array[float64](2,)",
     ("zero_average_V(m)", "float"):
@@ -301,15 +377,31 @@ _KINDS = {
     ("zero_average_V(m)", "float64"):
         "float",
     ("zero_average_V(m)", "0-d"):
-        "np.float64",
+        "float",
     ("zero_average_V(m)", "1-d"):
+        "array[float64](2,)",
+    ("ellint_differences(m)", "float"):
+        "(float*3)",
+    ("ellint_differences(m)", "float64"):
+        "(float*3)",
+    ("ellint_differences(m)", "0-d"):
+        "(float*3)",
+    ("ellint_differences(m)", "1-d"):
+        "(array[float64](2,)*3)",
+    ("m_from_depth(h)", "float"):
+        "float",
+    ("m_from_depth(h)", "float64"):
+        "float",
+    ("m_from_depth(h)", "0-d"):
+        "float",
+    ("m_from_depth(h)", "1-d"):
         "array[float64](2,)",
 }
 
 
 @pytest.mark.parametrize("call, form", list(_KINDS))
 def test_the_kind_of_each_answer(call, form):
-    # the floats come back as floats, an array as arrays; the 0-d array is
-    # answered in kinds of its own, which differ from call to call
+    # one rule for every call: a float, an np.float64 and a 0-d array come back
+    # in Python's types, as the float does, and an array as arrays
     f, x = _CALLS[call]
     assert _kind(f(_FORMS[form](x))) == _KINDS[call, form]

@@ -36,6 +36,21 @@ def test_only_elliptic_builds_a_namespace_of_operations():
     assert builders and {builder.split(":")[0] for builder in builders} == {"elliptic.py"}
 
 
+def test_only_elliptic_tells_a_float_from_an_array():
+    # elliptic.route decides between FLOAT and ARRAY for the whole closed-form
+    # route: the layers above ask no numpy rank of their own
+    offenders = []
+    for name in ("weierstrass", "orbits", "shoaling"):
+        path = PACKAGE / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            rank = isinstance(node, ast.Attribute) and node.attr == "ndim"
+            instance = (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                        and "ndarray" in ast.unparse(node.args[1]))
+            if rank or instance:
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []
+
+
 def test_elliptic_forms_the_agm_step_in_one_function():
     # b_{n+1} = sqrt(a_n b_n), a square root of a product, is the AGM step:
     # one chain builder serves every recurrence, for floats and arrays alike

@@ -44,6 +44,14 @@ class TestSpectralDerivative:
         with pytest.raises(DomainError, match="order must be >= 0"):
             spectral_derivative(np.sin(grid(16)), order=order)
 
+    # finite samples whose transform overflows (rfft sums them), and a
+    # derivative whose (1j k)^3 factor carries the coefficients past the limit
+    @pytest.mark.parametrize("samples, order", [([1.7e308, -1.7e308] * 4, 1), ([1e308] * 8, 0),
+                                                ([1e305, 0.0, -1e305, 0.0] * 128, 3)])
+    def test_samples_or_a_derivative_out_of_float_range_are_refused(self, samples, order):
+        with pytest.raises(DomainError, match="float range"):
+            spectral_derivative(np.array(samples), order)
+
 
 class TestProfile:
     def test_interpolant_reproduces_samples(self):
@@ -87,6 +95,22 @@ class TestProfile:
         assert q.n == 128
         assert_allclose(q.samples, bumpy(grid(128)))
         assert p.resampled(32) is p
+
+    @pytest.mark.parametrize("samples", [[1.7e308, -1.7e308] * 4, [math.nan] * 8,
+                                         [1.0, math.inf] * 4])
+    def test_samples_out_of_float_range_are_refused(self, samples):
+        # the transform of [1.7e308, -1.7e308] * 4 overflowed: the profile, its
+        # mean and its coadjoint moves came out inf and nan
+        with pytest.raises(DomainError, match="samples are not finite"):
+            Profile.from_samples(np.array(samples))
+        with pytest.raises(DomainError, match="not finite"):
+            Profile.from_callable(lambda x: np.array(samples), n=8)
+
+    def test_an_argument_whose_phase_overflows_is_refused(self):
+        # x k past the float range gave cos(inf)
+        p = Profile.from_samples(np.cos(grid(16)))
+        with pytest.raises(DomainError, match="float range"):
+            p(1e308)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(DomainError):

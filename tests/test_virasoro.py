@@ -88,6 +88,12 @@ class TestCircleDiffeo:
         with pytest.raises(DomainError, match="must be finite"):
             CircleDiffeo.fourier(amplitudes, phases)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_a_translation_by_a_non_finite_angle_is_refused(self, a):
+        # check=False let it through: x -> x + a sent every x to nan or inf
+        with pytest.raises(DomainError, match="must be finite"):
+            CircleDiffeo.translation(a)
+
     def test_rejects_mismatched_phases(self):
         with pytest.raises(DomainError):
             CircleDiffeo.fourier([0.1, 0.1], [0.0])
