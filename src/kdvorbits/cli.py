@@ -69,22 +69,23 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-# The non-finite floats as str prints them and as json.dumps does
-_NONFINITE = (("-inf", "-Infinity"), ("inf", "Infinity"), ("nan", "NaN"))
+# The non-finite floats as str prints them and as json.dumps does, at a line start
+_NONFINITE = {"-inf": "-Infinity", "inf": "Infinity", "nan": "NaN"}
+_NONFINITE_CELL = re.compile(r"\n      (-?inf|nan)")
 
 
 def _json_table(columns, rows, extra) -> str:
     """json.dumps({"columns": columns, "rows": rows, **extra}, indent=2) + "\n",
     with each row one %-format of _JSON_ROW_FORMATS.  A float cell prints as
-    str prints it, float.__repr__ as in json; inf and nan are mended after,
-    at the start of their lines."""
+    str prints it, float.__repr__ as in json; inf and nan, at the start of
+    their lines, are mended after in one pass, or none if there is none."""
     text = _json_text({"columns": list(columns), "rows": [], **extra})
     if not rows:
         return text
     template = _JSON_ROW_FORMATS[tuple(columns)]
     body = ",\n".join(template % tuple(row) for row in rows)
-    for token, json_token in _NONFINITE:
-        body = body.replace("\n      " + token, "\n      " + json_token)
+    if "inf" in body or "nan" in body:
+        body = _NONFINITE_CELL.sub(lambda cell: "\n      " + _NONFINITE[cell[1]], body)
     return text.replace('\n  "rows": []', '\n  "rows": [\n' + body + "\n  ]", 1)
 
 

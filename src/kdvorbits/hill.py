@@ -15,7 +15,8 @@ actually solves the cnoidal Hill equation.
 The Floquet oracle is a classical RK4 sweep in plain numpy, a
 polynomial propagator rather than the Magnus exponential of ``bands``,
 so the two numerical routes share no method, and this module imports no
-scipy.
+scipy.  Its steps are multiplied pairwise up to the monodromy; the pair
+after every step, which only a winding reads, is one pass back down.
 """
 
 from __future__ import annotations
@@ -53,50 +54,86 @@ def _check_charge(c: float) -> None:
         raise DomainError(f"central charge c must be finite and nonzero, got {c!r}")
 
 
-def _sweep(q: np.ndarray, h: float) -> np.ndarray:
+def _sweep(q: np.ndarray, h: float) -> list[np.ndarray]:
     """Classical RK4 for y' = [[0, 1], [q, 0]] y over q at every half step.
 
     ``q`` holds q(j h / 2), j = 0..2n, for n a power of two.  Step k is the
-    RK4 propagator, a polynomial in h and q at x, x + h/2 and x + h; the
-    steps are multiplied in order (blocks advance side by side, then the
-    block starts are chained).  Returns the running product, shape
-    (n, 2, 2): its first row holds the pair (psi1, psi2) after every
-    step, and its last entry is the monodromy over n h.
+    RK4 propagator, a polynomial in h and g = (h^2 / 6) q at x, x + h/2
+    and x + h.  Returns the n steps, then level by level the products of
+    neighbouring pairs, up to the monodromy over n h alone.
     """
-    q0, q1, q2 = q[:-1:2], q[1::2], q[2::2]
-    hh = h * h
-    steps = np.empty((q1.size, 2, 2))
-    steps[:, 0, 0] = 1.0 + hh * (q0 + 2.0 * q1) / 6.0 + hh * hh * q0 * q1 / 24.0
-    steps[:, 0, 1] = h + hh * h * q1 / 6.0
-    steps[:, 1, 0] = h * (q0 + 4.0 * q1 + q2) / 6.0 + hh * h * q1 * (q0 + q2) / 12.0
-    steps[:, 1, 1] = 1.0 + hh * (2.0 * q1 + q2) / 6.0 + hh * hh * q1 * q2 / 24.0
-    width = 1 << (q1.size.bit_length() // 2)
-    run = steps.reshape(-1, width, 2, 2)
-    for j in range(1, width):
-        run[:, j] = run[:, j] @ run[:, j - 1]
-    start = np.empty((run.shape[0], 2, 2))
-    start[0] = np.eye(2)
-    for b in range(1, run.shape[0]):
-        start[b] = run[b - 1, -1] @ start[b - 1]
-    return (run @ start[:, None]).reshape(-1, 2, 2)
+    g = (h * h / 6.0) * q
+    g0, g1, g2 = g[:-1:2], g[1::2], g[2::2]
+    step = np.empty((g1.size, 2, 2))
+    step[:, 0, 0] = 1.0 + g0 + g1 * (2.0 + 1.5 * g0)
+    step[:, 0, 1] = h + h * g1
+    step[:, 1, 0] = (g0 + g2 + g1 * (4.0 + 3.0 * (g0 + g2))) / h
+    step[:, 1, 1] = 1.0 + g2 + g1 * (2.0 + 1.5 * g2)
+    levels = [step]
+    while levels[-1].shape[0] > 1:
+        levels.append(levels[-1][1::2] @ levels[-1][::2])
+    return levels
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a blown-up sweep fails its own checks
+def _running(levels: list[np.ndarray]) -> np.ndarray:
+    """The running product of the steps, (n, 2, 2), by one pass down the levels, in place."""
+    run = levels[-1]
+    for level in levels[-2::-1]:
+        level[2::2] = level[2::2] @ run[:-1]
+        level[1::2] = run
+        run = level
+    return run
+
+
+def _monodromy(profile: Profile, c: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The checked monodromy and the levels of its accepted sweep; see :func:`floquet`."""
+    _check_charge(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blown-up sweep fails its own checks
+        steps, coarse = _FIRST_STEPS, None
+        while True:
+            q = (6.0 / c) * profile.resampled(2 * steps).samples
+            if not np.all(np.isfinite(q)):
+                raise DomainError("the Hill potential 6 p / c is not finite")
+            q = np.append(q, q[0])
+            h = profile.period / steps
+            if coarse is None:
+                coarse = _sweep(q[::2], 2.0 * h)[-1][0]
+            levels = _sweep(q, h)
+            mat = levels[-1][0]
+            error = float(np.max(np.abs(mat - coarse))) / 15.0
+            nrm = float(np.max(np.abs(mat)))
+            if error <= _SWEEP_TOL * max(1.0, nrm) and math.isfinite(nrm):
+                break
+            if steps == _LAST_STEPS or not math.isfinite(error + nrm):
+                raise NumericalError(
+                    f"Floquet sweep did not converge in {steps} RK4 steps "
+                    f"(step-doubling estimate {error!r})")
+            steps, coarse = 2 * steps, mat
+        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    if abs(det - 1.0) > max(_DET_TOL, 10.0 * _RTOL * nrm * nrm):
+        raise NumericalError(
+            f"monodromy determinant drifted to {det!r}; sweep untrustworthy")
+    return mat, levels
+
+
 def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
     """Monodromy matrix and winding of psi'' = (6 p / c) psi, from one sweep.
 
     The fundamental pair (psi1(0), psi1'(0)) = (1, 0) and
     (psi2(0), psi2'(0)) = (0, 1) is carried over one period by classical
     RK4 (:func:`_sweep`) on q = 6 p / c sampled at the half steps of a
-    uniform grid; the pair ends at the monodromy matrix.  The error is
-    estimated by step doubling, max|M - M_2h| / 15 against the sweep of
-    twice the step on every other node, and the step count doubles from
-    2048 until that is at most 1e-11 max(1, max|M|), else
+    uniform grid; its n steps are multiplied in pairs, the pairs in pairs,
+    and so on, up to the monodromy matrix (rounding grows like log n).  The
+    error is estimated by step doubling, max|M - M_2h| / 15 against the
+    sweep of twice the step on every other node, and the step count
+    doubles from 2048 until that is at most 1e-11 max(1, max|M|), else
     :class:`NumericalError` past 65536 steps, or at once where M or the
-    estimate is not finite.  The Wronskian det M
-    (exactly 1 in arithmetic) is checked last: 1e-8 absolute at moderate
-    matrix norms, relaxed to ~|M|^2 1e-9 once the entries grow
-    exponentially large (there an absolute check is unsatisfiable).
+    estimate is not finite.  The Wronskian det M (exactly 1 in arithmetic)
+    is checked last: 1e-8 absolute at moderate matrix norms, relaxed to
+    ~|M|^2 1e-9 once the entries grow exponentially large (there an
+    absolute check is unsatisfiable).  Only for the winding, one pass down
+    the accepted sweep's products then forms the pair after every step;
+    :func:`floquet_monodromy` stops at M.
 
     The stereographic angle theta = 2 atan2(psi2, psi1) obeys
     theta' = 2 / (psi1^2 + psi2^2) > 0 (the Wronskian is 1), so the lap
@@ -118,34 +155,11 @@ def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
     period.  Values of L within 1e-6 of an integer (band edges, where
     |trace| = 2) snap to it first.
     """
-    _check_charge(c)
-    steps, coarse = _FIRST_STEPS, None
-    while True:
-        q = (6.0 / c) * profile.resampled(2 * steps).samples
-        if not np.all(np.isfinite(q)):
-            raise DomainError("the Hill potential 6 p / c is not finite")
-        q = np.append(q, q[0])
-        h = profile.period / steps
-        if coarse is None:
-            coarse = _sweep(q[::2], 2.0 * h)[-1]
-        run = _sweep(q, h)
-        mat = run[-1]
-        error = float(np.max(np.abs(mat - coarse))) / 15.0
-        nrm = float(np.max(np.abs(mat)))
-        if error <= _SWEEP_TOL * max(1.0, nrm) and math.isfinite(nrm):
-            break
-        if steps == _LAST_STEPS or not math.isfinite(error + nrm):
-            raise NumericalError(
-                f"Floquet sweep did not converge in {steps} RK4 steps "
-                f"(step-doubling estimate {error!r})")
-        steps, coarse = 2 * steps, mat
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    if abs(det - 1.0) > max(_DET_TOL, 10.0 * _RTOL * nrm * nrm):
-        raise NumericalError(
-            f"monodromy determinant drifted to {det!r}; sweep untrustworthy")
+    mat, levels = _monodromy(profile, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = _running(levels)
     trace = mat[0, 0] + mat[1, 1]
-    # the lap count sum(dalpha) / pi of alpha = atan2(psi2, psi1), on the
-    # accepted sweep only
+    # the lap count sum(dalpha) / pi of alpha = atan2(psi2, psi1)
     turn = np.diff(np.arctan2(np.append(0.0, run[:, 0, 1]),
                               np.append(1.0, run[:, 0, 0])))
     turn = (turn + 0.5 * math.pi) % (2.0 * math.pi) - 0.5 * math.pi
@@ -160,7 +174,7 @@ def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
 
 def floquet_monodromy(profile: Profile, c: float) -> np.ndarray:
     """2x2 monodromy matrix of psi'' = (6 p / c) psi over one period; see :func:`floquet`."""
-    return floquet(profile, c)[0]
+    return _monodromy(profile, c)[0]
 
 
 def winding_number(profile: Profile, c: float) -> int:
@@ -186,7 +200,8 @@ def lame_exact_residual(m: float, V: float, zs) -> float:
     to the closed-form monodromy trace, both within 1e-8, else
     :class:`NumericalError`.  Points within 1e-6 of a pole or zero of
     the pair (the period lattice and its translates by -+a) are
-    rejected, since differencing there is meaningless.
+    rejected, since differencing there is meaningless, and so are points
+    where the pair or its defect leaves the float range.
     """
     lat = lattice(m)
     if lat.m == 0.0:
@@ -216,30 +231,29 @@ def lame_exact_residual(m: float, V: float, zs) -> float:
             raise DomainError(
                 f"z = {z!r} is within 1e-6 of a pole or zero of the solution")
 
-    z0 = zs[0]
-    factors = [phi(z0 + two_k, s) / phi(z0, s) for s in (1.0, -1.0)]
+    defects = []
+    with np.errstate(all="ignore"):  # a value out of the float range is refused below
+        factors = [phi(zs[0] + two_k, s) / phi(zs[0], s) for s in (1.0, -1.0)]
+        for z in zs:
+            h = _STENCIL_STEP * max(1.0, abs(z))
+            potential = 2.0 * wp(z, lat) + V
+            for sign in (1.0, -1.0):
+                stencil = [phi(z + j * h, sign) for j in (-2, -1, 0, 1, 2)]
+                d2 = (-stencil[0] + 16 * stencil[1] - 30 * stencil[2]
+                      + 16 * stencil[3] - stencil[4]) / (12.0 * h * h)
+                rhs = potential * stencil[2]
+                defects.append(abs(d2 - rhs) / max(abs(rhs), abs(d2), 1e-30))
+    if not np.all(np.isfinite(factors + defects)):
+        raise DomainError("the sigma quotients leave the float range at these points")
     if abs(factors[0] * factors[1] - 1.0) > 1e-8:
         raise NumericalError(
             "Floquet multipliers of the sigma quotients are not reciprocal")
     if abs(factors[0] + factors[1] - monodromy_trace(m, V)) > 1e-8:
         raise NumericalError(
             "sigma-quotient multipliers disagree with the monodromy trace")
-
-    worst = 0.0
-    for z in zs:
-        h = _STENCIL_STEP * max(1.0, abs(z))
-        potential = 2.0 * wp(z, lat) + V
-        for sign in (1.0, -1.0):
-            stencil = [phi(z + j * h, sign) for j in (-2, -1, 0, 1, 2)]
-            d2 = (-stencil[0] + 16 * stencil[1] - 30 * stencil[2]
-                  + 16 * stencil[3] - stencil[4]) / (12.0 * h * h)
-            rhs = potential * stencil[2]
-            scale = max(abs(rhs), abs(d2), 1e-30)
-            worst = max(worst, abs(d2 - rhs) / scale)
-    return worst
+    return max(defects)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a blown-up sweep fails its own checks
 def kdv_evolve(profile: Profile, c: float, tau: float,
                steps: int | None = None) -> Profile:
     """Evolve the profile under KdV, p_tau = (c/12) p_xxx - 3 p p_x.
@@ -247,8 +261,10 @@ def kdv_evolve(profile: Profile, c: float, tau: float,
     Pseudo-spectral integrating-factor RK4 with 2/3-rule dealiasing.  The
     step count is chosen so that the advective CFL number stays under the
     RK4 imaginary-axis limit; passing an explicit ``steps`` that violates
-    it raises :class:`StabilityError`.  Cnoidal waves translate rigidly:
-    p(x, tau) = p(x - v tau, 0) with v from :func:`cnoidal_speed`.
+    it raises :class:`StabilityError`, and a tau no step count covers (nan,
+    or too long for the profile's speed) :class:`DomainError`.  Cnoidal
+    waves translate rigidly: p(x, tau) = p(x - v tau, 0) with v from
+    :func:`cnoidal_speed`.
     """
     _check_charge(c)
     if tau == 0.0:
@@ -256,10 +272,11 @@ def kdv_evolve(profile: Profile, c: float, tau: float,
     samples = profile.samples.astype(float)
     n = samples.size
     k = np.arange(n // 2 + 1, dtype=float)
-    kmax = k[-1]
-
     speed = 3.0 * float(np.max(np.abs(samples))) + 1e-30
-    needed = int(math.ceil(abs(tau) * speed * kmax / _CFL_LIMIT)) + 1
+    needed = abs(tau) * speed * (n // 2) / _CFL_LIMIT
+    if not math.isfinite(needed):
+        raise DomainError(f"tau = {tau!r} takes no finite number of KdV steps")
+    needed = int(math.ceil(needed)) + 1
     if steps is None:
         steps = max(needed, 16)
     elif steps < needed:
@@ -267,23 +284,23 @@ def kdv_evolve(profile: Profile, c: float, tau: float,
             f"steps={steps} violates the advective CFL bound (need >= {needed})")
     dt = tau / steps
 
-    mask = k <= n // 3  # 2/3-rule: drop the top third before and after squaring
-    L = (c / 12.0) * (1j * k) ** 3
-    E = np.exp(L * dt / 2.0)
-    E2 = E * E
+    with np.errstate(over="ignore", invalid="ignore"):  # a blown-up step fails its own check
+        cut = n // 3 + 1  # 2/3-rule: drop the top third before and after squaring
+        L = (c / 12.0) * (1j * k) ** 3
+        E = np.exp(L * dt / 2.0)
+        E2 = E * E
+        advect = np.where(k < cut, -1.5j * k, 0.0)
 
-    def nonlinear(ph):
-        u = np.fft.irfft(np.where(mask, ph, 0.0), n)
-        w = np.fft.rfft(u * u)
-        return np.where(mask, -1.5j * k * w, 0.0)
+        def nonlinear(ph):
+            return advect * np.fft.rfft(np.fft.irfft(ph[:cut], n) ** 2)
 
-    ph = np.fft.rfft(samples)
-    for _ in range(steps):
-        k1 = nonlinear(ph)
-        k2 = nonlinear(E * (ph + 0.5 * dt * k1))
-        k3 = nonlinear(E * ph + 0.5 * dt * k2)
-        k4 = nonlinear(E2 * ph + dt * E * k3)
-        ph = E2 * ph + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
-        if not np.all(np.isfinite(ph)):
-            raise StabilityError("KdV step blew up; reduce the time step")
-    return Profile.from_samples(np.fft.irfft(ph, n))
+        ph = np.fft.rfft(samples)
+        for _ in range(steps):
+            k1 = nonlinear(ph)
+            k2 = nonlinear(E * (ph + 0.5 * dt * k1))
+            k3 = nonlinear(E * ph + 0.5 * dt * k2)
+            k4 = nonlinear(E2 * ph + dt * E * k3)
+            ph = E2 * ph + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+            if not np.all(np.isfinite(ph)):
+                raise StabilityError("KdV step blew up; reduce the time step")
+        return Profile.from_samples(np.fft.irfft(ph, n))

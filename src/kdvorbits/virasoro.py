@@ -43,7 +43,7 @@ class CircleDiffeo:
     ``f`` must satisfy f(x + 2pi) = f(x) + 2pi with f' > 0; both are
     spot-checked at construction.  Analytic derivatives can be passed as
     a triple ``derivatives=(d1, d2, d3)`` -- all three or none.  Without
-    them, 5-point central differences at step 1e-5 stand in; that is
+    them, 5-point central differences at step 1e-5 at x mod 2pi stand in; that is
     plenty for f' but carries O(1e-4) noise in f'' and worse in f''', so
     supply the triple whenever the Schwarzian has to be trusted (the
     :meth:`fourier` family always does).
@@ -92,6 +92,7 @@ class CircleDiffeo:
         h = _FD_STEP
 
         def stencil(x):  # through pointwise, which refuses a difference out of range
+            x = np.mod(x, PERIOD)  # f(x + 2 pi k) = f(x) + 2 pi k, so f^(n) has period 2 pi
             m2, m1, p1, p2 = (pointwise(self._f, x + s * h) for s in (-2.0, -1.0, 1.0, 2.0))
             if order == 1:
                 return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)

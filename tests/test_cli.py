@@ -608,19 +608,26 @@ class TestOracle:
         assert abs(record["closed_trace"] - 2.0) < 1e-6
 
     def test_integrates_once(self, capsys, monkeypatch):
-        # trace and winding come from one RK4 sweep per step count: the
-        # 2048-step sweep and the 1024-step sweep of its error estimate
+        # trace and winding come from one RK4 sweep per step count, the
+        # 2048-step sweep and the 1024-step sweep of its error estimate,
+        # and one pass down the accepted sweep's products
         from kdvorbits import hill
 
-        sweep, steps = hill._sweep, []
+        sweep, running, steps = hill._sweep, hill._running, []
 
         def counted(q, h):
-            steps.append(q.size // 2)
-            return sweep(q, h)
+            levels = sweep(q, h)
+            steps.append(levels[0].shape[0])
+            return levels
+
+        def down(levels):
+            steps.append(("down", levels[0].shape[0]))
+            return running(levels)
 
         monkeypatch.setattr(hill, "_sweep", counted)
+        monkeypatch.setattr(hill, "_running", down)
         record = self.oracle(capsys, 0.5, -0.2, 1.0)
-        assert steps == [1024, 2048]
+        assert steps == [1024, 2048, ("down", 2048)]
         assert record["winding_numeric"] == 1
 
 

@@ -36,6 +36,13 @@ from kdvorbits.elliptic import (
     jacobi_complex,
 )
 from kdvorbits.errors import DomainError, NumericalError
+from kdvorbits.hill import (
+    floquet,
+    floquet_monodromy,
+    kdv_evolve,
+    lame_exact_residual,
+    winding_number,
+)
 from kdvorbits.orbits import constant_trace, level_curve, orbit_data, winding_from_kc
 from kdvorbits.profiles import Profile, grid, spectral_derivative
 from kdvorbits.shoaling import m_from_depth, zero_average_V
@@ -261,6 +268,30 @@ class TestVirasoro:
                 lambda: density_transform(math.cos, f, h)(x))
         _each_gets_the_contract(lambda: infinitesimal_coadjoint(p, SMOOTH, c),
                                 lambda: infinitesimal_coadjoint(SMOOTH, p, c))
+
+
+class TestHill:
+    # the examples: a tau that no step count covers, past the float range and
+    # nan, where int() raised OverflowError and ValueError; a step bound
+    # tau * speed * kmax that overflowed; sigma quotients whose exp overflowed
+    # and whose multiplier was 0 / 0.  Explicit step counts keep every drawn
+    # evolution short.
+    @given(samples=SAMPLES, c=st.one_of(st.floats(-4.0, 4.0), FINITE), tau=FINITE,
+           steps=st.integers(-1, 24), m=PARAMETER, V=st.one_of(st.floats(-2.0, 2.0), FINITE),
+           x=st.one_of(st.floats(-4.0, 4.0), FINITE), y=st.one_of(st.floats(-4.0, 4.0), FINITE))
+    @example(samples=[1.0] * 8, c=2.0, tau=1e308, steps=None, m=0.5, V=0.2, x=0.5, y=0.5)
+    @example(samples=[1.0] * 8, c=2.0, tau=math.nan, steps=None, m=0.5, V=0.2, x=0.5, y=0.5)
+    @example(samples=[0.0] * 7 + [4.333323355083853e157], c=1.0, tau=3.457110143021566e149,
+             steps=0, m=0.5, V=0.2, x=0.5, y=0.5)
+    @example(samples=[1.0] * 8, c=1.0, tau=0.0, steps=0, m=0.5, V=0.0, x=0.0, y=-1680.0)
+    @example(samples=[1.0] * 8, c=1.0, tau=0.0, steps=0, m=0.5, V=511824.0, x=2.0, y=75.0)
+    @settings(max_examples=200, deadline=None)
+    def test_every_function(self, samples, c, tau, steps, m, V, x, y):
+        p = _profile(samples)
+        _each_gets_the_contract(
+            lambda: floquet(p, c), lambda: floquet_monodromy(p, c), lambda: winding_number(p, c),
+            lambda: kdv_evolve(p, c, tau, steps),
+            lambda: lame_exact_residual(m, V, [complex(x, y), complex(y, x)]))
 
 
 def _kind(value):

@@ -107,8 +107,9 @@ class TestFloquetMonodromy:
         sweep, counts = hill._sweep, []
 
         def counted(q, h):
-            counts.append(q.size // 2)
-            return sweep(q, h)
+            levels = sweep(q, h)
+            counts.append(levels[0].shape[0])
+            return levels
 
         monkeypatch.setattr(hill, "_sweep", counted)
         floquet(moved_profile(*MOVES[0]), MOVES[0][2])
@@ -122,8 +123,9 @@ class TestFloquetMonodromy:
         sweep, counts = hill._sweep, []
 
         def counted(q, h):
-            counts.append(q.size // 2)
-            return sweep(q, h)
+            levels = sweep(q, h)
+            counts.append(levels[0].shape[0])
+            return levels
 
         monkeypatch.setattr(hill, "_sweep", counted)
         with pytest.raises(NumericalError, match="did not converge in 2048 RK4 steps"):
@@ -206,13 +208,47 @@ def test_drifted_wronskian_is_refused(oracle, monkeypatch):
     sweep = hill._sweep
 
     def drifted(q, h):
-        run = sweep(q, h).copy()
-        run[-1, 0, 0] += 1e-6
-        return run
+        levels = sweep(q, h)
+        levels[-1][0, 0, 0] += 1e-6  # the monodromy level
+        return levels
 
     monkeypatch.setattr(hill, "_sweep", drifted)
     with pytest.raises(NumericalError, match="determinant"):
         oracle(constant_profile(-0.02), C)
+
+
+class TestRunningProduct:
+    def test_formed_only_for_a_winding_and_once(self, monkeypatch):
+        # MOVES[0] needs doubling, so rejected sweeps precede the accepted one
+        running, passes = hill._running, []
+
+        def counted(levels):
+            passes.append(levels[0].shape[0])
+            return running(levels)
+
+        monkeypatch.setattr(hill, "_running", counted)
+        prof, c = moved_profile(*MOVES[0]), MOVES[0][2]
+        floquet_monodromy(prof, c)
+        assert passes == []
+        winding_number(prof, c)
+        assert len(passes) == 1 and passes[0] > hill._FIRST_STEPS
+
+    @pytest.mark.parametrize("m, V, c", [(0.5, -0.2, 1.0), (0.3, 1.5, 0.5)])
+    def test_down_pass_matches_the_sequential_product(self, m, V, c):
+        n = 1024
+        prof = cnoidal_profile(m, V, c)
+        q = (6.0 / c) * prof.resampled(2 * n).samples
+        levels = hill._sweep(np.append(q, q[0]), prof.period / n)
+        expected, acc = np.empty_like(levels[0]), np.eye(2)
+        for j, step in enumerate(levels[0]):
+            acc = step @ acc
+            expected[j] = acc
+        monodromy = levels[-1][0].copy()
+        run = hill._running(levels)
+        scale = np.maximum(1.0, np.max(np.abs(expected), axis=(1, 2)))
+        error = np.max(np.abs(run - expected), axis=(1, 2)) / scale
+        assert np.max(error) <= 2.0 * n * np.finfo(float).eps
+        assert np.array_equal(run[-1], monodromy)
 
 
 class TestLameExactResidual:
@@ -299,6 +335,12 @@ class TestKdvEvolve:
     def test_zero_central_charge_rejected(self):
         with pytest.raises(DomainError):
             kdv_evolve(constant_profile(0.1), 0.0, 1e-3)
+
+    @pytest.mark.parametrize("tau", [1e308, -1e308, math.inf, math.nan])
+    def test_a_tau_no_step_count_covers_is_refused(self, tau):
+        # int() of the step count raised OverflowError (inf) or ValueError (nan)
+        with pytest.raises(DomainError, match="tau"):
+            kdv_evolve(constant_profile(0.1), C, tau)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_nonfinite_central_charge_rejected(self, c):

@@ -76,6 +76,16 @@ class TestCircleDiffeo:
         assert_allclose(fd.derivative(xs, 2), exact.derivative(xs, 2),
                         rtol=0, atol=1e-3)
 
+    @pytest.mark.parametrize("x, order", [(1e12, 1), (1e15, 1), (1e6, 3)])
+    def test_finite_differences_far_from_the_origin(self, x, order):
+        # f = x + sin(x)/4: the stencil runs at x reduced modulo 2 pi, a point
+        # within half an ulp of x, so the error is at most max|f''| ulp(x) / 2
+        # plus the stencil's own (1e-9 for f', about 2 for f''' at step 1e-5)
+        f = CircleDiffeo(lambda x: x + np.sin(x) / 4.0)
+        exact = 1.0 + math.cos(x) / 4.0 if order == 1 else -math.cos(x) / 4.0
+        stencil = 1e-9 if order == 1 else 2.5
+        assert abs(f.derivative(x, order) - exact) <= 0.125 * math.ulp(x) + stencil
+
     def test_rejects_folding_amplitudes(self):
         with pytest.raises(DomainError):
             CircleDiffeo.fourier([0.6, 0.25])  # sum k|a_k| = 1.1
