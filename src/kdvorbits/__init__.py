@@ -5,8 +5,8 @@ The package is organised in layers:
 * :mod:`kdvorbits.elliptic` -- Jacobi elliptic functions and complete
   integrals (AGM based).
 * :mod:`kdvorbits.weierstrass` -- Weierstrass p, zeta, sigma on the
-  rectangular lattice attached to a cnoidal wave (zeta and sigma from
-  one theta_1 series), plus the inverse of p (Legendre's F).
+  rectangular lattice attached to a cnoidal wave (p, p', zeta and sigma
+  from one theta_1 series), plus the inverse of p (Legendre's F).
 * :mod:`kdvorbits.orbits` -- closed-form Hill monodromy of a cnoidal
   wave, the orbit label it lands on, and level curves in the (m, V) plane.
 * :mod:`kdvorbits.hill` -- independent numerical Floquet machinery (a

@@ -32,7 +32,7 @@ import numpy as np
 from .asymptotics import Approximation
 from .elliptic import jacobi
 from .errors import DomainError, NumericalError, ResolutionError
-from .profiles import Profile
+from .profiles import Profile, finite
 from .weierstrass import E2, lattice, wp_amplitude, wp_inverse, zeta
 
 __all__ = [
@@ -239,7 +239,13 @@ def exceptional_energy_asymptote(n: int, m: float,
         if any(d is None for d in dims):
             raise DomainError(
                 "re-dimensionalization needs hbar, mass and spacing together")
-        value *= 2.0 * hbar**2 * lat.K**2 / (mass * spacing**2)
+        try:
+            value *= 2.0 * hbar**2 * lat.K**2 / (mass * spacing**2)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"hbar = {hbar!r}, mass = {mass!r} and spacing = {spacing!r} "
+                              "take the energy out of the float range")
     return Approximation(value, 1.0 / half_wave)
 
 
@@ -247,6 +253,12 @@ def exceptional_energy_asymptote(n: int, m: float,
 # Numerical gap detection: a batched scan of the half-period entries.
 # ---------------------------------------------------------------------------
 
+# Floating-point overflow in the Magnus scan is refused, not warned of: nodes out
+# of the float range by _series_degree, entries and traces by finite().
+_REFUSED_BELOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_REFUSED_BELOW
 def _magnus_nodes(strength: float, K: float, m: float) -> tuple:
     """(strength, h^2, x0, delta, delta^2) of the steps of :func:`_half_period_entries`."""
     h = K / _HALF_STEPS
@@ -276,6 +288,7 @@ def _series_degree(nodes: tuple, e_lo: float, e_hi: float) -> int:
     return degree
 
 
+@_REFUSED_BELOW
 def _half_period_entries(energies: np.ndarray, nodes: tuple) -> np.ndarray:
     """Half-period entries of psi'' = (strength sn^2(z|m) - E) psi on ``nodes``, per energy.
 
@@ -297,6 +310,8 @@ def _half_period_entries(energies: np.ndarray, nodes: tuple) -> np.ndarray:
     m = 1/2; other energies, and non-finite ones, raise DomainError
     naming the range.  Past a strength of about 2 (1536 / K)^2, 1.4e6
     at m = 1/2, no energy qualifies, and the error names the strength.
+    Entries that grow out of the float range, as they can where every
+    step phase is near 1, raise DomainError too.
     """
     E = np.asarray(energies, float)
     flat = E.ravel()
@@ -344,9 +359,11 @@ def _half_period_entries(energies: np.ndarray, nodes: tuple) -> np.ndarray:
                           c[1::2] * a[::2] + d[1::2] * c[::2],
                           c[1::2] * b[::2] + d[1::2] * d[::2])
         entries[:, start:start + e2.size] = a[0], b[0], c[0], d[0]
-    return entries.reshape((4,) + E.shape)
+    return finite(entries, "the half-period entries leave the float range").reshape(
+        (4,) + E.shape)
 
 
+@_REFUSED_BELOW
 def floquet_traces(energies: np.ndarray, strength: float, K: float, m: float) -> np.ndarray:
     """Floquet trace of psi'' = (strength sn^2(z|m) - E) psi over [0, 2K].
 
@@ -356,7 +373,7 @@ def floquet_traces(energies: np.ndarray, strength: float, K: float, m: float) ->
     max(1, |Tr|), and the adaptive oracle in :mod:`.hill` to ~1e-9.
     """
     a, b, c, d = _half_period_entries(energies, _magnus_nodes(strength, K, m))
-    return 2.0 * (a * d + b * c)
+    return finite(2.0 * (a * d + b * c), "the Floquet trace leaves the float range")
 
 
 def _refine(nodes: tuple, entry: np.ndarray, left: np.ndarray, right: np.ndarray,

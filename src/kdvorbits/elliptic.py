@@ -7,9 +7,7 @@ shoaling) is built on the primitives in this module:
   arithmetic-geometric mean, and ``ellint_F_zeta`` -- Legendre's F and Jacobi's
   zeta at the amplitude phi = atan(y / x), by descending Landen on the same chain,
 * ``jacobi`` -- real-argument sn/cn/dn by the descending Landen (AGM
-  amplitude) recursion,
-* ``jacobi_complex`` -- complex-argument sn/cn/dn assembled from two real
-  evaluations (one at modulus parameter ``m``, one at ``1 - m``).
+  amplitude) recursion, for the profile samplers.
 
 Each recurrence (the AGM chain, the Landen steps of F and Z, the descent of
 sn/cn/dn) is written once, in numpy's names, run through ``math`` on a float and
@@ -21,13 +19,10 @@ Throughout the package the *parameter* convention is used: ``m`` is the
 squared elliptic modulus, so ``sn(u, m) -> sin(u)`` as ``m -> 0`` and
 ``-> tanh(u)`` as ``m -> 1``.  All public entry points accept
 ``0 <= m < 1`` (``ellint_E`` and ``ellint_F_zeta`` also ``m == 1``).
-``jacobi_complex`` takes ``m == 0``, and any ``m`` for which ``1 - m``
-rounds to 1, as the circular limit, never evaluating at ``1 - m = 1``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from contextlib import nullcontext
 from functools import lru_cache
@@ -36,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 __all__ = [
     "JacobiTriple",
@@ -45,7 +40,6 @@ __all__ = [
     "ellint_KE",
     "ellint_F_zeta",
     "jacobi",
-    "jacobi_complex",
 ]
 
 # Stop the AGM once c_n is below this; the truncation error of the
@@ -53,16 +47,13 @@ __all__ = [
 _AGM_TOL = 4e-16
 _AGM_MAX_ITER = 40
 
-# Reject complex evaluations closer than this to a pole of sn/cn/dn.
-_POLE_TOL = 1e-9
-
 
 class JacobiTriple(NamedTuple):
     """The values sn(u|m), cn(u|m), dn(u|m) for a common argument."""
 
-    sn: float | complex | np.ndarray
-    cn: float | complex | np.ndarray
-    dn: float | complex | np.ndarray
+    sn: float | np.ndarray
+    cn: float | np.ndarray
+    dn: float | np.ndarray
 
 
 def _per_element(f):
@@ -344,53 +335,3 @@ def jacobi(u, m: float) -> JacobiTriple:
         phi = 0.5 * (phi + xp.arcsin(xp.clip((c / a) * xp.sin(phi), -1.0, 1.0)))
     sn, cn = xp.sin(phi), xp.cos(phi)
     return JacobiTriple(sn, cn, xp.sqrt(cn * cn + (1.0 - m) * sn * sn))
-
-
-# ---------------------------------------------------------------------------
-# Complex argument: split through real evaluations at m and 1 - m.
-# ---------------------------------------------------------------------------
-
-
-def jacobi_complex(z: complex, m: float) -> JacobiTriple:
-    """Jacobi sn, cn, dn for a complex argument.
-
-    With s, c, d = sn, cn, dn(Re z | m) and s1, c1, d1 = sn, cn, dn(Im z | 1-m):
-
-        den = c1^2 + m s^2 s1^2
-        sn(z) = (s d1 + i c d s1 c1) / den
-        cn(z) = (c c1 - i s d s1 d1) / den
-        dn(z) = (d c1 d1 - i m s c s1) / den
-
-    The argument is first reduced modulo the common period lattice (4K, 4iK')
-    of the three functions.  Arguments within 1e-9 of a pole (z = 2nK +
-    (2n'+1) i K') raise :class:`PoleError`, and a z too large to reduce, or
-    whose sin overflows, :class:`DomainError`.  At m = 0, and for m so small
-    that 1 - m rounds to 1, K' is infinite and the functions are sin z, cos z, 1.
-    """
-    m = _check_parameter(m)
-    z = complex(z)
-    if 1.0 - m == 1.0:
-        try:
-            return JacobiTriple(cmath.sin(z), cmath.cos(z), 1.0 + 0.0j)
-        except OverflowError:
-            raise DomainError(f"sin z overflows at z = {z!r}") from None
-    K, Kc = (math.pi / (2.0 * _float_agm(mu)[-1].a) for mu in (m, 1.0 - m))
-
-    x = z.real - 4.0 * K * round(z.real / (4.0 * K))
-    y = z.imag - 4.0 * Kc * round(z.imag / (4.0 * Kc))
-    if not (abs(x) <= 4.0 * K and abs(y) <= 4.0 * Kc):
-        raise DomainError(f"cannot reduce z = {z!r} modulo the periods (4K, 4iK')")
-
-    # Poles of sn/cn/dn within the reduced cell [-2K,2K) x [-2K',2K').
-    dist = min(math.hypot(x - px, y - py)
-               for px in (-2.0 * K, 0.0, 2.0 * K) for py in (-Kc, Kc))
-    if dist < _POLE_TOL:
-        raise PoleError(f"jacobi_complex evaluated within {dist:.2e} of a pole")
-
-    s, c, d = jacobi(x, m)
-    s1, c1, d1 = jacobi(y, 1.0 - m)
-    den = c1 * c1 + m * s * s * s1 * s1
-    sn = complex(s * d1, c * d * s1 * c1) / den
-    cn = complex(c * c1, -s * d * s1 * d1) / den
-    dn = complex(d * c1 * d1, -m * s * c * s1) / den
-    return JacobiTriple(sn, cn, dn)

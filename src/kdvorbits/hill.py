@@ -47,6 +47,8 @@ _STENCIL_STEP = 1e-4  # lame_exact_residual's stencil width over max(1, |z|)
 
 # RK4 covers the imaginary axis out to ~2.828; keep a sliver of margin.
 _CFL_LIMIT = 2.8
+# kdv_evolve refuses a default step count past this: 10^5 steps on 512 samples take seconds.
+_DEFAULT_STEPS_CEILING = 10**5
 
 
 def _check_charge(c: float) -> None:
@@ -262,9 +264,10 @@ def kdv_evolve(profile: Profile, c: float, tau: float,
     step count is chosen so that the advective CFL number stays under the
     RK4 imaginary-axis limit; passing an explicit ``steps`` that violates
     it raises :class:`StabilityError`, and a tau no step count covers (nan,
-    or too long for the profile's speed) :class:`DomainError`.  Cnoidal
-    waves translate rigidly: p(x, tau) = p(x - v tau, 0) with v from
-    :func:`cnoidal_speed`.
+    or too long for the profile's speed) :class:`DomainError`, as does a
+    default step count past 10^5, before the first step; an explicit
+    ``steps`` is not capped.  Cnoidal waves translate rigidly:
+    p(x, tau) = p(x - v tau, 0) with v from :func:`cnoidal_speed`.
     """
     _check_charge(c)
     if tau == 0.0:
@@ -278,6 +281,9 @@ def kdv_evolve(profile: Profile, c: float, tau: float,
         raise DomainError(f"tau = {tau!r} takes no finite number of KdV steps")
     needed = int(math.ceil(needed)) + 1
     if steps is None:
+        if needed > _DEFAULT_STEPS_CEILING:
+            raise DomainError(f"tau = {tau!r} takes {needed} KdV steps, past the default "
+                              f"ceiling of {_DEFAULT_STEPS_CEILING}")
         steps = max(needed, 16)
     elif steps < needed:
         raise StabilityError(

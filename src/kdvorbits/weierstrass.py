@@ -2,18 +2,19 @@
 
 A cnoidal wave with elliptic parameter ``m`` has the rectangular period
 lattice with half-periods ``omega1 = K(m)`` (real) and ``omega2 = i K(1-m)``
-(imaginary).  On that lattice everything reduces to Jacobi functions:
+(imaginary), on which
 
-    wp(z)   = m sn^2(z - i K' | m) - (m+1)/3 = 1/sn^2(z|m) - (m+1)/3
+    wp(z)   = 1/sn^2(z|m) - (m+1)/3
     e1 = (2-m)/3   at z = K
     e2 = -(m+1)/3  at z = i K'
     e3 = (2m-1)/3  at z = K + i K'
     g2 = (4/3)(m^2 - m + 1),   g3 = (4/27)(2m^3 - 3m^2 - 3m + 2)
 
-``zeta`` and ``sigma`` come from one short q-series for the theta
-function theta_1 (DLMF 23.6(i)), after a centred quasi-period
-reduction; for m > 1/2 they are evaluated on the rotated lattice of
-1 - m, whose nome is at most exp(-pi).  ``wp_amplitude`` places V on
+``wp``, ``wp_prime``, ``zeta`` and ``sigma`` all come from one short
+q-series for the theta function theta_1 and its first three derivatives
+(DLMF 23.6(i)), after a centred quasi-period reduction, for a real z and
+a complex z alike; for m > 1/2 they are evaluated on the rotated lattice
+of 1 - m, whose nome is at most exp(-pi).  ``wp_amplitude`` places V on
 the boundary of the half fundamental rectangle, where ``wp`` is real
 and monotone on each of the four edges: there tan phi of the Jacobi
 amplitude of the arc parameter is a ratio of the gaps V - e_i, and
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .elliptic import FLOAT, ellint_F_zeta, ellint_KE, jacobi, jacobi_complex, route
+from .elliptic import FLOAT, ellint_F_zeta, ellint_KE, route
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -143,7 +144,7 @@ lattice.cache_info = _cached.cache_info  # the float route's hits and misses
 
 
 # ---------------------------------------------------------------------------
-# wp and wp': real arguments in real arithmetic, complex ones through sn.
+# wp, wp', zeta and sigma from the theta_1 series, after a quasi-period reduction.
 # ---------------------------------------------------------------------------
 
 
@@ -156,20 +157,29 @@ def _multiple(x: float, period: float, z, name: str) -> int:
     return round(n)
 
 
-def _reduce_real(z, period: float, name: str):
-    """z less the multiple of the real period nearest it.  A lattice point raises
-    PoleError, and a z too large to reduce DomainError."""
-    w = z - period * _multiple(z.real, period, z, name)
-    if abs(w) < _POLE_TOL:
+def _reduce(z: complex, lat: RectLattice, name: str) -> tuple[complex, int, int]:
+    """Centered reduction z = z0 + 2K n1 + 2iKc n2 with z0 in the base cell
+    (n2 = 0 at m = 0, where Kc is infinite); a z too large to reduce raises
+    DomainError."""
+    n1 = _multiple(z.real, 2.0 * lat.K, z, name)
+    n2 = _multiple(z.imag, 2.0 * lat.Kc, z, name) if lat.m else 0
+    return complex(z.real - 2.0 * lat.K * n1, z.imag - 2.0 * lat.Kc * n2 if n2 else z.imag), n1, n2
+
+
+def _off_pole(z: complex, lat: RectLattice, name: str) -> tuple[complex, int, int]:
+    """:func:`_reduce`, raising PoleError for a z within the pole tolerance of a
+    lattice point: the poles of wp, wp' and zeta."""
+    z0, n1, n2 = _reduce(z, lat, name)
+    if abs(z0) < _POLE_TOL:
         raise PoleError(f"{name} evaluated too close to a lattice point")
-    return w
+    return z0, n1, n2
 
 
-def _circular(f, z, name: str):
+def _circular(f, z, lat: RectLattice, name: str):
     """f(w) on the lattice of m = 0, w = z modulo pi: real for a real z, and
     a DomainError where sin w overflows (|Im z| past about 355)."""
     z = complex(z)
-    w = _reduce_real(z, math.pi, name)
+    w = _off_pole(z, lat, name)[0]
     try:
         val = f(w)
     except OverflowError:
@@ -177,69 +187,24 @@ def _circular(f, z, name: str):
     return val.real if z.imag == 0.0 else val
 
 
-def wp(z: complex, lat: RectLattice):
-    """Weierstrass p-function.  Real input returns a float, complex a complex.
+def _theta_series(z0: complex, lat: RectLattice) -> tuple[complex, complex, complex, complex]:
+    """zeta, sigma, wp and wp' at z0 != 0 in the base cell (DLMF 23.6(i)).
 
-    Complex arguments go through m sn^2(z - iK'|m) - (m+1)/3 with the
-    complex Jacobi split; real arguments stay in real arithmetic,
-    1/sn^2(x|m) - (m+1)/3 (even, period 2K).  A z n1 periods 2K and n2
-    periods 2iKc out, with |n1| ulp(2K) or |n2| ulp(2Kc) > 1e-9, the pole
-    tolerance (|z| > 8.35e6 at m = 1/2), raises DomainError: the reduction
-    would round the rest by more.
-    """
-    if lat.m == 0.0:
-        return _circular(lambda w: 1.0 / cmath.sin(w) ** 2 - 1.0 / 3.0, z, "wp")
-    if isinstance(z, complex) and z.imag != 0.0:
-        _reduce(z, lat, "wp")  # refuses a z too far out; jacobi_complex reduces it
-        s = jacobi_complex(z - 1j * lat.Kc, lat.m).sn
-        return lat.m * s * s - (lat.m + 1.0) / 3.0
-    s, _, _ = jacobi(_reduce_real(float(z.real), 2.0 * lat.K, "wp"), lat.m)
-    val = 1.0 / (s * s) - (lat.m + 1.0) / 3.0
-    return complex(val) if isinstance(z, complex) else val
+    With real half-period w, eta = zeta(w), nome q = exp(-pi Kc / K),
+    f = pi / (2w), v = f z and t_k = theta_1^(k)(v) / theta_1(v):
 
-
-def wp_prime(z: complex, lat: RectLattice):
-    """Derivative of the p-function, -2 cn dn / sn^3 on the real axis; same
-    input/output convention as wp."""
-    if lat.m == 0.0:
-        return _circular(lambda w: -2.0 * cmath.cos(w) / cmath.sin(w) ** 3, z, "wp_prime")
-    if isinstance(z, complex) and z.imag != 0.0:
-        _reduce(z, lat, "wp_prime")
-        s, c, d = jacobi_complex(z - 1j * lat.Kc, lat.m)
-        return 2.0 * lat.m * s * c * d
-    s, c, d = jacobi(_reduce_real(float(z.real), 2.0 * lat.K, "wp_prime"), lat.m)
-    val = -2.0 * c * d / s**3
-    return complex(val) if isinstance(z, complex) else val
-
-
-# ---------------------------------------------------------------------------
-# zeta and sigma from the theta_1 series, after a quasi-period reduction.
-# ---------------------------------------------------------------------------
-
-
-def _reduce(z: complex, lat: RectLattice, name: str) -> tuple[complex, int, int]:
-    """Centered reduction z = z0 + 2K n1 + 2iKc n2 with z0 in the base cell;
-    a z too large to reduce raises DomainError, as in :func:`_reduce_real`."""
-    n1 = _multiple(z.real, 2.0 * lat.K, z, name)
-    n2 = _multiple(z.imag, 2.0 * lat.Kc, z, name)
-    return complex(z.real - 2.0 * lat.K * n1, z.imag - 2.0 * lat.Kc * n2), n1, n2
-
-
-def _zeta_sigma(z0: complex, lat: RectLattice) -> tuple[complex, complex]:
-    """zeta(z0) and sigma(z0) for z0 != 0 in the base cell (DLMF 23.6(i)).
-
-    With real half-period w, eta = zeta(w), nome q = exp(-pi Kc / K) and
-    v = pi z / (2w):
-
-        zeta(z)  = eta z / w + (pi / 2w) theta_1'(v) / theta_1(v)
+        zeta(z)  = eta z / w + f t_1
         sigma(z) = (2w / pi) exp(eta z^2 / 2w) theta_1(v) / theta_1'(0)
+        wp(z)    = -eta / w - f^2 (t_2 - t_1^2)
+        wp'(z)   = -f^3 (t_3 - 3 t_2 t_1 + 2 t_1^3)
 
     where theta_1(v) = 2 q^(1/4) sum_n (-1)^n q^(n(n+1)) sin((2n+1) v)
     (DLMF 20.2.1); the factor 2 q^(1/4) cancels.  For m > 1/2 (K > Kc)
     the nome exceeds exp(-pi).  There the rotated lattice i L -- the
     lattice of 1 - m, with w = Kc, eta = -eta2_im and nome
     exp(-pi K / Kc) -- takes over through the homogeneity relations
-    zeta(z) = i zeta(iz; 1-m) and sigma(z) = -i sigma(iz; 1-m).
+    zeta(z) = i zeta(iz; 1-m), sigma(z) = -i sigma(iz; 1-m),
+    wp(z) = -wp(iz; 1-m) and wp'(z) = -i wp'(iz; 1-m).
     """
     if lat.K > lat.Kc:
         w, eta, ratio, rot = lat.Kc, -lat.eta2_im, lat.K / lat.Kc, 1j
@@ -248,44 +213,71 @@ def _zeta_sigma(z0: complex, lat: RectLattice) -> tuple[complex, complex]:
     z = rot * z0
     v = 0.5 * math.pi * z / w
     q = math.exp(-math.pi * ratio)
-    th = dth = 0j
+    th = dth = ddth = dddth = 0j
     dth0 = 0.0
     for n in range(_THETA_TERMS):
         c = (-1) ** n * q ** (n * (n + 1))
         k = 2 * n + 1
-        th += c * cmath.sin(k * v)
-        dth += c * k * cmath.cos(k * v)
+        sin, cos = cmath.sin(k * v), cmath.cos(k * v)
+        th += c * sin
+        dth += c * k * cos
+        ddth -= c * k * k * sin
+        dddth -= c * k * k * k * cos
         dth0 += c * k
-    zeta_val = eta * z / w + 0.5 * math.pi / w * dth / th
+    f = 0.5 * math.pi / w
+    t1, t2, t3 = dth / th, ddth / th, dddth / th
+    zeta_val = eta * z / w + f * dth / th
     sigma_val = 2.0 * w / math.pi * cmath.exp(0.5 * eta * z * z / w) * th / dth0
-    return rot * zeta_val, sigma_val / rot
+    wp_val = -eta / w - f * f * (t2 - t1 * t1)
+    wp_prime_val = -f * f * f * (t3 - 3.0 * t2 * t1 + 2.0 * t1 * t1 * t1)
+    return rot * zeta_val, sigma_val / rot, rot**2 * wp_val, rot**3 * wp_prime_val
+
+
+def wp(z: complex, lat: RectLattice):
+    """Weierstrass p-function.  Real input returns a float, complex a complex.
+
+    Reduced to the base cell and read off the theta_1 series of
+    :func:`_theta_series`, for a real z and a complex z alike.  Arguments
+    within 1e-9 of a lattice point raise :class:`PoleError`.  A z n1
+    periods 2K and n2 periods 2iKc out, with |n1| ulp(2K) or |n2| ulp(2Kc)
+    > 1e-9, the pole tolerance (|z| > 8.35e6 at m = 1/2), raises
+    DomainError: the reduction would round the rest by more.
+    """
+    if lat.m == 0.0:
+        return _circular(lambda w: 1.0 / cmath.sin(w) ** 2 - 1.0 / 3.0, z, lat, "wp")
+    val = _theta_series(_off_pole(complex(z), lat, "wp")[0], lat)[2]
+    return val if isinstance(z, complex) else val.real
+
+
+def wp_prime(z: complex, lat: RectLattice):
+    """Derivative of the p-function, from the same series; same input/output
+    convention, poles and reduction limits as wp."""
+    if lat.m == 0.0:
+        return _circular(lambda w: -2.0 * cmath.cos(w) / cmath.sin(w) ** 3, z, lat, "wp_prime")
+    val = _theta_series(_off_pole(complex(z), lat, "wp_prime")[0], lat)[3]
+    return val if isinstance(z, complex) else val.real
 
 
 def zeta(z: complex, lat: RectLattice) -> complex:
     """Weierstrass zeta on the lattice: zeta' = -wp, zeta(z) ~ 1/z at 0.
 
     Reduced to the base cell (accumulating 2 n1 eta1 + 2 n2 eta2), then
-    evaluated from the theta_1 series of :func:`_zeta_sigma`.  Arguments
-    within 1e-9 of a lattice point raise :class:`PoleError`, and as in
-    :func:`wp` a reduction that rounds the rest by more, |n1| ulp(2K) or
-    |n2| ulp(2Kc) > 1e-9, raises DomainError.
+    evaluated from the theta_1 series of :func:`_theta_series`, with the
+    poles and reduction limits of :func:`wp`.
     """
     z = complex(z)
     if lat.m == 0.0:
-        return z / 3.0 + 1.0 / cmath.tan(_reduce_real(z, math.pi, "zeta"))
-
-    z0, n1, n2 = _reduce(z, lat, "zeta")
-    if abs(z0) < _POLE_TOL:
-        raise PoleError("zeta evaluated too close to a lattice point")
+        return z / 3.0 + 1.0 / cmath.tan(_off_pole(z, lat, "zeta")[0])
+    z0, n1, n2 = _off_pole(z, lat, "zeta")
     corr = complex(2.0 * n1 * lat.eta1, 2.0 * n2 * lat.eta2_im)
-    return _zeta_sigma(z0, lat)[0] + corr
+    return _theta_series(z0, lat)[0] + corr
 
 
 def sigma(z: complex, lat: RectLattice) -> complex:
     """Weierstrass sigma: the entire function with sigma(z) ~ z at lattice zeros.
 
     Evaluated on the reduced argument from the theta_1 series of
-    :func:`_zeta_sigma`, then carried back with the quasi-periodicity
+    :func:`_theta_series`, then carried back with the quasi-periodicity
 
         sigma(z0 + 2 n1 w1 + 2 n2 w2)
             = (-1)^(n1 + n2 + n1 n2) exp(eta_L (z0 + L/2)) sigma(z0).
@@ -299,7 +291,7 @@ def sigma(z: complex, lat: RectLattice) -> complex:
         z0, n1, n2 = _reduce(z, lat, "sigma")
         if z0 == 0.0:
             return 0.0 + 0.0j
-        val = _zeta_sigma(z0, lat)[1]
+        val = _theta_series(z0, lat)[1]
         if n1 == 0 and n2 == 0:
             return val
         L = complex(2.0 * lat.K * n1, 2.0 * lat.Kc * n2)

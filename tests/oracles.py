@@ -153,7 +153,7 @@ def mp_kc(m: float, V: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Weierstrass zeta, sigma and eta1 in 30-digit arithmetic.
+# Weierstrass zeta, sigma, wp, wp' and eta1 in 30-digit arithmetic.
 # ---------------------------------------------------------------------------
 
 
@@ -174,6 +174,15 @@ def mp_zeta_sigma(z: complex, m: float) -> tuple[complex, complex]:
         zeta = eta1 * z / K + mp.pi / (2 * K) * dt / t
         sigma = 2 * K / mp.pi * mp.exp(eta1 * z * z / (2 * K)) * t / mp.jtheta(1, 0, q, 1)
         return complex(zeta), complex(sigma)
+
+
+def mp_wp(z: complex, m: float) -> tuple[complex, complex]:
+    """wp(z) = 1/sn^2 - (m+1)/3 and wp'(z) = -2 cn dn / sn^3 on the lattice of
+    m from mpmath's ``ellipfun`` at 30 digits, with no theta series."""
+    with mp.workdps(30):
+        m, z = mp.mpf(m), mp.mpc(z)
+        sn, cn, dn = (mp.ellipfun(f, z, m=m) for f in ("sn", "cn", "dn"))
+        return complex(1 / sn**2 - (m + 1) / 3), complex(-2 * cn * dn / sn**3)
 
 
 def eta1_by_integration(m: float) -> float:

@@ -14,6 +14,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import mpmath as mp
 import numpy as np
@@ -629,6 +630,16 @@ class TestOracle:
         record = self.oracle(capsys, 0.5, -0.2, 1.0)
         assert steps == [1024, 2048, ("down", 2048)]
         assert record["winding_numeric"] == 1
+
+    def test_a_charge_past_the_step_ceiling_is_refused_at_once(self, capsys):
+        # the KdV half would take 127,380 steps, seconds of work, at c = 1e8
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle", "--m", 0.5, "--V", 0.2, "--c", 1e8)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        report = json.loads(err)
+        assert report["error"] == "DomainError" and "127380 KdV steps" in report["message"]
 
 
 @pytest.mark.parametrize("command", ["oracle", "profile"])

@@ -26,6 +26,14 @@ from kdvorbits.asymptotics import (
     k_near_wedge,
     one_minus_m_nonperturbative,
 )
+from kdvorbits.bands import (
+    band_edges,
+    crystal_momentum,
+    exceptional_energy_asymptote,
+    floquet_traces,
+    lame_profile,
+    numeric_band_gaps,
+)
 from kdvorbits.elliptic import (
     ellint_differences,
     ellint_E,
@@ -33,7 +41,6 @@ from kdvorbits.elliptic import (
     ellint_K,
     ellint_KE,
     jacobi,
-    jacobi_complex,
 )
 from kdvorbits.errors import DomainError, NumericalError
 from kdvorbits.hill import (
@@ -70,17 +77,17 @@ def _each_gets_the_contract(*calls):
 
 
 class TestElliptic:
-    # the examples: the circular limit of jacobi_complex, where sin z overflows,
-    # and a period reduction of jacobi that overflows to -inf
-    @given(m=PARAMETER, y=FINITE, x=FINITE, u=FINITE, v=FINITE)
-    @example(m=1.976e-320, y=1.0, x=1.0, u=1.7673744569203736e-238, v=1.7e308)
-    @example(m=0.25, y=1.7976931348623157e308, x=5e-324, u=1.7976931348623157e308, v=-1.7e308)
+    # the examples: a subnormal m, and a period reduction of jacobi that
+    # overflows to -inf
+    @given(m=PARAMETER, y=FINITE, x=FINITE, u=FINITE)
+    @example(m=1.976e-320, y=1.0, x=1.0, u=1.7673744569203736e-238)
+    @example(m=0.25, y=1.7976931348623157e308, x=5e-324, u=1.7976931348623157e308)
     @settings(max_examples=400, deadline=None)
-    def test_scalars(self, m, y, x, u, v):
+    def test_scalars(self, m, y, x, u):
         _each_gets_the_contract(
             lambda: ellint_K(m), lambda: ellint_E(m), lambda: ellint_KE(m),
             lambda: ellint_differences(m), lambda: ellint_F_zeta(y, x, m),
-            lambda: jacobi(u, m), lambda: jacobi_complex(complex(u, v), m))
+            lambda: jacobi(u, m))
 
     # rows of (m, y, x, u); the arrays are the columns.  In the example the
     # period reduction of jacobi overflows (a numpy warning)
@@ -151,8 +158,9 @@ class TestWeierstrass:
         with pytest.raises(DomainError, match="cannot reduce"):
             f(z, lattice(0.5))
 
-    # jacobi_complex refuses only from 2^53 periods 4K': wp(0.3 + 1e16j) came
-    # out 5.55 - 7.06j, a value of the rounding noise of the reduction
+    # the reduction refuses from 1e-9 / ulp(2K') periods 2K', as in the real
+    # direction: a complex split once answered wp(0.3 + 1e16j) = 5.55 - 7.06j,
+    # a value of the rounding noise of its reduction
     @pytest.mark.parametrize("f", [wp, wp_prime])
     @pytest.mark.parametrize("z", [0.3 + 1e16j, 0.3 + 1e8j])
     def test_an_imaginary_part_too_far_out_is_refused(self, f, z):
@@ -292,6 +300,41 @@ class TestHill:
             lambda: floquet(p, c), lambda: floquet_monodromy(p, c), lambda: winding_number(p, c),
             lambda: kdv_evolve(p, c, tau, steps),
             lambda: lame_exact_residual(m, V, [complex(x, y), complex(y, x)]))
+
+
+class TestBands:
+    # N, n and the energy lists are kept small so that every drawn call is short.
+    # The examples: a strength whose squares overflowed in the Magnus nodes; an
+    # energy the scan resolves whose 1536 steps grow past the float range, and one
+    # whose entries stay finite but whose trace does not; an energy scale whose
+    # hbar^2 overflowed, and one divided by a zero mass
+    @given(m=PARAMETER, E=FINITE, c=FINITE, N=st.integers(-1, 12), n=st.integers(-1, 32),
+           energies=st.lists(FINITE, max_size=3), strength=FINITE,
+           K=st.one_of(st.floats(0.5, 20.0), FINITE), scale=st.one_of(st.none(), FINITE))
+    @example(m=0.0, E=1.0, c=1.0, N=1, n=8, energies=[], strength=1e308, K=1.0, scale=None)
+    @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[-6.8e5], strength=3.0,
+             K=1.8540746773013719, scale=None)
+    @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[-1e5], strength=3.0,
+             K=1.8540746773013719, scale=None)
+    @example(m=0.0, E=1.0, c=1.0, N=1, n=8, energies=[], strength=0.0, K=1.0, scale=1e155)
+    @example(m=0.0, E=1.0, c=0.0, N=1, n=8, energies=[], strength=0.0, K=1.0, scale=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_every_function(self, m, E, c, N, n, energies, strength, K, scale):
+        _each_gets_the_contract(
+            lambda: crystal_momentum(E, m), lambda: band_edges(m, N),
+            lambda: lame_profile(N, m, E, c, n),
+            lambda: floquet_traces(np.array(energies), strength, K, m),
+            lambda: exceptional_energy_asymptote(N, m),
+            lambda: exceptional_energy_asymptote(N, m, scale, c, E))
+
+    # E_max within the default scan, past the energies the scan resolves (refused
+    # before it starts), or not positive: a scan up to E_max = 1e5 takes minutes
+    @given(m=PARAMETER, N=st.integers(-1, 3),
+           E_max=st.one_of(st.none(), st.floats(-1.0, 20.0), st.floats(1e6, 1e308),
+                           st.floats(max_value=-1.0, allow_infinity=False)))
+    @settings(max_examples=60, deadline=None)
+    def test_numeric_band_gaps(self, m, N, E_max):
+        _each_gets_the_contract(lambda: numeric_band_gaps(N, m, E_max))
 
 
 def _kind(value):

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import mpmath as mp
@@ -19,9 +18,8 @@ from kdvorbits.elliptic import (
     ellint_K,
     ellint_KE,
     jacobi,
-    jacobi_complex,
 )
-from kdvorbits.errors import DomainError, PoleError
+from kdvorbits.errors import DomainError
 
 import oracles
 
@@ -304,78 +302,3 @@ class TestAgmCache:
             ellint_K(float(m))
             jacobi(0.7, float(m))
         assert _float_agm.cache_info().currsize <= maxsize
-
-
-class TestJacobiComplex:
-    def test_reference_point(self):
-        got = jacobi_complex(0.3 + 0.4j, 0.5)
-        want = oracles.ode_jacobi_complex(0.3 + 0.4j, 0.5)
-        for g, w in zip(got, want):
-            assert abs(g - w) < 1e-9
-
-    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
-    def test_grid_against_ode_oracle(self, m):
-        rng = np.random.default_rng(11)
-        Kc = ellint_K(1.0 - m)
-        for _ in range(12):
-            # stay under the first pole line so the straight ODE path is safe
-            z = complex(rng.uniform(-2, 2), rng.uniform(-0.8, 0.8) * Kc)
-            if abs(z) < 0.1:
-                continue
-            got = jacobi_complex(z, m)
-            want = oracles.ode_jacobi_complex(z, m)
-            for g, w in zip(got, want):
-                assert abs(g - w) < 1e-9
-
-    def test_imaginary_argument_identity(self):
-        # sn(iy|m) = i sn(y|1-m)/cn(y|1-m)
-        m, y = 0.42, 0.77
-        s, c, d = jacobi_complex(1j * y, m)
-        sc, cc, dc = jacobi(y, 1.0 - m)
-        assert abs(s - 1j * sc / cc) < 1e-12
-        assert abs(c - 1.0 / cc) < 1e-12
-        assert abs(d - dc / cc) < 1e-12
-
-    def test_real_axis_consistency(self):
-        m = 0.66
-        for x in (-1.2, 0.4, 2.9):
-            zc = jacobi_complex(complex(x, 0.0), m)
-            re = jacobi(x, m)
-            assert_allclose([zc.sn.real, zc.cn.real, zc.dn.real], re, atol=1e-13)
-            assert max(abs(v.imag) for v in zc) < 1e-13
-
-    @pytest.mark.parametrize("m", [0.3, 0.8])
-    def test_complex_periodicity(self, m):
-        K, Kc = ellint_K(m), ellint_K(1.0 - m)
-        z = 0.7 + 0.3j
-        base = jacobi_complex(z, m)
-        for shift in (4 * K, 4j * Kc, 4 * K + 4j * Kc):
-            moved = jacobi_complex(z + shift, m)
-            for a, b in zip(base, moved):
-                assert abs(a - b) < 1e-12
-
-    def test_identity_holds_off_axis(self):
-        m = 0.5
-        z = 1.1 + 0.6j
-        s, c, d = jacobi_complex(z, m)
-        assert abs(s * s + c * c - 1.0) < 1e-12
-        assert abs(d * d - (1.0 - m * s * s)) < 1e-12
-
-    def test_pole_rejection(self):
-        m = 0.5
-        K, Kc = ellint_K(m), ellint_K(1.0 - m)
-        for pole in (1j * Kc, 2 * K + 1j * Kc, -1j * Kc + 4 * K):
-            with pytest.raises(PoleError):
-                jacobi_complex(pole, m)
-            with pytest.raises(PoleError):
-                jacobi_complex(pole + 5e-10, m)
-        # nearby but safely away from the pole is fine
-        out = jacobi_complex(1j * Kc + 1e-3, m)
-        assert np.isfinite(out.sn.real)
-
-    @pytest.mark.parametrize("m", [0.0, 5e-324, 1e-300, 1e-17])
-    def test_circular_limit(self, m):
-        # K' is infinite: sn, cn, dn are sin, cos, 1 with no pole
-        for z in (0.3 + 0.2j, -2.0 + 5.0j, 1e3 - 0.5j, 1j):
-            sn, cn, dn = jacobi_complex(z, m)
-            assert sn == cmath.sin(z) and cn == cmath.cos(z) and dn == 1.0

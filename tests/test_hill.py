@@ -346,3 +346,13 @@ class TestKdvEvolve:
     def test_nonfinite_central_charge_rejected(self, c):
         with pytest.raises(DomainError, match="finite"):
             kdv_evolve(constant_profile(0.1), c, 1e-3)
+
+    def test_only_the_default_step_count_is_capped(self, monkeypatch):
+        # the oracle's tau = 1e-4 at c = 1e8 needs 127,380 steps at 512 samples
+        prof = cnoidal_profile(0.5, 0.2, 1e8)
+        with pytest.raises(DomainError, match=r"tau = 0\.0001 takes 127380 KdV steps"):
+            kdv_evolve(prof, 1e8, 1e-4)
+        monkeypatch.setattr(hill, "_DEFAULT_STEPS_CEILING", 1)
+        with pytest.raises(DomainError, match="takes 2 KdV steps"):
+            kdv_evolve(cnoidal_profile(0.5, 0.2, 1.0), 1.0, 1e-4)
+        kdv_evolve(cnoidal_profile(0.5, 0.2, 1.0), 1.0, 1e-4, steps=3)

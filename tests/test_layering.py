@@ -68,6 +68,13 @@ def test_elliptic_forms_the_agm_step_in_one_function():
     assert builders == {"_agm"}
 
 
+def test_weierstrass_takes_no_jacobi_function_from_elliptic():
+    # wp, wp', zeta and sigma come from one theta_1 series in weierstrass
+    offenders = [f"weierstrass.py:{line} {module}" for line, module in _imports("weierstrass")
+                 if module.lstrip(".").removeprefix("kdvorbits.").startswith("elliptic.jacobi")]
+    assert offenders == []
+
+
 def test_orbits_holds_no_generator():
     # level_curve's search is one function body for a float and an array
     path = PACKAGE / "orbits.py"

@@ -142,6 +142,16 @@ class TestWp:
             expected = m * sn * sn - (m + 1) / 3
             assert abs(wp(z, lat) - expected) < 1e-9
 
+    @pytest.mark.parametrize("m", M_GRID + NEAR_ONE + [1e-9])
+    def test_matches_mpmath(self, m):
+        # against sn, cn, dn from mpmath, not a theta series; m = 1e-9 because a
+        # route through a rounded 1 - m loses digits there
+        lat = lattice(m)
+        for z in _cell_and_boundary_points(lat):
+            ref_wp, ref_prime = oracles.mp_wp(z, m)
+            assert abs(wp(z, lat) - ref_wp) <= 1e-14 * max(1.0, abs(ref_wp))
+            assert abs(wp_prime(z, lat) - ref_prime) <= 1e-14 * max(1.0, abs(ref_prime))
+
     @pytest.mark.parametrize("m", [0.3, 0.8])
     def test_prime_is_derivative(self, m):
         lat = lattice(m)
