@@ -14,16 +14,20 @@ the elementary edge-wise expressions in :mod:`.orbits`, so agreement
 between the two is a real consistency check, exercised in the tests.
 
 For every N the 2N + 1 band edges are the eigenvalues of four finite
-tridiagonal matrices (:func:`band_edges`).  :func:`numeric_band_gaps` is
-the independent check and never consults the matrices.  As sn^2 is even
-about K, Tr - 2 = 4 y1'(K) y2(K) and Tr + 2 = 4 y1(K) y2'(K) for the
-fundamental solutions y1, y2 at 0, so each edge is a simple zero in E of
-one of these entries, which a batched Magnus integrator scans and regula
-falsi refines; their zeros must interlace, y1 with y1' and y2 with y2'.
+tridiagonal matrices (:func:`band_edges`), and the crystal momentum is an
+abelian integral over them (:func:`kappa_ell_extended`), or the Magnus
+trace (:func:`floquet_traces`) where that cannot resolve the bands.
+:func:`numeric_band_gaps` is the independent check and never consults the
+matrices.  As sn^2 is even about K, Tr - 2 = 4 y1'(K) y2(K) and Tr + 2 =
+4 y1(K) y2'(K) for the fundamental solutions y1, y2 at 0, so each edge is a
+simple zero in E of one of these entries, which a batched Magnus
+integrator scans and regula falsi refines; their zeros must interlace, y1
+with y1' and y2 with y2'.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -40,6 +44,7 @@ __all__ = [
     "GapInterval",
     "crystal_momentum",
     "band_edges",
+    "kappa_ell_extended",
     "lame_profile",
     "exceptional_energy_asymptote",
     "floquet_traces",
@@ -48,6 +53,13 @@ __all__ = [
 
 _EDGE_SNAP = 1e-9
 _N_MAX = 4096  # band_edges' dense blocks hold about (N/2)^2 floats
+# kappa_ell_extended: largest N, largest miss of a band's pi, Gauss-Legendre
+# nodes per panel.  An integral stops at most halfway across its band or gap,
+# so on a panel mapped to [-1, 1] the far edge's branch point lies at
+# t >= 2 sqrt 2 - 1, and n nodes leave an error of about rho^-2n with
+# log rho = acosh t: 16 nodes for 2^-53.
+_ABELIAN_N_MAX, _BAND_CHECK = 16, 1e-9
+_GAUSS_NODES = math.ceil(26.5 * math.log(2.0) / math.acosh(2.0 * math.sqrt(2.0) - 1.0))
 _HALF_STEPS = 1536  # Magnus steps across the half period [0, K] of sn^2
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # The half period is cut into _BLOCKS blocks of consecutive steps that are
@@ -62,9 +74,9 @@ _CHUNK = 2**14 // _BLOCKS
 _COSH = tuple(1.0 / math.factorial(2 * n) for n in range(11))
 _SINHC = tuple(1.0 / math.factorial(2 * n + 1) for n in range(11))
 _TRUNCATION = 2.0**-64
-# The gap scan: first step and halvings, entry names, final bracket width in
-# ulp, closed-gap width per max(1, E) (2K/pi)^4.
-_SCAN_STEP, _RESCANS = 0.02, 6
+# The gap scan: first step, halvings and energy count, entry names, final
+# bracket width in ulp, closed-gap width per max(1, E) (2K/pi)^4.
+_SCAN_STEP, _RESCANS, _SCAN_CEILING = 0.02, 6, 2**15
 _ENTRIES = ("y1(K)", "y2(K)", "y1'(K)", "y2'(K)")
 _ULPS, _CLOSED = 4, 1e-12
 
@@ -184,6 +196,107 @@ def band_edges(m: float, N: int = 1) -> tuple[float, ...]:
         np.fill_diagonal(block, diag)
         blocks.append(np.linalg.eigvalsh(block))
     return tuple(float(e) for e in np.sort(-np.concatenate(blocks)))
+
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """(node, weight) of Gauss-Legendre on [0, 1], by Newton on the Legendre recurrence."""
+    rule, n = [], _GAUSS_NODES
+    for x in (math.cos(math.pi * (i + 0.75) / (n + 0.5)) for i in range(n)):
+        for _ in range(8):
+            p, q = 1.0, 0.0
+            for k in range(1, n + 1):
+                p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+            slope = n * (x * p - q) / (x * x - 1.0)
+            x -= p / slope
+        rule.append((0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * slope * slope)))
+    return tuple(rule)
+
+
+def _edge_integrals(edges, centers, end, target, scale) -> np.ndarray:
+    """int N_j dx / sqrt|R| from edges[end] to target, j = 0..n, R = prod (x - e) over
+    the edges and N_j = prod (x - c) over the first j centers, one column each.
+    x = e_end + scale v^2 (scale < 0 downward) takes sqrt|x - e_end| into dv,
+    and Gauss-Legendre sums the rest over the panels [0, 1], [1, 2], [2, 4], ..."""
+    n, columns = centers.size, np.arange(end.size)
+    offsets = edges[end] - np.concatenate((edges, centers))[:, None]
+    v_end = np.sqrt((target - edges[end]) / scale)
+    sums, basis = np.zeros((n + 1, end.size)), np.ones((n + 1, end.size))
+    lo, hi = 0.0, 1.0
+    while (v_end > lo).any():
+        width = np.minimum(hi, v_end) - np.minimum(lo, v_end)
+        start = np.where(width > 0.0, lo, 0.5 * v_end)  # past v_end: any finite point
+        for node, weight in _gauss_legendre():
+            rows = offsets + scale * (start + width * node) ** 2
+            rows[end, columns] = 1.0  # x - e_end went into dv
+            np.cumprod(rows[2 * n + 1:], axis=0, out=basis[1:])
+            sums += basis * (weight * width / np.sqrt(np.abs(np.prod(rows[:2 * n + 1], axis=0))))
+        lo, hi = hi, 2.0 * hi
+    return 2.0 * np.sqrt(np.abs(scale)) * sums
+
+
+@np.errstate(all="ignore")  # a band that misses pi or a value out of range is refused
+def kappa_ell_extended(energies, m: float, N: int) -> np.ndarray:
+    """Extended-zone crystal momentum kappa*l of the Lame-N operator at each energy.
+
+    The quasi-momentum of a finite-gap potential is the abelian integral
+    dp = P(E) dE / (2 sqrt R(E)), R = prod (E - e) over the :func:`band_edges`
+    and P monic of degree N with every open gap integrating to 0 (Novikov,
+    Manakov, Pitaevskii & Zakharov, *Theory of Solitons*, ch. II); a gap
+    closed in floats is a root of P.  In band j, kappa*l is j pi + 2K int |dp|
+    from the lower edge or (j + 1) pi - 2K int |dp| from the upper one,
+    whichever is nearer; it is j pi in gap j and 0 below the spectrum.  Each
+    finite band must integrate to pi within 1e-9.  Where one does not (bands
+    narrower than band_edges resolves, as at m >= 1 - 1e-6), past N = 16,
+    and where R(E) leaves the float range, ResolutionError leaves the answer
+    to :func:`floquet_traces`.
+    """
+    N = int(N)
+    if N > _ABELIAN_N_MAX:
+        raise ResolutionError(f"the abelian integral takes N up to {_ABELIAN_N_MAX}, got {N}")
+    K = lattice(m).K
+    E = finite(np.asarray(energies, float), "energies must be finite")
+    edges = np.array(band_edges(m, N))
+    open_ = np.flatnonzero(edges[1::2] < edges[2::2])
+    e = np.concatenate((edges[:1], np.column_stack((edges[1::2], edges[2::2]))[open_].ravel()))
+    at_edge = np.concatenate(([0.0], np.repeat(open_ + 1.0, 2))) * math.pi  # kappa*l there
+    top, largest = e.size - 1, np.abs(E).max(initial=0.0)
+    if not (largest + np.abs(e).max()) ** (top + 1) < 1e300:  # bounds |R| on the way
+        raise ResolutionError(f"R(E) leaves the float range at |E| = {float(largest)!r}")
+
+    # Both halves of every band and gap, then each energy in a band from its
+    # nearer edge, scaled by the distance to the edge beyond (or 1).
+    below = np.searchsorted(e, E.ravel(), "right")
+    band = np.flatnonzero(below % 2)
+    x, lower = E.ravel()[band], below[band] - 1
+    upper = np.minimum(lower + 1, top)
+    end = np.concatenate(((np.arange(2 * top) + 1) // 2,
+                          np.where(x - e[lower] <= e[upper] - x, lower, upper)))
+    target = np.concatenate((np.repeat(0.5 * (e[:-1] + e[1:]), 2), x))
+    down = target < e[end]
+    reach = np.diff(np.concatenate(([e[0] - 1.0], e, [e[-1] + 1.0])))
+    sums = _edge_integrals(e, 0.5 * (e[1::2] + e[2::2]), end, target,
+                           np.where(down, -reach[end + 1], reach[end]))
+    spans = sums[:, :2 * top:2] + sums[:, 1:2 * top:2]
+    gaps = spans[:, 1::2].T.copy()  # rows [A | b] of the gap conditions A c = -b
+    for i in range(top // 2):  # Gauss-Jordan: no BLAS kernel moves the rounding
+        f = gaps[:, i] / gaps[i, i]
+        f[i] = 0.0
+        gaps -= f[:, None] * gaps[i]
+    coeffs = np.append(-gaps[:, -1] / gaps.diagonal(), 1.0)
+
+    def momentum(columns):  # 2K int |dp| = K |P . sums|
+        return K * np.abs(sum(c * row for c, row in zip(coeffs, columns)))
+
+    miss = float(np.max(np.abs(momentum(spans[:, ::2]) - np.diff(at_edge)[::2]), initial=0.0))
+    if not miss <= _BAND_CHECK:
+        raise ResolutionError(f"a band at N = {N}, m = {m!r} integrates to pi within {miss:.3g}")
+    kappa = np.concatenate(([0.0], at_edge))[below]
+    kappa[band] = at_edge[end[2 * top:]] + np.where(down[2 * top:], -1.0, 1.0) * momentum(
+        sums[:, 2 * top:])
+    if not np.isfinite(kappa).all():
+        raise ResolutionError(f"kappa*l at N = {N}, m = {m!r} leaves the float range")
+    return kappa.reshape(E.shape)
 
 
 def lame_profile(N: int, m: float, E: float, c: float, n: int = 512) -> Profile:
@@ -370,7 +483,9 @@ def floquet_traces(energies: np.ndarray, strength: float, K: float, m: float) ->
     sn^2 is even about K, so the trace is 2 (y1 y2' + y1' y2) at K (Magnus
     & Winkler, *Hill's Equation*, ch. 1), 2 (a d + b c) of the half-period
     entries.  Matches the same scheme in 30-digit arithmetic to ~1e-13
-    max(1, |Tr|), and the adaptive oracle in :mod:`.hill` to ~1e-9.
+    max(1, |Tr|), and the adaptive oracle in :mod:`.hill` to ~1e-9.  The
+    ``band`` command takes kappa*l = acos(Tr / 2) from it only where
+    :func:`kappa_ell_extended` raises ResolutionError.
     """
     a, b, c, d = _half_period_entries(energies, _magnus_nodes(strength, K, m))
     return finite(2.0 * (a * d + b * c), "the Floquet trace leaves the float range")
@@ -444,7 +559,8 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapI
     covers the Magnus splitting of closed gaps as the step h = K/1536 grows.
     Fewer than N open gaps raise ResolutionError, more NumericalError.
     DomainError means E_max is not positive, past the energies the scan
-    resolves, or inside a forbidden region.  Nothing here uses
+    resolves, past a first scan of 2^15 energies (E_max about 655, a second
+    or so), or inside a forbidden region.  Nothing here uses
     :func:`band_edges`.  Gaps come back in energy order, and the order is
     the label: the i-th gap sits at the extended-zone edge kappa*l = i*pi
     (by continuity from the free limit; an annotation, not checked).
@@ -462,7 +578,10 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapI
 
     nodes = _magnus_nodes(N * (N + 1) * m, lat.K, m)
     _series_degree(nodes, 0.0, E_max)  # an unresolved E_max fails before the grid
-    step = _SCAN_STEP
+    step, count = _SCAN_STEP, math.ceil(E_max / _SCAN_STEP) + 1
+    if count > _SCAN_CEILING:
+        raise DomainError(f"E_max = {E_max!r} takes a scan of {count} energies, past the "
+                          f"ceiling of {_SCAN_CEILING}")
     for _ in range(_RESCANS + 1):
         energies = np.linspace(0.0, E_max, int(math.ceil(E_max / step)) + 1)
         values = _half_period_entries(energies, nodes)

@@ -43,9 +43,9 @@ from .asymptotics import (
     k_near_wedge,
     one_minus_m_nonperturbative,
 )
-from .bands import band_edges, crystal_momentum, floquet_traces
+from .bands import band_edges, crystal_momentum, floquet_traces, kappa_ell_extended
 from .elliptic import ellint_K
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ResolutionError
 from .hill import floquet, kdv_evolve
 from .orbits import cnoidal_profile, level_curve, orbit_data
 from .profiles import grid
@@ -170,20 +170,26 @@ def _band_rows_closed_form(energies, m: float) -> list:
 
 
 def _band_rows_scanned(energies, N: int, m: float) -> list:
-    traces = floquet_traces(energies, N * (N + 1) * m, lattice(m).K, m)
-    kappa = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
+    # kappa_ell from the abelian integral over the band edges, folded into
+    # [0, pi]; the Magnus trace where that route cannot resolve the bands.
+    try:
+        kappa = kappa_ell_extended(energies, m, N)
+        kappa = np.abs(kappa - 2.0 * math.pi * np.rint(kappa / (2.0 * math.pi)))
+    except ResolutionError:
+        traces = floquet_traces(energies, N * (N + 1) * m, lattice(m).K, m)
+        kappa = np.array([math.acos(t) for t in np.clip(traces / 2.0, -1.0, 1.0).tolist()])
 
     # Sorted edges: E is strictly inside a gap, or below the spectrum, when
     # as many edges lie below it as up to it, an even number, and the gaps
     # opening up to E number half of those (at most N, while the N = 1
     # closed form's floor(kappa_ell / pi) keeps growing).  Within 1e-9 of an
-    # edge kappa is 0 or pi by the sign of the trace, as the N = 1 form snaps.
+    # edge kappa is 0 or pi, whichever is nearer, as the N = 1 form snaps.
     edges = np.array(band_edges(m, N))
     below, upto = (np.searchsorted(edges, energies, side) for side in ("left", "right"))
     nearest = np.minimum(np.abs(energies - edges[np.maximum(below - 1, 0)]),
                          np.abs(energies - edges[np.minimum(below, edges.size - 1)]))
     kappa = np.where(nearest <= 1e-9 * np.maximum(1.0, np.abs(energies)),
-                     np.where(traces > 0.0, 0.0, math.pi), kappa)
+                     np.where(kappa < 0.5 * math.pi, 0.0, math.pi), kappa)
     in_gap = (below == upto) & (below % 2 == 0)
     gap_cells = np.where(in_gap, "true", "false").tolist()
     return list(zip(energies.tolist(), kappa.tolist(), gap_cells, (upto // 2).tolist()))

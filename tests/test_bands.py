@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,12 +20,13 @@ from kdvorbits.bands import (
     band_edges,
     crystal_momentum,
     exceptional_energy_asymptote,
+    kappa_ell_extended,
     lame_profile,
     numeric_band_gaps,
     floquet_traces,
 )
 from kdvorbits.errors import DomainError, ResolutionError
-from kdvorbits.hill import floquet_monodromy
+from kdvorbits.hill import floquet, floquet_monodromy
 from kdvorbits.orbits import cnoidal_profile, dk_dV, level_curve, uniform_representative
 from kdvorbits.weierstrass import lattice
 
@@ -219,6 +221,104 @@ class TestBandEdges:
                 step = 1e-9 * max(1.0, E)
                 below, above = (trace(N, E + d) - target for d in (-step, step))
                 assert below * above < 0.0, (N, k, E)
+
+
+# The oracle sweep of kappa_ell_extended.  Where a band is narrower than
+# band_edges resolves, the band check fails and the Magnus trace answers
+# instead: the lowest bands are 1.7e-8 wide at (5, 0.95), 2.2e-11 at (8, 0.9)
+# and 8e-14 at (8, 0.95), and they miss pi by 9.3e-9, 2.2e-5 and 9.5e-3.
+ORACLE_SWEEP = [(N, m) for N in (2, 3, 4, 5, 8) for m in (0.0, 0.01, 0.3, 0.5, 0.9, 0.95)]
+UNRESOLVED = {(5, 0.95), (8, 0.9), (8, 0.95)}
+
+
+class TestKappaEllExtended:
+    @pytest.mark.parametrize("m", [0.3, 0.5, 0.9])
+    def test_N1_is_the_weierstrass_closed_form(self, m):
+        # two routes that share no code: the abelian integral over band_edges,
+        # and crystal_momentum's zeta function at wp_inverse
+        energies = np.linspace(0.0, 20.0, 602)[1:]
+        closed = [crystal_momentum(E, m).kappa_ell_extended.real for E in energies]
+        assert_allclose(kappa_ell_extended(energies, m, 1), closed, rtol=0.0, atol=1e-12)
+        far = np.array([1e3, 1e6, 1e8])
+        closed = [crystal_momentum(E, m).kappa_ell_extended.real for E in far]
+        assert_allclose(kappa_ell_extended(far, m, 1), closed, rtol=1e-14)
+
+    @pytest.mark.parametrize("N, m", ORACLE_SWEEP)
+    def test_matches_the_floquet_oracle(self, N, m):
+        edges = band_edges(m, N)
+        if (N, m) in UNRESOLVED:
+            with pytest.raises(ResolutionError, match="integrates to pi"):
+                kappa_ell_extended([1.0], m, N)
+            return
+        # 2 cos(kappa l) against the oracle's trace, three energies in each
+        # band wider than 2e-6 and the rest of about 20 in the top band, all
+        # at least 1e-6 from an edge.  The oracle accepts its monodromy M at
+        # 1e-11 max(1, max|M|), which is the scale here: max|M| reaches 3e5
+        # in the narrow bands, where its trace is up to 4.5e-8 off kappa l's
+        # while scipy's DOP853 at rtol 1e-14 comes within 1.1e-9 of it.
+        finite = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(edges[:-1:2], edges[1::2]))
+                  if hi - lo > 2e-6]
+        energies = [float(np.clip(lo + f * (hi - lo), lo + 1e-6, hi - 1e-6))
+                    for _, lo, hi in finite for f in (0.1, 0.5, 0.9)]
+        energies += list(edges[-1] + np.geomspace(1e-3, 10.0, max(4, 20 - len(energies))))
+        kappa = kappa_ell_extended(energies, m, N)
+        for E, k in zip(energies, kappa):
+            monodromy = floquet(lame_profile(N, m, E, 1.0), 1.0)[0]
+            trace = float(np.trace(monodromy))
+            scale = max(1.0, float(np.abs(monodromy).max()))
+            assert abs(2.0 * math.cos(k) - trace) <= 1e-10 * scale, (E, k, trace, scale)
+        # across band j, kappa l rises strictly from j pi to (j + 1) pi
+        for j, lo, hi in finite:
+            inside = kappa_ell_extended(np.linspace(lo, hi, 11)[1:-1], m, N)
+            assert np.all(np.diff(inside) > 0.0), j
+            assert j * math.pi < inside[0] and inside[-1] < (j + 1) * math.pi, j
+
+    def test_gaps_and_the_spectrum_bottom_read_multiples_of_pi(self):
+        lo1, hi1, lo2, hi2 = band_edges(0.5, 2)[1:]
+        bottom = band_edges(0.5, 2)[0]
+        kappa = kappa_ell_extended([0.0, 0.5 * bottom, 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)],
+                                   0.5, 2)
+        assert kappa.tolist() == [0.0, 0.0, math.pi, 2.0 * math.pi]
+
+    def test_closed_gaps_at_m0_give_the_free_dispersion(self):
+        # every gap is closed in floats: P has its roots there, and
+        # kappa l = 2K sqrt(E) = pi sqrt(E) runs straight through
+        energies = np.linspace(0.0, 30.0, 61)
+        assert_allclose(kappa_ell_extended(energies, 0.0, 4), math.pi * np.sqrt(energies),
+                        rtol=1e-14, atol=0.0)
+
+    def test_shape_follows_the_energies(self):
+        assert kappa_ell_extended(np.empty(0), 0.5, 2).shape == (0,)
+        assert kappa_ell_extended(np.full((2, 3), 2.0), 0.5, 2).shape == (2, 3)
+
+    def test_a_moved_edge_fails_the_band_check(self, monkeypatch):
+        # one edge 1e-6 off: the bands no longer integrate to pi
+        moved = list(band_edges(0.5, 2))
+        moved[3] += 1e-6
+        monkeypatch.setattr(bands, "band_edges", lambda m, N: tuple(moved))
+        with pytest.raises(ResolutionError, match="integrates to pi"):
+            kappa_ell_extended([1.0], 0.5, 2)
+
+    @pytest.mark.parametrize("m, N", [(0.999999, 3), (1.0 - 1e-8, 2), (0.5, 17), (0.5, 2000)])
+    def test_unresolved_inputs_are_left_to_the_magnus_trace(self, m, N):
+        with pytest.raises(ResolutionError):
+            kappa_ell_extended([1.0, 15.0], m, N)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            kappa_ell_extended([1.0], 0.5, 0)
+        with pytest.raises(DomainError):
+            kappa_ell_extended([1.0], 1.0, 2)
+        with pytest.raises(DomainError):
+            kappa_ell_extended([math.nan], 0.5, 2)
+
+    @pytest.mark.parametrize("N, E", [(2, 1e100), (3, 1e60), (8, 1e20)])
+    def test_energies_that_take_R_out_of_range_are_refused(self, N, E):
+        # R's 2N + 1 factors would overflow where N_j's N do not, and the
+        # integral would read 0 there
+        assert_allclose(kappa_ell_extended([1e16], 0.5, N), 2.0 * lattice(0.5).K * 1e8, rtol=1e-13)
+        with pytest.raises(ResolutionError, match="float range"):
+            kappa_ell_extended([2.0, -E], 0.5, N)
 
 
 class TestLameProfile:
@@ -459,6 +559,13 @@ class TestNumericBandGaps:
         # is allocated
         with pytest.raises(DomainError, match="resolves energies"):
             numeric_band_gaps(2, 0.5, E_max=E_max)
+
+    def test_scan_past_the_ceiling_is_refused_at_once(self):
+        # E_max = 1e5 asks for 5,000,001 energies, minutes of scanning
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="5000001 energies, past the ceiling of 32768"):
+            numeric_band_gaps(1, 0.5, 1e5)
+        assert time.perf_counter() - start < 0.1
 
     def test_strength_past_every_resolved_energy_is_named(self):
         # at N(N+1)m past about 2 (1536 / K)^2 the lower end of the resolved

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kdvorbits import cli
+from kdvorbits import bands, cli
 from kdvorbits.asymptotics import K_asymptotes, V_near_m1
 from kdvorbits.bands import band_edges
 from kdvorbits.cli import main
@@ -296,6 +297,27 @@ class TestLevelCurve:
             assert abs(v - (2.0 - m) / 3.0) < 1e-15
 
 
+# band --N >= 2 argvs whose kappa_ell comes from the abelian integral: the
+# benchmark's seed-7 scan (CSV and JSON), N = 3 at m = 0.95 and N = 2 on a
+# grid through three band edges
+ABELIAN_ARGVS = [
+    ("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824", "--samples", 2048),
+    ("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824", "--samples", 2048,
+     "--json"),
+    ("--m", 0.95, "--N", 3, "--E-max", 13),
+    ("--m", 0.5, "--N", 2, "--E-max", 6.0, "--samples", 121),
+]
+
+
+def _avx512_dispatch() -> bool:
+    """Whether numpy runs AVX-512 loops on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return any(__cpu_features__.get(name) for name in ("AVX512_SKX", "AVX512_ICL", "AVX512_SPR"))
+
+
 class TestBand:
     def test_closed_form_scan_marks_the_gap(self, capsys):
         code, out, _ = run_cli(capsys, "band", "--m", 0.6, "--E-max", 3.0,
@@ -365,21 +387,20 @@ class TestBand:
             assert int(row[3]) == sum(lo < e for lo, _ in gaps), row
         assert judged == 512
 
-    # Digests recorded when the scanned rows were built one energy at a
-    # time: the benchmark's seed-7 band scan (2048 rows, CSV and JSON), the
-    # narrow lowest band of N = 3 at m = 0.95, the N = 2 grid through the
-    # edges 1.5, 3 and 4.5, and the N = 1 closed form (CSV and JSON).
+    # Digests of the benchmark's seed-7 band scan (2048 rows, CSV and JSON),
+    # the narrow lowest band of N = 3 at m = 0.95 and the N = 2 grid through
+    # the edges 1.5, 3 and 4.5, recorded when kappa_ell became the abelian
+    # integral (E, in_gap and winding as when the rows were built one energy
+    # at a time), and of the N = 1 closed form (CSV and JSON).
     @pytest.mark.parametrize("argv, digest", [
-        (("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824",
-          "--samples", 2048),
-         "ef7c1f9c2826193a9806ee77912e67569ce145e208e5d9853607e316f2fc81f7"),
-        (("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824",
-          "--samples", 2048, "--json"),
-         "377d038db90bcb27fb1105a0e17131efafa6756a4f6adf3abf868592a2212624"),
-        (("--m", 0.95, "--N", 3, "--E-max", 13),
-         "65cee0589a05567bfbe70979d0f237425bf41fc607629607d1249c7af62d8047"),
-        (("--m", 0.5, "--N", 2, "--E-max", 6.0, "--samples", 121),
-         "b078c5ee26b5bd018362657f3ad28b165ca12a3f716595cf3aaaa1b109eb35fc"),
+        (ABELIAN_ARGVS[0],
+         "d665af9cff83ae39ad0cb700b22ef842c926fd225d072c4aa41d97d02cfabaee"),
+        (ABELIAN_ARGVS[1],
+         "fce69975608abb1ff77300e243ce20ac95899df8505df1d072a00bd4432a488c"),
+        (ABELIAN_ARGVS[2],
+         "4a616ccfc5b1c5b514dcec3460a7fb9ca38b10aa609e083ee9aced737acdb47a"),
+        (ABELIAN_ARGVS[3],
+         "2ea5eee57abad286505aa56bed655a32ddebc78e5a5fe20f9b906fb7ac13564c"),
         (("--m", 0.6, "--E-max", 3.0, "--samples", 60),
          "1c14be6c32f5ba34f7edcf172b28c9e6771614b6f8aea2be7e41e9d8fefbd61b"),
         (("--m", 0.6, "--E-max", 3.0, "--samples", 60, "--json"),
@@ -419,8 +440,65 @@ class TestBand:
         kappa = {float(row[0]): float(row[1]) for row in parse_csv(out)[1]}
         assert [kappa[E] for E in (1.5, 3.0, 4.5)] == [math.pi, math.pi, 0.0]
 
+    @pytest.mark.parametrize("argv", ABELIAN_ARGVS)
+    @pytest.mark.parametrize("env", [
+        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+        {"OPENBLAS_CORETYPE": "Prescott"},
+    ], ids=["without-avx512", "openblas-prescott"])
+    def test_bytes_do_not_depend_on_the_cpu_dispatch(self, capsys, argv, env):
+        # the abelian route takes no numpy transcendental and no BLAS kernel
+        if "NPY_DISABLE_CPU_FEATURES" in env and not _avx512_dispatch():
+            pytest.skip("numpy dispatches no AVX-512 loop on this CPU")
+        _, out, _ = run_cli(capsys, "band", *argv)
+        proc = subprocess.run([sys.executable, "-m", "kdvorbits.cli", "band", *map(str, argv)],
+                              capture_output=True, text=True, env={**os.environ, **env})
+        assert proc.returncode == 0 and proc.stdout == out
+
+    def test_unresolved_bands_print_the_magnus_bytes(self, capsys):
+        # At m = 1 - 1e-6 the lowest bands are narrower than band_edges
+        # resolves, so kappa_ell comes from the Magnus trace.  The digest is
+        # of the bytes printed before the abelian route, with numpy's AVX-512
+        # loops off: kappa_ell = math.acos(Tr / 2) is what np.arccos gives
+        # there, while the Magnus nodes still take np.arcsin (ROADMAP item 10).
+        argv = ("band", "--N", "3", "--m", "0.999999", "--E-max", "20", "--samples", "64")
+        env = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+        proc = subprocess.run([sys.executable, "-m", "kdvorbits.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, **(env if _avx512_dispatch() else {})})
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "94f91e7f6f3a5f3207caa16f29bd191c030717f22ca26a9ae5dafcb763dcbfa7")
+        _, out, _ = run_cli(capsys, *argv)
+        assert [row[::2] + row[3:] for row in parse_csv(out)[1]] == [
+            row[::2] + row[3:] for row in parse_csv(proc.stdout)[1]]
+
+    def test_a_failed_band_check_falls_back_to_the_magnus_trace(self, capsys, monkeypatch):
+        # one edge moved by 1e-6 where kappa_ell_extended reads them: the
+        # band check fails, and the rows off the edges take acos(Tr / 2)
+        m, energies = 0.5, np.linspace(0.0, 6.0, 121)
+        moved = list(band_edges(m, 2))
+        moved[3] += 1e-6
+        monkeypatch.setattr(bands, "band_edges", lambda *args: tuple(moved))
+        _, out, _ = run_cli(capsys, "band", "--m", m, "--N", 2, "--E-max", 6.0,
+                            "--samples", 121)
+        traces = bands.floquet_traces(energies, 6.0 * m, lattice(m).K, m)
+        edges = band_edges(m, 2)
+        for row, trace in zip(parse_csv(out)[1], traces):
+            if min(abs(float(row[0]) - e) for e in edges) > 1e-6:
+                assert float(row[1]) == math.acos(min(1.0, max(-1.0, trace / 2.0))), row
+
+    def test_abelian_route_answers_past_the_scan_resolution(self, capsys):
+        code, out, _ = run_cli(capsys, "band", "--m", 0.5, "--N", 2, "--E-max", 1e6,
+                               "--samples", 3)
+        assert code == 0
+        row = parse_csv(out)[1][-1]
+        kappa = bands.kappa_ell_extended([1e6], 0.5, 2)[0]
+        assert row[0] == "1000000" and row[2:] == ["false", "2"]
+        assert abs(float(row[1]) - abs(kappa - 2.0 * math.pi * round(kappa / (2.0 * math.pi)))) < 1e-9
+
     def test_energy_beyond_the_scan_resolution(self, capsys):
-        code, out, err = run_cli(capsys, "band", "--m", 0.5, "--N", 2,
+        # where the bands are unresolved, the Magnus scan answers, and it
+        # refuses energies past its step phase
+        code, out, err = run_cli(capsys, "band", "--m", 0.999999, "--N", 3,
                                  "--E-max", 1e6)
         assert code == 2 and out == ""
         assert err.count("\n") == 1

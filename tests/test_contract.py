@@ -31,6 +31,7 @@ from kdvorbits.bands import (
     crystal_momentum,
     exceptional_energy_asymptote,
     floquet_traces,
+    kappa_ell_extended,
     lame_profile,
     numeric_band_gaps,
 )
@@ -307,7 +308,8 @@ class TestBands:
     # The examples: a strength whose squares overflowed in the Magnus nodes; an
     # energy the scan resolves whose 1536 steps grow past the float range, and one
     # whose entries stay finite but whose trace does not; an energy scale whose
-    # hbar^2 overflowed, and one divided by a zero mass
+    # hbar^2 overflowed, and one divided by a zero mass; energies whose abelian
+    # integral overflows, and m = 1 - 1e-8, whose lowest band is 0 wide in floats
     @given(m=PARAMETER, E=FINITE, c=FINITE, N=st.integers(-1, 12), n=st.integers(-1, 32),
            energies=st.lists(FINITE, max_size=3), strength=FINITE,
            K=st.one_of(st.floats(0.5, 20.0), FINITE), scale=st.one_of(st.none(), FINITE))
@@ -318,12 +320,17 @@ class TestBands:
              K=1.8540746773013719, scale=None)
     @example(m=0.0, E=1.0, c=1.0, N=1, n=8, energies=[], strength=0.0, K=1.0, scale=1e155)
     @example(m=0.0, E=1.0, c=0.0, N=1, n=8, energies=[], strength=0.0, K=1.0, scale=1.0)
+    @example(m=0.5, E=1.0, c=1.0, N=12, n=8, energies=[1e300, -1e300, 3.0], strength=0.0,
+             K=1.0, scale=None)
+    @example(m=1.0 - 1e-8, E=1.0, c=1.0, N=2, n=8, energies=[0.5, 2.0], strength=0.0, K=1.0,
+             scale=None)
     @settings(max_examples=300, deadline=None)
     def test_every_function(self, m, E, c, N, n, energies, strength, K, scale):
         _each_gets_the_contract(
             lambda: crystal_momentum(E, m), lambda: band_edges(m, N),
             lambda: lame_profile(N, m, E, c, n),
             lambda: floquet_traces(np.array(energies), strength, K, m),
+            lambda: kappa_ell_extended(np.array(energies), m, N),
             lambda: exceptional_energy_asymptote(N, m),
             lambda: exceptional_energy_asymptote(N, m, scale, c, E))
 

@@ -174,6 +174,29 @@ def test_hill_reaches_the_closed_form_only_through_its_allow_list():
     assert offenders == []
 
 
+# numpy's transcendental ufuncs round differently with and without its AVX-512
+# loops, so printed bytes that go through one depend on the CPU.  The uses
+# left are listed (ROADMAP item 10): elliptic's arcsin in the Jacobi descent,
+# hill's exp and virasoro's power.
+TRANSCENDENTALS = {"arcsin", "arccos", "exp", "expm1", "log", "log1p", "cosh", "sinh",
+                   "tanh", "arctan", "power"}
+TRANSCENDENTAL_USES = {"elliptic.py arcsin", "hill.py exp", "virasoro.py power"}
+
+
+def test_numpy_transcendentals_only_where_listed():
+    uses = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in TRANSCENDENTALS
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                uses.add(f"{path.name} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                uses.update(f"{path.name} {alias.name}" for alias in node.names
+                            if alias.name in TRANSCENDENTALS)
+    assert sorted(uses - TRANSCENDENTAL_USES) == []
+    assert sorted(TRANSCENDENTAL_USES - uses) == []  # a use that went leaves the list
+
+
 def _scipy_loaded_after(*lines):
     """The scipy modules (two name levels) a fresh interpreter holds after
     importing every layer and running ``lines``."""
