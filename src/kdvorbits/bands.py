@@ -20,9 +20,9 @@ trace (:func:`floquet_traces`) where that cannot resolve the bands.
 :func:`numeric_band_gaps` is the independent check and never consults the
 matrices.  As sn^2 is even about K, Tr - 2 = 4 y1'(K) y2(K) and Tr + 2 =
 4 y1(K) y2'(K) for the fundamental solutions y1, y2 at 0, so each edge is a
-simple zero in E of one of these entries, which a batched Magnus
-integrator scans and regula falsi refines; their zeros must interlace, y1
-with y1' and y2 with y2'.
+simple zero in E of one of these entries, which a batched sixth-order
+Magnus integrator, its steps sized from K, scans and regula falsi refines;
+their zeros must interlace, y1 with y1' and y2 with y2'.
 """
 
 from __future__ import annotations
@@ -60,22 +60,23 @@ _N_MAX = 4096  # band_edges' dense blocks hold about (N/2)^2 floats
 # log rho = acosh t: 16 nodes for 2^-53.
 _ABELIAN_N_MAX, _BAND_CHECK = 16, 1e-9
 _GAUSS_NODES = math.ceil(26.5 * math.log(2.0) / math.acosh(2.0 * math.sqrt(2.0) - 1.0))
-_HALF_STEPS = 1536  # Magnus steps across the half period [0, K] of sn^2
-_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+# Magnus steps across the half period [0, K] of sn^2, at most 64 ceil(2K) of
+# K = 20, past the largest lattice K (19.75 at m = 1 - 2^-53).
+_STEP_CEILING = 2560
 # The half period is cut into _BLOCKS blocks of consecutive steps that are
 # advanced side by side, and energies are taken _CHUNK at a time, so every
 # (block, energy) array holds 2^14 floats whatever the batch size.
 _BLOCKS = 64
 _CHUNK = 2**14 // _BLOCKS
 # Taylor coefficients in x of cosh sqrt(x) and sinh sqrt(x) / sqrt(x).  The
-# series stops once the next term is below 2^-64, so the truncations of all
-# 1536 steps together stay under one rounding; for |x| <= 1 that is by
+# series stops once the next term is below 2^-65, so the truncations of up
+# to 2560 steps together stay under one rounding; for |x| <= 1 that is by
 # degree 10.
 _COSH = tuple(1.0 / math.factorial(2 * n) for n in range(11))
 _SINHC = tuple(1.0 / math.factorial(2 * n + 1) for n in range(11))
-_TRUNCATION = 2.0**-64
+_TRUNCATION = 2.0**-65
 # The gap scan: first step, halvings and energy count, entry names, final
-# bracket width in ulp, closed-gap width per max(1, E) (2K/pi)^4.
+# bracket width in ulp, closed-gap width per max(1, E).
 _SCAN_STEP, _RESCANS, _SCAN_CEILING = 0.02, 6, 2**15
 _ENTRIES = ("y1(K)", "y2(K)", "y1'(K)", "y2'(K)")
 _ULPS, _CLOSED = 4, 1e-12
@@ -371,30 +372,59 @@ def exceptional_energy_asymptote(n: int, m: float,
 _REFUSED_BELOW = np.errstate(over="ignore", invalid="ignore")
 
 
+def _step_count(strength: float, K: float, e_lo: float, e_hi: float, at_least: int = 0) -> int:
+    """Steps across [0, K]: the least multiple of 64, and at least ``at_least``, with
+    h = K/steps <= 1/128 and h^2 |strength sn^2 - E| <= 1 for E in [e_lo, e_hi].
+    Past _STEP_CEILING, DomainError names K or the energies the ceiling resolves."""
+    reach = max(abs(s - e) for s in (0.0, strength) for e in (e_lo, e_hi))
+    blocks = max(at_least / _BLOCKS, K * max(2.0, math.sqrt(reach) / _BLOCKS))
+    if 0.0 < blocks <= _STEP_CEILING / _BLOCKS and math.isfinite(strength + e_lo + e_hi):
+        return _BLOCKS * math.ceil(blocks)
+    if not 0.0 < K <= _STEP_CEILING / 128.0:
+        raise DomainError(f"the Magnus scan takes K in (0, {_STEP_CEILING / 128:g}], got K = {K!r}")
+    limit = (_STEP_CEILING / K) * (_STEP_CEILING / K)  # no OverflowError from **
+    lo, hi = max(strength, 0.0) - limit, min(strength, 0.0) + limit
+    span = (f"energies in [{lo:.6g}, {hi:.6g}] only" if lo <= hi
+            else f"no energy at strength N(N+1)m = {strength!r}")
+    raise DomainError(
+        f"the Magnus scan of at most {_STEP_CEILING} steps resolves {span} "
+        f"(step phase at most 1), got energies in [{e_lo!r}, {e_hi!r}]")
+
+
 @_REFUSED_BELOW
-def _magnus_nodes(strength: float, K: float, m: float) -> tuple:
-    """(strength, h^2, x0, delta, delta^2) of the steps of :func:`_half_period_entries`."""
-    h = K / _HALF_STEPS
-    h2 = h * h
-    base = h * np.arange(_HALF_STEPS)
-    gauss = (jacobi(base + h * (0.5 + side * _GAUSS_OFFSET), m).sn for side in (-1.0, 1.0))
-    q_lo, q_hi = (strength * s * s for s in gauss)
-    delta = (math.sqrt(3.0) * h2 / 12.0) * (q_hi - q_lo)
-    delta_sq = delta * delta
-    return strength, h2, delta_sq + h2 * (0.5 * (q_lo + q_hi)), delta, delta_sq
+def _magnus_nodes(strength: float, K: float, m: float, e_lo: float, e_hi: float) -> tuple:
+    """(U, A, B) per step of :func:`_half_period_entries`, for energies in [e_lo, e_hi].
+
+    With s = strength sn^2 at the Gauss nodes 1/2 -+ sqrt(15)/10 and 1/2 of a
+    step h, p = (sqrt(15) h/3)(s3 - s1) and r = (10 h/3)(s3 - 2 s2 + s1), the
+    step exponent is [[w_H, h U], [w_L, -w_H]] with (w_H, h w_L) = A + B E.
+    Blocks of 64 steps are added while a step phase may pass 1."""
+    steps = _step_count(strength, K, e_lo, e_hi)
+    while True:
+        h = K / steps
+        s1, s2, s3 = (strength * jacobi(h * (np.arange(steps) + c), m).sn ** 2
+                      for c in (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)))
+        p = (math.sqrt(15.0) * h / 3.0) * (s3 - s1)
+        r = (10.0 * h / 3.0) * (s3 - 2.0 * s2 + s1)
+        hr, hp2 = h * r, (h * p) ** 2
+        slope = h * h * (1.0 + hr / 180.0 + hp2 / 3600.0)
+        nodes = (1.0 - hr / 180.0 + hp2 / 3600.0,
+                 np.stack(((h * p / 240.0) * (-20.0 + (4.0 / 3.0) * h * h * s2 + hr / 30.0),
+                           hr / 12.0 + (h * h / 120.0) * (r * r / 30.0 - p * p) + slope * s2)),
+                 np.stack(((-h**3 / 180.0) * p, -slope)))
+        if _series_degree(nodes, e_lo, e_hi) is not None:
+            return nodes
+        steps = _step_count(strength, K, e_lo, e_hi, steps + _BLOCKS)
 
 
-def _series_degree(nodes: tuple, e_lo: float, e_hi: float) -> int:
-    """The Taylor degree in x for energies in [e_lo, e_hi]; DomainError once sqrt|x| passes 1."""
-    strength, h2, x0 = nodes[:3]
-    x_max = max(abs(x0.max() - h2 * e_lo), abs(x0.min() - h2 * e_hi))
+def _series_degree(nodes: tuple, e_lo: float, e_hi: float) -> int | None:
+    """The Taylor degree in mu^2 for energies in [e_lo, e_hi], from a bound on
+    |mu^2| = |w_H^2 + w_U w_L| over the steps; None where a phase may pass 1."""
+    U, A, B = nodes
+    w_H, hw_L = np.maximum(np.abs(A + B * e_lo), np.abs(A + B * e_hi))
+    x_max = float(np.max(w_H * w_H + np.abs(U) * hw_L))
     if not x_max <= 1.0:
-        lo, hi = (x0.max() - 1.0) / h2, (x0.min() + 1.0) / h2
-        span = (f"energies in [{lo:.6g}, {hi:.6g}] only" if lo <= hi
-                else f"no energy at strength N(N+1)m = {strength!r}")
-        raise DomainError(
-            f"the {_HALF_STEPS}-step Magnus scan resolves {span} "
-            f"(step phase at most 1), got energies in [{e_lo!r}, {e_hi!r}]")
+        return None
     degree = 0
     while x_max ** (degree + 1) / math.factorial(2 * degree + 2) > _TRUNCATION:
         degree += 1
@@ -407,46 +437,45 @@ def _half_period_entries(energies: np.ndarray, nodes: tuple) -> np.ndarray:
 
     Returns (a, b, c, d) = (y1, y2/h, h y1', y2') at z = K along a new
     first axis: the fundamental solutions y1, y2 at 0 in the variables
-    (y, h y'), h = K/1536.  The half period is crossed in 1536
-    fourth-order Magnus steps with two Gauss nodes each (Iserles,
-    Munthe-Kaas, Norsett & Zanna, *Acta Numerica* 2000).  The generator
-    of step k is traceless, so its exponential is cosh(mu) I + sinh(mu)/mu
-    Omega, with mu^2 = x = delta_k^2 + h^2 qbar_k - h^2 E affine in E.
-    One Taylor polynomial in x, by Horner's rule, serves bands (x < 0)
-    and gaps (x > 0) alike; its degree is set by the largest |x|.
+    (y, h y'), h = K/steps.  The half period is crossed in sixth-order
+    Magnus steps with three Gauss nodes each (Blanes, Casas & Ros, *BIT* 40,
+    2000; Iserles, Munthe-Kaas, Norsett & Zanna, *Acta Numerica* 2000).  The
+    generator Omega of a step is traceless, so its exponential is cosh(mu) I
+    + sinh(mu)/mu Omega, with mu^2 = w_H^2 + w_U w_L a convex quadratic in
+    E.  One Taylor polynomial in mu^2, by Horner's rule, serves bands and
+    gaps alike; its degree is set by a bound on |mu^2| over the energies.
 
-    The steps form 64 blocks of 24 that advance side by side on (block,
-    energy) arrays, 256 energies at a time, before the block propagators
-    are multiplied pairwise: the Python loop turns 24 + 6 times per 256
-    energies instead of 1536 times.  Every step phase sqrt|x| must stay
-    at most 1, which holds for |E| up to about (1536 / K)^2, 6.9e5 at
-    m = 1/2; other energies, and non-finite ones, raise DomainError
-    naming the range.  Past a strength of about 2 (1536 / K)^2, 1.4e6
-    at m = 1/2, no energy qualifies, and the error names the strength.
-    Entries that grow out of the float range, as they can where every
-    step phase is near 1, raise DomainError too.
+    The steps form 64 blocks that advance side by side on (block, energy)
+    arrays, 256 energies at a time, before the block propagators are
+    multiplied pairwise.  Energies past those ``nodes`` were sized for, and
+    entries that grow out of the float range, raise DomainError.
     """
     E = np.asarray(energies, float)
     flat = E.ravel()
     if flat.size == 0:
         return np.empty((4,) + E.shape)
     degree = _series_degree(nodes, float(flat.min()), float(flat.max()))
-    _, h2, x0, delta, delta_sq = nodes
+    if degree is None:
+        raise DomainError("energies past those the Magnus steps were sized for")
 
     # Step k = (block, j) as column vectors that broadcast over energies.
-    shape = (_BLOCKS, _HALF_STEPS // _BLOCKS, 1)
-    x0, delta, delta_sq = x0.reshape(shape), delta.reshape(shape), delta_sq.reshape(shape)
+    shape = (_BLOCKS, nodes[0].size // _BLOCKS, 1)
+    U, A, B = (v.reshape(v.shape[:-1] + shape) for v in nodes)
     entries = np.empty((4, flat.size))
     for start in range(0, flat.size, _CHUNK):
-        e2 = h2 * flat[start:start + _CHUNK]
-        size = (_BLOCKS, e2.size)
-        # Block propagators [[a, b], [c, d]] in the variables (y, h y'),
-        # in which the step is [[ch - delta s, s], [(x - delta^2) s, ch +
-        # delta s]]; the conjugation by diag(1, h) leaves ad + bc alone.
+        e = flat[start:start + _CHUNK]
+        size = (_BLOCKS, e.size)
+        # Block propagators [[a, b], [c, d]] in the variables (y, h y'), in
+        # which the step is [[ch + w_H s, U s], [h w_L s, ch - w_H s]].
         a, b, c, d = np.ones(size), np.zeros(size), np.zeros(size), np.ones(size)
-        x, ch, s, ea, ec, tmp = (np.empty(size) for _ in range(6))
+        x, ch, s, tmp = (np.empty(size) for _ in range(4))
+        w, v = wv = np.empty((2,) + size)  # w_H and h w_L
         for j in range(shape[1]):
-            np.subtract(x0[:, j], e2, out=x)
+            np.multiply(B[..., j, :], e, out=wv)
+            wv += A[..., j, :]
+            np.multiply(U[:, j], v, out=x)
+            np.multiply(w, w, out=tmp)
+            x += tmp
             ch.fill(_COSH[degree])
             s.fill(_SINHC[degree])
             for n in range(degree - 1, -1, -1):
@@ -454,24 +483,24 @@ def _half_period_entries(energies: np.ndarray, nodes: tuple) -> np.ndarray:
                 ch += _COSH[n]
                 s *= x
                 s += _SINHC[n]
-            np.multiply(delta[:, j], s, out=tmp)
-            np.subtract(ch, tmp, out=ea)
-            ch += tmp
-            np.subtract(x, delta_sq[:, j], out=ec)
-            ec *= s
+            w *= s
+            v *= s
+            np.add(ch, w, out=tmp)
+            ch -= w
+            s *= U[:, j]
             for top, bottom in ((a, c), (b, d)):  # each column, in place
-                np.multiply(s, bottom, out=tmp)
+                np.multiply(s, bottom, out=x)
                 bottom *= ch
-                np.multiply(ec, top, out=x)
-                bottom += x
-                top *= ea
-                top += tmp
+                np.multiply(v, top, out=w)
+                bottom += w
+                top *= tmp
+                top += x
         while a.shape[0] > 1:  # later blocks multiply from the left
             a, b, c, d = (a[1::2] * a[::2] + b[1::2] * c[::2],
                           a[1::2] * b[::2] + b[1::2] * d[::2],
                           c[1::2] * a[::2] + d[1::2] * c[::2],
                           c[1::2] * b[::2] + d[1::2] * d[::2])
-        entries[:, start:start + e2.size] = a[0], b[0], c[0], d[0]
+        entries[:, start:start + e.size] = a[0], b[0], c[0], d[0]
     return finite(entries, "the half-period entries leave the float range").reshape(
         (4,) + E.shape)
 
@@ -482,12 +511,16 @@ def floquet_traces(energies: np.ndarray, strength: float, K: float, m: float) ->
 
     sn^2 is even about K, so the trace is 2 (y1 y2' + y1' y2) at K (Magnus
     & Winkler, *Hill's Equation*, ch. 1), 2 (a d + b c) of the half-period
-    entries.  Matches the same scheme in 30-digit arithmetic to ~1e-13
-    max(1, |Tr|), and the adaptive oracle in :mod:`.hill` to ~1e-9.  The
-    ``band`` command takes kappa*l = acos(Tr / 2) from it only where
-    :func:`kappa_ell_extended` raises ResolutionError.
+    entries, its steps sized by :func:`_step_count`: DomainError for K
+    outside (0, 20] or |E| past about (2560 / K)^2, 1.9e6 at m = 1/2, and
+    for every E past twice that in strength.  Matches the same scheme in
+    30-digit arithmetic to ~1e-13 max(1, |Tr|), and the adaptive oracle in
+    :mod:`.hill` to ~1e-9.  The ``band`` command takes kappa*l = acos(Tr / 2)
+    from it only where :func:`kappa_ell_extended` raises ResolutionError.
     """
-    a, b, c, d = _half_period_entries(energies, _magnus_nodes(strength, K, m))
+    E = np.asarray(energies, float)
+    e_lo, e_hi = (float(E.min()), float(E.max())) if E.size else (0.0, 0.0)
+    a, b, c, d = _half_period_entries(E, _magnus_nodes(strength, K, m, e_lo, e_hi))
     return finite(2.0 * (a * d + b * c), "the Floquet trace leaves the float range")
 
 
@@ -554,13 +587,11 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapI
     halved and the scan repeated, at most 6 times, before ResolutionError.
 
     The sorted zeros are the bottom of the spectrum and then the edges of
-    each gap in pairs, closed gaps included.  A pair closer than 1e-12
-    max(1, E) (2K/pi)^4 is closed; the factor, h^4 relative to m = 0,
-    covers the Magnus splitting of closed gaps as the step h = K/1536 grows.
-    Fewer than N open gaps raise ResolutionError, more NumericalError.
-    DomainError means E_max is not positive, past the energies the scan
-    resolves, past a first scan of 2^15 energies (E_max about 655, a second
-    or so), or inside a forbidden region.  Nothing here uses
+    each gap in pairs, closed gaps included; a pair closer than 1e-12
+    max(1, E) is closed.  Fewer than N open gaps raise ResolutionError, more
+    NumericalError.  DomainError means E_max is not positive, past the
+    energies the scan resolves in 2560 steps, past a first scan of 2^15
+    energies (E_max about 655, a second or so), or inside a forbidden region.  Nothing here uses
     :func:`band_edges`.  Gaps come back in energy order, and the order is
     the label: the i-th gap sits at the extended-zone edge kappa*l = i*pi
     (by continuity from the free limit; an annotation, not checked).
@@ -574,21 +605,20 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapI
     E_max = float((N + 1) ** 2 + 1 if E_max is None else E_max)
     if not E_max > 0.0:
         raise DomainError(f"E_max must be positive, got {E_max!r}")
-    resolution = _CLOSED * (2.0 * lat.K / math.pi) ** 4
-
-    nodes = _magnus_nodes(N * (N + 1) * m, lat.K, m)
-    _series_degree(nodes, 0.0, E_max)  # an unresolved E_max fails before the grid
+    strength = N * (N + 1) * m
+    _step_count(strength, lat.K, 0.0, E_max)  # an unresolved E_max fails before the grid
     step, count = _SCAN_STEP, math.ceil(E_max / _SCAN_STEP) + 1
     if count > _SCAN_CEILING:
         raise DomainError(f"E_max = {E_max!r} takes a scan of {count} energies, past the "
                           f"ceiling of {_SCAN_CEILING}")
+    nodes = _magnus_nodes(strength, lat.K, m, 0.0, E_max)
     for _ in range(_RESCANS + 1):
         energies = np.linspace(0.0, E_max, int(math.ceil(E_max / step)) + 1)
         values = _half_period_entries(energies, nodes)
         entry, i = np.nonzero((values[:, 1:] > 0.0) != (values[:, :-1] > 0.0))
         zeros = _refine(nodes, entry, energies[i], energies[i + 1],
                         values[entry, i], values[entry, i + 1])
-        fault = _interlacing_fault(zeros, entry, resolution)
+        fault = _interlacing_fault(zeros, entry, _CLOSED)
         if fault is None:
             break
         step /= 2.0
@@ -599,11 +629,11 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapI
     if zeros.size % 2 == 0:
         raise DomainError(f"forbidden region still open at E_max = {E_max!r}; raise E_max")
     gaps = [GapInterval(float(lo), float(hi)) for lo, hi in zip(zeros[1::2], zeros[2::2])
-            if hi - lo > resolution * max(1.0, hi)]
+            if hi - lo > _CLOSED * max(1.0, hi)]
     if len(gaps) < N:
         raise ResolutionError(
             f"found {len(gaps)} of {N} expected gaps below E_max = {E_max!r}, a gap "
-            f"narrower than {resolution:.3g} max(1, E) counting as closed")
+            f"narrower than {_CLOSED:.3g} max(1, E) counting as closed")
     if len(gaps) > N:
         raise NumericalError(f"found {len(gaps)} open gaps where {N} were expected")
     return gaps

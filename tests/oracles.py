@@ -220,36 +220,41 @@ def ode_hill_trace(q, period: float = 2.0 * math.pi) -> float:
     return float(sol.y[0, -1] + sol.y[3, -1])
 
 
-def mp_magnus_entries(E: float, strength: float, K: float, m: float,
-                      steps: int = 1536, dps: int = 30) -> tuple:
+def mp_magnus_entries(E: float, strength: float, K: float, m: float, steps: int,
+                      dps: int = 30) -> tuple:
     """Half-period entries of psi'' = (strength sn^2(z|m) - E) psi by the Magnus
     scheme of ``bands._half_period_entries``, in ``dps``-digit arithmetic.
 
-    Returns (y1, y2/h, h y1', y2') at z = K, h = K/steps, as the kernel
-    does but as ``dps``-digit mpf numbers: same ``steps`` steps on [0, K], same two Gauss nodes and the
-    same fourth-order exponent; only the step exponential (mpmath
-    cosh/sinh or cos/sin of sqrt|mu^2|) and the product run in extended
-    precision.  It checks the arithmetic of the float kernel, not its
-    discretisation, so the node values sn^2 come from the package's float
-    ``jacobi`` as they do in the kernel.
+    Returns (y1, y2/h, h y1', y2') at z = K, h = K/steps, as the kernel does
+    but as ``dps``-digit mpf numbers: the same ``steps`` steps on [0, K], the
+    same three Gauss nodes and the same sixth-order exponent, here built
+    from its commutators (Blanes, Casas & Ros, *BIT* 40, 2000) rather than
+    from the kernel's closed form; only the node values run in floats.  It
+    checks the arithmetic of the float kernel, not its discretisation, so
+    sn^2 comes from the package's float ``jacobi`` as it does in the kernel.
     """
     from kdvorbits.elliptic import jacobi
 
     h = K / steps
-    base = h * np.arange(steps)
-    offset = math.sqrt(3.0) / 6.0
-    sn_lo = jacobi(base + h * (0.5 - offset), m).sn
-    sn_hi = jacobi(base + h * (0.5 + offset), m).sn
+    sn = [jacobi(h * (np.arange(steps) + c), m).sn
+          for c in (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))]
     with mp.workdps(dps):
         E, h = mp.mpf(E), mp.mpf(K) / steps
-        comm = mp.sqrt(3) * h * h / 12
-        a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
-        for s_lo, s_hi in zip(sn_lo, sn_hi):
-            q_lo = mp.mpf(strength) * mp.mpf(s_lo) ** 2 - E
-            q_hi = mp.mpf(strength) * mp.mpf(s_hi) ** 2 - E
-            qbar = (q_lo + q_hi) / 2
-            delta = comm * (q_hi - q_lo)
-            musq = delta * delta + h * h * qbar
+
+        def comm(x, y):
+            return x * y - y * x
+
+        y = mp.eye(2)
+        for row in zip(*sn):
+            A1, A2, A3 = (mp.matrix([[0, 1], [mp.mpf(strength) * mp.mpf(s) ** 2 - E, 0]])
+                          for s in row)
+            a1 = h * A2
+            a2 = (mp.sqrt(15) * h / 3) * (A3 - A1)
+            a3 = (10 * h / 3) * (A3 - 2 * A2 + A1)
+            c1 = comm(a1, a2)
+            c2 = comm(a1, 2 * a3 + c1) / -60
+            omega = a1 + a3 / 12 + comm(-20 * a1 - a3 + c1, a2 + c2) / 240
+            musq = -(omega[0, 0] * omega[1, 1] - omega[0, 1] * omega[1, 0])  # Omega^2 = mu^2 I
             root = mp.sqrt(abs(musq))
             if musq > 0:
                 ch, s = mp.cosh(root), mp.sinh(root) / root
@@ -257,13 +262,12 @@ def mp_magnus_entries(E: float, strength: float, K: float, m: float,
                 ch, s = mp.cos(root), mp.sin(root) / root
             else:
                 ch, s = mp.mpf(1), mp.mpf(1)
-            ea, eb, ec, ed = ch - delta * s, h * s, h * qbar * s, ch + delta * s
-            a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
-        return a, b / h, c * h, d
+            y = (ch * mp.eye(2) + s * omega) * y
+        return y[0, 0], y[0, 1] / h, y[1, 0] * h, y[1, 1]
 
 
-def mp_magnus_trace(E: float, strength: float, K: float, m: float,
-                    steps: int = 1536, dps: int = 30) -> float:
+def mp_magnus_trace(E: float, strength: float, K: float, m: float, steps: int,
+                    dps: int = 30) -> float:
     """Floquet trace 2 (y1 y2' + y1' y2) at K of :func:`mp_magnus_entries`."""
     a, b, c, d = mp_magnus_entries(E, strength, K, m, steps, dps)
     with mp.workdps(dps):

@@ -401,11 +401,13 @@ class TestFloquetTraces:
                     edges[2] - 1e-6, edges[2] + 1e-6]
         scanned = self.scan(energies)
         strength, K = 12.0 * self.M, lattice(self.M).K
-        entries = _half_period_entries(np.array(energies), _magnus_nodes(strength, K, self.M))
+        nodes = _magnus_nodes(strength, K, self.M, min(energies), max(energies))
+        entries = _half_period_entries(np.array(energies), nodes)
+        steps = nodes[0].size
         for E, trace, entry in zip(energies, scanned, entries.T):
-            exact = oracles.mp_magnus_trace(E, strength, K, self.M)
+            exact = oracles.mp_magnus_trace(E, strength, K, self.M, steps)
             assert abs(trace - exact) <= 1e-12 * max(1.0, abs(exact)), E
-            exact = [float(x) for x in oracles.mp_magnus_entries(E, strength, K, self.M)]
+            exact = [float(x) for x in oracles.mp_magnus_entries(E, strength, K, self.M, steps)]
             scale = max(1.0, max(abs(x) for x in exact))
             assert_allclose(entry, exact, rtol=0.0, atol=1e-12 * scale, err_msg=str(E))
 
@@ -465,28 +467,29 @@ class TestNumericBandGaps:
         assert abs(batched - adaptive) < 1e-8
 
     @pytest.mark.parametrize("N, m", [(N, m) for N in range(1, 7)
-                                      for m in (0.05, 0.3, 0.6, 0.95)] + [(8, 0.3)])
+                                      for m in (0.05, 0.3, 0.6, 0.95)]
+                             + [(8, 0.3), (3, 0.99999), (3, 1.0 - 1e-8)])
     def test_every_edge_matches_the_ince_blocks(self, N, m):
-        # down to gaps 2.8e-10 wide, at (6, 0.05), and bands 4.6e-5 wide
+        # down to gaps 2.8e-10 wide, at (6, 0.05), and bands 4.6e-5 wide; at
+        # K = 7.1 and 10.6 the m -> 1 cases take 960 and 1408 steps
         gaps = numeric_band_gaps(N, m)
         assert len(gaps) == N
         assert_allclose([e for gap in gaps for e in gap], band_edges(m, N)[1:],
-                        rtol=0.0, atol=1e-10)
+                        rtol=0.0, atol=1e-12)
 
-    # float.hex edges recorded while every bracket was still refined by
-    # twelve rounds of 16-way multisection on the entries' signs alone
+    # float.hex edges of the sixth-order scheme, each within 1.4e-14 of band_edges
     @pytest.mark.parametrize("N, m, edges", [
-        (2, 0.5, ["0x1.800000000017cp+0", "0x1.8000000000014p+1",
-                  "0x1.200000000001ap+2", "0x1.2ed9eba161354p+2"]),
-        (3, 0.95, ["0x1.763fc3a3f98a0p+1", "0x1.f2960c4c932ebp+2",
-                   "0x1.f33333333404ap+2", "0x1.5270700713a32p+3",
-                   "0x1.5c09a8b09c08ap+3", "0x1.76b4f9d9b6e7ep+3"]),
-        (6, 0.05, ["0x1.79198ff6c8f36p+0", "0x1.42749bf40b2eep+1",
-                   "0x1.3be0c19d0b976p+2", "0x1.443bd8bfff0bap+2",
-                   "0x1.3b0d0a8a3d71ep+3", "0x1.3b2caec3877e8p+3",
-                   "0x1.0a98beae35822p+4", "0x1.0a98ea1f85716p+4",
-                   "0x1.96e7e1bb74b8ap+4", "0x1.96e7e1ec87a80p+4",
-                   "0x1.2137887543cc6p+5", "0x1.213788754d77ep+5"]),
+        (2, 0.5, ["0x1.8000000000000p+0", "0x1.7ffffffffffffp+1",
+                  "0x1.2000000000000p+2", "0x1.2ed9eba16132cp+2"]),
+        (3, 0.95, ["0x1.763fc3a3f734ep+1", "0x1.f2960c4c925e8p+2",
+                   "0x1.f33333333332dp+2", "0x1.527070071374fp+3",
+                   "0x1.5c09a8b09bccap+3", "0x1.76b4f9d9b6d09p+3"]),
+        (6, 0.05, ["0x1.79198ff6c8eaep+0", "0x1.42749bf40b2f2p+1",
+                   "0x1.3be0c19d0b968p+2", "0x1.443bd8bfff0b7p+2",
+                   "0x1.3b0d0a8a3d718p+3", "0x1.3b2caec3877e8p+3",
+                   "0x1.0a98beae3581ep+4", "0x1.0a98ea1f85713p+4",
+                   "0x1.96e7e1bb74b89p+4", "0x1.96e7e1ec87a79p+4",
+                   "0x1.2137887543cc4p+5", "0x1.213788754d77cp+5"]),
     ])
     def test_edges_are_pinned_to_a_few_ulp(self, N, m, edges):
         found = np.array([e for gap in numeric_band_gaps(N, m) for e in gap])
@@ -568,7 +571,7 @@ class TestNumericBandGaps:
         assert time.perf_counter() - start < 0.1
 
     def test_strength_past_every_resolved_energy_is_named(self):
-        # at N(N+1)m past about 2 (1536 / K)^2 the lower end of the resolved
+        # at N(N+1)m past about 2 (2560 / K)^2 the lower end of the resolved
         # range passes the upper one; no E_max can help, so the error says
         # that instead of printing a backwards range
         with pytest.raises(DomainError) as info:

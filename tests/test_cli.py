@@ -457,16 +457,16 @@ class TestBand:
     def test_unresolved_bands_print_the_magnus_bytes(self, capsys):
         # At m = 1 - 1e-6 the lowest bands are narrower than band_edges
         # resolves, so kappa_ell comes from the Magnus trace.  The digest is
-        # of the bytes printed before the abelian route, with numpy's AVX-512
-        # loops off: kappa_ell = math.acos(Tr / 2) is what np.arccos gives
-        # there, while the Magnus nodes still take np.arcsin (ROADMAP item 10).
+        # of the sixth-order scheme's bytes, with numpy's AVX-512 loops off:
+        # kappa_ell = math.acos(Tr / 2) is what np.arccos gives there, while
+        # the Magnus nodes still take np.arcsin (ROADMAP item 10).
         argv = ("band", "--N", "3", "--m", "0.999999", "--E-max", "20", "--samples", "64")
         env = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
         proc = subprocess.run([sys.executable, "-m", "kdvorbits.cli", *argv], capture_output=True,
                               text=True, env={**os.environ, **(env if _avx512_dispatch() else {})})
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-            "94f91e7f6f3a5f3207caa16f29bd191c030717f22ca26a9ae5dafcb763dcbfa7")
+            "08cce0f6838c5c02647205d44cf283de620f91e07516d638726e2f4450bfe4bc")
         _, out, _ = run_cli(capsys, *argv)
         assert [row[::2] + row[3:] for row in parse_csv(out)[1]] == [
             row[::2] + row[3:] for row in parse_csv(proc.stdout)[1]]
@@ -507,14 +507,15 @@ class TestBand:
         assert "resolves energies in" in report["message"]
 
     def test_strength_beyond_the_scan_resolution(self, capsys):
-        code, out, err = run_cli(capsys, "band", "--m", 0.5, "--N", 2000,
+        # past about twice (2560 / K)^2 no energy is resolved at the ceiling
+        code, out, err = run_cli(capsys, "band", "--m", 0.5, "--N", 3000,
                                  "--E-max", 5.0)
         assert code == 2 and out == ""
         report = json.loads(err)
         assert report["error"] == "DomainError"
         assert report["message"].startswith(
-            "the 1536-step Magnus scan resolves no energy at strength "
-            "N(N+1)m = 2001000.0 ")
+            "the Magnus scan of at most 2560 steps resolves no energy at strength "
+            "N(N+1)m = 4501500.0 ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -305,15 +305,18 @@ class TestHill:
 
 class TestBands:
     # N, n and the energy lists are kept small so that every drawn call is short.
-    # The examples: a strength whose squares overflowed in the Magnus nodes; an
-    # energy the scan resolves whose 1536 steps grow past the float range, and one
-    # whose entries stay finite but whose trace does not; an energy scale whose
-    # hbar^2 overflowed, and one divided by a zero mass; energies whose abelian
-    # integral overflows, and m = 1 - 1e-8, whose lowest band is 0 wide in floats
+    # The examples: a strength whose squares overflowed in the Magnus nodes; K = 0
+    # and K = 1e308, refused before their steps are allocated; an energy the scan
+    # resolves whose steps grow past the float range, and one whose entries stay
+    # finite but whose trace does not; an energy scale whose hbar^2 overflowed,
+    # and one divided by a zero mass; energies whose abelian integral overflows,
+    # and m = 1 - 1e-8, whose lowest band is 0 wide in floats
     @given(m=PARAMETER, E=FINITE, c=FINITE, N=st.integers(-1, 12), n=st.integers(-1, 32),
            energies=st.lists(FINITE, max_size=3), strength=FINITE,
            K=st.one_of(st.floats(0.5, 20.0), FINITE), scale=st.one_of(st.none(), FINITE))
     @example(m=0.0, E=1.0, c=1.0, N=1, n=8, energies=[], strength=1e308, K=1.0, scale=None)
+    @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[], strength=3.0, K=0.0, scale=None)
+    @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[1.0], strength=3.0, K=1e308, scale=None)
     @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[-6.8e5], strength=3.0,
              K=1.8540746773013719, scale=None)
     @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[-1e5], strength=3.0,
