@@ -148,6 +148,14 @@ def crystal_momentum(E: float, m: float) -> BandPoint:
     return BandPoint(E, folded, kappa, im != 0.0)
 
 
+def _lame_index(N) -> int:
+    """N as an int, DomainError outside [1, _N_MAX]."""
+    N = int(N)
+    if not 1 <= N <= _N_MAX:
+        raise DomainError(f"Lame index N must be an integer in [1, {_N_MAX}], got {N}")
+    return N
+
+
 def band_edges(m: float, N: int = 1) -> tuple[float, ...]:
     """The 2N + 1 band-edge energies of the Lame-N operator, in order.
 
@@ -170,9 +178,7 @@ def band_edges(m: float, N: int = 1) -> tuple[float, ...]:
     sqrt(u_r l_r+2) and solved densely by ``numpy.linalg.eigvalsh``: O(N^2)
     memory, so N is capped at 4096 (2049 rows, 34 MB, about 2.5 s).
     """
-    N = int(N)
-    if not 1 <= N <= _N_MAX:
-        raise DomainError(f"Lame index N must be an integer in [1, {_N_MAX}], got {N}")
+    N = _lame_index(N)
     m = float(m)
     if not 0.0 <= m < 1.0 or math.isnan(m):
         raise DomainError(f"band_edges requires 0 <= m < 1, got {m!r}")
@@ -252,7 +258,7 @@ def kappa_ell_extended(energies, m: float, N: int) -> np.ndarray:
     and where R(E) leaves the float range, ResolutionError leaves the answer
     to :func:`floquet_traces`.
     """
-    N = int(N)
+    N = _lame_index(N)
     if N > _ABELIAN_N_MAX:
         raise ResolutionError(f"the abelian integral takes N up to {_ABELIAN_N_MAX}, got {N}")
     K = lattice(m).K
@@ -309,9 +315,7 @@ def lame_profile(N: int, m: float, E: float, c: float, n: int = 512) -> Profile:
     for higher N it is the input on which the adaptive Floquet oracle
     in :mod:`.hill` checks :func:`band_edges`.
     """
-    N = int(N)
-    if N < 1:
-        raise DomainError(f"Lame index N must be a positive integer, got {N}")
+    N = _lame_index(N)
     lat = lattice(m)
     E = float(E)
     amp = c * lat.K * lat.K / (6.0 * math.pi**2)
@@ -596,9 +600,7 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapI
     the label: the i-th gap sits at the extended-zone edge kappa*l = i*pi
     (by continuity from the free limit; an annotation, not checked).
     """
-    N = int(N)
-    if N < 1:
-        raise DomainError(f"Lame index N must be a positive integer, got {N}")
+    N = _lame_index(N)
     lat = lattice(m)
     if lat.m == 0.0:
         raise DomainError("all gaps close at m = 0; there is nothing to scan")

@@ -196,8 +196,6 @@ def _band_rows_scanned(energies, N: int, m: float) -> list:
 
 
 def _cmd_band(args) -> str:
-    if args.N < 1:
-        raise DomainError(f"Lame index N must be >= 1, got {args.N}")
     if not args.E_max > 0.0:
         raise DomainError(f"E_max must be positive, got {args.E_max!r}")
     energies = _axis(0.0, args.E_max, args.samples, "E")

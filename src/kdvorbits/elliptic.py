@@ -6,14 +6,13 @@ shoaling) is built on the primitives in this module:
 * ``ellint_K`` / ``ellint_E`` -- complete elliptic integrals via the
   arithmetic-geometric mean, and ``ellint_F_zeta`` -- Legendre's F and Jacobi's
   zeta at the amplitude phi = atan(y / x), by descending Landen on the same chain,
-* ``jacobi`` -- real-argument sn/cn/dn by the descending Landen (AGM
-  amplitude) recursion, for the profile samplers.
+* ``jacobi`` -- real-argument sn/cn/dn by Bulirsch's ascent on the same
+  chain, for the profile samplers.
 
-Each recurrence (the AGM chain, the Landen steps of F and Z, the descent of
+Each recurrence (the AGM chain, the Landen steps of F and Z, the ascent of
 sn/cn/dn) is written once, in numpy's names, run through ``math`` on a float and
-as one masked numpy pass on an array.  An array element of ``ellint_KE``,
-``ellint_differences`` or ``ellint_F_zeta`` is its float call bit for bit; one of
-``jacobi`` is within a few ulp (numpy's ``arcsin`` is not always ``math``'s).
+as one masked numpy pass on an array.  An array element of any of them is its
+float call bit for bit.
 
 Throughout the package the *parameter* convention is used: ``m`` is the
 squared elliptic modulus, so ``sn(u, m) -> sin(u)`` as ``m -> 0`` and
@@ -87,11 +86,10 @@ def _distinct(f, a, b):
 ARRAY = SimpleNamespace(
     select=lambda cond, new, old: [np.where(cond, a, b) for a, b in zip(new, old)],
     choose=lambda index, rows: tuple(np.choose(index, column) for column in zip(*rows)),
-    where=np.where, sqrt=np.sqrt, sin=np.sin, cos=np.cos, arcsin=np.arcsin, clip=np.clip,
-    round=np.round, floor=np.floor, ldexp=np.ldexp, copysign=np.copysign, any=np.any,
-    all=np.all, isnan=np.isnan, nextafter=np.nextafter, minimum=np.minimum,
-    maximum=np.maximum, ones_like=np.ones_like, zeros_like=np.zeros_like,
-    atan2=_per_element(math.atan2), hypot=_per_element(math.hypot),
+    where=np.where, sqrt=np.sqrt, sin=np.sin, cos=np.cos, round=np.round, floor=np.floor,
+    ldexp=np.ldexp, copysign=np.copysign, any=np.any, all=np.all, isnan=np.isnan,
+    nextafter=np.nextafter, minimum=np.minimum, maximum=np.maximum, ones_like=np.ones_like,
+    zeros_like=np.zeros_like, atan2=_per_element(math.atan2), hypot=_per_element(math.hypot),
     each=lambda f, x: _per_element(f)(x), distinct=_distinct, errstate=np.errstate,
     first_failing=lambda ok, *values: [float(v.flat[np.argmin(ok)]) for v in values],
     cosh=lambda x, where: np.piecewise(x, [where], [lambda x: list(map(_cosh, x.tolist()))]),
@@ -100,13 +98,12 @@ ARRAY = SimpleNamespace(
 FLOAT = SimpleNamespace(
     select=lambda cond, x, y: x if cond else y, where=lambda cond, x, y: x if cond else y,
     choose=lambda index, rows: rows[index], sqrt=math.sqrt, sin=math.sin, cos=math.cos,
-    arcsin=math.asin, round=round, floor=math.floor, clip=lambda x, lo, hi: min(hi, max(lo, x)),
-    ldexp=math.ldexp, copysign=math.copysign, any=bool, all=bool, isnan=math.isnan,
-    nextafter=math.nextafter, minimum=min, maximum=max, ones_like=lambda x: 1.0,
-    zeros_like=lambda x: 0.0, atan2=math.atan2, hypot=math.hypot, each=lambda f, x: f(x),
-    complex=complex, ulp=math.ulp, cosh=lambda x, where=True: _cosh(x) if where else 0.0,
-    distinct=lambda f, a, b: f(a, b), first_failing=lambda ok, *values: values,
-    errstate=lambda **_: nullcontext())
+    round=round, floor=math.floor, ldexp=math.ldexp, copysign=math.copysign, any=bool,
+    all=bool, isnan=math.isnan, nextafter=math.nextafter, minimum=min, maximum=max,
+    ones_like=lambda x: 1.0, zeros_like=lambda x: 0.0, atan2=math.atan2, hypot=math.hypot,
+    each=lambda f, x: f(x), complex=complex, ulp=math.ulp,
+    cosh=lambda x, where=True: _cosh(x) if where else 0.0, distinct=lambda f, a, b: f(a, b),
+    first_failing=lambda ok, *values: values, errstate=lambda **_: nullcontext())
 
 
 def route(*values):
@@ -303,20 +300,21 @@ def _landen(sin, cos, m, states, xp):
 
 
 # ---------------------------------------------------------------------------
-# Real-argument sn/cn/dn: descending Landen amplitude recursion.
+# Real-argument sn/cn/dn: Bulirsch's ascent on the AGM chain.
 # ---------------------------------------------------------------------------
 
 
 def jacobi(u, m: float) -> JacobiTriple:
     """Jacobi sn, cn, dn for real argument(s) ``u`` and parameter ``m``.
 
-    am(u|m) by the AGM/descending-Landen amplitude recursion on u reduced
-    modulo 4K (so sin() never sees a huge argument once amplified by 2^N):
-    phi_N = 2^N a_N u, then phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n))/2
-    ends at phi_0 = am u, with sn = sin(phi_0), cn = cos(phi_0) and
-    dn = sqrt(cn^2 + (1-m) sn^2), which is 1 - m sn^2 without its
-    cancellation near u = K as m -> 1.  |u| >= 2^53 4K, past which the
-    reduction is rounding noise, raises :class:`DomainError`.  Accepts
+    Bulirsch's ascent (``sncndn``, *Numer. Math.* 7 (1965) 78-90) on the AGM
+    chain, with v = a_N u = pi u / 2K in [-pi, pi] after reducing u modulo 4K:
+    from y = tan v / a_N and dn = 1, step n = N-1, ..., 0 takes y -> y / dn and
+    dn -> (1 + b_n a_n+1 y^2) / (1 + a_n a_n+1 y^2) on the old y; then cn =
+    +-1 / sqrt(1 + y^2), signed as cos v, and sn = y cn.  y is Bulirsch's 1/x,
+    so no u overflows y^2 (cos v never rounds to 0).  Only sin, cos, sqrt and
+    arithmetic, which numpy rounds as math does.  |u| >= 2^53 4K, past which
+    the reduction is rounding noise, raises :class:`DomainError`.  Accepts
     scalars or arrays, as :func:`route` decides; scalar in, floats out.
     """
     m = _check_parameter(m)
@@ -324,14 +322,16 @@ def jacobi(u, m: float) -> JacobiTriple:
     if m == 0.0:
         return JacobiTriple(xp.sin(u), xp.cos(u), xp.ones_like(u))
     chain = _float_agm(m)
-    a_last, n_last = chain[-1].a, len(chain) - 1
-    four_k = 2.0 * math.pi / a_last
+    a_next = chain[-1].a
+    four_k = 2.0 * math.pi / a_next
     if not xp.all(abs(u) < 2.0**53 * four_k):  # past it, u mod 4K is rounding noise
         raise DomainError(f"cannot reduce u modulo 4K = {four_k!r}: |u| reaches "
                           f"{float(np.max(np.abs(u)))!r}")
-    u = u - four_k * xp.round(u / four_k)
-    phi = xp.ldexp(a_last * u, n_last)
-    for _, a, _, c in reversed(chain[1:]):
-        phi = 0.5 * (phi + xp.arcsin(xp.clip((c / a) * xp.sin(phi), -1.0, 1.0)))
-    sn, cn = xp.sin(phi), xp.cos(phi)
-    return JacobiTriple(sn, cn, xp.sqrt(cn * cn + (1.0 - m) * sn * sn))
+    v = a_next * (u - four_k * xp.round(u / four_k))
+    cos = xp.cos(v)
+    y, dn = xp.sin(v) / (a_next * cos), xp.ones_like(v)
+    for _, a, b, _ in reversed(chain[:-1]):
+        w = a_next * y * y
+        y, dn, a_next = y / dn, (1.0 + b * w) / (1.0 + a * w), a
+    cn = xp.copysign(1.0 / xp.sqrt(1.0 + y * y), cos)
+    return JacobiTriple(y * cn, cn, dn)

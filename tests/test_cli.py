@@ -51,6 +51,107 @@ def parse_csv(text):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def write_bed(tmp_path, depths):
+    bed = tmp_path / "bed.csv"
+    lines = ["X,h"] + ["%.17g,%.17g" % (50.0 * i, h) for i, h in enumerate(depths)]
+    bed.write_text("\n".join(lines) + "\n")
+    return bed
+
+
+def uneven_bed(tmp_path, top, bottom, n):
+    # n stations from top h* to bottom h* with uneven steps
+    h_star = critical_depth(T_SEA, F_SEA, RHO_SEA, G_SEA)
+    depths = [top * h_star * (bottom / top) ** ((i + 0.3 * math.sin(i)) / (n - 1))
+              for i in range(n)]
+    return write_bed(tmp_path, depths)
+
+
+def shoal_args(bed):
+    return ("shoal", "--bathymetry", bed, "--T", T_SEA, "--F", F_SEA,
+            "--rho", RHO_SEA, "--g", G_SEA)
+
+
+# Pinned bytes: the argvs whose stdout a test pins by its sha256, and the digests.
+#
+# Diagram digests recorded when diagram still called orbit_data once per cell.
+# The first grid steps m by 1/16 from 0 and V by 1/48, so every row has cells on
+# its corners e1, e2 and e3 (the double corner at m = 0), and it covers all four
+# regions; the second reaches |V| = 1e6, where the cosh traces are inf.
+DIAGRAM_PINNED = [
+    (("--m-range", 0, 0.9375, "--V-range", -3, 3, "--grid", 16, 289),
+     "11c70cfc986116d4e3838d317dc86da1f9bee9fee7b58d6d817e17fba280c42e"),
+    (("--m-range", 0, 0.99, "--V-range", -1e6, 1e6, "--grid", 12, 41, "--json"),
+     "e6f8418d416cda4bcffddde9cac7d5bfe92d52279458ef8027b43ea2e1de0a16"),
+]
+# Level-curve digests recorded when level-curve still solved one m per call: both
+# regions, the corner levels -1/24, 0 and 1e-40, the m = 0 closed form, m up to
+# 1 - 1e-7, and the band split by its two snap bands at the end.
+_M_UP_TO = ("--m-min", 0, "--m-max", 0.9999999)
+LEVEL_CURVE_PINNED = [
+    (("--kc", -1.0 / 24.0, "--region", "below_wedge", "--m-samples", 9, *_M_UP_TO),
+     "fa92337bd03c1a7642e6a0c548343c131237c62302882cbda1c06fadd2c5a2f4"),
+    (("--kc", -1.0 / 24.0, "--region", "above_wedge", "--m-samples", 9, *_M_UP_TO),
+     "811f8392746bcd0ea3457c38241bd5c2233deac80a6a2e1c483b351a8ad46f41"),
+    (("--kc", 0, "--region", "above_wedge", "--m-samples", 9, *_M_UP_TO),
+     "9c9eccd74e2a2be4e55d18791b0fa123c2a1a4862dd2f1def03ee57d6ed283f3"),
+    (("--kc", 1e-40, "--region", "above_wedge", "--m-samples", 9, *_M_UP_TO),
+     "9c9eccd74e2a2be4e55d18791b0fa123c2a1a4862dd2f1def03ee57d6ed283f3"),
+    (("--kc", -0.3, "--region", "below_wedge", "--m-samples", 64, *_M_UP_TO),
+     "4f11078a6b49cc226a3e6bbcafa0dde3e3b240e43bfd2543fe7b263ce692a930"),
+    (("--kc", -12.5, "--region", "below_wedge", "--m-samples", 33, *_M_UP_TO),
+     "a32d5b6a766386ecf5b8995dbafa1578a932b5f6c0c8fe8305542e3da15296ca"),
+    (("--kc", 0.2, "--region", "above_wedge", "--m-samples", 64, *_M_UP_TO),
+     "3dd372fe7a979f61b060a6675a84137aa269adf37525ed103b5e67d27fe0fe55"),
+    (("--kc", -0.03, "--region", "above_wedge", "--m-samples", 64, "--json", *_M_UP_TO),
+     "79e3c03170e02ffb4bc943d38ef517be322a395f28966fc23bcb95447f64573f"),
+    (("--kc", -0.03, "--region", "above_wedge", "--m-samples", 9,
+      "--m-min", 0.99999999999, "--m-max", 0.9999999999999),
+     "b12f97d307ecb6ac7868f0f5bc7aa8c0142927b5a021c3bc5762cc910a376ea0"),
+]
+# Band digests of the benchmark's seed-7 band scan (2048 rows, CSV and JSON), the
+# narrow lowest band of N = 3 at m = 0.95 and the N = 2 grid through the edges
+# 1.5, 3 and 4.5, recorded when kappa_ell became the abelian integral (E, in_gap
+# and winding as when the rows were built one energy at a time), and of the N = 1
+# closed form (CSV and JSON).
+BAND_PINNED = [
+    (("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824",
+      "--samples", 2048),
+     "d665af9cff83ae39ad0cb700b22ef842c926fd225d072c4aa41d97d02cfabaee"),
+    (("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824",
+      "--samples", 2048, "--json"),
+     "fce69975608abb1ff77300e243ce20ac95899df8505df1d072a00bd4432a488c"),
+    (("--m", 0.95, "--N", 3, "--E-max", 13),
+     "4a616ccfc5b1c5b514dcec3460a7fb9ca38b10aa609e083ee9aced737acdb47a"),
+    (("--m", 0.5, "--N", 2, "--E-max", 6.0, "--samples", 121),
+     "2ea5eee57abad286505aa56bed655a32ddebc78e5a5fe20f9b906fb7ac13564c"),
+    (("--m", 0.6, "--E-max", 3.0, "--samples", 60),
+     "1c14be6c32f5ba34f7edcf172b28c9e6771614b6f8aea2be7e41e9d8fefbd61b"),
+    (("--m", 0.6, "--E-max", 3.0, "--samples", 60, "--json"),
+     "ae0275644ccd869524f50e3a346e135562d0bbc90d8ff1d68d3b3186f10aa188"),
+]
+# At m = 1 - 1e-6 the lowest bands are narrower than band_edges resolves, so
+# kappa_ell comes from the Magnus trace.
+MAGNUS_ARGV = ("band", "--N", "3", "--m", "0.999999", "--E-max", "20", "--samples", "64")
+# Shoal digests recorded while tables were still encoded by json.dumps: the beach
+# of TestShoal.test_json_bytes_are_pinned as CSV, and a deep beach whose
+# entry_index and crossing_depth are null.
+SHOAL_PINNED = [
+    (4.0, 0.4, 1001, (), "0dbd8ae26a04525c000d310355f2f6386b2ff70b8c9f93f997c13bc8b70afa11"),
+    (6.0, 1.2, 40, ("--json",), "3d1dfd96684f1acfc0e3145082ca47b2ee801854b077c9edf9d9db691c1bc3c5"),
+]
+PROFILE_ARGV = ("profile", "--m", 0.9, "--V", -0.5, "--c", -32, "--samples", 96, "--json")
+# Every pinned argv, the band scans first; a shoal beach (top, bottom, n) is
+# written as the bed of uneven_bed when the argv runs.
+PINNED_ARGVS = [
+    *(("band", *argv) for argv, _ in BAND_PINNED), MAGNUS_ARGV,
+    *(("diagram", *argv) for argv, _ in DIAGRAM_PINNED),
+    *(("level-curve", *argv) for argv, _ in LEVEL_CURVE_PINNED),
+    shoal_args((4.0, 0.4, 1001)) + ("--json",),
+    *(shoal_args((top, bottom, n)) + flags for top, bottom, n, flags, _ in SHOAL_PINNED),
+    PROFILE_ARGV,
+]
+
+
 class TestClassify:
     def test_wedge_point(self, capsys):
         code, out, err = run_cli(capsys, "classify", "--m", 0.5, "--V", -0.2)
@@ -145,18 +246,7 @@ class TestDiagram:
                          -1, 1, "--grid", 7, 7, "--json")
         assert first == second
 
-    # Digests recorded when diagram still called orbit_data once per cell.
-    # The first grid steps m by 1/16 from 0 and V by 1/48, so every row
-    # has cells on its corners e1, e2 and e3 (the double corner at m = 0),
-    # and it covers all four regions; the second reaches |V| = 1e6, where
-    # the cosh traces are inf.
-    @pytest.mark.parametrize("argv, digest", [
-        (("--m-range", 0, 0.9375, "--V-range", -3, 3, "--grid", 16, 289),
-         "11c70cfc986116d4e3838d317dc86da1f9bee9fee7b58d6d817e17fba280c42e"),
-        (("--m-range", 0, 0.99, "--V-range", -1e6, 1e6, "--grid", 12, 41,
-          "--json"),
-         "e6f8418d416cda4bcffddde9cac7d5bfe92d52279458ef8027b43ea2e1de0a16"),
-    ])
+    @pytest.mark.parametrize("argv, digest", DIAGRAM_PINNED)
     def test_bytes_are_pinned(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, "diagram", *argv)
         assert code == 0
@@ -238,33 +328,8 @@ class TestLevelCurve:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "DomainError"
 
-    # Digests recorded when level-curve still solved one m per call: both
-    # regions, the corner levels -1/24, 0 and 1e-40, the m = 0 closed form,
-    # m up to 1 - 1e-7, and the band split by its two snap bands at the end.
-    @pytest.mark.parametrize("argv, digest", [
-        (("--kc", -1.0 / 24.0, "--region", "below_wedge", "--m-samples", 9),
-         "fa92337bd03c1a7642e6a0c548343c131237c62302882cbda1c06fadd2c5a2f4"),
-        (("--kc", -1.0 / 24.0, "--region", "above_wedge", "--m-samples", 9),
-         "811f8392746bcd0ea3457c38241bd5c2233deac80a6a2e1c483b351a8ad46f41"),
-        (("--kc", 0, "--region", "above_wedge", "--m-samples", 9),
-         "9c9eccd74e2a2be4e55d18791b0fa123c2a1a4862dd2f1def03ee57d6ed283f3"),
-        (("--kc", 1e-40, "--region", "above_wedge", "--m-samples", 9),
-         "9c9eccd74e2a2be4e55d18791b0fa123c2a1a4862dd2f1def03ee57d6ed283f3"),
-        (("--kc", -0.3, "--region", "below_wedge", "--m-samples", 64),
-         "4f11078a6b49cc226a3e6bbcafa0dde3e3b240e43bfd2543fe7b263ce692a930"),
-        (("--kc", -12.5, "--region", "below_wedge", "--m-samples", 33),
-         "a32d5b6a766386ecf5b8995dbafa1578a932b5f6c0c8fe8305542e3da15296ca"),
-        (("--kc", 0.2, "--region", "above_wedge", "--m-samples", 64),
-         "3dd372fe7a979f61b060a6675a84137aa269adf37525ed103b5e67d27fe0fe55"),
-        (("--kc", -0.03, "--region", "above_wedge", "--m-samples", 64, "--json"),
-         "79e3c03170e02ffb4bc943d38ef517be322a395f28966fc23bcb95447f64573f"),
-        (("--kc", -0.03, "--region", "above_wedge", "--m-samples", 9,
-          "--m-min", 0.99999999999, "--m-max", 0.9999999999999),
-         "b12f97d307ecb6ac7868f0f5bc7aa8c0142927b5a021c3bc5762cc910a376ea0"),
-    ])
+    @pytest.mark.parametrize("argv, digest", LEVEL_CURVE_PINNED)
     def test_bytes_are_pinned(self, capsys, argv, digest):
-        if "--m-min" not in argv:
-            argv += ("--m-min", 0, "--m-max", 0.9999999)
         code, out, _ = run_cli(capsys, "level-curve", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -295,18 +360,6 @@ class TestLevelCurve:
         for row in rows:
             m, v = float(row[0]), float(row[1])
             assert abs(v - (2.0 - m) / 3.0) < 1e-15
-
-
-# band --N >= 2 argvs whose kappa_ell comes from the abelian integral: the
-# benchmark's seed-7 scan (CSV and JSON), N = 3 at m = 0.95 and N = 2 on a
-# grid through three band edges
-ABELIAN_ARGVS = [
-    ("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824", "--samples", 2048),
-    ("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824", "--samples", 2048,
-     "--json"),
-    ("--m", 0.95, "--N", 3, "--E-max", 13),
-    ("--m", 0.5, "--N", 2, "--E-max", 6.0, "--samples", 121),
-]
 
 
 def _avx512_dispatch() -> bool:
@@ -387,25 +440,7 @@ class TestBand:
             assert int(row[3]) == sum(lo < e for lo, _ in gaps), row
         assert judged == 512
 
-    # Digests of the benchmark's seed-7 band scan (2048 rows, CSV and JSON),
-    # the narrow lowest band of N = 3 at m = 0.95 and the N = 2 grid through
-    # the edges 1.5, 3 and 4.5, recorded when kappa_ell became the abelian
-    # integral (E, in_gap and winding as when the rows were built one energy
-    # at a time), and of the N = 1 closed form (CSV and JSON).
-    @pytest.mark.parametrize("argv, digest", [
-        (ABELIAN_ARGVS[0],
-         "d665af9cff83ae39ad0cb700b22ef842c926fd225d072c4aa41d97d02cfabaee"),
-        (ABELIAN_ARGVS[1],
-         "fce69975608abb1ff77300e243ce20ac95899df8505df1d072a00bd4432a488c"),
-        (ABELIAN_ARGVS[2],
-         "4a616ccfc5b1c5b514dcec3460a7fb9ca38b10aa609e083ee9aced737acdb47a"),
-        (ABELIAN_ARGVS[3],
-         "2ea5eee57abad286505aa56bed655a32ddebc78e5a5fe20f9b906fb7ac13564c"),
-        (("--m", 0.6, "--E-max", 3.0, "--samples", 60),
-         "1c14be6c32f5ba34f7edcf172b28c9e6771614b6f8aea2be7e41e9d8fefbd61b"),
-        (("--m", 0.6, "--E-max", 3.0, "--samples", 60, "--json"),
-         "ae0275644ccd869524f50e3a346e135562d0bbc90d8ff1d68d3b3186f10aa188"),
-    ])
+    @pytest.mark.parametrize("argv, digest", BAND_PINNED)
     def test_bytes_are_pinned(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, "band", *argv)
         assert code == 0
@@ -425,10 +460,11 @@ class TestBand:
         ("--m", "0.5", "--N", "0", "--E-max", "3"),
         ("--m", "0.5", "--E-max", "-1"),
         ("--m", "1.5", "--E-max", "3"),
+        ("--m", "0.5", "--N", str(10**200), "--E-max", "3"),
     ])
     def test_rejects_bad_arguments(self, capsys, flags):
-        code, _, err = run_cli(capsys, "band", *flags)
-        assert code == 2
+        code, out, err = run_cli(capsys, "band", *flags)
+        assert (code, out, err.count("\n")) == (2, "", 1)
         assert json.loads(err)["error"] == "DomainError"
 
     def test_edge_rows_read_zero_or_pi(self, capsys):
@@ -440,36 +476,29 @@ class TestBand:
         kappa = {float(row[0]): float(row[1]) for row in parse_csv(out)[1]}
         assert [kappa[E] for E in (1.5, 3.0, 4.5)] == [math.pi, math.pi, 0.0]
 
-    @pytest.mark.parametrize("argv", ABELIAN_ARGVS)
+    # Every pinned argv, not only band's: numpy's sin, cos, sqrt and arithmetic
+    # are the only ufuncs on a printed path that it dispatches (test_layering),
+    # and no BLAS kernel moves a printed value.
+    @pytest.mark.parametrize("argv", PINNED_ARGVS)
     @pytest.mark.parametrize("env", [
         {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
         {"OPENBLAS_CORETYPE": "Prescott"},
     ], ids=["without-avx512", "openblas-prescott"])
-    def test_bytes_do_not_depend_on_the_cpu_dispatch(self, capsys, argv, env):
-        # the abelian route takes no numpy transcendental and no BLAS kernel
+    def test_bytes_do_not_depend_on_the_cpu_dispatch(self, capsys, tmp_path, argv, env):
         if "NPY_DISABLE_CPU_FEATURES" in env and not _avx512_dispatch():
             pytest.skip("numpy dispatches no AVX-512 loop on this CPU")
-        _, out, _ = run_cli(capsys, "band", *argv)
-        proc = subprocess.run([sys.executable, "-m", "kdvorbits.cli", "band", *map(str, argv)],
+        argv = [str(uneven_bed(tmp_path, *a) if isinstance(a, tuple) else a) for a in argv]
+        _, out, _ = run_cli(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "kdvorbits.cli", *argv],
                               capture_output=True, text=True, env={**os.environ, **env})
         assert proc.returncode == 0 and proc.stdout == out
 
     def test_unresolved_bands_print_the_magnus_bytes(self, capsys):
-        # At m = 1 - 1e-6 the lowest bands are narrower than band_edges
-        # resolves, so kappa_ell comes from the Magnus trace.  The digest is
-        # of the sixth-order scheme's bytes, with numpy's AVX-512 loops off:
-        # kappa_ell = math.acos(Tr / 2) is what np.arccos gives there, while
-        # the Magnus nodes still take np.arcsin (ROADMAP item 10).
-        argv = ("band", "--N", "3", "--m", "0.999999", "--E-max", "20", "--samples", "64")
-        env = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
-        proc = subprocess.run([sys.executable, "-m", "kdvorbits.cli", *argv], capture_output=True,
-                              text=True, env={**os.environ, **(env if _avx512_dispatch() else {})})
-        assert proc.returncode == 0
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-            "08cce0f6838c5c02647205d44cf283de620f91e07516d638726e2f4450bfe4bc")
-        _, out, _ = run_cli(capsys, *argv)
-        assert [row[::2] + row[3:] for row in parse_csv(out)[1]] == [
-            row[::2] + row[3:] for row in parse_csv(proc.stdout)[1]]
+        # the sixth-order Magnus scheme's bytes, kappa_ell = math.acos(Tr / 2)
+        code, out, _ = run_cli(capsys, *MAGNUS_ARGV)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "872ea4bafbdeab076d8f5796bd3bd8a7d3638bf678f2f2f63945b81f8c27980e")
 
     def test_a_failed_band_check_falls_back_to_the_magnus_trace(self, capsys, monkeypatch):
         # one edge moved by 1e-6 where kappa_ell_extended reads them: the
@@ -535,25 +564,14 @@ def test_nonfinite_axis_end_is_refused(capsys, argv):
 
 
 class TestShoal:
-    def write_bed(self, tmp_path, depths):
-        bed = tmp_path / "bed.csv"
-        lines = ["X,h"] + ["%.17g,%.17g" % (50.0 * i, h)
-                           for i, h in enumerate(depths)]
-        bed.write_text("\n".join(lines) + "\n")
-        return bed
-
     def straddling_depths(self):
         h_star = critical_depth(T_SEA, F_SEA, RHO_SEA, G_SEA)
         return np.linspace(5.0, 0.6 * h_star, 7), h_star
 
-    def shoal_args(self, bed):
-        return ("shoal", "--bathymetry", bed, "--T", T_SEA, "--F", F_SEA,
-                "--rho", RHO_SEA, "--g", G_SEA)
-
     def test_path_schema_and_flags(self, capsys, tmp_path):
         depths, _ = self.straddling_depths()
-        bed = self.write_bed(tmp_path, depths)
-        code, out, _ = run_cli(capsys, *self.shoal_args(bed))
+        bed = write_bed(tmp_path, depths)
+        code, out, _ = run_cli(capsys, *shoal_args(bed))
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["X", "h", "lambda", "m", "V", "kc_real", "kc_imag",
@@ -568,32 +586,32 @@ class TestShoal:
 
     def test_crossing_depth_in_json(self, capsys, tmp_path):
         depths, h_star = self.straddling_depths()
-        bed = self.write_bed(tmp_path, depths)
-        code, out, _ = run_cli(capsys, *self.shoal_args(bed), "--json")
+        bed = write_bed(tmp_path, depths)
+        code, out, _ = run_cli(capsys, *shoal_args(bed), "--json")
         payload = json.loads(out)
         assert payload["entry_index"] is not None
         assert_allclose(payload["crossing_depth"], h_star, rtol=1e-15)
 
     def test_deep_path_reports_no_crossing(self, capsys, tmp_path):
-        bed = self.write_bed(tmp_path, [5.0, 4.8, 4.6])
-        _, out, _ = run_cli(capsys, *self.shoal_args(bed), "--json")
+        bed = write_bed(tmp_path, [5.0, 4.8, 4.6])
+        _, out, _ = run_cli(capsys, *shoal_args(bed), "--json")
         payload = json.loads(out)
         assert payload["entry_index"] is None
         assert payload["crossing_depth"] is None
 
     def test_rising_bed_rejected(self, capsys, tmp_path):
-        bed = self.write_bed(tmp_path, [4.0, 4.5])
-        code, _, err = run_cli(capsys, *self.shoal_args(bed))
+        bed = write_bed(tmp_path, [4.0, 4.5])
+        code, _, err = run_cli(capsys, *shoal_args(bed))
         assert code == 2
         assert json.loads(err)["error"] == "DomainError"
 
     def test_missing_file_rejected(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, *self.shoal_args(tmp_path / "no.csv"))
+        code, _, err = run_cli(capsys, *shoal_args(tmp_path / "no.csv"))
         assert code == 2
         assert "message" in json.loads(err)
 
     def test_overflowing_train_rejected(self, capsys, tmp_path):
-        bed = self.write_bed(tmp_path, [5.0, 4.0])
+        bed = write_bed(tmp_path, [5.0, 4.0])
         code, out, err = run_cli(capsys, "shoal", "--bathymetry", bed,
                                  "--T", "1e200", "--F", "1e4")
         assert (code, out, err.count("\n")) == (2, "", 1)
@@ -603,32 +621,15 @@ class TestShoal:
     def test_json_bytes_are_pinned(self, capsys, tmp_path):
         # 1001 stations from 4 h* to 0.4 h* with uneven steps; the digest was
         # recorded when m_from_depth still inverted one station per call
-        h_star = critical_depth(T_SEA, F_SEA, RHO_SEA, G_SEA)
-        depths = [4.0 * h_star * 0.1 ** ((i + 0.3 * math.sin(i)) / 1000.0)
-                  for i in range(1001)]
-        bed = self.write_bed(tmp_path, depths)
-        code, out, _ = run_cli(capsys, *self.shoal_args(bed), "--json")
+        code, out, _ = run_cli(capsys, *shoal_args(uneven_bed(tmp_path, 4.0, 0.4, 1001)), "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0e35c31a2f10f495a2085518a1e48a51290ae28ac590218b7108d4137e681ed3")
 
-    def uneven_bed(self, tmp_path, top, bottom, n):
-        # n stations from top h* to bottom h* with uneven steps
-        h_star = critical_depth(T_SEA, F_SEA, RHO_SEA, G_SEA)
-        depths = [top * h_star * (bottom / top) ** ((i + 0.3 * math.sin(i)) / (n - 1))
-                  for i in range(n)]
-        return self.write_bed(tmp_path, depths)
-
-    # Digests recorded while tables were still encoded by json.dumps: the
-    # beach of the test above as CSV, and a deep beach whose entry_index
-    # and crossing_depth are null.
-    @pytest.mark.parametrize("top, bottom, n, flags, digest", [
-        (4.0, 0.4, 1001, (), "0dbd8ae26a04525c000d310355f2f6386b2ff70b8c9f93f997c13bc8b70afa11"),
-        (6.0, 1.2, 40, ("--json",), "3d1dfd96684f1acfc0e3145082ca47b2ee801854b077c9edf9d9db691c1bc3c5"),
-    ])
+    @pytest.mark.parametrize("top, bottom, n, flags, digest", SHOAL_PINNED)
     def test_more_bytes_are_pinned(self, capsys, tmp_path, top, bottom, n, flags, digest):
-        bed = self.uneven_bed(tmp_path, top, bottom, n)
-        code, out, _ = run_cli(capsys, *self.shoal_args(bed), *flags)
+        bed = uneven_bed(tmp_path, top, bottom, n)
+        code, out, _ = run_cli(capsys, *shoal_args(bed), *flags)
         assert code == 0
         if "--json" in flags:
             payload = json.loads(out)
@@ -650,12 +651,11 @@ class TestProfile:
         assert_allclose(ps, expected.samples, rtol=1e-16)
 
     def test_json_bytes_are_pinned(self, capsys):
-        # recorded while tables were still encoded by json.dumps
-        code, out, _ = run_cli(capsys, "profile", "--m", 0.9, "--V", -0.5,
-                               "--c", -32, "--samples", 96, "--json")
+        # recorded when jacobi became Bulirsch's ascent
+        code, out, _ = run_cli(capsys, *PROFILE_ARGV)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "da0be5da89c68f6bbca5cf034419ce1de52cd079651f85e19f3bf95518470123")
+            "e22f0ee276531d9f678a9a321dd1079d96b5902c26009235630924599419fe37")
 
     @pytest.mark.parametrize("n", [0, 5000])
     def test_rejects_bad_sample_counts(self, capsys, n):

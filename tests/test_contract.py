@@ -304,6 +304,9 @@ class TestHill:
 
 
 class TestBands:
+    # Lame indices outside [1, 4096]; in the examples, 10^200, whose N(N+1) m overflowed
+    LAME_MISFITS = st.sampled_from([0, -1, 4097, 10**200])
+
     # N, n and the energy lists are kept small so that every drawn call is short.
     # The examples: a strength whose squares overflowed in the Magnus nodes; K = 0
     # and K = 1e308, refused before their steps are allocated; an energy the scan
@@ -311,8 +314,8 @@ class TestBands:
     # finite but whose trace does not; an energy scale whose hbar^2 overflowed,
     # and one divided by a zero mass; energies whose abelian integral overflows,
     # and m = 1 - 1e-8, whose lowest band is 0 wide in floats
-    @given(m=PARAMETER, E=FINITE, c=FINITE, N=st.integers(-1, 12), n=st.integers(-1, 32),
-           energies=st.lists(FINITE, max_size=3), strength=FINITE,
+    @given(m=PARAMETER, E=FINITE, c=FINITE, N=st.one_of(st.integers(-1, 12), LAME_MISFITS),
+           n=st.integers(-1, 32), energies=st.lists(FINITE, max_size=3), strength=FINITE,
            K=st.one_of(st.floats(0.5, 20.0), FINITE), scale=st.one_of(st.none(), FINITE))
     @example(m=0.0, E=1.0, c=1.0, N=1, n=8, energies=[], strength=1e308, K=1.0, scale=None)
     @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[], strength=3.0, K=0.0, scale=None)
@@ -327,6 +330,8 @@ class TestBands:
              K=1.0, scale=None)
     @example(m=1.0 - 1e-8, E=1.0, c=1.0, N=2, n=8, energies=[0.5, 2.0], strength=0.0, K=1.0,
              scale=None)
+    @example(m=0.5, E=1.0, c=1.0, N=10**200, n=8, energies=[1.0], strength=0.0, K=1.0,
+             scale=None)
     @settings(max_examples=300, deadline=None)
     def test_every_function(self, m, E, c, N, n, energies, strength, K, scale):
         _each_gets_the_contract(
@@ -339,9 +344,10 @@ class TestBands:
 
     # E_max within the default scan, past the energies the scan resolves (refused
     # before it starts), or not positive: a scan up to E_max = 1e5 takes minutes
-    @given(m=PARAMETER, N=st.integers(-1, 3),
+    @given(m=PARAMETER, N=st.one_of(st.integers(-1, 3), LAME_MISFITS),
            E_max=st.one_of(st.none(), st.floats(-1.0, 20.0), st.floats(1e6, 1e308),
                            st.floats(max_value=-1.0, allow_infinity=False)))
+    @example(m=0.5, N=10**200, E_max=None)
     @settings(max_examples=60, deadline=None)
     def test_numeric_band_gaps(self, m, N, E_max):
         _each_gets_the_contract(lambda: numeric_band_gaps(N, m, E_max))

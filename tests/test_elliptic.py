@@ -261,17 +261,32 @@ class TestJacobiReal:
             assert batch.dn[i] == single.dn
 
     def test_arrays_agree_with_floats_to_a_few_ulp(self):
-        # one descent serves both, but numpy's arcsin and sin are not always
-        # math's: an element can differ from its float call in the last bits,
-        # which the descent grows to about 2.7e-15 at most as m -> 1, |u| ~ 20
+        # the ascent takes sin, cos, sqrt and arithmetic only, which numpy
+        # rounds as math does: an array element is its float call bit for
+        # bit, so the few ulp once allowed here are now none
         rng = np.random.default_rng(3)
         us = rng.uniform(-30.0, 30.0, 400)
         ms = [0.0, 1e-9, 0.37, 0.5, 0.9, *(1.0 - np.geomspace(1e-9, 1e-2, 12)),
               *rng.uniform(0.0, 1.0 - 1e-9, 8)]
         for m in map(float, ms):
-            batch = np.array(jacobi(us, m))
-            single = np.array([tuple(jacobi(u, m)) for u in us.tolist()]).T
-            assert np.abs(batch - single).max() <= 4e-15, m
+            batch = jacobi(us, m)
+            single = [jacobi(u, m) for u in us.tolist()]
+            assert np.array(batch).T.tolist() == [list(t) for t in single], m
+
+    def test_found_point_near_m_one(self):
+        # the arcsin descent left dn 8.5e-11 off here
+        u, m = 24.740234191038034, 1.0 - 1e-13
+        with mp.workdps(40):
+            want = [float(mp.ellipfun(f, u, m=m)) for f in ("sn", "cn", "dn")]
+        assert_allclose(jacobi(u, m), want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1e-9, 0.5, 1.0 - 1e-13])
+    @pytest.mark.parametrize("u", [5e-324, 1e-300, 1e-160, -1e-170])
+    def test_tiny_arguments(self, u, m):
+        # Bulirsch's x = a_N cot v would square to inf here, and sn to nan
+        sn, cn, dn = jacobi(u, m)
+        assert abs(sn - u) <= 2.0 * math.ulp(u)
+        assert (cn, dn) == (1.0, 1.0)
 
     def test_scalar_returns_floats(self):
         out = jacobi(0.5, 0.5)

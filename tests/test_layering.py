@@ -176,11 +176,10 @@ def test_hill_reaches_the_closed_form_only_through_its_allow_list():
 
 # numpy's transcendental ufuncs round differently with and without its AVX-512
 # loops, so printed bytes that go through one depend on the CPU.  The uses
-# left are listed (ROADMAP item 10): elliptic's arcsin in the Jacobi descent,
-# hill's exp and virasoro's power.
+# left are listed (ROADMAP item 10): hill's exp and virasoro's power.
 TRANSCENDENTALS = {"arcsin", "arccos", "exp", "expm1", "log", "log1p", "cosh", "sinh",
                    "tanh", "arctan", "power"}
-TRANSCENDENTAL_USES = {"elliptic.py arcsin", "hill.py exp", "virasoro.py power"}
+TRANSCENDENTAL_USES = {"hill.py exp", "virasoro.py power"}
 
 
 def test_numpy_transcendentals_only_where_listed():
