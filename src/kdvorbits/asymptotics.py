@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from typing import NamedTuple
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, shown
 from .weierstrass import BOUNDARY_TOL, lattice
 
 __all__ = [
@@ -80,8 +81,8 @@ def exceptional_V_asymptote(n: int, m: float) -> Approximation:
     approximation degrades as m -> 1, where K blows up.
     """
     n = int(n)
-    if n < 1:
-        raise DomainError(f"winding index must be a positive integer, got {n}")
+    if not 1 <= n <= sys.float_info.max:
+        raise DomainError(f"index n must be a positive float-range integer, got {shown(n)}")
     lat = lattice(m)
     half_wave = math.pi * n / (2.0 * lat.K)
     return Approximation(-(half_wave * half_wave), 1.0 / half_wave)

@@ -33,9 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotics import Approximation
+from .asymptotics import Approximation, exceptional_V_asymptote
 from .elliptic import jacobi
-from .errors import DomainError, NumericalError, ResolutionError
+from .errors import DomainError, NumericalError, ResolutionError, shown
 from .profiles import Profile, finite
 from .weierstrass import E2, lattice, wp_amplitude, wp_inverse, zeta
 
@@ -152,7 +152,7 @@ def _lame_index(N) -> int:
     """N as an int, DomainError outside [1, _N_MAX]."""
     N = int(N)
     if not 1 <= N <= _N_MAX:
-        raise DomainError(f"Lame index N must be an integer in [1, {_N_MAX}], got {N}")
+        raise DomainError(f"Lame index N must be an integer in [1, {_N_MAX}], got {shown(N)}")
     return N
 
 
@@ -338,20 +338,18 @@ def exceptional_energy_asymptote(n: int, m: float,
         E_n ~ pi^2 n^2 / (4 K^2) + 2 - 2 E(m)/K(m),
 
     the image of the n-th exceptional level curve V ~ -pi^2 n^2 / 4K^2
-    under V = (2m+2)/3 - E, with the O(1) offset kept (it vanishes at
-    m = 0, where the levels are exactly n^2).  Validity is 2K/(pi n),
-    the reciprocal of the free-particle quantum number in half-period
-    units; at fixed n it degrades as m -> 1 where K diverges.
+    (:func:`.asymptotics.exceptional_V_asymptote`, which refuses n) under
+    V = (2m+2)/3 - E, with the O(1) offset kept (it vanishes at m = 0,
+    where the levels are exactly n^2).  Validity is 2K/(pi n), the
+    reciprocal of the free-particle quantum number in half-period units;
+    at fixed n it degrades as m -> 1 where K diverges.
 
     Passing ``hbar``, ``mass`` and ``spacing`` together re-dimensionalizes
     the result by the energy scale 2 hbar^2 K^2 / (mass * spacing^2).
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"band index must be a positive integer, got {n}")
+    curve = exceptional_V_asymptote(n, m)
     lat = lattice(m)
-    half_wave = math.pi * n / (2.0 * lat.K)
-    value = half_wave * half_wave + 2.0 - 2.0 * lat.E / lat.K
+    value = -curve.value + 2.0 - 2.0 * lat.E / lat.K
     dims = (hbar, mass, spacing)
     if any(d is not None for d in dims):
         if any(d is None for d in dims):
@@ -364,7 +362,7 @@ def exceptional_energy_asymptote(n: int, m: float,
         if not math.isfinite(value):
             raise DomainError(f"hbar = {hbar!r}, mass = {mass!r} and spacing = {spacing!r} "
                               "take the energy out of the float range")
-    return Approximation(value, 1.0 / half_wave)
+    return Approximation(value, curve.validity)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +375,13 @@ _REFUSED_BELOW = np.errstate(over="ignore", invalid="ignore")
 
 
 def _step_count(strength: float, K: float, e_lo: float, e_hi: float, at_least: int = 0) -> int:
-    """Steps across [0, K]: the least multiple of 64, and at least ``at_least``, with
-    h = K/steps <= 1/128 and h^2 |strength sn^2 - E| <= 1 for E in [e_lo, e_hi].
-    Past _STEP_CEILING, DomainError names K or the energies the ceiling resolves."""
+    """Steps across [0, K <= 19.75]: the least multiple of 64, and at least ``at_least``,
+    with h = K/steps <= 1/128 and h^2 |strength sn^2 - E| <= 1 for E in [e_lo, e_hi].
+    Past _STEP_CEILING, DomainError names the energies the ceiling resolves."""
     reach = max(abs(s - e) for s in (0.0, strength) for e in (e_lo, e_hi))
     blocks = max(at_least / _BLOCKS, K * max(2.0, math.sqrt(reach) / _BLOCKS))
-    if 0.0 < blocks <= _STEP_CEILING / _BLOCKS and math.isfinite(strength + e_lo + e_hi):
+    if blocks <= _STEP_CEILING / _BLOCKS and math.isfinite(strength + e_lo + e_hi):
         return _BLOCKS * math.ceil(blocks)
-    if not 0.0 < K <= _STEP_CEILING / 128.0:
-        raise DomainError(f"the Magnus scan takes K in (0, {_STEP_CEILING / 128:g}], got K = {K!r}")
     limit = (_STEP_CEILING / K) * (_STEP_CEILING / K)  # no OverflowError from **
     lo, hi = max(strength, 0.0) - limit, min(strength, 0.0) + limit
     span = (f"energies in [{lo:.6g}, {hi:.6g}] only" if lo <= hi
@@ -510,21 +506,22 @@ def _half_period_entries(energies: np.ndarray, nodes: tuple) -> np.ndarray:
 
 
 @_REFUSED_BELOW
-def floquet_traces(energies: np.ndarray, strength: float, K: float, m: float) -> np.ndarray:
-    """Floquet trace of psi'' = (strength sn^2(z|m) - E) psi over [0, 2K].
+def floquet_traces(energies, m: float, N: int) -> np.ndarray:
+    """Floquet trace of the Lame-N operator psi'' = (N(N+1) m sn^2(z|m) - E) psi over [0, 2K].
 
     sn^2 is even about K, so the trace is 2 (y1 y2' + y1' y2) at K (Magnus
     & Winkler, *Hill's Equation*, ch. 1), 2 (a d + b c) of the half-period
-    entries, its steps sized by :func:`_step_count`: DomainError for K
-    outside (0, 20] or |E| past about (2560 / K)^2, 1.9e6 at m = 1/2, and
-    for every E past twice that in strength.  Matches the same scheme in
+    entries, its steps sized by :func:`_step_count`: DomainError for |E|
+    past about (2560 / K)^2, 1.9e6 at m = 1/2, and for every E once the
+    strength N(N+1)m is past twice that.  Matches the same scheme in
     30-digit arithmetic to ~1e-13 max(1, |Tr|), and the adaptive oracle in
     :mod:`.hill` to ~1e-9.  The ``band`` command takes kappa*l = acos(Tr / 2)
     from it only where :func:`kappa_ell_extended` raises ResolutionError.
     """
+    N, K = _lame_index(N), lattice(m).K
     E = np.asarray(energies, float)
     e_lo, e_hi = (float(E.min()), float(E.max())) if E.size else (0.0, 0.0)
-    a, b, c, d = _half_period_entries(E, _magnus_nodes(strength, K, m, e_lo, e_hi))
+    a, b, c, d = _half_period_entries(E, _magnus_nodes(N * (N + 1) * m, K, m, e_lo, e_hi))
     return finite(2.0 * (a * d + b * c), "the Floquet trace leaves the float range")
 
 

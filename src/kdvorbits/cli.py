@@ -176,7 +176,7 @@ def _band_rows_scanned(energies, N: int, m: float) -> list:
         kappa = kappa_ell_extended(energies, m, N)
         kappa = np.abs(kappa - 2.0 * math.pi * np.rint(kappa / (2.0 * math.pi)))
     except ResolutionError:
-        traces = floquet_traces(energies, N * (N + 1) * m, lattice(m).K, m)
+        traces = floquet_traces(energies, m, N)
         kappa = np.array([math.acos(t) for t in np.clip(traces / 2.0, -1.0, 1.0).tolist()])
 
     # Sorted edges: E is strictly inside a gap, or below the spectrum, when
@@ -209,9 +209,10 @@ def _cmd_band(args) -> str:
 def _cmd_shoal(args) -> str:
     xs, hs = read_bathymetry(args.bathymetry)
     path = shoaling_path(hs, args.T, args.F, args.rho, args.g)
-    rows = [(x, p.h, p.lam, p.m, p.V, p.kc.real, p.kc.imag, p.orbit.kind.value,
-             p.orbit.winding, _BOOLEAN[p.in_wedge], p.epsilon, p.speed)
-            for x, p in zip(xs.tolist(), path.points)]
+    columns = (xs, path.h, path.lam, path.m, path.V, path.kc.real, path.kc.imag, path.orbit,
+               path.in_wedge, path.epsilon, path.speed)
+    rows = [(*head, orbit.kind.value, orbit.winding, _BOOLEAN[in_wedge], epsilon, speed)
+            for *head, orbit, in_wedge, epsilon, speed in zip(*(c.tolist() for c in columns))]
     extra = {"entry_index": path.entry_index,
              "crossing_depth": path.crossing_depth}
     return _table(args, _SHOAL_COLUMNS, rows, extra=extra)
@@ -222,8 +223,7 @@ def _cmd_profile(args) -> str:
         raise DomainError(
             f"samples must lie in [1, {_GRID_LIMIT}], got {args.samples}")
     prof = cnoidal_profile(args.m, args.V, args.c, n=args.samples)
-    xs = grid(args.samples)
-    rows = [[float(x), float(p)] for x, p in zip(xs, prof.samples)]
+    rows = list(zip(grid(args.samples).tolist(), prof.samples.tolist()))
     return _table(args, _PROFILE_COLUMNS, rows)
 
 

@@ -5,6 +5,16 @@ Two families matter to callers (and to the CLI exit codes): bad inputs
 exit code 3).
 """
 
+import math
+
+
+def shown(value) -> str:
+    """str(value), or an int too long for str() (past 4300 digits) as its power of ten."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"about {'-' if value < 0 else ''}10^{round(math.log10(abs(value)))}"
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

@@ -25,9 +25,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, StabilityError
+from .errors import DomainError, NumericalError, StabilityError, shown
 from .orbits import monodromy_trace
-from .profiles import Profile
+from .profiles import PERIOD, Profile
 from .weierstrass import lattice, sigma, wp, wp_inverse, zeta
 
 __all__ = [
@@ -97,7 +97,7 @@ def _monodromy(profile: Profile, c: float) -> tuple[np.ndarray, list[np.ndarray]
             if not np.all(np.isfinite(q)):
                 raise DomainError("the Hill potential 6 p / c is not finite")
             q = np.append(q, q[0])
-            h = profile.period / steps
+            h = PERIOD / steps
             if coarse is None:
                 coarse = _sweep(q[::2], 2.0 * h)[-1][0]
             levels = _sweep(q, h)
@@ -287,7 +287,7 @@ def kdv_evolve(profile: Profile, c: float, tau: float,
         steps = max(needed, 16)
     elif steps < needed:
         raise StabilityError(
-            f"steps={steps} violates the advective CFL bound (need >= {needed})")
+            f"steps={shown(steps)} violates the advective CFL bound (need >= {needed})")
     dt = tau / steps
 
     with np.errstate(over="ignore", invalid="ignore"):  # a blown-up step fails its own check

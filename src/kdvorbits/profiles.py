@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, shown
 
 __all__ = ["Profile", "spectral_derivative"]
 
@@ -66,7 +66,7 @@ def spectral_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
     and samples or a derivative out of the float range raise DomainError.
     """
     if not order >= 0:  # a negative order would divide by the k = 0 mode
-        raise DomainError(f"derivative order must be >= 0, got {order!r}")
+        raise DomainError(f"derivative order must be >= 0, got {shown(order)}")
     n = samples.size
     coef = _spectrum(samples)
     with np.errstate(all="ignore"):  # a derivative out of range is refused below
@@ -119,12 +119,11 @@ class Profile:
 
     evaluator: Callable = field(repr=False)
     samples: np.ndarray = field(repr=False)
-    period: float = PERIOD
 
     @classmethod
     def from_callable(cls, f: Callable, n: int = _DEFAULT_SAMPLES) -> "Profile":
         if n < _MIN_SAMPLES:
-            raise DomainError(f"need at least {_MIN_SAMPLES} samples, got {n}")
+            raise DomainError(f"need at least {_MIN_SAMPLES} samples, got {shown(n)}")
         vals = pointwise(f, grid(n))
         _spectrum(vals)
         return cls(evaluator=f, samples=vals)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .elliptic import FLOAT, ellint_differences, jacobi, route
 from .errors import DomainError, NumericalError
-from .orbits import OrbitClass, orbit_data
+from .orbits import orbit_data
 from .weierstrass import lattice
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "m_from_depth",
     "critical_depth",
     "depth_profile_D",
-    "PathPoint",
     "ShoalingPath",
     "shoaling_path",
     "read_bathymetry",
@@ -97,7 +96,8 @@ def critical_m() -> float:
 
     Fixed point of m -> 2E(m)/K(m) - 1 + m, equivalently E/K = 1/2;
     plain iteration contracts (|slope| ~ 0.74 at the fixed point) and is
-    run to 1e-15 increments, giving m* = 0.8261147659849698... .
+    run to 1e-15 increments.  It gives 0.8261147659849706, 2.2 ulp above
+    the root, whose nearest float is 0.8261147659849704.
     """
     m = 0.8
     for _ in range(500):
@@ -158,15 +158,16 @@ class WaveTrain:
                                h=self.h, lam=self.lam)
 
 
-def _transport_bracket(m: float) -> float:
-    """(m-1)K^4/3 + (4-2m)EK^3/3 - E^2K^2; zero at m = 0, increasing.
+def _transport_bracket(m):
+    """(m-1)K^4/3 + (4-2m)EK^3/3 - E^2K^2, zero at m = 0 and increasing, with
+    the K and D1 = K - E it is made of (for m_from_depth's slope).
 
-    Evaluated as (K^2/3)[K D2 + D1 (2mK - 3 D1)] with D1 = K - E and
-    D2 = (2 - m)K - 2E, the same polynomial without the cancellation of
-    its O(1) terms down to O(m^2): good to a few ulp for every m.
+    Evaluated as (K^2/3)[K D2 + D1 (2mK - 3 D1)] with D2 = (2 - m)K - 2E,
+    the same polynomial without the cancellation of its O(1) terms down to
+    O(m^2): good to a few ulp for every m.  A float or an array of m.
     """
     K, D1, D2 = ellint_differences(m)
-    return K * K / 3.0 * (K * D2 + D1 * (2.0 * m * K - 3.0 * D1))
+    return K * K / 3.0 * (K * D2 + D1 * (2.0 * m * K - 3.0 * D1)), K, D1
 
 
 def energy_transport(train: WaveTrain) -> float:
@@ -177,7 +178,7 @@ def energy_transport(train: WaveTrain) -> float:
     A flat train (m = 0) transports nothing: the bracket cancels
     algebraically.
     """
-    bracket = _transport_bracket(train.m)
+    bracket = _transport_bracket(train.m)[0]
     if bracket == 0.0:
         return 0.0
     return _in_float_range(
@@ -200,7 +201,7 @@ def depth_from_m(m: float, T: float, F: float, rho: float, g: float) -> float:
             f"relation, got {m!r}")
     _require_positive(T=T, F=F, rho=rho, g=g)
     scale = _depth_scale(T, F, rho, g)
-    return _in_float_range(lambda: (scale / _transport_bracket(m)) ** (2.0 / 9.0),
+    return _in_float_range(lambda: (scale / _transport_bracket(m)[0]) ** (2.0 / 9.0),
                            m=m, T=T, F=F, rho=rho, g=g)
 
 
@@ -213,7 +214,7 @@ def _depth_scale(T: float, F: float, rho: float, g: float) -> float:
 @lru_cache(maxsize=1)
 def _reach() -> tuple[float, float]:
     """The transport bracket at the ends of m_from_depth's search interval."""
-    return _transport_bracket(_M_FLOOR), _transport_bracket(_M_CEIL)
+    return _transport_bracket(_M_FLOOR)[0], _transport_bracket(_M_CEIL)[0]
 
 
 def m_from_depth(h, T: float, F: float, rho: float, g: float):
@@ -263,8 +264,7 @@ def m_from_depth(h, T: float, F: float, rho: float, g: float):
     f_hi = np.array([math.log(b_hi / t) for t in targets])
     m, out, live = np.full_like(target, 0.5), np.empty_like(target), np.arange(target.size)
     for _ in range(_MAX_STEPS):
-        K, D1, D2 = ellint_differences(m)  # _transport_bracket, keeping K, D1
-        bracket = K * K / 3.0 * (K * D2 + D1 * (2.0 * m * K - 3.0 * D1))
+        bracket, K, D1 = _transport_bracket(m)
         f = np.array([math.log(r) for r in (bracket / target).tolist()])
         below = f < 0.0
         lo, f_lo = np.where(below, m, lo), np.where(below, f, f_lo)
@@ -321,30 +321,24 @@ def depth_profile_D(X, t: float, train: WaveTrain):
     return train.h + bump
 
 
-class PathPoint(NamedTuple):
-    """One record of the shoaling path (SI units; kc is dimensionless)."""
-
-    h: float
-    lam: float
-    m: float
-    V: float
-    kc: complex
-    orbit: OrbitClass
-    in_wedge: bool
-    epsilon: float
-    speed: float
-
-
 class ShoalingPath(NamedTuple):
-    """Path records in input order plus the wedge-entry bookkeeping.
+    """The path as columns, arrays with one entry per depth in input order, as
+    :func:`.orbits.orbit_data` answers (SI units; kc is dimensionless).
 
-    ``entry_index`` is the first record with m > m* (None if the water
-    never gets that shallow) and ``crossing_depth`` the depth at which
-    m = m* exactly, critical_depth of the same train (None unless two
-    consecutive records straddle m*).
+    ``entry_index`` is the first station with m > m* (None if the water never
+    gets that shallow) and ``crossing_depth`` the depth at which m = m* exactly,
+    critical_depth of the same train (None unless two consecutive stations straddle m*).
     """
 
-    points: list
+    h: np.ndarray
+    lam: np.ndarray
+    m: np.ndarray
+    V: np.ndarray
+    kc: np.ndarray
+    orbit: np.ndarray
+    in_wedge: np.ndarray
+    epsilon: np.ndarray
+    speed: np.ndarray
     entry_index: int | None
     crossing_depth: float | None
 
@@ -353,7 +347,7 @@ def shoaling_path(h_values, T: float, F: float, rho: float,
                   g: float) -> ShoalingPath:
     """Trace a conserved wave train through decreasing depths.
 
-    Takes a sequence or an array of depths.  For each depth: apply the
+    Takes a sequence or a 1-d array of depths.  For each depth: apply the
     leading-order wavelength, place the zero-average wave in the orbit
     diagram (V, k/c, class), and flag whether it sits inside the
     forbidden wedge.  The speed column is the leading-order sqrt(g h);
@@ -364,32 +358,30 @@ def shoaling_path(h_values, T: float, F: float, rho: float,
     If consecutive depths straddle the wedge boundary, the path reports
     the crossing depth, which is :func:`critical_depth` by construction.
     """
-    hs = [float(h) for h in h_values]
-    if not hs:
-        raise DomainError("need at least one depth")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
+    h = np.array(h_values, float)  # a copy, so the path's h column is its own
+    if h.shape != (h.size,) or not h.size:
+        raise DomainError(f"need a 1-d sequence of at least one depth, got shape {h.shape}")
+    if (np.diff(h) >= 0.0).any():
         raise DomainError("depths must be strictly decreasing along the path")
 
-    m = m_from_depth(hs, T, F, rho, g)
+    m = m_from_depth(h, T, F, rho, g)
     lat = lattice(m)
     V = zero_average_V(lat)
     data = orbit_data(lat, V)
-    h = np.array(hs)
     with np.errstate(all="ignore"):  # out of range is checked below, as wavelength does
-        lam = np.sqrt(g * h) * T
+        speed = np.sqrt(g * h)
+        lam = speed * T
         epsilon = h * h / (lam * lam)
         bad = ~((lam > 0.0) & (lam < math.inf) & (lam * lam > 0.0))
     if bad.any():  # wavelength raises, or else lam^2 underflows to 0 and epsilon does
-        i = int(np.argmax(bad))
-        lam_i = wavelength(hs[i], T, g)
-        _in_float_range(lambda: hs[i] * hs[i] / (lam_i * lam_i), h=hs[i], lam=lam_i)
+        h_i = float(h[np.argmax(bad)])
+        lam_i = wavelength(h_i, T, g)
+        _in_float_range(lambda: h_i * h_i / (lam_i * lam_i), h=h_i, lam=lam_i)
     in_wedge = m > critical_m()
     entry = int(np.argmax(in_wedge)) if in_wedge.any() else None
-    points = list(map(PathPoint, hs, lam.tolist(), m.tolist(), V.tolist(), data.kc.tolist(),
-                      data.orbit.tolist(), in_wedge.tolist(), epsilon.tolist(),
-                      np.sqrt(g * h).tolist()))
     crossing = critical_depth(T, F, rho, g) if entry else None  # straddled by two stations
-    return ShoalingPath(points, entry, crossing)
+    return ShoalingPath(h, lam, m, V, data.kc, data.orbit, in_wedge, epsilon, speed,
+                        entry, crossing)
 
 
 def read_bathymetry(path) -> tuple[np.ndarray, np.ndarray]:

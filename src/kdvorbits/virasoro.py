@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ResolutionError
+from .errors import DomainError, NumericalError, ResolutionError, shown
 from .profiles import PERIOD, Profile, finite, grid, pointwise, spectral_derivative
 
 __all__ = [
@@ -86,7 +86,7 @@ class CircleDiffeo:
         """d^order f / dx^order, analytic when available, else 5-point FD."""
         if order not in (1, 2, 3):
             raise DomainError(
-                f"derivatives are available up to third order, not {order}")
+                f"derivatives are available up to third order, not {shown(order)}")
         if self._derivs is not None:
             return pointwise(self._derivs[order - 1], x)
         h = _FD_STEP

@@ -295,3 +295,10 @@ def mp_m_from_depth(h: float, T: float, F: float, rho: float, g: float,
 
         x = mp.findroot(defect, mp.log(guess / (1 - mp.mpf(guess))))
         return float(1 / (1 + mp.exp(-x)))
+
+
+def mp_critical_m() -> float:
+    """The root m* of E(m)/K(m) = 1/2, correctly rounded from 50 digits."""
+    with mp.workdps(50):
+        return float(mp.findroot(lambda m: mp.ellipe(m) / mp.ellipk(m) - 0.5, (0.8, 0.85),
+                                 solver="anderson"))

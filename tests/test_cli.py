@@ -509,7 +509,7 @@ class TestBand:
         monkeypatch.setattr(bands, "band_edges", lambda *args: tuple(moved))
         _, out, _ = run_cli(capsys, "band", "--m", m, "--N", 2, "--E-max", 6.0,
                             "--samples", 121)
-        traces = bands.floquet_traces(energies, 6.0 * m, lattice(m).K, m)
+        traces = bands.floquet_traces(energies, m, 2)
         edges = band_edges(m, 2)
         for row, trace in zip(parse_csv(out)[1], traces):
             if min(abs(float(row[0]) - e) for e in edges) > 1e-6:

@@ -51,7 +51,13 @@ from kdvorbits.hill import (
     lame_exact_residual,
     winding_number,
 )
-from kdvorbits.orbits import constant_trace, level_curve, orbit_data, winding_from_kc
+from kdvorbits.orbits import (
+    cnoidal_profile,
+    constant_trace,
+    level_curve,
+    orbit_data,
+    winding_from_kc,
+)
 from kdvorbits.profiles import Profile, grid, spectral_derivative
 from kdvorbits.shoaling import m_from_depth, zero_average_V
 from kdvorbits.virasoro import (
@@ -189,7 +195,8 @@ def _V_near_m0(kc, m):
 
 class TestAsymptotics:
     # the examples: cosh of V_near_m1's slope past overflow; sin, then sinh,
-    # of a degenerate form past overflow; 1/sinh^2 where sinh^2 underflows
+    # of a degenerate form past overflow; 1/sinh^2 where sinh^2 underflows; an
+    # index too long for str() in a refusal message, and its positive, past floats
     @given(m=PARAMETER, V=FINITE, kc=st.one_of(FINITE, st.floats(-0.05, 0.0)), x=FINITE,
            y=FINITE, n=st.integers(-3, 10**6), side=st.sampled_from(["lower", "upper"]),
            end=st.sampled_from(["m_to_0", "m_to_1"]))
@@ -200,6 +207,8 @@ class TestAsymptotics:
     @example(m=0.5, V=1.0, kc=1.0, x=-1e300, y=0.0, n=1, side="lower", end="m_to_1")
     @example(m=0.999999999, V=1.0, kc=1.0, x=3.9889411146863e-276, y=0.0, n=1,
              side="lower", end="m_to_1")
+    @example(m=0.5, V=1.0, kc=1.0, x=0.5, y=0.0, n=-10**5000, side="lower", end="m_to_0")
+    @example(m=0.5, V=1.0, kc=1.0, x=0.5, y=0.0, n=10**5000, side="lower", end="m_to_0")
     @settings(max_examples=300, deadline=None)
     def test_every_function(self, m, V, kc, x, y, n, side, end):
         z = complex(x, y)
@@ -225,11 +234,13 @@ def _profile(samples):
 
 class TestProfiles:
     # the examples: the transform of finite samples near the float limit
-    # overflowed, in from_samples and in spectral_derivative
+    # overflowed, in from_samples and in spectral_derivative; an order too long
+    # for str() in a refusal message
     @given(samples=SAMPLES, order=st.one_of(st.integers(-2, 6), st.floats(-2.0, 6.0)),
            x=FINITE, n=st.integers(0, 40), a=FINITE, k=st.integers(0, 8))
     @example(samples=[1.7e308, -1.7e308] * 4, order=1, x=0.5, n=16, a=1.0, k=1)
     @example(samples=[1e307, -1e307] * 4, order=3, x=1e308, n=40, a=1.7e308, k=8)
+    @example(samples=[1.0] * 8, order=-10**5000, x=0.5, n=16, a=1.0, k=1)
     @settings(max_examples=300, deadline=None)
     def test_every_function(self, samples, order, x, n, a, k):
         p = _profile(samples)
@@ -240,10 +251,17 @@ class TestProfiles:
             lambda: p(x), lambda: p(np.array([x, 0.5])), lambda: p.mean(),
             lambda: p.derivative(order), lambda: p.resampled(n))
 
+    def test_a_sample_count_too_long_to_print(self):
+        # grid(n) takes no such n, so it is not drawn with the rest
+        n = -10**5000
+        _each_gets_the_contract(lambda: Profile.from_callable(np.cos, n),
+                                lambda: cnoidal_profile(0.5, 0.2, 1.0, n=n))
+
 
 class TestVirasoro:
     # the examples: a rotation by an infinite angle, and samples whose
-    # transform overflowed once coadjoint and its infinitesimal form had moved them
+    # transform overflowed once coadjoint and its infinitesimal form had moved them;
+    # a derivative order too long for str() in a refusal message
     @given(samples=SAMPLES, a=FINITE, amplitudes=st.lists(st.one_of(st.floats(-0.3, 0.3), FINITE),
                                                           max_size=3),
            phase=FINITE, x=FINITE, c=FINITE, h=FINITE, order=st.integers(0, 4))
@@ -251,6 +269,8 @@ class TestVirasoro:
              order=1)
     @example(samples=[1.7e308, -1.7e308] * 4, a=0.5, amplitudes=[0.1], phase=0.0, x=0.5, c=1.0,
              h=0.5, order=1)
+    @example(samples=[1.0] * 8, a=0.5, amplitudes=[0.1], phase=0.0, x=0.5, c=1.0, h=0.5,
+             order=10**5000)
     @settings(max_examples=300, deadline=None)
     def test_every_function(self, samples, a, amplitudes, phase, x, c, h, order):
         p = _profile(samples)
@@ -283,8 +303,8 @@ class TestHill:
     # the examples: a tau that no step count covers, past the float range and
     # nan, where int() raised OverflowError and ValueError; a step bound
     # tau * speed * kmax that overflowed; sigma quotients whose exp overflowed
-    # and whose multiplier was 0 / 0.  Explicit step counts keep every drawn
-    # evolution short.
+    # and whose multiplier was 0 / 0; a step count too long for str() in a
+    # refusal message.  Explicit step counts keep every drawn evolution short.
     @given(samples=SAMPLES, c=st.one_of(st.floats(-4.0, 4.0), FINITE), tau=FINITE,
            steps=st.integers(-1, 24), m=PARAMETER, V=st.one_of(st.floats(-2.0, 2.0), FINITE),
            x=st.one_of(st.floats(-4.0, 4.0), FINITE), y=st.one_of(st.floats(-4.0, 4.0), FINITE))
@@ -294,6 +314,7 @@ class TestHill:
              steps=0, m=0.5, V=0.2, x=0.5, y=0.5)
     @example(samples=[1.0] * 8, c=1.0, tau=0.0, steps=0, m=0.5, V=0.0, x=0.0, y=-1680.0)
     @example(samples=[1.0] * 8, c=1.0, tau=0.0, steps=0, m=0.5, V=511824.0, x=2.0, y=75.0)
+    @example(samples=[1.0] * 8, c=1.0, tau=0.5, steps=-10**5000, m=0.5, V=0.2, x=0.5, y=0.5)
     @settings(max_examples=200, deadline=None)
     def test_every_function(self, samples, c, tau, steps, m, V, x, y):
         p = _profile(samples)
@@ -304,40 +325,33 @@ class TestHill:
 
 
 class TestBands:
-    # Lame indices outside [1, 4096]; in the examples, 10^200, whose N(N+1) m overflowed
-    LAME_MISFITS = st.sampled_from([0, -1, 4097, 10**200])
+    # Lame indices outside [1, 4096]; in the examples, 10^200, whose N(N+1) m overflowed,
+    # and 10^5000, too long for str() in a refusal message
+    LAME_MISFITS = st.sampled_from([0, -1, 4097, 10**200, 10**5000])
 
     # N, n and the energy lists are kept small so that every drawn call is short.
-    # The examples: a strength whose squares overflowed in the Magnus nodes; K = 0
-    # and K = 1e308, refused before their steps are allocated; an energy the scan
-    # resolves whose steps grow past the float range, and one whose entries stay
-    # finite but whose trace does not; an energy scale whose hbar^2 overflowed,
-    # and one divided by a zero mass; energies whose abelian integral overflows,
-    # and m = 1 - 1e-8, whose lowest band is 0 wide in floats
+    # The examples: an energy the scan resolves whose steps grow past the float
+    # range, and one whose entries stay finite but whose trace does not; an
+    # energy scale whose hbar^2 overflowed, and one divided by a zero mass;
+    # energies whose abelian integral overflows, and m = 1 - 1e-8, whose lowest
+    # band is 0 wide in floats
     @given(m=PARAMETER, E=FINITE, c=FINITE, N=st.one_of(st.integers(-1, 12), LAME_MISFITS),
-           n=st.integers(-1, 32), energies=st.lists(FINITE, max_size=3), strength=FINITE,
-           K=st.one_of(st.floats(0.5, 20.0), FINITE), scale=st.one_of(st.none(), FINITE))
-    @example(m=0.0, E=1.0, c=1.0, N=1, n=8, energies=[], strength=1e308, K=1.0, scale=None)
-    @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[], strength=3.0, K=0.0, scale=None)
-    @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[1.0], strength=3.0, K=1e308, scale=None)
-    @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[-6.8e5], strength=3.0,
-             K=1.8540746773013719, scale=None)
-    @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[-1e5], strength=3.0,
-             K=1.8540746773013719, scale=None)
-    @example(m=0.0, E=1.0, c=1.0, N=1, n=8, energies=[], strength=0.0, K=1.0, scale=1e155)
-    @example(m=0.0, E=1.0, c=0.0, N=1, n=8, energies=[], strength=0.0, K=1.0, scale=1.0)
-    @example(m=0.5, E=1.0, c=1.0, N=12, n=8, energies=[1e300, -1e300, 3.0], strength=0.0,
-             K=1.0, scale=None)
-    @example(m=1.0 - 1e-8, E=1.0, c=1.0, N=2, n=8, energies=[0.5, 2.0], strength=0.0, K=1.0,
-             scale=None)
-    @example(m=0.5, E=1.0, c=1.0, N=10**200, n=8, energies=[1.0], strength=0.0, K=1.0,
-             scale=None)
+           n=st.integers(-1, 32), energies=st.lists(FINITE, max_size=3),
+           scale=st.one_of(st.none(), FINITE))
+    @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[-6.8e5], scale=None)
+    @example(m=0.5, E=1.0, c=1.0, N=1, n=8, energies=[-1e5], scale=None)
+    @example(m=0.0, E=1.0, c=1.0, N=1, n=8, energies=[], scale=1e155)
+    @example(m=0.0, E=1.0, c=0.0, N=1, n=8, energies=[], scale=1.0)
+    @example(m=0.5, E=1.0, c=1.0, N=12, n=8, energies=[1e300, -1e300, 3.0], scale=None)
+    @example(m=1.0 - 1e-8, E=1.0, c=1.0, N=2, n=8, energies=[0.5, 2.0], scale=None)
+    @example(m=0.5, E=1.0, c=1.0, N=10**200, n=8, energies=[1.0], scale=None)
+    @example(m=0.5, E=1.0, c=1.0, N=10**5000, n=8, energies=[1.0], scale=None)
     @settings(max_examples=300, deadline=None)
-    def test_every_function(self, m, E, c, N, n, energies, strength, K, scale):
+    def test_every_function(self, m, E, c, N, n, energies, scale):
         _each_gets_the_contract(
             lambda: crystal_momentum(E, m), lambda: band_edges(m, N),
             lambda: lame_profile(N, m, E, c, n),
-            lambda: floquet_traces(np.array(energies), strength, K, m),
+            lambda: floquet_traces(np.array(energies), m, N),
             lambda: kappa_ell_extended(np.array(energies), m, N),
             lambda: exceptional_energy_asymptote(N, m),
             lambda: exceptional_energy_asymptote(N, m, scale, c, E))
@@ -348,6 +362,7 @@ class TestBands:
            E_max=st.one_of(st.none(), st.floats(-1.0, 20.0), st.floats(1e6, 1e308),
                            st.floats(max_value=-1.0, allow_infinity=False)))
     @example(m=0.5, N=10**200, E_max=None)
+    @example(m=0.5, N=10**5000, E_max=None)
     @settings(max_examples=60, deadline=None)
     def test_numeric_band_gaps(self, m, N, E_max):
         _each_gets_the_contract(lambda: numeric_band_gaps(N, m, E_max))

@@ -29,7 +29,7 @@ from kdvorbits.orbits import (
     monodromy_trace,
     winding_from_kc,
 )
-from kdvorbits.profiles import Profile
+from kdvorbits.profiles import PERIOD, Profile
 from kdvorbits.virasoro import CircleDiffeo, coadjoint
 from kdvorbits.weierstrass import lattice
 
@@ -238,7 +238,7 @@ class TestRunningProduct:
         n = 1024
         prof = cnoidal_profile(m, V, c)
         q = (6.0 / c) * prof.resampled(2 * n).samples
-        levels = hill._sweep(np.append(q, q[0]), prof.period / n)
+        levels = hill._sweep(np.append(q, q[0]), PERIOD / n)
         expected, acc = np.empty_like(levels[0]), np.eye(2)
         for j, step in enumerate(levels[0]):
             acc = step @ acc

@@ -90,7 +90,8 @@ class TestZeroAverageV:
 
 class TestCriticalM:
     def test_value(self):
-        assert abs(critical_m() - 0.8261147659849698) < 1e-12
+        # the fixed point ends 2.2 ulp above the root of E/K = 1/2
+        assert abs(critical_m() - oracles.mp_critical_m()) <= 3.0 * math.ulp(critical_m())
 
     def test_half_ratio(self):
         lat = lattice(critical_m())
@@ -440,13 +441,14 @@ POSITIVE = st.one_of(st.floats(0.1, 1e5), st.floats(min_value=5e-324, max_value=
 
 def _station_by_station(hs, T, F, rho, g):
     """:func:`shoaling_path` one station at a time from the scalar calls: the
-    per-station loop the array pass replaced.  Where lam^2 underflows to 0
-    that loop divided by zero; the path raises a DomainError there."""
+    per-station loop the array pass replaced, its rows as the path's columns
+    of Python values.  Where lam^2 underflows to 0 that loop divided by zero;
+    the path raises a DomainError there."""
     if not hs:
         raise DomainError("need at least one depth")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
+    if any(b - a >= 0.0 for a, b in zip(hs, hs[1:])):  # inf - inf is nan, as in np.diff
         raise DomainError("depths must be strictly decreasing along the path")
-    points, entry = [], None
+    rows, entry = [], None
     for i, (h, m) in enumerate(zip(hs, m_from_depth(np.array(hs), T, F, rho, g).tolist())):
         V = zero_average_V(m)
         data = orbit_data(m, V)
@@ -456,10 +458,15 @@ def _station_by_station(hs, T, F, rho, g):
         lam = wavelength(h, T, g)
         if lam * lam == 0.0:
             raise DomainError(f"h = {h!r}, lam = {lam!r} take the result out of float range")
-        points.append(shoaling.PathPoint(h, lam, m, V, data.kc, data.orbit, in_wedge,
-                                         h * h / (lam * lam), math.sqrt(g * h)))
+        rows.append((h, lam, m, V, data.kc, data.orbit, in_wedge, h * h / (lam * lam),
+                     math.sqrt(g * h)))
     crossing = critical_depth(T, F, rho, g) if entry else None
-    return shoaling.ShoalingPath(points, entry, crossing)
+    return [list(column) for column in zip(*rows)] + [entry, crossing]
+
+
+def _as_lists(path):
+    """The path's columns as lists of Python values, then its bookkeeping."""
+    return [column.tolist() for column in path[:9]] + list(path[9:])
 
 
 class TestShoalingPath:
@@ -468,40 +475,45 @@ class TestShoalingPath:
         hs = np.linspace(H_REF, 0.5 * self.h_star, 9)
         self.path = shoaling_path(hs, T_REF, F_REF, RHO_REF, G_REF)
 
+    def test_columns_are_arrays_of_the_depths_shape(self):
+        path = self.path
+        for column, dtype in zip(path[:9], (float,) * 4 + (complex, object, bool) + (float,) * 2):
+            assert isinstance(column, np.ndarray)
+            assert column.shape == (9,) and column.dtype == dtype
+
     def test_wedge_entry_bookkeeping(self):
         entry = self.path.entry_index
         assert entry is not None
-        flags = [p.in_wedge for p in self.path.points]
+        flags = self.path.in_wedge.tolist()
         assert flags == [False] * entry + [True] * (len(flags) - entry)
-        m_star = critical_m()
-        assert all((p.m > m_star) == p.in_wedge for p in self.path.points)
+        assert np.array_equal(self.path.m > critical_m(), self.path.in_wedge)
 
     def test_crossing_depth_matches_critical_depth(self):
         assert_allclose(self.path.crossing_depth, self.h_star, rtol=1e-15)
 
     def test_pointedness_grows_as_water_shallows(self):
-        ms = [p.m for p in self.path.points]
-        assert all(a < b for a, b in zip(ms, ms[1:]))
+        assert (np.diff(self.path.m) > 0.0).all()
 
     def test_never_crosses_the_lower_boundary(self):
-        assert all(p.V > -(p.m + 1.0) / 3.0 for p in self.path.points)
+        assert (self.path.V > -(self.path.m + 1.0) / 3.0).all()
 
     def test_orbit_classes_along_the_path(self):
-        for p in self.path.points:
-            if p.in_wedge:
-                assert p.orbit.kind is OrbitKind.HYPERBOLIC
-                assert p.orbit.winding == 1
-                assert p.kc.imag < 0.0
+        path = self.path
+        for orbit, kc, in_wedge in zip(path.orbit, path.kc, path.in_wedge):
+            if in_wedge:
+                assert orbit.kind is OrbitKind.HYPERBOLIC
+                assert orbit.winding == 1
+                assert kc.imag < 0.0
             else:
-                assert p.orbit.kind is OrbitKind.ELLIPTIC
-                assert p.orbit.winding == 0
-                assert p.kc.imag == 0.0
+                assert orbit.kind is OrbitKind.ELLIPTIC
+                assert orbit.winding == 0
+                assert kc.imag == 0.0
 
     def test_derived_columns(self):
-        for p in self.path.points:
-            assert p.lam == wavelength(p.h, T_REF, G_REF)
-            assert_allclose(p.epsilon, p.h**2 / p.lam**2, rtol=1e-15)
-            assert p.speed == math.sqrt(G_REF * p.h)
+        path = self.path
+        assert path.lam.tolist() == [wavelength(h, T_REF, G_REF) for h in path.h.tolist()]
+        assert_allclose(path.epsilon, path.h**2 / path.lam**2, rtol=1e-15)
+        assert path.speed.tolist() == [math.sqrt(G_REF * h) for h in path.h.tolist()]
 
     def test_deep_path_never_enters(self):
         path = shoaling_path([H_REF, 0.9 * H_REF], T_REF, F_REF,
@@ -522,9 +534,11 @@ class TestShoalingPath:
         hs = np.linspace(H_REF, 0.5 * self.h_star, 9)
         path = shoaling_path(hs, T_REF, F_REF, RHO_REF, G_REF)
         assert arrays.count(True) == 1
-        assert path == self.path
+        assert repr(_as_lists(path)) == repr(_as_lists(self.path))
 
-    @pytest.mark.parametrize("hs", [[], [3.0, 3.0], [2.0, 3.0]])
+    # empty, not decreasing, and not one row of depths: 2-d, a column, 0-d
+    @pytest.mark.parametrize("hs", [[], [3.0, 3.0], [2.0, 3.0], np.array([[3.0, 2.0], [1.5, 1.0]]),
+                                    np.array([[3.0], [2.0]]), np.array(3.0)])
     def test_rejects_bad_sequences(self, hs):
         with pytest.raises(DomainError):
             shoaling_path(hs, T_REF, F_REF, RHO_REF, G_REF)
@@ -558,8 +572,8 @@ class TestShoalingPath:
         except (DomainError, NumericalError) as exc:
             assert (type(exc), str(exc)) == (type(expected), str(expected))
         else:
-            # repr tells float from numpy scalar, -0.0 from 0.0, and rounds-trips
-            assert repr(path) == repr(expected)
+            # repr of the Python values tells -0.0 from 0.0 and round-trips
+            assert repr(_as_lists(path)) == repr(expected)
 
 
 class TestReadBathymetry:
