@@ -17,11 +17,13 @@ polynomial propagator rather than the Magnus exponential of ``bands``,
 so the two numerical routes share no method, and this module imports no
 scipy.  Its steps are multiplied pairwise up to the monodromy; the pair
 after every step, which only a winding reads, is one pass back down.
+The monodromy is Richardson-extrapolated from the sweeps at h and 2h.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -41,7 +43,7 @@ __all__ = [
 _RTOL = 1e-10  # relative error budget of the Wronskian check
 _DET_TOL = 1e-8
 _SWEEP_TOL = 1e-11  # step-doubling estimate over max(1, max|M|)
-_FIRST_STEPS = 2048
+_FIRST_STEPS = 1024
 _LAST_STEPS = 65536
 _STENCIL_STEP = 1e-4  # lame_exact_residual's stencil width over max(1, |z|)
 
@@ -99,10 +101,11 @@ def _monodromy(profile: Profile, c: float) -> tuple[np.ndarray, list[np.ndarray]
             q = np.append(q, q[0])
             h = PERIOD / steps
             if coarse is None:
-                coarse = _sweep(q[::2], 2.0 * h)[-1][0]
+                coarser, coarse = (_sweep(q[::k], k * h)[-1][0] for k in (4, 2))
             levels = _sweep(q, h)
-            mat = levels[-1][0]
-            error = float(np.max(np.abs(mat - coarse))) / 15.0
+            fine = levels[-1][0]
+            mat = fine + (fine - coarse) / 15.0  # Richardson: RK4's h^4 error term cancels
+            error = float(np.max(np.abs(mat - coarse - (coarse - coarser) / 15.0))) / 31.0
             nrm = float(np.max(np.abs(mat)))
             if error <= _SWEEP_TOL * max(1.0, nrm) and math.isfinite(nrm):
                 break
@@ -110,7 +113,7 @@ def _monodromy(profile: Profile, c: float) -> tuple[np.ndarray, list[np.ndarray]
                 raise NumericalError(
                     f"Floquet sweep did not converge in {steps} RK4 steps "
                     f"(step-doubling estimate {error!r})")
-            steps, coarse = 2 * steps, mat
+            steps, coarser, coarse = 2 * steps, coarse, fine
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     if abs(det - 1.0) > max(_DET_TOL, 10.0 * _RTOL * nrm * nrm):
         raise NumericalError(
@@ -125,17 +128,19 @@ def floquet(profile: Profile, c: float) -> tuple[np.ndarray, int]:
     (psi2(0), psi2'(0)) = (0, 1) is carried over one period by classical
     RK4 (:func:`_sweep`) on q = 6 p / c sampled at the half steps of a
     uniform grid; its n steps are multiplied in pairs, the pairs in pairs,
-    and so on, up to the monodromy matrix (rounding grows like log n).  The
-    error is estimated by step doubling, max|M - M_2h| / 15 against the
-    sweep of twice the step on every other node, and the step count
-    doubles from 2048 until that is at most 1e-11 max(1, max|M|), else
-    :class:`NumericalError` past 65536 steps, or at once where M or the
-    estimate is not finite.  The Wronskian det M (exactly 1 in arithmetic)
-    is checked last: 1e-8 absolute at moderate matrix norms, relaxed to
-    ~|M|^2 1e-9 once the entries grow exponentially large (there an
-    absolute check is unsatisfiable).  Only for the winding, one pass down
-    the accepted sweep's products then forms the pair after every step;
-    :func:`floquet_monodromy` stops at M.
+    and so on, up to M_h (rounding grows like log n).  The monodromy is
+    M(h) = M_h + (M_h - M_2h) / 15, which cancels RK4's h^4 error term (M_2h
+    sweeps twice the step on every other node); its error is estimated as
+    max|M(h) - M(2h)| / 31, taking it to fall like h^5.  The first pass sweeps
+    1024, 512 and 256 steps; each further pass doubles the step count and
+    sweeps the new fine grid only, until the estimate is at most 1e-11
+    max(1, max|M|), else :class:`NumericalError` past 65536 steps, or at
+    once where M or the estimate is not finite.  The Wronskian det M
+    (exactly 1 in arithmetic) is checked last: 1e-8 absolute at moderate
+    matrix norms, relaxed to ~|M|^2 1e-9 once the entries grow
+    exponentially large (there an absolute check is unsatisfiable).  Only
+    for the winding, one pass down the accepted fine sweep's products then
+    forms the pair after every step; :func:`floquet_monodromy` stops at M.
 
     The stereographic angle theta = 2 atan2(psi2, psi1) obeys
     theta' = 2 / (psi1^2 + psi2^2) > 0 (the Wronskian is 1), so the lap
@@ -266,7 +271,7 @@ def kdv_evolve(profile: Profile, c: float, tau: float,
     it raises :class:`StabilityError`, and a tau no step count covers (nan,
     or too long for the profile's speed) :class:`DomainError`, as does a
     default step count past 10^5, before the first step; an explicit
-    ``steps`` is not capped.  Cnoidal waves translate rigidly:
+    ``steps`` is capped only by the float range.  Cnoidal waves translate rigidly:
     p(x, tau) = p(x - v tau, 0) with v from :func:`cnoidal_speed`.
     """
     _check_charge(c)
@@ -288,6 +293,8 @@ def kdv_evolve(profile: Profile, c: float, tau: float,
     elif steps < needed:
         raise StabilityError(
             f"steps={shown(steps)} violates the advective CFL bound (need >= {needed})")
+    elif not steps <= sys.float_info.max:  # tau / steps would overflow
+        raise DomainError(f"steps={shown(steps)} is past the float range")
     dt = tau / steps
 
     with np.errstate(over="ignore", invalid="ignore"):  # a blown-up step fails its own check

@@ -10,6 +10,7 @@ precision.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,11 +23,19 @@ __all__ = ["Profile", "spectral_derivative"]
 PERIOD = 2.0 * np.pi
 _MIN_SAMPLES = 8
 _DEFAULT_SAMPLES = 512
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8  # numpy's largest float64 array
+
+
+def _sample_count(n: int) -> int:
+    """n, or DomainError if |n| samples are past numpy's largest float array."""
+    if not abs(n) <= _MAX_SAMPLES:
+        raise DomainError(f"{shown(n)} samples are past numpy's largest float array")
+    return n
 
 
 def grid(n: int) -> np.ndarray:
     """The uniform sample grid x_j = 2 pi j / n, j = 0..n-1."""
-    return PERIOD * np.arange(n) / n
+    return PERIOD * np.arange(_sample_count(n)) / n
 
 
 def finite(values, message: str):
@@ -62,11 +71,13 @@ def spectral_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
     """Derivative of a periodic sample vector via the rFFT.
 
     The Nyquist mode is zeroed for odd derivative orders (its sampled
-    derivative is not representable on the same grid).  ``order`` must be >= 0,
-    and samples or a derivative out of the float range raise DomainError.
+    derivative is not representable on the same grid).  ``order`` must be >= 0
+    and in the float range, and samples or a derivative out of the float range
+    raise DomainError.
     """
-    if not order >= 0:  # a negative order would divide by the k = 0 mode
-        raise DomainError(f"derivative order must be >= 0, got {shown(order)}")
+    if not 0 <= order <= sys.float_info.max:  # a negative one would divide by the k = 0 mode
+        raise DomainError(
+            f"derivative order must be >= 0 and in the float range, got {shown(order)}")
     n = samples.size
     coef = _spectrum(samples)
     with np.errstate(all="ignore"):  # a derivative out of range is refused below
@@ -155,4 +166,4 @@ class Profile:
         nodes = getattr(self.evaluator, "nodes", None)
         if nodes is None or n < _MIN_SAMPLES:  # from_callable refuses n < 8
             return Profile.from_callable(self.evaluator, n)
-        return Profile(evaluator=self.evaluator, samples=_trig_resample(nodes, n))
+        return Profile(evaluator=self.evaluator, samples=_trig_resample(nodes, _sample_count(n)))

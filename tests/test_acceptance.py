@@ -77,7 +77,7 @@ def test_03_oracle_equivalence():
             closed = monodromy_trace(m, V)
             profile = cnoidal_profile(m, V, c)
             floquet = float(np.trace(floquet_monodromy(profile, c)))
-            assert abs(floquet - closed) / abs(closed) < 1e-6
+            assert abs(floquet - closed) / abs(closed) < 1e-11
             assert winding_number(profile, c) == classify(m, V).winding
     assert time.perf_counter() - start < 120.0
 

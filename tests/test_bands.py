@@ -252,10 +252,12 @@ class TestKappaEllExtended:
             return
         # 2 cos(kappa l) against the oracle's trace, three energies in each
         # band wider than 2e-6 and the rest of about 20 in the top band, all
-        # at least 1e-6 from an edge.  The oracle accepts its monodromy M at
-        # 1e-11 max(1, max|M|), which is the scale here: max|M| reaches 3e5
-        # in the narrow bands, where its trace is up to 4.5e-8 off kappa l's
-        # while scipy's DOP853 at rtol 1e-14 comes within 1.1e-9 of it.
+        # at least 1e-6 from an edge.  The oracle accepts its Richardson-
+        # extrapolated monodromy M at 1e-11 max(1, max|M|) of its own step-
+        # doubling estimate, which is the scale here: max|M| reaches 3e5 in
+        # the narrow bands, where its trace is up to 3.1e-8 off kappa l's, at
+        # (4, 0.95, E = 10.72), and 1.1e-9 at (5, 0.9, E = 13.27629); the
+        # worst over the scale is 1.9e-11.
         finite = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(edges[:-1:2], edges[1::2]))
                   if hi - lo > 2e-6]
         energies = [float(np.clip(lo + f * (hi - lo), lo + 1e-6, hi - 1e-6))

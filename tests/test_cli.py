@@ -689,8 +689,8 @@ class TestOracle:
 
     def test_integrates_once(self, capsys, monkeypatch):
         # trace and winding come from one RK4 sweep per step count, the
-        # 2048-step sweep and the 1024-step sweep of its error estimate,
-        # and one pass down the accepted sweep's products
+        # 1024-step sweep and the 512- and 256-step sweeps of its Richardson
+        # estimate, and one pass down the accepted sweep's products
         from kdvorbits import hill
 
         sweep, running, steps = hill._sweep, hill._running, []
@@ -707,7 +707,7 @@ class TestOracle:
         monkeypatch.setattr(hill, "_sweep", counted)
         monkeypatch.setattr(hill, "_running", down)
         record = self.oracle(capsys, 0.5, -0.2, 1.0)
-        assert steps == [1024, 2048, ("down", 2048)]
+        assert steps == [256, 512, 1024, ("down", 1024)]
         assert record["winding_numeric"] == 1
 
     def test_a_charge_past_the_step_ceiling_is_refused_at_once(self, capsys):

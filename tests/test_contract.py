@@ -9,6 +9,7 @@ What comes back, a float or an array and of which shape, is pinned per input typ
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from kdvorbits.elliptic import (
     ellint_KE,
     jacobi,
 )
-from kdvorbits.errors import DomainError, NumericalError
+from kdvorbits.errors import DomainError, NumericalError, shown
 from kdvorbits.hill import (
     floquet,
     floquet_monodromy,
@@ -322,6 +323,40 @@ class TestHill:
             lambda: floquet(p, c), lambda: floquet_monodromy(p, c), lambda: winding_number(p, c),
             lambda: kdv_evolve(p, c, tau, steps),
             lambda: lame_exact_residual(m, V, [complex(x, y), complex(y, x)]))
+
+
+class TestPastTheFloatRange:
+    # ints past the float range or numpy's largest array: each raised
+    # OverflowError or numpy's ValueError before a refusal could name it
+    def refused(self, call, n):
+        with pytest.raises(DomainError, match=re.escape(shown(n))):
+            call()
+
+    def test_kdv_step_count(self):
+        # an explicit step count past the CFL need is not capped: only one
+        # that tau / steps cannot divide by is refused
+        self.refused(lambda: kdv_evolve(SMOOTH, 1.0, 1e-4, steps=10**5000), 10**5000)
+
+    @pytest.mark.parametrize("profile", [SMOOTH, cnoidal_profile(0.5, 0.2, 1.0)],
+                             ids=["from_samples", "from_callable"])
+    def test_resampled(self, profile):
+        self.refused(lambda: profile.resampled(10**30), 10**30)
+
+    def test_from_callable(self):
+        self.refused(lambda: Profile.from_callable(np.cos, 10**30), 10**30)
+
+    @pytest.mark.parametrize("n", [10**30, -10**30])
+    def test_grid(self, n):
+        self.refused(lambda: grid(n), n)
+
+    def test_cnoidal_profile(self):
+        self.refused(lambda: cnoidal_profile(0.5, 0.2, 1.0, n=10**30), 10**30)
+
+    def test_spectral_derivative(self):
+        self.refused(lambda: spectral_derivative(SMOOTH.samples, 10**5000), 10**5000)
+
+    def test_profile_derivative(self):
+        self.refused(lambda: SMOOTH.derivative(10**5000), 10**5000)
 
 
 class TestBands:

@@ -45,6 +45,9 @@ MOVES = [
     (0.23, 0.3, -1.8, (0.04, 0.1, 0.04), (4.0, 2.9, 4.6)),
 ]
 
+# (m, V, c) of a deep well that the oracle accepts only at 4096 steps
+DEEP = (0.9, -20.0, 1.0)
+
 
 def moved_profile(m, V, c, amplitudes, phases):
     return coadjoint(cnoidal_profile(m, V, c),
@@ -102,8 +105,9 @@ class TestFloquetMonodromy:
         assert abs(tr - exact) <= 1e-10 * abs(exact)
 
     def test_step_doubling_sweeps_each_step_count_once(self, monkeypatch):
-        # the accepted fine sweep is the next coarse one, so a profile that
-        # needs doubling is swept at 1024, 2048, 4096, ... steps, once each
+        # the first pass sweeps 256 and 512 steps for R(2h) and 1024 for R(h);
+        # each rejected fine sweep is the next coarse one, so a profile that
+        # needs doubling is then swept at 2048, 4096, ... steps, once each
         sweep, counts = hill._sweep, []
 
         def counted(q, h):
@@ -112,9 +116,40 @@ class TestFloquetMonodromy:
             return levels
 
         monkeypatch.setattr(hill, "_sweep", counted)
-        floquet(moved_profile(*MOVES[0]), MOVES[0][2])
-        assert len(counts) >= 3
-        assert counts == [1024 << k for k in range(len(counts))]
+        floquet(cnoidal_profile(*DEEP), DEEP[2])
+        assert counts == [256, 512, 1024, 2048, 4096]
+
+    def test_a_planted_defect_is_doubled_past(self, monkeypatch):
+        # a sweep's monodromy planted 1e-9 max(1, max|M|) off spoils the
+        # extrapolation at its step count and, as the coarse sweep, one
+        # doubling later: both fail the estimate, and the extrapolation is
+        # accepted two doublings on.  An estimate that compared it with
+        # itself, or none, would accept the defect at once.
+        prof, c = cnoidal_profile(0.5, -0.2, 1.0), 1.0
+        clean, levels = hill._monodromy(prof, c)
+        assert levels[0].shape[0] == 1024
+        sweep, counts = hill._sweep, []
+
+        def planted(q, h):
+            levels = sweep(q, h)
+            counts.append(levels[0].shape[0])
+            if counts[-1] == planted.at:
+                top = levels[-1][0]
+                top[0, 0] += 1e-9 * max(1.0, float(np.max(np.abs(top))))
+            return levels
+
+        monkeypatch.setattr(hill, "_sweep", planted)
+        planted.at = 1024
+        mat, levels = hill._monodromy(prof, c)
+        assert counts == [256, 512, 1024, 2048, 4096]
+        assert levels[0].shape[0] == 4096
+        assert np.max(np.abs(mat - clean)) <= 1e-11
+        counts.clear()
+        planted.at = hill._LAST_STEPS
+        monkeypatch.setattr(hill, "_FIRST_STEPS", hill._LAST_STEPS)
+        with pytest.raises(NumericalError, match="did not converge in 65536 RK4 steps"):
+            hill._monodromy(prof, c)
+        assert counts == [16384, 32768, 65536]
 
     @pytest.mark.parametrize("m, V", [(0.0, 1e6), (0.95, -1e6)])
     def test_overflowed_sweep_raises_at_once(self, monkeypatch, m, V):
@@ -128,9 +163,9 @@ class TestFloquetMonodromy:
             return levels
 
         monkeypatch.setattr(hill, "_sweep", counted)
-        with pytest.raises(NumericalError, match="did not converge in 2048 RK4 steps"):
+        with pytest.raises(NumericalError, match="did not converge in 1024 RK4 steps"):
             floquet(cnoidal_profile(m, V, 1.0), 1.0)
-        assert counts == [1024, 2048]
+        assert counts == [256, 512, 1024]
 
     def test_zero_central_charge_rejected(self):
         with pytest.raises(DomainError):
@@ -219,7 +254,7 @@ def test_drifted_wronskian_is_refused(oracle, monkeypatch):
 
 class TestRunningProduct:
     def test_formed_only_for_a_winding_and_once(self, monkeypatch):
-        # MOVES[0] needs doubling, so rejected sweeps precede the accepted one
+        # DEEP needs doubling, so rejected sweeps precede the accepted one
         running, passes = hill._running, []
 
         def counted(levels):
@@ -227,11 +262,11 @@ class TestRunningProduct:
             return running(levels)
 
         monkeypatch.setattr(hill, "_running", counted)
-        prof, c = moved_profile(*MOVES[0]), MOVES[0][2]
+        prof, c = cnoidal_profile(*DEEP), DEEP[2]
         floquet_monodromy(prof, c)
         assert passes == []
         winding_number(prof, c)
-        assert len(passes) == 1 and passes[0] > hill._FIRST_STEPS
+        assert passes == [4096]
 
     @pytest.mark.parametrize("m, V, c", [(0.5, -0.2, 1.0), (0.3, 1.5, 0.5)])
     def test_down_pass_matches_the_sequential_product(self, m, V, c):
