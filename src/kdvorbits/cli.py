@@ -366,13 +366,6 @@ def _cmd_check_asymptotics(args) -> str:
 
 # ------------------------------------------------------------ the parser
 
-def _add_output_flags(sub):
-    sub.add_argument("--json", action="store_true",
-                     help="emit JSON instead of CSV")
-    sub.add_argument("--out", metavar="PATH", default=None,
-                     help="write to PATH instead of stdout")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reads -inf, -nan and -1e5 as values, not as options.
 
@@ -393,95 +386,73 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+# add_argument keywords that several flags share: a required float, an (LO, HI) pair
+_REAL = {"type": float, "required": True}
+_RANGE = {"nargs": 2, "type": float, "required": True, "metavar": ("LO", "HI")}
+_WAVE = (("--m", _REAL), ("--V", _REAL))
+
+# name: (handler, add_parser keywords, flags); every command also takes --json and --out
+_COMMANDS = {
+    "classify": (_cmd_classify, {"help": "orbit data of one wave (m, V)"}, _WAVE),
+    "diagram": (_cmd_diagram, {"help": "classifier sweep over an (m, V) grid"}, (
+        ("--m-range", _RANGE), ("--V-range", _RANGE),
+        ("--grid", {"nargs": 2, "type": int, "required": True, "metavar": ("NM", "NV"),
+                    "help": f"points per axis, each at most {_GRID_LIMIT}"}))),
+    "level-curve": (_cmd_level_curve, {"help": "V(m) along a level curve of kc"}, (
+        ("--kc", _REAL),
+        ("--region", {"choices": ("below_wedge", "above_wedge"), "required": True}),
+        ("--m-samples", {"type": int, "required": True}),
+        ("--m-min", {"type": float, "default": 0.0}),
+        ("--m-max", {"type": float, "default": 0.99}))),
+    "band": (_cmd_band, {
+        "help": "dispersion scan of the Lame-N operator",
+        "description": "Columns E, kappa_ell, in_gap, winding.  For N = 1 the "
+                       "winding is the extended-zone floor(kappa_ell / pi), which "
+                       "keeps growing through the top band; for N >= 2 it is the "
+                       "number of gaps below E, at most N."}, (
+        ("--m", _REAL), ("--N", {"type": int, "default": 1}), ("--E-max", _REAL),
+        ("--samples", {"type": int, "default": 512}))),
+    "shoal": (_cmd_shoal, {"help": "shoaling path over a bathymetry CSV"}, (
+        ("--bathymetry", {"required": True, "metavar": "CSV",
+                          "help": "two-column (X, h) file with a header row"}),
+        ("--T", {**_REAL, "help": "wave period [s]"}),
+        ("--F", {**_REAL, "help": "energy transport [N]"}),
+        ("--rho", {"type": float, "default": 1025.0, "help": "water density [kg/m^3]"}),
+        ("--g", {"type": float, "default": 9.81,
+                 "help": "gravitational acceleration [m/s^2]"}))),
+    "check-asymptotics": (_cmd_check_asymptotics,
+                          {"help": "convergence-order battery, JSON report"}, ()),
+    "profile": (_cmd_profile, {"help": "sampled cnoidal Hill potential"}, (
+        *_WAVE, ("--c", _REAL), ("--samples", {"type": int, "default": 512}))),
+    "oracle": (_cmd_oracle, {"help": "closed form vs. numerical Floquet cross-check"},
+               (*_WAVE, ("--c", _REAL))),
+}
+_OUTPUT_FLAGS = (("--json", {"action": "store_true", "help": "emit JSON instead of CSV"}),
+                 ("--out", {"metavar": "PATH", "default": None,
+                            "help": "write to PATH instead of stdout"}))
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first :func:`main` call."""
+def _parser(command) -> argparse.ArgumentParser:
+    """The parser of one command, or of every command for None; built once per process."""
     parser = _Parser(
         prog="kdvorbits",
         description="Coadjoint orbits of cnoidal waves: classification, "
                     "band structure, asymptotics, and shoaling.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("classify", help="orbit data of one wave (m, V)")
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--V", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = subs.add_parser("diagram", help="classifier sweep over an (m, V) grid")
-    p.add_argument("--m-range", nargs=2, type=float, required=True,
-                   metavar=("LO", "HI"))
-    p.add_argument("--V-range", nargs=2, type=float, required=True,
-                   metavar=("LO", "HI"), dest="V_range")
-    p.add_argument("--grid", nargs=2, type=int, required=True,
-                   metavar=("NM", "NV"),
-                   help=f"points per axis, each at most {_GRID_LIMIT}")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_diagram)
-
-    p = subs.add_parser("level-curve", help="V(m) along a level curve of kc")
-    p.add_argument("--kc", type=float, required=True)
-    p.add_argument("--region", choices=("below_wedge", "above_wedge"),
-                   required=True)
-    p.add_argument("--m-samples", type=int, required=True)
-    p.add_argument("--m-min", type=float, default=0.0)
-    p.add_argument("--m-max", type=float, default=0.99)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_level_curve)
-
-    p = subs.add_parser(
-        "band", help="dispersion scan of the Lame-N operator",
-        description="Columns E, kappa_ell, in_gap, winding.  For N = 1 the "
-                    "winding is the extended-zone floor(kappa_ell / pi), which "
-                    "keeps growing through the top band; for N >= 2 it is the "
-                    "number of gaps below E, at most N.")
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--N", type=int, default=1)
-    p.add_argument("--E-max", type=float, required=True, dest="E_max")
-    p.add_argument("--samples", type=int, default=512)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_band)
-
-    p = subs.add_parser("shoal", help="shoaling path over a bathymetry CSV")
-    p.add_argument("--bathymetry", required=True, metavar="CSV",
-                   help="two-column (X, h) file with a header row")
-    p.add_argument("--T", type=float, required=True, help="wave period [s]")
-    p.add_argument("--F", type=float, required=True,
-                   help="energy transport [N]")
-    p.add_argument("--rho", type=float, default=1025.0,
-                   help="water density [kg/m^3]")
-    p.add_argument("--g", type=float, default=9.81,
-                   help="gravitational acceleration [m/s^2]")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_shoal)
-
-    p = subs.add_parser("check-asymptotics",
-                        help="convergence-order battery, JSON report")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_check_asymptotics)
-
-    p = subs.add_parser("profile", help="sampled cnoidal Hill potential")
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--V", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--samples", type=int, default=512)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_profile)
-
-    p = subs.add_parser("oracle",
-                        help="closed form vs. numerical Floquet cross-check")
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--V", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_oracle)
-
+    for name in (command,) if command else _COMMANDS:
+        handler, keywords, flags = _COMMANDS[name]
+        sub = subs.add_parser(name, **keywords)
+        for flag, options in (*flags, *_OUTPUT_FLAGS):
+            sub.add_argument(flag, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # a command line that names no command gets every command's parser
+        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         text = args.handler(args)
         if args.out is None:
             sys.stdout.write(text)

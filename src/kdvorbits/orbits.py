@@ -200,7 +200,7 @@ def orbit_data(m, V) -> OrbitData:
     amp = wp_amplitude(V, lat)
     case = xp.where(amp.corner, 3 + amp.corner, amp.edge)  # the four edges, then e2, e3, e1
     with xp.errstate(all="ignore"):  # nan x on m = 0's double corner, columns not picked overflow
-        x = _edge_exponent(lat, amp)
+        x = 0.0 if xp is FLOAT and amp.corner else _edge_exponent(lat, amp)  # a corner reads no x
         square, top = _square_over_six_pi_sq(x, xp), (x * x - math.pi**2 / 4.0) / _SIX_PI_SQ
         cos, cosh = 2.0 * xp.cos(2.0 * x), 2.0 * xp.cosh(2.0 * x, (case == TOP) | (case == REAL))
         turns = _floor_snap(xp.where(case == IMAGINARY, 2.0 * x / math.pi, 0.0), xp)

@@ -23,19 +23,25 @@ __all__ = ["Profile", "spectral_derivative"]
 PERIOD = 2.0 * np.pi
 _MIN_SAMPLES = 8
 _DEFAULT_SAMPLES = 512
-_MAX_SAMPLES = np.iinfo(np.intp).max // 8  # numpy's largest float64 array
+# Half numpy's largest float64 array, so that numpy can size every array a count
+# up to it needs (np.arange's grid, a complex half-spectrum): past memory, the
+# allocation raises MemoryError
+_MAX_SAMPLES = np.iinfo(np.intp).max // 16
 
 
-def _sample_count(n: int) -> int:
-    """n, or DomainError if |n| samples are past numpy's largest float array."""
-    if not abs(n) <= _MAX_SAMPLES:
-        raise DomainError(f"{shown(n)} samples are past numpy's largest float array")
-    return n
+def _sampled(n: int, make: Callable) -> np.ndarray:
+    """make(n), or DomainError if numpy cannot allocate |n| samples."""
+    try:
+        if abs(n) <= _MAX_SAMPLES:
+            return make(n)
+    except MemoryError:
+        pass
+    raise DomainError(f"{shown(n)} samples are more than numpy can allocate")
 
 
 def grid(n: int) -> np.ndarray:
     """The uniform sample grid x_j = 2 pi j / n, j = 0..n-1."""
-    return PERIOD * np.arange(_sample_count(n)) / n
+    return _sampled(n, lambda n: PERIOD * np.arange(n) / n)
 
 
 def finite(values, message: str):
@@ -166,4 +172,5 @@ class Profile:
         nodes = getattr(self.evaluator, "nodes", None)
         if nodes is None or n < _MIN_SAMPLES:  # from_callable refuses n < 8
             return Profile.from_callable(self.evaluator, n)
-        return Profile(evaluator=self.evaluator, samples=_trig_resample(nodes, _sample_count(n)))
+        return Profile(evaluator=self.evaluator,
+                       samples=_sampled(n, lambda n: _trig_resample(nodes, n)))

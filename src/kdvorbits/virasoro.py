@@ -237,13 +237,18 @@ def compose(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
 
 def schwarzian(f: CircleDiffeo, x):
     """Schwarzian derivative f'''/f' - (3/2)(f''/f')^2 at x (or an array)."""
+    return _slope_and_schwarzian(f, x)[1]
+
+
+def _slope_and_schwarzian(f: CircleDiffeo, x):
+    """f'(x) and the Schwarzian S[f](x), from one evaluation of f'."""
     d1 = f.derivative(x, 1)
     if np.any(np.asarray(d1) <= 0.0):
         raise DomainError("f' <= 0 at the evaluation point")
     with np.errstate(all="ignore"):  # out of range is refused
         ratio = f.derivative(x, 2) / d1
-        return finite(f.derivative(x, 3) / d1 - 1.5 * ratio * ratio,
-                      "the Schwarzian leaves the float range")
+        return d1, finite(f.derivative(x, 3) / d1 - 1.5 * ratio * ratio,
+                          "the Schwarzian leaves the float range")
 
 
 def coadjoint(p: Profile, f: CircleDiffeo, c: float) -> Profile:
@@ -258,7 +263,7 @@ def coadjoint(p: Profile, f: CircleDiffeo, c: float) -> Profile:
     if not math.isfinite(c):
         raise DomainError(f"central charge must be finite, got {c!r}")
     xs = f.inverse(grid(p.n))
-    d1, anomaly = f.derivative(xs, 1), schwarzian(f, xs)
+    d1, anomaly = _slope_and_schwarzian(f, xs)
     with np.errstate(all="ignore"):  # from_samples refuses a sample out of range
         return Profile.from_samples((pointwise(p, xs) + (c / 12.0) * anomaly) / (d1 * d1))
 

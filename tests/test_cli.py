@@ -139,6 +139,24 @@ SHOAL_PINNED = [
     (4.0, 0.4, 1001, (), "0dbd8ae26a04525c000d310355f2f6386b2ff70b8c9f93f997c13bc8b70afa11"),
     (6.0, 1.2, 40, ("--json",), "3d1dfd96684f1acfc0e3145082ca47b2ee801854b077c9edf9d9db691c1bc3c5"),
 ]
+# Help and usage digests of Python 3.11's argparse at COLUMNS=80, recorded while
+# every run still built the subparsers of all eight commands: the stdout of each
+# --help, and the stderr of three usage errors.
+TEXT_PINNED = [
+    (("--help",), "0e81beeb725206fff6ecc33704ef39a7f745ddee9de1c163f4b213eeac0d4f47"),
+    (("classify", "--help"), "2cb2a99020ccf1d37aa9a08ed009b7ddac92522c43b212f743c5b8ac365a2b99"),
+    (("diagram", "--help"), "61f01fc414cd0d288ceb5a6d0f46169462c9f2e0fc1c39a0a2a131ab3fbc3dca"),
+    (("level-curve", "--help"), "8ea301f98fcf2a1826a94b875d9e7b0401f1566cd1781fab32fd030d33d8ea4e"),
+    (("band", "--help"), "500de55788f23810174c24d83b7d518aba57d024d990ee1b5a75494dccab8d03"),
+    (("shoal", "--help"), "346551d99dbcaf88e2d63066624800c72e47e450eb3243e9255f7472ed61e357"),
+    (("check-asymptotics", "--help"),
+     "6f8e3f26b5c8b7b4eaab41c3c9a5a64bd5ff6baf29533cd523c20ea2b4fee949"),
+    (("profile", "--help"), "eeb8abf234c6e0e02b87079386d9b0c0f644acbe9a6f84ef051dc92957a1d27e"),
+    (("oracle", "--help"), "68813c612820d50f3dbd7a62473befbfd85a1486ca101b050119b027b1ca7b71"),
+    ((), "21278ceb5e25a15c08467520f425e1327d6b853aea155c55c536d171493d5eca"),
+    (("nosuch",), "df93cdb41b03df1117e1a0cbecb904c82aef0843c12420eeb2404ab045da0834"),
+    (("diagram", "--grid", "3"), "c9c36d6c7cba2c4d96818455c48ec002a53b0036b1ec85b2a257be9ad431de47"),
+]
 PROFILE_ARGV = ("profile", "--m", 0.9, "--V", -0.5, "--c", -32, "--samples", 96, "--json")
 # Every pinned argv, the band scans first; a shoal beach (top, bottom, n) is
 # written as the bed of uneven_bed when the argv runs.
@@ -809,8 +827,8 @@ class TestOutputPlumbing:
         assert "--V" in capsys.readouterr().out
 
     def test_one_parser_serves_every_call(self, capsys, monkeypatch):
-        # a usage error and a domain error leave the process-wide parser as
-        # a fresh interpreter would find it
+        # a usage error and a domain error leave the process-wide parsers as
+        # a fresh interpreter would find them
         calls = [("classify", "--m", "0.5"),
                  ("band", "--m", "0.5", "--N", "0", "--E-max", "1"),
                  ("classify", "--m", "0.3", "--V", "-0.9"),
@@ -819,19 +837,55 @@ class TestOutputPlumbing:
         fresh = [subprocess.run([sys.executable, "-m", "kdvorbits.cli", *argv],
                                 capture_output=True) for argv in calls]
         used, parse_args = [], cli._Parser.parse_args
+        built, init = [], cli._Parser.__init__
 
         def recorded(parser, *args, **kwargs):
             used.append(parser)
             return parse_args(parser, *args, **kwargs)
 
+        def constructed(parser, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(parser, *args, **kwargs)
+
         monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+        monkeypatch.setattr(cli._Parser, "__init__", constructed)
+        cli._parser.cache_clear()
         for argv, proc in zip(calls, fresh):
             code = main(list(argv))
             captured = capsys.readouterr()
             assert (code, captured.out.encode(), captured.err.encode()) == (
                 proc.returncode, proc.stdout, proc.stderr), argv
         assert [proc.returncode for proc in fresh] == [2, 2, 0, 0]
-        assert len({id(parser) for parser in used}) == 1
+        # each command's parser is built once, with that command's subparser
+        # alone, and serves every later call of the command
+        assert used[0] is used[2]
+        assert [prog for prog in built if prog != "kdvorbits"] == [
+            "kdvorbits classify", "kdvorbits band", "kdvorbits diagram"]
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse lays out its text differently in other Python versions")
+    @pytest.mark.parametrize("argv, digest", TEXT_PINNED)
+    def test_help_and_usage_bytes_are_pinned(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        text = captured.out if code == 0 else captured.err
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0 if "--help" in argv else 2,
+                                                                      digest)
+
+    def test_a_run_builds_only_its_command(self):
+        script = ("import contextlib, io\n"
+                  "from kdvorbits import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    assert cli.main(['classify', '--m', '0.5', '--V', '0.1']) == 0\n"
+                  "print(cli._parser.cache_info().currsize, cli._parser('classify').format_usage())")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "COLUMNS": "80"})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "1 usage: kdvorbits [-h] {classify} ...\n\n"
 
     def test_subprocess_entry(self):
         proc = subprocess.run(

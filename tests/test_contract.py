@@ -59,7 +59,7 @@ from kdvorbits.orbits import (
     orbit_data,
     winding_from_kc,
 )
-from kdvorbits.profiles import Profile, grid, spectral_derivative
+from kdvorbits.profiles import _MAX_SAMPLES, Profile, grid, spectral_derivative
 from kdvorbits.shoaling import m_from_depth, zero_average_V
 from kdvorbits.virasoro import (
     CircleDiffeo,
@@ -357,6 +357,15 @@ class TestPastTheFloatRange:
 
     def test_profile_derivative(self):
         self.refused(lambda: SMOOTH.derivative(10**5000), 10**5000)
+
+    # a count whose arrays numpy can size but no 64-bit address space holds
+    # (4.6e18 bytes), so the allocation is refused at once: numpy's MemoryError
+    # escaped before
+    @pytest.mark.parametrize("call", [grid, SMOOTH.resampled, cnoidal_profile(0.5, 0.2, 1.0).resampled,
+                                      lambda n: Profile.from_callable(np.cos, n)],
+                             ids=["grid", "resampled", "resampled_callable", "from_callable"])
+    def test_past_memory(self, call):
+        self.refused(lambda: call(_MAX_SAMPLES), _MAX_SAMPLES)
 
 
 class TestBands:

@@ -392,6 +392,20 @@ class TestOrbitData:
         zero_d, alone = orbit_data(np.array(0.5), np.array(0.1)), orbit_data(0.5, 0.1)
         assert [(type(a), a) for a in zero_d] == [(type(a), a) for a in alone]
 
+    def test_a_float_corner_evaluates_no_edge_exponent(self, monkeypatch):
+        from kdvorbits import orbits
+
+        cells, exponent = [], orbits._edge_exponent
+        monkeypatch.setattr(orbits, "_edge_exponent",
+                            lambda lat, amp: cells.append(np.size(amp.edge)) or exponent(lat, amp))
+        lat = lattice(0.5)
+        for V in (lat.e1, lat.e2, lat.e3):
+            orbit_data(0.5, V)
+        assert cells == []
+        orbit_data(0.5, 0.1)
+        orbit_data(np.array(0.5), np.array([lat.e1, 0.1]))  # an array's pass covers every cell
+        assert cells == [1, 2]
+
     def test_an_array_raises_for_its_first_invalid_cell(self):
         m, V = np.array([0.5, 0.5, 1.5, -1.0]), np.array([0.1, math.nan, 0.0, 0.0])
         with pytest.raises(DomainError, match="V must be finite, got nan"):

@@ -205,6 +205,18 @@ class TestCoadjoint:
         against = schwarzian(f, xs) / f.derivative(xs, 1) ** 2
         assert_allclose(q2.samples - q1.samples, against, rtol=0, atol=1e-11)
 
+    def test_evaluates_each_derivative_once(self, monkeypatch):
+        f, orders = random_diffeo(34), []
+        derivative = f.derivative
+        monkeypatch.setattr(f, "derivative", lambda x, order: orders.append(order)
+                            or derivative(x, order))
+        p = self.profile()
+        f.inverse(grid(p.n))  # the Newton pull-back's own f' calls
+        newton = orders[:]
+        orders.clear()
+        coadjoint(p, f, self.c)
+        assert orders == [*newton, 1, 2, 3]
+
     def test_rejects_nonfinite_charge(self):
         with pytest.raises(DomainError):
             coadjoint(self.profile(), CircleDiffeo.identity(), float("nan"))
