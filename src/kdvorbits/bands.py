@@ -35,7 +35,7 @@ import numpy as np
 
 from .asymptotics import Approximation, exceptional_V_asymptote
 from .elliptic import jacobi
-from .errors import DomainError, NumericalError, ResolutionError, shown
+from .errors import DomainError, NumericalError, PoleError, ResolutionError, shown
 from .profiles import Profile, finite
 from .weierstrass import E2, lattice, wp_amplitude, wp_inverse, zeta
 
@@ -128,7 +128,11 @@ def crystal_momentum(E: float, m: float) -> BandPoint:
         # but the dispersion pi*sqrt(E) passes through continuously.
         return BandPoint(E, math.pi, complex(math.pi, 0.0), False)
     a = wp_inverse(V, lat)
-    kappa = 2j * (lat.K * zeta(a, lat) - lat.eta1 * a)
+    try:
+        za = zeta(a, lat)
+    except PoleError:  # |a| < 1e-9, past |E| ~ 1e18: zeta's Laurent series, exact to an ulp there
+        za = 1.0 / a - lat.g2 * a**3 / 60.0
+    kappa = 2j * (lat.K * za - lat.eta1 * a)
     if kappa.real < -_EDGE_SNAP or (abs(kappa.real) <= _EDGE_SNAP and kappa.imag < 0.0):
         kappa = -kappa
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -131,9 +132,11 @@ def _cmd_diagram(args) -> str:
     vs = _axis(args.V_range[0], args.V_range[1], args.grid[1], "V")
     m_grid, v_grid = (g.ravel() for g in np.meshgrid(ms, vs, indexing="ij"))  # row-major: m outer
     data = orbit_data(m_grid, v_grid)
+    cell = repr if args.json else "%.17g".__mod__  # each axis value formatted once
+    m_cells, v_cells = ([cell(x) for x in axis.tolist()] for axis in (ms, vs))
     rows = [[m, v, trace, kc_real, kc_imag, orbit.kind.value, orbit.winding]
-            for m, v, trace, kc_real, kc_imag, orbit in zip(
-                m_grid.tolist(), v_grid.tolist(), data.trace.tolist(), data.kc.real.tolist(),
+            for (m, v), trace, kc_real, kc_imag, orbit in zip(
+                itertools.product(m_cells, v_cells), data.trace.tolist(), data.kc.real.tolist(),
                 data.kc.imag.tolist(), data.orbit.tolist())]
     return _table(args, _DIAGRAM_COLUMNS, rows)
 
@@ -144,8 +147,9 @@ _SHOAL_COLUMNS = ("X", "h", "lambda", "m", "V", "kc_real", "kc_imag",
                   "class", "winding", "in_wedge", "epsilon", "speed")
 _PROFILE_COLUMNS = ("x", "p")
 # One %-format per row of each table, CSV and JSON: the cells are Python
-# floats and ints, the class names, and booleans from _BOOLEAN.
-_ROW_FORMATS = {_DIAGRAM_COLUMNS: "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d",
+# floats and ints, the class names, booleans from _BOOLEAN, and the diagram's
+# m and V, which _cmd_diagram formats once per axis value.
+_ROW_FORMATS = {_DIAGRAM_COLUMNS: "%s,%s,%.17g,%.17g,%.17g,%s,%d",
                 _LEVEL_CURVE_COLUMNS: "%.17g,%.17g",
                 _BAND_COLUMNS: "%.17g,%.17g,%s,%d",
                 _SHOAL_COLUMNS: "%.17g," * 7 + "%s,%d,%s,%.17g,%.17g",
@@ -259,11 +263,13 @@ def _m_for_nome_sq(q2: float) -> float:
     return (theta2 / theta3) ** 4
 
 
-def _invert_level_curve_m1(kc: float, V: float) -> float:
-    """The 1 - m at which the deep level curve kc passes through V: bisection
-    in t = log10(1 - m) over [-15.5, -1] down to a 2e-12 wide t bracket."""
+def _one_minus_m_at_kc(kc: float, V: float) -> float:
+    """The 1 - m at which the wave (m, V) has the given kc: bisection in
+    t = log10(1 - m) over [-15.5, -1] down to a 2e-12 wide t bracket.  Below
+    the wedge kc rises with V, so kc(m, V) < kc says the level curve of kc
+    passes above V at that m."""
     def above(t):
-        return level_curve(kc, 1.0 - 10.0**t, "below_wedge") > V
+        return orbit_data(1.0 - 10.0**t, V).kc.real < kc
 
     lo, hi = -15.5, -1.0
     lo_above = above(lo)
@@ -321,7 +327,7 @@ def _cmd_check_asymptotics(args) -> str:
     def rel_nonpert(dv):
         predicted = one_minus_m_nonperturbative(-4.0 / 24.0,
                                                 -2.0 / 3.0 - dv).value
-        actual = _invert_level_curve_m1(-4.0 / 24.0, -2.0 / 3.0 - dv)
+        actual = _one_minus_m_at_kc(-4.0 / 24.0, -2.0 / 3.0 - dv)
         return abs(predicted / actual - 1.0)
     checks.append(_decreasing_check("one_minus_m_nonperturbative_sharpens",
                                     [rel_nonpert(0.02), rel_nonpert(0.01)]))

@@ -97,6 +97,16 @@ class TestCrystalMomentum:
                         rtol=1e-12, atol=1e-12)
         assert not bp.in_gap
 
+    @pytest.mark.parametrize("E", [1e19, 1e24, 1e300, -1e19, -1e300])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 0.99])
+    def test_far_energies_are_2K_sqrt_E(self, E, m):
+        # there a = wp_inverse(V) lies within 1e-9 of the pole of zeta at 0,
+        # and kappa l = 2K sqrt(E) to an ulp: real in the band, imaginary below it
+        bp = crystal_momentum(E, m)
+        expected = 2.0 * lattice(m).K * math.sqrt(abs(E))
+        assert bp.in_gap == (E < 0.0)
+        assert_allclose(abs(bp.kappa_ell_extended), expected, rtol=1e-15)
+
     @pytest.mark.parametrize("m", [5e-324, 1e-300, 1e-17])
     def test_tiny_m_is_the_m0_dispersion(self, m):
         # 1 - m rounds to 1: the lattice is the m = 0 one, double corner included
@@ -242,6 +252,10 @@ class TestKappaEllExtended:
         far = np.array([1e3, 1e6, 1e8])
         closed = [crystal_momentum(E, m).kappa_ell_extended.real for E in far]
         assert_allclose(kappa_ell_extended(far, m, 1), closed, rtol=1e-14)
+        # past E ~ 1e18 wp_inverse lands within zeta's 1e-9 pole band at 0
+        farther = np.array([1e18, 1e19, 1e20, 1e24])
+        closed = [crystal_momentum(E, m).kappa_ell_extended.real for E in farther]
+        assert_allclose(kappa_ell_extended(farther, m, 1), closed, rtol=1e-15)
 
     @pytest.mark.parametrize("N, m", ORACLE_SWEEP)
     def test_matches_the_floquet_oracle(self, N, m):

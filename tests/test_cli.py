@@ -132,12 +132,13 @@ BAND_PINNED = [
 # At m = 1 - 1e-6 the lowest bands are narrower than band_edges resolves, so
 # kappa_ell comes from the Magnus trace.
 MAGNUS_ARGV = ("band", "--N", "3", "--m", "0.999999", "--E-max", "20", "--samples", "64")
-# Shoal digests recorded while tables were still encoded by json.dumps: the beach
-# of TestShoal.test_json_bytes_are_pinned as CSV, and a deep beach whose
+# Shoal digests recorded when critical_m became the correctly rounded root (the
+# beaches are scaled by critical_depth): the beach of
+# TestShoal.test_json_bytes_are_pinned as CSV, and a deep beach whose
 # entry_index and crossing_depth are null.
 SHOAL_PINNED = [
-    (4.0, 0.4, 1001, (), "0dbd8ae26a04525c000d310355f2f6386b2ff70b8c9f93f997c13bc8b70afa11"),
-    (6.0, 1.2, 40, ("--json",), "3d1dfd96684f1acfc0e3145082ca47b2ee801854b077c9edf9d9db691c1bc3c5"),
+    (4.0, 0.4, 1001, (), "b86e7dd8fba18d9bc28948e6fc6f121aeab4a300de635e1affcdadea21b66390"),
+    (6.0, 1.2, 40, ("--json",), "57f0b04f74581192928eb7f3f59151c64c4eb1e0ba263578e621942d8be96b8c"),
 ]
 # Help and usage digests of Python 3.11's argparse at COLUMNS=80, recorded while
 # every run still built the subparsers of all eight commands: the stdout of each
@@ -409,6 +410,15 @@ class TestBand:
             elif mid < e < hi:
                 assert row[3] == "1"
 
+    def test_closed_form_scan_reaches_far_energies(self, capsys):
+        # past E ~ 1e18, wp_inverse lands within zeta's pole band (exit 2 before)
+        code, out, _ = run_cli(capsys, "band", "--m", 0.5, "--E-max", 1e24, "--samples", 2)
+        assert code == 0
+        E, kappa, in_gap, winding = parse_csv(out)[1][1]
+        extended = bands.kappa_ell_extended([float(E)], 0.5, 1)[0]
+        assert (in_gap, int(winding)) == ("false", int(extended // math.pi))
+        assert 0.0 <= float(kappa) <= math.pi
+
     def test_winding_labels_bands(self, capsys):
         _, out, _ = run_cli(capsys, "band", "--m", 0.6, "--E-max", 3.0,
                             "--samples", 60)
@@ -638,11 +648,11 @@ class TestShoal:
 
     def test_json_bytes_are_pinned(self, capsys, tmp_path):
         # 1001 stations from 4 h* to 0.4 h* with uneven steps; the digest was
-        # recorded when m_from_depth still inverted one station per call
+        # recorded when critical_m became the correctly rounded root
         code, out, _ = run_cli(capsys, *shoal_args(uneven_bed(tmp_path, 4.0, 0.4, 1001)), "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0e35c31a2f10f495a2085518a1e48a51290ae28ac590218b7108d4137e681ed3")
+            "7b12dfa4218a6061fded80ff2c5b0454c14acc5743ba2d12beb704c86c016064")
 
     @pytest.mark.parametrize("top, bottom, n, flags, digest", SHOAL_PINNED)
     def test_more_bytes_are_pinned(self, capsys, tmp_path, top, bottom, n, flags, digest):
@@ -778,6 +788,33 @@ class TestCheckAsymptotics:
                 for name, value, K in rows:
                     exact = float(abs(value - K))
                     assert abs(measured[name][i] - exact) <= 4.0 * math.ulp(float(K)), name
+
+    @pytest.mark.parametrize("dv", [0.02, 0.01])
+    def test_kc_inversion_is_the_level_curve_bisection(self, dv):
+        # the battery's 1 - m bisects on kc(m, V) < kc; bisecting on a whole
+        # level curve solved at each step lands on the same float
+        kc, V = -4.0 / 24.0, -2.0 / 3.0 - dv
+
+        def above(t):
+            return cli.level_curve(kc, 1.0 - 10.0**t, "below_wedge") > V
+
+        lo, hi, lo_above = -15.5, -1.0, above(-15.5)
+        while hi - lo > 2e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if above(mid) == lo_above else (lo, mid)
+        assert cli._one_minus_m_at_kc(kc, V) == 10.0 ** (0.5 * (lo + hi))
+
+    def test_battery_solves_six_level_curves(self, capsys, monkeypatch):
+        # the six of the exceptional, V_near_m1 and V_near_m0 rows; inverting kc
+        # by bisecting on whole level curves made 90 more
+        level_curve, calls = cli.level_curve, []
+
+        def counted(*args):
+            calls.append(args)
+            return level_curve(*args)
+        monkeypatch.setattr(cli, "level_curve", counted)
+        assert run_cli(capsys, "check-asymptotics")[0] == 0
+        assert len(calls) <= 6
 
     @pytest.mark.parametrize("q2", [1e-4, 5e-5, 2.5e-5, 6.25e-6, 1e-8])
     def test_nome_round_trip(self, q2):
@@ -1032,10 +1069,12 @@ class TestArgvContract:
         _assert_the_contract(argv)
 
     # calls that broke the contract: an --out that cannot be opened raised
-    # out of main, and the oracle's sweeps printed numpy overflow warnings
+    # out of main, and the oracle's sweeps printed numpy overflow warnings; and
+    # a band scan to E = 1e24, which exited 2 on a PoleError
     @pytest.mark.parametrize("argv", [
         ("check-asymptotics", "--out", _DIR),
         ("classify", "--m", "0.5", "--V", "0", "--out", _NO_DIR),
+        ("band", "--m", "0.5", "--E-max", "1e24", "--samples", "2"),
         ("oracle", "--m", "0.95", "--V", "-1e6", "--c", "1"),
         ("oracle", "--m", "1e-300", "--V", "1e6", "--c", "1"),
         ("oracle", "--m", "0.95", "--V", "1e300", "--c", "1"),

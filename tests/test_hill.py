@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import oracles
 from kdvorbits import hill
 from kdvorbits.errors import DomainError, NumericalError, StabilityError
 from kdvorbits.hill import (
@@ -58,6 +59,13 @@ def constant_profile(kc, c=C, n=32):
     value = kc * c
     return Profile.from_callable(
         lambda x: np.full_like(np.asarray(x, float), value), n=n)
+
+
+def mean_test_profile(top=0.0):
+    # the profile of TestKdvEvolve.test_mean_is_conserved, plus top cos(100 x),
+    # a mode in the top third of its 256 samples
+    return Profile.from_callable(
+        lambda x: 0.3 + np.sin(x) + 0.2 * np.cos(3 * x - 1.0) + top * np.cos(100 * x), n=256)
 
 
 def physical_line(m, count=20):
@@ -318,6 +326,27 @@ class TestLameExactResidual:
     def test_empty_points_rejected(self):
         with pytest.raises(DomainError):
             lame_exact_residual(0.5, 1.0, [])
+
+
+class TestKdvStepsBelowTheCut:
+    # (profile, c, tau): three cnoidal waves at the oracle's tau, the mean test's
+    # profile, also with a top-third mode, all in 16 steps, and the first wave
+    # over 24 steps (longer runs of the other profiles amplify rounding past 1e-15)
+    @pytest.mark.parametrize("make, c, tau", [
+        (lambda: cnoidal_profile(0.5, -0.2, 1.0), 1.0, 1e-4),
+        (lambda: cnoidal_profile(0.5, 0.4, -32.0 * math.pi**3), -32.0 * math.pi**3, 1e-4),
+        (lambda: cnoidal_profile(0.9, -0.5, 2.0), 2.0, 1e-4),
+        (mean_test_profile, -4.0, 2e-3),
+        (lambda: mean_test_profile(1e-3), -4.0, 2e-3),
+        (lambda: cnoidal_profile(0.5, -0.2, 1.0), 1.0, 1.2),
+    ], ids=["wave-a", "wave-b", "wave-c", "mean", "top-third", "wave-a-24-steps"])
+    def test_matches_the_whole_spectrum_stepper(self, make, c, tau):
+        # kdv_evolve steps only the modes below the 2/3 cut and advances the
+        # top third once; stepping every mode gives the same samples to rounding
+        prof = make()
+        expected = oracles.kdv_full_spectrum(prof.samples, c, tau)
+        scale = max(1.0, float(np.max(np.abs(prof.samples))))
+        assert np.max(np.abs(kdv_evolve(prof, c, tau).samples - expected)) <= 1e-15 * scale
 
 
 class TestKdvEvolve:

@@ -90,8 +90,22 @@ class TestZeroAverageV:
 
 class TestCriticalM:
     def test_value(self):
-        # the fixed point ends 2.2 ulp above the root of E/K = 1/2
-        assert abs(critical_m() - oracles.mp_critical_m()) <= 3.0 * math.ulp(critical_m())
+        # Newton's method ends on the root of E/K = 1/2, correctly rounded
+        assert abs(critical_m() - oracles.mp_critical_m()) <= math.ulp(critical_m())
+
+    def test_six_lattice_evaluations(self, monkeypatch):
+        evaluated = []
+
+        def counted(m):
+            evaluated.append(m)
+            return lattice(m)
+        monkeypatch.setattr(shoaling, "lattice", counted)
+        critical_m.cache_clear()
+        try:
+            critical_m()
+        finally:
+            critical_m.cache_clear()
+        assert len(evaluated) == 6
 
     def test_half_ratio(self):
         lat = lattice(critical_m())
