@@ -305,7 +305,7 @@ def kdv_evolve(profile: Profile, c: float, tau: float,
         L = (c / 12.0) * (1j * k) ** 3
         E = np.exp(L * dt / 2.0)
         E2 = E * E
-        # RK4's k_j = -1.5ik f_j, f_j the squares below; -1.5ik, E, E2 and the weights fold in
+        # RK4's k_j is -1.5ik f_j, f_j the squares below; into and weights fold in -1.5ik, E, E2
         a, e, e2 = -1.5j * k[:cut], E[:cut], E2[:cut]
         into = (0.5 * dt * a * e, 0.5 * dt * a, dt * a * e)
         weights = (dt / 6.0) * a * np.array([e2, 2.0 * e, 2.0 * e, np.ones(cut)])
