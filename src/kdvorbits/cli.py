@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import re
@@ -132,11 +131,9 @@ def _cmd_diagram(args) -> str:
     vs = _axis(args.V_range[0], args.V_range[1], args.grid[1], "V")
     m_grid, v_grid = (g.ravel() for g in np.meshgrid(ms, vs, indexing="ij"))  # row-major: m outer
     data = orbit_data(m_grid, v_grid)
-    cell = repr if args.json else "%.17g".__mod__  # each axis value formatted once
-    m_cells, v_cells = ([cell(x) for x in axis.tolist()] for axis in (ms, vs))
     rows = [[m, v, trace, kc_real, kc_imag, orbit.kind.value, orbit.winding]
-            for (m, v), trace, kc_real, kc_imag, orbit in zip(
-                itertools.product(m_cells, v_cells), data.trace.tolist(), data.kc.real.tolist(),
+            for m, v, trace, kc_real, kc_imag, orbit in zip(
+                m_grid.tolist(), v_grid.tolist(), data.trace.tolist(), data.kc.real.tolist(),
                 data.kc.imag.tolist(), data.orbit.tolist())]
     return _table(args, _DIAGRAM_COLUMNS, rows)
 
@@ -147,9 +144,8 @@ _SHOAL_COLUMNS = ("X", "h", "lambda", "m", "V", "kc_real", "kc_imag",
                   "class", "winding", "in_wedge", "epsilon", "speed")
 _PROFILE_COLUMNS = ("x", "p")
 # One %-format per row of each table, CSV and JSON: the cells are Python
-# floats and ints, the class names, booleans from _BOOLEAN, and the diagram's
-# m and V, which _cmd_diagram formats once per axis value.
-_ROW_FORMATS = {_DIAGRAM_COLUMNS: "%s,%s,%.17g,%.17g,%.17g,%s,%d",
+# floats and ints, the class names, and booleans from _BOOLEAN.
+_ROW_FORMATS = {_DIAGRAM_COLUMNS: "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d",
                 _LEVEL_CURVE_COLUMNS: "%.17g,%.17g",
                 _BAND_COLUMNS: "%.17g,%.17g,%s,%d",
                 _SHOAL_COLUMNS: "%.17g," * 7 + "%s,%d,%s,%.17g,%.17g",

@@ -96,17 +96,19 @@ def critical_m() -> float:
 
     The root of 2E(m) - K(m), equivalently E/K = 1/2, by Newton's method
     with dE/dm = (E - K)/(2m) and dK/dm = (E - (1 - m)K)/(2m(1 - m))
-    (DLMF 19.4.1) from m = 0.8, until a step no longer moves m: six lattice
+    (DLMF 19.4.1) from m = 0.8, until a step lands on an m already tried
+    (itself, or a neighbour when rounding noise makes the steps cycle); of
+    the tried m it returns the one with the smallest |2E - K|: six lattice
     evaluations, ending on 0.8261147659849704, the root correctly rounded.
     """
-    m = 0.8
+    m, residuals = 0.8, {}
     for _ in range(_MAX_STEPS):
         lat = lattice(m)
+        residuals[m] = 2.0 * lat.E - lat.K
         slope = (lat.E - lat.K) / m - (lat.E - (1.0 - m) * lat.K) / (2.0 * m * (1.0 - m))
-        m_next = m - (2.0 * lat.E - lat.K) / slope
-        if m_next == m:
-            return m
-        m = m_next
+        m = m - residuals[m] / slope
+        if m in residuals:
+            return min(residuals, key=lambda tried: abs(residuals[tried]))
     raise AssertionError("Newton's method for m* failed to settle")
 
 

@@ -383,10 +383,7 @@ class TestLevelCurve:
 
 def _avx512_dispatch() -> bool:
     """Whether numpy runs AVX-512 loops on this CPU."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
+    from numpy._core._multiarray_umath import __cpu_features__
     return any(__cpu_features__.get(name) for name in ("AVX512_SKX", "AVX512_ICL", "AVX512_SPR"))
 
 

@@ -7,6 +7,7 @@ depth-pointedness relation against its own inverse and against the
 critical-depth formula, and the path bookkeeping against bisection.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -106,6 +107,24 @@ class TestCriticalM:
         finally:
             critical_m.cache_clear()
         assert len(evaluated) == 6
+
+    def test_steps_cycling_between_neighbours_settle(self, monkeypatch):
+        # Rounding noise of a few ulp in 2E - K can send Newton from m* to its
+        # neighbour and back; shifting E by 2.5e-16 at both makes that cycle
+        a = critical_m()
+        b = math.nextafter(a, 1.0)
+        shift = {a: 2.5e-16, b: -2.5e-16}
+
+        def noisy(m):
+            lat = lattice(m)
+            return dataclasses.replace(lat, E=lat.E + shift.get(m, 0.0))
+        monkeypatch.setattr(shoaling, "lattice", noisy)
+        critical_m.cache_clear()
+        try:
+            m_star = critical_m()
+        finally:
+            critical_m.cache_clear()
+        assert abs(m_star - a) <= 2.0 * math.ulp(a)
 
     def test_half_ratio(self):
         lat = lattice(critical_m())
