@@ -38,6 +38,7 @@ __all__ = [
     "ellint_E",
     "ellint_KE",
     "ellint_F_zeta",
+    "agm_chain",
     "jacobi",
 ]
 
@@ -45,6 +46,7 @@ __all__ = [
 # amplitude recursion is of the same order.
 _AGM_TOL = 4e-16
 _AGM_MAX_ITER = 40
+AGMChain = NamedTuple("AGMChain", [("m", object), ("states", tuple)])  # from agm_chain
 
 
 class JacobiTriple(NamedTuple):
@@ -156,6 +158,14 @@ def _agm(m, xp):
         yield _State(live, a, b, c)
 
 
+def agm_chain(m) -> AGMChain:
+    """m and its AGM chain, built once for many :func:`ellint_F_zeta` calls at m (an m
+    outside [0, 1), which takes its float call there, on the chain of 0)."""
+    xp, (m,) = route(m)
+    sound = xp.where((m >= 0.0) & (m < 1.0), m, 0.0)
+    return AGMChain(m, _float_agm(sound) if xp is FLOAT else tuple(_agm(sound, ARRAY)))
+
+
 @lru_cache(maxsize=1024)
 def _float_agm(m: float) -> tuple[_State, ...]:
     """The chain of a float m, cached at twice the lattice cache: a lattice and
@@ -242,13 +252,15 @@ def ellint_F_zeta(y, x, m):
     Accepts scalars or arrays, broadcast together, as :func:`route` decides;
     scalars in, floats out.  An array runs the float recurrences in one masked
     pass, each element stopping on its own tests, so it is its float call bit for
-    bit; the first invalid element raises its error.
+    bit; the first invalid element raises its error.  m may be its :func:`agm_chain`.
     """
-    xp, (y, x, m) = route(y, x, m)
+    chain = m if isinstance(m, AGMChain) else None
+    xp, (y, x, m) = route(y, x, chain.m if chain else m)
     h = xp.hypot(y, x)
     plain = (m >= 0.0) & (m < 1.0) & (y >= 0.0) & (x >= 0.0) & (h > 1e-300) & (h < 1e300)
     if xp.all(plain):  # valid too, so the common case needs no other test
-        return _landen(y / h, x / h, m, _float_agm(m) if xp is FLOAT else _agm(m, xp), xp)
+        states = chain.states if chain else _float_agm(m) if xp is FLOAT else _agm(m, xp)
+        return _landen(y / h, x / h, m, states, xp)
     ok = ((m >= 0.0) & (m <= 1.0) & (y >= 0.0) & (x >= 0.0) & (h > 0.0)
           & ((y < math.inf) | (x < math.inf)))
     if not xp.all(ok):
@@ -265,8 +277,8 @@ def ellint_F_zeta(y, x, m):
             return (math.asinh(y / x) if x else math.inf), y / h
         return _landen(y / h, x / h, m, _float_agm(m), FLOAT)
     h, mu = np.where(plain, h, 1.0), np.where(plain, m, 0.0)
-    F, Z = _landen(np.where(plain, y / h, 0.0), np.where(plain, x / h, 1.0), mu, _agm(mu, ARRAY),
-                   ARRAY)
+    F, Z = _landen(np.where(plain, y / h, 0.0), np.where(plain, x / h, 1.0), mu,
+                   chain.states if chain else _agm(mu, ARRAY), ARRAY)
     for i in np.flatnonzero(~plain).tolist():  # the rest take their float calls
         F.flat[i], Z.flat[i] = ellint_F_zeta(float(y.flat[i]), float(x.flat[i]), float(m.flat[i]))
     return F, Z

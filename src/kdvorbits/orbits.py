@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import FLOAT, ellint_F_zeta, jacobi, route
+from .elliptic import FLOAT, agm_chain, ellint_F_zeta, jacobi, route
 from .errors import DomainError, InsideWedgeError, NumericalError
 from .profiles import Profile
 from .weierstrass import (BOUNDARY_TOL, E1, IMAGINARY, REAL, RIGHT, TOP, EdgeAmplitude,
@@ -117,7 +117,7 @@ class OrbitData(NamedTuple):
     orbit: OrbitClass
 
 
-def _edge_exponent(lat: RectLattice, amp: EdgeAmplitude):
+def _edge_exponent(lat: RectLattice, amp: EdgeAmplitude, chain=None):
     """The real edge exponent of V on its edge: phi_w or rho.
 
     phi_w = |Im w| below the wedge and on the band, rho = Re w inside
@@ -125,10 +125,11 @@ def _edge_exponent(lat: RectLattice, amp: EdgeAmplitude):
     non-negative terms, with K cn dn / sn as a product of gaps, so nothing
     cancels and no small sn or gap divides, on a corner too (only m = 0's
     double corner gives nan).  The same arithmetic serves floats and
-    arrays: off its edge a term is a zero, a gap times False over 1.
+    arrays: off its edge a term is a zero, a gap times False over 1.  ``chain``
+    may be the :func:`.elliptic.agm_chain` of the amplitude's mu.
     """
     edge, amplitude, mu, _, (g1, g2, g3) = amp
-    F, Z = ellint_F_zeta(*amplitude, mu)
+    F, Z = ellint_F_zeta(*amplitude, chain or mu)
     below, above = edge == IMAGINARY, edge == REAL
     x = lat.K * Z + (edge % 2 == 0) * (0.5 * math.pi * F / lat.Kc)  # where mu = 1 - m
     return x + lat.K * (below * g2 + above * g1) * (g3 / (below * g1 + above * g2
@@ -304,24 +305,24 @@ def level_curve(target_kc: float, m, region: str):
     (V = e2 - s^2 below the wedge, e1 -+ s^2 on the band and above it),
     in which x rises smoothly, like K s far out; dx/ds = 2 s |dx/dV|.
     A step that would leave the bracket on s bisects it, or doubles s
-    while it is open above; the search stops once a step leaves V as it
-    is.  A target between a corner's own value and x at the first float
-    past its snap band (|V - c| > BOUNDARY_TOL, where :func:`orbit_data`
-    stops returning the corner) resolves to the corner.  Measured, that
-    is kc within 5e-8 of -1/24 and 7e-14 of 0 at m = 1/2, widening as
-    m -> 1 to 1e-6 below e2 and 0.4 above e1 at 1 - m = 2^-52.  A band
-    covered by the two snap bands is split at its midpoint.  Any
-    other V must reproduce kc to
+    while it is open above; the search stops once x is within 4 ulp of
+    its target, the rounding floor, or a step leaves V as it is.  A target
+    between a corner's own value and x at the first float past its snap
+    band (|V - c| > BOUNDARY_TOL, where :func:`orbit_data` stops returning
+    the corner) resolves to the corner.  Measured, that is kc within 5e-8
+    of -1/24 and 7e-14 of 0 at m = 1/2, widening as m -> 1 to 1e-6 below
+    e2 and 0.4 above e1 at 1 - m = 2^-52.  A band covered by the two snap
+    bands is split at its midpoint.  Any other V must reproduce kc to
     max(1e-10 max(1, |kc|), 4 |dk_dV| ulp(V)), the kc step between
     adjacent floats; a target beyond every finite V raises DomainError.
 
     A float m gives a float, and an array of m an array of V of its shape, as
     :func:`.elliptic.route` decides.  The search is written once: a float m
-    runs it through ``math``, and an array runs it as one masked numpy pass
-    over every m, on one array lattice, with one evaluation of the exponents
-    per Newton step.  Each m stops on its own tests, so each V is that of its
-    scalar call bit for bit, and the first failing m in row order raises the
-    error of its scalar call.
+    runs it through ``math``, and an array as one masked numpy pass over every
+    m, on one array lattice and one AGM chain of the edge's mu, with one
+    evaluation of the exponents per Newton step.  Each m stops on its own
+    tests, so each V is its scalar call's bit for bit, and the first failing m
+    in row order raises the error of its scalar call.
     """
     target_kc = float(target_kc)
     xp, (m,) = route(m)
@@ -383,6 +384,7 @@ def _level_search(target_kc: float, m, region: str, xp):
     state = xp.where(lat.m == 0.0, _RUNAWAY if math.isinf(flat) else _DONE, _LIVE)
     live = state == _LIVE
     target = _root_times(_SIX_PI_SQ, target_kc)
+    chain = agm_chain(lat.m if side > 0.0 else 1.0 - lat.m)  # the mu of every V searched
 
     # The first floats past the snap bands bound the search; a target short
     # of x there resolves to the corner.  An m that has stopped idles at near.
@@ -392,24 +394,25 @@ def _level_search(target_kc: float, m, region: str, xp):
         covered = far >= near  # the two snap bands cover the band: its midpoint
         near = xp.where(covered, 0.5 * (lat.e1 + lat.e3), near)
         far = xp.where(covered, near, far)
-        to_e3 = live & (target >= _edge_exponent(lat, wp_amplitude(far, lat)))
+        to_e3 = live & (target >= _edge_exponent(lat, wp_amplitude(far, lat), chain))
         V, state = xp.where(to_e3, lat.e3, V), xp.where(to_e3, _DONE, state)
         live = state == _LIVE
     if xp.any(live):
-        to_corner = live & (target <= _edge_exponent(lat, wp_amplitude(near, lat)))
+        to_corner = live & (target <= _edge_exponent(lat, wp_amplitude(near, lat), chain))
         V, state = xp.where(to_corner, corner, V), xp.where(to_corner, _DONE, state)
         live = state == _LIVE
 
     lo, hi = xp.sqrt(abs(near - corner)), xp.sqrt(abs(far - corner))
     s = xp.minimum(xp.minimum(xp.maximum(target / lat.K, lo), hi), _S_MAX)
     searched, x, rate = live, V, V  # x and dx/dV at V, once searched
+    floor = 4.0 * math.ulp(target)  # x this close to the target has settled
     for _ in range(_NEWTON_CAP):
         if not xp.any(live):
             break
         V = xp.where(live, corner + side * s * s, V)
         at = xp.where(live, V, near)
         amp = wp_amplitude(at, lat)
-        x = xp.where(live, _edge_exponent(lat, amp), x)
+        x = xp.where(live, _edge_exponent(lat, amp, chain), x)
         rate = xp.where(live, _dx_dV(lat, amp, at), rate)
         below = x < target
         lo, hi = xp.where(below, s, lo), xp.where(below, hi, s)
@@ -417,7 +420,7 @@ def _level_search(target_kc: float, m, region: str, xp):
         step = xp.minimum(xp.where((lo < step) & (step < hi), step,
                                    xp.where(hi < math.inf, 0.5 * (lo + hi), 2.0 * s)), _S_MAX)
         runaway = below & (s == _S_MAX)  # x short of the target at the largest gap
-        settled = (x == target) | (corner + side * step * step == V)
+        settled = (abs(x - target) <= floor) | (corner + side * step * step == V)
         state = xp.where(live, xp.where(runaway, _RUNAWAY, xp.where(settled, _DONE, _LIVE)),
                          state)
         s, live = step, state == _LIVE

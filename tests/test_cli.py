@@ -85,7 +85,10 @@ DIAGRAM_PINNED = [
 ]
 # Level-curve digests recorded when level-curve still solved one m per call: both
 # regions, the corner levels -1/24, 0 and 1e-40, the m = 0 closed form, m up to
-# 1 - 1e-7, and the band split by its two snap bands at the end.
+# 1 - 1e-7, and the band split by its two snap bands at the end.  The four at
+# kc = -0.3, -12.5, 0.2 and -0.03 (JSON) were re-recorded, and the last, a curve
+# over the benchmark's overlay range (400 m below the wedge), was added, when the
+# search came to stop at the rounding floor of its residual.
 _M_UP_TO = ("--m-min", 0, "--m-max", 0.9999999)
 LEVEL_CURVE_PINNED = [
     (("--kc", -1.0 / 24.0, "--region", "below_wedge", "--m-samples", 9, *_M_UP_TO),
@@ -97,16 +100,19 @@ LEVEL_CURVE_PINNED = [
     (("--kc", 1e-40, "--region", "above_wedge", "--m-samples", 9, *_M_UP_TO),
      "9c9eccd74e2a2be4e55d18791b0fa123c2a1a4862dd2f1def03ee57d6ed283f3"),
     (("--kc", -0.3, "--region", "below_wedge", "--m-samples", 64, *_M_UP_TO),
-     "4f11078a6b49cc226a3e6bbcafa0dde3e3b240e43bfd2543fe7b263ce692a930"),
+     "26e156ac794ad587d0a1f900e159964ba52c37bda89499ab63a870dd4b71278d"),
     (("--kc", -12.5, "--region", "below_wedge", "--m-samples", 33, *_M_UP_TO),
-     "a32d5b6a766386ecf5b8995dbafa1578a932b5f6c0c8fe8305542e3da15296ca"),
+     "9e5bcae76f7f2c1b3ce445b14ac016389bcfa77e8da5cd67c08417b8e67da161"),
     (("--kc", 0.2, "--region", "above_wedge", "--m-samples", 64, *_M_UP_TO),
-     "3dd372fe7a979f61b060a6675a84137aa269adf37525ed103b5e67d27fe0fe55"),
+     "4da7ec58eaa88ee4f3fc0cda40f3cee43bbe7d7abd83d5299e754830d13ad025"),
     (("--kc", -0.03, "--region", "above_wedge", "--m-samples", 64, "--json", *_M_UP_TO),
-     "79e3c03170e02ffb4bc943d38ef517be322a395f28966fc23bcb95447f64573f"),
+     "1a6297fdadcb270829baf02cb964cfab80a1a0b91996e40a664a96fb256ab56f"),
     (("--kc", -0.03, "--region", "above_wedge", "--m-samples", 9,
       "--m-min", 0.99999999999, "--m-max", 0.9999999999999),
      "b12f97d307ecb6ac7868f0f5bc7aa8c0142927b5a021c3bc5762cc910a376ea0"),
+    (("--kc", -0.115, "--region", "below_wedge", "--m-samples", 400,
+      "--m-min", 0.03, "--m-max", 0.95),
+     "3ac90c372190119441f4440bb2cb12c2a3d7f91d748494be74a683f7b1bd382a"),
 ]
 # Band digests of the benchmark's seed-7 band scan (2048 rows, CSV and JSON), the
 # narrow lowest band of N = 3 at m = 0.95 and the N = 2 grid through the edges

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from kdvorbits import elliptic, orbits
 from kdvorbits.asymptotics import k_large_V
 from kdvorbits.bands import crystal_momentum
 from kdvorbits.elliptic import ellint_E, ellint_K, jacobi
@@ -652,6 +655,48 @@ class TestLevelCurve:
         assert V.shape == (5, 6)
         assert V[2, 3] == level_curve(-0.3, float(m[2, 3]), "below_wedge")
         assert level_curve(-0.3, np.empty(0), "below_wedge").shape == (0,)
+
+    # the diagram's two overlay curves as the benchmark draws them: 400 m across
+    # the grid, one level below the wedge and one above
+    OVERLAY_M = np.linspace(0.03, 0.95, 400)
+    OVERLAYS = [(-0.115, "below_wedge"), (0.297, "above_wedge")]
+
+    @pytest.mark.parametrize("kc, region", OVERLAYS)
+    def test_a_curve_stops_at_the_rounding_floor(self, monkeypatch, kc, region):
+        # a row settles once x is within 4 ulp of its target, so converged rows
+        # do not keep the pass going by stepping between neighbouring floats
+        passes, evaluate = [], orbits._edge_exponent
+        monkeypatch.setattr(orbits, "_edge_exponent",
+                            lambda *args: passes.append(1) or evaluate(*args))
+        level_curve(kc, self.OVERLAY_M, region)
+        assert len(passes) <= 7
+
+    @pytest.mark.parametrize("kc, region", OVERLAYS)
+    def test_a_curve_builds_the_chain_of_its_mu_once(self, monkeypatch, kc, region):
+        # the edge, and so mu, of a row never changes during its search; the
+        # chain lives as long as the call (the lattice's chains do not count)
+        lat = lattice(self.OVERLAY_M)
+        monkeypatch.setattr(orbits, "lattice", lambda m: lat)
+        chains, build = [], elliptic._agm
+
+        def traced(m, xp):  # each array chain, as weak references to its states
+            states = list(build(m, xp))
+            if xp is elliptic.ARRAY:
+                chains.append([weakref.ref(state.a) for state in states])
+            yield from states
+
+        monkeypatch.setattr(elliptic, "_agm", traced)
+        level_curve(kc, self.OVERLAY_M, region)
+        gc.collect()
+        assert len(chains) == 1 and all(ref() is None for ref in chains[0])
+
+    @pytest.mark.parametrize("kc, region", OVERLAYS)
+    def test_a_curve_agrees_with_mpmath(self, kc, region):
+        # 25 rows of each overlay against kc from mpmath's integrals, far inside
+        # the 1e-10 of the search's own verification
+        V = level_curve(kc, self.OVERLAY_M, region)
+        for m_i, V_i in zip(self.OVERLAY_M[::16].tolist(), V[::16].tolist()):
+            assert abs(oracles.mp_kc(m_i, V_i).real - kc) <= 4e-15 * max(1.0, abs(kc))
 
     def test_level_curves_nest_in_m(self):
         # deeper kc targets push V further down, at every m
