@@ -195,16 +195,18 @@ def V_near_m0(kc: float, m: float) -> Approximation:
 def _degenerate_pieces(z: complex, m: float, end: str):
     """Half-period geometry shared by the degenerate zeta/wp forms.
 
-    Returns (finite half-period, pi z / (2 half), squared nome) for the
-    requested degeneration.  The squared nome exp(2 pi i w2/w1) is the
-    exponentially small parameter multiplying the first lattice-sum
-    correction; it doubles as the validity score.
+    Returns (finite half-period, w, pi w / (2 half), squared nome, rotation),
+    w = rotation(z).  The squared nome exp(2 pi i w2/w1) is the exponentially
+    small parameter of the first lattice-sum correction and the validity
+    score.  The forms are written for m_to_0; m_to_1 is the same form at w = iz
+    with K and K' exchanged (zeta(z) = i zeta(iz; 1-m), wp(z) = -wp(iz; 1-m)).
+    The m_to_0 rotation is the identity: 1 * value would turn inf + nan j to nan.
     """
     lat = lattice(m)
     if end == "m_to_0":
-        half, diverging = lat.K, lat.Kc
+        half, diverging, rotate = lat.K, lat.Kc, (lambda w: w)
     elif end == "m_to_1":
-        half, diverging = lat.Kc, lat.K
+        half, diverging, rotate = lat.Kc, lat.K, (lambda w: 1j * w)
     else:
         raise DomainError(f"end must be 'm_to_0' or 'm_to_1', got {end!r}")
     # exp(-2 pi K'/K) underflows to a clean 0.0 at the exact endpoint,
@@ -212,7 +214,8 @@ def _degenerate_pieces(z: complex, m: float, end: str):
     nome_sq = math.exp(-2.0 * math.pi * diverging / half) if half != math.inf else math.nan
     if math.isnan(nome_sq):
         raise DomainError(f"the {end} form needs a finite period; got m = {m!r}")
-    return half, math.pi * z / (2.0 * half), nome_sq
+    w = rotate(z)
+    return half, w, math.pi * w / (2.0 * half), nome_sq, rotate
 
 
 def degenerate_zeta(z: complex, m: float, end: str) -> Approximation:
@@ -224,59 +227,45 @@ def degenerate_zeta(z: complex, m: float, end: str) -> Approximation:
         zeta(z) ~ (pi^2/4K^2) [z/3 + (2K/pi) cot(pi z/2K)
                                - 8 (z - (K/pi) sin(pi z/K)) q^2],
 
-    with q^2 = exp(-2 pi K'/K); ``end="m_to_1"`` is the same lattice sum
-    run along the other period, giving the hyperbolic counterpart with
+    with q^2 = exp(-2 pi K'/K); ``end="m_to_1"`` is i times the same form
+    at iz with K and K' exchanged, the hyperbolic counterpart with
     q^2 = exp(-2 pi K/K').  The correction keeps the error at O(q^4).
-    Validity is q^2 itself.  A z where sin or sinh overflows raises
-    DomainError.
+    Validity is q^2 itself.  A z where sin overflows raises DomainError.
     """
     z = complex(z)
-    half, u, nome_sq = _degenerate_pieces(z, m, end)
+    half, w, u, nome_sq, rotate = _degenerate_pieces(z, m, end)
     scale = math.pi**2 / (4.0 * half * half)
     try:
-        if end == "m_to_0":
-            s = cmath.sin(u)
-            if s == 0.0:
-                raise PoleError(f"z = {z!r} is a pole of the degenerate zeta form")
-            bracket = (z / 3.0 + (2.0 * half / math.pi) * cmath.cos(u) / s
-                       - 8.0 * (z - (half / math.pi) * cmath.sin(2.0 * u)) * nome_sq)
-            value = scale * bracket
-        else:
-            s = cmath.sinh(u)
-            if s == 0.0:
-                raise PoleError(f"z = {z!r} is a pole of the degenerate zeta form")
-            bracket = (z / 3.0 - (2.0 * half / math.pi) * cmath.cosh(u) / s
-                       - 8.0 * (z - (half / math.pi) * cmath.sinh(2.0 * u)) * nome_sq)
-            value = -scale * bracket
+        s = cmath.sin(u)
+        if s == 0.0:
+            raise PoleError(f"z = {z!r} is a pole of the degenerate zeta form")
+        value = scale * (w / 3.0 + (2.0 * half / math.pi) * cmath.cos(u) / s
+                         - 8.0 * (w - (half / math.pi) * cmath.sin(2.0 * u)) * nome_sq)
     except OverflowError:
         raise DomainError(f"the degenerate zeta form overflows at z = {z!r}") from None
-    return Approximation(value, nome_sq)
+    return Approximation(rotate(value), nome_sq)
 
 
 def degenerate_wp(z: complex, m: float, end: str) -> Approximation:
     """Weierstrass wp with one period sent to infinity.
 
     Minus the derivative of :func:`degenerate_zeta`, term by term:
-    1/sin^2 (or 1/sinh^2) plus the same exponentially small lattice
-    correction, error O(q^4).  Validity is q^2.  A z whose sin^2 or sinh^2
-    underflows to 0 is a pole; one where they overflow raises DomainError.
+    1/sin^2 plus the same exponentially small lattice correction, error
+    O(q^4); ``end="m_to_1"`` is minus the form at iz with K and K'
+    exchanged, 1/sinh^2.  Validity is q^2.  A z whose sin^2 underflows to
+    0 is a pole; one where it overflows raises DomainError.
     """
     z = complex(z)
-    half, u, nome_sq = _degenerate_pieces(z, m, end)
+    half, w, u, nome_sq, rotate = _degenerate_pieces(z, m, end)
     scale = math.pi**2 / (4.0 * half * half)
     try:
-        s = cmath.sin(u) if end == "m_to_0" else cmath.sinh(u)
+        s = cmath.sin(u)
         if s * s == 0.0:
             raise PoleError(f"z = {z!r} is a pole of the degenerate wp form")
-        if end == "m_to_0":
-            value = scale * (-1.0 / 3.0 + 1.0 / (s * s)
-                             + 8.0 * (1.0 - cmath.cos(2.0 * u)) * nome_sq)
-        else:
-            value = scale * (1.0 / 3.0 + 1.0 / (s * s)
-                             + 8.0 * (cmath.cosh(2.0 * u) - 1.0) * nome_sq)
+        value = scale * (-1.0 / 3.0 + 1.0 / (s * s) + 8.0 * (1.0 - cmath.cos(2.0 * u)) * nome_sq)
     except OverflowError:
         raise DomainError(f"the degenerate wp form overflows at z = {z!r}") from None
-    return Approximation(value, nome_sq)
+    return Approximation(rotate(rotate(value)), nome_sq)
 
 
 def K_asymptotes(m: float) -> tuple[Approximation, Approximation]:

@@ -99,12 +99,8 @@ def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
     if not 0 <= n <= _GRID_LIMIT:
         raise DomainError(
             f"{name} grid size must lie in [0, {_GRID_LIMIT}], got {n}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not math.isfinite(hi - lo):  # a width past the float range would fill it with nan
         raise DomainError(f"{name} range must be finite, got [{lo!r}, {hi!r}]")
-    if n == 0:
-        return np.empty(0)
-    if n == 1:
-        return np.array([float(lo)])
     return np.linspace(float(lo), float(hi), n)
 
 
@@ -160,20 +156,28 @@ def _cmd_level_curve(args) -> str:
     return _table(args, _LEVEL_CURVE_COLUMNS, rows)
 
 
+def _foldable(energies, kappa) -> np.ndarray:
+    """kappa, the extended kappa_ell at each energy, or DomainError from 2^52 on,
+    where ulp(kappa_ell) >= 1 and its fold into [0, pi] keeps no digit."""
+    far = ~(np.abs(kappa) < 2.0**52)
+    if far.any():
+        raise DomainError(f"kappa_ell reaches {float(kappa[far][0])!r} at E = "
+                          f"{float(energies[far][0])!r}: past 2**52, its fold keeps no digit")
+    return kappa
+
+
 def _band_rows_closed_form(energies, m: float) -> list:
-    rows = []
-    for e in energies:
-        point = crystal_momentum(e, m)
-        wind = int(math.floor(point.kappa_ell_extended.real / math.pi + 1e-9))
-        rows.append([float(e), point.kappa_ell, _BOOLEAN[point.in_gap], wind])
-    return rows
+    points = [crystal_momentum(e, m) for e in energies]
+    extended = _foldable(energies, np.array([p.kappa_ell_extended.real for p in points]))
+    return [[float(e), p.kappa_ell, _BOOLEAN[p.in_gap], int(math.floor(k / math.pi + 1e-9))]
+            for e, p, k in zip(energies, points, extended.tolist())]
 
 
 def _band_rows_scanned(energies, N: int, m: float) -> list:
     # kappa_ell from the abelian integral over the band edges, folded into
     # [0, pi]; the Magnus trace where that route cannot resolve the bands.
     try:
-        kappa = kappa_ell_extended(energies, m, N)
+        kappa = _foldable(energies, kappa_ell_extended(energies, m, N))
         kappa = np.abs(kappa - 2.0 * math.pi * np.rint(kappa / (2.0 * math.pi)))
     except ResolutionError:
         traces = floquet_traces(energies, m, N)

@@ -20,8 +20,8 @@ and monotone on each of the four edges: there tan phi of the Jacobi
 amplitude of the arc parameter is a ratio of the gaps V - e_i, and
 ``wp_inverse`` is Legendre's incomplete integral F(phi|mu) at it.
 
-The degenerate case ``m == 0`` (second period at infinity) is supported
-through the trigonometric limits ``wp = 1/sin^2 z - 1/3``,
+At ``m == 0`` (second period at infinity) the nome is 0 and the series is
+its first term, the trigonometric limits ``wp = 1/sin^2 z - 1/3``,
 ``zeta = z/3 + cot z``, ``sigma = sin(z) exp(z^2/6)``.
 """
 
@@ -102,8 +102,8 @@ def lattice(m) -> RectLattice:
     """Build the rectangular lattice attached to elliptic parameter ``m``.
 
     Requires 0 <= m < 1.  For m = 0 the imaginary half-period degenerates
-    to infinity (Kc = inf); the function evaluators below special-case
-    that limit, so the lattice object itself is still usable.  An m so
+    to infinity (Kc = inf, eta2_im = inf), where the nome of the theta_1
+    series below is 0, so the evaluators need no case of their own.  An m so
     small that 1 - m rounds to 1 (below about 2^-54) is that limit too:
     the returned lattice has m = 0.0.
 
@@ -157,34 +157,32 @@ def _multiple(x: float, period: float, z, name: str) -> int:
     return round(n)
 
 
-def _reduce(z: complex, lat: RectLattice, name: str) -> tuple[complex, int, int]:
-    """Centered reduction z = z0 + 2K n1 + 2iKc n2 with z0 in the base cell
-    (n2 = 0 at m = 0, where Kc is infinite); a z too large to reduce raises
-    DomainError."""
+def _reduce(z: complex, lat: RectLattice, name: str) -> tuple[complex, complex, complex, float]:
+    """Centered reduction z = z0 + L, L = 2K n1 + 2iKc n2, z0 in the base cell:
+    z0, L, eta_L = 2 n1 eta1 + 2 n2 eta2 = zeta(z) - zeta(z0) and sigma's sign
+    (-1)^(n1 + n2 + n1 n2).  DomainError for a z too large to reduce, and at
+    m = 0 (Kc = eta2_im = inf, n2 = 0) for |Im z| past 709.78 = log of the
+    largest float, where sin z and cos z reach half the float range."""
     n1 = _multiple(z.real, 2.0 * lat.K, z, name)
-    n2 = _multiple(z.imag, 2.0 * lat.Kc, z, name) if lat.m else 0
-    return complex(z.real - 2.0 * lat.K * n1, z.imag - 2.0 * lat.Kc * n2 if n2 else z.imag), n1, n2
+    if lat.m:
+        n2 = _multiple(z.imag, 2.0 * lat.Kc, z, name)
+        im = (2.0 * lat.Kc * n2, 2.0 * n2 * lat.eta2_im)
+    elif abs(z.imag) <= 709.78:
+        n2, im = 0, (0.0, 0.0)
+    else:
+        raise DomainError(f"{name} overflows at z = {z!r}")
+    z0 = complex(z.real - 2.0 * lat.K * n1, z.imag - im[0] if n2 else z.imag)
+    sign = -1.0 if (n1 + n2 + n1 * n2) % 2 else 1.0
+    return z0, complex(2.0 * lat.K * n1, im[0]), complex(2.0 * n1 * lat.eta1, im[1]), sign
 
 
-def _off_pole(z: complex, lat: RectLattice, name: str) -> tuple[complex, int, int]:
+def _off_pole(z: complex, lat: RectLattice, name: str) -> tuple[complex, complex, complex, float]:
     """:func:`_reduce`, raising PoleError for a z within the pole tolerance of a
     lattice point: the poles of wp, wp' and zeta."""
-    z0, n1, n2 = _reduce(z, lat, name)
-    if abs(z0) < _POLE_TOL:
+    reduced = _reduce(z, lat, name)
+    if abs(reduced[0]) < _POLE_TOL:
         raise PoleError(f"{name} evaluated too close to a lattice point")
-    return z0, n1, n2
-
-
-def _circular(f, z, lat: RectLattice, name: str):
-    """f(w) on the lattice of m = 0, w = z modulo pi: real for a real z, and
-    a DomainError where sin w overflows (|Im z| past about 355)."""
-    z = complex(z)
-    w = _off_pole(z, lat, name)[0]
-    try:
-        val = f(w)
-    except OverflowError:
-        raise DomainError(f"{name} overflows at z = {z!r}") from None
-    return val.real if z.imag == 0.0 else val
+    return reduced
 
 
 def _theta_series(z0: complex, lat: RectLattice) -> tuple[complex, complex, complex, complex]:
@@ -199,12 +197,15 @@ def _theta_series(z0: complex, lat: RectLattice) -> tuple[complex, complex, comp
         wp'(z)   = -f^3 (t_3 - 3 t_2 t_1 + 2 t_1^3)
 
     where theta_1(v) = 2 q^(1/4) sum_n (-1)^n q^(n(n+1)) sin((2n+1) v)
-    (DLMF 20.2.1); the factor 2 q^(1/4) cancels.  For m > 1/2 (K > Kc)
-    the nome exceeds exp(-pi).  There the rotated lattice i L -- the
-    lattice of 1 - m, with w = Kc, eta = -eta2_im and nome
-    exp(-pi K / Kc) -- takes over through the homogeneity relations
-    zeta(z) = i zeta(iz; 1-m), sigma(z) = -i sigma(iz; 1-m),
+    (DLMF 20.2.1); the factor 2 q^(1/4) cancels, and the sum stops at its
+    first zero coefficient.  For m > 1/2 (K > Kc) the nome exceeds exp(-pi).
+    There the rotated lattice i L -- the lattice of 1 - m, with w = Kc,
+    eta = -eta2_im and nome exp(-pi K / Kc) -- takes over through the
+    homogeneity relations zeta(z) = i zeta(iz; 1-m), sigma(z) = -i sigma(iz; 1-m),
     wp(z) = -wp(iz; 1-m) and wp'(z) = -i wp'(iz; 1-m).
+
+    At m = 0, q = 0: the sum is sin v, with w = pi/2 and eta = pi/6, and
+    :func:`_reduce` keeps Im v where sin v, cos v and the t_k stay finite.
     """
     if lat.K > lat.Kc:
         w, eta, ratio, rot = lat.Kc, -lat.eta2_im, lat.K / lat.Kc, 1j
@@ -217,6 +218,8 @@ def _theta_series(z0: complex, lat: RectLattice) -> tuple[complex, complex, comp
     dth0 = 0.0
     for n in range(_THETA_TERMS):
         c = (-1) ** n * q ** (n * (n + 1))
+        if c == 0.0:
+            break
         k = 2 * n + 1
         sin, cos = cmath.sin(k * v), cmath.cos(k * v)
         th += c * sin
@@ -237,14 +240,13 @@ def wp(z: complex, lat: RectLattice):
     """Weierstrass p-function.  Real input returns a float, complex a complex.
 
     Reduced to the base cell and read off the theta_1 series of
-    :func:`_theta_series`, for a real z and a complex z alike.  Arguments
-    within 1e-9 of a lattice point raise :class:`PoleError`.  A z n1
-    periods 2K and n2 periods 2iKc out, with |n1| ulp(2K) or |n2| ulp(2Kc)
+    :func:`_theta_series`, for a real z and a complex z alike, at every m.
+    Arguments within 1e-9 of a lattice point raise :class:`PoleError`.  A z
+    n1 periods 2K and n2 periods 2iKc out, with |n1| ulp(2K) or |n2| ulp(2Kc)
     > 1e-9, the pole tolerance (|z| > 8.35e6 at m = 1/2), raises
-    DomainError: the reduction would round the rest by more.
+    DomainError: the reduction would round the rest by more; at m = 0, so
+    does |Im z| past 709.78, where sin z nears overflow.
     """
-    if lat.m == 0.0:
-        return _circular(lambda w: 1.0 / cmath.sin(w) ** 2 - 1.0 / 3.0, z, lat, "wp")
     val = _theta_series(_off_pole(complex(z), lat, "wp")[0], lat)[2]
     return val if isinstance(z, complex) else val.real
 
@@ -252,8 +254,6 @@ def wp(z: complex, lat: RectLattice):
 def wp_prime(z: complex, lat: RectLattice):
     """Derivative of the p-function, from the same series; same input/output
     convention, poles and reduction limits as wp."""
-    if lat.m == 0.0:
-        return _circular(lambda w: -2.0 * cmath.cos(w) / cmath.sin(w) ** 3, z, lat, "wp_prime")
     val = _theta_series(_off_pole(complex(z), lat, "wp_prime")[0], lat)[3]
     return val if isinstance(z, complex) else val.real
 
@@ -265,12 +265,8 @@ def zeta(z: complex, lat: RectLattice) -> complex:
     evaluated from the theta_1 series of :func:`_theta_series`, with the
     poles and reduction limits of :func:`wp`.
     """
-    z = complex(z)
-    if lat.m == 0.0:
-        return z / 3.0 + 1.0 / cmath.tan(_off_pole(z, lat, "zeta")[0])
-    z0, n1, n2 = _off_pole(z, lat, "zeta")
-    corr = complex(2.0 * n1 * lat.eta1, 2.0 * n2 * lat.eta2_im)
-    return _theta_series(z0, lat)[0] + corr
+    z0, _, eta_L, _ = _off_pole(complex(z), lat, "zeta")
+    return _theta_series(z0, lat)[0] + eta_L
 
 
 def sigma(z: complex, lat: RectLattice) -> complex:
@@ -286,17 +282,12 @@ def sigma(z: complex, lat: RectLattice) -> complex:
     """
     z = complex(z)
     try:
-        if lat.m == 0.0:
-            return cmath.sin(z) * cmath.exp(z * z / 6.0)
-        z0, n1, n2 = _reduce(z, lat, "sigma")
+        z0, L, eta_L, sign = _reduce(z, lat, "sigma")
         if z0 == 0.0:
             return 0.0 + 0.0j
         val = _theta_series(z0, lat)[1]
-        if n1 == 0 and n2 == 0:
+        if L == 0.0:
             return val
-        L = complex(2.0 * lat.K * n1, 2.0 * lat.Kc * n2)
-        eta_L = complex(2.0 * n1 * lat.eta1, 2.0 * n2 * lat.eta2_im)
-        sign = -1.0 if (n1 + n2 + n1 * n2) % 2 else 1.0
         return sign * cmath.exp(eta_L * (z0 + L / 2.0)) * val
     except OverflowError:
         raise DomainError(f"sigma overflows at z = {z!r}") from None

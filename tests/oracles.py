@@ -185,6 +185,17 @@ def mp_wp(z: complex, m: float) -> tuple[complex, complex]:
         return complex(1 / sn**2 - (m + 1) / 3), complex(-2 * cn * dn / sn**3)
 
 
+def mp_circular(z: complex) -> tuple[complex, complex, complex, complex]:
+    """wp, wp', zeta and sigma on the lattice of m = 0, whose second period is
+    at infinity, from mpmath's sin and cos at 30 digits: 1/sin^2 z - 1/3,
+    -2 cos z / sin^3 z, z/3 + cot z and sin(z) exp(z^2/6)."""
+    with mp.workdps(30):
+        z = mp.mpc(z)
+        s, c = mp.sin(z), mp.cos(z)
+        return (complex(1 / s**2 - mp.mpf(1) / 3), complex(-2 * c / s**3),
+                complex(z / 3 + c / s), complex(s * mp.exp(z * z / 6)))
+
+
 def eta1_by_integration(m: float) -> float:
     """eta1 = zeta(K) from the quasi-period of zeta, by quadrature of wp.
 

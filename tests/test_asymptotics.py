@@ -1,6 +1,8 @@
+import hashlib
 import math
 import warnings
 
+import numpy as np
 import pytest
 import scipy.special as sp
 from numpy.testing import assert_allclose
@@ -324,6 +326,27 @@ class TestDegenerateForms:
     def test_bad_end_token(self):
         with pytest.raises(DomainError):
             degenerate_zeta(0.5, 0.1, "m_to_2")
+
+    def test_a_seeded_sweep_is_pinned(self):
+        # Recorded when m_to_1 had sinh and cosh forms of its own: i times the
+        # m_to_0 form at iz answers as they did.  2,000 seeded (m, z), m a
+        # third uniform in [0, 1) and a third log-spread toward each end, from
+        # 1e-15 of it; |z| log-spread from 1e-3 to 1e3; both forms, both ends.
+        rng = np.random.default_rng(35)
+        near = 10.0 ** rng.uniform(-15.0, -1.0, 2000)
+        ms = np.choose(rng.integers(0, 3, 2000), (rng.uniform(0.0, 1.0, 2000), near, 1.0 - near))
+        zs = 10.0 ** rng.uniform(-3.0, 3.0, 2000) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 2000))
+        lines = []
+        for m, z in zip(ms.tolist(), zs.tolist()):
+            for end in ("m_to_0", "m_to_1"):
+                for form in (degenerate_zeta, degenerate_wp):
+                    try:
+                        ap = form(z, m, end)
+                        lines.append(f"{ap.value!r} {ap.validity!r}")
+                    except (DomainError, PoleError) as exc:
+                        lines.append(type(exc).__name__)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "b6aadfc1baa15a23e67fbb032a3ea48844cc9a556bf27bc042e09a794fb8a083")
 
 
 class TestKAsymptotes:

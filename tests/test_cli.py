@@ -88,7 +88,8 @@ DIAGRAM_PINNED = [
 # 1 - 1e-7, and the band split by its two snap bands at the end.  The four at
 # kc = -0.3, -12.5, 0.2 and -0.03 (JSON) were re-recorded, and the last, a curve
 # over the benchmark's overlay range (400 m below the wedge), was added, when the
-# search came to stop at the rounding floor of its residual.
+# search came to stop at the rounding floor of its residual.  The one-point
+# axis was recorded when _axis still built one- and no-point axes itself.
 _M_UP_TO = ("--m-min", 0, "--m-max", 0.9999999)
 LEVEL_CURVE_PINNED = [
     (("--kc", -1.0 / 24.0, "--region", "below_wedge", "--m-samples", 9, *_M_UP_TO),
@@ -113,12 +114,15 @@ LEVEL_CURVE_PINNED = [
     (("--kc", -0.115, "--region", "below_wedge", "--m-samples", 400,
       "--m-min", 0.03, "--m-max", 0.95),
      "3ac90c372190119441f4440bb2cb12c2a3d7f91d748494be74a683f7b1bd382a"),
+    (("--kc", -0.3, "--region", "below_wedge", "--m-samples", 1, "--m-min", 0.3, "--m-max", 0.9),
+     "95052089394b200b1664facd1b88a220b8f2bddfdcd8844bbee80483e2cc9b39"),
 ]
 # Band digests of the benchmark's seed-7 band scan (2048 rows, CSV and JSON), the
 # narrow lowest band of N = 3 at m = 0.95 and the N = 2 grid through the edges
 # 1.5, 3 and 4.5, recorded when kappa_ell became the abelian integral (E, in_gap
 # and winding as when the rows were built one energy at a time), and of the N = 1
-# closed form (CSV and JSON).
+# closed form (CSV and JSON); the last, its scan to E = 1e24, where kappa_ell is
+# about 3.7e12, was recorded before kappa_ell from 2^52 on was refused.
 BAND_PINNED = [
     (("--m", "0.47001263198085785", "--N", 2, "--E-max", "7.026116068127824",
       "--samples", 2048),
@@ -134,6 +138,8 @@ BAND_PINNED = [
      "1c14be6c32f5ba34f7edcf172b28c9e6771614b6f8aea2be7e41e9d8fefbd61b"),
     (("--m", 0.6, "--E-max", 3.0, "--samples", 60, "--json"),
      "ae0275644ccd869524f50e3a346e135562d0bbc90d8ff1d68d3b3186f10aa188"),
+    (("--m", 0.5, "--E-max", 1e24, "--samples", 2),
+     "538a3065a06ffe06b9049db86e10019e12703ed648aa645929afb7a6d3cf1add"),
 ]
 # At m = 1 - 1e-6 the lowest bands are narrower than band_edges resolves, so
 # kappa_ell comes from the Magnus trace.
@@ -289,8 +295,8 @@ class TestDiagram:
                                           "--grid", nm, nv)])
         assert code == 0
         expected = ["m,V,trace,kc_real,kc_imag,class,winding"]
-        for m in (np.linspace(m_lo, m_hi, nm) if nm > 1 else [m_lo]):
-            for V in (np.linspace(v_lo, v_hi, nv) if nv > 1 else [v_lo]):
+        for m in np.linspace(m_lo, m_hi, nm):
+            for V in np.linspace(v_lo, v_hi, nv):
                 d = orbit_data(float(m), float(V))
                 expected.append("%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d" % (
                     m, V, d.trace, d.kc.real, d.kc.imag, d.orbit.kind.value,
@@ -421,6 +427,20 @@ class TestBand:
         extended = bands.kappa_ell_extended([float(E)], 0.5, 1)[0]
         assert (in_gap, int(winding)) == ("false", int(extended // math.pi))
         assert 0.0 <= float(kappa) <= math.pi
+
+    # from 2^52 on ulp(kappa_ell) >= 1, and the fold into [0, pi] kept no digit:
+    # the first printed 1.807852797238219 and a winding of 154 digits, the
+    # others 0 from the abelian integral
+    @pytest.mark.parametrize("argv", [
+        ("--m", 0.5, "--E-max", 1.7e308, "--samples", 2),
+        ("--N", 2, "--m", 0.5, "--E-max", 1e40, "--samples", 2),
+        ("--N", 2, "--m", 0.5, "--E-max", 1e60, "--samples", 2),
+    ])
+    def test_a_kappa_ell_too_large_to_fold_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "band", *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        report = json.loads(err)
+        assert report["error"] == "DomainError" and "2**52" in report["message"]
 
     def test_winding_labels_bands(self, capsys):
         _, out, _ = run_cli(capsys, "band", "--m", 0.6, "--E-max", 3.0,
@@ -584,6 +604,11 @@ class TestBand:
      "--grid", "2", "2"),
     ("level-curve", "--kc", "0.1", "--region", "below_wedge",
      "--m-samples", "3", "--m-max", "nan"),
+    # a width past the float range: numpy warned twice on stderr, then V was nan
+    ("diagram", "--m-range", "0", "0.5", "--V-range", "-1e308", "1e308",
+     "--grid", "2", "3"),
+    ("diagram", "--m-range", "0", "0.5", "--V-range", "-1e308", "1e308",
+     "--grid", "2", "1"),
 ])
 def test_nonfinite_axis_end_is_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

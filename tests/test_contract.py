@@ -6,6 +6,7 @@ and no numpy warning may escape (pyproject turns numpy's warnings into errors).
 What comes back, a float or an array and of which shape, is pinned per input type.
 """
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -120,33 +121,59 @@ class TestOrbits:
         _each_gets_the_contract(lambda: constant_trace(kc), lambda: winding_from_kc(kc))
 
 
+def _finite(value):
+    """value, which must be finite: an answer, not an overflow passed on."""
+    assert cmath.isfinite(value), value
+    return value
+
+
 class TestWeierstrass:
-    # the example overflowed the period reduction: sn came out 0 and 1/sn^2 divided by it
+    # the examples: the period reduction overflowed, so sn came out 0 and 1/sn^2
+    # divided by it; at m = 0, 1/sin^2 came out nan at Im z = 400, and the theta
+    # series, unbounded in Im z, gave nan where sin nears overflow and a
+    # ValueError at Im z = 1.7e308
     @given(m=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True)),
            x=FINITE, y=FINITE)
     @example(m=0.5, x=1.7e308, y=0.0)
     @example(m=0.0, x=1.7976931348623157e308, y=1.7e308)
+    @example(m=0.0, x=0.3, y=400.0)
+    @example(m=0.0, x=7.296180602762178, y=710.4539485741404)
+    @example(m=0.0, x=0.3, y=1.7e308)
     @settings(max_examples=300, deadline=None)
     def test_wp_and_its_derivative(self, m, x, y):
         lat = lattice(m)
+        z = complex(x, y)
         _each_gets_the_contract(
-            lambda: wp(x, lat), lambda: wp_prime(x, lat),
-            lambda: wp(complex(x, y), lat), lambda: wp_prime(complex(x, y), lat))
+            lambda: _finite(wp(x, lat)), lambda: _finite(wp_prime(x, lat)),
+            lambda: _finite(wp(z, lat)), lambda: _finite(wp_prime(z, lat)))
 
     # the examples: a rest of rounding noise that reads as a lattice point or
-    # a zero, and the quasi-periodic factor of sigma past overflow
+    # a zero, the quasi-periodic factor of sigma past overflow, at m = 0 a
+    # sigma(1.34e154) that came out nan, and the cases of wp above
     @given(m=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True)),
            x=FINITE, y=FINITE)
     @example(m=0.5, x=1e53, y=1.0)
     @example(m=0.5, x=3e52, y=3e52)
     @example(m=0.5, x=1e3, y=0.0)
     @example(m=0.0, x=1e3, y=1e3)
+    @example(m=0.0, x=1.3407807929942597e154, y=0.0)
+    @example(m=0.0, x=0.3, y=400.0)
+    @example(m=0.0, x=7.296180602762178, y=710.4539485741404)
+    @example(m=0.0, x=0.3, y=1.7e308)
     @settings(max_examples=300, deadline=None)
     def test_zeta_and_sigma(self, m, x, y):
         lat = lattice(m)
+        z = complex(x, y)
         _each_gets_the_contract(
-            lambda: zeta(x, lat), lambda: sigma(x, lat),
-            lambda: zeta(complex(x, y), lat), lambda: sigma(complex(x, y), lat))
+            lambda: _finite(zeta(x, lat)), lambda: _finite(sigma(x, lat)),
+            lambda: _finite(zeta(z, lat)), lambda: _finite(sigma(z, lat)))
+
+    # m = 0 once answered a complex 1 + 0j with a float
+    @pytest.mark.parametrize("m", [0.0, 0.5])
+    @pytest.mark.parametrize("f", [wp, wp_prime])
+    def test_a_complex_argument_gets_a_complex_answer(self, f, m):
+        assert type(f(1.0 + 0.0j, lattice(m))) is complex
+        assert type(f(1.0, lattice(m))) is float
 
     # no lattice point lies near these, so no PoleError: the reduction
     # itself is rounding noise

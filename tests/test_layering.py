@@ -75,6 +75,28 @@ def test_weierstrass_takes_no_jacobi_function_from_elliptic():
     assert offenders == []
 
 
+def _cmath_calls(name):
+    """(enclosing function, cmath function) for every cmath call in one package module."""
+    path = PACKAGE / f"{name}.py"
+    for function in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("cmath."):
+                    yield function.name, ast.unparse(node.func).removeprefix("cmath.")
+
+
+def test_weierstrass_takes_sin_and_cos_only_in_its_theta_series():
+    # one evaluator at every m: m = 0 is the series of nome 0, no trigonometric copy
+    trig = {(function, call) for function, call in _cmath_calls("weierstrass")
+            if call in ("sin", "cos", "tan")}
+    assert trig == {("_theta_series", "sin"), ("_theta_series", "cos")}
+
+
+def test_asymptotics_forms_no_hyperbolic_function():
+    # the m_to_1 degenerate forms are the m_to_0 forms at iz
+    assert not {call for _, call in _cmath_calls("asymptotics")} & {"sinh", "cosh", "tanh"}
+
+
 def test_orbits_holds_no_generator():
     # level_curve's search is one function body for a float and an array
     path = PACKAGE / "orbits.py"

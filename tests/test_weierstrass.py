@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from dataclasses import fields
 
@@ -401,3 +402,48 @@ class TestWpInverse:
             assert abs(val - V) < 1e-12 * max(1.0, abs(V))
         with pytest.raises(DomainError):
             wp_inverse(-1 / 3, lat)
+
+
+def _answers(calls):
+    """One line per call: the repr of its answer, or the name of its error."""
+    lines = []
+    for call in calls:
+        try:
+            lines.append(repr(call()))
+        except (DomainError, PoleError) as exc:
+            lines.append(type(exc).__name__)
+    return "\n".join(lines)
+
+
+class TestEveryM:
+    def test_the_values_at_positive_m_are_pinned(self):
+        # Recorded when m = 0 still had trigonometric evaluators of its own:
+        # every m > 0 answers as it did, sign of zero included.  2,000 seeded
+        # (m, z), m a third uniform in (0, 1) and a third log-spread toward
+        # each end, from 1e-15 of it; |z| log-spread from 1e-3 to 1e3.
+        rng = np.random.default_rng(35)
+        near = 10.0 ** rng.uniform(-15.0, -1.0, 2000)
+        ms = np.choose(rng.integers(0, 3, 2000), (rng.uniform(0.0, 1.0, 2000), near, 1.0 - near))
+        zs = 10.0 ** rng.uniform(-3.0, 3.0, 2000) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 2000))
+        calls = [lambda f=f, a=a, lat=lattice(m): f(a, lat)
+                 for m, z in zip(ms.tolist(), zs.tolist())
+                 for f in (wp, wp_prime, zeta, sigma) for a in (z, z.real)]
+        assert hashlib.sha256(_answers(calls).encode()).hexdigest() == (
+            "372d4bd6637ab3481cff8edb50b1847d42ed7fee06dede532223f783cffc99e5")
+
+    def test_m0_is_the_trigonometric_limit(self):
+        # The theta_1 series of nome 0 is sin v: within 2e-13 max(1, |f|) of the
+        # limits up to |Im z| = 709, and DomainError past 710.5, where sin
+        # overflows.  Once wp was nan for 356 <= |Im z| < 710, wp' refused from
+        # |Im z| = 237, and zeta answered past 710.5.
+        lat = lattice(0.0)
+        rng = np.random.default_rng(35)
+        for x, y in zip(rng.uniform(-50.0, 50.0, 400).tolist(),
+                        rng.uniform(-1000.0, 1000.0, 400).tolist()):
+            z = complex(x, y)
+            for f, limit in zip((wp, wp_prime, zeta, sigma), oracles.mp_circular(z)):
+                if abs(y) <= 709.0:
+                    assert abs(f(z, lat) - limit) <= 2e-13 * max(1.0, abs(limit)), (f, z)
+                elif abs(y) >= 710.5:
+                    with pytest.raises(DomainError, match=f.__name__):
+                        f(z, lat)
