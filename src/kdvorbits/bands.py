@@ -22,7 +22,8 @@ matrices.  As sn^2 is even about K, Tr - 2 = 4 y1'(K) y2(K) and Tr + 2 =
 4 y1(K) y2'(K) for the fundamental solutions y1, y2 at 0, so each edge is a
 simple zero in E of one of these entries, which a batched sixth-order
 Magnus integrator, its steps sized from K, scans and regula falsi refines;
-their zeros must interlace, y1 with y1' and y2 with y2'.
+their zeros must interlace, y1 with y1' and y2 with y2', and be as many
+as Sturm oscillation counts.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ _CHUNK = 2**14 // _BLOCKS
 _COSH = tuple(1.0 / math.factorial(2 * n) for n in range(11))
 _SINHC = tuple(1.0 / math.factorial(2 * n + 1) for n in range(11))
 _TRUNCATION = 2.0**-65
-# The gap scan: first step, halvings and energy count, entry names, final
-# bracket width in ulp, closed-gap width per max(1, E).
-_SCAN_STEP, _RESCANS, _SCAN_CEILING = 0.02, 6, 2**15
+# The gap scan: first step (the Sturm count catches what it misses), halvings
+# and energy count, entry names, final bracket width in ulp, closed-gap width per max(1, E).
+_SCAN_STEP, _RESCANS, _SCAN_CEILING = 0.1, 6, 2**15
 _ENTRIES = ("y1(K)", "y2(K)", "y1'(K)", "y2'(K)")
 _ULPS, _CLOSED = 4, 1e-12
 
@@ -557,6 +558,31 @@ def _refine(nodes: tuple, entry: np.ndarray, left: np.ndarray, right: np.ndarray
         f_left[open_], f_right[open_] = values[rows, j], values[rows, j + 1]
 
 
+@_REFUSED_BELOW
+def _sturm_counts(nodes: tuple, E_max: float) -> np.ndarray:
+    """Zeros in E below E_max of y1(K), y2(K), y1'(K), y2'(K), by Sturm oscillation: as many
+    as y1(x; E_max) and y2(x; E_max) have on (0, K), one more for y' where y y' < 0 at K.
+
+    :func:`_step_count` keeps h^2 |q - E| <= 1, so by Sturm comparison zeros in
+    x lie at least pi h apart and the signs at the step ends count them all; the
+    steps are multiplied by a log-depth prefix (Hillis & Steele, *CACM* 29, 1986)."""
+    U, A, B = nodes
+    w, v = A + B * E_max
+    x = w * w + U * v
+    ch = s = 0.0
+    for n in range(_series_degree(nodes, E_max, E_max), -1, -1):
+        ch, s = ch * x + _COSH[n], s * x + _SINHC[n]
+    run, shift = np.stack((ch + w * s, U * s, v * s, ch - w * s)), 1
+    while shift < run.shape[1]:  # step k now holds steps k - 2 shift + 1 .. k
+        (a, b, c, d), (p, q, r, t) = run[:, :-shift], run[:, shift:]
+        run[:, shift:] = p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d
+        shift *= 2
+    y = run[:2] > 0.0  # y1 and y2 / h at the step ends, both positive just past 0
+    zeros = np.count_nonzero(y[:, 1:] != y[:, :-1], axis=1) + ~y[:, 0]
+    a, b, c, d = run[:, -1]
+    return np.concatenate((zeros, zeros + [a * c < 0.0, b * d < 0.0]))
+
+
 def _interlacing_fault(zeros: np.ndarray, entry: np.ndarray, resolution: float) -> str | None:
     """Where the zeros of y1' and y1, or of y2' and y2, fail to take turns.
 
@@ -586,17 +612,19 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapI
     Spectral Theory of Periodic Differential Equations*, ch. 1-3), and
     zeros of one entry lie a band and a gap apart.  So the entries are
     scanned over [0, E_max] (default (N+1)^2 + 1, above the last gap) at
-    a step of 0.02, and every sign change is refined from the entries'
+    a step of 0.1, and every sign change is refined from the entries'
     values, all at once, to a few ulp.  If the zeros of y1 and y1', or of
-    y2 and y2', fail to interlace, the step missed a pair of zeros: it is
-    halved and the scan repeated, at most 6 times, before ResolutionError.
+    y2 and y2', fail to interlace, or an entry's zeros are not as many as
+    Sturm oscillation counts below E_max from the signs of y1 and y2 in x,
+    the step missed some: it is halved and the scan repeated, at most 6
+    times, before ResolutionError.
 
     The sorted zeros are the bottom of the spectrum and then the edges of
     each gap in pairs, closed gaps included; a pair closer than 1e-12
     max(1, E) is closed.  Fewer than N open gaps raise ResolutionError, more
     NumericalError.  DomainError means E_max is not positive, past the
     energies the scan resolves in 2560 steps, past a first scan of 2^15
-    energies (E_max about 655, a second or so), or inside a forbidden region.  Nothing here uses
+    energies (E_max about 3277, under a second), or inside a forbidden region.  Nothing here uses
     :func:`band_edges`.  Gaps come back in energy order, and the order is
     the label: the i-th gap sits at the extended-zone edge kappa*l = i*pi
     (by continuity from the free limit; an annotation, not checked).
@@ -615,18 +643,24 @@ def numeric_band_gaps(N: int, m: float, E_max: float | None = None) -> list[GapI
         raise DomainError(f"E_max = {E_max!r} takes a scan of {count} energies, past the "
                           f"ceiling of {_SCAN_CEILING}")
     nodes = _magnus_nodes(strength, lat.K, m, 0.0, E_max)
+    counts = _sturm_counts(nodes, E_max)
     for _ in range(_RESCANS + 1):
         energies = np.linspace(0.0, E_max, int(math.ceil(E_max / step)) + 1)
         values = _half_period_entries(energies, nodes)
         entry, i = np.nonzero((values[:, 1:] > 0.0) != (values[:, :-1] > 0.0))
         zeros = _refine(nodes, entry, energies[i], energies[i + 1],
                         values[entry, i], values[entry, i + 1])
+        found = np.bincount(entry, minlength=len(_ENTRIES))
         fault = _interlacing_fault(zeros, entry, _CLOSED)
-        if fault is None:
+        if fault is None and np.array_equal(found, counts):
             break
         step /= 2.0
     else:
-        raise ResolutionError(f"{fault} in [0, {E_max!r}] at scan step {2.0 * step!r}")
+        k = int(np.argmax(found != counts))
+        raise ResolutionError(
+            f"{fault} in [0, {E_max!r}] at scan step {2.0 * step!r}" if fault else
+            f"found {found[k]} zeros of {_ENTRIES[k]} below E_max = {E_max!r} where "
+            f"Sturm's count is {counts[k]} (scan step {2.0 * step!r})")
 
     zeros = np.sort(zeros)
     if zeros.size % 2 == 0:
